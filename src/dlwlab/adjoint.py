@@ -34,6 +34,7 @@ from .jet import (
     reduce_on_shell,
     total_derivative_n,
 )
+from .linalg import decompose_components
 from .symmetry import Characteristic, char_bracket, frechet_derivative
 
 __all__ = [
@@ -293,39 +294,17 @@ def action2(
 
 
 # ---------------------------------------------------------------------------
-# exact decomposition in catalog bases
-
-
-def decompose_components(
-    target: Sequence[JetPoly],
-    basis: Sequence[Sequence[JetPoly]],
-) -> list[Fraction] | None:
-    """Exact coordinates of a component tuple in the span of basis
-    tuples, matching monomial coefficients slot by slot."""
-    width = len(target)
-    rows = []
-    rhs = []
-    keys: list[tuple[int, object]] = []
-    seen = set()
-    for slot in range(width):
-        polys = [b[slot] for b in basis] + [target[slot]]
-        for p in polys:
-            for m in p.terms:
-                if (slot, m) not in seen:
-                    seen.add((slot, m))
-                    keys.append((slot, m))
-    for slot, m in keys:
-        rows.append([b[slot].terms.get(m, Fraction(0)) for b in basis])
-        rhs.append(target[slot].terms.get(m, Fraction(0)))
-    return linalg.solve_exact(rows, rhs)
+# the action table
 
 
 @dataclass(frozen=True)
 class ActionTable:
-    """entries[(qi, pj)] (1-based) holds the exact coordinates of
-    action1(P_j, Q_i) in the catalog adjoint-symmetry basis."""
+    """images[(qi, pj)] (1-based) holds action1(P_j, Q_i) and
+    entries[(qi, pj)] its exact coordinates in the catalog
+    adjoint-symmetry basis."""
 
     entries: Mapping[tuple[int, int], tuple[Fraction, ...]]
+    images: Mapping[tuple[int, int], tuple[JetPoly, ...]]
 
     def coeff(self, qi: int, pj: int) -> tuple[Fraction, ...]:
         return self.entries[(qi, pj)]
@@ -346,9 +325,10 @@ def build_action_table(
     an unmatched residue raises DecompositionError."""
     basis = [tuple(reduce_on_shell(c, sys) for c in q.comp) for q in adjoints]
     entries: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    images: dict[tuple[int, int], tuple[JetPoly, ...]] = {}
     for qi, q in enumerate(adjoints, start=1):
         for pj, p in enumerate(chars, start=1):
-            image = action1(p, q, sys)
+            image = images[(qi, pj)] = action1(p, q, sys)
             coords = decompose_components(image, basis)
             if coords is None:
                 raise DecompositionError(
@@ -356,7 +336,7 @@ def build_action_table(
                     f"({', '.join(str(c) for c in image)})"
                 )
             entries[(qi, pj)] = tuple(coords)
-    return ActionTable(entries)
+    return ActionTable(entries, images)
 
 
 #: Cell values as printed in the source catalog (basis coordinates over

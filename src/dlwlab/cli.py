@@ -16,12 +16,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from .report import (
+    ADJOINT_BLOCKS,
+    CONSLAW_BLOCKS,
+    SUITES,
+    SYMMETRY_BLOCKS,
     VerificationReport,
     adjoint_suite,
     conslaw_suite,
     report_to_json_text,
     run_suite,
-    sim_suite,
     symmetry_suite,
     waves_suite,
 )
@@ -29,32 +32,41 @@ from .report import (
 __all__ = ["main", "build_parser"]
 
 
+def _write_json(text: str, args: argparse.Namespace) -> None:
+    if args.json:
+        Path(args.json).write_text(text + "\n", encoding="utf-8")
+
+
+def _print_json(data: object, args: argparse.Namespace) -> None:
+    """Print data as JSON and write the same text to ``--json`` if given."""
+    text = json.dumps(data, indent=2, sort_keys=True)
+    print(text)
+    _write_json(text, args)
+
+
 def _emit(report: VerificationReport, args: argparse.Namespace) -> int:
     print(report.render())
     if args.json:
-        Path(args.json).write_text(report_to_json_text(report) + "\n", encoding="utf-8")
+        _write_json(report_to_json_text(report), args)
         print(f"json written to {args.json}")
     return 1 if report.failed() else 0
 
 
-def _filter(report: VerificationReport, prefixes: tuple[str, ...]) -> VerificationReport:
-    sub = VerificationReport(suite=report.suite, timestamp=report.timestamp)
-    sub.entries = [e for e in report.entries if e.label.startswith(prefixes)]
-    return sub
-
-
-def _parse_binding(text: str | None) -> dict[str, float]:
+def _parse_binding(text: str) -> dict[str, float]:
+    """``--binding`` value: comma-separated name=value pairs."""
     out: dict[str, float] = {}
-    if not text:
-        return out
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         key, _, val = chunk.partition("=")
-        if not val:
-            raise SystemExit(2)
-        out[key.strip()] = float(val)
+        try:
+            value = float(val)
+        except ValueError:
+            value = None
+        if value is None or not key.strip():
+            raise argparse.ArgumentTypeError(f"malformed binding {chunk!r}: expected name=number")
+        out[key.strip()] = value
     return out
 
 
@@ -63,36 +75,23 @@ def _parse_binding(text: str | None) -> dict[str, float]:
 
 
 def _cmd_symmetry(args: argparse.Namespace) -> int:
-    rep = symmetry_suite(samples=args.samples, reproducible=args.reproducible)
-    if args.action == "verify":
-        rep = _filter(rep, ("determining-", "reduction-"))
-    elif args.action == "brackets":
-        rep = _filter(rep, ("bracket-", "char-bracket-", "generator-"))
-    elif args.action == "optimal":
-        rep = _filter(rep, ("optimal-",))
+    rep = symmetry_suite(samples=args.samples, reproducible=args.reproducible, blocks=(args.action,))
     return _emit(rep, args)
 
 
 def _cmd_adjoint(args: argparse.Namespace) -> int:
-    rep = adjoint_suite(reproducible=args.reproducible)
-    if args.action == "verify":
-        rep = _filter(rep, ("determining-", "multiplier-"))
-    elif args.action == "table":
-        rep = _filter(rep, ("action-", "action1-"))
-    elif args.action == "bracket":
-        rep = _filter(rep, ("bracket-",))
-        if args.fix:
-            rep.entries = [e for e in rep.entries if f"fix{args.fix}" in e.label]
+    rep = adjoint_suite(reproducible=args.reproducible, blocks=(args.action,))
+    if args.action == "bracket" and args.fix:
+        rep.entries = [e for e in rep.entries if f"fix{args.fix}" in e.label]
     return _emit(rep, args)
 
 
 def _cmd_conslaw(args: argparse.Namespace) -> int:
     if args.action == "hamiltonian":
-        rep = conslaw_suite(which="all", reproducible=args.reproducible)
-        rep = _filter(rep, ("hamiltonian-", "skew-", "presymplectic-"))
+        blocks = ("hamiltonian",)
     else:
-        rep = conslaw_suite(which=args.set, reproducible=args.reproducible)
-    return _emit(rep, args)
+        blocks = CONSLAW_BLOCKS if args.set == "all" else (args.set,)
+    return _emit(conslaw_suite(reproducible=args.reproducible, blocks=blocks), args)
 
 
 def _cmd_waves(args: argparse.Namespace) -> int:
@@ -100,7 +99,7 @@ def _cmd_waves(args: argparse.Namespace) -> int:
         if args.family:
             from .solutions import verify_family
 
-            binding = _parse_binding(args.binding)
+            binding = args.binding or {}
             report = verify_family(args.family, binding, n_samples=args.samples)
             record = {
                 "family": args.family,
@@ -110,9 +109,7 @@ def _cmd_waves(args: argparse.Namespace) -> int:
                 "samples_used": report.samples_used,
                 "samples_skipped": report.samples_skipped,
             }
-            print(json.dumps(record, indent=2, sort_keys=True))
-            if args.json:
-                Path(args.json).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+            _print_json(record, args)
             return 0
         rep = waves_suite(reproducible=args.reproducible)
         return _emit(rep, args)
@@ -134,15 +131,12 @@ def _cmd_waves(args: argparse.Namespace) -> int:
                     "constant_along_flow": d.is_zero(),
                 }
             )
-        print(json.dumps(rows, indent=2, sort_keys=True))
-        if args.json:
-            Path(args.json).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        _print_json(rows, args)
         return 0 if all(r["constant_along_flow"] for r in rows) else 1
     if args.action == "profile":
         from .solutions import profile_rows
 
-        binding = _parse_binding(args.binding)
-        rows = profile_rows(args.family, binding, args.xi_min, args.xi_max, args.points)
+        rows = profile_rows(args.family, args.binding or {}, args.xi_min, args.xi_max, args.points)
         out = Path(args.out or f"{args.family}_profile.csv")
         with out.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -166,9 +160,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         except S.BlowupError as e:
             summary["outcome"] = "blowup"
             summary["blowup_time"] = e.time
-            print(json.dumps(summary, indent=2, sort_keys=True))
-            if args.json:
-                Path(args.json).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            _print_json(summary, args)
             return 0
         summary["outcome"] = "completed"
         summary["steps"] = res.steps
@@ -188,22 +180,18 @@ def _cmd_sim(args: argparse.Namespace) -> int:
             writer.writerow(["x", "u", "v"])
             for x, u, v in zip(cfg.grid.x, res.state.u, res.state.v):
                 writer.writerow([x, u, v])
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        if args.json:
-            Path(args.json).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _print_json(summary, args)
         return 0
     if args.action == "converge":
         from .sim import BlowupError, convergence_study
 
-        binding = _parse_binding(args.binding) or {"mu": 1.0}
+        binding = args.binding or {"mu": 1.0}
         n_list = [int(s) for s in args.n.split(",")]
         try:
             rows = convergence_study(args.family, binding, n_list, t_end=args.t_end)
         except BlowupError as e:
             rows = [{"outcome": "blowup", "blowup_time": e.time}]
-        print(json.dumps(rows, indent=2, sort_keys=True))
-        if args.json:
-            Path(args.json).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        _print_json(rows, args)
         return 0
     raise SystemExit(2)
 
@@ -230,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("symmetry", help="point-symmetry checks")
-    p.add_argument("action", choices=["verify", "brackets", "optimal"])
+    p.add_argument("action", choices=SYMMETRY_BLOCKS)
     p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(func=_cmd_symmetry)
 
     p = subs.add_parser("adjoint", help="adjoint-symmetry checks")
-    p.add_argument("action", choices=["verify", "table", "bracket"])
+    p.add_argument("action", choices=ADJOINT_BLOCKS)
     p.add_argument("--fix", choices=["Q1", "Q3", "Q4"], help="restrict brackets to one fixed entry")
     p.set_defaults(func=_cmd_adjoint)
 
@@ -247,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("waves", help="traveling-wave and exact-solution checks")
     p.add_argument("action", choices=["verify", "first-integrals", "profile"])
     p.add_argument("--family", help="catalog id, e.g. eq93")
-    p.add_argument("--binding", help="comma-separated name=value parameter bindings")
+    p.add_argument("--binding", type=_parse_binding, help="comma-separated name=value parameter bindings")
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--mu", help="rational wave speed for the first integrals")
     p.add_argument("--out", help="CSV output path for profiles")
@@ -261,13 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key=value configuration file")
     p.add_argument("--out-dir", help="directory for CSV outputs")
     p.add_argument("--family", default="eq93")
-    p.add_argument("--binding", help="parameter bindings for the reference family")
+    p.add_argument("--binding", type=_parse_binding, help="parameter bindings for the reference family")
     p.add_argument("--n", default="128,256,512", help="comma-separated grid sizes")
     p.add_argument("--t-end", type=float, default=1.0)
     p.set_defaults(func=_cmd_sim)
 
     p = subs.add_parser("report", help="aggregate suites")
-    p.add_argument("suite", choices=["symmetry", "adjoint", "conslaw", "waves", "sim", "all"])
+    p.add_argument("suite", choices=SUITES)
     p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(func=_cmd_report)
 

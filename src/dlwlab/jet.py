@@ -375,12 +375,6 @@ class JetPoly:
     def max_order(self) -> int:
         return max((m.max_order for m in self._terms), default=0)
 
-    def total_degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get(_ONE_MONOMIAL, Fraction(0))
-
     def has_explicit_xt(self) -> bool:
         return any(m.xpow or m.tpow for m in self._terms)
 
@@ -519,25 +513,6 @@ class JetPoly:
             else:
                 out[key] = s
         return JetPoly(out)
-
-    def subs_params(self, binding: Mapping[str, Fraction | int]) -> "JetPoly":
-        """Substitute exact rational values for parameters."""
-        out = JetPoly.zero()
-        for m, c in self._terms.items():
-            coef = c
-            params: dict[str, int] = {}
-            for n, e in m.params:
-                if n in binding:
-                    v = _frac(binding[n])
-                    if v == 0 and e < 0:
-                        raise ZeroDivisionError(f"parameter {n} bound to 0 with negative power")
-                    coef = coef * v**e
-                else:
-                    params[n] = e
-            if coef == 0:
-                continue
-            out = out + JetPoly({JetMonomial.make(dict(m.jet), m.xpow, m.tpow, params): coef})
-        return out
 
 
 _ZERO = JetPoly()

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["solve_exact", "nullspace_exact", "rref"]
+__all__ = ["solve_exact", "nullspace_exact", "rref", "decompose_components"]
 
 Matrix = list[list[Fraction]]
 
@@ -73,3 +73,24 @@ def nullspace_exact(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
             vec[pc] = -m[r][fc]
         basis.append(vec)
     return basis
+
+
+def decompose_components(
+    target: Sequence, basis: Sequence[Sequence]
+) -> list[Fraction] | None:
+    """Exact coordinates of a component tuple in the span of basis
+    tuples, matching monomial coefficients slot by slot; None if the
+    target leaves the span. Components are polynomials whose ``terms``
+    map monomials to coefficients (``JetPoly`` tuples, or the coefficient
+    slots of a point symmetry)."""
+    keys: list[tuple[int, object]] = []
+    seen = set()
+    for slot in range(len(target)):
+        for p in [b[slot] for b in basis] + [target[slot]]:
+            for m in p.terms:
+                if (slot, m) not in seen:
+                    seen.add((slot, m))
+                    keys.append((slot, m))
+    rows = [[b[slot].terms.get(m, Fraction(0)) for b in basis] for slot, m in keys]
+    rhs = [target[slot].terms.get(m, Fraction(0)) for slot, m in keys]
+    return solve_exact(rows, rhs)

@@ -1,7 +1,10 @@
 """Suite runners producing machine-readable verification reports.
 
-Each suite executes the full registered check set of one module family
-and emits one entry per check: verdict ``pass`` (identity holds),
+The checks of one module family form a suite, grouped in named blocks
+that are the CLI's action names (``symmetry brackets``, ``adjoint table``,
+``conslaw --set noether``, ...). A caller picks the blocks before any
+check runs; by default a suite runs every block. Each check emits one
+entry: verdict ``pass`` (identity holds),
 ``fail`` (unexpected breakage), or ``flagged`` (a known catalog
 discrepancy, quantified in the detail field rather than hidden). The
 difference matters for exit codes: flagged entries document errata in
@@ -12,18 +15,33 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import time as _time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Collection
 
 from . import __version__, adjoint as adj, conslaw as cl, solutions as sol
 from . import symmetry as sym, waves as wv
-from .jet import format_poly, reduce_on_shell
+from .jet import euler_operator, formal_adjoint, format_poly, reduce_on_shell
 from .systems import physical_system, physical_to_potential, potential_system
 
-__all__ = ["ReportEntry", "VerificationReport", "run_suite", "SUITES"]
+__all__ = [
+    "ReportEntry",
+    "VerificationReport",
+    "run_suite",
+    "SUITES",
+    "SYMMETRY_BLOCKS",
+    "ADJOINT_BLOCKS",
+    "CONSLAW_BLOCKS",
+]
 
 SUITES = ("symmetry", "adjoint", "conslaw", "waves", "sim", "all")
+
+#: Named check blocks of the suites that can run in part (the CLI actions).
+SYMMETRY_BLOCKS = ("verify", "brackets", "optimal")
+ADJOINT_BLOCKS = ("verify", "table", "bracket")
+CONSLAW_BLOCKS = ("direct", "noether", "ibragimov", "hamiltonian")
 
 
 @dataclass
@@ -73,6 +91,13 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _selected(blocks: Collection[str], known: tuple[str, ...]) -> frozenset[str]:
+    unknown = set(blocks) - set(known)
+    if unknown:
+        raise ValueError(f"unknown check block(s) {sorted(unknown)}; known: {', '.join(known)}")
+    return frozenset(blocks)
+
+
 def _stamp(report: VerificationReport, reproducible: bool) -> VerificationReport:
     if not reproducible:
         report.timestamp = _time.strftime("%Y-%m-%dT%H:%M:%S", _time.gmtime())
@@ -83,110 +108,119 @@ def _stamp(report: VerificationReport, reproducible: bool) -> VerificationReport
 # symmetry suite
 
 
-def symmetry_suite(samples: int = 1000, reproducible: bool = True) -> VerificationReport:
+def symmetry_suite(
+    samples: int = 1000,
+    reproducible: bool = True,
+    blocks: Collection[str] = SYMMETRY_BLOCKS,
+) -> VerificationReport:
+    blocks = _selected(blocks, SYMMETRY_BLOCKS)
     rep = VerificationReport(suite="symmetry")
     sys = physical_system()
     xs = sym.point_symmetries()
     ps = sym.characteristics()
 
-    for x in xs:
-        res = sym.determining_residual(x, sys)
-        ok = all(r.is_zero() for r in res)
-        rep.add(f"determining-{x.name}", "eq8", ok, "prolonged action vanishes on shell" if ok else "nonzero residual")
+    if "verify" in blocks:
+        for x in xs:
+            res = sym.determining_residual(x, sys)
+            ok = all(r.is_zero() for r in res)
+            rep.add(f"determining-{x.name}", "eq8", ok, "prolonged action vanishes on shell" if ok else "nonzero residual")
 
-    expected_brackets = {
-        (1, 3): {2: Fraction(1)},
-        (1, 4): {1: Fraction(1)},
-        (2, 4): {2: Fraction(1, 2)},
-        (3, 4): {3: Fraction(-1, 2)},
-    }
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            coords = sym.decompose_point_symmetry(sym.lie_bracket(xs[i - 1], xs[j - 1]), xs)
-            got = {k + 1: c for k, c in enumerate(coords or []) if c != 0}
-            ok = got == expected_brackets.get((i, j), {})
+    if "brackets" in blocks:
+        expected_brackets = {
+            (1, 3): {2: Fraction(1)},
+            (1, 4): {1: Fraction(1)},
+            (2, 4): {2: Fraction(1, 2)},
+            (3, 4): {3: Fraction(-1, 2)},
+        }
+        x_basis = [x.coeffs() for x in xs]
+        for i in range(1, 5):
+            for j in range(i + 1, 5):
+                bracket = sym.lie_bracket(xs[i - 1], xs[j - 1])
+                coords = adj.decompose_components(bracket.coeffs(), x_basis)
+                got = {k + 1: c for k, c in enumerate(coords or []) if c != 0}
+                ok = got == expected_brackets.get((i, j), {})
+                rep.add(
+                    f"bracket-X{i}-X{j}",
+                    "eq12",
+                    ok,
+                    " + ".join(f"({c})*X{k}" for k, c in got.items()) or "0",
+                )
+
+        # evolutionary brackets: engine truth vs the printed table, plus
+        # consistency with the vector-field brackets
+        printed_41 = {(1, 3): {4: Fraction(1)}, (1, 4): {1: Fraction(1)},
+                      (2, 4): {2: Fraction(1, 2)}, (3, 4): {3: Fraction(-1, 2)}}
+        ps_red = [[reduce_on_shell(c, sys) for c in p.comp] for p in ps]
+        for i in range(1, 5):
+            for j in range(i + 1, 5):
+                br = sym.char_bracket(ps[i - 1], ps[j - 1], sys)
+                coords = adj.decompose_components(tuple(br.comp), ps_red)
+                got = {k + 1: c for k, c in enumerate(coords or []) if c != 0}
+                # consistency with the characteristic of the vector-field bracket
+                lb_char = sym.characteristic(sym.lie_bracket(xs[i - 1], xs[j - 1]))
+                lb_red = tuple(reduce_on_shell(c, sys) for c in lb_char.comp)
+                consistent = tuple(br.comp) == lb_red
+                shown = " + ".join(f"({c})*P{k}" for k, c in got.items()) or "0"
+                if (i, j) in printed_41 and got != printed_41[(i, j)]:
+                    rep.add(
+                        f"char-bracket-P{i}-P{j}",
+                        "eq41",
+                        consistent,
+                        f"computed {shown}; printed table disagrees",
+                        flagged=consistent,
+                    )
+                else:
+                    rep.add(f"char-bracket-P{i}-P{j}", "eq41", consistent, shown)
+
+        _, mats = sym.structure_constants()
+        printed = sym.printed_generator_matrices()
+        for i, (got, want) in enumerate(zip(mats, printed), start=1):
+            same = got == want
             rep.add(
-                f"bracket-X{i}-X{j}",
-                "eq12",
-                ok,
-                " + ".join(f"({c})*X{k}" for k, c in got.items()) or "0",
+                f"generator-E{i}",
+                "eq14",
+                True,
+                "matches printed form" if same else "computed form differs from printed",
+                flagged=not same,
             )
 
-    # evolutionary brackets: engine truth vs the printed table, plus
-    # consistency with the vector-field brackets
-    printed_41 = {(1, 3): {4: Fraction(1)}, (1, 4): {1: Fraction(1)},
-                  (2, 4): {2: Fraction(1, 2)}, (3, 4): {3: Fraction(-1, 2)}}
-    ps_red = [[reduce_on_shell(c, sys) for c in p.comp] for p in ps]
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            br = sym.char_bracket(ps[i - 1], ps[j - 1], sys)
-            coords = adj.decompose_components(tuple(br.comp), ps_red)
-            got = {k + 1: c for k, c in enumerate(coords or []) if c != 0}
-            # consistency with the characteristic of the vector-field bracket
-            lb_char = sym.characteristic(sym.lie_bracket(xs[i - 1], xs[j - 1]))
-            lb_red = tuple(reduce_on_shell(c, sys) for c in lb_char.comp)
-            consistent = tuple(br.comp) == lb_red
-            shown = " + ".join(f"({c})*P{k}" for k, c in got.items()) or "0"
-            if (i, j) in printed_41 and got != printed_41[(i, j)]:
-                rep.add(
-                    f"char-bracket-P{i}-P{j}",
-                    "eq41",
-                    consistent,
-                    f"computed {shown}; printed table disagrees",
-                    flagged=consistent,
-                )
-            else:
-                rep.add(f"char-bracket-P{i}-P{j}", "eq41", consistent, shown)
-
-    c, mats = sym.structure_constants()
-    printed = sym.printed_generator_matrices()
-    for i, (got, want) in enumerate(zip(mats, printed), start=1):
-        same = got == want
+    if "optimal" in blocks:
+        rng = random.Random(20240917)
+        hist: dict[str, int] = {}
+        total = 0
+        for _ in range(samples):
+            vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+            if all(v == 0 for v in vec):
+                vec[rng.randrange(4)] = Fraction(1)
+            cls, _, _ = sym.optimal_reduce(vec)
+            hist[cls] = hist.get(cls, 0) + 1
+            total += 1
         rep.add(
-            f"generator-E{i}",
-            "eq14",
+            "optimal-closure",
+            "thm2",
+            total == samples and all(k in sym.OPTIMAL_CLASSES for k in hist),
+            "histogram " + ", ".join(f"{k}:{hist[k]}" for k in sorted(hist)),
+        )
+        rep.add(
+            "optimal-vs-printed-list",
+            "thm2",
             True,
-            "matches printed form" if same else "computed form differs from printed",
-            flagged=not same,
+            "engine classes {X1,X2,X3,X4,X1+X3,X1-X3}; X2+-X4 reduces to X4 via the "
+            "corrected shift map, so the printed list's extra class is reducible",
+            flagged=True,
+        )
+        rep.add(
+            "optimal-case-2.2",
+            "sec2.2",
+            True,
+            "X2+-X3 is unreachable from the l1=0, l3=0 branch (no map reaches l3)",
+            flagged=True,
         )
 
-    import random
-
-    rng = random.Random(20240917)
-    hist: dict[str, int] = {}
-    total = 0
-    for _ in range(samples):
-        vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
-        if all(v == 0 for v in vec):
-            vec[rng.randrange(4)] = Fraction(1)
-        cls, _, _ = sym.optimal_reduce(vec)
-        hist[cls] = hist.get(cls, 0) + 1
-        total += 1
-    rep.add(
-        "optimal-closure",
-        "thm2",
-        total == samples and all(k in sym.OPTIMAL_CLASSES for k in hist),
-        "histogram " + ", ".join(f"{k}:{hist[k]}" for k in sorted(hist)),
-    )
-    rep.add(
-        "optimal-vs-printed-list",
-        "thm2",
-        True,
-        "engine classes {X1,X2,X3,X4,X1+X3,X1-X3}; X2+-X4 reduces to X4 via the "
-        "corrected shift map, so the printed list's extra class is reducible",
-        flagged=True,
-    )
-    rep.add(
-        "optimal-case-2.2",
-        "sec2.2",
-        True,
-        "X2+-X3 is unreachable from the l1=0, l3=0 branch (no map reaches l3)",
-        flagged=True,
-    )
-
-    checks = sym.similarity_reduction_checks(sys)
-    rep.add("reduction-X1+X3", "eq18", checks["X1+X3"]["match"], "substituted system collapses to the reduced pair")
-    rep.add("reduction-X2+X4", "eq21", checks["X2+X4"]["match"], "verified after clearing sqrt(t) prefactors")
+    if "verify" in blocks:
+        checks = sym.similarity_reduction_checks(sys)
+        rep.add("reduction-X1+X3", "eq18", checks["X1+X3"]["match"], "substituted system collapses to the reduced pair")
+        rep.add("reduction-X2+X4", "eq21", checks["X2+X4"]["match"], "verified after clearing sqrt(t) prefactors")
     return _stamp(rep, reproducible)
 
 
@@ -194,89 +228,93 @@ def symmetry_suite(samples: int = 1000, reproducible: bool = True) -> Verificati
 # adjoint suite
 
 
-def adjoint_suite(reproducible: bool = True) -> VerificationReport:
+def adjoint_suite(
+    reproducible: bool = True, blocks: Collection[str] = ADJOINT_BLOCKS
+) -> VerificationReport:
+    blocks = _selected(blocks, ADJOINT_BLOCKS)
     rep = VerificationReport(suite="adjoint")
     sys = physical_system()
     qs = adj.adjoint_symmetries()
     ps = sym.characteristics()
 
-    for q in qs:
-        res = adj.adjoint_determining_residual(q, sys)
-        ok = all(r.is_zero() for r in res)
-        detail = "determining system holds on shell"
-        if q.name == "Q3":
-            detail = "catalog (corrected) form; see Q3-printed"
-        rep.add(f"determining-{q.name}", "eq28", ok, detail)
-    pq3 = adj.printed_q3()
-    res = adj.adjoint_determining_residual(pq3, sys)
-    rep.add(
-        "determining-Q3-printed",
-        "eq28",
-        True,
-        "printed first component duplicates Q2's and fails: residual "
-        + "; ".join(format_poly(r) for r in res)[:120],
-        flagged=True,
-    )
-
-    for q in qs:
-        rep.add(f"multiplier-{q.name}", "eq25", adj.multiplier_test(q, sys), "Euler operators annihilate the pairing off shell")
-
-    agree = all(
-        adj.action1(p, q, sys) == adj.action2(p, q, sys) for q in qs for p in ps
-    )
-    rep.add("action1-equals-action2", "eq34", agree, "both actions coincide on all 24 pairs")
-
-    table = adj.build_action_table(ps, qs, sys)
-    mismatches = 0
-    for qi in range(1, 7):
-        for pj in range(1, 5):
-            coords = table.coeff(qi, pj)
-            got = {k + 1: v for k, v in enumerate(coords) if v != 0}
-            want = adj.PRINTED_ACTION_TABLE.get((qi, pj), {})
-            shown = " + ".join(f"({v})*Q{k}" for k, v in got.items()) or "0"
-            if got == want:
-                rep.add(f"action-Q{qi}-P{pj}", "table1", True, shown)
-            else:
-                mismatches += 1
-                rep.add(
-                    f"action-Q{qi}-P{pj}",
-                    "table1",
-                    True,
-                    f"computed {shown}; printed cell disagrees",
-                    flagged=True,
-                )
-    rep.add(
-        "action-table-mismatch-count",
-        "table1",
-        mismatches <= 2,
-        f"{mismatches} flagged cell(s) attributable to printed typos",
-    )
-
-    # closure: every nonzero table image satisfies the determining system
-    closure_ok = True
-    basis_red = [tuple(reduce_on_shell(c, sys) for c in q.comp) for q in qs]
-    for qi in range(1, 7):
-        for pj in range(1, 5):
-            image = adj.action1(ps[pj - 1], qs[qi - 1], sys)
-            if all(p.is_zero() for p in image):
-                continue
-            res = adj.adjoint_determining_residual(image, sys)
-            if not all(r.is_zero() for r in res):
-                closure_ok = False
-    rep.add("action-closure", "table1", closure_ok, "every nonzero image is again an adjoint symmetry")
-
-    for (fix, i, j), (k_exp, c_exp) in adj.PRINTED_BRACKET_CONSTANTS.items():
-        _, coords = adj.sq_bracket(fix, qs[i - 1], qs[j - 1], ps, qs, sys, table)
-        got = {k + 1: v for k, v in enumerate(coords) if v != 0}
-        shown = " + ".join(f"({v})*Q{k}" for k, v in got.items()) or "0"
-        matches = got == {k_exp: c_exp}
+    if "verify" in blocks:
+        for q in qs:
+            res = adj.adjoint_determining_residual(q, sys)
+            ok = all(r.is_zero() for r in res)
+            detail = "determining system holds on shell"
+            if q.name == "Q3":
+                detail = "catalog (corrected) form; see Q3-printed"
+            rep.add(f"determining-{q.name}", "eq28", ok, detail)
+        pq3 = adj.printed_q3()
+        res = adj.adjoint_determining_residual(pq3, sys)
         rep.add(
-            f"bracket-fixQ{fix}-Q{i}-Q{j}",
-            "eq43",
+            "determining-Q3-printed",
+            "eq28",
             True,
-            shown if matches else f"computed {shown}; printed constant {c_exp}*Q{k_exp}",
-            flagged=not matches,
+            "printed first component duplicates Q2's and fails: residual "
+            + "; ".join(format_poly(r) for r in res)[:120],
+            flagged=True,
         )
+
+        for q in qs:
+            rep.add(f"multiplier-{q.name}", "eq25", adj.multiplier_test(q, sys), "Euler operators annihilate the pairing off shell")
+
+    if blocks & {"table", "bracket"}:
+        table = adj.build_action_table(ps, qs, sys)
+
+    if "table" in blocks:
+        agree = all(
+            image == adj.action2(ps[pj - 1], qs[qi - 1], sys)
+            for (qi, pj), image in table.images.items()
+        )
+        rep.add("action1-equals-action2", "eq34", agree, "both actions coincide on all 24 pairs")
+
+        mismatches = 0
+        for qi in range(1, 7):
+            for pj in range(1, 5):
+                coords = table.coeff(qi, pj)
+                got = {k + 1: v for k, v in enumerate(coords) if v != 0}
+                want = adj.PRINTED_ACTION_TABLE.get((qi, pj), {})
+                shown = " + ".join(f"({v})*Q{k}" for k, v in got.items()) or "0"
+                if got == want:
+                    rep.add(f"action-Q{qi}-P{pj}", "table1", True, shown)
+                else:
+                    mismatches += 1
+                    rep.add(
+                        f"action-Q{qi}-P{pj}",
+                        "table1",
+                        True,
+                        f"computed {shown}; printed cell disagrees",
+                        flagged=True,
+                    )
+        rep.add(
+            "action-table-mismatch-count",
+            "table1",
+            mismatches <= 2,
+            f"{mismatches} flagged cell(s) attributable to printed typos",
+        )
+
+        # closure: every nonzero table image satisfies the determining system
+        closure_ok = all(
+            all(r.is_zero() for r in adj.adjoint_determining_residual(image, sys))
+            for image in table.images.values()
+            if not all(p.is_zero() for p in image)
+        )
+        rep.add("action-closure", "table1", closure_ok, "every nonzero image is again an adjoint symmetry")
+
+    if "bracket" in blocks:
+        for (fix, i, j), (k_exp, c_exp) in adj.PRINTED_BRACKET_CONSTANTS.items():
+            _, coords = adj.sq_bracket(fix, qs[i - 1], qs[j - 1], ps, qs, sys, table)
+            got = {k + 1: v for k, v in enumerate(coords) if v != 0}
+            shown = " + ".join(f"({v})*Q{k}" for k, v in got.items()) or "0"
+            matches = got == {k_exp: c_exp}
+            rep.add(
+                f"bracket-fixQ{fix}-Q{i}-Q{j}",
+                "eq43",
+                True,
+                shown if matches else f"computed {shown}; printed constant {c_exp}*Q{k_exp}",
+                flagged=not matches,
+            )
     return _stamp(rep, reproducible)
 
 
@@ -284,13 +322,16 @@ def adjoint_suite(reproducible: bool = True) -> VerificationReport:
 # conservation-law suite
 
 
-def conslaw_suite(which: str = "all", reproducible: bool = True) -> VerificationReport:
+def conslaw_suite(
+    reproducible: bool = True, blocks: Collection[str] = CONSLAW_BLOCKS
+) -> VerificationReport:
+    blocks = _selected(blocks, CONSLAW_BLOCKS)
     rep = VerificationReport(suite="conslaw")
     phys = physical_system()
     pot = potential_system()
     qs = adj.adjoint_symmetries()
 
-    if which in ("direct", "all"):
+    if "direct" in blocks:
         laws = cl.direct_laws()
         for label in ("eq29", "eq30", "eq31", "eq32", "eq33"):
             law = laws[label]
@@ -325,10 +366,8 @@ def conslaw_suite(which: str = "all", reproducible: bool = True) -> Verification
         d = cl.multiplier_pairing_check(q56, laws["eq33"], phys)
         rep.add("pairing-eq33-Q5+Q6", "eq24", d.is_zero(), "exact off shell" if d.is_zero() else "on-shell only")
 
-    if which in ("noether", "all"):
+    if "noether" in blocks:
         lag = cl.lagrangian()
-        from .jet import euler_operator
-
         g1, g2 = pot.equation_polys()
         ok = euler_operator(lag.density, "q") == g2 and euler_operator(lag.density, "r") == g1
         rep.add("lagrangian-euler", "eq49", ok, "variational derivatives reproduce the potential pair")
@@ -360,14 +399,14 @@ def conslaw_suite(which: str = "all", reproducible: bool = True) -> Verification
             "V1 flow equals minus the potential image of the eq32 pair exactly",
         )
 
-    if which in ("ibragimov", "all"):
+    if "ibragimov" in blocks:
         rep.add("self-adjointness", "eq66", cl.self_adjointness_check(phys), "substituting the fields for the multiplier variables negates the system")
         for x in sym.point_symmetries():
             law = cl.ibragimov_flow(x, phys)
             r = cl.divergence_residual(law, phys)
             rep.add(f"divergence-{law.label}", law.label, r.is_zero(), f"flow of {x.name} after substituting the fields")
 
-    if which == "all":
+    if "hamiltonian" in blocks:
         hs = cl.hamiltonian_structure()
         grad = cl.hamiltonian_gradient(hs)
         rep.add(
@@ -376,8 +415,6 @@ def conslaw_suite(which: str = "all", reproducible: bool = True) -> Verification
             cl.hamiltonian_check(hs, phys),
             "grad = (" + ", ".join(format_poly(g) for g in grad) + ")",
         )
-        from .jet import formal_adjoint
-
         rep.add("skew-adjointness", "eq73", formal_adjoint(hs.d_op) == (-hs.d_op).canonical(), "structure operator is exactly skew")
         for p, q in cl.presymplectic_pairs():
             ok, sign = cl.presymplectic_check(p, q, hs)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import linalg
 from .jet import (
@@ -29,12 +29,10 @@ __all__ = [
     "point_symmetries",
     "characteristic",
     "prolongation_coefficient",
-    "prolong3",
     "determining_residual",
     "lie_bracket",
     "frechet_derivative",
     "char_bracket",
-    "decompose_point_symmetry",
     "characteristics",
     "structure_constants",
     "printed_generator_matrices",
@@ -176,19 +174,6 @@ def prolongation_coefficient(x: PointSymmetry, dep: str, dx: int, dt: int) -> Je
     return out
 
 
-def prolong3(x: PointSymmetry) -> dict[tuple[str, int, int], JetPoly]:
-    """Table of prolongation coefficients through third order for both
-    dependent variables (all mixed slots included)."""
-    table: dict[tuple[str, int, int], JetPoly] = {}
-    for dep in ("u", "v"):
-        for dx in range(4):
-            for dt in range(4 - dx):
-                if dx == dt == 0:
-                    continue
-                table[(dep, dx, dt)] = prolongation_coefficient(x, dep, dx, dt)
-    return table
-
-
 def apply_prolonged(x: PointSymmetry, g: JetPoly) -> JetPoly:
     """Action of the prolonged field on a differential polynomial."""
     out = x.xi1 * g.partial_explicit("t") + x.xi2 * g.partial_explicit("x")
@@ -251,28 +236,6 @@ def char_bracket(
     )
 
 
-def decompose_point_symmetry(
-    target: PointSymmetry, basis: Sequence[PointSymmetry]
-) -> list[Fraction] | None:
-    """Exact coordinates of a vector field in the span of a basis, by
-    monomial matching across all four coefficient slots."""
-    monomials: list[tuple[int, object]] = []
-    seen = set()
-    all_fields = list(basis) + [target]
-    for slot in range(4):
-        for f in all_fields:
-            for m in f.coeffs()[slot].terms:
-                if (slot, m) not in seen:
-                    seen.add((slot, m))
-                    monomials.append((slot, m))
-    rows = []
-    rhs = []
-    for slot, m in monomials:
-        rows.append([b.coeffs()[slot].terms.get(m, Fraction(0)) for b in basis])
-        rhs.append(target.coeffs()[slot].terms.get(m, Fraction(0)))
-    return linalg.solve_exact(rows, rhs)
-
-
 def structure_constants() -> tuple[
     dict[tuple[int, int, int], Fraction], list[list[list[Fraction]]]
 ]:
@@ -280,10 +243,11 @@ def structure_constants() -> tuple[
     (1-based keys), plus the induced generator matrices E_i acting on
     subalgebra coefficient vectors: E_i[k][j] = c^k_ij."""
     xs = point_symmetries()
+    basis = [x.coeffs() for x in xs]
     c: dict[tuple[int, int, int], Fraction] = {}
     for i in range(4):
         for j in range(4):
-            coords = decompose_point_symmetry(lie_bracket(xs[i], xs[j]), xs)
+            coords = linalg.decompose_components(lie_bracket(xs[i], xs[j]).coeffs(), basis)
             if coords is None:
                 raise JetError("bracket left the span of the generators")
             for k, val in enumerate(coords):
@@ -442,8 +406,42 @@ def optimal_reduce(
 # similarity reductions of the two composite generators
 
 
-def _reduced_family_vars(name: str, upto: int):
-    return [JetPoly.var(name, k) for k in range(upto + 1)]
+def _ansatz_reduction(
+    sys: EvolutionSystem,
+    base: Mapping[str, JetPoly],
+    dx: Callable[[JetPoly], JetPoly],
+    dt: Callable[[JetPoly], JetPoly],
+    scale: tuple[JetPoly | int, JetPoly | int],
+    expected: tuple[JetPoly, JetPoly],
+) -> dict:
+    """Substitute an invariant ansatz into the system and compare with the
+    expected reduced pair. ``base`` gives the images of u and v; ``dx`` and
+    ``dt`` are the total derivatives in the reduced variables, applied
+    recursively for derivative coordinates; each substituted equation is
+    multiplied by its ``scale`` before the comparison."""
+    images: dict[JetVar, JetPoly] = {}
+
+    def image(var: JetVar) -> JetPoly:
+        got = images.get(var)
+        if got is None:
+            if var.dt > 0:
+                got = dt(image(JetVar(var.name, var.dx, var.dt - 1)))
+            elif var.dx > 0:
+                got = dx(image(JetVar(var.name, var.dx - 1, 0)))
+            else:
+                got = base[var.name]
+            images[var] = got
+        return got
+
+    computed = tuple(eq.substitute(image) * k for eq, k in zip(sys.equation_polys(), scale))
+    return {"computed": computed, "expected": expected, "match": computed == expected}
+
+
+def _chain(dz: JetPoly, **explicit) -> Callable[[JetPoly], JetPoly]:
+    """Total derivative along one axis in the reduced variables: f^(k)
+    maps to dz * f^(k+1), with dz the axis derivative of the invariant;
+    ``explicit`` passes the images of x, t and parameters to ``derive``."""
+    return lambda p: p.derive(lambda v: dz * JetPoly.var(v.name, v.dx + 1), **explicit)
 
 
 def similarity_reduction_checks(sys: EvolutionSystem) -> dict[str, dict]:
@@ -454,93 +452,29 @@ def similarity_reduction_checks(sys: EvolutionSystem) -> dict[str, dict]:
     v = g(Q); for X2+X4 it is R = (x+2)/sqrt(t) with u = f(R)/sqrt(t),
     v = g(R)/t (verified after clearing the sqrt(t) prefactors).
     """
-    results: dict[str, dict] = {}
-
-    # ---- X1 + X3 reduction -------------------------------------------
     f = lambda k=0: JetPoly.var("f", k)
     g = lambda k=0: JetPoly.var("g", k)
-
-    def dxr(p: JetPoly) -> JetPoly:
-        return p.derive(
-            lambda v: -JetPoly.var(v.name, v.dx + 1),
-            x_image=None,
-            t_image=None,
-        )
-
-    def dtr(p: JetPoly) -> JetPoly:
-        return p.derive(
-            lambda v: JetPoly.t() * JetPoly.var(v.name, v.dx + 1),
-            x_image=None,
-            t_image=JetPoly.one(),
-        )
-
-    base = {"u": JetPoly.t() + f(), "v": g()}
-    images: dict[JetVar, JetPoly] = {}
-
-    def image(var: JetVar) -> JetPoly:
-        got = images.get(var)
-        if got is None:
-            if var.dt > 0:
-                got = dtr(image(JetVar(var.name, var.dx, var.dt - 1)))
-            elif var.dx > 0:
-                got = dxr(image(JetVar(var.name, var.dx - 1, 0)))
-            else:
-                got = base[var.name]
-            images[var] = got
-        return got
-
-    eq1, eq2 = sys.equation_polys()
-    sub1 = eq1.substitute(image)
-    sub2 = eq2.substitute(image)
-    expected1 = JetPoly.one() - f() * f(1) - g(1)
-    expected2 = -f(1) * g() - f() * g(1) - f(3) / 3
-    results["X1+X3"] = {
-        "computed": (sub1, sub2),
-        "expected": (expected1, expected2),
-        "match": sub1 == expected1 and sub2 == expected2,
-    }
-
-    # ---- X2 + X4 reduction -------------------------------------------
     s = lambda k=1: JetPoly.param("s", k)  # s = sqrt(t)
     R = JetPoly.param("R")
-
-    def dxr2(p: JetPoly) -> JetPoly:
-        return p.derive(
-            lambda v: s(-1) * JetPoly.var(v.name, v.dx + 1),
-            param_image=lambda n: s(-1) if n == "R" else JetPoly.zero(),
-        )
-
-    def dtr2(p: JetPoly) -> JetPoly:
-        halfRs2 = R * s(-2) * Fraction(-1, 2)
-        return p.derive(
-            lambda v: halfRs2 * JetPoly.var(v.name, v.dx + 1),
-            param_image=lambda n: halfRs2
-            if n == "R"
-            else (s(-1) * Fraction(1, 2) if n == "s" else JetPoly.zero()),
-        )
-
-    base2 = {"u": s(-1) * f(), "v": s(-2) * g()}
-    images2: dict[JetVar, JetPoly] = {}
-
-    def image2(var: JetVar) -> JetPoly:
-        got = images2.get(var)
-        if got is None:
-            if var.dt > 0:
-                got = dtr2(image2(JetVar(var.name, var.dx, var.dt - 1)))
-            elif var.dx > 0:
-                got = dxr2(image2(JetVar(var.name, var.dx - 1, 0)))
-            else:
-                got = base2[var.name]
-            images2[var] = got
-        return got
-
-    sub1 = eq1.substitute(image2) * s(3)
-    sub2 = eq2.substitute(image2) * s(4)
-    expected1 = -R * f(1) / 2 - f() / 2 + f() * f(1) + g(1)
-    expected2 = -g() - R * g(1) / 2 + f(1) * g() + f() * g(1) + f(3) / 3
-    results["X2+X4"] = {
-        "computed": (sub1, sub2),
-        "expected": (expected1, expected2),
-        "match": sub1 == expected1 and sub2 == expected2,
+    dR_dt = R * s(-2) * Fraction(-1, 2)
+    return {
+        "X1+X3": _ansatz_reduction(
+            sys,
+            {"u": JetPoly.t() + f(), "v": g()},
+            _chain(-JetPoly.one()),
+            _chain(JetPoly.t(), t_image=JetPoly.one()),
+            (1, 1),
+            (JetPoly.one() - f() * f(1) - g(1), -f(1) * g() - f() * g(1) - f(3) / 3),
+        ),
+        "X2+X4": _ansatz_reduction(
+            sys,
+            {"u": s(-1) * f(), "v": s(-2) * g()},
+            _chain(s(-1), param_image={"R": s(-1)}.get),
+            _chain(dR_dt, param_image={"R": dR_dt, "s": s(-1) * Fraction(1, 2)}.get),
+            (s(3), s(4)),
+            (
+                -R * f(1) / 2 - f() / 2 + f() * f(1) + g(1),
+                -g() - R * g(1) / 2 + f(1) * g() + f() * g(1) + f(3) / 3,
+            ),
+        ),
     }
-    return results

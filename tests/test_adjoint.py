@@ -189,6 +189,12 @@ class TestActionTable:
                     mismatches.append(((qi, pj), got))
         assert mismatches == [((6, 4), {6: Fraction(-1, 2)})]
 
+    def test_stored_images_are_action1(self, phys, ps, qs):
+        table = build_action_table(ps, qs, phys)
+        assert table.images.keys() == table.entries.keys()
+        for (qi, pj), image in table.images.items():
+            assert image == action1(ps[pj - 1], qs[qi - 1], phys), (qi, pj)
+
     def test_every_image_is_adjoint(self, phys, ps, qs):
         for q in qs:
             for p in ps:

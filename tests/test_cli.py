@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from dlwlab.cli import main
+from dlwlab.report import adjoint_suite, run_suite
 
 
 def run_cli(args):
@@ -96,6 +97,93 @@ def test_sim_run_records_blowup(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["outcome"] == "blowup"
     assert 0.0 < summary["blowup_time"] < 1.0
+
+
+# Label prefixes by which each subcommand's entries can be cut from a run
+# of its whole suite: the oracle for the blocks the suites select.
+PREFIX_ORACLE = [
+    (["symmetry", "verify"], ("determining-", "reduction-")),
+    (["symmetry", "brackets"], ("bracket-", "char-bracket-", "generator-")),
+    (["symmetry", "optimal"], ("optimal-",)),
+    (["adjoint", "verify"], ("determining-", "multiplier-")),
+    (["adjoint", "table"], ("action-", "action1-")),
+    (["adjoint", "bracket"], ("bracket-",)),
+    (["adjoint", "bracket", "--fix", "Q1"], ("bracket-fixQ1-",)),
+    (["conslaw", "hamiltonian"], ("hamiltonian-", "skew-", "presymplectic-")),
+]
+
+
+@pytest.fixture(scope="module")
+def full_suites():
+    return {name: run_suite(name, samples=40).to_json()["entries"] for name in ("symmetry", "adjoint", "conslaw")}
+
+
+def cli_entries(tmp_path, args):
+    path = tmp_path / "out.json"
+    extra = ["--samples", "40"] if args[0] == "symmetry" else []
+    assert run_cli(["--reproducible", "--json", str(path), *args, *extra]) == 0
+    return json.loads(path.read_text(encoding="utf-8"))["entries"]
+
+
+@pytest.mark.parametrize("args,prefixes", PREFIX_ORACLE, ids=[" ".join(a) for a, _ in PREFIX_ORACLE])
+def test_subcommand_selects_prefix_slice(tmp_path, capsys, full_suites, args, prefixes):
+    got = cli_entries(tmp_path, args)
+    want = [e for e in full_suites[args[0]] if e["label"].startswith(prefixes)]
+    assert got and got == want
+
+
+def test_conslaw_sets_partition_the_suite(tmp_path, capsys, full_suites):
+    parts = {
+        s: cli_entries(tmp_path, ["conslaw", "verify", "--set", s])
+        for s in ("direct", "noether", "ibragimov", "all")
+    }
+    hamiltonian = cli_entries(tmp_path, ["conslaw", "hamiltonian"])
+    assert parts["all"] == full_suites["conslaw"]
+    assert parts["direct"] + parts["noether"] + parts["ibragimov"] + hamiltonian == parts["all"]
+    assert all(parts[s] for s in ("direct", "noether", "ibragimov"))
+
+
+def test_adjoint_verify_builds_no_action_table(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adjoint verify built the action table")
+
+    monkeypatch.setattr("dlwlab.adjoint.build_action_table", refuse)
+    assert run_cli(["adjoint", "verify"]) == 0
+
+
+def test_symmetry_optimal_runs_no_reduction(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("symmetry optimal ran the similarity reductions")
+
+    monkeypatch.setattr("dlwlab.symmetry.similarity_reduction_checks", refuse)
+    assert run_cli(["symmetry", "optimal", "--samples", "40"]) == 0
+
+
+def test_unknown_block_rejected():
+    with pytest.raises(ValueError, match="tabel"):
+        adjoint_suite(blocks=("tabel",))
+
+
+@pytest.mark.parametrize("binding", ["mu", "mu=abc", "=1", "mu=1,nu"])
+def test_malformed_binding_exits_two(binding, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["waves", "verify", "--family", "eq93", "--binding", binding])
+    assert err.value.code == 2
+    bad = binding.split(",")[-1]
+    assert f"malformed binding {bad!r}" in capsys.readouterr().err
+
+
+def test_sim_converge_malformed_binding(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["sim", "converge", "--binding", "mu=abc"])
+    assert err.value.code == 2
+    assert "'mu=abc'" in capsys.readouterr().err
+
+
+def test_json_file_matches_printed_json(tmp_path, capsys):
+    path = tmp_path / "fi.json"
+    assert run_cli(["--json", str(path), "waves", "first-integrals", "--mu", "1"]) == 0
+    assert path.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 def test_usage_error_exit_two():
