@@ -80,6 +80,12 @@ def _frac(value: int | Fraction | str) -> Fraction:
 # coordinates and monomials
 
 
+# JetVar and JetMonomial are dict keys in every polynomial, so each computes
+# its hash once, at construction. The value equals the dataclass default
+# (the hash of the field tuple). ``str`` hashes differ between processes, so
+# the cached hash is left out of the pickled state and recomputed on load.
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class JetVar:
     """A single jet coordinate: dependent variable ``name`` with ``dx``
@@ -89,12 +95,20 @@ class JetVar:
     name: str
     dx: int = 0
     dt: int = 0
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.name in RESERVED_NAMES:
             raise JetError(f"{self.name!r} is reserved for an explicit coordinate")
         if self.dx < 0 or self.dt < 0:
             raise JetError("derivative counts must be nonnegative")
+        object.__setattr__(self, "_hash", hash((self.name, self.dx, self.dt)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (JetVar, (self.name, self.dx, self.dt))
 
     @property
     def order(self) -> int:
@@ -122,6 +136,7 @@ class JetMonomial:
     xpow: int = 0
     tpow: int = 0
     params: tuple[tuple[str, int], ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.xpow < 0 or self.tpow < 0:
@@ -130,6 +145,13 @@ class JetMonomial:
             raise JetError("jet exponents must be positive")
         if any(e == 0 for _, e in self.params):
             raise JetError("zero parameter exponents must not be stored")
+        object.__setattr__(self, "_hash", hash((self.jet, self.xpow, self.tpow, self.params)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (JetMonomial, (self.jet, self.xpow, self.tpow, self.params))
 
     @staticmethod
     def make(
@@ -174,6 +196,26 @@ class JetMonomial:
 _ONE_MONOMIAL = JetMonomial()
 
 
+def _lower_power(jet: tuple, i: int) -> tuple:
+    """``jet`` with one power of its ``i``-th coordinate removed."""
+    v, e = jet[i]
+    if e > 1:
+        return jet[:i] + ((v, e - 1),) + jet[i + 1 :]
+    return jet[:i] + jet[i + 1 :]
+
+
+def _lift_power(jet: tuple, i: int, w: JetVar) -> tuple:
+    """``jet`` with one power of its ``i``-th coordinate moved to ``w``,
+    a coordinate that sorts after it; the result stays sorted."""
+    head = _lower_power(jet[: i + 1], i)
+    j, n = i + 1, len(jet)
+    while j < n and jet[j][0] < w:
+        j += 1
+    if j < n and jet[j][0] == w:
+        return head + jet[i + 1 : j] + ((w, jet[j][1] + 1),) + jet[j + 1 :]
+    return head + jet[i + 1 : j] + ((w, 1),) + jet[j:]
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -197,6 +239,19 @@ class JetPoly:
                     clean[m] = c
         self._terms = clean
         self._hash: int | None = None
+
+    @staticmethod
+    def _of(terms: dict[JetMonomial, Fraction]) -> "JetPoly":
+        """Trusted constructor for arithmetic results: ``terms`` is a new
+        dict whose coefficients are nonzero Fractions, taken over as is."""
+        p = object.__new__(JetPoly)
+        p._terms = terms
+        p._hash = None
+        return p
+
+    def __reduce__(self):
+        # the cached hash is process-specific, so it is not pickled
+        return (JetPoly, (self._terms,))
 
     # -- constructors -------------------------------------------------
 
@@ -279,42 +334,52 @@ class JetPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return JetPoly(out)
+        return self._plus(other, negate=False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "JetPoly":
-        return JetPoly({m: -c for m, c in self._terms.items()})
+        return JetPoly._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "JetPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, negate=True)
 
     def __rsub__(self, other) -> "JetPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, negate=True)
+
+    def _plus(self, other: "JetPoly", negate: bool) -> "JetPoly":
+        """``self + other``, or ``self - other`` when ``negate``."""
+        if not other._terms:
+            return self
+        if not self._terms:
+            return -other if negate else other
+        out = dict(self._terms)
+        for m, c in other._terms.items():
+            if negate:
+                c = -c
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+            else:
+                s += c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return JetPoly._of(out)
 
     def __mul__(self, other) -> "JetPoly":
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
             if c == 0:
                 return _ZERO
-            return JetPoly({m: cc * c for m, cc in self._terms.items()})
+            return JetPoly._of({m: cc * c for m, cc in self._terms.items()})
         if not isinstance(other, JetPoly):
             return NotImplemented
         if not self._terms or not other._terms:
@@ -323,12 +388,16 @@ class JetPoly:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = m1 * m2
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
+                s = out.get(m)
+                if s is None:
+                    out[m] = c1 * c2
                 else:
-                    out[m] = s
-        return JetPoly(out)
+                    s += c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+        return JetPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -380,25 +449,19 @@ class JetPoly:
 
     # -- partial derivatives ----------------------------------------------
 
+    # Distinct monomials have distinct quotients by one generator, so the
+    # partial derivatives below never combine two terms.
+
     def partial(self, v: JetVar) -> "JetPoly":
         """Partial derivative with respect to one jet coordinate."""
         out: dict[JetMonomial, Fraction] = {}
         for m, c in self._terms.items():
-            jet = dict(m.jet)
-            e = jet.get(v)
-            if not e:
-                continue
-            if e == 1:
-                jet.pop(v)
-            else:
-                jet[v] = e - 1
-            key = JetMonomial.make(jet, m.xpow, m.tpow, m.params)
-            s = out.get(key, Fraction(0)) + c * e
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return JetPoly(out)
+            for i, (w, e) in enumerate(m.jet):
+                if w == v:
+                    key = JetMonomial(_lower_power(m.jet, i), m.xpow, m.tpow, m.params)
+                    out[key] = c * e if e > 1 else c
+                    break
+        return JetPoly._of(out)
 
     def partial_explicit(self, axis: str) -> "JetPoly":
         """Partial derivative with respect to explicit ``x`` or ``t``."""
@@ -415,12 +478,8 @@ class JetPoly:
                 m.tpow - 1 if axis == "t" else m.tpow,
                 m.params,
             )
-            s = out.get(key, Fraction(0)) + c * p
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return JetPoly(out)
+            out[key] = c * p
+        return JetPoly._of(out)
 
     def partial_param(self, name: str) -> "JetPoly":
         out: dict[JetMonomial, Fraction] = {}
@@ -429,17 +488,9 @@ class JetPoly:
             e = params.get(name)
             if not e:
                 continue
-            if e == 1:
-                params.pop(name)
-            else:
-                params[name] = e - 1
-            key = JetMonomial.make(dict(m.jet), m.xpow, m.tpow, params)
-            s = out.get(key, Fraction(0)) + c * e
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return JetPoly(out)
+            params[name] = e - 1
+            out[JetMonomial.make(m.jet, m.xpow, m.tpow, params)] = c * e
+        return JetPoly._of(out)
 
     # -- generic derivation ------------------------------------------------
 
@@ -487,7 +538,7 @@ class JetPoly:
 
         out = JetPoly.zero()
         for m, c in self._terms.items():
-            term = JetPoly({JetMonomial((), m.xpow, m.tpow, m.params): c})
+            term = JetPoly._of({JetMonomial((), m.xpow, m.tpow, m.params): c})
             for v, e in m.jet:
                 rep = img(v)
                 factor = JetPoly.from_var(v) if rep is None else rep
@@ -507,36 +558,53 @@ class JetPoly:
                 w = fn(v)
                 jet[w] = jet.get(w, 0) + e
             key = JetMonomial.make(jet, m.xpow, m.tpow, m.params)
-            s = out.get(key, Fraction(0)) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return JetPoly(out)
+            s = out.get(key)
+            out[key] = c if s is None else s + c
+        return JetPoly._of(_nonzero(out))
 
 
 _ZERO = JetPoly()
+
+
+def _nonzero(terms: dict[JetMonomial, Fraction]) -> dict[JetMonomial, Fraction]:
+    """``terms`` without the coefficients that summed to zero."""
+    if all(terms.values()):
+        return terms
+    return {m: c for m, c in terms.items() if c}
 
 
 # ---------------------------------------------------------------------------
 # total derivatives
 
 
-def _lift_image(axis: str) -> Callable[[JetVar], JetPoly]:
-    def image(v: JetVar) -> JetPoly:
-        return JetPoly.from_var(v.lifted(axis))
-
-    return image
-
-
 def total_derivative(p: JetPoly, axis: str) -> JetPoly:
     """Total derivative D_x or D_t: explicit powers differentiate as
-    ordinary monomials, jet coordinates lift their derivative counts."""
-    if axis == "x":
-        return p.derive(_lift_image("x"), x_image=JetPoly.one(), t_image=None)
-    if axis == "t":
-        return p.derive(_lift_image("t"), x_image=None, t_image=JetPoly.one())
-    raise JetError(f"unknown axis {axis!r}")
+    ordinary monomials, jet coordinates lift their derivative counts.
+
+    One pass over the terms: each coordinate of a monomial gives the
+    monomial with one power of it moved to the lifted coordinate, times
+    its exponent."""
+    if axis not in ("x", "t"):
+        raise JetError(f"unknown axis {axis!r}")
+    dx, dt = (1, 0) if axis == "x" else (0, 1)
+    lifts: dict[JetVar, JetVar] = {}
+    out: dict[JetMonomial, Fraction] = {}
+    for m, c in p._terms.items():
+        jet = m.jet
+        for i, (v, e) in enumerate(jet):
+            w = lifts.get(v)
+            if w is None:
+                w = lifts[v] = v.lifted(axis)
+            key = JetMonomial(_lift_power(jet, i, w), m.xpow, m.tpow, m.params)
+            ce = c * e if e > 1 else c
+            s = out.get(key)
+            out[key] = ce if s is None else s + ce
+        k = m.xpow if dx else m.tpow
+        if k:
+            key = JetMonomial(jet, m.xpow - dx, m.tpow - dt, m.params)
+            s = out.get(key)
+            out[key] = c * k if s is None else s + c * k
+    return JetPoly._of(_nonzero(out))
 
 
 def total_derivative_n(p: JetPoly, dx: int = 0, dt: int = 0) -> JetPoly:
@@ -702,17 +770,34 @@ def reduce_on_shell(p: JetPoly, sys: SolvedSystem | EvolutionSystem) -> JetPoly:
 
 def euler_operator(p: JetPoly, dep: str, x_only: bool = False) -> JetPoly:
     """Full variational derivative with respect to dependent variable
-    ``dep``: sum over all jet slots of (-1)^(dx+dt) D_x^dx D_t^dt of the
-    partial derivative. ``x_only`` restricts to t-derivative-free slots
-    (the multiplier-extraction variant)."""
-    out = JetPoly.zero()
-    for v in p.jet_vars():
-        if v.name != dep:
-            continue
-        if x_only and v.dt:
-            continue
-        sign = -1 if (v.dx + v.dt) % 2 else 1
-        out = out + total_derivative_n(p.partial(v), v.dx, v.dt) * sign
+    ``dep``: the sum over jet slots (a, b) of (-D_x)^a (-D_t)^b applied to
+    the partial derivative P_ab in ``dep[a,b]``, taken in Horner form
+
+        E = R_0 - D_t(R_1 - D_t(R_2 - ...)),
+        R_b = P_0b - D_x(P_1b - D_x(P_2b - ...)),
+
+    which applies max(b) t-derivatives and max(a) x-derivatives per row
+    instead of a + b per slot (Olver, *Applications of Lie Groups to
+    Differential Equations*, sec. 4.1). ``x_only`` keeps only the row
+    b = 0 of t-derivative-free slots (the multiplier-extraction variant)."""
+    # rows[b][a] holds the terms of P_ab, all found in one pass over p
+    rows: dict[int, dict[int, dict[JetMonomial, Fraction]]] = {}
+    for m, c in p._terms.items():
+        for i, (v, e) in enumerate(m.jet):
+            if v.name != dep or (x_only and v.dt):
+                continue
+            slot = rows.setdefault(v.dt, {}).setdefault(v.dx, {})
+            slot[JetMonomial(_lower_power(m.jet, i), m.xpow, m.tpow, m.params)] = (
+                c * e if e > 1 else c
+            )
+    out = _ZERO
+    for b in range(max(rows, default=-1), -1, -1):
+        row = rows.get(b, {})
+        acc = _ZERO
+        for a in range(max(row, default=-1), -1, -1):
+            part = JetPoly._of(row[a]) if a in row else _ZERO
+            acc = part - total_derivative(acc, "x") if acc else part
+        out = acc - total_derivative(out, "t") if out else acc
     return out
 
 

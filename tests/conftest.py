@@ -42,7 +42,10 @@ def jet_vars(deps=("u", "v"), max_dx=3, max_dt=0):
 
 
 @st.composite
-def jet_monomials(draw, deps=("u", "v"), max_dx=3, max_dt=0, max_factors=3, allow_xt=True):
+def jet_monomials(
+    draw, deps=("u", "v"), max_dx=3, max_dt=0, max_factors=3, allow_xt=True, params=()
+):
+    """``params`` names parameters that may appear with exponent -1..2."""
     n = draw(st.integers(min_value=0, max_value=max_factors))
     powers: dict[JetVar, int] = {}
     for _ in range(n):
@@ -50,15 +53,16 @@ def jet_monomials(draw, deps=("u", "v"), max_dx=3, max_dt=0, max_factors=3, allo
         powers[v] = powers.get(v, 0) + 1
     xpow = draw(st.integers(min_value=0, max_value=2)) if allow_xt else 0
     tpow = draw(st.integers(min_value=0, max_value=2)) if allow_xt else 0
-    return JetMonomial.make(powers, xpow, tpow)
+    par = {name: draw(st.integers(min_value=-1, max_value=2)) for name in params}
+    return JetMonomial.make(powers, xpow, tpow, par)
 
 
 @st.composite
-def jet_polys(draw, deps=("u", "v"), max_dx=3, max_dt=0, max_terms=4, allow_xt=True):
+def jet_polys(draw, deps=("u", "v"), max_dx=3, max_dt=0, max_terms=4, allow_xt=True, params=()):
     n = draw(st.integers(min_value=1, max_value=max_terms))
     poly = JetPoly.zero()
     for _ in range(n):
-        m = draw(jet_monomials(deps, max_dx, max_dt, allow_xt=allow_xt))
+        m = draw(jet_monomials(deps, max_dx, max_dt, allow_xt=allow_xt, params=params))
         c = draw(small_fractions)
         poly = poly + JetPoly({m: c})
     return poly

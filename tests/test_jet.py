@@ -1,14 +1,19 @@
 """Core jet-arithmetic properties: total derivatives, on-shell
 reduction, Euler operators, operator adjoints, and exactness."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dlwlab
 from dlwlab.jet import (
     DimensionMismatch,
+    JetMonomial,
     JetPoly,
     JetVar,
     LinearDiffOp,
@@ -24,12 +29,16 @@ from dlwlab.jet import (
     total_derivative_n,
 )
 
+import jet_reference
 from conftest import jet_polys, to_sympy
 
 u = JetPoly.var("u")
 v = JetPoly.var("v")
 ux = JetPoly.var("u", 1)
 vx = JetPoly.var("v", 1)
+
+# mixed (dx, dt) slots, explicit x/t powers and a Laurent parameter factor
+mixed_polys = jet_polys(max_dt=2, params=("mu",))
 
 
 class TestTotalDerivative:
@@ -237,3 +246,120 @@ class TestExactness:
     def test_all_coefficients_stay_rational(self, p):
         out = total_derivative_n(p, 2, 1)
         assert all(isinstance(c, Fraction) for c in out.terms.values())
+
+    def test_float_never_enters(self):
+        m = JetMonomial.make({JetVar("u", 1): 1})
+        for build in (
+            lambda: JetPoly({m: 0.5}),
+            lambda: JetPoly.const(0.5),
+            lambda: u * 0.5,
+            lambda: u + 0.5,
+        ):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_cancelling_total_derivative_stores_no_zero(self):
+        # the u_x*v_x terms of D_x(u*v_x) and D_x(u_x*v) cancel
+        out = total_derivative(u * vx - ux * v, "x")
+        assert out == u * JetPoly.var("v", 2) - JetPoly.var("u", 2) * v
+        assert all(c != 0 for c in out.terms.values())
+
+    @given(p=mixed_polys, q=mixed_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_no_zero_coefficients_stored(self, p, q):
+        assert p + (q - p) == q
+        derived = (total_derivative(p, "x"), total_derivative(p, "t"))
+        for r in (p + q, p - q, p * q, p + (q - p), *derived):
+            assert all(isinstance(c, Fraction) and c != 0 for c in r.terms.values())
+
+
+class TestKernelOracles:
+    """The jet kernel against sympy and against the unoptimized reference
+    in ``jet_reference``."""
+
+    @staticmethod
+    def _sympy_euler(p, dep):
+        import sympy as sp
+        from sympy.calculus.euler import euler_equations
+
+        x, t = sp.symbols("x t")
+        funcs = {name: sp.Function(name)(x, t) for name in ("u", "v")}
+        # euler_equations drops an equation that evaluates to True or False,
+        # so a marker term keeps it symbolic; its variational derivative is
+        # the marker itself
+        marker = sp.Symbol("marker")
+        lagrangian = to_sympy(p, funcs=funcs) + marker * funcs[dep]
+        (eq,) = euler_equations(lagrangian, [funcs[dep]], [x, t])
+        return eq.lhs - marker, funcs
+
+    @given(p=mixed_polys, dep=st.sampled_from(("u", "v")))
+    @settings(max_examples=25, deadline=None)
+    def test_euler_operator_matches_sympy(self, p, dep):
+        import sympy as sp
+
+        expected, funcs = self._sympy_euler(p, dep)
+        assert sp.expand(to_sympy(euler_operator(p, dep), funcs=funcs) - expected) == 0
+
+    @given(p=mixed_polys, axis=st.sampled_from(("x", "t")))
+    @settings(max_examples=25, deadline=None)
+    def test_total_derivative_matches_sympy(self, p, axis):
+        import sympy as sp
+
+        ours = to_sympy(total_derivative(p, axis))
+        assert sp.expand(ours - sp.diff(to_sympy(p), sp.Symbol(axis))) == 0
+
+    @given(
+        p=jet_polys(max_dt=2, max_terms=6, params=("mu",)),
+        dep=st.sampled_from(("u", "v")),
+        x_only=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_euler_operator_matches_reference(self, p, dep, x_only):
+        assert euler_operator(p, dep, x_only) == jet_reference.euler_operator(p, dep, x_only)
+
+    @given(p=jet_polys(max_dt=2, max_terms=6, params=("mu",)), axis=st.sampled_from(("x", "t")))
+    @settings(max_examples=150, deadline=None)
+    def test_total_derivative_matches_reference(self, p, axis):
+        assert total_derivative(p, axis) == jet_reference.total_derivative(p, axis)
+
+    def test_x_only_keeps_t_derivative_free_slots(self):
+        p = JetPoly.var("u", 0, 1) * ux
+        uxt = JetPoly.var("u", 1, 1)
+        assert euler_operator(p, "u", x_only=True) == -uxt
+        assert euler_operator(p, "u") == uxt * -2
+
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from dlwlab.jet import JetVar, parse_poly
+
+p = parse_poly("(3/2)*u[2,0]*v[0,1]^2*x*mu^-1 + u[0,0]*u[1,0] + (-7)*v[3,1]*t^2")
+if sys.argv[1] == "dump":
+    {p}  # caches the polynomial's hash before it is pickled
+    sys.stdout.buffer.write(pickle.dumps(p))
+else:
+    q = pickle.loads(sys.stdin.buffer.read())
+    assert p == q
+    assert (p - q).is_zero()
+    assert JetVar("u", 2) in q.jet_vars()
+    assert q in {p}
+"""
+
+
+class TestPickling:
+    def test_hashes_recomputed_under_another_hash_seed(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dlwlab.__file__)))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+
+        def run(mode, seed, data=None):
+            proc = subprocess.run(
+                [sys.executable, "-c", _PICKLE_SCRIPT, mode],
+                input=data,
+                env=dict(env, PYTHONHASHSEED=seed),
+                capture_output=True,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            return proc.stdout
+
+        run("load", "2", run("dump", "1"))
