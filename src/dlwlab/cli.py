@@ -3,7 +3,8 @@ finite-difference solver.
 
 Exit codes: 0 when no entry fails (flagged catalog discrepancies are
 listed but do not fail the build), 1 on an unexpected failure, 2 on
-usage errors.
+usage errors and on solver input that ``sim`` rejects (a bad config, an
+unbound family parameter, an unknown monitor label).
 """
 
 from __future__ import annotations
@@ -148,6 +149,17 @@ def _cmd_waves(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
+    from .analytic import AnalyticError
+    from .jet import JetError
+
+    try:
+        return _sim_action(args)
+    except (JetError, AnalyticError) as e:  # a blow-up is recorded inside
+        print(f"dlwlab sim {args.action}: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
+
+
+def _sim_action(args: argparse.Namespace) -> int:
     from . import sim as S
 
     if args.action == "run":

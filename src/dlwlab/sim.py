@@ -9,14 +9,21 @@ the boundary through-flux inside the RK4 stages so the reported drift is
 measured against the exact conservation budget
 
     d/dt (integral of density) = flux(left edge) - flux(right edge).
+
+Each RK4 stage is computed once and shared. The state is one stacked
+(2, n) array of u and v. A stage pads it into one preallocated (2, n+4)
+buffer, takes u_x and v_x in one stencil operation over both rows and
+u_xxx on the u row only, and evaluates the exact-family ghosts once per
+distinct stage time. The monitors' densities and fluxes are compiled to
+float terms when a run starts; the through-flux reads only the two edge
+columns of the stage buffer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +31,6 @@ from .analytic import compile_expr
 from .conslaw import direct_laws
 from .jet import JetError, JetPoly
 from .solutions import family_registry, verify_family
-from .systems import physical_system
 
 __all__ = [
     "BlowupError",
@@ -82,8 +88,8 @@ class FieldState:
     time: float
 
     def check_finite(self) -> None:
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
-            raise JetError(f"non-finite field at t = {self.time:.6g}")
+        _require_finite(self.u, self.time)
+        _require_finite(self.v, self.time)
 
 
 @dataclass(frozen=True)
@@ -108,9 +114,11 @@ class SimConfig:
             raise JetError("boundary is 'periodic' or 'exact'")
         if self.boundary == "exact" and not self.family:
             raise JetError("exact boundary needs a family id")
-        step = self.dt if self.dt is not None else self.cfl * self.grid.dx**3
+        step = self.step_size()
         if step <= 0 or step > self.t_end:
             raise JetError("invalid step size")
+        if self.output_stride < 1:
+            raise JetError("output_stride must be at least 1")
 
 
 @dataclass
@@ -148,53 +156,100 @@ class SimResult:
 # spatial discretization
 
 
-def _pad(arr: np.ndarray, ghosts: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    if ghosts is None:  # periodic
-        return np.concatenate([arr[-2:], arr, arr[:2]])
-    left, right = ghosts
-    return np.concatenate([left, arr, right])
+def _require_finite(fields: np.ndarray, time: float) -> None:
+    if not np.isfinite(fields).all():
+        raise JetError(f"non-finite field at t = {time:.6g}")
 
 
-def _derivatives(p: np.ndarray, n: int, dx: float) -> dict[int, np.ndarray]:
-    """Central-stencil derivative arrays of the interior from a padded
-    array (two ghost nodes per side)."""
-    d0 = p[2 : n + 2]
-    d1 = (p[3 : n + 3] - p[1 : n + 1]) / (2 * dx)
-    d2 = (p[3 : n + 3] - 2 * d0 + p[1 : n + 1]) / dx**2
-    d3 = (p[4 : n + 4] - 2 * p[3 : n + 3] + 2 * p[1 : n + 1] - p[0:n]) / (2 * dx**3)
-    return {0: d0, 1: d1, 2: d2, 3: d3}
+def _windows(padded: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The five shifted views of a padded buffer (two ghost nodes per
+    side): entry j holds the samples at offset j - 2 from each node."""
+    return tuple(padded[..., j : j + n] for j in range(5))
+
+
+def _stencil(p, k: int, dx: float):
+    """Central difference of order k (0..3) from the samples ``p[0..4]`` at
+    offsets -2..2: second order, with the five-point antisymmetric stencil
+    for k = 3. The samples may be arrays (whole grids) or floats."""
+    if k == 0:
+        return p[2]
+    if k == 1:
+        return (p[3] - p[1]) / (2 * dx)
+    if k == 2:
+        return (p[3] - 2 * p[2] + p[1]) / dx**2
+    return (p[4] - 2 * p[3] + 2 * p[1] - p[0]) / (2 * dx**3)
 
 
 class _Boundary:
     """Ghost-node supplier: periodic wrap or exact-family evaluation."""
 
     def __init__(self, cfg: SimConfig):
-        self.mode = cfg.boundary
-        self.grid = cfg.grid
-        if self.mode == "exact":
+        self.periodic = cfg.boundary == "periodic"
+        if not self.periodic:
             fam = family_registry().get(cfg.family or "")
             if fam is None:
                 raise JetError(f"unknown family {cfg.family!r}")
             self._u = compile_expr(fam.u_expr, cfg.binding)
             self._v = compile_expr(fam.v_expr, cfg.binding)
+            grid = cfg.grid
+            self._x = np.concatenate([grid.ghost_x("left"), grid.ghost_x("right")])
+            self._time: float | None = None
+            self._ghosts = np.empty((2, 4))
 
-    def ghosts(
-        self, time: float
-    ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None:
-        if self.mode == "periodic":
+    def ghosts(self, time: float) -> np.ndarray | None:
+        """u and v (rows) at the two left then the two right ghost nodes;
+        None on the periodic circle. A time equal to the previous call's
+        is not evaluated again: RK4 stages 2 and 3 share their time, and
+        stage 4's is the next step's first."""
+        if self.periodic:
             return None
-        xl = self.grid.ghost_x("left")
-        xr = self.grid.ghost_x("right")
-        return (
-            (self._u(xl, time), self._u(xr, time)),
-            (self._v(xl, time), self._v(xr, time)),
-        )
+        if time != self._time:
+            self._ghosts[0] = self._u(self._x, time)
+            self._ghosts[1] = self._v(self._x, time)
+            self._time = time
+        return self._ghosts
 
-    def exact_fields(self, time: float) -> tuple[np.ndarray, np.ndarray]:
-        if self.mode != "exact":
+    def exact_fields(self, x: np.ndarray, time: float) -> tuple[np.ndarray, np.ndarray]:
+        if self.periodic:
             raise JetError("no exact reference in periodic mode")
-        x = self.grid.x
         return (self._u(x, time), self._v(x, time))
+
+
+class _Stage:
+    """The semi-discrete right side of one RK4 stage for the stacked
+    (u, v) state. The stage is padded into one preallocated (2, n+4)
+    buffer, which keeps it for the monitors' through-flux."""
+
+    def __init__(self, grid: Grid1D, boundary: _Boundary | None):
+        n = grid.n
+        self.dx = grid.dx
+        self.boundary = boundary
+        self.buf = np.empty((2, n + 4))
+        self.both = _windows(self.buf, n)
+        self.rows = (_windows(self.buf[0], n), _windows(self.buf[1], n))
+
+    def pad(self, fields: np.ndarray, time: float) -> None:
+        buf = self.buf
+        buf[:, 2:-2] = fields
+        ghosts = None if self.boundary is None else self.boundary.ghosts(time)
+        if ghosts is None:  # periodic
+            buf[:, :2] = fields[:, -2:]
+            buf[:, -2:] = fields[:, :2]
+        else:
+            buf[:, :2] = ghosts[:, :2]
+            buf[:, -2:] = ghosts[:, 2:]
+
+    def __call__(self, fields: np.ndarray, time: float) -> np.ndarray:
+        """u_t = -(u u_x + v_x), v_t = -(u_x v + u v_x + u_xxx/3)."""
+        _require_finite(fields, time)
+        self.pad(fields, time)
+        u_x, v_x = _stencil(self.both, 1, self.dx)
+        u_xxx = _stencil(self.rows[0], 3, self.dx)
+        u, v = fields
+        out = np.empty_like(fields)
+        np.negative(u * u_x + v_x, out=out[0])
+        np.negative(u_x * v + u * v_x + u_xxx / 3.0, out=out[1])
+        return out
 
 
 def rhs(
@@ -202,100 +257,124 @@ def rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Semi-discrete right side: u_t = -(u u_x + v_x),
     v_t = -(u_x v + u v_x + u_xxx/3)."""
-    state.check_finite()
-    n, dx = grid.n, grid.dx
-    ghosts = boundary.ghosts(state.time) if boundary is not None else None
-    up = _pad(state.u, None if ghosts is None else ghosts[0])
-    vp = _pad(state.v, None if ghosts is None else ghosts[1])
-    du = _derivatives(up, n, dx)
-    dv = _derivatives(vp, n, dx)
-    u_t = -(du[0] * du[1] + dv[1])
-    v_t = -(du[1] * dv[0] + du[0] * dv[1] + du[3] / 3.0)
-    return u_t, v_t
+    out = _Stage(grid, boundary)(np.array([state.u, state.v], dtype=float), state.time)
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
-# density / flux evaluation on the grid
+# monitored densities and fluxes
+
+_ROWS = {"u": 0, "v": 1}
 
 
-def _poly_on_derivs(
-    poly: JetPoly,
-    derivs: Mapping[str, Mapping[int, np.ndarray]],
-    x: np.ndarray | float,
-    time: float,
-) -> np.ndarray | float:
-    out: np.ndarray | float = 0.0
+def _float_terms(poly: JetPoly) -> tuple:
+    """The terms of a density or flux as (coefficient, (((row, x-order),
+    power), ...), x power, t power) tuples over floats."""
+    terms = []
     for m, c in poly.items():
-        term: np.ndarray | float = float(c)
+        factors = []
         for v, e in m.jet:
             if v.dt:
                 raise JetError("monitor expressions must be t-derivative-free")
             if v.dx > 3:
                 raise JetError("stencils cover derivatives up to third order")
-            term = term * derivs[v.name][v.dx] ** e
-        if m.xpow:
-            term = term * x**m.xpow
-        if m.tpow:
-            term = term * time**m.tpow
+            factors.append(((_ROWS[v.name], v.dx), e))
         if m.params:
             raise JetError("monitor expressions must have no free parameters")
+        terms.append((float(c), tuple(factors), m.xpow, m.tpow))
+    return tuple(terms)
+
+
+def _power(base, e: int):
+    # numpy computes a**2 as a*a; so does this, so a term evaluated on
+    # floats equals its evaluation on arrays bit for bit (numpy's
+    # vectorized pow for higher powers can differ from libm's in the
+    # last bit)
+    return base * base if e == 2 else base**e
+
+
+def _evaluate(terms: tuple, values: Mapping, x, time: float):
+    """Sum of the terms, reading each (row, x-order) factor from
+    ``values``: arrays over the grid, or floats at one node."""
+    out = 0.0
+    for c, factors, xpow, tpow in terms:
+        term = c
+        for key, e in factors:
+            term = term * _power(values[key], e)
+        if xpow:
+            term = term * _power(x, xpow)
+        if tpow:
+            term = term * time**tpow
         out = out + term
     return out
 
 
-class _Monitor:
-    def __init__(self, label: str):
-        laws = direct_laws()
-        if label not in laws:
-            raise JetError(f"unknown conservation-law label {label!r}")
-        law = laws[label]
-        self.label = label
-        self.density = law.density
-        self.flux = law.flux
-        self.series = MonitorSeries(label=label)
-        self.flux_integral = 0.0
+class _Monitors:
+    """The monitored laws of one run, compiled to float terms once.
 
-    def quadrature(self, fields: "_StageEval", grid: Grid1D, time: float) -> float:
-        dens = _poly_on_derivs(self.density, fields.derivs, grid.x, time)
-        arr = np.asarray(dens, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(grid.n, float(arr))
-        if fields.periodic:
-            return float(np.sum(arr) * grid.dx)
-        weights = np.full(grid.n, grid.dx)
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        return float(np.sum(arr * weights))
+    A sample quadratures each density over the grid (trapezoidal on
+    bounded domains). On bounded domains each stage's through-flux
+    flux(left edge) - flux(right edge) is evaluated on floats from the
+    edge columns of the stage buffer and accumulated with the RK4 weights.
+    """
 
-    def boundary_flux_rate(self, fields: "_StageEval", grid: Grid1D, time: float) -> float:
-        """flux(left) - flux(right); zero on the periodic circle."""
-        if fields.periodic:
-            return 0.0
-        edge = {
-            name: {k: np.array([d[k][0], d[k][-1]]) for k in d}
-            for name, d in fields.derivs.items()
+    def __init__(self, labels: Sequence[str], stage: _Stage, x: np.ndarray, periodic: bool):
+        laws = direct_laws() if labels else {}
+        for label in labels:
+            if label not in laws:
+                raise JetError(f"unknown conservation-law label {label!r}")
+        self.series = [MonitorSeries(label=label) for label in labels]
+        self.density = [_float_terms(laws[label].density) for label in labels]
+        self.flux = [] if periodic else [_float_terms(laws[label].flux) for label in labels]
+        self.flux_integral = [0.0] * len(labels)
+        self.stage = stage
+        self.periodic = periodic
+        self.x = x
+        self.edge_x = (float(x[0]), float(x[-1]))
+        self.weights = np.full(len(x), stage.dx)
+        self.weights[0] *= 0.5
+        self.weights[-1] *= 0.5
+        self.density_keys = {key for terms in self.density for t in terms for key, _ in t[1]}
+        self.flux_keys = {key for terms in self.flux for t in terms for key, _ in t[1]}
+
+    def sample(self, fields: np.ndarray, time: float) -> None:
+        if not self.series:
+            return
+        if any(k for _, k in self.density_keys):
+            self.stage.pad(fields, time)
+        dx = self.stage.dx
+        values = {
+            (row, k): fields[row] if k == 0 else _stencil(self.stage.rows[row], k, dx)
+            for row, k in self.density_keys
         }
-        vals = _poly_on_derivs(
-            self.flux, edge, np.array([grid.x[0], grid.x[-1]]), time
-        )
-        vals = np.asarray(vals, dtype=float)
-        if vals.ndim == 0:
-            return 0.0
-        return float(vals[0] - vals[1])
+        for series, terms, flux_integral in zip(self.series, self.density, self.flux_integral):
+            arr = np.asarray(_evaluate(terms, values, self.x, time), dtype=float)
+            if arr.ndim == 0:
+                arr = np.full(len(self.x), float(arr))
+            if self.periodic:
+                q = float(np.sum(arr) * dx)
+            else:
+                q = float(np.sum(arr * self.weights))
+            series.times.append(time)
+            series.raw.append(q)
+            series.budget.append(q - flux_integral)
 
+    def flux_rates(self, time: float) -> list[float]:
+        """flux(left) - flux(right) of each law at the stage last padded."""
+        if not self.flux:
+            return []
+        buf, dx = self.stage.buf, self.stage.dx
 
-class _StageEval:
-    """Derivative arrays of one (u, v) stage, shared across monitors."""
+        def at(cols: list) -> dict:
+            return {(row, k): _stencil(cols[row], k, dx) for row, k in self.flux_keys}
 
-    def __init__(self, u: np.ndarray, v: np.ndarray, time: float, grid: Grid1D, boundary: _Boundary):
-        ghosts = boundary.ghosts(time)
-        self.periodic = ghosts is None
-        up = _pad(u, None if ghosts is None else ghosts[0])
-        vp = _pad(v, None if ghosts is None else ghosts[1])
-        self.derivs = {
-            "u": _derivatives(up, grid.n, grid.dx),
-            "v": _derivatives(vp, grid.n, grid.dx),
-        }
+        left, right = at(buf[:, :5].tolist()), at(buf[:, -5:].tolist())
+        xl, xr = self.edge_x
+        return [_evaluate(f, left, xl, time) - _evaluate(f, right, xr, time) for f in self.flux]
+
+    def add_flux(self, weight: float, f1: list, f2: list, f3: list, f4: list) -> None:
+        for i, (a, b, c, d) in enumerate(zip(f1, f2, f3, f4)):
+            self.flux_integral[i] += weight * (a + 2 * b + 2 * c + d)
 
 
 # ---------------------------------------------------------------------------
@@ -313,75 +392,56 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
     the exact fields at the final time.
     """
     grid = cfg.grid
+    x = grid.x
     boundary = _Boundary(cfg)
     if initial is None:
         if cfg.boundary != "exact":
             raise JetError("periodic runs need explicit initial data")
-        u0, v0 = boundary.exact_fields(0.0)
-        state = FieldState(u=u0.copy(), v=v0.copy(), time=0.0)
+        fields = np.array(boundary.exact_fields(x, 0.0))
+        t = 0.0
     else:
-        state = FieldState(
-            u=np.array(initial.u, dtype=float),
-            v=np.array(initial.v, dtype=float),
-            time=initial.time,
-        )
-    monitors = [_Monitor(label) for label in cfg.monitors]
+        if np.shape(initial.u) != (grid.n,) or np.shape(initial.v) != (grid.n,):
+            raise JetError(f"initial u and v need {grid.n} values each")
+        fields = np.array([initial.u, initial.v], dtype=float)
+        t = initial.time
+    stage = _Stage(grid, boundary)
+    monitors = _Monitors(cfg.monitors, stage, x, boundary.periodic)
 
     dt = cfg.step_size()
     steps = max(1, round(cfg.t_end / dt))
     dt = cfg.t_end / steps
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    def sample(mon: _Monitor) -> None:
-        ev = _StageEval(state.u, state.v, state.time, grid, boundary)
-        q = mon.quadrature(ev, grid, state.time)
-        mon.series.times.append(state.time)
-        mon.series.raw.append(q)
-        mon.series.budget.append(q - mon.flux_integral)
-
-    for mon in monitors:
-        sample(mon)
-
+    monitors.sample(fields, t)
     for step in range(steps):
-        t0 = state.time
-        u0, v0 = state.u, state.v
+        t0, t_half, t1 = t, t + half, t + dt
+        k1 = stage(fields, t0)
+        f1 = monitors.flux_rates(t0)
+        k2 = stage(fields + half * k1, t_half)
+        f2 = monitors.flux_rates(t_half)
+        k3 = stage(fields + half * k2, t_half)
+        f3 = monitors.flux_rates(t_half)
+        k4 = stage(fields + dt * k3, t1)
+        f4 = monitors.flux_rates(t1)
 
-        def stage(u: np.ndarray, v: np.ndarray, t: float):
-            st = FieldState(u=u, v=v, time=t)
-            du, dv = rhs(st, grid, boundary)
-            rates = []
-            if monitors:
-                ev = _StageEval(u, v, t, grid, boundary)
-                rates = [m.boundary_flux_rate(ev, grid, t) for m in monitors]
-            return du, dv, rates
+        fields = fields + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t1
+        monitors.add_flux(sixth, f1, f2, f3, f4)
 
-        k1u, k1v, f1 = stage(u0, v0, t0)
-        k2u, k2v, f2 = stage(u0 + 0.5 * dt * k1u, v0 + 0.5 * dt * k1v, t0 + 0.5 * dt)
-        k3u, k3v, f3 = stage(u0 + 0.5 * dt * k2u, v0 + 0.5 * dt * k2v, t0 + 0.5 * dt)
-        k4u, k4v, f4 = stage(u0 + dt * k3u, v0 + dt * k3v, t0 + dt)
-
-        state.u = u0 + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        state.v = v0 + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        state.time = t0 + dt
-        for i, mon in enumerate(monitors):
-            mon.flux_integral += dt / 6.0 * (f1[i] + 2 * f2[i] + 2 * f3[i] + f4[i])
-
-        if np.max(np.abs(state.u)) > BLOWUP_GUARD or np.max(np.abs(state.v)) > BLOWUP_GUARD:
-            raise BlowupError(f"field magnitude exceeded {BLOWUP_GUARD:g}", state.time)
-        state.check_finite()
+        if (np.abs(fields).max(axis=1) > BLOWUP_GUARD).any():
+            raise BlowupError(f"field magnitude exceeded {BLOWUP_GUARD:g}", t)
+        _require_finite(fields, t)
 
         if (step + 1) % cfg.output_stride == 0 or step == steps - 1:
-            for mon in monitors:
-                sample(mon)
+            monitors.sample(fields, t)
 
     l2 = None
     if cfg.boundary == "exact":
-        ue, ve = boundary.exact_fields(state.time)
-        l2 = math.sqrt(
-            float(np.sum((state.u - ue) ** 2 + (state.v - ve) ** 2)) * grid.dx
-        )
+        ue, ve = boundary.exact_fields(x, t)
+        l2 = math.sqrt(float(np.sum((fields[0] - ue) ** 2 + (fields[1] - ve) ** 2)) * grid.dx)
     return SimResult(
-        state=state,
-        monitors={m.label: m.series for m in monitors},
+        state=FieldState(u=fields[0], v=fields[1], time=t),
+        monitors={s.label: s for s in monitors.series},
         steps=steps,
         l2_error=l2,
     )
@@ -426,29 +486,49 @@ def convergence_study(
 # flat key=value configuration files
 
 
+_CONFIG_KEYS = (
+    "x_min", "x_max", "n", "t_end", "dt", "cfl",
+    "boundary", "family", "monitors", "output_stride",
+)
+
+
 def config_from_mapping(data: Mapping[str, str]) -> SimConfig:
+    """Keys are those of ``_CONFIG_KEYS`` plus ``param.<name>`` bindings; an
+    unknown key or a malformed number raises ``JetError`` naming its key."""
+    for key in data:
+        if key not in _CONFIG_KEYS and not (key.startswith("param.") and key != "param."):
+            raise JetError(f"unknown config key {key!r}")
+
+    def number(key: str, default, kind: type = float):
+        if key not in data:
+            return default
+        try:
+            return kind(data[key])
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise JetError(f"config key {key!r}: {data[key]!r} is not {noun}") from None
+
     grid = Grid1D(
-        x_min=float(data.get("x_min", -20.0)),
-        x_max=float(data.get("x_max", 20.0)),
-        n=int(data.get("n", 256)),
+        x_min=number("x_min", -20.0),
+        x_max=number("x_max", 20.0),
+        n=number("n", 256, int),
     )
-    binding = {}
-    for key, val in data.items():
-        if key.startswith("param."):
-            binding[key[len("param.") :]] = float(val)
+    binding = {
+        key[len("param.") :]: number(key, None) for key in data if key.startswith("param.")
+    }
     monitors = tuple(
         s.strip() for s in data.get("monitors", "").split(",") if s.strip()
     )
     return SimConfig(
         grid=grid,
-        t_end=float(data.get("t_end", 1.0)),
-        dt=float(data["dt"]) if "dt" in data else None,
-        cfl=float(data.get("cfl", 0.2)),
+        t_end=number("t_end", 1.0),
+        dt=number("dt", None),
+        cfl=number("cfl", 0.2),
         boundary=data.get("boundary", "periodic"),
         family=data.get("family"),
         binding=binding,
         monitors=monitors,
-        output_stride=int(data.get("output_stride", 20)),
+        output_stride=number("output_stride", 20, int),
     )
 
 

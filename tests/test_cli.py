@@ -99,6 +99,28 @@ def test_sim_run_records_blowup(tmp_path, capsys):
     assert 0.0 < summary["blowup_time"] < 1.0
 
 
+KINK_CFG = "x_min=-20\nx_max=20\nn=64\nt_end=0.05\nboundary=exact\nfamily=eq93\n"
+
+
+@pytest.mark.parametrize(
+    "extra,named",
+    [
+        ("param.mu=1.0\nmonitor=eq32\n", "'monitor'"),
+        ("param.mu=1.0\noutput_stride=0\n", "output_stride"),
+        ("", "UnboundParameter: mu"),
+        ("param.mu=1.0\nmonitors=eq999\n", "'eq999'"),
+    ],
+)
+def test_sim_run_bad_input_exits_two(extra, named, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(KINK_CFG + extra)
+    assert run_cli(["sim", "run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert named in captured.err
+
+
 # Label prefixes by which each subcommand's entries can be cut from a run
 # of its whole suite: the oracle for the blocks the suites select.
 PREFIX_ORACLE = [

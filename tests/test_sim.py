@@ -1,12 +1,15 @@
 """Finite-difference solver: stencil accuracy, guards, monitors with
-through-flux budgets, temporal dominance, and the recorded instability
-of the benchmark system."""
+through-flux budgets, temporal dominance, the recorded instability of
+the benchmark system, and agreement with the unfused reference stepper
+kept in ``sim_reference``."""
 
 import math
 
 import numpy as np
 import pytest
 
+from dlwlab import sim
+from dlwlab.conslaw import direct_laws
 from dlwlab.jet import JetError
 from dlwlab.sim import (
     BlowupError,
@@ -19,6 +22,8 @@ from dlwlab.sim import (
     parse_config,
     rhs,
 )
+
+import sim_reference
 
 
 class TestGridAndConfig:
@@ -50,6 +55,20 @@ class TestGridAndConfig:
         assert cfg.family == "eq93"
         assert cfg.binding == {"mu": 1.0}
         assert cfg.monitors == ("eq32", "eq33")
+
+    @pytest.mark.parametrize("key", ["monitor", "N", "param.", "output-stride"])
+    def test_unknown_config_key_rejected(self, key):
+        with pytest.raises(JetError, match=f"unknown config key {key!r}"):
+            config_from_mapping({"n": "64", key: "1"})
+
+    @pytest.mark.parametrize("key,value", [("n", "abc"), ("n", "64.5"), ("t_end", "soon"), ("param.mu", "x")])
+    def test_malformed_number_names_its_key(self, key, value):
+        with pytest.raises(JetError, match=f"config key {key!r}: {value!r}"):
+            config_from_mapping({key: value})
+
+    def test_output_stride_below_one_rejected(self):
+        with pytest.raises(JetError, match="output_stride"):
+            SimConfig(grid=Grid1D(-20, 20, 64), t_end=1.0, output_stride=0)
 
     def test_bad_config_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -102,6 +121,12 @@ class TestIntegrate:
         assert np.max(np.abs(res.state.u)) == 0.0
         series = res.monitors["eq33"]
         assert all(b == series.budget[0] for b in series.budget)
+
+    def test_initial_data_must_fill_the_grid(self):
+        g = Grid1D(-10, 10, 32)
+        cfg = SimConfig(grid=g, t_end=0.05, boundary="periodic")
+        with pytest.raises(JetError, match="32 values"):
+            integrate(cfg, initial=FieldState(u=np.zeros(32), v=np.zeros(31), time=0.0))
 
     def test_periodic_mass_conservation(self):
         n = 64
@@ -184,6 +209,115 @@ class TestIntegrate:
                 integrate(cfg)
             times.append(err.value.time)
         assert 1.5 < times[0] / times[1] < 6.0
+
+
+def _kink(n, t_end, monitors=(), **kw):
+    return SimConfig(
+        grid=Grid1D(-20.0, 20.0, n), t_end=t_end, boundary="exact",
+        family="eq93", binding={"mu": 1.0}, monitors=monitors, **kw,
+    )
+
+
+def _periodic_wave(monitors):
+    g = Grid1D(-10.0, 10.0, 64)
+    cfg = SimConfig(grid=g, t_end=0.2, boundary="periodic", monitors=monitors, output_stride=20)
+    initial = FieldState(
+        u=0.1 * np.sin(2 * np.pi * g.x / 20.0),
+        v=0.2 + 0.05 * np.cos(2 * np.pi * g.x / 20.0),
+        time=0.0,
+    )
+    return cfg, initial
+
+
+class TestReferenceOracle:
+    """The fused stepper against the unfused one it replaced."""
+
+    def assert_same(self, cfg, initial=None, rtol=0.0):
+        want = sim_reference.integrate(cfg, initial)
+        got = integrate(cfg, initial)
+        assert got.steps == want.steps
+        assert got.state.time == want.state.time
+        assert got.l2_error == want.l2_error
+        assert list(got.monitors) == list(want.monitors)
+        if rtol == 0.0:
+            assert np.array_equal(got.state.u, want.state.u)
+            assert np.array_equal(got.state.v, want.state.v)
+        for label, series in want.monitors.items():
+            other = got.monitors[label]
+            assert other.times == series.times, label
+            np.testing.assert_allclose(other.raw, series.raw, rtol=rtol, atol=0, err_msg=label)
+            np.testing.assert_allclose(other.budget, series.budget, rtol=rtol, atol=0, err_msg=label)
+
+    def test_exact_kink_with_monitors(self):
+        self.assert_same(_kink(128, 0.25, ("eq32", "eq33"), output_stride=7))
+
+    def test_periodic_monitors(self):
+        self.assert_same(*_periodic_wave(("eq33", "eq32")))
+
+    @pytest.mark.parametrize("boundary", ["exact", "periodic"])
+    def test_coordinate_dependent_law(self, boundary):
+        if boundary == "exact":
+            self.assert_same(_kink(128, 0.1, ("eq30",), output_stride=5))
+        else:
+            self.assert_same(*_periodic_wave(("eq30",)))
+
+    def test_higher_powers_within_rounding(self):
+        # the eq31 flux has u^3 v: numpy's vectorized pow and the float
+        # pow on the edge values may differ in the last bit
+        self.assert_same(_kink(128, 0.1, ("eq31",), output_stride=5), rtol=1e-12)
+
+    @pytest.mark.parametrize("label", ["eq30", "eq32", "eq33"])
+    def test_float_flux_equals_array_flux(self, label):
+        # the through-flux is evaluated on floats at the two edges; its
+        # squares must round as numpy's a**2 does on arrays
+        terms = sim._float_terms(direct_laws()[label].flux)
+        rng = np.random.default_rng(0)
+        keys = {key for term in terms for key, _ in term[1]}
+        arrays = {key: rng.standard_normal(4000) * 10.0 for key in keys}
+        x = rng.uniform(-20.0, 20.0, 4000)
+        want = sim._evaluate(terms, arrays, x, 0.7)
+        got = [
+            sim._evaluate(terms, {k: float(a[i]) for k, a in arrays.items()}, float(x[i]), 0.7)
+            for i in range(4000)
+        ]
+        assert np.array_equal(got, want)
+
+    def test_blowup_time(self):
+        cfg = _kink(256, 2.0)
+        with pytest.raises(BlowupError) as want:
+            sim_reference.integrate(cfg)
+        with pytest.raises(BlowupError) as got:
+            integrate(cfg)
+        assert got.value.time == want.value.time
+
+    @pytest.mark.parametrize("boundary", ["exact", "periodic"])
+    def test_public_rhs(self, boundary):
+        cfg = _kink(64, 0.1) if boundary == "exact" else _periodic_wave(())[0]
+        g = cfg.grid
+        state = FieldState(u=np.cos(g.x / 3.0), v=0.5 + np.sin(g.x / 4.0) ** 2, time=0.03)
+        want = sim_reference.rhs(state, g, sim_reference._Boundary(cfg))
+        got = rhs(state, g, sim._Boundary(cfg))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_ghosts_evaluated_once_per_stage_time(self, monkeypatch):
+        calls = []
+
+        def counting_compile(expr, binding):
+            f = sim_reference.compile_expr(expr, binding)
+
+            def counted(x, t):
+                calls.append(t)
+                return f(x, t)
+
+            return counted
+
+        monkeypatch.setattr(sim, "compile_expr", counting_compile)
+        # eq31 samples u_x, so the samples pad the state too
+        cfg = _kink(64, 0.5, ("eq32", "eq31"), output_stride=3)
+        res = integrate(cfg)
+        distinct_stage_times = 2 * res.steps + 1
+        exact_fields = 2 + 2  # the initial and the final exact fields
+        assert len(calls) == 2 * distinct_stage_times + exact_fields
 
 
 class TestConvergenceStudy:
