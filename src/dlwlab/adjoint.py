@@ -25,7 +25,6 @@ from .jet import (
     EvolutionSystem,
     JetError,
     JetPoly,
-    JetVar,
     LinearDiffOp,
     OpTerm,
     apply_op,
@@ -187,19 +186,6 @@ def multiplier_test(q: AdjointSymmetry | Sequence[JetPoly], sys: EvolutionSystem
 # lifting on-shell-vanishing tuples to operators on the equations
 
 
-def _extract_powers(p: JetPoly, w: JetVar) -> dict[int, JetPoly]:
-    """Write p as sum_k a_k * w^k; returns {k: a_k} with a_k free of w."""
-    out: dict[int, JetPoly] = {}
-    for m, c in p.items():
-        jet = dict(m.jet)
-        k = jet.pop(w, 0)
-        from .jet import JetMonomial
-
-        rest = JetPoly({JetMonomial.make(jet, m.xpow, m.tpow, dict(m.params)): c})
-        out[k] = out.get(k, JetPoly.zero()) + rest
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
 def lift_onshell_operator(
     rho: Sequence[JetPoly], sys: EvolutionSystem
 ) -> LinearDiffOp:
@@ -227,7 +213,7 @@ def lift_onshell_operator(
             j = dep_index[w.name]
             lifted_eq = total_derivative_n(eqs[j], w.dx - sys.lead_dx, w.dt - 1)
             lower = lifted_eq - JetPoly.from_var(w)  # strictly smaller dt
-            coeffs = _extract_powers(current, w)
+            coeffs = current.coefficients_in(w)
             degree = max(coeffs)
             # synthetic division of current by (w - root), root = -lower
             root = -lower

@@ -6,12 +6,17 @@ The node set (rational constants, square roots of positive rationals,
 the coordinates x and t, named parameters, sums, products, quotients,
 integer powers, exp, tanh, sech) is closed under d/dx and d/dt, so every
 residual can be formed symbolically and only the final evaluation is
-floating point.
+floating point. That evaluation has one compiler, from a tree to numpy
+operations over sample arrays: guarded per sample for the residual scans
+and profiles (``evaluate_samples``), unguarded for the solver's exact
+boundary data (``compile_expr``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -51,6 +56,7 @@ __all__ = [
     "diff",
     "free_params",
     "evaluate",
+    "evaluate_samples",
     "substitute_coords",
     "compile_expr",
     "system_residual_exprs",
@@ -326,58 +332,114 @@ def free_params(e: Expr) -> set[str]:
 # evaluation
 
 
+def _compile(expr: Expr, binding: Mapping[str, float | Fraction]) -> Callable:
+    """Compile to ``f(x, t, mask)`` over numpy sample arrays, parameters
+    baked in. Each guard sets the samples it trips in the boolean ``mask``
+    (none is tested if it is None): a denominator, or the base of a
+    negative power, below SINGULARITY_GUARD in magnitude; an exp argument
+    above 700; a power that overflows. A subtree free of x and t is folded
+    here to a Python float, by the same operations in the tree's order; a
+    guard it trips would trip at every sample, so it raises DomainError."""
+    import numpy as np
+
+    def binary(op: Callable, a, b):
+        if isinstance(a, float):
+            return op(a, b) if isinstance(b, float) else lambda x, t, mask: op(a, b(x, t, mask))
+        if isinstance(b, float):
+            return lambda x, t, mask: op(a(x, t, mask), b)
+        return lambda x, t, mask: op(a(x, t, mask), b(x, t, mask))
+
+    def unary(fn: Callable, arg, trips: Callable | None = None):
+        """``fn(arg)``; ``trips(arg, value)`` is true where a guard trips."""
+        if isinstance(arg, float):
+            with np.errstate(all="ignore"):
+                out = fn(np.float64(arg))
+            if trips and trips(arg, out):
+                raise DomainError(f"a guard trips at every sample, at {arg!r}")
+            return float(out)
+        if not trips:
+            return lambda x, t, mask: fn(arg(x, t, mask))
+
+        def apply(x, t, mask):
+            a = arg(x, t, mask)
+            out = fn(a)
+            if mask is not None:
+                mask |= trips(a, out)
+            return out
+
+        return apply
+
+    def node(e: Expr):  # a float when e is free of x and t
+        if isinstance(e, Const):
+            return float(e.value)
+        if isinstance(e, SqrtConst):
+            return math.sqrt(float(e.value))
+        if isinstance(e, Coord):
+            return (lambda x, t, mask: x) if e.name == "x" else (lambda x, t, mask: t)
+        if isinstance(e, Param):
+            if e.name not in binding:
+                raise UnboundParameter(e.name)
+            return float(binding[e.name])
+        if isinstance(e, (Add, Mul)):  # a left fold, as the tree reads
+            op = operator.add if isinstance(e, Add) else operator.mul
+            return functools.reduce(functools.partial(binary, op), map(node, e.args))
+        if isinstance(e, Div):
+            den = unary(lambda d: d, node(e.den), lambda d, _: abs(d) < SINGULARITY_GUARD)
+            return binary(operator.truediv, node(e.num), den)
+        if isinstance(e, Pow):
+            n, pole = e.exponent, SINGULARITY_GUARD if e.exponent < 0 else 0.0
+            trips = lambda b, out: (abs(b) < pole) | (np.isinf(out) & np.isfinite(b))  # noqa: E731
+            return unary(lambda b: b**n, node(e.base), trips)
+        if isinstance(e, Exp):
+            return unary(np.exp, node(e.arg), lambda a, _: a > 700.0)
+        if isinstance(e, Tanh):
+            return unary(np.tanh, node(e.arg))
+        if isinstance(e, Sech):
+            return unary(lambda a: 1.0 / np.cosh(a), node(e.arg))
+        raise AnalyticError(f"unknown node {type(e).__name__}")
+
+    f = node(expr)
+    return f if callable(f) else lambda x, t, mask: f
+
+
+def evaluate_samples(
+    exprs: Sequence[Expr], samples: Iterable[tuple[float, float]], binding: Mapping[str, float | Fraction]
+) -> tuple:
+    """Guarded evaluation of each expression at every sample (x, t); all
+    free parameters must be bound. Returns the values, one row per
+    expression, and a boolean array of the samples to skip: a guard
+    tripped there in some expression, or some value is not finite."""
+    import numpy as np
+
+    xt = np.array(list(samples), dtype=float).reshape(-1, 2)
+    skip = np.zeros(len(xt), dtype=bool)
+    with np.errstate(all="ignore"):
+        try:
+            fns = [_compile(e, binding) for e in exprs]
+        except DomainError:  # tripped in a constant subtree: every sample
+            return np.full((len(exprs), len(xt)), np.nan), ~skip
+        vals = np.array([np.broadcast_to(f(xt[:, 0], xt[:, 1], skip), skip.shape) for f in fns])
+    skip |= ~np.isfinite(vals).all(axis=0)
+    return vals, skip
+
+
 def evaluate(e: Expr, x: float, t: float, binding: Mapping[str, float | Fraction]) -> float:
-    """Guarded double-precision evaluation; all free parameters must be
-    bound. Near-zero denominators and non-finite intermediates raise
-    DomainError so residual scans never silently average over a pole."""
-    val = _eval(e, x, t, binding)
-    if not math.isfinite(val):
-        raise DomainError("non-finite value")
-    return val
+    """Guarded double-precision evaluation at one point; all free
+    parameters must be bound. A tripped guard (see ``_compile``) or a
+    non-finite value raises DomainError."""
+    vals, skip = evaluate_samples((e,), [(x, t)], binding)
+    if skip[0]:
+        raise DomainError(f"guard tripped or non-finite value at x={x!r}, t={t!r}")
+    return float(vals[0, 0])
 
 
-def _eval(e: Expr, x: float, t: float, b: Mapping[str, float | Fraction]) -> float:
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, SqrtConst):
-        return math.sqrt(float(e.value))
-    if isinstance(e, Coord):
-        return x if e.name == "x" else t
-    if isinstance(e, Param):
-        try:
-            return float(b[e.name])
-        except KeyError:
-            raise UnboundParameter(e.name) from None
-    if isinstance(e, Add):
-        return sum(_eval(a, x, t, b) for a in e.args)
-    if isinstance(e, Mul):
-        out = 1.0
-        for a in e.args:
-            out *= _eval(a, x, t, b)
-        return out
-    if isinstance(e, Div):
-        den = _eval(e.den, x, t, b)
-        if abs(den) < SINGULARITY_GUARD:
-            raise DomainError("denominator below guard")
-        return _eval(e.num, x, t, b) / den
-    if isinstance(e, Pow):
-        base = _eval(e.base, x, t, b)
-        if e.exponent < 0 and abs(base) < SINGULARITY_GUARD:
-            raise DomainError("negative power of near-zero base")
-        try:
-            return base**e.exponent
-        except OverflowError:
-            raise DomainError("overflow in power") from None
-    if isinstance(e, Exp):
-        arg = _eval(e.arg, x, t, b)
-        if arg > 700.0:
-            raise DomainError("exp overflow")
-        return math.exp(arg)
-    if isinstance(e, Tanh):
-        return math.tanh(_eval(e.arg, x, t, b))
-    if isinstance(e, Sech):
-        return 1.0 / math.cosh(_eval(e.arg, x, t, b))
-    raise AnalyticError(f"unknown node {type(e).__name__}")
+def compile_expr(e: Expr, binding: Mapping[str, float | Fraction]) -> Callable:
+    """Compile to a vectorizable ``f(x, t)`` with parameters baked in,
+    broadcast to the shape of ``x``. No singularity guards at the samples;
+    intended for pole-free fields inside the finite-difference solver. A
+    guard tripped in a subtree free of x and t raises DomainError here."""
+    f = _compile(e, binding)
+    return lambda x, t: f(x, t, None) + 0.0 * x
 
 
 def substitute_coords(e: Expr, x_image: Expr | None = None, t_image: Expr | None = None) -> Expr:
@@ -407,43 +469,6 @@ def substitute_coords(e: Expr, x_image: Expr | None = None, t_image: Expr | None
     if isinstance(e, Sech):
         return sech(substitute_coords(e.arg, x_image, t_image))
     return e
-
-
-def compile_expr(e: Expr, binding: Mapping[str, float | Fraction]) -> Callable:
-    """Compile to a vectorizable ``f(x, t)`` with parameters baked in.
-    No singularity guards; intended for pole-free fields inside the
-    finite-difference solver."""
-    import numpy as np
-
-    def emit(node: Expr) -> str:
-        if isinstance(node, Const):
-            return repr(float(node.value))
-        if isinstance(node, SqrtConst):
-            return repr(math.sqrt(float(node.value)))
-        if isinstance(node, Coord):
-            return node.name
-        if isinstance(node, Param):
-            if node.name not in binding:
-                raise UnboundParameter(node.name)
-            return repr(float(binding[node.name]))
-        if isinstance(node, Add):
-            return "(" + "+".join(emit(a) for a in node.args) + ")"
-        if isinstance(node, Mul):
-            return "(" + "*".join(emit(a) for a in node.args) + ")"
-        if isinstance(node, Div):
-            return f"({emit(node.num)}/{emit(node.den)})"
-        if isinstance(node, Pow):
-            return f"({emit(node.base)}**{node.exponent})"
-        if isinstance(node, Exp):
-            return f"_np.exp({emit(node.arg)})"
-        if isinstance(node, Tanh):
-            return f"_np.tanh({emit(node.arg)})"
-        if isinstance(node, Sech):
-            return f"(1.0/_np.cosh({emit(node.arg)}))"
-        raise AnalyticError(f"unknown node {type(node).__name__}")
-
-    code = f"lambda x, t: ({emit(e)}) + 0.0*x"
-    return eval(code, {"_np": np})  # noqa: S307 (generated from our own AST)
 
 
 # ---------------------------------------------------------------------------
@@ -508,23 +533,15 @@ def residual_max(
     """Max absolute residual of the candidate over the samples and over
     all equations; singular samples are skipped and counted."""
     residuals = system_residual_exprs(sys, candidate)
-    worst = [0.0] * len(residuals)
-    used = 0
-    skipped = 0
-    for x, t in samples:
-        try:
-            vals = [abs(evaluate(r, x, t, binding)) for r in residuals]
-        except DomainError:
-            skipped += 1
-            continue
-        used += 1
-        for k, v in enumerate(vals):
-            worst[k] = max(worst[k], v)
+    vals, skip = evaluate_samples(residuals, samples, binding)
+    kept = abs(vals[:, ~skip])
+    used = kept.shape[1]
+    worst = tuple(map(float, kept.max(axis=1))) if used else (0.0,) * len(residuals)
     return ResidualReport(
         max_residual=max(worst) if used else math.nan,
-        per_equation=tuple(worst),
+        per_equation=worst,
         samples_used=used,
-        samples_skipped=skipped,
+        samples_skipped=len(skip) - used,
     )
 
 

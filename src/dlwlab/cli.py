@@ -154,7 +154,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
     try:
         return _sim_action(args)
-    except (JetError, AnalyticError) as e:  # a blow-up is recorded inside
+    except (JetError, AnalyticError, OSError) as e:  # a blow-up is recorded inside
         print(f"dlwlab sim {args.action}: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

@@ -492,6 +492,17 @@ class JetPoly:
             out[JetMonomial.make(m.jet, m.xpow, m.tpow, params)] = c * e
         return JetPoly._of(out)
 
+    def coefficients_in(self, gen: JetVar | str) -> dict[int, "JetPoly"]:
+        """``{k: a_k}`` with ``self = sum_k a_k gen^k``, for ``gen`` a jet
+        coordinate or a parameter name; each ``a_k`` is nonzero and free of
+        ``gen``. Removing one generator keeps distinct monomials distinct."""
+        out: dict[int, dict[JetMonomial, Fraction]] = {}
+        for m, c in self._terms.items():
+            jet, params = dict(m.jet), dict(m.params)
+            k = (params if isinstance(gen, str) else jet).pop(gen, 0)
+            out.setdefault(k, {})[JetMonomial.make(jet, m.xpow, m.tpow, params)] = c
+        return {k: JetPoly._of(terms) for k, terms in out.items()}
+
     # -- generic derivation ------------------------------------------------
 
     def derive(

@@ -28,6 +28,7 @@ from .analytic import (
     add,
     const,
     div,
+    evaluate_samples,
     exp,
     mul,
     neg,
@@ -316,20 +317,12 @@ def profile_rows(
     xi_max: float = 10.0,
     n: int = 201,
 ) -> list[tuple[float, float, float]]:
-    """(xi, U, V) samples of the family at t = 0 for plotting dumps."""
-    from .analytic import evaluate, DomainError
-
+    """(xi, U, V) samples of the family at t = 0 for plotting dumps; the
+    rows where a guard trips in U or V are left out."""
     reg = family_registry()
     fam = reg.get(family_id)
     if fam is None:
         raise UnknownFamily(family_id)
-    rows = []
-    for k in range(n):
-        xi = xi_min + (xi_max - xi_min) * k / (n - 1)
-        try:
-            u = evaluate(fam.u_expr, xi, 0.0, binding)
-            v = evaluate(fam.v_expr, xi, 0.0, binding)
-        except DomainError:
-            continue
-        rows.append((xi, u, v))
-    return rows
+    xis = [xi_min + (xi_max - xi_min) * k / (n - 1) for k in range(n)]
+    (u, v), skip = evaluate_samples((fam.u_expr, fam.v_expr), [(xi, 0.0) for xi in xis], binding)
+    return [(xi, float(u[k]), float(v[k])) for k, xi in enumerate(xis) if not skip[k]]

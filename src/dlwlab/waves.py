@@ -183,15 +183,8 @@ def tanh_ansatz_system() -> list[JetPoly]:
 
     system: list[JetPoly] = []
     for eq in (eq1, eq2):
-        by_power: dict[int, JetPoly] = {}
-        for m, c in eq.items():
-            params = dict(m.params)
-            k = params.pop("T", 0)
-            rest = JetPoly({JetMonomial.make(dict(m.jet), m.xpow, m.tpow, params): c})
-            by_power[k] = by_power.get(k, JetPoly.zero()) + rest
-        for k in sorted(by_power):
-            if not by_power[k].is_zero():
-                system.append(by_power[k])
+        by_power = eq.coefficients_in("T")
+        system.extend(by_power[k] for k in sorted(by_power))
     return system
 
 

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from dlwlab.analytic import compile_expr
+from analytic_reference import compile_expr
 from dlwlab.conslaw import direct_laws
 from dlwlab.jet import JetError, JetPoly
 from dlwlab.sim import (

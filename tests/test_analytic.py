@@ -5,8 +5,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import analytic_reference as reference
 from dlwlab.analytic import (
     DomainError,
     T,
@@ -18,6 +20,7 @@ from dlwlab.analytic import (
     diff,
     div,
     evaluate,
+    evaluate_samples,
     exp,
     free_params,
     group_orbit,
@@ -32,6 +35,8 @@ from dlwlab.analytic import (
     tanh,
     transported_solution,
 )
+from dlwlab.sim import Grid1D
+from dlwlab.solutions import _samples, family_registry
 
 
 def kink_pair():
@@ -97,13 +102,92 @@ class TestEvaluation:
         assert free_params(v) == {"mu"}
 
     def test_compile_matches_interpreter(self):
-        import numpy as np
-
         u, _ = kink_pair()
         f = compile_expr(u, {"mu": 1.3})
         xs = np.linspace(-3, 3, 11)
         want = [evaluate(u, float(x0), 0.4, {"mu": 1.3}) for x0 in xs]
         assert np.allclose(f(xs, 0.4), want, atol=1e-14)
+
+    def test_sech_of_a_wide_argument_is_zero(self):
+        assert evaluate(sech(X), 800.0, 0.0, {}) == 0.0
+        assert evaluate(sech(X), -800.0, 0.0, {}) == 0.0
+
+    def test_constant_subtree_trips_once_at_compile_time(self, phys):
+        e = mul(X, div(const(1), param("a")))  # the quotient is free of x and t
+        with pytest.raises(DomainError):
+            compile_expr(e, {"a": 0.0})
+        with pytest.raises(DomainError):
+            evaluate(e, 1.0, 0.0, {"a": 1e-9})
+        rep = residual_max(phys, (e, const(0)), {"a": 0.0}, SAMPLES[:5])
+        want = reference.residual_max(phys, (e, const(0)), {"a": 0.0}, SAMPLES[:5])
+        assert (rep.samples_used, rep.samples_skipped) == (want.samples_used, want.samples_skipped) == (0, 5)
+
+
+# One expression per guard kind, the samples x at t = 0, and which of them
+# trip it.
+GUARD_CASES = {
+    "denominator": (div(const(1), X), [0.5, 1e-9, -2.0, -1e-9], [False, True, False, True]),
+    "negative-power": (pow_(X, -3), [1e-9, 0.5, -3.0], [True, False, False]),
+    "exp-argument": (exp(X), [1.0, 700.5, 700.0], [False, True, False]),
+    "power-overflow": (pow_(X, 5), [2.0, 1e100, -1e100], [False, True, True]),
+    "non-finite": (mul(exp(X), exp(X)), [699.0, 1.0], [True, False]),
+}
+
+
+def outcome(f, x, t):
+    """The values of ``f(x, t)`` as bytes, or the type of what it raised
+    (eq22 has a pole at t = 0)."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(f(x, t), dtype=float).tobytes()
+    except ArithmeticError as e:
+        return type(e)
+
+
+class TestReferenceOracle:
+    """The closure compiler against the scalar ``math`` evaluator and the
+    string-``eval`` compiler it replaced (``analytic_reference``)."""
+
+    @pytest.mark.parametrize("fid", sorted(family_registry()))
+    def test_compile_expr_is_bitwise_the_reference(self, fid):
+        fam = family_registry()[fid]
+        grid = Grid1D(-20.0, 20.0, 64)
+        x = np.concatenate([grid.x, grid.ghost_x("left"), grid.ghost_x("right")])
+        for binding in fam.default_grid:
+            for e in (fam.u_expr, fam.v_expr):
+                got, want = compile_expr(e, binding), reference.compile_expr(e, binding)
+                for t in (0.0, 0.37, 1.0, 2.5):
+                    assert outcome(got, x, t) == outcome(want, x, t), (binding, t)
+
+    @pytest.mark.parametrize("fid", sorted(family_registry()))
+    def test_residual_max_matches_reference(self, phys, fid):
+        fam = family_registry()[fid]
+        for binding in fam.default_grid:
+            for seed in range(8):
+                samples = _samples(fam.domain, 50, seed)
+                got = residual_max(phys, (fam.u_expr, fam.v_expr), binding, samples)
+                want = reference.residual_max(phys, (fam.u_expr, fam.v_expr), binding, samples)
+                assert (got.samples_used, got.samples_skipped) == (want.samples_used, want.samples_skipped)
+                for a, b in zip(got.per_equation, want.per_equation):
+                    assert (a < 1e-8 and b < 1e-8) or a == pytest.approx(b, rel=1e-9), (binding, seed)
+
+    def test_no_samples(self, phys):
+        u, v = kink_pair()
+        rep = residual_max(phys, (u, v), {"mu": 1.0}, [])
+        assert math.isnan(rep.max_residual)
+        assert (rep.per_equation, rep.samples_used, rep.samples_skipped) == ((0.0, 0.0), 0, 0)
+
+    @pytest.mark.parametrize("kind", GUARD_CASES)
+    def test_only_tripping_samples_are_skipped(self, kind):
+        e, xs, trips = GUARD_CASES[kind]
+        vals, skip = evaluate_samples((e,), [(x, 0.0) for x in xs], {})
+        assert skip.tolist() == trips
+        for x, value, skipped in zip(xs, vals[0], skip):
+            if skipped:
+                with pytest.raises(DomainError):
+                    reference.evaluate(e, x, 0.0, {})
+            else:
+                assert value == pytest.approx(reference.evaluate(e, x, 0.0, {}), rel=1e-14)
 
 
 class TestResidualOracle:

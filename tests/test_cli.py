@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, JSON determinism, outputs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dlwlab
 from dlwlab.cli import main
 from dlwlab.report import adjoint_suite, run_suite
 
@@ -119,6 +122,28 @@ def test_sim_run_bad_input_exits_two(extra, named, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert named in captured.err
+
+
+def test_sim_run_missing_config_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert run_cli(["sim", "run", "--config", str(missing), "--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "FileNotFoundError" in captured.err and str(missing) in captured.err
+
+
+def test_report_all_matches_the_golden_snapshot(tmp_path):
+    """The byte-exact behaviour contract: ``report all --reproducible``
+    against the snapshot the benchmark also checks (read, never written)."""
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "report_all.json"
+    out = tmp_path / "all.json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dlwlab.__file__)))
+    subprocess.run(
+        [sys.executable, "-m", "dlwlab", "--reproducible", "--json", str(out), "report", "all"],
+        env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True, timeout=300,
+    )
+    assert out.read_bytes() == golden.read_bytes()
 
 
 # Label prefixes by which each subcommand's entries can be cut from a run

@@ -30,7 +30,7 @@ from dlwlab.jet import (
 )
 
 import jet_reference
-from conftest import jet_polys, to_sympy
+from conftest import jet_polys, jet_vars, to_sympy
 
 u = JetPoly.var("u")
 v = JetPoly.var("v")
@@ -363,3 +363,52 @@ class TestPickling:
             return proc.stdout
 
         run("load", "2", run("dump", "1"))
+
+
+class TestCoefficientsIn:
+    """``JetPoly.coefficients_in`` replaces two power extractors; each is
+    kept here, as it was, as the oracle for its kind of generator."""
+
+    @staticmethod
+    def powers_of_jet_var(p, w):  # adjoint._extract_powers
+        out = {}
+        for m, c in p.items():
+            jet = dict(m.jet)
+            k = jet.pop(w, 0)
+            rest = JetPoly({JetMonomial.make(jet, m.xpow, m.tpow, dict(m.params)): c})
+            out[k] = out.get(k, JetPoly.zero()) + rest
+        return {k: v for k, v in out.items() if not v.is_zero()}
+
+    @staticmethod
+    def powers_of_param(eq, name):  # the loop of waves.tanh_ansatz_system
+        by_power = {}
+        for m, c in eq.items():
+            params = dict(m.params)
+            k = params.pop(name, 0)
+            rest = JetPoly({JetMonomial.make(dict(m.jet), m.xpow, m.tpow, params): c})
+            by_power[k] = by_power.get(k, JetPoly.zero()) + rest
+        return [by_power[k] for k in sorted(by_power) if not by_power[k].is_zero()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(jet_polys(max_terms=6, params=("T",)), jet_vars())
+    def test_jet_coordinate(self, p, w):
+        got = p.coefficients_in(w)
+        assert got == self.powers_of_jet_var(p, w)
+        rebuilt = JetPoly.zero()
+        for k, a in got.items():
+            assert w not in a.jet_vars()
+            rebuilt = rebuilt + a * JetPoly.from_var(w) ** k
+        assert rebuilt == p
+
+    @settings(max_examples=60, deadline=None)
+    @given(jet_polys(max_terms=6, params=("T", "mu")))
+    def test_parameter(self, p):
+        got = p.coefficients_in("T")
+        assert [got[k] for k in sorted(got)] == self.powers_of_param(p, "T")
+        assert all("T" not in a.param_names() for a in got.values())
+        assert sum((a * JetPoly.param("T", k) if k else a for k, a in got.items()), JetPoly.zero()) == p
+
+    def test_tanh_ansatz_system_keeps_nine_equations(self):
+        from dlwlab.waves import tanh_ansatz_system
+
+        assert len(tanh_ansatz_system()) == 9
