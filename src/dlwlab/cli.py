@@ -3,8 +3,8 @@ finite-difference solver.
 
 Exit codes: 0 when no entry fails (flagged catalog discrepancies are
 listed but do not fail the build), 1 on an unexpected failure, 2 on
-usage errors and on solver input that ``sim`` rejects (a bad config, an
-unbound family parameter, an unknown monitor label).
+usage errors and on input that ``sim`` or ``waves`` rejects (a bad
+config, an unbound family parameter, an unknown monitor label or family).
 """
 
 from __future__ import annotations
@@ -95,7 +95,24 @@ def _cmd_conslaw(args: argparse.Namespace) -> int:
     return _emit(conslaw_suite(reproducible=args.reproducible, blocks=blocks), args)
 
 
+def _rejecting_bad_input(action, args: argparse.Namespace) -> int:
+    """Run ``action(args)``; input it rejects (a ``JetError``, an
+    ``AnalyticError`` or an ``OSError``) ends in one stderr line and exit 2."""
+    from .analytic import AnalyticError
+    from .jet import JetError
+
+    try:
+        return action(args)
+    except (JetError, AnalyticError, OSError) as e:
+        print(f"dlwlab {args.command} {args.action}: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
+
+
 def _cmd_waves(args: argparse.Namespace) -> int:
+    return _rejecting_bad_input(_waves_action, args)
+
+
+def _waves_action(args: argparse.Namespace) -> int:
     if args.action == "verify":
         if args.family:
             from .solutions import verify_family
@@ -149,14 +166,7 @@ def _cmd_waves(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
-    from .analytic import AnalyticError
-    from .jet import JetError
-
-    try:
-        return _sim_action(args)
-    except (JetError, AnalyticError, OSError) as e:  # a blow-up is recorded inside
-        print(f"dlwlab sim {args.action}: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+    return _rejecting_bad_input(_sim_action, args)
 
 
 def _sim_action(args: argparse.Namespace) -> int:

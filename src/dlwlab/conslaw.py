@@ -9,9 +9,11 @@ on-shell vanishing of D_t(density) + D_x(flux) in its own jet family.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .jet import (
     EvolutionSystem,
@@ -202,8 +204,10 @@ def printed_eq29_law() -> ConservationLaw:
     return ConservationLaw(density=density, flux=flux, label="eq29-printed")
 
 
-def direct_laws() -> dict[str, ConservationLaw]:
-    """The five direct-construction pairs, keyed by catalog id.
+@functools.cache
+def direct_laws() -> Mapping[str, ConservationLaw]:
+    """The five direct-construction pairs, keyed by catalog id, built
+    once per process; the mapping is read-only.
 
     Two entries are stored in corrected form. eq29 keeps the printed
     density (whose restricted Euler operators reproduce Q1 exactly) and
@@ -259,7 +263,7 @@ def direct_laws() -> dict[str, ConservationLaw]:
         flux=u**2 * f(1, 2) + v + u * v + uxx * f(1, 3),
         label="eq33",
     )
-    return {cl.label: cl for cl in (eq29, eq30, eq31, eq32, eq33)}
+    return MappingProxyType({cl.label: cl for cl in (eq29, eq30, eq31, eq32, eq33)})
 
 
 def printed_eq31_law() -> ConservationLaw:

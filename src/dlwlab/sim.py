@@ -13,10 +13,17 @@ measured against the exact conservation budget
 Each RK4 stage is computed once and shared. The state is one stacked
 (2, n) array of u and v. A stage pads it into one preallocated (2, n+4)
 buffer, takes u_x and v_x in one stencil operation over both rows and
-u_xxx on the u row only, and evaluates the exact-family ghosts once per
-distinct stage time. The monitors' densities and fluxes are compiled to
-float terms when a run starts; the through-flux reads only the two edge
-columns of the stage buffer.
+u_xxx on the u row only, writing every stencil and product into buffers
+allocated once per run. Work that does not need the stage's result is
+done per block of ``BLOCK_STEPS`` steps, off the per-stage path: the
+exact-family ghosts of every distinct stage time of a block come from one
+call per field, and each stage only copies the two 5-column edge blocks
+of its buffer into a record whose through-flux the monitors evaluate in
+one array pass at each sample and at the end of the block. The monitors'
+densities and fluxes are compiled to float terms when a run starts.
+Every value is computed by the same floating-point operations in the
+same order as one stage at a time would, so results do not depend on the
+block length.
 """
 
 from __future__ import annotations
@@ -170,7 +177,8 @@ def _windows(padded: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
 def _stencil(p, k: int, dx: float):
     """Central difference of order k (0..3) from the samples ``p[0..4]`` at
     offsets -2..2: second order, with the five-point antisymmetric stencil
-    for k = 3. The samples may be arrays (whole grids) or floats."""
+    for k = 3. The samples are arrays: over a grid, or over the recorded
+    stages at one edge."""
     if k == 0:
         return p[2]
     if k == 1:
@@ -180,8 +188,31 @@ def _stencil(p, k: int, dx: float):
     return (p[4] - 2 * p[3] + 2 * p[1] - p[0]) / (2 * dx**3)
 
 
+# RK4 steps whose stage times share one ghost evaluation and one
+# through-flux record; it bounds the memory of both, whatever the run's
+# length or output stride.
+BLOCK_STEPS = 64
+
+
+def _stage_times(t: float, half: float, dt: float, steps: int) -> list[float]:
+    """The 2 steps + 1 distinct stage times of ``steps`` RK4 steps from t,
+    by the time loop's own recurrence: t, t + half, t + dt, ..."""
+    times = [t]
+    for _ in range(steps):
+        times += (t + half, t + dt)
+        t = t + dt
+    return times
+
+
 class _Boundary:
-    """Ghost-node supplier: periodic wrap or exact-family evaluation."""
+    """Ghost-node supplier: periodic wrap or exact-family evaluation.
+
+    On the exact boundary the ghosts of one block of RK4 steps come from
+    one call per field, over the stacked (x, t) samples of the four ghost
+    nodes at every distinct stage time of the block. A block's first time
+    is the previous block's last, whose row is carried over, so each
+    stage time is evaluated once. The table holds 2 BLOCK_STEPS + 1 rows.
+    """
 
     def __init__(self, cfg: SimConfig):
         self.periodic = cfg.boundary == "periodic"
@@ -192,22 +223,26 @@ class _Boundary:
             self._u = compile_expr(fam.u_expr, cfg.binding)
             self._v = compile_expr(fam.v_expr, cfg.binding)
             grid = cfg.grid
-            self._x = np.concatenate([grid.ghost_x("left"), grid.ghost_x("right")])
-            self._time: float | None = None
-            self._ghosts = np.empty((2, 4))
+            self.ghost_x = np.concatenate([grid.ghost_x("left"), grid.ghost_x("right")])
+            rows = 2 * BLOCK_STEPS + 1
+            self._x = np.tile(self.ghost_x, rows)
+            self.table = np.empty((rows, 2, 4))
+            self._rows = 0  # rows of the previous block
 
-    def ghosts(self, time: float) -> np.ndarray | None:
-        """u and v (rows) at the two left then the two right ghost nodes;
-        None on the periodic circle. A time equal to the previous call's
-        is not evaluated again: RK4 stages 2 and 3 share their time, and
-        stage 4's is the next step's first."""
+    def block(self, times: list[float]) -> Sequence[np.ndarray | None]:
+        """Per stage time of a block: u and v (rows) at the two left then
+        the two right ghost nodes; None on the periodic circle."""
         if self.periodic:
-            return None
-        if time != self._time:
-            self._ghosts[0] = self._u(self._x, time)
-            self._ghosts[1] = self._v(self._x, time)
-            self._time = time
-        return self._ghosts
+            return [None] * len(times)
+        table, first = self.table, 0
+        if self._rows:  # times[0] is the previous block's last time
+            table[0] = table[self._rows - 1]
+            first = 1
+        x, t = self._x[: 4 * (len(times) - first)], np.repeat(times[first:], 4)
+        table[first : len(times), 0] = self._u(x, t).reshape(-1, 4)
+        table[first : len(times), 1] = self._v(x, t).reshape(-1, 4)
+        self._rows = len(times)
+        return table[: len(times)]
 
     def exact_fields(self, x: np.ndarray, time: float) -> tuple[np.ndarray, np.ndarray]:
         if self.periodic:
@@ -218,20 +253,26 @@ class _Boundary:
 class _Stage:
     """The semi-discrete right side of one RK4 stage for the stacked
     (u, v) state. The stage is padded into one preallocated (2, n+4)
-    buffer, which keeps it for the monitors' through-flux."""
+    buffer, and its stencils and products go to buffers allocated once."""
 
-    def __init__(self, grid: Grid1D, boundary: _Boundary | None):
+    def __init__(self, grid: Grid1D):
         n = grid.n
         self.dx = grid.dx
-        self.boundary = boundary
         self.buf = np.empty((2, n + 4))
         self.both = _windows(self.buf, n)
         self.rows = (_windows(self.buf[0], n), _windows(self.buf[1], n))
+        self.d1 = np.empty((2, n))  # u_x, v_x
+        self.d3 = np.empty(n)  # u_xxx
+        self.tmp = np.empty(n)
+        # the two 5-column edge blocks, columns 0..4 and n-1..n+3, of each
+        # row in the flat buffer
+        cols = np.arange(5)
+        cols = np.concatenate([cols, cols + n - 1])
+        self.flat, self.edge_index = self.buf.reshape(-1), np.concatenate([cols, cols + n + 4])
 
-    def pad(self, fields: np.ndarray, time: float) -> None:
+    def pad(self, fields: np.ndarray, ghosts: np.ndarray | None) -> None:
         buf = self.buf
         buf[:, 2:-2] = fields
-        ghosts = None if self.boundary is None else self.boundary.ghosts(time)
         if ghosts is None:  # periodic
             buf[:, :2] = fields[:, -2:]
             buf[:, -2:] = fields[:, :2]
@@ -239,16 +280,41 @@ class _Stage:
             buf[:, :2] = ghosts[:, :2]
             buf[:, -2:] = ghosts[:, 2:]
 
-    def __call__(self, fields: np.ndarray, time: float) -> np.ndarray:
-        """u_t = -(u u_x + v_x), v_t = -(u_x v + u v_x + u_xxx/3)."""
+    def __call__(
+        self,
+        fields: np.ndarray,
+        time: float,
+        ghosts: np.ndarray | None,
+        out: np.ndarray,
+        edges: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """u_t = -(u u_x + v_x), v_t = -(u_x v + u v_x + u_xxx/3) into
+        ``out``; ``edges``, if given, receives the edge blocks."""
         _require_finite(fields, time)
-        self.pad(fields, time)
-        u_x, v_x = _stencil(self.both, 1, self.dx)
-        u_xxx = _stencil(self.rows[0], 3, self.dx)
-        u, v = fields
-        out = np.empty_like(fields)
-        np.negative(u * u_x + v_x, out=out[0])
-        np.negative(u_x * v + u * v_x + u_xxx / 3.0, out=out[1])
+        self.pad(fields, ghosts)
+        if edges is not None:
+            self.flat.take(self.edge_index, out=edges, mode="clip")
+        dx, p, q = self.dx, self.both, self.rows[0]
+        d1, d3, tmp = self.d1, self.d3, self.tmp
+        # _stencil's operations, in its order
+        np.subtract(p[3], p[1], out=d1)
+        np.divide(d1, 2 * dx, out=d1)
+        np.multiply(2, q[3], out=d3)
+        np.subtract(q[4], d3, out=d3)
+        np.multiply(2, q[1], out=tmp)
+        np.add(d3, tmp, out=d3)
+        np.subtract(d3, q[0], out=d3)
+        np.divide(d3, 2 * dx**3, out=d3)
+        (u, v), (u_x, v_x), (u_t, v_t) = fields, d1, out
+        np.multiply(u, u_x, out=u_t)
+        np.add(u_t, v_x, out=u_t)
+        np.negative(u_t, out=u_t)
+        np.multiply(u_x, v, out=v_t)
+        np.multiply(u, v_x, out=tmp)
+        np.add(v_t, tmp, out=v_t)
+        np.divide(d3, 3.0, out=d3)
+        np.add(v_t, d3, out=v_t)
+        np.negative(v_t, out=v_t)
         return out
 
 
@@ -257,7 +323,11 @@ def rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Semi-discrete right side: u_t = -(u u_x + v_x),
     v_t = -(u_x v + u v_x + u_xxx/3)."""
-    out = _Stage(grid, boundary)(np.array([state.u, state.v], dtype=float), state.time)
+    fields = np.array([state.u, state.v], dtype=float)
+    ghosts = None
+    if boundary is not None and not boundary.periodic:
+        ghosts = np.array(boundary.exact_fields(boundary.ghost_x, state.time))
+    out = _Stage(grid)(fields, state.time, ghosts, np.empty_like(fields))
     return out[0], out[1]
 
 
@@ -293,9 +363,9 @@ def _power(base, e: int):
     return base * base if e == 2 else base**e
 
 
-def _evaluate(terms: tuple, values: Mapping, x, time: float):
+def _evaluate(terms: tuple, values: Mapping, x, time):
     """Sum of the terms, reading each (row, x-order) factor from
-    ``values``: arrays over the grid, or floats at one node."""
+    ``values``: arrays over the grid or over stages, or floats."""
     out = 0.0
     for c, factors, xpow, tpow in terms:
         term = c
@@ -309,16 +379,24 @@ def _evaluate(terms: tuple, values: Mapping, x, time: float):
     return out
 
 
+# per step of a block, the rows of its four stages in the block's times
+_STAGE_ROWS = (2 * np.arange(BLOCK_STEPS)[:, None] + [0, 1, 1, 2]).ravel()
+
+
 class _Monitors:
     """The monitored laws of one run, compiled to float terms once.
 
     A sample quadratures each density over the grid (trapezoidal on
-    bounded domains). On bounded domains each stage's through-flux
-    flux(left edge) - flux(right edge) is evaluated on floats from the
-    edge columns of the stage buffer and accumulated with the RK4 weights.
+    bounded domains). On bounded domains each stage of a block copies the
+    two 5-column edge blocks of its padded buffer into a preallocated
+    record of 4 BLOCK_STEPS slots (``edges``). At each sample, and when the
+    block is full, ``flush`` evaluates every law's through-flux
+    flux(left edge) - flux(right edge) over all recorded stages in one
+    array pass and adds each step's RK4-weighted sum to the flux integral
+    in step order.
     """
 
-    def __init__(self, labels: Sequence[str], stage: _Stage, x: np.ndarray, periodic: bool):
+    def __init__(self, labels: Sequence[str], stage: _Stage, x: np.ndarray, periodic: bool, dt: float):
         laws = direct_laws() if labels else {}
         for label in labels:
             if label not in laws:
@@ -336,12 +414,46 @@ class _Monitors:
         self.weights[-1] *= 0.5
         self.density_keys = {key for terms in self.density for t in terms for key, _ in t[1]}
         self.flux_keys = {key for terms in self.flux for t in terms for key, _ in t[1]}
+        self.sixth = dt / 6.0
+        slots = 4 * BLOCK_STEPS
+        self.edges = np.empty((slots, 20)) if self.flux else None
+        self.slots = list(self.edges) if self.flux else [None] * slots
+        self.times = np.empty(slots)
+        self.flushed = 0  # steps of the block already in the flux integral
 
-    def sample(self, fields: np.ndarray, time: float) -> None:
+    def start_block(self, times: list[float]) -> None:
+        """Stage times of the next block (see ``_stage_times``)."""
+        steps = (len(times) - 1) // 2
+        self.times[: 4 * steps] = np.take(times, _STAGE_ROWS[: 4 * steps])
+        self.flushed = 0
+
+    def flush(self, steps: int) -> None:
+        """Add the through-flux of the block's steps up to ``steps`` (the
+        first ``4 steps`` slots of the record) to the flux integral."""
+        lo, hi = 4 * self.flushed, 4 * steps
+        self.flushed = steps
+        if not self.flux or hi == lo:
+            return
+        dx, time = self.stage.dx, self.times[lo:hi]
+        cols = self.edges[lo:hi].reshape(-1, 2, 2, 5)  # stage, row, side, sample
+
+        def at(side: int) -> dict:
+            return {(row, k): _stencil(cols[:, row, side].T, k, dx) for row, k in self.flux_keys}
+
+        (left, right), (xl, xr) = (at(0), at(1)), self.edge_x
+        for i, f in enumerate(self.flux):
+            rates = _evaluate(f, left, xl, time) - _evaluate(f, right, xr, time)
+            a, b, c, d = np.broadcast_to(rates, (hi - lo,)).reshape(-1, 4).T
+            total = self.flux_integral[i]
+            for inc in (self.sixth * (a + 2 * b + 2 * c + d)).tolist():
+                total += inc
+            self.flux_integral[i] = total
+
+    def sample(self, fields: np.ndarray, time: float, ghosts: np.ndarray | None) -> None:
         if not self.series:
             return
         if any(k for _, k in self.density_keys):
-            self.stage.pad(fields, time)
+            self.stage.pad(fields, ghosts)
         dx = self.stage.dx
         values = {
             (row, k): fields[row] if k == 0 else _stencil(self.stage.rows[row], k, dx)
@@ -358,23 +470,6 @@ class _Monitors:
             series.times.append(time)
             series.raw.append(q)
             series.budget.append(q - flux_integral)
-
-    def flux_rates(self, time: float) -> list[float]:
-        """flux(left) - flux(right) of each law at the stage last padded."""
-        if not self.flux:
-            return []
-        buf, dx = self.stage.buf, self.stage.dx
-
-        def at(cols: list) -> dict:
-            return {(row, k): _stencil(cols[row], k, dx) for row, k in self.flux_keys}
-
-        left, right = at(buf[:, :5].tolist()), at(buf[:, -5:].tolist())
-        xl, xr = self.edge_x
-        return [_evaluate(f, left, xl, time) - _evaluate(f, right, xr, time) for f in self.flux]
-
-    def add_flux(self, weight: float, f1: list, f2: list, f3: list, f4: list) -> None:
-        for i, (a, b, c, d) in enumerate(zip(f1, f2, f3, f4)):
-            self.flux_integral[i] += weight * (a + 2 * b + 2 * c + d)
 
 
 # ---------------------------------------------------------------------------
@@ -404,36 +499,56 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
             raise JetError(f"initial u and v need {grid.n} values each")
         fields = np.array([initial.u, initial.v], dtype=float)
         t = initial.time
-    stage = _Stage(grid, boundary)
-    monitors = _Monitors(cfg.monitors, stage, x, boundary.periodic)
 
     dt = cfg.step_size()
     steps = max(1, round(cfg.t_end / dt))
     dt = cfg.t_end / steps
     half, sixth = 0.5 * dt, dt / 6.0
 
-    monitors.sample(fields, t)
-    for step in range(steps):
-        t0, t_half, t1 = t, t + half, t + dt
-        k1 = stage(fields, t0)
-        f1 = monitors.flux_rates(t0)
-        k2 = stage(fields + half * k1, t_half)
-        f2 = monitors.flux_rates(t_half)
-        k3 = stage(fields + half * k2, t_half)
-        f3 = monitors.flux_rates(t_half)
-        k4 = stage(fields + dt * k3, t1)
-        f4 = monitors.flux_rates(t1)
+    stage = _Stage(grid)
+    monitors = _Monitors(cfg.monitors, stage, x, boundary.periodic, dt)
+    slots = monitors.slots
+    k1, k2, k3, k4 = np.empty((4,) + fields.shape)
+    y = np.empty_like(fields)
 
-        fields = fields + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t1
-        monitors.add_flux(sixth, f1, f2, f3, f4)
+    for first in range(0, steps, BLOCK_STEPS):
+        count = min(BLOCK_STEPS, steps - first)
+        times = _stage_times(t, half, dt, count)
+        ghosts = boundary.block(times)
+        monitors.start_block(times)
+        if first == 0:
+            monitors.sample(fields, t, ghosts[0])
+        for j in range(count):
+            t0, t_half, t1 = times[2 * j : 2 * j + 3]
+            g0, g_half, g1 = ghosts[2 * j : 2 * j + 3]
+            s = 4 * j
+            stage(fields, t0, g0, k1, slots[s])
+            np.multiply(half, k1, out=y)
+            stage(np.add(fields, y, out=y), t_half, g_half, k2, slots[s + 1])
+            np.multiply(half, k2, out=y)
+            stage(np.add(fields, y, out=y), t_half, g_half, k3, slots[s + 2])
+            np.multiply(dt, k3, out=y)
+            stage(np.add(fields, y, out=y), t1, g1, k4, slots[s + 3])
 
-        if (np.abs(fields).max(axis=1) > BLOWUP_GUARD).any():
-            raise BlowupError(f"field magnitude exceeded {BLOWUP_GUARD:g}", t)
-        _require_finite(fields, t)
+            # fields + sixth * (k1 + 2 k2 + 2 k3 + k4), in that order
+            np.multiply(2, k2, out=k2)
+            np.add(k1, k2, out=k1)
+            np.multiply(2, k3, out=k3)
+            np.add(k1, k3, out=k1)
+            np.add(k1, k4, out=k1)
+            np.multiply(sixth, k1, out=k1)
+            np.add(fields, k1, out=fields)
+            t = t1
 
-        if (step + 1) % cfg.output_stride == 0 or step == steps - 1:
-            monitors.sample(fields, t)
+            if (np.abs(fields).max(axis=1) > BLOWUP_GUARD).any():
+                raise BlowupError(f"field magnitude exceeded {BLOWUP_GUARD:g}", t)
+            _require_finite(fields, t)
+
+            step = first + j
+            if (step + 1) % cfg.output_stride == 0 or step == steps - 1:
+                monitors.flush(j + 1)
+                monitors.sample(fields, t, g1)
+        monitors.flush(count)
 
     l2 = None
     if cfg.boundary == "exact":

@@ -15,9 +15,11 @@ that avoids known poles, and the expected verdict class:
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .analytic import (
@@ -79,7 +81,10 @@ def _phase(kappa: str, omega: str) -> Expr:
     return add(mul(param(kappa), X), mul(param(omega), T))
 
 
-def family_registry() -> dict[str, SolitonFamily]:
+@functools.cache
+def family_registry() -> Mapping[str, SolitonFamily]:
+    """Every family keyed by catalog id, built once per process; the
+    mapping is read-only."""
     f = Fraction
     mu = param("mu")
     xi_wave = sub(X, mul(mu, T))  # x - mu t
@@ -253,7 +258,7 @@ def family_registry() -> dict[str, SolitonFamily]:
         expected="exact",
         note="speed locked to a0 + sqrt(3)/3 by the exponent",
     )
-    return reg
+    return MappingProxyType(reg)
 
 
 def _samples(

@@ -133,6 +133,21 @@ def test_sim_run_missing_config_exits_two(tmp_path, capsys):
     assert "FileNotFoundError" in captured.err and str(missing) in captured.err
 
 
+@pytest.mark.parametrize(
+    "action,named",
+    [("verify", "JetError: unbound parameters for eq93"), ("profile", "UnboundParameter: mu")],
+)
+def test_waves_family_without_binding_exits_two(action, named, tmp_path, capsys):
+    out = tmp_path / "profile.csv"
+    assert run_cli(["waves", action, "--family", "eq93", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"dlwlab waves {action}: ")
+    assert named in captured.err
+    assert not out.exists()
+
+
 def test_report_all_matches_the_golden_snapshot(tmp_path):
     """The byte-exact behaviour contract: ``report all --reproducible``
     against the snapshot the benchmark also checks (read, never written)."""

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from dlwlab import conslaw
 from dlwlab.conslaw import (
     ConservationLaw,
     InvalidBoundaryTerm,
@@ -45,6 +46,21 @@ v = JetPoly.var("v")
 
 
 class TestDirectLaws:
+    def test_built_once_and_read_only(self, monkeypatch):
+        built, make = [], conslaw.ConservationLaw
+        monkeypatch.setattr(conslaw, "ConservationLaw", lambda **kw: built.append(kw["label"]) or make(**kw))
+        direct_laws.cache_clear()
+        try:
+            first = direct_laws()
+            assert direct_laws() is first
+        finally:
+            direct_laws.cache_clear()
+        assert sorted(built) == sorted(first)
+        with pytest.raises(TypeError):
+            first["eq99"] = first["eq32"]
+        with pytest.raises(TypeError):
+            del first["eq32"]
+
     def test_all_catalog_pairs_conserve(self, phys):
         for label, law in direct_laws().items():
             assert divergence_residual(law, phys).is_zero(), label

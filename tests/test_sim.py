@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dlwlab import sim
+from dlwlab.analytic import compile_expr
 from dlwlab.conslaw import direct_laws
 from dlwlab.jet import JetError
 from dlwlab.sim import (
@@ -22,6 +23,7 @@ from dlwlab.sim import (
     parse_config,
     rhs,
 )
+from dlwlab.solutions import family_registry
 
 import sim_reference
 
@@ -299,25 +301,131 @@ class TestReferenceOracle:
         got = rhs(state, g, sim._Boundary(cfg))
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    def test_exact_kink_over_many_blocks(self):
+        # samples fall inside blocks and on their ends; the record is
+        # flushed at both
+        cfg = _kink(128, 0.9, ("eq32", "eq33", "eq30"), output_stride=50)
+        assert sim_reference.integrate(cfg).steps > 2 * sim.BLOCK_STEPS
+        self.assert_same(cfg)
+
     def test_ghosts_evaluated_once_per_stage_time(self, monkeypatch):
-        calls = []
+        # each field's callable sees every distinct stage time exactly once
+        # at each of the four ghost nodes, in whichever block call carries
+        # it, and is called twice on the grid for the exact fields
+        fields = []
 
         def counting_compile(expr, binding):
             f = sim_reference.compile_expr(expr, binding)
+            calls = []
+            fields.append(calls)
 
             def counted(x, t):
-                calls.append(t)
+                calls.append((np.array(x, dtype=float), np.broadcast_to(t, np.shape(x)).astype(float)))
                 return f(x, t)
 
             return counted
 
         monkeypatch.setattr(sim, "compile_expr", counting_compile)
         # eq31 samples u_x, so the samples pad the state too
-        cfg = _kink(64, 0.5, ("eq32", "eq31"), output_stride=3)
+        cfg = _kink(64, 1.5, ("eq32", "eq31"), dt=0.01, output_stride=3)
         res = integrate(cfg)
-        distinct_stage_times = 2 * res.steps + 1
-        exact_fields = 2 + 2  # the initial and the final exact fields
-        assert len(calls) == 2 * distinct_stage_times + exact_fields
+        assert res.steps > 2 * sim.BLOCK_STEPS
+        dt = cfg.t_end / res.steps
+        t, stage_times = 0.0, [0.0]
+        for _ in range(res.steps):
+            stage_times += [t + 0.5 * dt, t + dt]
+            t = t + dt
+        ghost_x = np.concatenate([cfg.grid.ghost_x("left"), cfg.grid.ghost_x("right")])
+        want = sorted((float(tt), float(xx)) for tt in stage_times for xx in ghost_x)
+        assert len(fields) == 2
+        for calls in fields:
+            exact = [(x, t) for x, t in calls if len(x) == cfg.grid.n]
+            ghost = [(x, t) for x, t in calls if len(x) != cfg.grid.n]
+            assert [float(t[0]) for _, t in exact] == [0.0, res.state.time]
+            got = sorted(
+                (float(tt), float(xx)) for x, t in ghost for tt, xx in zip(t.tolist(), x.tolist())
+            )
+            assert got == want
+
+
+def _counting_compile(calls):
+    def compile_counted(expr, binding):
+        f = compile_expr(expr, binding)
+
+        def counted(x, t):
+            calls.append(expr)
+            return f(x, t)
+
+        return counted
+
+    return compile_counted
+
+
+class TestBlocks:
+    """Exact-boundary ghosts evaluated once per block of steps, and the
+    bounded block records."""
+
+    @pytest.mark.parametrize(
+        "fid,binding",
+        [
+            pytest.param(fid, b, id=f"{fid}-{i}")
+            for fid, fam in sorted(family_registry().items())
+            for i, b in enumerate(fam.default_grid)
+        ],
+    )
+    def test_block_ghosts_are_bitwise_per_time_calls(self, fid, binding, monkeypatch):
+        fam = family_registry()[fid]
+        x0, x1, t0, t1 = fam.domain
+        calls = []
+        monkeypatch.setattr(sim, "compile_expr", _counting_compile(calls))
+        cfg = SimConfig(
+            grid=Grid1D(x0, x1, 32), t_end=t1 - t0, dt=(t1 - t0) / 300,
+            boundary="exact", family=fid, binding=binding,
+        )
+        boundary = sim._Boundary(cfg)
+        half, dt = 0.5 * cfg.dt, cfg.dt
+        u, v = (compile_expr(e, binding) for e in (fam.u_expr, fam.v_expr))
+        t = t0
+        for steps in (sim.BLOCK_STEPS, 5):  # a full block, then a short one carrying its first row
+            times = sim._stage_times(t, half, dt, steps)
+            with np.errstate(all="ignore"):
+                table = np.array(boundary.block(times))
+                want = np.array([[u(boundary.ghost_x, tt), v(boundary.ghost_x, tt)] for tt in times])
+            assert table.tobytes() == want.tobytes()
+            t = times[-1]
+        assert len(calls) == 4  # one call per field and block
+        assert boundary.table.shape == (2 * sim.BLOCK_STEPS + 1, 2, 4)
+
+    def test_block_memory_does_not_grow_with_the_run(self, monkeypatch):
+        made = []
+
+        class Boundary(sim._Boundary):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                made.append(self)
+
+        class Monitors(sim._Monitors):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        calls = []
+        monkeypatch.setattr(sim, "_Boundary", Boundary)
+        monkeypatch.setattr(sim, "_Monitors", Monitors)
+        monkeypatch.setattr(sim, "compile_expr", _counting_compile(calls))
+        dt, sizes = 0.005, []
+        for steps, stride in ((10, 20), (5 * sim.BLOCK_STEPS + 3, 1), (5 * sim.BLOCK_STEPS + 3, 1000)):
+            del made[:], calls[:]
+            res = integrate(_kink(64, steps * dt, ("eq32", "eq33"), dt=dt, output_stride=stride))
+            assert res.steps == steps
+            boundary, monitors = made
+            blocks = -(-steps // sim.BLOCK_STEPS)
+            assert len(calls) == 2 * blocks + 4  # one ghost call per field and block, 4 exact fields
+            sizes.append(
+                (boundary.table.shape, monitors.edges.shape, monitors.times.shape, len(monitors.slots))
+            )
+        assert sizes[0] == sizes[1] == sizes[2]
+        assert sizes[0][1][0] == 4 * sim.BLOCK_STEPS
 
 
 class TestConvergenceStudy:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dlwlab import solutions
 from dlwlab.solutions import (
     UnknownFamily,
     family_registry,
@@ -18,6 +19,22 @@ def test_registry_ids_complete():
         "eq93", "eq96",
     }
     assert set(family_registry()) == expected
+
+
+def test_registry_built_once_and_read_only(monkeypatch):
+    built, make = [], solutions.SolitonFamily
+    monkeypatch.setattr(solutions, "SolitonFamily", lambda **kw: built.append(kw["id"]) or make(**kw))
+    family_registry.cache_clear()
+    try:
+        first = family_registry()
+        assert family_registry() is first
+    finally:
+        family_registry.cache_clear()
+    assert sorted(built) == sorted(first)
+    with pytest.raises(TypeError):
+        first["eq99"] = first["eq93"]
+    with pytest.raises(TypeError):
+        del first["eq93"]
 
 
 def test_kink_residuals_across_speeds(phys):
