@@ -12,13 +12,22 @@ operators (R_P and R_Q) drive the two symmetry actions
 
 which agree for this system and close on the six-dimensional catalog
 space, reproducing the published action table up to flagged cells.
+
+The formal adjoints G'*, R_P* and R_Q* are held by a :class:`LiftMemo`,
+keyed by (components, system), so each is lifted and adjoined once per
+memo. A memo lives for one run: ``report.adjoint_suite`` makes one per
+call and hands it to the determining-system checks and to
+:func:`build_action_table`, whose :class:`ActionTable` carries it on to
+``action2``, the closure check and :func:`sq_bracket`. Called without a
+memo, the public functions make a fresh one, so nothing is kept between
+runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from . import linalg
 from .jet import (
@@ -48,6 +57,7 @@ __all__ = [
     "adjoint_determining_residual",
     "multiplier_test",
     "lift_onshell_operator",
+    "LiftMemo",
     "symmetry_operator",
     "adjoint_symmetry_operator",
     "action1",
@@ -163,12 +173,16 @@ def linearization(sys: EvolutionSystem) -> LinearDiffOp:
 
 
 def adjoint_determining_residual(
-    q: AdjointSymmetry | Sequence[JetPoly], sys: EvolutionSystem
+    q: AdjointSymmetry | Sequence[JetPoly],
+    sys: EvolutionSystem,
+    lifts: LiftMemo | None = None,
 ) -> tuple[JetPoly, ...]:
     """G'*(Q) reduced on shell; the zero tuple certifies an adjoint
     symmetry."""
+    if lifts is None:
+        lifts = LiftMemo()
     comp = tuple(q.comp if isinstance(q, AdjointSymmetry) else q)
-    out = apply_op(formal_adjoint(linearization(sys)), comp)
+    out = apply_op(lifts.linearization_adjoint(sys), comp)
     return tuple(reduce_on_shell(p, sys) for p in out)
 
 
@@ -246,12 +260,47 @@ def symmetry_operator(p: Characteristic, sys: EvolutionSystem) -> LinearDiffOp:
     return lift_onshell_operator(gp, sys)
 
 
-def adjoint_symmetry_operator(q: AdjointSymmetry, sys: EvolutionSystem) -> LinearDiffOp:
+def adjoint_symmetry_operator(
+    q: AdjointSymmetry, sys: EvolutionSystem, lifts: LiftMemo | None = None
+) -> LinearDiffOp:
     """R_Q with R_Q(G) = G'*(Q), lifted from the adjoint linearization
     applied to the adjoint symmetry."""
-    comp = tuple(q.comp)
-    gq = apply_op(formal_adjoint(linearization(sys)), comp)
+    if lifts is None:
+        lifts = LiftMemo()
+    gq = apply_op(lifts.linearization_adjoint(sys), tuple(q.comp))
     return lift_onshell_operator(gq, sys)
+
+
+class LiftMemo:
+    """The formal adjoints G'*, R_P* and R_Q* of one run, each computed
+    on first use and keyed by (components, system)."""
+
+    def __init__(self) -> None:
+        self._ops: dict[Hashable, LinearDiffOp] = {}
+
+    def _get(self, key: Hashable, make: Callable[[], LinearDiffOp]) -> LinearDiffOp:
+        op = self._ops.get(key)
+        if op is None:
+            op = self._ops[key] = make()
+        return op
+
+    def linearization_adjoint(self, sys: EvolutionSystem) -> LinearDiffOp:
+        """G'*."""
+        return self._get(("G'*", sys), lambda: formal_adjoint(linearization(sys)))
+
+    def symmetry_adjoint(self, p: Characteristic, sys: EvolutionSystem) -> LinearDiffOp:
+        """R_P*."""
+        return self._get(
+            ("R_P*", tuple(p.comp), sys),
+            lambda: formal_adjoint(symmetry_operator(p, sys)),
+        )
+
+    def adjoint_symmetry_adjoint(self, q: AdjointSymmetry, sys: EvolutionSystem) -> LinearDiffOp:
+        """R_Q*."""
+        return self._get(
+            ("R_Q*", tuple(q.comp), sys),
+            lambda: formal_adjoint(adjoint_symmetry_operator(q, sys, self)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -259,23 +308,30 @@ def adjoint_symmetry_operator(q: AdjointSymmetry, sys: EvolutionSystem) -> Linea
 
 
 def action1(
-    p: Characteristic, q: AdjointSymmetry, sys: EvolutionSystem
+    p: Characteristic,
+    q: AdjointSymmetry,
+    sys: EvolutionSystem,
+    lifts: LiftMemo | None = None,
 ) -> tuple[JetPoly, ...]:
     """First action: Q'(P) + R_P*(Q), reduced on shell."""
+    if lifts is None:
+        lifts = LiftMemo()
     qp = frechet_derivative(tuple(q.comp), tuple(p.comp), sys.deps)
-    rp_star = formal_adjoint(symmetry_operator(p, sys))
-    extra = apply_op(rp_star, tuple(q.comp))
+    extra = apply_op(lifts.symmetry_adjoint(p, sys), tuple(q.comp))
     return tuple(reduce_on_shell(a + b, sys) for a, b in zip(qp, extra))
 
 
 def action2(
-    p: Characteristic, q: AdjointSymmetry, sys: EvolutionSystem
+    p: Characteristic,
+    q: AdjointSymmetry,
+    sys: EvolutionSystem,
+    lifts: LiftMemo | None = None,
 ) -> tuple[JetPoly, ...]:
     """Second action: R_P*(Q) - R_Q*(P), reduced on shell."""
-    rp_star = formal_adjoint(symmetry_operator(p, sys))
-    rq_star = formal_adjoint(adjoint_symmetry_operator(q, sys))
-    first = apply_op(rp_star, tuple(q.comp))
-    second = apply_op(rq_star, tuple(p.comp))
+    if lifts is None:
+        lifts = LiftMemo()
+    first = apply_op(lifts.symmetry_adjoint(p, sys), tuple(q.comp))
+    second = apply_op(lifts.adjoint_symmetry_adjoint(q, sys), tuple(p.comp))
     return tuple(reduce_on_shell(a - b, sys) for a, b in zip(first, second))
 
 
@@ -287,10 +343,12 @@ def action2(
 class ActionTable:
     """images[(qi, pj)] (1-based) holds action1(P_j, Q_i) and
     entries[(qi, pj)] its exact coordinates in the catalog
-    adjoint-symmetry basis."""
+    adjoint-symmetry basis; ``lifts`` is the memo the images were built
+    with, for the checks and brackets of the same run."""
 
     entries: Mapping[tuple[int, int], tuple[Fraction, ...]]
     images: Mapping[tuple[int, int], tuple[JetPoly, ...]]
+    lifts: LiftMemo = field(compare=False, repr=False)
 
     def coeff(self, qi: int, pj: int) -> tuple[Fraction, ...]:
         return self.entries[(qi, pj)]
@@ -306,15 +364,18 @@ def build_action_table(
     chars: Sequence[Characteristic],
     adjoints: Sequence[AdjointSymmetry],
     sys: EvolutionSystem,
+    lifts: LiftMemo | None = None,
 ) -> ActionTable:
     """All action1 images decomposed exactly over the adjoint catalog;
     an unmatched residue raises DecompositionError."""
+    if lifts is None:
+        lifts = LiftMemo()
     basis = [tuple(reduce_on_shell(c, sys) for c in q.comp) for q in adjoints]
     entries: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     images: dict[tuple[int, int], tuple[JetPoly, ...]] = {}
     for qi, q in enumerate(adjoints, start=1):
         for pj, p in enumerate(chars, start=1):
-            image = images[(qi, pj)] = action1(p, q, sys)
+            image = images[(qi, pj)] = action1(p, q, sys, lifts)
             coords = decompose_components(image, basis)
             if coords is None:
                 raise DecompositionError(
@@ -322,7 +383,7 @@ def build_action_table(
                     f"({', '.join(str(c) for c in image)})"
                 )
             entries[(qi, pj)] = tuple(coords)
-    return ActionTable(entries, images)
+    return ActionTable(entries, images, lifts)
 
 
 #: Cell values as printed in the source catalog (basis coordinates over
@@ -377,7 +438,8 @@ def sq_bracket(
     Requires the kernel of S_Q to be an ideal of the symmetry algebra;
     raises NotInRange when an argument has no preimage and
     AmbiguousPreimage when the kernel is not spanned by basis directions
-    (the canonical-complement choice then has no meaning).
+    (the canonical-complement choice then has no meaning). The bracket
+    image is lifted with the memo that ``table`` carries.
     """
     if table is None:
         table = build_action_table(chars, adjoints, sys)
@@ -419,7 +481,7 @@ def sq_bracket(
     bracket = char_bracket(
         _char_combination(pa, chars), _char_combination(pb, chars), sys
     )
-    image = action1(Characteristic(tuple(bracket.comp)), adjoints[fix - 1], sys)
+    image = action1(Characteristic(tuple(bracket.comp)), adjoints[fix - 1], sys, table.lifts)
     coords = decompose_components(image, basis_red)
     if coords is None:
         raise DecompositionError("bracket image left the adjoint catalog span")

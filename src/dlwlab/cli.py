@@ -3,8 +3,9 @@ finite-difference solver.
 
 Exit codes: 0 when no entry fails (flagged catalog discrepancies are
 listed but do not fail the build), 1 on an unexpected failure, 2 on
-usage errors and on input that ``sim`` or ``waves`` rejects (a bad
-config, an unbound family parameter, an unknown monitor label or family).
+usage errors and on input that a command rejects (a bad config, an
+unbound family parameter, an unknown monitor label or family, a
+``--samples`` below 1, a ``--mu`` that is not a rational number).
 """
 
 from __future__ import annotations
@@ -71,11 +72,32 @@ def _parse_binding(text: str) -> dict[str, float]:
     return out
 
 
+class UsageError(Exception):
+    """An option value that parses but that the command cannot use."""
+
+
+def _reject(args: argparse.Namespace, e: Exception) -> int:
+    """One stderr line naming the command and the rejected input; exit 2."""
+    what = args.suite if args.command == "report" else args.action
+    print(f"dlwlab {args.command} {what}: {type(e).__name__}: {e}", file=sys.stderr)
+    return 2
+
+
+def _samples_rejected(args: argparse.Namespace) -> bool:
+    """True, after one stderr line, when ``--samples`` is below 1."""
+    if args.samples >= 1:
+        return False
+    _reject(args, UsageError(f"--samples must be at least 1, got {args.samples}"))
+    return True
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def _cmd_symmetry(args: argparse.Namespace) -> int:
+    if args.action == "optimal" and _samples_rejected(args):
+        return 2
     rep = symmetry_suite(samples=args.samples, reproducible=args.reproducible, blocks=(args.action,))
     return _emit(rep, args)
 
@@ -96,16 +118,16 @@ def _cmd_conslaw(args: argparse.Namespace) -> int:
 
 
 def _rejecting_bad_input(action, args: argparse.Namespace) -> int:
-    """Run ``action(args)``; input it rejects (a ``JetError``, an
-    ``AnalyticError`` or an ``OSError``) ends in one stderr line and exit 2."""
+    """Run ``action(args)``; input it rejects (a ``UsageError``, a
+    ``JetError``, an ``AnalyticError`` or an ``OSError``) ends in one
+    stderr line and exit 2."""
     from .analytic import AnalyticError
     from .jet import JetError
 
     try:
         return action(args)
-    except (JetError, AnalyticError, OSError) as e:
-        print(f"dlwlab {args.command} {args.action}: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+    except (UsageError, JetError, AnalyticError, OSError) as e:
+        return _reject(args, e)
 
 
 def _cmd_waves(args: argparse.Namespace) -> int:
@@ -136,7 +158,12 @@ def _waves_action(args: argparse.Namespace) -> int:
         from .jet import format_poly
         from .waves import first_integral, first_integral_derivative
 
-        mu = Fraction(args.mu) if args.mu is not None else None
+        mu = None
+        if args.mu is not None:
+            try:
+                mu = Fraction(args.mu)
+            except (ValueError, ZeroDivisionError):
+                raise UsageError(f"--mu {args.mu!r} is not a rational number") from None
         rows = []
         for label in ("eq29", "eq31", "eq32", "eq33"):
             law = direct_laws()[label]
@@ -219,6 +246,8 @@ def _sim_action(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    if args.suite in ("symmetry", "all") and _samples_rejected(args):
+        return 2
     rep = run_suite(args.suite, reproducible=args.reproducible, samples=args.samples)
     return _emit(rep, args)
 

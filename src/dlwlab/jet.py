@@ -669,6 +669,8 @@ class EvolutionSystem:
     rhs: tuple[JetPoly, ...]
     lead_dx: int = 0
     max_order: int = DEFAULT_MAX_ORDER
+    # built once here, so that every reduction finds its reducer by identity
+    _solved: SolvedSystem = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.deps) != len(self.rhs):
@@ -676,6 +678,10 @@ class EvolutionSystem:
         for g in self.rhs:
             if any(v.dt for v in g.jet_vars()):
                 raise JetError("solved form requires t-derivative-free right sides")
+        rules = tuple(
+            (JetVar(name, self.lead_dx, 1), -g) for name, g in zip(self.deps, self.rhs)
+        )
+        object.__setattr__(self, "_solved", SolvedSystem(rules, self.max_order))
 
     @property
     def width(self) -> int:
@@ -689,10 +695,7 @@ class EvolutionSystem:
         return tuple(out)
 
     def solved(self) -> SolvedSystem:
-        rules = tuple(
-            (JetVar(name, self.lead_dx, 1), -g) for name, g in zip(self.deps, self.rhs)
-        )
-        return SolvedSystem(rules, self.max_order)
+        return self._solved
 
 
 class _Reducer:
@@ -762,8 +765,13 @@ def _reducer(sys: SolvedSystem | EvolutionSystem) -> _Reducer:
     solved = sys.solved() if isinstance(sys, EvolutionSystem) else sys
     key = hash(solved)
     hit = _REDUCERS.get(key)
-    if hit is not None and hit[0] == solved:
-        return hit[1]
+    if hit is not None:
+        if hit[0] is solved:
+            return hit[1]
+        if hit[0] == solved:
+            # an equal system built anew: later lookups match it by identity
+            _REDUCERS[key] = (solved, hit[1])
+            return hit[1]
     red = _Reducer(solved)
     _REDUCERS[key] = (solved, red)
     return red

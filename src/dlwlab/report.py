@@ -114,6 +114,8 @@ def symmetry_suite(
     blocks: Collection[str] = SYMMETRY_BLOCKS,
 ) -> VerificationReport:
     blocks = _selected(blocks, SYMMETRY_BLOCKS)
+    if "optimal" in blocks and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rep = VerificationReport(suite="symmetry")
     sys = physical_system()
     xs = sym.point_symmetries()
@@ -236,17 +238,18 @@ def adjoint_suite(
     sys = physical_system()
     qs = adj.adjoint_symmetries()
     ps = sym.characteristics()
+    lifts = adj.LiftMemo()  # every operator lift of this run, made once
 
     if "verify" in blocks:
         for q in qs:
-            res = adj.adjoint_determining_residual(q, sys)
+            res = adj.adjoint_determining_residual(q, sys, lifts)
             ok = all(r.is_zero() for r in res)
             detail = "determining system holds on shell"
             if q.name == "Q3":
                 detail = "catalog (corrected) form; see Q3-printed"
             rep.add(f"determining-{q.name}", "eq28", ok, detail)
         pq3 = adj.printed_q3()
-        res = adj.adjoint_determining_residual(pq3, sys)
+        res = adj.adjoint_determining_residual(pq3, sys, lifts)
         rep.add(
             "determining-Q3-printed",
             "eq28",
@@ -260,11 +263,11 @@ def adjoint_suite(
             rep.add(f"multiplier-{q.name}", "eq25", adj.multiplier_test(q, sys), "Euler operators annihilate the pairing off shell")
 
     if blocks & {"table", "bracket"}:
-        table = adj.build_action_table(ps, qs, sys)
+        table = adj.build_action_table(ps, qs, sys, lifts)
 
     if "table" in blocks:
         agree = all(
-            image == adj.action2(ps[pj - 1], qs[qi - 1], sys)
+            image == adj.action2(ps[pj - 1], qs[qi - 1], sys, lifts)
             for (qi, pj), image in table.images.items()
         )
         rep.add("action1-equals-action2", "eq34", agree, "both actions coincide on all 24 pairs")
@@ -296,7 +299,7 @@ def adjoint_suite(
 
         # closure: every nonzero table image satisfies the determining system
         closure_ok = all(
-            all(r.is_zero() for r in adj.adjoint_determining_residual(image, sys))
+            all(r.is_zero() for r in adj.adjoint_determining_residual(image, sys, lifts))
             for image in table.images.values()
             if not all(p.is_zero() for p in image)
         )

@@ -7,6 +7,7 @@ import pytest
 
 from dlwlab.adjoint import (
     AdjointSymmetry,
+    LiftMemo,
     NotInRange,
     NotOnShell,
     PRINTED_ACTION_TABLE,
@@ -24,6 +25,7 @@ from dlwlab.adjoint import (
     symmetry_operator,
 )
 from dlwlab.jet import JetPoly, OpTerm, apply_op, reduce_on_shell
+from dlwlab.report import adjoint_suite
 from dlwlab.symmetry import characteristics
 
 u = JetPoly.var("u")
@@ -264,3 +266,55 @@ class TestBracket:
                     ca_b = sq_bracket(1, sq_bracket(1, c, a, ps, qs, phys, table)[0], b, ps, qs, phys, table)[1]
                     total = [x + y + z for x, y, z in zip(ab_c, bc_a, ca_b)]
                     assert all(t == 0 for t in total)
+
+
+class TestLiftMemo:
+    """One adjoint suite run lifts each of the 4 characteristics, the 6
+    adjoint symmetries and the 3 bracket characteristics once, and adjoins
+    those 13 operators and the linearization once each."""
+
+    def test_each_operator_lifted_once_per_suite_run(self, monkeypatch):
+        import dlwlab.adjoint as adj
+
+        counts = {}
+
+        def counting(name):
+            fn = getattr(adj, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(adj, name, counted)
+
+        counting("lift_onshell_operator")
+        counting("formal_adjoint")
+        for _ in range(2):  # nothing is kept from one run to the next
+            counts.clear()
+            adjoint_suite()
+            assert counts == {"lift_onshell_operator": 13, "formal_adjoint": 14}
+
+    def test_shared_memo_gives_the_same_actions(self, monkeypatch, phys, ps, qs):
+        import dlwlab.adjoint as adj
+
+        made = []
+
+        class Recording(LiftMemo):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(adj, "LiftMemo", Recording)
+        adjoint_suite()
+        monkeypatch.undo()
+        (lifts,) = made  # one memo for the whole run
+        for q in qs:
+            for p in ps:
+                assert action1(p, q, phys, lifts) == action1(p, q, phys), (q.name, p.name)
+                assert action2(p, q, phys, lifts) == action2(p, q, phys), (q.name, p.name)
+
+    def test_table_carries_its_memo(self, phys, ps, qs):
+        lifts = LiftMemo()
+        table = build_action_table(ps, qs, phys, lifts)
+        assert table.lifts is lifts
+        assert build_action_table(ps, qs, phys) == table

@@ -221,6 +221,44 @@ def test_symmetry_optimal_runs_no_reduction(monkeypatch, capsys):
     assert run_cli(["symmetry", "optimal", "--samples", "40"]) == 0
 
 
+@pytest.mark.parametrize(
+    "args,prefix",
+    [
+        (["symmetry", "optimal", "--samples", "0"], "dlwlab symmetry optimal: "),
+        (["symmetry", "optimal", "--samples", "-3"], "dlwlab symmetry optimal: "),
+        (["report", "symmetry", "--samples", "0"], "dlwlab report symmetry: "),
+        (["report", "all", "--samples", "-3"], "dlwlab report all: "),
+    ],
+)
+def test_samples_below_one_exits_two(args, prefix, monkeypatch, capsys):
+    def refuse(*a, **k):
+        raise AssertionError("a suite ran on rejected --samples")
+
+    monkeypatch.setattr("dlwlab.cli.symmetry_suite", refuse)
+    monkeypatch.setattr("dlwlab.cli.run_suite", refuse)
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(prefix)
+    assert f"--samples must be at least 1, got {args[-1]}" in captured.err
+
+
+def test_symmetry_suite_rejects_no_samples():
+    with pytest.raises(ValueError, match="samples"):
+        run_suite("symmetry", samples=0)
+
+
+@pytest.mark.parametrize("mu", ["abc", "1/0"])
+def test_waves_first_integrals_bad_mu_exits_two(mu, capsys):
+    assert run_cli(["waves", "first-integrals", "--mu", mu]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("dlwlab waves first-integrals: UsageError: ")
+    assert repr(mu) in captured.err
+
+
 def test_unknown_block_rejected():
     with pytest.raises(ValueError, match="tabel"):
         adjoint_suite(blocks=("tabel",))

@@ -30,7 +30,7 @@ from dlwlab.jet import (
 )
 
 import jet_reference
-from conftest import jet_polys, jet_vars, to_sympy
+from conftest import jet_monomials, jet_polys, jet_vars, small_fractions, to_sympy
 
 u = JetPoly.var("u")
 v = JetPoly.var("v")
@@ -115,6 +115,42 @@ class TestReduceOnShell:
     def test_no_reducible_vars_left(self, phys, p):
         out = reduce_on_shell(p, phys)
         assert all(w.dt == 0 for w in out.jet_vars())
+
+    @staticmethod
+    def _sympy_on_shell(expr, sys):
+        """Replace every t-derivative by the same derivative of its solved
+        form, u^j_[a,b] -> D_x^a D_t^(b-1) (-rhs^j), until none is left."""
+        import sympy as sp
+
+        x, t = sp.symbols("x t")
+        rhs = {name: -to_sympy(g) for name, g in zip(sys.deps, sys.rhs)}
+        while True:
+            image = {}
+            for d in expr.atoms(sp.Derivative):
+                counts = dict(d.variable_count)
+                if counts.get(t, 0):
+                    orders = (x, counts.get(x, 0), t, counts[t] - 1)
+                    image[d] = sp.diff(rhs[d.expr.func.__name__], *orders)
+            if not image:
+                return expr
+            expr = sp.expand(expr.xreplace(image))
+
+    @given(
+        terms=st.lists(
+            st.tuples(jet_monomials(max_dx=3, max_dt=2, max_factors=2), small_fractions),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_sympy_substitution(self, phys, terms):
+        import sympy as sp
+
+        p = JetPoly(dict(terms))
+        out = reduce_on_shell(p, phys)
+        assert not any(phys.solved().is_reducible(w) for w in out.jet_vars())
+        expected = self._sympy_on_shell(to_sympy(p), phys)
+        assert sp.expand(to_sympy(out) - expected) == 0
 
     def test_nontermination_guard(self):
         # a malformed "solved" rule whose right side contains its own leader

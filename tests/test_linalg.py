@@ -1,0 +1,123 @@
+"""Exact linear algebra: ``rref``, ``solve_exact`` and ``nullspace_exact``
+agree structurally with the unoptimized reference kept in
+``linalg_reference.py`` and with sympy's ``Matrix.rref``."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dlwlab import linalg
+
+import linalg_reference
+
+# zero-heavy entries, so that rank deficiency and sparse rows are common;
+# ints and Fractions mixed, as the callers pass both
+entries = st.sampled_from(
+    [0, 0, 0, Fraction(0), 1, -1, 2, Fraction(1), Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)]
+)
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=5):
+    """Small rational matrices; some rows are zero, some duplicate or
+    scale an earlier row."""
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    nrows = draw(st.integers(min_value=1, max_value=max_rows))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["random", "random", "zero", "copy", "scaled"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind in ("copy", "scaled") and rows:
+            src = draw(st.sampled_from(rows))
+            factor = Fraction(-2, 3) if kind == "scaled" else 1
+            rows.append([v * factor for v in src])
+        else:
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+def _same(got, want) -> bool:
+    """Equal, with every scalar a Fraction on both sides."""
+    if isinstance(want, (list, tuple)):
+        return (
+            isinstance(got, type(want))
+            and len(got) == len(want)
+            and all(_same(g, w) for g, w in zip(got, want))
+        )
+    if isinstance(want, Fraction):
+        return type(got) is Fraction and got == want
+    return got == want
+
+
+@given(a=matrices())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_reference(a):
+    assert _same(linalg.rref(a), linalg_reference.rref(a))
+
+
+@given(a=matrices())
+@settings(max_examples=200, deadline=None)
+def test_nullspace_matches_reference(a):
+    assert _same(linalg.nullspace_exact(a), linalg_reference.nullspace_exact(a))
+
+
+@given(a=matrices(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_reference(a, data):
+    kind = data.draw(st.sampled_from(["random", "in-range", "zero"]))
+    if kind == "random":  # often inconsistent when a is rank deficient
+        b = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+    elif kind == "in-range":
+        x = data.draw(st.lists(entries, min_size=len(a[0]), max_size=len(a[0])))
+        b = [sum((Fraction(p) * q for p, q in zip(row, x)), Fraction(0)) for row in a]
+    else:
+        b = [0] * len(a)
+    got = linalg.solve_exact(a, b)
+    assert _same(got, linalg_reference.solve_exact(a, b))
+    if kind != "random":
+        assert got is not None
+
+
+def test_inconsistent_system_has_no_solution():
+    a = [[1, 2], [2, 4], [0, 0]]
+    assert linalg.solve_exact(a, [1, 3, 0]) is None
+    assert linalg.solve_exact([[0, 0]], [1]) is None
+    assert linalg_reference.solve_exact([[0, 0]], [1]) is None
+
+
+def test_empty_matrix():
+    for impl in (linalg, linalg_reference):
+        assert impl.rref([]) == ([], [])
+        assert impl.nullspace_exact([]) == []
+        assert impl.solve_exact([], []) == []
+        assert impl.solve_exact([], [0, 0]) == []
+        assert impl.solve_exact([], [1]) is None
+
+
+def test_all_zero_system_solves_to_zero():
+    got = linalg.solve_exact([[0, 0, 0], [0, 0, 0]], [0, 0])
+    assert _same(got, [Fraction(0)] * 3)
+    assert _same(got, linalg_reference.solve_exact([[0, 0, 0], [0, 0, 0]], [0, 0]))
+
+
+def test_input_is_not_modified():
+    a = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(3)]]
+    before = [row[:] for row in a]
+    linalg.rref(a)
+    linalg.solve_exact(a, [Fraction(1), Fraction(1)])
+    assert a == before
+
+
+@given(a=matrices(max_rows=4, max_cols=4))
+@settings(max_examples=40, deadline=None)
+def test_rref_matches_sympy(a):
+    import sympy as sp
+
+    want, want_pivots = sp.Matrix(
+        [[sp.Rational(Fraction(v).numerator, Fraction(v).denominator) for v in row] for row in a]
+    ).rref()
+    got, pivots = linalg.rref(a)
+    assert pivots == list(want_pivots)
+    assert [[sp.Rational(v.numerator, v.denominator) for v in row] for row in got] == want.tolist()
