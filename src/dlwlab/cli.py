@@ -5,7 +5,9 @@ Exit codes: 0 when no entry fails (flagged catalog discrepancies are
 listed but do not fail the build), 1 on an unexpected failure, 2 on
 usage errors and on input that a command rejects (a bad config, an
 unbound family parameter, an unknown monitor label or family, a
-``--samples`` below 1, a ``--mu`` that is not a rational number).
+``--samples`` below 1, a ``--mu`` that is not a rational number, a
+``waves profile --points`` below 2, a ``sim converge --n`` chunk that is
+not an integer).
 """
 
 from __future__ import annotations
@@ -69,6 +71,17 @@ def _parse_binding(text: str) -> dict[str, float]:
         if value is None or not key.strip():
             raise argparse.ArgumentTypeError(f"malformed binding {chunk!r}: expected name=number")
         out[key.strip()] = value
+    return out
+
+
+def _parse_sizes(text: str) -> list[int]:
+    """``--n`` value: comma-separated grid sizes."""
+    out = []
+    for chunk in text.split(","):
+        try:
+            out.append(int(chunk))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"malformed grid size {chunk!r}: expected an integer") from None
     return out
 
 
@@ -139,6 +152,9 @@ def _waves_action(args: argparse.Namespace) -> int:
         if args.family:
             from .solutions import verify_family
 
+            if _samples_rejected(args):
+                return 2
+
             binding = args.binding or {}
             report = verify_family(args.family, binding, n_samples=args.samples)
             record = {
@@ -181,6 +197,8 @@ def _waves_action(args: argparse.Namespace) -> int:
     if args.action == "profile":
         from .solutions import profile_rows
 
+        if args.points < 2:
+            raise UsageError(f"--points must be at least 2, got {args.points}")
         rows = profile_rows(args.family, args.binding or {}, args.xi_min, args.xi_max, args.points)
         out = Path(args.out or f"{args.family}_profile.csv")
         with out.open("w", newline="", encoding="utf-8") as fh:
@@ -235,9 +253,8 @@ def _sim_action(args: argparse.Namespace) -> int:
         from .sim import BlowupError, convergence_study
 
         binding = args.binding or {"mu": 1.0}
-        n_list = [int(s) for s in args.n.split(",")]
         try:
-            rows = convergence_study(args.family, binding, n_list, t_end=args.t_end)
+            rows = convergence_study(args.family, binding, args.n, t_end=args.t_end)
         except BlowupError as e:
             rows = [{"outcome": "blowup", "blowup_time": e.time}]
         _print_json(rows, args)
@@ -301,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="directory for CSV outputs")
     p.add_argument("--family", default="eq93")
     p.add_argument("--binding", type=_parse_binding, help="parameter bindings for the reference family")
-    p.add_argument("--n", default="128,256,512", help="comma-separated grid sizes")
+    p.add_argument("--n", type=_parse_sizes, default="128,256,512", help="comma-separated grid sizes")
     p.add_argument("--t-end", type=float, default=1.0)
     p.set_defaults(func=_cmd_sim)
 

@@ -19,24 +19,16 @@ from .jet import (
     EvolutionSystem,
     JetError,
     JetPoly,
-    JetVar,
     LinearDiffOp,
     OpTerm,
     apply_op,
     euler_operator,
-    formal_adjoint,
     reduce_on_shell,
     total_derivative,
     total_derivative_n,
 )
 from .symmetry import Characteristic, PointSymmetry, characteristic, frechet_derivative
-from .systems import (
-    physical_system,
-    physical_to_potential,
-    potential_system,
-    potential_to_physical,
-    substitute_dependent,
-)
+from .systems import potential_to_physical, substitute_dependent
 
 __all__ = [
     "ConservationLaw",
@@ -55,7 +47,7 @@ __all__ = [
     "potential_characteristics",
     "prolonged_action",
     "variational_symmetry_test",
-    "noether_W",
+    "boundary_current",
     "noether_boundary_terms",
     "noether_flow",
     "noether_flows",
@@ -328,24 +320,34 @@ def variational_symmetry_test(v: Characteristic, lag: Lagrangian) -> bool:
     return all(euler_operator(acted, dep).is_zero() for dep in ("q", "r"))
 
 
-def noether_W(v: Characteristic, lag: Lagrangian) -> tuple[JetPoly, JetPoly]:
-    """Boundary terms (W1, W2) with
-    pr V (L) = E_q(L) eta1 + E_r(L) eta2 + D_x W1 + D_t W2,
-    in the closed form obtained by integrating the prolonged action by
-    parts for this Lagrangian's slots."""
-    eta1, eta2 = v.comp
-    qx, qxx, qxxx = _p("q", 1), _p("q", 2), _p("q", 3)
-    rx, rt = _p("r", 1), _p("r", 0, 1)
-    w1 = (
-        -eta1 * rt
-        - rx * eta2
-        - qx**2 * eta2 * Fraction(1, 2)
-        - qx * rx * eta1
-        - eta1 * qxxx * Fraction(1, 3)
-        + qxx * total_derivative(eta1, "x") * Fraction(1, 3)
-    )
-    w2 = -qx * eta2
-    return (w1, w2)
+def boundary_current(density: JetPoly, w: Mapping[str, JetPoly]) -> tuple[JetPoly, JetPoly]:
+    """Currents (C_x, C_t) with
+    pr W(L) = sum_a E_a(L) W^a + D_x C_x + D_t C_t
+    for the evolutionary field W whose components ``w`` are keyed by
+    dependent variable; slots of other dependent variables are not varied.
+
+    Each slot term f D_x^i D_t^j W^a of pr W(L), f = dL/du^a_ij, is
+    integrated by parts in t first and then in x (Olver, *Applications of
+    Lie Groups to Differential Equations*, Prop. 5.74):
+    f D_t^j H = D_t sum_{k<j} (-D_t)^k f D_t^(j-1-k) H + ((-D_t)^j f) H
+    with H = D_x^i W^a, and the same in x for g = (-D_t)^j f."""
+    c_x = c_t = JetPoly.zero()
+    for var in sorted(density.jet_vars()):
+        wa = w.get(var.name)
+        if wa is None or not (var.dx or var.dt):
+            continue
+        f = density.partial(var)
+        for k in range(var.dt):
+            if k:
+                f = -total_derivative(f, "t")
+            c_t = c_t + f * total_derivative_n(wa, var.dx, var.dt - 1 - k)
+        if var.dt and var.dx:
+            f = -total_derivative(f, "t")
+        for k in range(var.dx):
+            if k:
+                f = -total_derivative(f, "x")
+            c_x = c_x + f * total_derivative_n(wa, var.dx - 1 - k)
+    return c_x, c_t
 
 
 def noether_boundary_terms() -> dict[str, tuple[JetPoly, JetPoly]]:
@@ -369,7 +371,7 @@ def noether_flow(
     defect = acted - total_derivative(a[0], "x") - total_derivative(a[1], "t")
     if not defect.is_zero():
         raise InvalidBoundaryTerm(f"pr V(L) - D_x A1 - D_t A2 = {defect}")
-    w1, w2 = noether_W(v, lag)
+    w1, w2 = boundary_current(lag.density, dict(zip(("q", "r"), v.comp)))
     return ConservationLaw(
         density=w2 - a[1], flux=w1 - a[0], family="potential", label=label
     )
@@ -414,41 +416,15 @@ def self_adjointness_check(sys: EvolutionSystem) -> bool:
 
 def ibragimov_flow(x: PointSymmetry, sys: EvolutionSystem) -> ConservationLaw:
     """Conserved pair generated by a verified point symmetry through the
-    formal Lagrangian: assemble the boundary currents with the auxiliary
-    variables kept independent, then substitute w1 = u, w2 = v.
-
-    Supports Lagrangians whose derivative slots are first order in t and
-    pure-x up to third order, which covers the one built here.
-    """
+    formal Lagrangian: C = xi L + the boundary current of L along the
+    characteristic, with the auxiliary variables kept independent, then
+    w1 = u, w2 = v substituted."""
     lf = formal_lagrangian(sys).density
-    w = {dep: comp for dep, comp in zip(sys.deps, characteristic(x).comp)}
-
-    c_t = x.xi1 * lf
-    c_x = x.xi2 * lf
-    for dep in sys.deps:
-        for var in sorted(lf.jet_vars()):
-            if var.name != dep:
-                continue
-            partial = lf.partial(var)
-            if var.dx and var.dt:
-                raise JetError("mixed derivative slots are not supported")
-            if var.dt > 1 or var.dx > 3:
-                raise JetError("slot order outside the supported range")
-            if var.dt == 1:
-                c_t = c_t + w[dep] * partial
-            elif var.dx >= 1:
-                a = var.dx
-                for k in range(a):
-                    sign = -1 if (a - 1 - k) % 2 else 1
-                    c_x = c_x + (
-                        total_derivative_n(w[dep], k, 0)
-                        * total_derivative_n(partial, a - 1 - k, 0)
-                        * sign
-                    )
+    c_x, c_t = boundary_current(lf, dict(zip(sys.deps, characteristic(x).comp)))
     sub = {"w1": "u", "w2": "v"}
     return ConservationLaw(
-        density=substitute_dependent(c_t, sub),
-        flux=substitute_dependent(c_x, sub),
+        density=substitute_dependent(x.xi1 * lf + c_t, sub),
+        flux=substitute_dependent(x.xi2 * lf + c_x, sub),
         label=ibragimov_labels()[x.name] if x.name in ibragimov_labels() else "",
     )
 

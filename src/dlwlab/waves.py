@@ -4,14 +4,17 @@ tangent ansatz whose coefficient system certifies the kink family.
 
 The wave speed mu is carried symbolically (an exact parameter), so the
 "constant along the reduced flow" statements are polynomial identities
-in mu, not spot checks.
+in mu, not spot checks. The kink's coefficients lie in Q(sqrt 3); they
+are jet polynomials in a parameter s that stands for sqrt(3), and
+``evaluate_at_point`` reduces by s^2 = 3, so the coefficient system is
+decided exactly in the jet layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .conslaw import ConservationLaw
 from .jet import (
@@ -38,8 +41,8 @@ __all__ = [
     "printed_first_integrals",
     "tanh_ansatz_system",
     "tanh_solution_point",
-    "Root3",
-    "evaluate_at_tanh_point",
+    "ROOT3",
+    "evaluate_at_point",
 ]
 
 
@@ -48,6 +51,9 @@ class ExplicitCoordinateError(JetError):
 
 
 MU = JetPoly.param("mu")
+
+#: The parameter s that stands for sqrt(3); see ``evaluate_at_point``.
+ROOT3 = JetPoly.param("s")
 
 
 @dataclass(frozen=True)
@@ -188,69 +194,28 @@ def tanh_ansatz_system() -> list[JetPoly]:
     return system
 
 
-@dataclass(frozen=True)
-class Root3:
-    """Exact arithmetic in the quadratic field a + b*sqrt(3)."""
-
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-
-    def __add__(self, other: "Root3") -> "Root3":
-        return Root3(self.a + other.a, self.b + other.b)
-
-    def __mul__(self, other: "Root3") -> "Root3":
-        return Root3(
-            self.a * other.a + 3 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def __pow__(self, n: int) -> "Root3":
-        out = Root3(Fraction(1))
-        base = self
-        for _ in range(n):
-            out = out * base
-        return out
-
-    def scale(self, c: Fraction) -> "Root3":
-        return Root3(self.a * c, self.b * c)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-
-def tanh_solution_point() -> dict[str, Root3]:
-    """The kink coefficients: a1 = 2 sqrt(3)/3, b0 = 2/3, b1 = 0,
-    b2 = -2/3, with a0 identified with the free speed mu."""
+def tanh_solution_point() -> dict[str, JetPoly]:
+    """The kink coefficients a0 = mu (the free speed), a1 = 2 s/3,
+    b0 = 2/3, b1 = 0, b2 = -2/3, in the parameter s = sqrt(3)."""
     return {
-        "a1": Root3(Fraction(0), Fraction(2, 3)),
-        "b0": Root3(Fraction(2, 3)),
-        "b1": Root3(),
-        "b2": Root3(Fraction(-2, 3)),
+        "a0": MU,
+        "a1": ROOT3 * Fraction(2, 3),
+        "b0": JetPoly.const(Fraction(2, 3)),
+        "b1": JetPoly.zero(),
+        "b2": JetPoly.const(Fraction(-2, 3)),
     }
 
 
-def evaluate_at_tanh_point(
-    eq: JetPoly, binding: Mapping[str, Root3], identify: Mapping[str, str] = {"a0": "mu"}
-) -> dict[int, Root3]:
-    """Evaluate a coefficient equation at a quadratic-field point,
-    keeping unbound parameters symbolic (after identifying parameters per
-    ``identify``, e.g. a0 = mu). Returns {mu exponent: value}; the point
-    satisfies the equation iff every value is zero."""
-    acc: dict[int, Root3] = {}
-    for m, c in eq.items():
-        if m.jet or m.xpow or m.tpow:
-            raise JetError("coefficient equations must be pure parameter polynomials")
-        val = Root3(Fraction(1))
-        mu_exp = 0
-        for name, e in m.params:
-            name = identify.get(name, name)
-            if name == "mu":
-                mu_exp += e
-            elif name in binding:
-                val = val * binding[name] ** e
-            else:
-                raise JetError(f"parameter {name} not bound")
-        val = val.scale(c)
-        cur = acc.get(mu_exp, Root3())
-        acc[mu_exp] = cur + val
-    return {k: v for k, v in acc.items() if not v.is_zero()} or {0: Root3()}
+def evaluate_at_point(eq: JetPoly, point: Mapping[str, JetPoly]) -> JetPoly:
+    """``eq`` with each parameter named in ``point`` replaced by its value,
+    reduced by s^2 = 3 to the form A + B s with A, B free of s. Since
+    sqrt(3) is irrational, the result is zero iff ``eq`` vanishes at the
+    point with s = sqrt(3), for every value of the parameters left free."""
+    for name, value in point.items():
+        eq = sum(
+            (c * value**k for k, c in eq.coefficients_in(name).items()), JetPoly.zero()
+        )
+    return sum(
+        (c * 3 ** (k // 2) * ROOT3 ** (k % 2) for k, c in eq.coefficients_in("s").items()),
+        JetPoly.zero(),
+    )

@@ -280,6 +280,45 @@ def test_sim_converge_malformed_binding(capsys):
     assert "'mu=abc'" in capsys.readouterr().err
 
 
+
+def test_sim_converge_malformed_sizes(monkeypatch, capsys):
+    def refuse(*a, **k):
+        raise AssertionError("a study ran on rejected --n")
+
+    monkeypatch.setattr("dlwlab.sim.convergence_study", refuse)
+    with pytest.raises(SystemExit) as err:
+        main(["sim", "converge", "--n", "128,abc"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed grid size 'abc'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("points", ["1", "0"])
+def test_waves_profile_too_few_points_exits_two(points, tmp_path, capsys):
+    out = tmp_path / "profile.csv"
+    args = ["waves", "profile", "--family", "eq93", "--binding", "mu=1", "--points", points]
+    assert run_cli(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("dlwlab waves profile: UsageError: ")
+    assert f"--points must be at least 2, got {points}" in captured.err
+    assert not out.exists()
+
+
+def test_waves_verify_no_samples_exits_two(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    args = ["--json", str(out), "waves", "verify", "--family", "eq93", "--binding", "mu=1"]
+    assert run_cli(args + ["--samples", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("dlwlab waves verify: UsageError: ")
+    assert "--samples must be at least 1, got 0" in captured.err
+    assert not out.exists()
+
 def test_json_file_matches_printed_json(tmp_path, capsys):
     path = tmp_path / "fi.json"
     assert run_cli(["--json", str(path), "waves", "first-integrals", "--mu", "1"]) == 0

@@ -10,6 +10,7 @@ from dlwlab import conslaw
 from dlwlab.conslaw import (
     ConservationLaw,
     InvalidBoundaryTerm,
+    boundary_current,
     direct_laws,
     divergence_residual,
     formal_lagrangian,
@@ -24,7 +25,6 @@ from dlwlab.conslaw import (
     noether_boundary_terms,
     noether_flow,
     noether_flows,
-    noether_W,
     potential_characteristics,
     presymplectic_check,
     presymplectic_pairs,
@@ -35,14 +35,27 @@ from dlwlab.conslaw import (
     self_adjointness_check,
     variational_symmetry_test,
 )
-from dlwlab.jet import JetPoly, euler_operator, formal_adjoint, reduce_on_shell, total_derivative
-from dlwlab.symmetry import Characteristic, characteristics, point_symmetries
+from dlwlab.jet import (
+    EvolutionSystem,
+    JetPoly,
+    euler_operator,
+    formal_adjoint,
+    reduce_on_shell,
+    total_derivative,
+)
+from dlwlab.symmetry import Characteristic, characteristics, frechet_derivative, point_symmetries
 from dlwlab.systems import physical_to_potential, substitute_dependent
 
+import conslaw_reference as reference
 from conftest import jet_polys
 
 u = JetPoly.var("u")
 v = JetPoly.var("v")
+
+
+def noether_current(vchar, lag):
+    """(W1, W2) of the Noether identity for a potential-family generator."""
+    return boundary_current(lag.density, dict(zip(("q", "r"), vchar.comp)))
 
 
 class TestDirectLaws:
@@ -136,12 +149,12 @@ class TestNoether:
         lag = lagrangian()
         zero = Characteristic((JetPoly.zero(), JetPoly.zero()))
         assert variational_symmetry_test(zero, lag)
-        assert noether_W(zero, lag) == (JetPoly.zero(), JetPoly.zero())
+        assert noether_current(zero, lag) == (JetPoly.zero(), JetPoly.zero())
 
     def test_w2_closed_form(self):
         lag = lagrangian()
         v1 = potential_characteristics()[0]
-        _, w2 = noether_W(v1, lag)
+        _, w2 = noether_current(v1, lag)
         assert w2 == -JetPoly.var("q", 1) * JetPoly.var("r", 1)
 
     def test_boundary_identity_on_generators(self):
@@ -150,7 +163,7 @@ class TestNoether:
         eq = euler_operator(lag.density, "q")
         er = euler_operator(lag.density, "r")
         for vchar in potential_characteristics():
-            w1, w2 = noether_W(vchar, lag)
+            w1, w2 = noether_current(vchar, lag)
             lhs = prolonged_action(vchar, lag)
             rhs = (
                 eq * vchar.comp[0]
@@ -168,7 +181,7 @@ class TestNoether:
         eq = euler_operator(lag.density, "q")
         er = euler_operator(lag.density, "r")
         vchar = Characteristic((eta1, eta2))
-        w1, w2 = noether_W(vchar, lag)
+        w1, w2 = noether_current(vchar, lag)
         lhs = prolonged_action(vchar, lag)
         rhs = eq * eta1 + er * eta2 + total_derivative(w1, "x") + total_derivative(w2, "t")
         assert lhs == rhs
@@ -273,6 +286,85 @@ class TestIbragimov:
         # the last two cancel; keep the expression explicit for the record
         assert law.density == expected_density
         assert law.flux == t * u * vt + t * v * ut + 2 * u * v + uxx * Fraction(1, 3)
+
+
+
+def assert_boundary_identity(density, w):
+    """pr W(L) = sum_a E_a(L) W^a + D_x C_x + D_t C_t, with pr W(L) the
+    Frechet derivative of L along W over the dependent variables of w."""
+    c_x, c_t = boundary_current(density, w)
+    lhs = frechet_derivative((density,), tuple(w.values()), tuple(w))[0]
+    rhs = total_derivative(c_x, "x") + total_derivative(c_t, "t")
+    for dep, comp in w.items():
+        rhs = rhs + euler_operator(density, dep) * comp
+    assert lhs == rhs
+
+
+class TestBoundaryCurrent:
+    def test_noether_current_matches_closed_form_on_generators(self):
+        lag = lagrangian()
+        for vchar in potential_characteristics():
+            assert noether_current(vchar, lag) == reference.noether_W(vchar, lag), vchar.name
+
+    @given(eta1=jet_polys(deps=("q", "r"), max_dx=2, max_dt=1, max_terms=2),
+           eta2=jet_polys(deps=("q", "r"), max_dx=2, max_dt=1, max_terms=2))
+    @settings(max_examples=25, deadline=None)
+    def test_noether_current_matches_closed_form_random(self, eta1, eta2):
+        lag = lagrangian()
+        vchar = Characteristic((eta1, eta2))
+        assert noether_current(vchar, lag) == reference.noether_W(vchar, lag)
+
+    def test_ibragimov_flows_match_slot_loop(self, phys):
+        labels = []
+        for x in point_symmetries():
+            law = ibragimov_flow(x, phys)
+            assert law == reference.ibragimov_flow(x, phys), x.name
+            labels.append(law.label)
+        assert sorted(labels) == ["eq67", "eq68", "eq69", "eq70"]
+
+    def test_noether_flows_match_closed_form(self):
+        lag = lagrangian()
+        vs = {vchar.name: vchar for vchar in potential_characteristics()}
+        bounds = noether_boundary_terms()
+        names = {"eq54": "V1", "eq55": "V2", "eq56": "V3"}
+        for label, law in noether_flows().items():
+            w1, w2 = reference.noether_W(vs[names[label]], lag)
+            a1, a2 = bounds[names[label]]
+            assert (law.density, law.flux) == (w2 - a2, w1 - a1), label
+
+    @given(
+        density=jet_polys(deps=("u", "v", "w1"), max_dx=3, max_dt=2, max_terms=3),
+        wu=jet_polys(deps=("u", "v"), max_dx=2, max_dt=1, max_terms=2),
+        wv=jet_polys(deps=("u", "v"), max_dx=2, max_dt=1, max_terms=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_identity_on_random_lagrangians(self, density, wu, wv):
+        # mixed slots up to u_xxxtt, explicit x and t, and a dependent
+        # variable (w1) that is not varied
+        assert_boundary_identity(density, {"u": wu, "v": wv})
+
+    def test_mixed_and_fourth_order_slots(self):
+        x, t = JetPoly.x(), JetPoly.t()
+        density = (
+            JetPoly.var("u", 1, 1) * v * x
+            + JetPoly.var("u", 4) ** 2 * t
+            + JetPoly.var("v", 2, 1) * JetPoly.var("u", 0, 2)
+        )
+        w = {"u": JetPoly.var("u", 1) * t, "v": u * JetPoly.var("v", 0, 1) + x}
+        assert_boundary_identity(density, w)
+        c_x, c_t = boundary_current(density, w)
+        assert not c_x.is_zero() and not c_t.is_zero()
+
+    def test_fifth_order_system_flows_conserve(self, phys):
+        # adding u_xxxxx to the second equation keeps the pair strictly
+        # self-adjoint and X1..X3 as symmetries; its formal Lagrangian has
+        # a fifth-order slot
+        g1, g2 = phys.rhs
+        sys5 = EvolutionSystem(deps=("u", "v"), rhs=(g1, g2 + JetPoly.var("u", 5)))
+        assert self_adjointness_check(sys5)
+        for x in point_symmetries()[:3]:
+            law = ibragimov_flow(x, sys5)
+            assert divergence_residual(law, sys5).is_zero(), x.name
 
 
 class TestHamiltonian:

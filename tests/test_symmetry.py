@@ -147,6 +147,19 @@ class TestStructureConstants:
         assert mats[3][2][2] == Fraction(1, 2)  # the flipped sign
 
 
+    def test_bracket_entries_read_the_structure_constants(self, monkeypatch):
+        from dlwlab import symmetry
+        from dlwlab.report import symmetry_suite
+
+        consts, mats = structure_constants()
+        tampered = dict(consts)
+        tampered[(1, 2, 3)] = Fraction(5)
+        monkeypatch.setattr(symmetry, "structure_constants", lambda: (tampered, mats))
+        entries = {e.label: e for e in symmetry_suite(blocks=("brackets",)).entries}
+        assert entries["bracket-X1-X2"].verdict == "fail"
+        assert entries["bracket-X1-X2"].detail == "(5)*X3"
+        assert entries["bracket-X1-X3"].verdict == "pass"
+
 class TestOptimalSystem:
     def test_examples(self):
         assert optimal_reduce((0, 0, 0, 7))[0] == "X4"

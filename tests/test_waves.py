@@ -5,14 +5,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlwlab.conslaw import direct_laws
-from dlwlab.jet import JetPoly, JetVar, reduce_on_shell
+from dlwlab.jet import JetMonomial, JetPoly, JetVar, reduce_on_shell
 from dlwlab.waves import (
+    ROOT3,
     ExplicitCoordinateError,
     MU,
-    Root3,
-    evaluate_at_tanh_point,
+    evaluate_at_point,
     first_integral,
     first_integral_derivative,
     printed_first_integrals,
@@ -22,6 +24,9 @@ from dlwlab.waves import (
     traveling_solved_system,
     traveling_substitute,
 )
+
+import waves_reference as reference
+from conftest import small_fractions, to_sympy
 
 
 def U(dx=0):
@@ -158,33 +163,124 @@ class TestTanhAnsatz:
         system = tanh_ansatz_system()
         point = tanh_solution_point()
         for eq in system:
-            vals = evaluate_at_tanh_point(eq, point)
-            assert all(v.is_zero() for v in vals.values())
+            assert evaluate_at_point(eq, point).is_zero()
 
     def test_trivial_point_satisfies_system(self):
         # a1 = b1 = b2 = 0 with b0 free also annihilates everything
         point = {
-            "a1": Root3(),
-            "b0": Root3(Fraction(1, 2)),
-            "b1": Root3(),
-            "b2": Root3(),
+            "a0": MU,
+            "a1": JetPoly.zero(),
+            "b0": JetPoly.const(Fraction(1, 2)),
+            "b1": JetPoly.zero(),
+            "b2": JetPoly.zero(),
         }
         for eq in tanh_ansatz_system():
-            vals = evaluate_at_tanh_point(eq, point)
-            assert all(v.is_zero() for v in vals.values())
+            assert evaluate_at_point(eq, point).is_zero()
 
     def test_wrong_point_fails(self):
         point = tanh_solution_point()
         point = dict(point)
-        point["b2"] = Root3(Fraction(1, 3))
+        point["b2"] = JetPoly.const(Fraction(1, 3))
         failed = False
         for eq in tanh_ansatz_system():
-            vals = evaluate_at_tanh_point(eq, point)
-            if any(not v.is_zero() for v in vals.values()):
+            if not evaluate_at_point(eq, point).is_zero():
                 failed = True
         assert failed
 
     def test_root3_arithmetic(self):
-        r = Root3(Fraction(0), Fraction(1))
-        assert (r * r).a == 3
-        assert (r**3).b == 3
+        r = ROOT3
+        assert evaluate_at_point(r * r, {}) == 3
+        assert evaluate_at_point(r**3, {}) == ROOT3 * 3
+
+    def test_slope_without_the_root_fails(self):
+        point = dict(tanh_solution_point(), a1=JetPoly.const(Fraction(2, 3)))
+        assert not all(evaluate_at_point(eq, point).is_zero() for eq in tanh_ansatz_system())
+
+
+def _in_quadratic_field(p):
+    """A + B s as the reference's {mu exponent: Root3(a, b)}, zeros dropped."""
+    parts = p.coefficients_in("s")
+    assert set(parts) <= {0, 1}
+    out = {}
+    for b, part in parts.items():
+        for k, c in part.coefficients_in("mu").items():
+            (value,) = c.terms.values()
+            assert c == value
+            old = out.get(k, reference.Root3())
+            out[k] = old + (reference.Root3(b=value) if b else reference.Root3(a=value))
+    return {k: v for k, v in out.items() if not v.is_zero()} or {0: reference.Root3()}
+
+
+REFERENCE_POINTS = {
+    "kink": (tanh_solution_point(), reference.tanh_solution_point()),
+    "wrong-b2": (
+        dict(tanh_solution_point(), b2=JetPoly.const(Fraction(1, 3))),
+        dict(reference.tanh_solution_point(), b2=reference.Root3(Fraction(1, 3))),
+    ),
+    "no-root": (
+        dict(tanh_solution_point(), a1=JetPoly.const(Fraction(2, 3))),
+        dict(reference.tanh_solution_point(), a1=reference.Root3(Fraction(2, 3))),
+    ),
+    "mixed": (
+        dict(tanh_solution_point(), b1=ROOT3 - 1, b0=ROOT3 * Fraction(1, 2) + 2),
+        dict(
+            reference.tanh_solution_point(),
+            b1=reference.Root3(Fraction(-1), Fraction(1)),
+            b0=reference.Root3(Fraction(2), Fraction(1, 2)),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_POINTS))
+def test_evaluation_matches_quadratic_field_reference(name):
+    point, ref_point = REFERENCE_POINTS[name]
+    for eq in tanh_ansatz_system():
+        got = _in_quadratic_field(evaluate_at_point(eq, point))
+        assert got == reference.evaluate_at_tanh_point(eq, ref_point)
+
+
+_PARAMS = ("a0", "a1", "b0", "b1", "b2", "mu")
+
+
+@st.composite
+def param_polys(draw, max_terms):
+    """Polynomials in the ansatz parameters and the speed, exponents 0..2."""
+    terms = draw(
+        st.lists(
+            st.tuples(st.tuples(*[st.integers(0, 2)] * len(_PARAMS)), small_fractions),
+            min_size=1,
+            max_size=max_terms,
+        )
+    )
+    out = JetPoly.zero()
+    for powers, c in terms:
+        out = out + JetPoly({JetMonomial.make(params=dict(zip(_PARAMS, powers))): c})
+    return out
+
+
+@given(p=param_polys(4), q=param_polys(3), vanishing=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_zero_exactly_when_sympy_is_zero_at_root3(p, q, vanishing):
+    import sympy as sp
+
+    # a1^2 - 4/3 vanishes at the kink point, so this sum is zero there
+    # exactly when p is; the flag forces the zero case often
+    a1 = JetPoly.param("a1")
+    eq = (a1**2 - Fraction(4, 3)) * q + (JetPoly.zero() if vanishing else p)
+    point = tanh_solution_point()
+    s3 = sp.sqrt(3)
+    exact = sp.expand(
+        to_sympy(eq).subs(
+            {
+                sp.Symbol("a0"): sp.Symbol("mu"),
+                sp.Symbol("a1"): 2 * s3 / 3,
+                sp.Symbol("b0"): sp.Rational(2, 3),
+                sp.Symbol("b1"): 0,
+                sp.Symbol("b2"): sp.Rational(-2, 3),
+            }
+        )
+    )
+    assert evaluate_at_point(eq, point).is_zero() == (exact == 0)
+    if vanishing:
+        assert evaluate_at_point(eq, point).is_zero()
