@@ -43,7 +43,12 @@ from .jet import (
     total_derivative_n,
 )
 from .linalg import decompose_components
-from .symmetry import Characteristic, char_bracket, frechet_derivative
+from .symmetry import (
+    Characteristic,
+    char_bracket,
+    char_structure_constants,
+    frechet_derivative,
+)
 
 __all__ = [
     "AdjointSymmetry",
@@ -344,11 +349,14 @@ class ActionTable:
     """images[(qi, pj)] (1-based) holds action1(P_j, Q_i) and
     entries[(qi, pj)] its exact coordinates in the catalog
     adjoint-symmetry basis; ``lifts`` is the memo the images were built
-    with, for the checks and brackets of the same run."""
+    with and ``char_brackets`` the characteristic bracket table
+    (:func:`~dlwlab.symmetry.char_structure_constants`, 0-based keys),
+    both for the checks and brackets of the same run."""
 
     entries: Mapping[tuple[int, int], tuple[Fraction, ...]]
     images: Mapping[tuple[int, int], tuple[JetPoly, ...]]
     lifts: LiftMemo = field(compare=False, repr=False)
+    char_brackets: Mapping[tuple[int, int], tuple[Fraction, ...] | None] = field(repr=False)
 
     def coeff(self, qi: int, pj: int) -> tuple[Fraction, ...]:
         return self.entries[(qi, pj)]
@@ -366,8 +374,9 @@ def build_action_table(
     sys: EvolutionSystem,
     lifts: LiftMemo | None = None,
 ) -> ActionTable:
-    """All action1 images decomposed exactly over the adjoint catalog;
-    an unmatched residue raises DecompositionError."""
+    """All action1 images decomposed exactly over the adjoint catalog,
+    and the characteristics' bracket table; an unmatched residue raises
+    DecompositionError."""
     if lifts is None:
         lifts = LiftMemo()
     basis = [tuple(reduce_on_shell(c, sys) for c in q.comp) for q in adjoints]
@@ -383,7 +392,7 @@ def build_action_table(
                     f"({', '.join(str(c) for c in image)})"
                 )
             entries[(qi, pj)] = tuple(coords)
-    return ActionTable(entries, images, lifts)
+    return ActionTable(entries, images, lifts, char_structure_constants(chars, sys))
 
 
 #: Cell values as printed in the source catalog (basis coordinates over
@@ -438,8 +447,11 @@ def sq_bracket(
     Requires the kernel of S_Q to be an ideal of the symmetry algebra;
     raises NotInRange when an argument has no preimage and
     AmbiguousPreimage when the kernel is not spanned by basis directions
-    (the canonical-complement choice then has no meaning). The bracket
-    image is lifted with the memo that ``table`` carries.
+    (the canonical-complement choice then has no meaning). The ideal
+    check reads the characteristic bracket table that ``table`` carries,
+    so the brackets of the basis are computed once per table and shared
+    by every call with it; the bracket image is lifted with the table's
+    memo. Without ``table`` the call builds its own.
     """
     if table is None:
         table = build_action_table(chars, adjoints, sys)
@@ -450,20 +462,19 @@ def sq_bracket(
         if sum(1 for v in vec if v != 0) != 1:
             raise AmbiguousPreimage("kernel is not spanned by basis directions")
     # ideal check: bracketing a kernel generator with any generator must
-    # stay in the kernel
-    basis_red = [tuple(reduce_on_shell(c, sys) for c in q.comp) for q in adjoints]
-    char_basis_red = [
-        [reduce_on_shell(c, sys) for c in p.comp] for p in chars
-    ]
+    # stay in the kernel; [P_j, P_i] = -[P_i, P_j] has the same zero
+    # coordinates and [P_i, P_i] = 0
     kernel_cols = {next(i for i, v in enumerate(vec) if v != 0) for vec in kernel}
     for i in kernel_cols:
         for j in range(len(chars)):
-            br = char_bracket(chars[i], chars[j], sys)
-            coords = decompose_components(tuple(br.comp), char_basis_red)
+            if i == j:
+                continue
+            coords = table.char_brackets[(min(i, j), max(i, j))]
             if coords is None:
                 raise DecompositionError("bracket left the symmetry span")
             if any(c != 0 for k, c in enumerate(coords) if k not in kernel_cols):
                 raise AmbiguousPreimage("kernel of the fixed action is not an ideal")
+    basis_red = [tuple(reduce_on_shell(c, sys) for c in q.comp) for q in adjoints]
 
     def preimage(arg: AdjointSymmetry | Sequence[JetPoly]) -> list[Fraction]:
         comp = tuple(arg.comp if isinstance(arg, AdjointSymmetry) else arg)

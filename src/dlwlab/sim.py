@@ -122,8 +122,12 @@ class SimConfig:
         if self.boundary == "exact" and not self.family:
             raise JetError("exact boundary needs a family id")
         step = self.step_size()
-        if step <= 0 or step > self.t_end:
-            raise JetError("invalid step size")
+        if not step > 0:  # NaN included
+            raise JetError(f"step size {step:g} is not positive")
+        if not step <= self.t_end:
+            raise JetError(
+                f"step size {step:g} is longer than t_end {self.t_end:g} at grid size n = {self.grid.n}"
+            )
         if self.output_stride < 1:
             raise JetError("output_stride must be at least 1")
 

@@ -8,6 +8,7 @@ subalgebra classification of the four-generator algebra
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -35,6 +36,7 @@ __all__ = [
     "char_bracket",
     "characteristics",
     "structure_constants",
+    "char_structure_constants",
     "printed_generator_matrices",
     "adjoint_transformations",
     "optimal_reduce",
@@ -263,6 +265,24 @@ def structure_constants() -> tuple[
     return c, mats
 
 
+def char_structure_constants(
+    chars: Sequence[Characteristic], sys: EvolutionSystem
+) -> dict[tuple[int, int], tuple[Fraction, ...] | None]:
+    """The characteristic analogue of :func:`structure_constants`: for
+    0-based i < j, the coordinates of char_bracket(P_i, P_j) over the
+    on-shell-reduced characteristics, or None when the bracket leaves
+    their span. [P_j, P_i] = -[P_i, P_j] and [P_i, P_i] = 0 give the rest
+    of the table."""
+    basis = [tuple(reduce_on_shell(c, sys) for c in p.comp) for p in chars]
+    table: dict[tuple[int, int], tuple[Fraction, ...] | None] = {}
+    for i in range(len(chars)):
+        for j in range(i + 1, len(chars)):
+            br = char_bracket(chars[i], chars[j], sys)
+            coords = linalg.decompose_components(br.comp, basis)
+            table[(i, j)] = None if coords is None else tuple(coords)
+    return table
+
+
 def printed_generator_matrices() -> list[list[list[Fraction]]]:
     """The generator matrices as printed in the source catalog, kept for
     the comparison report (two entries disagree with the bracket table)."""
@@ -336,13 +356,6 @@ def adjoint_transformations(
     return out
 
 
-def _normalize(l: Vec4) -> tuple[Vec4, Fraction]:
-    lead = next((v for v in l if v != 0), None)
-    if lead is None:
-        raise JetError("zero vector")
-    return tuple(v / lead for v in l), lead  # type: ignore[return-value]
-
-
 def optimal_reduce(
     l: Sequence[Fraction | int],
 ) -> tuple[str, Vec4, list[tuple[str, Fraction]]]:
@@ -353,53 +366,82 @@ def optimal_reduce(
     recording the final projective normalization divisor. Branches on
     l1 != 0, then l4, then l3. Vectors with a nonzero scaling component
     always land on X4: the shift maps absorb every other slot there.
+
+    The entries are ints or Fractions. The reduction runs in integer
+    projective form: one integer 4-vector ``cur`` over one positive
+    denominator ``den``, starting from the least common multiple of the
+    entries' denominators. A step with parameter p/q multiplies ``cur``
+    and ``den`` by q (T1) or 2q (T2, T3), so every entry stays an
+    integer. The branch tests read signs and zeros only, and every
+    parameter is a ratio of entries, so the log holds the same Fractions
+    as a run of the Fraction maps ``_t1``-``_t3``; besides the
+    parameters, only the normalized vector and the final scale lead/den
+    are formed as Fractions.
     """
-    cur = _vec(l)
-    if all(v == 0 for v in cur):
+    if len(l) != 4:
+        raise JetError("subalgebra vectors have four components")
+    den = math.lcm(*(v.denominator for v in l))
+    cur = [v.numerator * (den // v.denominator) for v in l]
+    if not any(cur):
         raise JetError("the zero vector spans no subalgebra")
     log: list[tuple[str, Fraction]] = []
 
-    def apply(name: str, param: Fraction) -> None:
-        nonlocal cur
-        cur = _TRANSFORMS[name](cur, param)
+    def apply(name: str, num: int, dnm: int) -> None:
+        # T1-T3 with parameter p/q on the numerators, scaled by k = q or 2q
+        nonlocal cur, den
+        param = Fraction(num, dnm)
+        p, q = param.numerator, param.denominator
+        c0, c1, c2, c3 = cur
+        if name == "T1":
+            k = q
+            cur = [q * c0 + p * c3, q * c1 + p * c2, q * c2, q * c3]
+        elif name == "T2":
+            k = 2 * q
+            cur = [k * c0, k * c1 + p * c3, k * c2, k * c3]
+        else:
+            k = 2 * q
+            cur = [k * c0, k * c1 - 2 * p * c0, k * c2 - p * c3, k * c3]
+        den *= k
         log.append((name, param))
 
     for _ in range(3):  # the T1 step in the l1 == 0 branch may reopen case 1
-        if cur[0] != 0:
-            if cur[1] != 0:
-                apply("T3", cur[1] / cur[0])
-            if cur[3] != 0:
-                if cur[2] != 0:
-                    apply("T3", 2 * cur[2] / cur[3])
-                if cur[1] != 0:
-                    apply("T2", -2 * cur[1] / cur[3])
-                apply("T1", -cur[0] / cur[3])
+        if cur[0]:
+            if cur[1]:
+                apply("T3", cur[1], cur[0])
+            if cur[3]:
+                if cur[2]:
+                    apply("T3", 2 * cur[2], cur[3])
+                if cur[1]:
+                    apply("T2", -2 * cur[1], cur[3])
+                apply("T1", -cur[0], cur[3])
             break
-        if cur[2] != 0:
-            if cur[1] != 0:
-                apply("T1", -cur[1] / cur[2])
-            if cur[0] != 0:
+        if cur[2]:
+            if cur[1]:
+                apply("T1", -cur[1], cur[2])
+            if cur[0]:
                 continue
-            if cur[3] != 0:
-                apply("T3", 2 * cur[2] / cur[3])
+            if cur[3]:
+                apply("T3", 2 * cur[2], cur[3])
             break
-        if cur[3] != 0 and cur[1] != 0:
-            apply("T2", -2 * cur[1] / cur[3])
+        if cur[3] and cur[1]:
+            apply("T2", -2 * cur[1], cur[3])
         break
 
-    norm, lead = _normalize(cur)
-    log.append(("scale", lead))
-    if norm[0] != 0:
-        cls = "X1" if norm[2] == 0 else ("X1+X3" if norm[2] > 0 else "X1-X3")
-    elif norm[3] != 0:
+    c0, _, c2, c3 = cur
+    lead = next(c for c in cur if c)
+    norm = tuple(Fraction(c, lead) for c in cur)
+    log.append(("scale", Fraction(lead, den)))
+    if c0:  # lead is c0, so norm[2] has the sign of c2 * c0
+        cls = "X1" if c2 == 0 else ("X1+X3" if c2 * c0 > 0 else "X1-X3")
+    elif c3:
         cls = "X4"
-    elif norm[2] != 0:
+    elif c2:
         cls = "X3"
     else:
         cls = "X2"
     if cls not in OPTIMAL_CLASSES:
         raise JetError(f"reduction produced an unlisted class {cls}")
-    return cls, norm, log
+    return cls, norm, log  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,106 @@
+"""Unoptimized reference for the optimal-system reduction, kept as a test
+oracle.
+
+``optimal_reduce`` here wraps every entry in ``Fraction`` and applies the
+coefficient-space maps T1-T3 to the rational vector step by step.
+``dlwlab.symmetry.optimal_reduce`` must return the same class, normalized
+vector and transformation log, with every number a ``Fraction``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from dlwlab.jet import JetError
+
+Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
+
+OPTIMAL_CLASSES = ("X1", "X2", "X3", "X4", "X1+X3", "X1-X3")
+
+
+def _vec(l: Sequence[Fraction | int]) -> Vec4:
+    if len(l) != 4:
+        raise JetError("subalgebra vectors have four components")
+    return tuple(Fraction(v) for v in l)  # type: ignore[return-value]
+
+
+def _t1(l: Vec4, a: Fraction) -> Vec4:
+    return (l[0] + a * l[3], l[1] + a * l[2], l[2], l[3])
+
+
+def _t2(l: Vec4, a: Fraction) -> Vec4:
+    return (l[0], l[1] + a * l[3] / 2, l[2], l[3])
+
+
+def _t3(l: Vec4, a: Fraction) -> Vec4:
+    return (l[0], l[1] - a * l[0], l[2] - a * l[3] / 2, l[3])
+
+
+_TRANSFORMS = {"T1": _t1, "T2": _t2, "T3": _t3}
+
+
+def _normalize(l: Vec4) -> tuple[Vec4, Fraction]:
+    lead = next((v for v in l if v != 0), None)
+    if lead is None:
+        raise JetError("zero vector")
+    return tuple(v / lead for v in l), lead  # type: ignore[return-value]
+
+
+def optimal_reduce(
+    l: Sequence[Fraction | int],
+) -> tuple[str, Vec4, list[tuple[str, Fraction]]]:
+    """Reduce a nonzero coefficient vector to its subalgebra class.
+
+    Returns (class id, final normalized vector, transformation log); the
+    log lists (map name, parameter) applications in order, with "scale"
+    recording the final projective normalization divisor. Branches on
+    l1 != 0, then l4, then l3. Vectors with a nonzero scaling component
+    always land on X4: the shift maps absorb every other slot there.
+    """
+    cur = _vec(l)
+    if all(v == 0 for v in cur):
+        raise JetError("the zero vector spans no subalgebra")
+    log: list[tuple[str, Fraction]] = []
+
+    def apply(name: str, param: Fraction) -> None:
+        nonlocal cur
+        cur = _TRANSFORMS[name](cur, param)
+        log.append((name, param))
+
+    for _ in range(3):  # the T1 step in the l1 == 0 branch may reopen case 1
+        if cur[0] != 0:
+            if cur[1] != 0:
+                apply("T3", cur[1] / cur[0])
+            if cur[3] != 0:
+                if cur[2] != 0:
+                    apply("T3", 2 * cur[2] / cur[3])
+                if cur[1] != 0:
+                    apply("T2", -2 * cur[1] / cur[3])
+                apply("T1", -cur[0] / cur[3])
+            break
+        if cur[2] != 0:
+            if cur[1] != 0:
+                apply("T1", -cur[1] / cur[2])
+            if cur[0] != 0:
+                continue
+            if cur[3] != 0:
+                apply("T3", 2 * cur[2] / cur[3])
+            break
+        if cur[3] != 0 and cur[1] != 0:
+            apply("T2", -2 * cur[1] / cur[3])
+        break
+
+    norm, lead = _normalize(cur)
+    log.append(("scale", lead))
+    if norm[0] != 0:
+        cls = "X1" if norm[2] == 0 else ("X1+X3" if norm[2] > 0 else "X1-X3")
+    elif norm[3] != 0:
+        cls = "X4"
+    elif norm[2] != 0:
+        cls = "X3"
+    else:
+        cls = "X2"
+    if cls not in OPTIMAL_CLASSES:
+        raise JetError(f"reduction produced an unlisted class {cls}")
+    return cls, norm, log

@@ -1,16 +1,19 @@
 """Adjoint symmetries, multiplier tests, operator lifting, the action
 table, and the induced bracket."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from dlwlab.adjoint import (
     AdjointSymmetry,
+    DecompositionError,
     LiftMemo,
     NotInRange,
     NotOnShell,
     PRINTED_ACTION_TABLE,
+    PRINTED_BRACKET_CONSTANTS,
     action1,
     action2,
     adjoint_determining_residual,
@@ -26,7 +29,7 @@ from dlwlab.adjoint import (
 )
 from dlwlab.jet import JetPoly, OpTerm, apply_op, reduce_on_shell
 from dlwlab.report import adjoint_suite
-from dlwlab.symmetry import characteristics
+from dlwlab.symmetry import char_structure_constants, characteristics
 
 u = JetPoly.var("u")
 v = JetPoly.var("v")
@@ -318,3 +321,48 @@ class TestLiftMemo:
         table = build_action_table(ps, qs, phys, lifts)
         assert table.lifts is lifts
         assert build_action_table(ps, qs, phys) == table
+
+
+class TestCharBracketTable:
+    """The action table carries the characteristics' bracket table; the
+    ideal checks of sq_bracket read it instead of bracketing again."""
+
+    def test_at_most_nine_char_brackets_per_suite_run(self, monkeypatch):
+        import dlwlab.adjoint as adj
+        import dlwlab.symmetry as sym
+
+        calls = []
+        real = sym.char_bracket
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sym, "char_bracket", counted)
+        monkeypatch.setattr(adj, "char_bracket", counted)
+        counts = []
+        for _ in range(2):  # nothing is kept from one run to the next
+            calls.clear()
+            adjoint_suite()
+            counts.append(len(calls))
+        # six pairs for the table, one bracket per printed constant
+        assert counts == [9, 9]
+
+    def test_table_carries_the_char_brackets(self, phys, ps, qs):
+        table = build_action_table(ps, qs, phys)
+        assert table.char_brackets == char_structure_constants(ps, phys)
+
+    @pytest.mark.parametrize("fix,i,j", list(PRINTED_BRACKET_CONSTANTS))
+    def test_same_bracket_with_and_without_table(self, phys, ps, qs, fix, i, j):
+        table = build_action_table(ps, qs, phys)
+        with_table = sq_bracket(fix, qs[i - 1], qs[j - 1], ps, qs, phys, table)
+        without = sq_bracket(fix, qs[i - 1], qs[j - 1], ps, qs, phys)
+        assert with_table == without
+        assert all(type(c) is Fraction for c in with_table[1])
+
+    def test_failed_table_entry_raises(self, phys, ps, qs):
+        # Q1's fixed action has a kernel; a bracket leaving the span is an error
+        table = build_action_table(ps, qs, phys)
+        broken = dataclasses.replace(table, char_brackets={k: None for k in table.char_brackets})
+        with pytest.raises(DecompositionError):
+            sq_bracket(1, qs[0], qs[2], ps, qs, phys, broken)

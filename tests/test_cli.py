@@ -281,6 +281,17 @@ def test_sim_converge_malformed_binding(capsys):
 
 
 
+def test_sim_converge_step_longer_than_t_end_names_it(capsys):
+    # cfl * dx^3 = 0.2 * (40/32)^3 = 0.390625 at n = 32
+    args = ["sim", "converge", "--family", "eq93", "--binding", "mu=1", "--n", "32,64", "--t-end", "0.1"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dlwlab sim converge: JetError: step size 0.390625 is longer than t_end 0.1 at grid size n = 32\n"
+    )
+
+
 def test_sim_converge_malformed_sizes(monkeypatch, capsys):
     def refuse(*a, **k):
         raise AssertionError("a study ran on rejected --n")

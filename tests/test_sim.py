@@ -41,6 +41,20 @@ class TestGridAndConfig:
         cfg = SimConfig(grid=Grid1D(-20, 20, 64), t_end=1.0)
         assert cfg.step_size() == pytest.approx(0.2 * (40 / 64) ** 3)
 
+    @pytest.mark.parametrize(
+        "kw,message",
+        [
+            ({"t_end": 1.0, "dt": 0.0}, "step size 0 is not positive"),
+            ({"t_end": 1.0, "dt": float("nan")}, "step size nan is not positive"),
+            ({"t_end": 1e-3}, "step size 0.0488281 is longer than t_end 0.001 at grid size n = 64"),
+            ({"t_end": float("nan")}, "step size 0.0488281 is longer than t_end nan at grid size n = 64"),
+        ],
+    )
+    def test_bad_step_names_its_sizes(self, kw, message):
+        with pytest.raises(JetError) as err:
+            SimConfig(grid=Grid1D(-20, 20, 64), **kw)
+        assert str(err.value) == message
+
     def test_exact_boundary_requires_family(self):
         with pytest.raises(JetError):
             SimConfig(grid=Grid1D(-20, 20, 64), t_end=1.0, boundary="exact")

@@ -1,19 +1,22 @@
 """Point symmetries: prolongation, determining residuals, brackets,
 the subalgebra classification, and the similarity reductions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlwlab.jet import JetPoly, reduce_on_shell
+import symmetry_reference
+from dlwlab.jet import JetError, JetPoly, reduce_on_shell
 from dlwlab.linalg import decompose_components
 from dlwlab.symmetry import (
     OPTIMAL_CLASSES,
     PointSymmetry,
     adjoint_transformations,
     char_bracket,
+    char_structure_constants,
     characteristic,
     characteristics,
     determining_residual,
@@ -160,6 +163,58 @@ class TestStructureConstants:
         assert entries["bracket-X1-X2"].detail == "(5)*X3"
         assert entries["bracket-X1-X3"].verdict == "pass"
 
+    def test_char_table_matches_per_pair_decomposition(self, phys):
+        ps = characteristics()
+        basis = [[reduce_on_shell(c, phys) for c in p.comp] for p in ps]
+        table = char_structure_constants(ps, phys)
+        assert list(table) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        for (i, j), coords in table.items():
+            want = decompose_components(tuple(char_bracket(ps[i], ps[j], phys).comp), basis)
+            assert coords == tuple(want)
+            assert all(type(c) is Fraction for c in coords)
+
+    def test_failed_char_decomposition_fails_the_entry(self, monkeypatch):
+        # the characteristic basis has two components, the generator basis
+        # of structure_constants four: fail only the former
+        from dlwlab import adjoint, linalg
+        from dlwlab.report import symmetry_suite
+
+        real = linalg.decompose_components
+
+        def failing(target, basis):
+            return None if len(target) == 2 else real(target, basis)
+
+        monkeypatch.setattr(linalg, "decompose_components", failing)
+        monkeypatch.setattr(adjoint, "decompose_components", failing)
+        entries = symmetry_suite(blocks=("brackets",)).entries
+        failed = [e for e in entries if e.label.startswith("char-bracket-")]
+        assert len(failed) == 6
+        for e in failed:
+            assert e.verdict == "fail", e.label
+            assert e.detail.startswith("decomposition failed"), e.label
+        assert all(e.verdict == "pass" for e in entries if e.label.startswith("bracket-X"))
+
+
+def _same_reduction(got, want):
+    """Equal (cls, norm, log), and every number a Fraction as in the oracle."""
+    assert got == want
+    _, norm, log = got
+    assert all(type(v) is Fraction for v in norm)
+    assert all(type(p) is Fraction for _, p in log)
+
+
+# entries with zeros, negatives, plain ints and Fractions mixed
+_entries = st.one_of(
+    st.just(0),
+    st.integers(min_value=-40, max_value=40),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-40, max_value=40),
+        st.integers(min_value=1, max_value=12),
+    ),
+)
+
+
 class TestOptimalSystem:
     def test_examples(self):
         assert optimal_reduce((0, 0, 0, 7))[0] == "X4"
@@ -213,6 +268,31 @@ class TestOptimalSystem:
             else:
                 cur = _TRANSFORMS[name](cur, p)
         assert cur == norm
+
+    def test_report_samples_match_reference(self):
+        # the 1,000 vectors the symmetry suite's optimal block draws
+        rng = random.Random(20240917)
+        for _ in range(1000):
+            vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+            if all(v == 0 for v in vec):
+                vec[rng.randrange(4)] = Fraction(1)
+            _same_reduction(optimal_reduce(vec), symmetry_reference.optimal_reduce(vec))
+
+    @given(vec=st.lists(_entries, min_size=4, max_size=4))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference(self, vec):
+        if all(v == 0 for v in vec):
+            with pytest.raises(JetError):
+                optimal_reduce(vec)
+            return
+        _same_reduction(optimal_reduce(vec), symmetry_reference.optimal_reduce(vec))
+
+    @pytest.mark.parametrize(
+        "vec", [(0, 0, 0, 0), (Fraction(0), 0, Fraction(0, 3), 0), (1, 2, 3), (1, 2, 3, 4, 5), ()]
+    )
+    def test_bad_vectors_raise(self, vec):
+        with pytest.raises(JetError):
+            optimal_reduce(vec)
 
 
 class TestSimilarityReductions:
