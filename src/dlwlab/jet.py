@@ -12,13 +12,29 @@ polynomial with exact rational coefficients in
 
 All operations are pure; no floating point ever enters. Divergence-type
 identities are therefore decided by structural equality, not tolerance.
+
+A :class:`JetPoly` stores integer numerators ``{monomial: nonzero int}``
+over one positive denominator ``den``, in canonical form:
+``gcd(den, *numerators) == 1``, and ``den == 1`` for the zero polynomial.
+Equal polynomials therefore have equal (numerators, den). The kernel works
+on integers only (``*``, ``+``, ``//``) and normalizes each result with a
+single ``gcd``, skipped when ``den == 1``. ``Fraction`` appears only at
+the edges: the public constructor, scalar operands, and ``.terms`` /
+``.items()``, which present the coefficients as ``Fraction``s.
+
+Monomials derived from valid ones (a jet power lowered or moved to a
+lifted coordinate, an explicit power differentiated, a generator removed,
+a product) are built by the trusted constructor ``_monomial``, which skips
+the checks of ``JetMonomial(...)``. Each derivation keeps its invariants:
+the jet tuple sorted by coordinate with positive exponents, the parameter
+tuple sorted by name without zero exponents, explicit powers nonnegative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -184,16 +200,82 @@ class JetMonomial:
         return (self.degree, jet_key, self.xpow, self.tpow, self.params)
 
     def __mul__(self, other: "JetMonomial") -> "JetMonomial":
-        jet = dict(self.jet)
-        for v, e in other.jet:
-            jet[v] = jet.get(v, 0) + e
-        params = dict(self.params)
-        for n, e in other.params:
-            params[n] = params.get(n, 0) + e
-        return JetMonomial.make(jet, self.xpow + other.xpow, self.tpow + other.tpow, params)
+        params = other.params
+        if self.params:
+            params = _merge_params(self.params, params) if params else self.params
+        return _monomial(
+            _merge_jet(self.jet, other.jet),
+            self.xpow + other.xpow,
+            self.tpow + other.tpow,
+            params,
+        )
 
 
 _ONE_MONOMIAL = JetMonomial()
+# the slot setters of the frozen dataclass, which bypass its __setattr__
+_SET_JET, _SET_XPOW, _SET_TPOW, _SET_PARAMS, _SET_HASH = (
+    JetMonomial.__dict__[f].__set__ for f in ("jet", "xpow", "tpow", "params", "_hash")
+)
+
+
+def _monomial(jet: tuple, xpow: int, tpow: int, params: tuple) -> JetMonomial:
+    """Trusted constructor for a monomial derived from valid ones: ``jet``
+    is sorted with positive exponents, ``params`` sorted without zero
+    exponents, and both powers are nonnegative. Skips the checks of
+    ``JetMonomial(...)``; the hash is the same."""
+    m = object.__new__(JetMonomial)
+    _SET_JET(m, jet)
+    _SET_XPOW(m, xpow)
+    _SET_TPOW(m, tpow)
+    _SET_PARAMS(m, params)
+    _SET_HASH(m, hash((jet, xpow, tpow, params)))
+    return m
+
+
+def _merge_jet(a: tuple, b: tuple) -> tuple:
+    """The product of two sorted jet tuples, merged in one pass: the
+    exponents of a shared coordinate add, and the result stays sorted."""
+    if not b:
+        return a
+    if not a:
+        return b
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    va, ea = a[0]
+    vb, eb = b[0]
+    while True:
+        # distinct hashes settle inequality without the dataclass __eq__
+        if va._hash == vb._hash and va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+            if i == na or j == nb:
+                break
+            va, ea = a[i]
+            vb, eb = b[j]
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+            if i == na:
+                break
+            va, ea = a[i]
+        else:
+            out.append(b[j])
+            j += 1
+            if j == nb:
+                break
+            vb, eb = b[j]
+    return (*out, *a[i:], *b[j:])
+
+
+def _merge_params(a: tuple, b: tuple) -> tuple:
+    """The product of two sorted parameter tuples; exponents that sum to
+    zero are dropped."""
+    merged = dict(a)
+    for n, e in b:
+        merged[n] = merged.get(n, 0) + e
+    return tuple(sorted((n, e) for n, e in merged.items() if e))
 
 
 def _lower_power(jet: tuple, i: int) -> tuple:
@@ -221,37 +303,64 @@ def _lift_power(jet: tuple, i: int, w: JetVar) -> tuple:
 
 
 class JetPoly:
-    """Immutable sparse polynomial ``{monomial: nonzero Fraction}``.
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    Stored as integer numerators ``{monomial: nonzero int}`` over one
+    positive denominator, in canonical form: ``gcd(den, *numerators) == 1``
+    and ``den == 1`` for the zero polynomial, so equality is structural.
+    ``.terms`` and ``.items()`` present the coefficients as ``Fraction``s,
+    built once per polynomial.
 
     Construct through the factory classmethods or arithmetic; treat
-    instances as frozen values. ``p - p`` is the empty polynomial and
-    equality is structural.
+    instances as frozen values. ``p - p`` is the empty polynomial.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_fracs", "_hash")
 
     def __init__(self, terms: Mapping[JetMonomial, Fraction] | None = None):
-        clean: dict[JetMonomial, Fraction] = {}
+        fracs: dict[JetMonomial, Fraction] = {}
+        num: dict[JetMonomial, int] = {}
+        dens: list[int] = []
         if terms:
             for m, c in terms.items():
                 c = _frac(c)
-                if c != 0:
-                    clean[m] = c
-        self._terms = clean
+                n = c.numerator
+                if n:
+                    fracs[m] = c
+                    num[m] = n
+                    dens.append(c.denominator)
+        # over the lcm of reduced denominators the form is canonical
+        den = lcm(*dens)
+        if den != 1:
+            num = {m: n * (den // d) for (m, n), d in zip(num.items(), dens)}
+        self._num = num
+        self._den = den
+        self._fracs = fracs
         self._hash: int | None = None
 
     @staticmethod
-    def _of(terms: dict[JetMonomial, Fraction]) -> "JetPoly":
-        """Trusted constructor for arithmetic results: ``terms`` is a new
-        dict whose coefficients are nonzero Fractions, taken over as is."""
+    def _of(num: dict[JetMonomial, int], den: int = 1) -> "JetPoly":
+        """Trusted constructor for arithmetic results: ``num`` is a new dict
+        of nonzero int numerators over the positive ``den``, taken over as
+        is and brought to canonical form by one ``gcd`` when ``den != 1``."""
+        if den != 1:
+            if not num:
+                den = 1
+            else:
+                g = gcd(den, *num.values())
+                if g != 1:
+                    den //= g
+                    num = {m: c // g for m, c in num.items()}
         p = object.__new__(JetPoly)
-        p._terms = terms
+        p._num = num
+        p._den = den
+        p._fracs = None
         p._hash = None
         return p
 
     def __reduce__(self):
         # the cached hash is process-specific, so it is not pickled
-        return (JetPoly, (self._terms,))
+        return (JetPoly, (self.terms,))
 
     # -- constructors -------------------------------------------------
 
@@ -264,7 +373,7 @@ class JetPoly:
         v = _frac(value)
         if v == 0:
             return _ZERO
-        return cls({_ONE_MONOMIAL: v})
+        return JetPoly._of({_ONE_MONOMIAL: v.numerator}, v.denominator)
 
     @classmethod
     def one(cls) -> "JetPoly":
@@ -272,54 +381,58 @@ class JetPoly:
 
     @classmethod
     def var(cls, name: str, dx: int = 0, dt: int = 0) -> "JetPoly":
-        return cls({JetMonomial.make({JetVar(name, dx, dt): 1}): Fraction(1)})
+        return JetPoly._of({JetMonomial.make({JetVar(name, dx, dt): 1}): 1})
 
     @classmethod
     def from_var(cls, v: JetVar) -> "JetPoly":
-        return cls({JetMonomial.make({v: 1}): Fraction(1)})
+        return JetPoly._of({JetMonomial.make({v: 1}): 1})
 
     @classmethod
     def x(cls, power: int = 1) -> "JetPoly":
-        return cls({JetMonomial.make(xpow=power): Fraction(1)})
+        return JetPoly._of({JetMonomial.make(xpow=power): 1})
 
     @classmethod
     def t(cls, power: int = 1) -> "JetPoly":
-        return cls({JetMonomial.make(tpow=power): Fraction(1)})
+        return JetPoly._of({JetMonomial.make(tpow=power): 1})
 
     @classmethod
     def param(cls, name: str, power: int = 1) -> "JetPoly":
         if name in RESERVED_NAMES:
             raise JetError(f"{name!r} is reserved")
-        return cls({JetMonomial.make(params={name: power}): Fraction(1)})
+        return JetPoly._of({JetMonomial.make(params={name: power}): 1})
 
     # -- basic protocol -------------------------------------------------
 
     @property
     def terms(self) -> Mapping[JetMonomial, Fraction]:
-        return self._terms
+        fracs = self._fracs
+        if fracs is None:
+            den = self._den
+            fracs = self._fracs = {m: Fraction(c, den) for m, c in self._num.items()}
+        return fracs
 
     def items(self):
-        return self._terms.items()
+        return self.terms.items()
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, JetPoly):
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
             return self == JetPoly.const(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((frozenset(self._num.items()), self._den))
         return self._hash
 
     def __repr__(self) -> str:
@@ -339,7 +452,7 @@ class JetPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "JetPoly":
-        return JetPoly._of({m: -c for m, c in self._terms.items()})
+        return JetPoly._of({m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "JetPoly":
         other = self._coerce(other)
@@ -354,15 +467,26 @@ class JetPoly:
         return other._plus(self, negate=True)
 
     def _plus(self, other: "JetPoly", negate: bool) -> "JetPoly":
-        """``self + other``, or ``self - other`` when ``negate``."""
-        if not other._terms:
+        """``self + other``, or ``self - other`` when ``negate``, over the
+        lcm of the two denominators."""
+        if not other._num:
             return self
-        if not self._terms:
+        if not self._num:
             return -other if negate else other
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            if negate:
-                c = -c
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            out = dict(self._num)
+            f = 1
+        else:
+            g = gcd(d1, d2)
+            f1, f = d2 // g, d1 // g
+            out = {m: c * f1 for m, c in self._num.items()}
+            d1 *= f1
+        if negate:
+            f = -f
+        for m, c in other._num.items():
+            if f != 1:
+                c *= f
             s = out.get(m)
             if s is None:
                 out[m] = c
@@ -372,21 +496,21 @@ class JetPoly:
                     out[m] = s
                 else:
                     del out[m]
-        return JetPoly._of(out)
+        return JetPoly._of(out, d1)
 
     def __mul__(self, other) -> "JetPoly":
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if c == 0:
+            a = other.numerator
+            if not a:
                 return _ZERO
-            return JetPoly._of({m: cc * c for m, cc in self._terms.items()})
+            return JetPoly._of({m: n * a for m, n in self._num.items()}, self._den * other.denominator)
         if not isinstance(other, JetPoly):
             return NotImplemented
-        if not self._terms or not other._terms:
+        if not self._num or not other._num:
             return _ZERO
-        out: dict[JetMonomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        out: dict[JetMonomial, int] = {}
+        for m1, c1 in self._num.items():
+            for m2, c2 in other._num.items():
                 m = m1 * m2
                 s = out.get(m)
                 if s is None:
@@ -397,7 +521,7 @@ class JetPoly:
                         out[m] = s
                     else:
                         del out[m]
-        return JetPoly._of(out)
+        return JetPoly._of(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -431,21 +555,21 @@ class JetPoly:
 
     def jet_vars(self) -> set[JetVar]:
         out: set[JetVar] = set()
-        for m in self._terms:
+        for m in self._num:
             out.update(v for v, _ in m.jet)
         return out
 
     def param_names(self) -> set[str]:
         out: set[str] = set()
-        for m in self._terms:
+        for m in self._num:
             out.update(n for n, _ in m.params)
         return out
 
     def max_order(self) -> int:
-        return max((m.max_order for m in self._terms), default=0)
+        return max((m.max_order for m in self._num), default=0)
 
     def has_explicit_xt(self) -> bool:
-        return any(m.xpow or m.tpow for m in self._terms)
+        return any(m.xpow or m.tpow for m in self._num)
 
     # -- partial derivatives ----------------------------------------------
 
@@ -454,54 +578,59 @@ class JetPoly:
 
     def partial(self, v: JetVar) -> "JetPoly":
         """Partial derivative with respect to one jet coordinate."""
-        out: dict[JetMonomial, Fraction] = {}
-        for m, c in self._terms.items():
+        out: dict[JetMonomial, int] = {}
+        for m, c in self._num.items():
             for i, (w, e) in enumerate(m.jet):
                 if w == v:
-                    key = JetMonomial(_lower_power(m.jet, i), m.xpow, m.tpow, m.params)
+                    key = _monomial(_lower_power(m.jet, i), m.xpow, m.tpow, m.params)
                     out[key] = c * e if e > 1 else c
                     break
-        return JetPoly._of(out)
+        return JetPoly._of(out, self._den)
 
     def partial_explicit(self, axis: str) -> "JetPoly":
         """Partial derivative with respect to explicit ``x`` or ``t``."""
         if axis not in ("x", "t"):
             raise JetError(f"unknown axis {axis!r}")
-        out: dict[JetMonomial, Fraction] = {}
-        for m, c in self._terms.items():
-            p = m.xpow if axis == "x" else m.tpow
-            if p == 0:
-                continue
-            key = JetMonomial(
-                m.jet,
-                m.xpow - 1 if axis == "x" else m.xpow,
-                m.tpow - 1 if axis == "t" else m.tpow,
-                m.params,
-            )
-            out[key] = c * p
-        return JetPoly._of(out)
+        dx, dt = (1, 0) if axis == "x" else (0, 1)
+        out: dict[JetMonomial, int] = {}
+        for m, c in self._num.items():
+            p = m.xpow if dx else m.tpow
+            if p:
+                out[_monomial(m.jet, m.xpow - dx, m.tpow - dt, m.params)] = c * p
+        return JetPoly._of(out, self._den)
 
     def partial_param(self, name: str) -> "JetPoly":
-        out: dict[JetMonomial, Fraction] = {}
-        for m, c in self._terms.items():
+        out: dict[JetMonomial, int] = {}
+        for m, c in self._num.items():
             params = dict(m.params)
             e = params.get(name)
             if not e:
                 continue
             params[name] = e - 1
             out[JetMonomial.make(m.jet, m.xpow, m.tpow, params)] = c * e
-        return JetPoly._of(out)
+        return JetPoly._of(out, self._den)
 
     def coefficients_in(self, gen: JetVar | str) -> dict[int, "JetPoly"]:
         """``{k: a_k}`` with ``self = sum_k a_k gen^k``, for ``gen`` a jet
         coordinate or a parameter name; each ``a_k`` is nonzero and free of
         ``gen``. Removing one generator keeps distinct monomials distinct."""
-        out: dict[int, dict[JetMonomial, Fraction]] = {}
-        for m, c in self._terms.items():
-            jet, params = dict(m.jet), dict(m.params)
-            k = (params if isinstance(gen, str) else jet).pop(gen, 0)
-            out.setdefault(k, {})[JetMonomial.make(jet, m.xpow, m.tpow, params)] = c
-        return {k: JetPoly._of(terms) for k, terms in out.items()}
+        in_params = isinstance(gen, str)
+        out: dict[int, dict[JetMonomial, int]] = {}
+        for m, c in self._num.items():
+            jet, params = m.jet, m.params
+            factors = params if in_params else jet
+            k = 0
+            for i, (g, e) in enumerate(factors):
+                if g == gen:
+                    k = e
+                    factors = factors[:i] + factors[i + 1 :]
+                    break
+            if in_params:
+                params = factors
+            else:
+                jet = factors
+            out.setdefault(k, {})[_monomial(jet, m.xpow, m.tpow, params)] = c
+        return {k: JetPoly._of(num, self._den) for k, num in out.items()}
 
     # -- generic derivation ------------------------------------------------
 
@@ -539,7 +668,9 @@ class JetPoly:
 
     def substitute(self, image: Callable[[JetVar], "JetPoly | None"]) -> "JetPoly":
         """Replace jet coordinates by polynomials (``None`` keeps a
-        coordinate). Explicit coordinates and parameters pass through."""
+        coordinate). Explicit coordinates and parameters pass through.
+        Substitution is linear, so each term starts from its integer
+        numerator and the sum is divided by the denominator once."""
         cache: dict[JetVar, JetPoly | None] = {}
 
         def img(v: JetVar) -> JetPoly | None:
@@ -548,8 +679,8 @@ class JetPoly:
             return cache[v]
 
         out = JetPoly.zero()
-        for m, c in self._terms.items():
-            term = JetPoly._of({JetMonomial((), m.xpow, m.tpow, m.params): c})
+        for m, c in self._num.items():
+            term = JetPoly._of({_monomial((), m.xpow, m.tpow, m.params): c})
             for v, e in m.jet:
                 rep = img(v)
                 factor = JetPoly.from_var(v) if rep is None else rep
@@ -557,13 +688,13 @@ class JetPoly:
                 if term.is_zero():
                     break
             out = out + term
-        return out
+        return JetPoly._of(out._num, out._den * self._den)
 
     def remap_vars(self, fn: Callable[[JetVar], JetVar]) -> "JetPoly":
         """Rename/shift jet coordinates one-for-one (used for the
         cross-family maps such as w -> u or u -> q_x)."""
-        out: dict[JetMonomial, Fraction] = {}
-        for m, c in self._terms.items():
+        out: dict[JetMonomial, int] = {}
+        for m, c in self._num.items():
             jet: dict[JetVar, int] = {}
             for v, e in m.jet:
                 w = fn(v)
@@ -571,17 +702,17 @@ class JetPoly:
             key = JetMonomial.make(jet, m.xpow, m.tpow, m.params)
             s = out.get(key)
             out[key] = c if s is None else s + c
-        return JetPoly._of(_nonzero(out))
+        return JetPoly._of(_nonzero(out), self._den)
 
 
 _ZERO = JetPoly()
 
 
-def _nonzero(terms: dict[JetMonomial, Fraction]) -> dict[JetMonomial, Fraction]:
-    """``terms`` without the coefficients that summed to zero."""
-    if all(terms.values()):
-        return terms
-    return {m: c for m, c in terms.items() if c}
+def _nonzero(num: dict[JetMonomial, int]) -> dict[JetMonomial, int]:
+    """``num`` without the numerators that summed to zero."""
+    if all(num.values()):
+        return num
+    return {m: c for m, c in num.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -594,31 +725,33 @@ def total_derivative(p: JetPoly, axis: str) -> JetPoly:
 
     One pass over the terms: each coordinate of a monomial gives the
     monomial with one power of it moved to the lifted coordinate, times
-    its exponent."""
+    its exponent. The denominator carries over."""
     if axis not in ("x", "t"):
         raise JetError(f"unknown axis {axis!r}")
     dx, dt = (1, 0) if axis == "x" else (0, 1)
     lifts: dict[JetVar, JetVar] = {}
-    out: dict[JetMonomial, Fraction] = {}
-    for m, c in p._terms.items():
+    out: dict[JetMonomial, int] = {}
+    for m, c in p._num.items():
         jet = m.jet
         for i, (v, e) in enumerate(jet):
             w = lifts.get(v)
             if w is None:
                 w = lifts[v] = v.lifted(axis)
-            key = JetMonomial(_lift_power(jet, i, w), m.xpow, m.tpow, m.params)
+            key = _monomial(_lift_power(jet, i, w), m.xpow, m.tpow, m.params)
             ce = c * e if e > 1 else c
             s = out.get(key)
             out[key] = ce if s is None else s + ce
         k = m.xpow if dx else m.tpow
         if k:
-            key = JetMonomial(jet, m.xpow - dx, m.tpow - dt, m.params)
+            key = _monomial(jet, m.xpow - dx, m.tpow - dt, m.params)
             s = out.get(key)
             out[key] = c * k if s is None else s + c * k
-    return JetPoly._of(_nonzero(out))
+    return JetPoly._of(_nonzero(out), p._den)
 
 
 def total_derivative_n(p: JetPoly, dx: int = 0, dt: int = 0) -> JetPoly:
+    if dx < 0 or dt < 0:
+        raise JetError(f"total derivative orders must be nonnegative, got dx={dx}, dt={dt}")
     out = p
     for _ in range(dx):
         out = total_derivative(out, "x")
@@ -798,15 +931,19 @@ def euler_operator(p: JetPoly, dep: str, x_only: bool = False) -> JetPoly:
     which applies max(b) t-derivatives and max(a) x-derivatives per row
     instead of a + b per slot (Olver, *Applications of Lie Groups to
     Differential Equations*, sec. 4.1). ``x_only`` keeps only the row
-    b = 0 of t-derivative-free slots (the multiplier-extraction variant)."""
-    # rows[b][a] holds the terms of P_ab, all found in one pass over p
-    rows: dict[int, dict[int, dict[JetMonomial, Fraction]]] = {}
-    for m, c in p._terms.items():
+    b = 0 of t-derivative-free slots (the multiplier-extraction variant).
+
+    E is linear, so the Horner form runs on the integer numerators of p
+    (denominator 1, never normalized) and the result takes p's
+    denominator once."""
+    # rows[b][a] holds the numerators of P_ab, all found in one pass over p
+    rows: dict[int, dict[int, dict[JetMonomial, int]]] = {}
+    for m, c in p._num.items():
         for i, (v, e) in enumerate(m.jet):
             if v.name != dep or (x_only and v.dt):
                 continue
             slot = rows.setdefault(v.dt, {}).setdefault(v.dx, {})
-            slot[JetMonomial(_lower_power(m.jet, i), m.xpow, m.tpow, m.params)] = (
+            slot[_monomial(_lower_power(m.jet, i), m.xpow, m.tpow, m.params)] = (
                 c * e if e > 1 else c
             )
     out = _ZERO
@@ -817,7 +954,7 @@ def euler_operator(p: JetPoly, dep: str, x_only: bool = False) -> JetPoly:
             part = JetPoly._of(row[a]) if a in row else _ZERO
             acc = part - total_derivative(acc, "x") if acc else part
         out = acc - total_derivative(out, "t") if out else acc
-    return out
+    return JetPoly._of(out._num, p._den)
 
 
 # ---------------------------------------------------------------------------
@@ -1006,7 +1143,10 @@ def _parse_factor(tok: str) -> tuple[str, object, int]:
             dx, dt = int(nums[0]), int(nums[1])
         except ValueError as err:
             raise ParseError(f"bad jet index in {tok!r}") from err
-        return ("jet", JetVar(name, dx, dt), exp)
+        try:
+            return ("jet", JetVar(name, dx, dt), exp)
+        except JetError as err:
+            raise ParseError(f"bad jet coordinate {tok!r}: {err}") from err
     if tok == "x":
         return ("x", None, exp)
     if tok == "t":
@@ -1014,6 +1154,13 @@ def _parse_factor(tok: str) -> tuple[str, object, int]:
     if tok and all(ch in _NAME_CHARS for ch in tok) and not tok[0].isdigit():
         return ("param", tok, exp)
     raise ParseError(f"unrecognized factor {tok!r}")
+
+
+def _parse_coeff(text: str, chunk: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as err:
+        raise ParseError(f"bad coefficient {text!r} in {chunk!r}") from err
 
 
 def parse_poly(text: str) -> JetPoly:
@@ -1061,10 +1208,10 @@ def parse_poly(text: str) -> JetPoly:
             if raw.startswith("("):
                 if not raw.endswith(")"):
                     raise ParseError(f"unbalanced coefficient in {raw!r}")
-                coeff *= Fraction(raw[1:-1])
+                coeff *= _parse_coeff(raw[1:-1], chunk)
                 continue
             if raw[0].isdigit() or raw[0] == "-":
-                coeff *= Fraction(raw)
+                coeff *= _parse_coeff(raw, chunk)
                 continue
             kind, payload, exp = _parse_factor(raw)
             if kind == "jet":
@@ -1076,5 +1223,9 @@ def parse_poly(text: str) -> JetPoly:
                 tpow += exp
             else:
                 params[payload] = params.get(payload, 0) + exp  # type: ignore[index]
-        out = out + JetPoly({JetMonomial.make(mono_jet, xpow, tpow, params): coeff})
+        try:
+            mono = JetMonomial.make(mono_jet, xpow, tpow, params)
+        except JetError as err:
+            raise ParseError(f"bad monomial in {chunk!r}: {err}") from err
+        out = out + JetPoly({mono: coeff})
     return out

@@ -1,15 +1,24 @@
 """Unoptimized reference versions of the jet kernel, kept as test oracles.
 
-``total_derivative`` goes through the generic Leibniz ``JetPoly.derive``
-(one partial derivative per coordinate, times its lifted coordinate), and
-``euler_operator`` sums (-1)^(dx+dt) D_x^dx D_t^dt of every slot's partial
-derivative separately. Both follow the definitions directly; the kernel in
-``dlwlab.jet`` must agree with them structurally.
+Two references, each following the definitions directly:
+
+* ``total_derivative`` goes through the generic Leibniz ``JetPoly.derive``
+  (one partial derivative per coordinate, times its lifted coordinate),
+  and ``euler_operator`` sums (-1)^(dx+dt) D_x^dx D_t^dt of every slot's
+  partial derivative separately. Both run on ``JetPoly``'s own arithmetic.
+* The ``frac_*`` functions share no code with ``JetPoly`` at all: they work
+  on plain ``{JetMonomial: Fraction}`` dicts, build every monomial through
+  the validating ``JetMonomial.make`` and drop zero coefficients
+  explicitly. They are the oracle for the kernel's integer arithmetic.
+
+The kernel in ``dlwlab.jet`` must agree with both structurally.
 """
 
 from __future__ import annotations
 
-from dlwlab.jet import JetError, JetPoly
+from fractions import Fraction
+
+from dlwlab.jet import JetError, JetMonomial, JetPoly, JetVar
 
 
 def total_derivative(p: JetPoly, axis: str) -> JetPoly:
@@ -38,4 +47,106 @@ def euler_operator(p: JetPoly, dep: str, x_only: bool = False) -> JetPoly:
             continue
         sign = -1 if (v.dx + v.dt) % 2 else 1
         out = out + total_derivative_n(p.partial(v), v.dx, v.dt) * sign
+    return out
+
+
+# ---------------------------------------------------------------------------
+# {JetMonomial: Fraction} dicts
+
+
+FracTerms = dict[JetMonomial, Fraction]
+
+
+def _accumulate(out: FracTerms, m: JetMonomial, c: Fraction) -> None:
+    out[m] = out.get(m, Fraction(0)) + c
+
+
+def _clean(out: FracTerms) -> FracTerms:
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _with_jet_power(m: JetMonomial, v: JetVar, delta: int) -> JetMonomial:
+    jet = dict(m.jet)
+    jet[v] = jet.get(v, 0) + delta
+    return JetMonomial.make(jet, m.xpow, m.tpow, dict(m.params))
+
+
+def frac_add(a: FracTerms, b: FracTerms) -> FracTerms:
+    out = dict(a)
+    for m, c in b.items():
+        _accumulate(out, m, c)
+    return _clean(out)
+
+
+def frac_neg(a: FracTerms) -> FracTerms:
+    return {m: -c for m, c in a.items()}
+
+
+def frac_sub(a: FracTerms, b: FracTerms) -> FracTerms:
+    return frac_add(a, frac_neg(b))
+
+
+def frac_scale(a: FracTerms, c: Fraction) -> FracTerms:
+    return _clean({m: cm * c for m, cm in a.items()})
+
+
+def frac_mul(a: FracTerms, b: FracTerms) -> FracTerms:
+    out: FracTerms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            jet = dict(m1.jet)
+            for v, e in m2.jet:
+                jet[v] = jet.get(v, 0) + e
+            params = dict(m1.params)
+            for n, e in m2.params:
+                params[n] = params.get(n, 0) + e
+            m = JetMonomial.make(jet, m1.xpow + m2.xpow, m1.tpow + m2.tpow, params)
+            _accumulate(out, m, c1 * c2)
+    return _clean(out)
+
+
+def frac_partial(a: FracTerms, v: JetVar) -> FracTerms:
+    out: FracTerms = {}
+    for m, c in a.items():
+        e = dict(m.jet).get(v, 0)
+        if e:
+            _accumulate(out, _with_jet_power(m, v, -1), c * e)
+    return _clean(out)
+
+
+def frac_total_derivative(a: FracTerms, axis: str) -> FracTerms:
+    """Leibniz rule term by term: D(x^i t^j prod v^e) differentiates the
+    explicit power and each coordinate v -> its lift."""
+    out: FracTerms = {}
+    for m, c in a.items():
+        for v, e in m.jet:
+            lifted = v.lifted(axis)
+            moved = _with_jet_power(_with_jet_power(m, v, -1), lifted, 1)
+            _accumulate(out, moved, c * e)
+        k = m.xpow if axis == "x" else m.tpow
+        if k:
+            lower = JetMonomial.make(
+                dict(m.jet),
+                m.xpow - (axis == "x"),
+                m.tpow - (axis == "t"),
+                dict(m.params),
+            )
+            _accumulate(out, lower, c * k)
+    return _clean(out)
+
+
+def frac_euler_operator(a: FracTerms, dep: str, x_only: bool = False) -> FracTerms:
+    """The sum over coordinates dep[i,j] of (-1)^(i+j) D_x^i D_t^j of the
+    partial derivative, each slot taken separately."""
+    out: FracTerms = {}
+    slots = {v for m in a for v, _ in m.jet if v.name == dep and not (x_only and v.dt)}
+    for v in slots:
+        term = frac_partial(a, v)
+        for _ in range(v.dx):
+            term = frac_total_derivative(term, "x")
+        for _ in range(v.dt):
+            term = frac_total_derivative(term, "t")
+        if (v.dx + v.dt) % 2:
+            term = frac_neg(term)
+        out = frac_add(out, term)
     return out

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import dlwlab
 from dlwlab.jet import (
     DimensionMismatch,
+    JetError,
     JetMonomial,
     JetPoly,
     JetVar,
@@ -39,6 +40,25 @@ vx = JetPoly.var("v", 1)
 
 # mixed (dx, dt) slots, explicit x/t powers and a Laurent parameter factor
 mixed_polys = jet_polys(max_dt=2, params=("mu",))
+
+# Coefficients whose denominators (at most 60, built from the primes 2, 3,
+# 5 and 7) share factors, so that sums and products over the lcm reduce,
+# with numerators up to 10^6.
+WIDE_DENOMINATORS = (
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20, 21,
+    24, 25, 27, 28, 30, 32, 35, 36, 40, 42, 45, 48, 49, 50, 54, 56, 60,
+)
+wide_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0),
+    st.sampled_from(WIDE_DENOMINATORS),
+)
+# few distinct monomials, so that terms meet and cancel
+wide_terms = st.dictionaries(
+    jet_monomials(max_dx=2, max_dt=1, max_factors=2, params=("mu",)),
+    wide_fractions,
+    max_size=5,
+)
 
 
 class TestTotalDerivative:
@@ -74,6 +94,11 @@ class TestTotalDerivative:
     @settings(max_examples=40, deadline=None)
     def test_linearity(self, p, q):
         assert total_derivative(p + q, "t") == total_derivative(p, "t") + total_derivative(q, "t")
+
+    @pytest.mark.parametrize("dx,dt", [(-1, 0), (0, -1), (-2, 3), (3, -2)])
+    def test_negative_orders_raise(self, dx, dt):
+        with pytest.raises(JetError, match="nonnegative"):
+            total_derivative_n(u * vx, dx, dt)
 
     def test_sympy_cross_check(self):
         p = u * ux**2 * JetPoly.x() + v * JetPoly.var("u", 2) - JetPoly.t() * vx
@@ -300,6 +325,14 @@ class TestExactness:
         assert out == u * JetPoly.var("v", 2) - JetPoly.var("u", 2) * v
         assert all(c != 0 for c in out.terms.values())
 
+    @given(p=mixed_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_division_keeps_fractions(self, p):
+        for r in (p / 3, p / Fraction(-4, 9), p * Fraction(2, 3)):
+            assert len(r) == len(p)
+            assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+        assert (p / Fraction(-4, 9)).terms == {m: c * Fraction(-9, 4) for m, c in p.terms.items()}
+
     @given(p=mixed_polys, q=mixed_polys)
     @settings(max_examples=60, deadline=None)
     def test_no_zero_coefficients_stored(self, p, q):
@@ -363,6 +396,113 @@ class TestKernelOracles:
         uxt = JetPoly.var("u", 1, 1)
         assert euler_operator(p, "u", x_only=True) == -uxt
         assert euler_operator(p, "u") == uxt * -2
+
+
+def _assert_terms(poly, expected):
+    assert poly.terms == expected
+    assert all(type(c) is Fraction and c != 0 for c in poly.terms.values())
+    # canonical form: equal to, and hashed as, the polynomial built anew
+    rebuilt = JetPoly(expected)
+    assert poly == rebuilt and hash(poly) == hash(rebuilt)
+
+
+class TestIntegerKernel:
+    """The kernel's integer numerators over one denominator against the
+    ``Fraction``-dict reference in ``jet_reference``, which shares no code
+    with ``JetPoly``."""
+
+    @given(
+        a=wide_terms,
+        b=wide_terms,
+        c=wide_fractions,
+        v=jet_vars(max_dx=2, max_dt=1),
+        axis=st.sampled_from(("x", "t")),
+        dep=st.sampled_from(("u", "v")),
+        x_only=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_reference(self, a, b, c, v, axis, dep, x_only):
+        p, q = JetPoly(a), JetPoly(b)
+        _assert_terms(p, a)
+        _assert_terms(p + q, jet_reference.frac_add(a, b))
+        _assert_terms(p - q, jet_reference.frac_sub(a, b))
+        _assert_terms(-p, jet_reference.frac_neg(a))
+        _assert_terms(p * q, jet_reference.frac_mul(a, b))
+        _assert_terms(p * c, jet_reference.frac_scale(a, c))
+        _assert_terms(c * p, jet_reference.frac_scale(a, c))
+        _assert_terms(p * c.denominator, jet_reference.frac_scale(a, Fraction(c.denominator)))
+        _assert_terms(p.partial(v), jet_reference.frac_partial(a, v))
+        _assert_terms(total_derivative(p, axis), jet_reference.frac_total_derivative(a, axis))
+        _assert_terms(
+            euler_operator(p, dep, x_only), jet_reference.frac_euler_operator(a, dep, x_only)
+        )
+
+    @given(a=wide_terms, b=wide_terms, dep=st.sampled_from(("u", "v")))
+    @settings(max_examples=40, deadline=None)
+    def test_euler_operator_of_product_matches_reference(self, a, b, dep):
+        ab = jet_reference.frac_mul(a, b)
+        got = euler_operator(JetPoly(a) * JetPoly(b), dep)
+        _assert_terms(got, jet_reference.frac_euler_operator(ab, dep))
+
+    @given(a=wide_terms)
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_form(self, a):
+        p = JetPoly(a)
+        lhs = p * Fraction(1, 6) + p * Fraction(1, 3)
+        rhs = p * Fraction(1, 2)
+        assert lhs == rhs and hash(lhs) == hash(rhs)
+        zero = p / 3 + p * Fraction(2, 3) - p
+        assert zero.is_zero() and zero == JetPoly.zero() and hash(zero) == hash(JetPoly.zero())
+
+    def test_pickled_state_is_a_fraction_dict(self):
+        p = JetPoly.var("u", 1) * Fraction(3, 10) + JetPoly.param("mu", -1) * Fraction(-7, 4)
+        cls, (terms,) = p.__reduce__()
+        assert cls is JetPoly and terms == {
+            JetMonomial.make({JetVar("u", 1): 1}): Fraction(3, 10),
+            JetMonomial.make(params={"mu": -1}): Fraction(-7, 4),
+        }
+        assert all(type(c) is Fraction for c in terms.values())
+
+
+def _assert_monomials_valid(poly):
+    """Each monomial equals, with the same hash, the one the validating
+    public constructor builds from its fields, and its generator tuples
+    are sorted, distinct and free of zero exponents."""
+    for m in poly.terms:
+        public = JetMonomial(m.jet, m.xpow, m.tpow, m.params)
+        assert public == m and hash(public) == hash(m)
+        coords = [w for w, _ in m.jet]
+        names = [n for n, _ in m.params]
+        assert coords == sorted(set(coords)) and names == sorted(set(names))
+        assert all(e > 0 for _, e in m.jet) and all(e != 0 for _, e in m.params)
+
+
+class TestTrustedMonomials:
+    """Every monomial the kernel derives without ``JetMonomial``'s checks
+    passes them."""
+
+    @given(
+        p=mixed_polys,
+        q=mixed_polys,
+        w=jet_vars(max_dt=2),
+        axis=st.sampled_from(("x", "t")),
+        dep=st.sampled_from(("u", "v")),
+        x_only=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_outputs_pass_the_public_checks(self, p, q, w, axis, dep, x_only):
+        outputs = [
+            p * q,
+            p * JetPoly.param("mu", -1),
+            total_derivative(p, axis),
+            euler_operator(p, dep, x_only),
+            p.partial(w),
+            p.partial_explicit(axis),
+            *p.coefficients_in(w).values(),
+            *p.coefficients_in("mu").values(),
+        ]
+        for r in outputs:
+            _assert_monomials_valid(r)
 
 
 _PICKLE_SCRIPT = """

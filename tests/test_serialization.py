@@ -1,5 +1,6 @@
 """Canonical text form: formatting and bit-exact round trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -49,7 +50,16 @@ def test_deterministic_ordering():
     assert format_poly(a) == format_poly(b)
 
 
-@pytest.mark.parametrize("bad", ["", "u[1]", "u[1,2", "(3", "u[1,0]^x", "&"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "u[1]", "u[1,2", "(3", "u[1,0]^x", "&", "-u[0,0]", "()", "(1/0)*u[0,0]", "1/0", "u[-1,0]", "x^-1"],
+)
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_poly(bad)
+
+
+@pytest.mark.parametrize("chunk", ["-u[0,0]", "()", "(1/0)*u[0,0]", "1/0"])
+def test_bad_coefficient_names_its_chunk(chunk):
+    with pytest.raises(ParseError, match=re.escape(repr(chunk))):
+        parse_poly(f"u[1,0] + {chunk}")
