@@ -1,6 +1,6 @@
 """Closed-form expression trees over elementary functions of affine
-phases: exact differentiation, guarded numeric evaluation, residual
-oracles for candidate solutions, and the one-parameter group maps.
+phases: exact differentiation, guarded numeric evaluation, and residual
+oracles for candidate solutions.
 
 The node set (rational constants, square roots of positive rationals,
 the coordinates x and t, named parameters, sums, products, quotients,
@@ -57,13 +57,10 @@ __all__ = [
     "free_params",
     "evaluate",
     "evaluate_samples",
-    "substitute_coords",
     "compile_expr",
     "system_residual_exprs",
     "residual_max",
     "ResidualReport",
-    "group_orbit",
-    "transported_solution",
 ]
 
 SINGULARITY_GUARD = 1e-8
@@ -442,35 +439,6 @@ def compile_expr(e: Expr, binding: Mapping[str, float | Fraction]) -> Callable:
     return lambda x, t: f(x, t, None) + 0.0 * x
 
 
-def substitute_coords(e: Expr, x_image: Expr | None = None, t_image: Expr | None = None) -> Expr:
-    """Replace the coordinate leaves by expression trees (used by the
-    group transport maps)."""
-    if isinstance(e, Coord):
-        if e.name == "x" and x_image is not None:
-            return x_image
-        if e.name == "t" and t_image is not None:
-            return t_image
-        return e
-    if isinstance(e, Add):
-        return add(*(substitute_coords(a, x_image, t_image) for a in e.args))
-    if isinstance(e, Mul):
-        return mul(*(substitute_coords(a, x_image, t_image) for a in e.args))
-    if isinstance(e, Div):
-        return div(
-            substitute_coords(e.num, x_image, t_image),
-            substitute_coords(e.den, x_image, t_image),
-        )
-    if isinstance(e, Pow):
-        return pow_(substitute_coords(e.base, x_image, t_image), e.exponent)
-    if isinstance(e, Exp):
-        return exp(substitute_coords(e.arg, x_image, t_image))
-    if isinstance(e, Tanh):
-        return tanh(substitute_coords(e.arg, x_image, t_image))
-    if isinstance(e, Sech):
-        return sech(substitute_coords(e.arg, x_image, t_image))
-    return e
-
-
 # ---------------------------------------------------------------------------
 # residual oracle
 
@@ -543,74 +511,3 @@ def residual_max(
         samples_used=used,
         samples_skipped=len(skip) - used,
     )
-
-
-# ---------------------------------------------------------------------------
-# one-parameter group maps
-
-
-def group_orbit(
-    generator_id: int, eps: float, point: tuple[float, float, float, float]
-) -> tuple[float, float, float, float]:
-    """Closed-form group map applied to a point (x, t, u, v)."""
-    x, t, u, v = point
-    if generator_id == 1:
-        return (x, t + eps, u, v)
-    if generator_id == 2:
-        return (x + eps, t, u, v)
-    if generator_id == 3:
-        return (x + t * eps, t, u + eps, v)
-    if generator_id == 4:
-        return (
-            x * math.exp(eps / 2),
-            t * math.exp(eps),
-            u * math.exp(-eps / 2),
-            v * math.exp(-eps),
-        )
-    raise AnalyticError("generator id must be 1..4")
-
-
-def transported_solution(
-    generator_id: int, u_expr: Expr, v_expr: Expr
-) -> tuple[Expr, Expr]:
-    """Push a solution pair along a group map; the group parameter enters
-    as the free parameter ``eps`` (bind it at evaluation time).
-
-    The returned pair is the solution-to-solution action consistent with
-    the group maps themselves: shifting for the translations, a Galilean
-    tilt-and-lift for the third generator, and the scaling weights
-    e^(-eps/2), e^(-eps) for the fourth.
-    """
-    eps = Param("eps")
-    if generator_id == 1:
-        im_t = sub(T, eps)
-        return (
-            substitute_coords(u_expr, t_image=im_t),
-            substitute_coords(v_expr, t_image=im_t),
-        )
-    if generator_id == 2:
-        im_x = sub(X, eps)
-        return (
-            substitute_coords(u_expr, x_image=im_x),
-            substitute_coords(v_expr, x_image=im_x),
-        )
-    if generator_id == 3:
-        im_x = sub(X, mul(eps, T))
-        return (
-            add(substitute_coords(u_expr, x_image=im_x), eps),
-            substitute_coords(v_expr, x_image=im_x),
-        )
-    if generator_id == 4:
-        shrink_x = mul(X, exp(mul(Const(Fraction(-1, 2)), eps)))
-        shrink_t = mul(T, exp(neg(eps)))
-        return (
-            mul(
-                exp(mul(Const(Fraction(-1, 2)), eps)),
-                substitute_coords(u_expr, x_image=shrink_x, t_image=shrink_t),
-            ),
-            mul(
-                exp(neg(eps)),
-                substitute_coords(v_expr, x_image=shrink_x, t_image=shrink_t),
-            ),
-        )
-    raise AnalyticError("generator id must be 1..4")

@@ -91,7 +91,6 @@ class FormalLagrangian:
     """Equations contracted with auxiliary multiplier variables w1, w2."""
 
     density: JetPoly
-    aux: tuple[str, str] = ("w1", "w2")
 
 
 @dataclass(frozen=True)
@@ -393,10 +392,16 @@ def noether_flows() -> dict[str, ConservationLaw]:
 # formal-Lagrangian route (extended family)
 
 
+#: The multiplier variables of the formal Lagrangian, each mapped to the
+#: field substituted for it (w1 = u, w2 = v).
+_MULTIPLIERS = {"w1": "u", "w2": "v"}
+
+
 def formal_lagrangian(sys: EvolutionSystem) -> FormalLagrangian:
     """w1 times the second equation plus w2 times the first."""
     g1, g2 = sys.equation_polys()
-    return FormalLagrangian(density=_p("w1") * g2 + _p("w2") * g1)
+    w1, w2 = (_p(w) for w in _MULTIPLIERS)
+    return FormalLagrangian(density=w1 * g2 + w2 * g1)
 
 
 def self_adjointness_check(sys: EvolutionSystem) -> bool:
@@ -406,11 +411,10 @@ def self_adjointness_check(sys: EvolutionSystem) -> bool:
     lf = formal_lagrangian(sys).density
     fstar_u = euler_operator(lf, "u")
     fstar_v = euler_operator(lf, "v")
-    sub = {"w1": "u", "w2": "v"}
     g1, g2 = sys.equation_polys()
     return (
-        substitute_dependent(fstar_u, sub) == -g2
-        and substitute_dependent(fstar_v, sub) == -g1
+        substitute_dependent(fstar_u, _MULTIPLIERS) == -g2
+        and substitute_dependent(fstar_v, _MULTIPLIERS) == -g1
     )
 
 
@@ -421,11 +425,10 @@ def ibragimov_flow(x: PointSymmetry, sys: EvolutionSystem) -> ConservationLaw:
     w1 = u, w2 = v substituted."""
     lf = formal_lagrangian(sys).density
     c_x, c_t = boundary_current(lf, dict(zip(sys.deps, characteristic(x).comp)))
-    sub = {"w1": "u", "w2": "v"}
     return ConservationLaw(
-        density=substitute_dependent(x.xi1 * lf + c_t, sub),
-        flux=substitute_dependent(x.xi2 * lf + c_x, sub),
-        label=ibragimov_labels()[x.name] if x.name in ibragimov_labels() else "",
+        density=substitute_dependent(x.xi1 * lf + c_t, _MULTIPLIERS),
+        flux=substitute_dependent(x.xi2 * lf + c_x, _MULTIPLIERS),
+        label=ibragimov_labels().get(x.name, ""),
     )
 
 

@@ -13,6 +13,11 @@ polynomial with exact rational coefficients in
 All operations are pure; no floating point ever enters. Divergence-type
 identities are therefore decided by structural equality, not tolerance.
 
+Every reduction of the pair by an ansatz (invariant solutions, traveling
+waves, the tanh kink) goes through ``substitute_ansatz``: it replaces
+each coordinate by the derivatives of the ansatz's image, taken with the
+caller's total derivatives in the reduced variables.
+
 A :class:`JetPoly` stores integer numerators ``{monomial: nonzero int}``
 over one positive denominator ``den``, in canonical form:
 ``gcd(den, *numerators) == 1``, and ``den == 1`` for the zero polynomial.
@@ -50,6 +55,7 @@ __all__ = [
     "EvolutionSystem",
     "SolvedSystem",
     "total_derivative",
+    "substitute_ansatz",
     "reduce_on_shell",
     "euler_operator",
     "apply_op",
@@ -703,6 +709,37 @@ class JetPoly:
             s = out.get(key)
             out[key] = c if s is None else s + c
         return JetPoly._of(_nonzero(out), self._den)
+
+
+def substitute_ansatz(
+    p: JetPoly,
+    base: Mapping[str, JetPoly],
+    dx: Callable[[JetPoly], JetPoly],
+    dt: Callable[[JetPoly], JetPoly],
+) -> JetPoly:
+    """``p`` with each coordinate ``name[a,b]`` replaced by
+    ``dt^b(dx^a(base[name]))``: the ansatz ``base`` for the dependent
+    variables, with ``dx`` and ``dt`` the total derivatives in its own
+    variables. Each image is built once per call, from the one below it.
+    Explicit x, t and parameters pass through; a coordinate whose name
+    ``base`` lacks raises JetError."""
+    images: dict[JetVar, JetPoly] = {}
+
+    def image(var: JetVar) -> JetPoly:
+        got = images.get(var)
+        if got is None:
+            if var.dt:
+                got = dt(image(JetVar(var.name, var.dx, var.dt - 1)))
+            elif var.dx:
+                got = dx(image(JetVar(var.name, var.dx - 1, 0)))
+            elif var.name in base:
+                got = base[var.name]
+            else:
+                raise JetError(f"the ansatz gives no image of {var.name!r}")
+            images[var] = got
+        return got
+
+    return p.substitute(image)
 
 
 _ZERO = JetPoly()

@@ -382,7 +382,8 @@ def conslaw_suite(
                 is_var == want,
                 "variational" if is_var else "not variational (prolonged action is no divergence)",
             )
-        for label, law in cl.noether_flows().items():
+        flows = cl.noether_flows()
+        for label, law in flows.items():
             r = cl.divergence_residual(law, pot)
             rep.add(f"divergence-{label}", label, r.is_zero(), "potential-family divergence vanishes on shell")
         mapped = cl.ConservationLaw(
@@ -390,7 +391,7 @@ def conslaw_suite(
             flux=physical_to_potential(cl.direct_laws()["eq32"].flux),
             family="potential",
         )
-        v1 = cl.noether_flows()["eq54"]
+        v1 = flows["eq54"]
         diff = cl.ConservationLaw(
             density=v1.density + mapped.density, flux=v1.flux + mapped.flux, family="potential"
         )

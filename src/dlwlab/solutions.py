@@ -2,9 +2,10 @@
 verifier that exercises them.
 
 Families are registered under catalog ids (eq19, eq22, eq82, eq83,
-eq86..eq90, eq93, eq96). Each record carries the expression pair, its
-free parameters, default parameter grids for scanning, a sampling domain
-that avoids known poles, and the expected verdict class:
+eq86..eq90, eq93, eq96). Each record carries the expression pair, whose
+parameters are the family's free parameters, default parameter grids for
+scanning, a sampling domain that avoids known poles, and the expected
+verdict class:
 
 * "exact"  - residual vanishes to roundoff for every admissible binding;
 * "flagged" - a known defect is quantified (eq19 leaves the constant c1
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -32,6 +33,7 @@ from .analytic import (
     div,
     evaluate_samples,
     exp,
+    free_params,
     mul,
     neg,
     param,
@@ -60,14 +62,21 @@ class UnknownFamily(JetError):
 
 @dataclass(frozen=True)
 class SolitonFamily:
+    """One registered family: the expression trees of u and v, the
+    bindings scanned by default, the sampling domain and the expected
+    verdict. Its free parameters are read off the two trees."""
+
     id: str
     u_expr: Expr
     v_expr: Expr
-    free_params: tuple[str, ...]
     default_grid: tuple[Mapping[str, float], ...]
     domain: tuple[float, float, float, float] = (-5.0, 5.0, 0.0, 2.0)
     expected: str = "exact"
     note: str = ""
+
+    @functools.cached_property
+    def free_params(self) -> frozenset[str]:
+        return frozenset(free_params(self.u_expr) | free_params(self.v_expr))
 
 
 def _block_P(xi: Expr) -> Expr:
@@ -96,7 +105,6 @@ def family_registry() -> Mapping[str, SolitonFamily]:
         id="eq19",
         u_expr=add(T, param("c1")),
         v_expr=add(mul(const(f(1, 2)), pow_(T, 2)), neg(X), param("c2")),
-        free_params=("c1", "c2"),
         default_grid=({"c1": 1.0, "c2": 0.5},),
         expected="flagged",
         note="second equation leaves the constant -c1; quantified, not hidden",
@@ -105,7 +113,6 @@ def family_registry() -> Mapping[str, SolitonFamily]:
         id="eq22",
         u_expr=div(add(X, const(2)), T),
         v_expr=div(param("c1"), T),
-        free_params=("c1",),
         default_grid=({"c1": 2.0},),
         domain=(-5.0, 5.0, 0.5, 2.0),
         expected="exact",
@@ -124,7 +131,6 @@ def family_registry() -> Mapping[str, SolitonFamily]:
                 pow_(sub(big_b, big_e), 2),
             )
         ),
-        free_params=("mu", "C1"),
         default_grid=(
             {"mu": 0.5, "C1": 0.0},
             {"mu": 1.0, "C1": 0.0},
@@ -142,7 +148,6 @@ def family_registry() -> Mapping[str, SolitonFamily]:
                 pow_(sub(big_b, big_e), 2),
             )
         ),
-        free_params=("mu", "C1"),
         default_grid=(
             {"mu": 0.5, "C1": 0.0},
             {"mu": 1.0, "C1": 0.0},
@@ -162,7 +167,6 @@ def family_registry() -> Mapping[str, SolitonFamily]:
         id="eq86",
         u_expr=add(A0, mul(C1, P)),
         v_expr=add(a0, neg(mul(slope, P)), mul(param("c2"), pow_(P, 2))),
-        free_params=("A0", "C1", "a0", "c2", "R1", "R2", "xi0", "k1", "w1"),
         default_grid=(
             {"A0": 0.3, "C1": 0.5, "a0": 0.1, "c2": 0.2, "R1": 1.0, "R2": 0.5, "xi0": 0.0, "k1": 1.0, "w1": -0.8},
             {"A0": 0.0, "C1": 1.0, "a0": 0.0, "c2": -0.4, "R1": 0.7, "R2": 1.0, "xi0": 0.3, "k1": 0.9, "w1": 0.4},
@@ -180,7 +184,6 @@ def family_registry() -> Mapping[str, SolitonFamily]:
             mul(param("c1"), P),
             mul(param("c2"), pow_(P, 2)),
         ),
-        free_params=("A0", "a0", "b1", "c1", "c2", "R1", "R2", "xi0", "eta0", "k1", "w1", "k2", "w2"),
         default_grid=(
             {"A0": 0.5, "a0": 0.0, "b1": 1.0, "c1": 0.3, "c2": 0.1, "R1": 1.0, "R2": 0.4, "xi0": 0.0, "eta0": 0.2, "k1": 1.0, "w1": -0.5, "k2": 0.8, "w2": 0.6},
         ),
@@ -195,7 +198,6 @@ def family_registry() -> Mapping[str, SolitonFamily]:
         id="eq88",
         u_expr=add(A0, mul(C1, P)),
         v_expr=add(a0, mul(param("b1"), bracket88), neg(mul(slope, P)), mul(param("c2"), pow_(P, 2))),
-        free_params=("A0", "C1", "a0", "b1", "c2", "S2", "sm", "R1", "R2", "xi0", "eta0", "k1", "w1", "k2", "w2"),
         default_grid=(
             {"A0": 0.2, "C1": 0.6, "a0": 0.0, "b1": 0.5, "c2": 0.1, "S2": 1.0, "sm": 1.0, "R1": 1.0, "R2": 0.4, "xi0": 0.0, "eta0": 0.1, "k1": 1.0, "w1": -0.5, "k2": 0.8, "w2": 0.6},
         ),
@@ -207,7 +209,6 @@ def family_registry() -> Mapping[str, SolitonFamily]:
         id="eq89",
         u_expr=add(A0, mul(C1, P)),
         v_expr=add(a0, mul(param("b1"), lin89), mul(param("c1"), P), mul(param("c2"), pow_(P, 2))),
-        free_params=("A0", "C1", "a0", "b1", "c1", "c2", "R1", "R2", "xi0", "eta0", "k1", "w1", "k2", "w2"),
         default_grid=(
             {"A0": 0.1, "C1": 0.5, "a0": 0.2, "b1": 0.7, "c1": 0.3, "c2": 0.1, "R1": 1.0, "R2": 0.5, "xi0": 0.0, "eta0": 0.4, "k1": 1.1, "w1": -0.3, "k2": 0.9, "w2": 0.5},
         ),
@@ -223,7 +224,6 @@ def family_registry() -> Mapping[str, SolitonFamily]:
             mul(param("c1"), P),
             mul(param("c2"), pow_(P, 2)),
         ),
-        free_params=("A0", "a0", "a01", "c1", "c2", "R1", "R2", "xi0", "eta0", "k1", "w1", "k2", "w2"),
         default_grid=(
             {"A0": 0.4, "a0": 0.0, "a01": 1.0, "c1": 0.2, "c2": 0.1, "R1": 1.0, "R2": 0.6, "xi0": 0.0, "eta0": 0.5, "k1": 1.0, "w1": -0.4, "k2": 0.7, "w2": 0.8},
         ),
@@ -236,7 +236,6 @@ def family_registry() -> Mapping[str, SolitonFamily]:
         id="eq93",
         u_expr=add(mu, neg(mul(div(mul(const(2), s3), const(3)), tanh(arg93)))),
         v_expr=add(const(f(2, 3)), neg(mul(const(f(2, 3)), pow_(tanh(arg93), 2)))),
-        free_params=("mu",),
         default_grid=({"mu": 0.5}, {"mu": 1.0}, {"mu": 2.0}),
         expected="exact",
         note="speed is a free parameter",
@@ -253,7 +252,6 @@ def family_registry() -> Mapping[str, SolitonFamily]:
             div(const(2), mul(const(3), one_plus)),
             neg(div(const(2), mul(const(3), pow_(one_plus, 2)))),
         ),
-        free_params=("a0",),
         default_grid=({"a0": 0.0}, {"a0": 1.0}),
         expected="exact",
         note="speed locked to a0 + sqrt(3)/3 by the exponent",
@@ -281,7 +279,7 @@ def verify_family(
     fam = reg.get(family_id)
     if fam is None:
         raise UnknownFamily(family_id)
-    missing = set(fam.free_params) - set(binding)
+    missing = fam.free_params - set(binding)
     if missing:
         raise JetError(f"unbound parameters for {family_id}: {sorted(missing)}")
     if sys is None:

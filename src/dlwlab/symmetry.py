@@ -20,6 +20,7 @@ from .jet import (
     JetPoly,
     JetVar,
     reduce_on_shell,
+    substitute_ansatz,
     total_derivative,
     total_derivative_n,
 )
@@ -331,9 +332,6 @@ def _t4(l: Vec4, s: Fraction) -> Vec4:
     return (l[0] * s**2, l[1] * s, l[2] / s, l[3])
 
 
-_TRANSFORMS = {"T1": _t1, "T2": _t2, "T3": _t3, "T4": _t4}
-
-
 def adjoint_transformations(
     l: Sequence[Fraction | int], a: Sequence[Fraction | int]
 ) -> Vec4:
@@ -459,23 +457,11 @@ def _ansatz_reduction(
     """Substitute an invariant ansatz into the system and compare with the
     expected reduced pair. ``base`` gives the images of u and v; ``dx`` and
     ``dt`` are the total derivatives in the reduced variables, applied
-    recursively for derivative coordinates; each substituted equation is
-    multiplied by its ``scale`` before the comparison."""
-    images: dict[JetVar, JetPoly] = {}
-
-    def image(var: JetVar) -> JetPoly:
-        got = images.get(var)
-        if got is None:
-            if var.dt > 0:
-                got = dt(image(JetVar(var.name, var.dx, var.dt - 1)))
-            elif var.dx > 0:
-                got = dx(image(JetVar(var.name, var.dx - 1, 0)))
-            else:
-                got = base[var.name]
-            images[var] = got
-        return got
-
-    computed = tuple(eq.substitute(image) * k for eq, k in zip(sys.equation_polys(), scale))
+    through ``substitute_ansatz``; each substituted equation is multiplied
+    by its ``scale`` before the comparison."""
+    computed = tuple(
+        substitute_ansatz(eq, base, dx, dt) * k for eq, k in zip(sys.equation_polys(), scale)
+    )
     return {"computed": computed, "expected": expected, "match": computed == expected}
 
 

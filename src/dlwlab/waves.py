@@ -2,6 +2,11 @@
 integrals induced by x,t-free conservation laws, and the hyperbolic-
 tangent ansatz whose coefficient system certifies the kink family.
 
+Both reductions substitute their ansatz into the equations of
+``systems.physical_system()`` through ``jet.substitute_ansatz``, and the
+solved form of the reduced pair is read off the substituted equations,
+so no equation of the pair is restated here.
+
 The wave speed mu is carried symbolically (an exact parameter), so the
 "constant along the reduced flow" statements are polynomial identities
 in mu, not spot checks. The kink's coefficients lie in Q(sqrt 3); they
@@ -25,8 +30,10 @@ from .jet import (
     JetVar,
     SolvedSystem,
     reduce_on_shell,
+    substitute_ansatz,
     total_derivative,
 )
+from .systems import physical_system
 
 __all__ = [
     "ExplicitCoordinateError",
@@ -73,9 +80,6 @@ class FirstIntegral:
     source_label: str
 
 
-_TRAVELING_NAME = {"u": "U", "v": "V"}
-
-
 def traveling_substitute(p: JetPoly, mu: JetPoly | Fraction | int = MU) -> JetPoly:
     """Substitute u -> U(xi), v -> V(xi): D_x becomes d/dxi and D_t
     becomes -mu d/dxi, so the coordinate (dep, a, b) maps to
@@ -83,18 +87,12 @@ def traveling_substitute(p: JetPoly, mu: JetPoly | Fraction | int = MU) -> JetPo
     mu_poly = mu if isinstance(mu, JetPoly) else JetPoly.const(Fraction(mu))
     if p.has_explicit_xt():
         raise ExplicitCoordinateError("expression depends on explicit x or t")
-
-    out = JetPoly.zero()
-    for m, c in p.items():
-        term = JetPoly({JetMonomial((), 0, 0, m.params): c})
-        for v, e in m.jet:
-            name = _TRAVELING_NAME.get(v.name)
-            if name is None:
-                raise JetError(f"unexpected dependent variable {v.name!r}")
-            factor = JetPoly.var(name, v.dx + v.dt) * (-mu_poly) ** v.dt
-            term = term * factor**e
-        out = out + term
-    return out
+    return substitute_ansatz(
+        p,
+        {"u": JetPoly.var("U"), "v": JetPoly.var("V")},
+        lambda q: total_derivative(q, "x"),
+        lambda q: -mu_poly * total_derivative(q, "x"),
+    )
 
 
 def reduce_traveling(sys: EvolutionSystem, mu: JetPoly | Fraction | int = MU) -> TravelingWaveODE:
@@ -103,15 +101,25 @@ def reduce_traveling(sys: EvolutionSystem, mu: JetPoly | Fraction | int = MU) ->
     return TravelingWaveODE(equations=eqs)  # type: ignore[arg-type]
 
 
+def _solve_for(eq: JetPoly, lead: JetVar) -> JetPoly:
+    """The value of ``lead`` on ``eq = 0``, for ``eq`` linear in ``lead``
+    with a nonzero rational coefficient."""
+    parts = eq.coefficients_in(lead)
+    coeff = parts.get(1, JetPoly.zero())
+    c = coeff.terms.get(JetMonomial())
+    if c is None or coeff != c or parts.keys() - {0, 1}:
+        raise JetError(f"{lead} does not enter linearly with a rational coefficient")
+    return -parts.get(0, JetPoly.zero()) / c
+
+
 def traveling_solved_system(mu: JetPoly | Fraction | int = MU) -> SolvedSystem:
     """The reduced system in solved form: V' from the first equation and
     U''' from the second with V' eliminated."""
-    mu_poly = mu if isinstance(mu, JetPoly) else JetPoly.const(Fraction(mu))
-    u, u1 = JetPoly.var("U"), JetPoly.var("U", 1)
-    v = JetPoly.var("V")
-    v1_rhs = (mu_poly - u) * u1
-    u3_rhs = (mu_poly - u) ** 2 * u1 * 3 - v * u1 * 3
-    return SolvedSystem(rules=((JetVar("V", 1, 0), v1_rhs), (JetVar("U", 3, 0), u3_rhs)))
+    eq1, eq2 = reduce_traveling(physical_system(), mu).equations
+    v1, u3 = JetVar("V", 1, 0), JetVar("U", 3, 0)
+    v1_rhs = _solve_for(eq1, v1)
+    u3_rhs = _solve_for(eq2.substitute(lambda w: v1_rhs if w == v1 else None), u3)
+    return SolvedSystem(rules=((v1, v1_rhs), (u3, u3_rhs)))
 
 
 def first_integral(
@@ -167,29 +175,22 @@ def tanh_ansatz_system() -> list[JetPoly]:
     """Coefficient system of the ansatz u = a0 + a1 T, v = b0 + b1 T +
     b2 T^2 with T = tanh(xi), dT/dxi = 1 - T^2, xi = x - mu t.
 
-    Substituting into both equations and collecting powers of T yields
-    polynomial equations in (a0, a1, b0, b1, b2, mu); the returned list
-    concatenates the nonzero coefficients of both equations.
+    Substituting into both equations of ``physical_system()`` and
+    collecting powers of T yields polynomial equations in (a0, a1, b0,
+    b1, b2, mu); the returned list concatenates the nonzero coefficients
+    of both equations.
     """
     a0, a1 = JetPoly.param("a0"), JetPoly.param("a1")
     b0, b1, b2 = JetPoly.param("b0"), JetPoly.param("b1"), JetPoly.param("b2")
-    mu = MU
     T = JetPoly.param("T")
 
     def ddxi(p: JetPoly) -> JetPoly:
         return p.partial_param("T") * (JetPoly.one() - T**2)
 
-    u = a0 + a1 * T
-    v = b0 + b1 * T + b2 * T**2
-    ux, vx = ddxi(u), ddxi(v)
-    ut, vt = -mu * ux, -mu * vx
-    uxxx = ddxi(ddxi(ux))
-    eq1 = ut + u * ux + vx
-    eq2 = vt + ux * v + u * vx + uxxx * Fraction(1, 3)
-
+    base = {"u": a0 + a1 * T, "v": b0 + b1 * T + b2 * T**2}
     system: list[JetPoly] = []
-    for eq in (eq1, eq2):
-        by_power = eq.coefficients_in("T")
+    for eq in physical_system().equation_polys():
+        by_power = substitute_ansatz(eq, base, ddxi, lambda p: -MU * ddxi(p)).coefficients_in("T")
         system.extend(by_power[k] for k in sorted(by_power))
     return system
 

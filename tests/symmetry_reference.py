@@ -1,18 +1,21 @@
-"""Unoptimized reference for the optimal-system reduction, kept as a test
-oracle.
+"""Unoptimized references for the symmetry layer, kept as test oracles.
 
 ``optimal_reduce`` here wraps every entry in ``Fraction`` and applies the
 coefficient-space maps T1-T3 to the rational vector step by step.
 ``dlwlab.symmetry.optimal_reduce`` must return the same class, normalized
 vector and transformation log, with every number a ``Fraction``.
+
+``ansatz_reduction`` substitutes an invariant ansatz by its own recursion
+over the derivative coordinates; ``dlwlab.symmetry`` goes through
+``jet.substitute_ansatz`` and must compute the same reduced pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
-from dlwlab.jet import JetError
+from dlwlab.jet import EvolutionSystem, JetError, JetPoly, JetVar
 
 Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -104,3 +107,34 @@ def optimal_reduce(
     if cls not in OPTIMAL_CLASSES:
         raise JetError(f"reduction produced an unlisted class {cls}")
     return cls, norm, log
+
+
+def ansatz_reduction(
+    sys: EvolutionSystem,
+    base: Mapping[str, JetPoly],
+    dx: Callable[[JetPoly], JetPoly],
+    dt: Callable[[JetPoly], JetPoly],
+    scale: tuple[JetPoly | int, JetPoly | int],
+    expected: tuple[JetPoly, JetPoly],
+) -> dict:
+    """Substitute an invariant ansatz into the system and compare with the
+    expected reduced pair. ``base`` gives the images of u and v; ``dx`` and
+    ``dt`` are the total derivatives in the reduced variables, applied
+    recursively for derivative coordinates; each substituted equation is
+    multiplied by its ``scale`` before the comparison."""
+    images: dict[JetVar, JetPoly] = {}
+
+    def image(var: JetVar) -> JetPoly:
+        got = images.get(var)
+        if got is None:
+            if var.dt > 0:
+                got = dt(image(JetVar(var.name, var.dx, var.dt - 1)))
+            elif var.dx > 0:
+                got = dx(image(JetVar(var.name, var.dx - 1, 0)))
+            else:
+                got = base[var.name]
+            images[var] = got
+        return got
+
+    computed = tuple(eq.substitute(image) * k for eq, k in zip(sys.equation_polys(), scale))
+    return {"computed": computed, "expected": expected, "match": computed == expected}

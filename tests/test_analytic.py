@@ -1,5 +1,5 @@
 """Expression trees: exact differentiation against finite differences,
-guarded evaluation, residual oracles, and the group maps."""
+guarded evaluation, and residual oracles."""
 
 import math
 import random
@@ -23,7 +23,6 @@ from dlwlab.analytic import (
     evaluate_samples,
     exp,
     free_params,
-    group_orbit,
     mul,
     neg,
     param,
@@ -33,7 +32,6 @@ from dlwlab.analytic import (
     sqrt_const,
     sub,
     tanh,
-    transported_solution,
 )
 from dlwlab.sim import Grid1D
 from dlwlab.solutions import _samples, family_registry
@@ -222,59 +220,3 @@ class TestResidualOracle:
         rep = residual_max(phys, (u, v), {}, [(0.0, 0.0), (1.0, 1.0)])
         assert rep.samples_skipped == 1
         assert rep.samples_used == 1
-
-
-class TestGroupMaps:
-    def test_time_translation(self):
-        assert group_orbit(1, 0.5, (1.0, 2.0, 3.0, 4.0)) == (1.0, 2.5, 3.0, 4.0)
-
-    def test_scaling_map(self):
-        x, t, u, v = group_orbit(4, 0.4, (1.0, 1.0, 1.0, 1.0))
-        assert x == pytest.approx(math.exp(0.2))
-        assert t == pytest.approx(math.exp(0.4))
-        assert u == pytest.approx(math.exp(-0.2))
-        assert v == pytest.approx(math.exp(-0.4))
-
-    def test_identity_at_zero(self):
-        pt = (0.3, 1.7, -0.2, 0.9)
-        for gid in (1, 2, 3, 4):
-            assert group_orbit(gid, 0.0, pt) == pt
-
-    def test_inverse_composition(self):
-        pt = (0.7, 1.3, -0.2, 0.9)
-        for gid in (1, 2, 3, 4):
-            fwd = group_orbit(gid, 0.37, pt)
-            back = group_orbit(gid, -0.37, fwd)
-            assert max(abs(a - b) for a, b in zip(pt, back)) < 1e-12
-
-    def test_orbit_derivative_matches_generator(self):
-        # d/d(eps) of the map at eps = 0 gives the field coefficients
-        from dlwlab.symmetry import point_symmetries
-        from dlwlab.jet import JetPoly, JetVar
-
-        pt = (0.8, 1.4, -0.3, 0.6)  # (x, t, u, v)
-        h = 1e-6
-        for gid, xsym in zip((1, 2, 3, 4), point_symmetries()):
-            plus = group_orbit(gid, h, pt)
-            minus = group_orbit(gid, -h, pt)
-            deriv = [(a - b) / (2 * h) for a, b in zip(plus, minus)]
-            # evaluate the coefficient polynomials at the point
-            def val(p: JetPoly) -> float:
-                out = 0.0
-                for m, c in p.items():
-                    term = float(c) * pt[0] ** m.xpow * pt[1] ** m.tpow
-                    for var, e in m.jet:
-                        term *= {"u": pt[2], "v": pt[3]}[var.name] ** e
-                    out += term
-                return out
-
-            expected = [val(xsym.xi2), val(xsym.xi1), val(xsym.eta1), val(xsym.eta2)]
-            assert deriv == pytest.approx(expected, abs=1e-6), gid
-
-    def test_transported_kink_still_solves(self, phys):
-        u, v = kink_pair()
-        for gid in (1, 2, 3, 4):
-            tu, tv = transported_solution(gid, u, v)
-            for eps in (0.3, -0.3):
-                rep = residual_max(phys, (tu, tv), {"mu": 1.0, "eps": eps}, SAMPLES)
-                assert rep.max_residual < 1e-8, (gid, eps)

@@ -26,6 +26,7 @@ from dlwlab.jet import (
     formal_adjoint,
     parse_poly,
     reduce_on_shell,
+    substitute_ansatz,
     total_derivative,
     total_derivative_n,
 )
@@ -107,6 +108,27 @@ class TestTotalDerivative:
         ours = to_sympy(total_derivative(p, "x"))
         theirs = sp.diff(to_sympy(p), sp.Symbol("x"))
         assert sp.expand(ours - theirs) == 0
+
+
+class TestSubstituteAnsatz:
+    D_X = staticmethod(lambda p: total_derivative(p, "x"))
+    D_T = staticmethod(lambda p: total_derivative(p, "t"))
+
+    @given(p=jet_polys(max_dt=2, params=("a",)))
+    @settings(max_examples=60, deadline=None)
+    def test_identity_ansatz_returns_its_input(self, p):
+        assert substitute_ansatz(p, {"u": u, "v": v}, self.D_X, self.D_T) == p
+
+    def test_explicit_coordinates_and_parameters_pass_through(self):
+        a, x, t = JetPoly.param("a"), JetPoly.x(), JetPoly.t()
+        p = a * x * t * JetPoly.var("u", 1, 1) + v
+        # u[1,1] -> D_t D_x (x^2 t) = 2x, v -> a
+        got = substitute_ansatz(p, {"u": x**2 * t, "v": a}, self.D_X, self.D_T)
+        assert got == a * x**2 * t * 2 + a
+
+    def test_name_outside_the_ansatz_raises(self):
+        with pytest.raises(JetError, match="'w'"):
+            substitute_ansatz(u * JetPoly.var("w", 2), {"u": u}, self.D_X, self.D_T)
 
 
 class TestReduceOnShell:

@@ -138,6 +138,14 @@ class TestIntegrate:
         series = res.monitors["eq33"]
         assert all(b == series.budget[0] for b in series.budget)
 
+    def test_non_finite_initial_data_raises_at_the_start(self):
+        g = Grid1D(-10, 10, 32)
+        u = np.zeros(32)
+        u[5] = math.nan
+        cfg = SimConfig(grid=g, t_end=0.05, boundary="periodic")
+        with pytest.raises(JetError, match=r"non-finite field at t = 0\.25$"):
+            integrate(cfg, initial=FieldState(u=u, v=np.zeros(32), time=0.25))
+
     def test_initial_data_must_fill_the_grid(self):
         g = Grid1D(-10, 10, 32)
         cfg = SimConfig(grid=g, t_end=0.05, boundary="periodic")

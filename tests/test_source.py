@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import dlwlab
@@ -52,3 +53,48 @@ def test_jet_kernel_has_no_float_and_divides_only_fractions():
         )
     ]
     assert bare == []
+
+
+def _benchmark_tables() -> dict:
+    """``TRACED_FUNCTIONS`` and ``COUNTED_METHODS`` of the benchmark's
+    tracer, read from its source without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("TRACED_FUNCTIONS", "COUNTED_METHODS")
+    }
+
+
+def test_benchmark_import_surface_resolves():
+    """Every name the benchmark patches or calls exists, so a deletion that
+    would break the traced run fails here rather than only there."""
+    import numpy as np
+
+    from dlwlab import analytic, sim
+    from dlwlab.solutions import family_registry
+
+    tables = _benchmark_tables()
+    assert set(tables) == {"TRACED_FUNCTIONS", "COUNTED_METHODS"}
+    for mod_name, attr in tables["TRACED_FUNCTIONS"].values():
+        assert callable(getattr(importlib.import_module(mod_name), attr)), (mod_name, attr)
+    for mod_name, cls_name, method in tables["COUNTED_METHODS"].values():
+        cls = getattr(importlib.import_module(mod_name), cls_name)
+        assert callable(getattr(cls, method)), (mod_name, cls_name, method)
+    assert callable(sim.compile_expr)
+    # as the benchmark's rhs probe samples the kink
+    x = np.linspace(-20.0, 20.0, 16)
+    u = analytic.compile_expr(family_registry()["eq93"].u_expr, {"mu": 1.0})(x, 0.0)
+    assert u.shape == x.shape and np.isfinite(u).all()
+
+
+def test_every_public_name_exists():
+    for path in SOURCES:
+        if path.stem == "__main__":  # running it runs the command line
+            continue
+        module = importlib.import_module(f"dlwlab.{path.stem}" if path.stem != "__init__" else "dlwlab")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], path.name

@@ -28,7 +28,7 @@ from dlwlab.symmetry import (
     similarity_reduction_checks,
     structure_constants,
 )
-from dlwlab.symmetry import _TRANSFORMS  # replay check
+from symmetry_reference import _TRANSFORMS  # replay check
 
 
 class TestProlongation:
@@ -300,3 +300,10 @@ class TestSimilarityReductions:
         checks = similarity_reduction_checks(phys)
         assert checks["X1+X3"]["match"]
         assert checks["X2+X4"]["match"]
+
+    def test_computed_pairs_match_reference_recursion(self, phys, monkeypatch):
+        checks = similarity_reduction_checks(phys)
+        monkeypatch.setattr("dlwlab.symmetry._ansatz_reduction", symmetry_reference.ansatz_reduction)
+        want = similarity_reduction_checks(phys)
+        for key in ("X1+X3", "X2+X4"):
+            assert checks[key]["computed"] == want[key]["computed"], key

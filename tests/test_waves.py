@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlwlab.conslaw import direct_laws
-from dlwlab.jet import JetMonomial, JetPoly, JetVar, reduce_on_shell
+from dlwlab.jet import EvolutionSystem, JetError, JetMonomial, JetPoly, JetVar, reduce_on_shell
+from dlwlab.systems import physical_system
 from dlwlab.waves import (
     ROOT3,
     ExplicitCoordinateError,
@@ -26,7 +27,7 @@ from dlwlab.waves import (
 )
 
 import waves_reference as reference
-from conftest import small_fractions, to_sympy
+from conftest import jet_polys, small_fractions, to_sympy
 
 
 def U(dx=0):
@@ -52,6 +53,51 @@ class TestReduction:
         # D_t^2 picks up mu^2
         p = JetPoly.var("u", 0, 2)
         assert traveling_substitute(p) == MU**2 * U(2)
+
+
+class TestOneSubstitution:
+    """The reductions substitute into ``physical_system()`` through
+    ``jet.substitute_ansatz`` and equal the hand-typed references."""
+
+    SPEEDS = (MU, Fraction(3, 2), 0)
+
+    @given(p=jet_polys(deps=("u", "v"), max_dt=2, allow_xt=False))
+    @settings(max_examples=60, deadline=None)
+    def test_traveling_substitute_matches_reference(self, p):
+        for mu in self.SPEEDS:
+            assert traveling_substitute(p, mu) == reference.traveling_substitute(p, mu)
+
+    def test_tanh_system_matches_reference(self):
+        assert tanh_ansatz_system() == reference.tanh_ansatz_system()
+
+    @pytest.mark.parametrize("mu", SPEEDS + (1, Fraction(-3, 7)), ids=str)
+    def test_solved_system_matches_reference(self, mu):
+        assert traveling_solved_system(mu).rules == reference.traveling_solved_system(mu).rules
+
+    def test_name_outside_the_ansatz_raises(self):
+        with pytest.raises(JetError, match="'w1'"):
+            traveling_substitute(JetPoly.var("u", 1) * JetPoly.var("w1"))
+
+    def test_solved_form_needs_a_rational_leading_coefficient(self, monkeypatch):
+        pair = physical_system()
+        g1, g2 = pair.rhs
+        # v_x -> u v_x: V' enters the reduced first equation times U
+        g1 = g1 - JetPoly.var("v", 1) * (1 - JetPoly.var("u"))
+        bent = EvolutionSystem(pair.deps, (g1, g2), pair.lead_dx)
+        monkeypatch.setattr("dlwlab.waves.physical_system", lambda: bent)
+        with pytest.raises(JetError, match=r"V\[1,0\] does not enter linearly"):
+            traveling_solved_system()
+
+    def test_tanh_system_reads_the_pair(self, monkeypatch):
+        pair = physical_system()
+        g1, g2 = pair.rhs
+        without = EvolutionSystem(pair.deps, (g1, g2 - JetPoly.var("u", 3) / 3), pair.lead_dx)
+        before = tanh_ansatz_system()
+        monkeypatch.setattr("dlwlab.waves.physical_system", lambda: without)
+        after = tanh_ansatz_system()
+        assert after != before
+        # the kink balances the dispersive term, so without it it fails
+        assert not all(evaluate_at_point(eq, tanh_solution_point()).is_zero() for eq in after)
 
 
 class TestFirstIntegrals:

@@ -1,10 +1,16 @@
-"""Quadratic-field arithmetic kept as a test oracle.
+"""Earlier forms of the traveling-wave layer, kept as test oracles.
 
 ``Root3`` is exact arithmetic in a + b sqrt(3) and ``evaluate_at_tanh_point``
 evaluates a tanh coefficient equation at a point of that field, keeping
 the speed mu symbolic. They are the versions that the parameter form
 s = sqrt(3) in ``dlwlab.waves`` replaced; both must decide the same
 equations.
+
+``traveling_substitute`` maps each coordinate term by term, and
+``traveling_solved_system`` and ``tanh_ansatz_system`` type the reduced
+and the substituted equations of the pair out by hand. ``dlwlab.waves``
+derives all three from ``physical_system()`` through
+``jet.substitute_ansatz`` and must return the same polynomials.
 """
 
 from __future__ import annotations
@@ -13,7 +19,67 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from dlwlab.jet import JetError, JetPoly
+from dlwlab.jet import JetError, JetMonomial, JetPoly, JetVar, SolvedSystem
+from dlwlab.waves import MU, ExplicitCoordinateError
+
+_TRAVELING_NAME = {"u": "U", "v": "V"}
+
+
+def traveling_substitute(p: JetPoly, mu: JetPoly | Fraction | int = MU) -> JetPoly:
+    """Substitute u -> U(xi), v -> V(xi): the coordinate (dep, a, b) maps
+    to (-mu)^b * dep[a+b], one term at a time."""
+    mu_poly = mu if isinstance(mu, JetPoly) else JetPoly.const(Fraction(mu))
+    if p.has_explicit_xt():
+        raise ExplicitCoordinateError("expression depends on explicit x or t")
+
+    out = JetPoly.zero()
+    for m, c in p.items():
+        term = JetPoly({JetMonomial((), 0, 0, m.params): c})
+        for v, e in m.jet:
+            name = _TRAVELING_NAME.get(v.name)
+            if name is None:
+                raise JetError(f"unexpected dependent variable {v.name!r}")
+            factor = JetPoly.var(name, v.dx + v.dt) * (-mu_poly) ** v.dt
+            term = term * factor**e
+        out = out + term
+    return out
+
+
+def traveling_solved_system(mu: JetPoly | Fraction | int = MU) -> SolvedSystem:
+    """The reduced system in solved form, typed out: V' = (mu - U) U' and
+    U''' = 3 (mu - U)^2 U' - 3 V U'."""
+    mu_poly = mu if isinstance(mu, JetPoly) else JetPoly.const(Fraction(mu))
+    u, u1 = JetPoly.var("U"), JetPoly.var("U", 1)
+    v = JetPoly.var("V")
+    v1_rhs = (mu_poly - u) * u1
+    u3_rhs = (mu_poly - u) ** 2 * u1 * 3 - v * u1 * 3
+    return SolvedSystem(rules=((JetVar("V", 1, 0), v1_rhs), (JetVar("U", 3, 0), u3_rhs)))
+
+
+def tanh_ansatz_system() -> list[JetPoly]:
+    """Coefficient system of u = a0 + a1 T, v = b0 + b1 T + b2 T^2 with
+    T = tanh(x - mu t), both equations written out by hand."""
+    a0, a1 = JetPoly.param("a0"), JetPoly.param("a1")
+    b0, b1, b2 = JetPoly.param("b0"), JetPoly.param("b1"), JetPoly.param("b2")
+    mu = MU
+    T = JetPoly.param("T")
+
+    def ddxi(p: JetPoly) -> JetPoly:
+        return p.partial_param("T") * (JetPoly.one() - T**2)
+
+    u = a0 + a1 * T
+    v = b0 + b1 * T + b2 * T**2
+    ux, vx = ddxi(u), ddxi(v)
+    ut, vt = -mu * ux, -mu * vx
+    uxxx = ddxi(ddxi(ux))
+    eq1 = ut + u * ux + vx
+    eq2 = vt + ux * v + u * vx + uxxx * Fraction(1, 3)
+
+    system: list[JetPoly] = []
+    for eq in (eq1, eq2):
+        by_power = eq.coefficients_in("T")
+        system.extend(by_power[k] for k in sorted(by_power))
+    return system
 
 
 @dataclass(frozen=True)
