@@ -15,8 +15,8 @@ space, reproducing the published action table up to flagged cells.
 
 The formal adjoints G'*, R_P* and R_Q* are held by a :class:`LiftMemo`,
 keyed by (components, system), so each is lifted and adjoined once per
-memo. A memo lives for one run: ``report.adjoint_suite`` makes one per
-call and hands it to the determining-system checks and to
+memo. A memo lives for one run: the report's run context makes one per
+suite run and hands it to the determining-system checks and to
 :func:`build_action_table`, whose :class:`ActionTable` carries it on to
 ``action2``, the closure check and :func:`sq_bracket`. Called without a
 memo, the public functions make a fresh one, so nothing is kept between

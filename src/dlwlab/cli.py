@@ -7,31 +7,24 @@ usage errors and on input that a command rejects (a bad config, an
 unbound family parameter, an unknown monitor label or family, a
 ``--samples`` below 1, a ``--mu`` that is not a rational number, a
 ``waves profile --points`` below 2, a ``sim converge --n`` chunk that is
-not an integer).
+not an integer, ``waves profile`` without ``--family``) and on an option
+that the action would ignore (``--fix`` outside ``adjoint bracket``,
+``--set`` on ``conslaw hamiltonian``, ``--binding`` on ``waves verify``
+without ``--family``).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
-from .report import (
-    ADJOINT_BLOCKS,
-    CONSLAW_BLOCKS,
-    SUITES,
-    SYMMETRY_BLOCKS,
-    VerificationReport,
-    adjoint_suite,
-    conslaw_suite,
-    report_to_json_text,
-    run_suite,
-    symmetry_suite,
-    waves_suite,
-)
+from .report import SUITES, VerificationReport, report_to_json_text, run_suite, suite_blocks
 
 __all__ = ["main", "build_parser"]
 
@@ -108,26 +101,28 @@ def _samples_rejected(args: argparse.Namespace) -> bool:
 # subcommand handlers
 
 
-def _cmd_symmetry(args: argparse.Namespace) -> int:
-    if args.action == "optimal" and _samples_rejected(args):
+def _cmd_suite(args: argparse.Namespace) -> int:
+    """``symmetry``, ``adjoint``, ``conslaw`` and ``report``: run the
+    blocks the command selects and print the report."""
+    suite, blocks = args.command, None
+    fix, chosen = getattr(args, "fix", None), getattr(args, "set", None)
+    if fix and args.action != "bracket":
+        return _reject(args, UsageError("--fix applies to adjoint bracket only"))
+    if chosen and args.action != "verify":
+        return _reject(args, UsageError("--set applies to conslaw verify only"))
+    if suite == "report":
+        suite = args.suite
+    elif suite != "conslaw" or args.action != "verify":
+        blocks = (args.action,)
+    elif chosen not in (None, "all"):
+        blocks = (chosen,)
+    runs_optimal = suite in ("symmetry", "all") and (blocks is None or "optimal" in blocks)
+    if runs_optimal and _samples_rejected(args):
         return 2
-    rep = symmetry_suite(samples=args.samples, reproducible=args.reproducible, blocks=(args.action,))
+    rep = run_suite(suite, reproducible=args.reproducible, samples=getattr(args, "samples", 1000), blocks=blocks)
+    if fix:
+        rep.entries = [e for e in rep.entries if f"fix{fix}" in e.label]
     return _emit(rep, args)
-
-
-def _cmd_adjoint(args: argparse.Namespace) -> int:
-    rep = adjoint_suite(reproducible=args.reproducible, blocks=(args.action,))
-    if args.action == "bracket" and args.fix:
-        rep.entries = [e for e in rep.entries if f"fix{args.fix}" in e.label]
-    return _emit(rep, args)
-
-
-def _cmd_conslaw(args: argparse.Namespace) -> int:
-    if args.action == "hamiltonian":
-        blocks = ("hamiltonian",)
-    else:
-        blocks = CONSLAW_BLOCKS if args.set == "all" else (args.set,)
-    return _emit(conslaw_suite(reproducible=args.reproducible, blocks=blocks), args)
 
 
 def _rejecting_bad_input(action, args: argparse.Namespace) -> int:
@@ -143,10 +138,6 @@ def _rejecting_bad_input(action, args: argparse.Namespace) -> int:
         return _reject(args, e)
 
 
-def _cmd_waves(args: argparse.Namespace) -> int:
-    return _rejecting_bad_input(_waves_action, args)
-
-
 def _waves_action(args: argparse.Namespace) -> int:
     if args.action == "verify":
         if args.family:
@@ -157,18 +148,11 @@ def _waves_action(args: argparse.Namespace) -> int:
 
             binding = args.binding or {}
             report = verify_family(args.family, binding, n_samples=args.samples)
-            record = {
-                "family": args.family,
-                "params": binding,
-                "max_residual": report.max_residual,
-                "per_equation": list(report.per_equation),
-                "samples_used": report.samples_used,
-                "samples_skipped": report.samples_skipped,
-            }
-            _print_json(record, args)
+            _print_json({"family": args.family, "params": binding, **asdict(report)}, args)
             return 0
-        rep = waves_suite(reproducible=args.reproducible)
-        return _emit(rep, args)
+        if args.binding is not None:
+            raise UsageError("--binding needs --family")
+        return _emit(run_suite("waves", reproducible=args.reproducible), args)
     if args.action == "first-integrals":
         from .conslaw import direct_laws
         from .jet import format_poly
@@ -197,6 +181,8 @@ def _waves_action(args: argparse.Namespace) -> int:
     if args.action == "profile":
         from .solutions import profile_rows
 
+        if not args.family:
+            raise UsageError("waves profile needs --family")
         if args.points < 2:
             raise UsageError(f"--points must be at least 2, got {args.points}")
         rows = profile_rows(args.family, args.binding or {}, args.xi_min, args.xi_max, args.points)
@@ -208,10 +194,6 @@ def _waves_action(args: argparse.Namespace) -> int:
         print(f"profile written to {out} ({len(rows)} rows)")
         return 0
     raise SystemExit(2)
-
-
-def _cmd_sim(args: argparse.Namespace) -> int:
-    return _rejecting_bad_input(_sim_action, args)
 
 
 def _sim_action(args: argparse.Namespace) -> int:
@@ -262,13 +244,6 @@ def _sim_action(args: argparse.Namespace) -> int:
     raise SystemExit(2)
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    if args.suite in ("symmetry", "all") and _samples_rejected(args):
-        return 2
-    rep = run_suite(args.suite, reproducible=args.reproducible, samples=args.samples)
-    return _emit(rep, args)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -286,19 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("symmetry", help="point-symmetry checks")
-    p.add_argument("action", choices=SYMMETRY_BLOCKS)
+    p.add_argument("action", choices=suite_blocks("symmetry"))
     p.add_argument("--samples", type=int, default=1000)
-    p.set_defaults(func=_cmd_symmetry)
+    p.set_defaults(func=_cmd_suite)
 
     p = subs.add_parser("adjoint", help="adjoint-symmetry checks")
-    p.add_argument("action", choices=ADJOINT_BLOCKS)
+    p.add_argument("action", choices=suite_blocks("adjoint"))
     p.add_argument("--fix", choices=["Q1", "Q3", "Q4"], help="restrict brackets to one fixed entry")
-    p.set_defaults(func=_cmd_adjoint)
+    p.set_defaults(func=_cmd_suite)
 
     p = subs.add_parser("conslaw", help="conservation-law checks")
     p.add_argument("action", choices=["verify", "hamiltonian"])
-    p.add_argument("--set", choices=["direct", "noether", "ibragimov", "all"], default="all")
-    p.set_defaults(func=_cmd_conslaw)
+    sets = [b for b in suite_blocks("conslaw") if b != "hamiltonian"]
+    p.add_argument("--set", choices=[*sets, "all"], help="the checks of verify (default: all)")
+    p.set_defaults(func=_cmd_suite)
 
     p = subs.add_parser("waves", help="traveling-wave and exact-solution checks")
     p.add_argument("action", choices=["verify", "first-integrals", "profile"])
@@ -310,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-min", type=float, default=-10.0)
     p.add_argument("--xi-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=201)
-    p.set_defaults(func=_cmd_waves)
+    p.set_defaults(func=functools.partial(_rejecting_bad_input, _waves_action))
 
     p = subs.add_parser("sim", help="finite-difference solver")
     p.add_argument("action", choices=["run", "converge"])
@@ -320,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--binding", type=_parse_binding, help="parameter bindings for the reference family")
     p.add_argument("--n", type=_parse_sizes, default="128,256,512", help="comma-separated grid sizes")
     p.add_argument("--t-end", type=float, default=1.0)
-    p.set_defaults(func=_cmd_sim)
+    p.set_defaults(func=functools.partial(_rejecting_bad_input, _sim_action))
 
     p = subs.add_parser("report", help="aggregate suites")
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--samples", type=int, default=1000)
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_suite)
 
     return parser
 

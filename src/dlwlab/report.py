@@ -9,17 +9,23 @@ entry: verdict ``pass`` (identity holds),
 discrepancy, quantified in the detail field rather than hidden). The
 difference matters for exit codes: flagged entries document errata in
 the source catalog and do not fail the build.
+
+To add a check, write a block function ``(run, rep) -> None`` (or extend
+one) and list it in ``_BLOCKS``, the one place that names the blocks and
+orders them. The ``run`` of each call builds what blocks share on first
+read, so nothing outlives a run.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Collection
+from typing import Callable, Collection, Mapping
 
 from . import __version__, adjoint as adj, conslaw as cl, solutions as sol
 from . import symmetry as sym, waves as wv
@@ -30,19 +36,9 @@ __all__ = [
     "ReportEntry",
     "VerificationReport",
     "run_suite",
+    "suite_blocks",
     "SUITES",
-    "SYMMETRY_BLOCKS",
-    "ADJOINT_BLOCKS",
-    "CONSLAW_BLOCKS",
 ]
-
-SUITES = ("symmetry", "adjoint", "conslaw", "waves", "sim", "all")
-
-#: Named check blocks of the suites that can run in part (the CLI actions).
-SYMMETRY_BLOCKS = ("verify", "brackets", "optimal")
-ADJOINT_BLOCKS = ("verify", "table", "bracket")
-CONSLAW_BLOCKS = ("direct", "noether", "ibragimov", "hamiltonian")
-
 
 @dataclass
 class ReportEntry:
@@ -52,12 +48,7 @@ class ReportEntry:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "eq": self.eq,
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -75,13 +66,9 @@ class VerificationReport:
         return any(e.verdict == "fail" for e in self.entries)
 
     def to_json(self) -> dict:
-        out = {
-            "suite": self.suite,
-            "engine_version": self.engine_version,
-            "entries": [e.to_json() for e in self.entries],
-        }
-        if self.timestamp is not None:
-            out["timestamp"] = self.timestamp
+        out = asdict(self)
+        if self.timestamp is None:
+            del out["timestamp"]
         return out
 
     def render(self) -> str:
@@ -91,11 +78,24 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _selected(blocks: Collection[str], known: tuple[str, ...]) -> frozenset[str]:
-    unknown = set(blocks) - set(known)
-    if unknown:
-        raise ValueError(f"unknown check block(s) {sorted(unknown)}; known: {', '.join(known)}")
-    return frozenset(blocks)
+class _Run:
+    """What the blocks of one run share, each built on first read."""
+
+    def __init__(self, samples: int) -> None:
+        self.samples = samples
+
+    phys = functools.cached_property(lambda self: physical_system())
+    pot = functools.cached_property(lambda self: potential_system())
+    xs = functools.cached_property(lambda self: sym.point_symmetries())
+    ps = functools.cached_property(lambda self: sym.characteristics())
+    qs = functools.cached_property(lambda self: adj.adjoint_symmetries())
+    lifts = functools.cached_property(lambda self: adj.LiftMemo())  # every operator lift of the run, made once
+    table = functools.cached_property(lambda self: adj.build_action_table(self.ps, self.qs, self.phys, self.lifts))
+
+
+def _combination(coords: Mapping[int, Fraction], basis: str) -> str:
+    """``(c)*B1 + ...`` over the given coordinates, or ``0``."""
+    return " + ".join(f"({c})*{basis}{k}" for k, c in coords.items()) or "0"
 
 
 def _stamp(report: VerificationReport, reproducible: bool) -> VerificationReport:
@@ -105,346 +105,311 @@ def _stamp(report: VerificationReport, reproducible: bool) -> VerificationReport
 
 
 # ---------------------------------------------------------------------------
-# symmetry suite
+# symmetry blocks
 
 
-def symmetry_suite(
-    samples: int = 1000,
-    reproducible: bool = True,
-    blocks: Collection[str] = SYMMETRY_BLOCKS,
-) -> VerificationReport:
-    blocks = _selected(blocks, SYMMETRY_BLOCKS)
-    if "optimal" in blocks and samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    rep = VerificationReport(suite="symmetry")
-    sys = physical_system()
-    xs = sym.point_symmetries()
-    ps = sym.characteristics()
+def _symmetry_determining(run: _Run, rep: VerificationReport) -> None:
+    for x in run.xs:
+        res = sym.determining_residual(x, run.phys)
+        ok = all(r.is_zero() for r in res)
+        rep.add(f"determining-{x.name}", "eq8", ok, "prolonged action vanishes on shell" if ok else "nonzero residual")
 
-    if "verify" in blocks:
-        for x in xs:
-            res = sym.determining_residual(x, sys)
-            ok = all(r.is_zero() for r in res)
-            rep.add(f"determining-{x.name}", "eq8", ok, "prolonged action vanishes on shell" if ok else "nonzero residual")
 
-    if "brackets" in blocks:
-        expected_brackets = {
-            (1, 3): {2: Fraction(1)},
-            (1, 4): {1: Fraction(1)},
-            (2, 4): {2: Fraction(1, 2)},
-            (3, 4): {3: Fraction(-1, 2)},
-        }
-        consts, mats = sym.structure_constants()
-        vector_field: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for i in range(1, 5):
-            for j in range(i + 1, 5):
-                got = vector_field[(i, j)] = {k: c for (a, b, k), c in consts.items() if (a, b) == (i, j)}
-                ok = got == expected_brackets.get((i, j), {})
+def _symmetry_brackets(run: _Run, rep: VerificationReport) -> None:
+    expected_brackets = {
+        (1, 3): {2: Fraction(1)},
+        (1, 4): {1: Fraction(1)},
+        (2, 4): {2: Fraction(1, 2)},
+        (3, 4): {3: Fraction(-1, 2)},
+    }
+    consts, mats = sym.structure_constants()
+    vector_field: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for i in range(1, 5):
+        for j in range(i + 1, 5):
+            got = vector_field[(i, j)] = {k: c for (a, b, k), c in consts.items() if (a, b) == (i, j)}
+            ok = got == expected_brackets.get((i, j), {})
+            rep.add(f"bracket-X{i}-X{j}", "eq12", ok, _combination(got, "X"))
+
+    # evolutionary brackets: engine truth vs the printed table, plus
+    # consistency with the vector-field brackets ([P_i, P_j] is the
+    # characteristic of [X_i, X_j], so both have the same coordinates)
+    printed_41 = {(1, 3): {4: Fraction(1)}, (1, 4): {1: Fraction(1)},
+                  (2, 4): {2: Fraction(1, 2)}, (3, 4): {3: Fraction(-1, 2)}}
+    char_consts = sym.char_structure_constants(run.ps, run.phys)
+    for i in range(1, 5):
+        for j in range(i + 1, 5):
+            label = f"char-bracket-P{i}-P{j}"
+            coords = char_consts[(i - 1, j - 1)]
+            if coords is None:
+                rep.add(label, "eq41", False, "decomposition failed: the bracket left the span of P1..P4")
+                continue
+            got = {k + 1: c for k, c in enumerate(coords) if c != 0}
+            consistent = got == vector_field[(i, j)]
+            shown = _combination(got, "P")
+            if (i, j) in printed_41 and got != printed_41[(i, j)]:
                 rep.add(
-                    f"bracket-X{i}-X{j}",
-                    "eq12",
-                    ok,
-                    " + ".join(f"({c})*X{k}" for k, c in got.items()) or "0",
+                    label,
+                    "eq41",
+                    consistent,
+                    f"computed {shown}; printed table disagrees",
+                    flagged=consistent,
                 )
+            else:
+                rep.add(label, "eq41", consistent, shown)
 
-        # evolutionary brackets: engine truth vs the printed table, plus
-        # consistency with the vector-field brackets ([P_i, P_j] is the
-        # characteristic of [X_i, X_j], so both have the same coordinates)
-        printed_41 = {(1, 3): {4: Fraction(1)}, (1, 4): {1: Fraction(1)},
-                      (2, 4): {2: Fraction(1, 2)}, (3, 4): {3: Fraction(-1, 2)}}
-        char_consts = sym.char_structure_constants(ps, sys)
-        for i in range(1, 5):
-            for j in range(i + 1, 5):
-                label = f"char-bracket-P{i}-P{j}"
-                coords = char_consts[(i - 1, j - 1)]
-                if coords is None:
-                    rep.add(label, "eq41", False, "decomposition failed: the bracket left the span of P1..P4")
-                    continue
-                got = {k + 1: c for k, c in enumerate(coords) if c != 0}
-                consistent = got == vector_field[(i, j)]
-                shown = " + ".join(f"({c})*P{k}" for k, c in got.items()) or "0"
-                if (i, j) in printed_41 and got != printed_41[(i, j)]:
-                    rep.add(
-                        label,
-                        "eq41",
-                        consistent,
-                        f"computed {shown}; printed table disagrees",
-                        flagged=consistent,
-                    )
-                else:
-                    rep.add(label, "eq41", consistent, shown)
-
-        printed = sym.printed_generator_matrices()
-        for i, (got, want) in enumerate(zip(mats, printed), start=1):
-            same = got == want
-            rep.add(
-                f"generator-E{i}",
-                "eq14",
-                True,
-                "matches printed form" if same else "computed form differs from printed",
-                flagged=not same,
-            )
-
-    if "optimal" in blocks:
-        rng = random.Random(20240917)
-        hist: dict[str, int] = {}
-        total = 0
-        for _ in range(samples):
-            vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
-            if all(v == 0 for v in vec):
-                vec[rng.randrange(4)] = Fraction(1)
-            cls, _, _ = sym.optimal_reduce(vec)
-            hist[cls] = hist.get(cls, 0) + 1
-            total += 1
+    printed = sym.printed_generator_matrices()
+    for i, (got, want) in enumerate(zip(mats, printed), start=1):
+        same = got == want
         rep.add(
-            "optimal-closure",
-            "thm2",
-            total == samples and all(k in sym.OPTIMAL_CLASSES for k in hist),
-            "histogram " + ", ".join(f"{k}:{hist[k]}" for k in sorted(hist)),
-        )
-        rep.add(
-            "optimal-vs-printed-list",
-            "thm2",
+            f"generator-E{i}",
+            "eq14",
             True,
-            "engine classes {X1,X2,X3,X4,X1+X3,X1-X3}; X2+-X4 reduces to X4 via the "
-            "corrected shift map, so the printed list's extra class is reducible",
-            flagged=True,
-        )
-        rep.add(
-            "optimal-case-2.2",
-            "sec2.2",
-            True,
-            "X2+-X3 is unreachable from the l1=0, l3=0 branch (no map reaches l3)",
-            flagged=True,
+            "matches printed form" if same else "computed form differs from printed",
+            flagged=not same,
         )
 
-    if "verify" in blocks:
-        checks = sym.similarity_reduction_checks(sys)
-        rep.add("reduction-X1+X3", "eq18", checks["X1+X3"]["match"], "substituted system collapses to the reduced pair")
-        rep.add("reduction-X2+X4", "eq21", checks["X2+X4"]["match"], "verified after clearing sqrt(t) prefactors")
-    return _stamp(rep, reproducible)
+
+def _symmetry_optimal(run: _Run, rep: VerificationReport) -> None:
+    rng = random.Random(20240917)
+    hist: dict[str, int] = {}
+    total = 0
+    for _ in range(run.samples):
+        vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+        if all(v == 0 for v in vec):
+            vec[rng.randrange(4)] = Fraction(1)
+        cls, _, _ = sym.optimal_reduce(vec)
+        hist[cls] = hist.get(cls, 0) + 1
+        total += 1
+    rep.add(
+        "optimal-closure",
+        "thm2",
+        total == run.samples and all(k in sym.OPTIMAL_CLASSES for k in hist),
+        "histogram " + ", ".join(f"{k}:{hist[k]}" for k in sorted(hist)),
+    )
+    rep.add(
+        "optimal-vs-printed-list",
+        "thm2",
+        True,
+        "engine classes {X1,X2,X3,X4,X1+X3,X1-X3}; X2+-X4 reduces to X4 via the "
+        "corrected shift map, so the printed list's extra class is reducible",
+        flagged=True,
+    )
+    rep.add(
+        "optimal-case-2.2",
+        "sec2.2",
+        True,
+        "X2+-X3 is unreachable from the l1=0, l3=0 branch (no map reaches l3)",
+        flagged=True,
+    )
+
+
+def _symmetry_reductions(run: _Run, rep: VerificationReport) -> None:
+    checks = sym.similarity_reduction_checks(run.phys)
+    rep.add("reduction-X1+X3", "eq18", checks["X1+X3"]["match"], "substituted system collapses to the reduced pair")
+    rep.add("reduction-X2+X4", "eq21", checks["X2+X4"]["match"], "verified after clearing sqrt(t) prefactors")
 
 
 # ---------------------------------------------------------------------------
-# adjoint suite
+# adjoint blocks
 
 
-def adjoint_suite(
-    reproducible: bool = True, blocks: Collection[str] = ADJOINT_BLOCKS
-) -> VerificationReport:
-    blocks = _selected(blocks, ADJOINT_BLOCKS)
-    rep = VerificationReport(suite="adjoint")
-    sys = physical_system()
-    qs = adj.adjoint_symmetries()
-    ps = sym.characteristics()
-    lifts = adj.LiftMemo()  # every operator lift of this run, made once
+def _adjoint_verify(run: _Run, rep: VerificationReport) -> None:
+    for q in run.qs:
+        res = adj.adjoint_determining_residual(q, run.phys, run.lifts)
+        ok = all(r.is_zero() for r in res)
+        detail = "determining system holds on shell"
+        if q.name == "Q3":
+            detail = "catalog (corrected) form; see Q3-printed"
+        rep.add(f"determining-{q.name}", "eq28", ok, detail)
+    pq3 = adj.printed_q3()
+    res = adj.adjoint_determining_residual(pq3, run.phys, run.lifts)
+    rep.add(
+        "determining-Q3-printed",
+        "eq28",
+        True,
+        "printed first component duplicates Q2's and fails: residual "
+        + "; ".join(format_poly(r) for r in res)[:120],
+        flagged=True,
+    )
 
-    if "verify" in blocks:
-        for q in qs:
-            res = adj.adjoint_determining_residual(q, sys, lifts)
-            ok = all(r.is_zero() for r in res)
-            detail = "determining system holds on shell"
-            if q.name == "Q3":
-                detail = "catalog (corrected) form; see Q3-printed"
-            rep.add(f"determining-{q.name}", "eq28", ok, detail)
-        pq3 = adj.printed_q3()
-        res = adj.adjoint_determining_residual(pq3, sys, lifts)
-        rep.add(
-            "determining-Q3-printed",
-            "eq28",
-            True,
-            "printed first component duplicates Q2's and fails: residual "
-            + "; ".join(format_poly(r) for r in res)[:120],
-            flagged=True,
-        )
+    for q in run.qs:
+        rep.add(f"multiplier-{q.name}", "eq25", adj.multiplier_test(q, run.phys), "Euler operators annihilate the pairing off shell")
 
-        for q in qs:
-            rep.add(f"multiplier-{q.name}", "eq25", adj.multiplier_test(q, sys), "Euler operators annihilate the pairing off shell")
 
-    if blocks & {"table", "bracket"}:
-        table = adj.build_action_table(ps, qs, sys, lifts)
+def _adjoint_table(run: _Run, rep: VerificationReport) -> None:
+    table = run.table
+    agree = all(
+        image == adj.action2(run.ps[pj - 1], run.qs[qi - 1], run.phys, run.lifts)
+        for (qi, pj), image in table.images.items()
+    )
+    rep.add("action1-equals-action2", "eq34", agree, "both actions coincide on all 24 pairs")
 
-    if "table" in blocks:
-        agree = all(
-            image == adj.action2(ps[pj - 1], qs[qi - 1], sys, lifts)
-            for (qi, pj), image in table.images.items()
-        )
-        rep.add("action1-equals-action2", "eq34", agree, "both actions coincide on all 24 pairs")
-
-        mismatches = 0
-        for qi in range(1, 7):
-            for pj in range(1, 5):
-                coords = table.coeff(qi, pj)
-                got = {k + 1: v for k, v in enumerate(coords) if v != 0}
-                want = adj.PRINTED_ACTION_TABLE.get((qi, pj), {})
-                shown = " + ".join(f"({v})*Q{k}" for k, v in got.items()) or "0"
-                if got == want:
-                    rep.add(f"action-Q{qi}-P{pj}", "table1", True, shown)
-                else:
-                    mismatches += 1
-                    rep.add(
-                        f"action-Q{qi}-P{pj}",
-                        "table1",
-                        True,
-                        f"computed {shown}; printed cell disagrees",
-                        flagged=True,
-                    )
-        rep.add(
-            "action-table-mismatch-count",
-            "table1",
-            mismatches <= 2,
-            f"{mismatches} flagged cell(s) attributable to printed typos",
-        )
-
-        # closure: every nonzero table image satisfies the determining system
-        closure_ok = all(
-            all(r.is_zero() for r in adj.adjoint_determining_residual(image, sys, lifts))
-            for image in table.images.values()
-            if not all(p.is_zero() for p in image)
-        )
-        rep.add("action-closure", "table1", closure_ok, "every nonzero image is again an adjoint symmetry")
-
-    if "bracket" in blocks:
-        for (fix, i, j), (k_exp, c_exp) in adj.PRINTED_BRACKET_CONSTANTS.items():
-            _, coords = adj.sq_bracket(fix, qs[i - 1], qs[j - 1], ps, qs, sys, table)
+    mismatches = 0
+    for qi in range(1, 7):
+        for pj in range(1, 5):
+            coords = table.coeff(qi, pj)
             got = {k + 1: v for k, v in enumerate(coords) if v != 0}
-            shown = " + ".join(f"({v})*Q{k}" for k, v in got.items()) or "0"
-            matches = got == {k_exp: c_exp}
-            rep.add(
-                f"bracket-fixQ{fix}-Q{i}-Q{j}",
-                "eq43",
-                True,
-                shown if matches else f"computed {shown}; printed constant {c_exp}*Q{k_exp}",
-                flagged=not matches,
-            )
-    return _stamp(rep, reproducible)
+            want = adj.PRINTED_ACTION_TABLE.get((qi, pj), {})
+            shown = _combination(got, "Q")
+            if got == want:
+                rep.add(f"action-Q{qi}-P{pj}", "table1", True, shown)
+            else:
+                mismatches += 1
+                rep.add(
+                    f"action-Q{qi}-P{pj}",
+                    "table1",
+                    True,
+                    f"computed {shown}; printed cell disagrees",
+                    flagged=True,
+                )
+    rep.add(
+        "action-table-mismatch-count",
+        "table1",
+        mismatches <= 2,
+        f"{mismatches} flagged cell(s) attributable to printed typos",
+    )
+
+    # closure: every nonzero table image satisfies the determining system
+    closure_ok = all(
+        all(r.is_zero() for r in adj.adjoint_determining_residual(image, run.phys, run.lifts))
+        for image in table.images.values()
+        if not all(p.is_zero() for p in image)
+    )
+    rep.add("action-closure", "table1", closure_ok, "every nonzero image is again an adjoint symmetry")
 
 
-# ---------------------------------------------------------------------------
-# conservation-law suite
-
-
-def conslaw_suite(
-    reproducible: bool = True, blocks: Collection[str] = CONSLAW_BLOCKS
-) -> VerificationReport:
-    blocks = _selected(blocks, CONSLAW_BLOCKS)
-    rep = VerificationReport(suite="conslaw")
-    phys = physical_system()
-    pot = potential_system()
-    qs = adj.adjoint_symmetries()
-
-    if "direct" in blocks:
-        laws = cl.direct_laws()
-        for label in ("eq29", "eq30", "eq31", "eq32", "eq33"):
-            law = laws[label]
-            r = cl.divergence_residual(law, phys)
-            note = ""
-            if label == "eq29":
-                note = "flux completed with v v_xx + u v u_xx + u_x^2 v; "
-            if label == "eq31":
-                note = "density/flux orientation corrected; "
-            rep.add(f"divergence-{label}", label, r.is_zero(), note + ("divergence vanishes on shell" if r.is_zero() else format_poly(r)[:120]))
-        for variant in (cl.printed_eq29_law(), cl.printed_eq31_law()):
-            r = cl.divergence_residual(variant, phys)
-            rep.add(
-                f"divergence-{variant.label}",
-                variant.label.split("-")[0],
-                True,
-                "printed pair leaves on-shell remainder " + format_poly(r)[:140],
-                flagged=True,
-            )
-        pairings = {"eq29": qs[0], "eq30": qs[1], "eq31": qs[2], "eq32": qs[3]}
-        for label, q in pairings.items():
-            d = cl.multiplier_pairing_check(tuple(q.comp), laws[label], phys)
-            exact = d.is_zero()
-            onshell = reduce_on_shell(d, phys).is_zero()
-            rep.add(
-                f"pairing-{label}-{q.name}",
-                "eq24",
-                onshell,
-                "exact off shell" if exact else "off-shell defect is a trivial law (vanishes on shell)",
-            )
-        q56 = tuple(a + b for a, b in zip(qs[4].comp, qs[5].comp))
-        d = cl.multiplier_pairing_check(q56, laws["eq33"], phys)
-        rep.add("pairing-eq33-Q5+Q6", "eq24", d.is_zero(), "exact off shell" if d.is_zero() else "on-shell only")
-
-    if "noether" in blocks:
-        lag = cl.lagrangian()
-        g1, g2 = pot.equation_polys()
-        ok = euler_operator(lag.density, "q") == g2 and euler_operator(lag.density, "r") == g1
-        rep.add("lagrangian-euler", "eq49", ok, "variational derivatives reproduce the potential pair")
-        for v in cl.potential_characteristics():
-            is_var = cl.variational_symmetry_test(v, lag)
-            want = v.name != "V4"
-            rep.add(
-                f"variational-{v.name}",
-                "eq45" if v.name != "V4" else "sec4iv",
-                is_var == want,
-                "variational" if is_var else "not variational (prolonged action is no divergence)",
-            )
-        flows = cl.noether_flows()
-        for label, law in flows.items():
-            r = cl.divergence_residual(law, pot)
-            rep.add(f"divergence-{label}", label, r.is_zero(), "potential-family divergence vanishes on shell")
-        mapped = cl.ConservationLaw(
-            density=physical_to_potential(cl.direct_laws()["eq32"].density),
-            flux=physical_to_potential(cl.direct_laws()["eq32"].flux),
-            family="potential",
-        )
-        v1 = flows["eq54"]
-        diff = cl.ConservationLaw(
-            density=v1.density + mapped.density, flux=v1.flux + mapped.flux, family="potential"
-        )
+def _adjoint_bracket(run: _Run, rep: VerificationReport) -> None:
+    for (fix, i, j), (k_exp, c_exp) in adj.PRINTED_BRACKET_CONSTANTS.items():
+        _, coords = adj.sq_bracket(fix, run.qs[i - 1], run.qs[j - 1], run.ps, run.qs, run.phys, run.table)
+        got = {k + 1: v for k, v in enumerate(coords) if v != 0}
+        shown = _combination(got, "Q")
+        matches = got == {k_exp: c_exp}
         rep.add(
-            "noether-vs-direct",
-            "eq54",
-            cl.is_trivial_law(diff, pot),
-            "V1 flow equals minus the potential image of the eq32 pair exactly",
-        )
-
-    if "ibragimov" in blocks:
-        rep.add("self-adjointness", "eq66", cl.self_adjointness_check(phys), "substituting the fields for the multiplier variables negates the system")
-        for x in sym.point_symmetries():
-            law = cl.ibragimov_flow(x, phys)
-            r = cl.divergence_residual(law, phys)
-            rep.add(f"divergence-{law.label}", law.label, r.is_zero(), f"flow of {x.name} after substituting the fields")
-
-    if "hamiltonian" in blocks:
-        hs = cl.hamiltonian_structure()
-        grad = cl.hamiltonian_gradient(hs)
-        rep.add(
-            "hamiltonian-gradient",
-            "eq73",
-            cl.hamiltonian_check(hs, phys),
-            "grad = (" + ", ".join(format_poly(g) for g in grad) + ")",
-        )
-        rep.add("skew-adjointness", "eq73", formal_adjoint(hs.d_op) == (-hs.d_op).canonical(), "structure operator is exactly skew")
-        for p, q in cl.presymplectic_pairs():
-            ok, sign = cl.presymplectic_check(p, q, hs)
-            name = p.name or "P?"
-            note = f"sign {sign:+d}" + ("; corrected preimage (see printed variant)" if name == "P4" else "")
-            rep.add(f"presymplectic-{name}", "eq75", ok, note)
-        okp, _ = cl.presymplectic_check(
-            sym.characteristics()[3], cl.printed_presymplectic_q4(), hs
-        )
-        rep.add(
-            "presymplectic-P4-printed",
-            "eq75",
+            f"bracket-fixQ{fix}-Q{i}-Q{j}",
+            "eq43",
             True,
-            "printed preimage fails the forward identity (bare q/2 term; missing -r/2)"
-            if not okp
-            else "printed preimage matches",
-            flagged=not okp,
+            shown if matches else f"computed {shown}; printed constant {c_exp}*Q{k_exp}",
+            flagged=not matches,
         )
-    return _stamp(rep, reproducible)
 
 
 # ---------------------------------------------------------------------------
-# waves suite
+# conservation-law blocks
 
 
-def waves_suite(reproducible: bool = True) -> VerificationReport:
-    rep = VerificationReport(suite="waves")
+def _conslaw_direct(run: _Run, rep: VerificationReport) -> None:
+    phys, qs = run.phys, run.qs
+    laws = cl.direct_laws()
+    for label in ("eq29", "eq30", "eq31", "eq32", "eq33"):
+        law = laws[label]
+        r = cl.divergence_residual(law, phys)
+        note = ""
+        if label == "eq29":
+            note = "flux completed with v v_xx + u v u_xx + u_x^2 v; "
+        if label == "eq31":
+            note = "density/flux orientation corrected; "
+        rep.add(f"divergence-{label}", label, r.is_zero(), note + ("divergence vanishes on shell" if r.is_zero() else format_poly(r)[:120]))
+    for variant in (cl.printed_eq29_law(), cl.printed_eq31_law()):
+        r = cl.divergence_residual(variant, phys)
+        rep.add(
+            f"divergence-{variant.label}",
+            variant.label.split("-")[0],
+            True,
+            "printed pair leaves on-shell remainder " + format_poly(r)[:140],
+            flagged=True,
+        )
+    pairings = {"eq29": qs[0], "eq30": qs[1], "eq31": qs[2], "eq32": qs[3]}
+    for label, q in pairings.items():
+        d = cl.multiplier_pairing_check(tuple(q.comp), laws[label], phys)
+        exact = d.is_zero()
+        onshell = reduce_on_shell(d, phys).is_zero()
+        rep.add(
+            f"pairing-{label}-{q.name}",
+            "eq24",
+            onshell,
+            "exact off shell" if exact else "off-shell defect is a trivial law (vanishes on shell)",
+        )
+    q56 = tuple(a + b for a, b in zip(qs[4].comp, qs[5].comp))
+    d = cl.multiplier_pairing_check(q56, laws["eq33"], phys)
+    rep.add("pairing-eq33-Q5+Q6", "eq24", d.is_zero(), "exact off shell" if d.is_zero() else "on-shell only")
+
+
+def _conslaw_noether(run: _Run, rep: VerificationReport) -> None:
+    pot = run.pot
+    lag = cl.lagrangian()
+    g1, g2 = pot.equation_polys()
+    ok = euler_operator(lag.density, "q") == g2 and euler_operator(lag.density, "r") == g1
+    rep.add("lagrangian-euler", "eq49", ok, "variational derivatives reproduce the potential pair")
+    for v in cl.potential_characteristics():
+        is_var = cl.variational_symmetry_test(v, lag)
+        want = v.name != "V4"
+        rep.add(
+            f"variational-{v.name}",
+            "eq45" if v.name != "V4" else "sec4iv",
+            is_var == want,
+            "variational" if is_var else "not variational (prolonged action is no divergence)",
+        )
+    flows = cl.noether_flows()
+    for label, law in flows.items():
+        r = cl.divergence_residual(law, pot)
+        rep.add(f"divergence-{label}", label, r.is_zero(), "potential-family divergence vanishes on shell")
+    mapped = cl.ConservationLaw(
+        density=physical_to_potential(cl.direct_laws()["eq32"].density),
+        flux=physical_to_potential(cl.direct_laws()["eq32"].flux),
+        family="potential",
+    )
+    v1 = flows["eq54"]
+    diff = cl.ConservationLaw(
+        density=v1.density + mapped.density, flux=v1.flux + mapped.flux, family="potential"
+    )
+    rep.add(
+        "noether-vs-direct",
+        "eq54",
+        cl.is_trivial_law(diff, pot),
+        "V1 flow equals minus the potential image of the eq32 pair exactly",
+    )
+
+
+def _conslaw_ibragimov(run: _Run, rep: VerificationReport) -> None:
+    rep.add("self-adjointness", "eq66", cl.self_adjointness_check(run.phys), "substituting the fields for the multiplier variables negates the system")
+    for x in run.xs:
+        law = cl.ibragimov_flow(x, run.phys)
+        r = cl.divergence_residual(law, run.phys)
+        rep.add(f"divergence-{law.label}", law.label, r.is_zero(), f"flow of {x.name} after substituting the fields")
+
+
+def _conslaw_hamiltonian(run: _Run, rep: VerificationReport) -> None:
+    hs = cl.hamiltonian_structure()
+    grad = cl.hamiltonian_gradient(hs)
+    rep.add(
+        "hamiltonian-gradient",
+        "eq73",
+        cl.hamiltonian_check(hs, run.phys),
+        "grad = (" + ", ".join(format_poly(g) for g in grad) + ")",
+    )
+    rep.add("skew-adjointness", "eq73", formal_adjoint(hs.d_op) == (-hs.d_op).canonical(), "structure operator is exactly skew")
+    for p, q in cl.presymplectic_pairs():
+        ok, sign = cl.presymplectic_check(p, q, hs)
+        name = p.name or "P?"
+        note = f"sign {sign:+d}" + ("; corrected preimage (see printed variant)" if name == "P4" else "")
+        rep.add(f"presymplectic-{name}", "eq75", ok, note)
+    okp, _ = cl.presymplectic_check(run.ps[3], cl.printed_presymplectic_q4(), hs)
+    rep.add(
+        "presymplectic-P4-printed",
+        "eq75",
+        True,
+        "printed preimage fails the forward identity (bare q/2 term; missing -r/2)"
+        if not okp
+        else "printed preimage matches",
+        flagged=not okp,
+    )
+
+
+# ---------------------------------------------------------------------------
+# waves block
+
+
+def _waves(run: _Run, rep: VerificationReport) -> None:
     laws = cl.direct_laws()
     printed = wv.printed_first_integrals()
 
@@ -503,19 +468,16 @@ def waves_suite(reproducible: bool = True) -> VerificationReport:
                 for r in records
             )
             rep.add(f"family-{fid}", fid, True, "scan recorded: " + detail[:220], flagged=not all_pass)
-    return _stamp(rep, reproducible)
 
 
 # ---------------------------------------------------------------------------
-# simulation suite
+# solver block
 
 
-def sim_suite(reproducible: bool = True) -> VerificationReport:
+def _sim(run: _Run, rep: VerificationReport) -> None:
     import numpy as np
 
     from . import sim as S
-
-    rep = VerificationReport(suite="sim")
 
     # spatial operator order on a smooth periodic field
     errs = []
@@ -614,29 +576,79 @@ def sim_suite(reproducible: bool = True) -> VerificationReport:
     )
     d = per.monitors["eq33"].relative_drift()
     rep.add("periodic-mass", "eq33", d < 1e-7, f"integral of u+v drifts {d:.3e}")
-    return _stamp(rep, reproducible)
 
 
 # ---------------------------------------------------------------------------
+# the block table and the runner
+
+#: Each suite's (block name, block) pairs in run order. The determining
+#: checks of ``symmetry verify`` run first and its reductions last.
+_BLOCKS: dict[str, tuple[tuple[str, Callable[[_Run, VerificationReport], None]], ...]] = {
+    "symmetry": (("verify", _symmetry_determining), ("brackets", _symmetry_brackets),
+                 ("optimal", _symmetry_optimal), ("verify", _symmetry_reductions)),
+    "adjoint": (("verify", _adjoint_verify), ("table", _adjoint_table), ("bracket", _adjoint_bracket)),
+    "conslaw": (("direct", _conslaw_direct), ("noether", _conslaw_noether),
+                ("ibragimov", _conslaw_ibragimov), ("hamiltonian", _conslaw_hamiltonian)),
+    "waves": (("verify", _waves),),
+    "sim": (("solver", _sim),),
+}
+SUITES = (*_BLOCKS, "all")
 
 
-def run_suite(name: str, reproducible: bool = True, samples: int = 1000) -> VerificationReport:
-    if name == "symmetry":
-        return symmetry_suite(samples=samples, reproducible=reproducible)
-    if name == "adjoint":
-        return adjoint_suite(reproducible=reproducible)
-    if name == "conslaw":
-        return conslaw_suite(reproducible=reproducible)
-    if name == "waves":
-        return waves_suite(reproducible=reproducible)
-    if name == "sim":
-        return sim_suite(reproducible=reproducible)
+def suite_blocks(suite: str) -> tuple[str, ...]:
+    """The block names of one suite, each once, in run order."""
+    return tuple(dict.fromkeys(name for name, _ in _BLOCKS[suite]))
+
+
+def _run(suite: str, reproducible: bool, blocks: Collection[str] | None, samples: int = 1000) -> VerificationReport:
+    if blocks is not None:
+        known = suite_blocks(suite)
+        unknown = set(blocks) - set(known)
+        if unknown:
+            raise ValueError(f"unknown check block(s) {sorted(unknown)}; known: {', '.join(known)}")
+    run = _Run(samples)
+    rep = VerificationReport(suite=suite)
+    for name, block in _BLOCKS[suite]:
+        if blocks is None or name in blocks:
+            block(run, rep)
+    return _stamp(rep, reproducible)
+
+
+def symmetry_suite(samples: int = 1000, reproducible: bool = True, blocks: Collection[str] | None = None) -> VerificationReport:
+    if samples < 1 and (blocks is None or "optimal" in blocks):
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    return _run("symmetry", reproducible, blocks, samples)
+
+
+def adjoint_suite(reproducible: bool = True, blocks: Collection[str] | None = None) -> VerificationReport:
+    return _run("adjoint", reproducible, blocks)
+
+
+def conslaw_suite(reproducible: bool = True, blocks: Collection[str] | None = None) -> VerificationReport:
+    return _run("conslaw", reproducible, blocks)
+
+
+def run_suite(
+    name: str, reproducible: bool = True, samples: int = 1000, blocks: Collection[str] | None = None
+) -> VerificationReport:
+    """One suite, or ``all`` of them in order; ``blocks=None`` runs every
+    block. The catalog suites' entry points are looked up per call, so
+    wrappers of those names see every run."""
     if name == "all":
+        if blocks is not None:
+            raise ValueError(f"unknown check block(s) {sorted(blocks)}; suite 'all' has none")
         combined = VerificationReport(suite="all")
-        for sub in ("symmetry", "adjoint", "conslaw", "waves", "sim"):
-            part = run_suite(sub, reproducible=True, samples=samples)
-            combined.entries.extend(part.entries)
+        for sub in _BLOCKS:
+            combined.entries.extend(run_suite(sub, samples=samples).entries)
         return _stamp(combined, reproducible)
+    if name == "symmetry":
+        return symmetry_suite(samples, reproducible, blocks)
+    if name == "adjoint":
+        return adjoint_suite(reproducible, blocks)
+    if name == "conslaw":
+        return conslaw_suite(reproducible, blocks)
+    if name in _BLOCKS:
+        return _run(name, reproducible, blocks)
     raise KeyError(f"unknown suite {name!r}")
 
 

@@ -40,10 +40,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import solutions
 from .analytic import compile_expr
 from .conslaw import direct_laws
 from .jet import JetError, JetPoly
-from .solutions import family_registry, verify_family
+from .solutions import verify_family
 
 __all__ = [
     "BlowupError",
@@ -227,9 +228,7 @@ class _Boundary:
     def __init__(self, cfg: SimConfig):
         self.periodic = cfg.boundary == "periodic"
         if not self.periodic:
-            fam = family_registry().get(cfg.family or "")
-            if fam is None:
-                raise JetError(f"unknown family {cfg.family!r}")
+            fam = solutions.family(cfg.family)
             self._u = compile_expr(fam.u_expr, cfg.binding)
             self._v = compile_expr(fam.v_expr, cfg.binding)
             grid = cfg.grid

@@ -50,6 +50,7 @@ __all__ = [
     "SolitonFamily",
     "UnknownFamily",
     "family_registry",
+    "family",
     "verify_family",
     "scan_family",
     "profile_rows",
@@ -267,6 +268,16 @@ def _samples(
     return [(rng.uniform(x0, x1), rng.uniform(t0, t1)) for _ in range(n)]
 
 
+def family(family_id: str) -> SolitonFamily:
+    """The registered family of a catalog id; an unknown id raises
+    ``UnknownFamily`` naming it and every known id."""
+    reg = family_registry()
+    fam = reg.get(family_id)
+    if fam is None:
+        raise UnknownFamily(f"unknown family {family_id!r}; known: {', '.join(sorted(reg))}")
+    return fam
+
+
 def verify_family(
     family_id: str,
     binding: Mapping[str, float],
@@ -275,10 +286,7 @@ def verify_family(
     sys: EvolutionSystem | None = None,
 ) -> ResidualReport:
     """Residual scan of one family at one binding; unknown ids raise."""
-    reg = family_registry()
-    fam = reg.get(family_id)
-    if fam is None:
-        raise UnknownFamily(family_id)
+    fam = family(family_id)
     missing = fam.free_params - set(binding)
     if missing:
         raise JetError(f"unbound parameters for {family_id}: {sorted(missing)}")
@@ -292,10 +300,7 @@ def scan_family(
     family_id: str, n_samples: int = 50, seed: int = 0, tol: float = 1e-8
 ) -> list[dict]:
     """Run the family's default grid; one record per binding."""
-    reg = family_registry()
-    fam = reg.get(family_id)
-    if fam is None:
-        raise UnknownFamily(family_id)
+    fam = family(family_id)
     out = []
     for binding in fam.default_grid:
         rep = verify_family(family_id, binding, n_samples=n_samples, seed=seed)
@@ -322,10 +327,7 @@ def profile_rows(
 ) -> list[tuple[float, float, float]]:
     """(xi, U, V) samples of the family at t = 0 for plotting dumps; the
     rows where a guard trips in U or V are left out."""
-    reg = family_registry()
-    fam = reg.get(family_id)
-    if fam is None:
-        raise UnknownFamily(family_id)
+    fam = family(family_id)
     xis = [xi_min + (xi_max - xi_min) * k / (n - 1) for k in range(n)]
     (u, v), skip = evaluate_samples((fam.u_expr, fam.v_expr), [(xi, 0.0) for xi in xis], binding)
     return [(xi, float(u[k]), float(v[k])) for k, xi in enumerate(xis) if not skip[k]]

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, JSON determinism, outputs."""
 
+import argparse
+import functools
 import json
 import os
 import subprocess
@@ -9,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import dlwlab
-from dlwlab.cli import main
-from dlwlab.report import adjoint_suite, run_suite
+from dlwlab.cli import build_parser, main
+from dlwlab.report import adjoint_suite, conslaw_suite, run_suite, suite_blocks, symmetry_suite
 
 
 def run_cli(args):
@@ -234,7 +236,6 @@ def test_samples_below_one_exits_two(args, prefix, monkeypatch, capsys):
     def refuse(*a, **k):
         raise AssertionError("a suite ran on rejected --samples")
 
-    monkeypatch.setattr("dlwlab.cli.symmetry_suite", refuse)
     monkeypatch.setattr("dlwlab.cli.run_suite", refuse)
     assert run_cli(args) == 2
     captured = capsys.readouterr()
@@ -259,9 +260,64 @@ def test_waves_first_integrals_bad_mu_exits_two(mu, capsys):
     assert repr(mu) in captured.err
 
 
-def test_unknown_block_rejected():
-    with pytest.raises(ValueError, match="tabel"):
-        adjoint_suite(blocks=("tabel",))
+SUITE_ENTRIES = {
+    "symmetry_suite": symmetry_suite,
+    "adjoint_suite": adjoint_suite,
+    "conslaw_suite": conslaw_suite,
+    "run_suite": functools.partial(run_suite, "adjoint"),
+    "run_suite_all": functools.partial(run_suite, "all"),
+}
+
+
+@pytest.mark.parametrize("entry", list(SUITE_ENTRIES.values()), ids=list(SUITE_ENTRIES))
+def test_unknown_block_rejected(entry):
+    with pytest.raises(ValueError, match=r"unknown check block\(s\) \['tabel'\]"):
+        entry(blocks=("tabel",))
+
+
+def _choices(command: str, dest: str) -> list[str]:
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in subs.choices[command]._actions if a.dest == dest)
+
+
+def test_cli_choices_come_from_the_block_table():
+    assert tuple(_choices("symmetry", "action")) == suite_blocks("symmetry")
+    assert tuple(_choices("adjoint", "action")) == suite_blocks("adjoint")
+    sets = [b for b in suite_blocks("conslaw") if b != "hamiltonian"]
+    assert list(_choices("conslaw", "set")) == sets + ["all"]
+
+
+@pytest.mark.parametrize(
+    "suite,block",
+    [(suite, block) for suite in ("symmetry", "adjoint", "conslaw") for block in suite_blocks(suite)],
+)
+def test_run_suite_selects_the_same_blocks(suite, block):
+    entry = SUITE_ENTRIES[f"{suite}_suite"]
+    extra = {"samples": 40} if suite == "symmetry" else {}
+    want = entry(blocks=(block,), **extra).to_json()
+    assert want["entries"]
+    assert run_suite(suite, blocks=(block,), **extra).to_json() == want
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        (["adjoint", "verify", "--fix", "Q1"], "--fix"),
+        (["adjoint", "table", "--fix", "Q1"], "--fix"),
+        (["conslaw", "hamiltonian", "--set", "noether"], "--set"),
+        (["waves", "verify", "--binding", "mu=1"], "--binding"),
+        (["waves", "profile"], "--family"),
+    ],
+)
+def test_option_the_action_ignores_exits_two(args, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a profile would be written here
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"dlwlab {args[0]} {args[1]}: UsageError: ")
+    assert named in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("binding", ["mu", "mu=abc", "=1", "mu=1,nu"])

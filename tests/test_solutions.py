@@ -79,6 +79,18 @@ def test_underdetermined_families_recorded():
 def test_unknown_family():
     with pytest.raises(UnknownFamily):
         verify_family("eq1234", {})
+    lookups = [
+        lambda: solutions.family("eq1234"),
+        lambda: verify_family("eq1234", {}),
+        lambda: scan_family("eq1234"),
+        lambda: profile_rows("eq1234", {}),
+    ]
+    for lookup in lookups:
+        with pytest.raises(UnknownFamily) as err:
+            lookup()
+        message = str(err.value)
+        assert message.startswith("unknown family 'eq1234'; known: ")
+        assert message.endswith(", ".join(sorted(family_registry())))
 
 
 def test_missing_binding_rejected():

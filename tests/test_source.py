@@ -98,3 +98,30 @@ def test_every_public_name_exists():
         module = importlib.import_module(f"dlwlab.{path.stem}" if path.stem != "__init__" else "dlwlab")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], path.name
+
+
+def test_run_suite_calls_the_traced_entry_points(monkeypatch):
+    """The benchmark times the catalog suites by wrapping the report's
+    entry points as module attributes, so ``run_suite`` must look them up
+    when it is called, not bind them at import."""
+    from dlwlab import report
+
+    traced = sorted(
+        attr for mod_name, attr in _benchmark_tables()["TRACED_FUNCTIONS"].values() if mod_name == "dlwlab.report"
+    )
+    assert traced == ["adjoint_suite", "conslaw_suite", "symmetry_suite"]
+    calls = []
+    for attr in traced:
+
+        def wrapped(*args, _attr=attr, _fn=getattr(report, attr), **kwargs):
+            calls.append(_attr)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(report, attr, wrapped)
+    for suite in ("symmetry", "adjoint", "conslaw"):
+        calls.clear()
+        report.run_suite(suite, samples=40)
+        assert calls == [f"{suite}_suite"]
+    calls.clear()
+    report.run_suite("all", samples=40)
+    assert sorted(calls) == traced
