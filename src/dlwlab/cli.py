@@ -10,7 +10,8 @@ unbound family parameter, an unknown monitor label or family, a
 not an integer, ``waves profile`` without ``--family``) and on an option
 that the action would ignore (``--fix`` outside ``adjoint bracket``,
 ``--set`` on ``conslaw hamiltonian``, ``--binding`` on ``waves verify``
-without ``--family``).
+without ``--family``, ``--samples`` on a run without the symmetry
+``optimal`` block).
 """
 
 from __future__ import annotations
@@ -117,9 +118,13 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     elif chosen not in (None, "all"):
         blocks = (chosen,)
     runs_optimal = suite in ("symmetry", "all") and (blocks is None or "optimal" in blocks)
-    if runs_optimal and _samples_rejected(args):
-        return 2
-    rep = run_suite(suite, reproducible=args.reproducible, samples=getattr(args, "samples", 1000), blocks=blocks)
+    samples = getattr(args, "samples", None)
+    if samples is not None:
+        if not runs_optimal:
+            return _reject(args, UsageError("--samples applies to runs of the symmetry optimal block only"))
+        if _samples_rejected(args):
+            return 2
+    rep = run_suite(suite, reproducible=args.reproducible, samples=1000 if samples is None else samples, blocks=blocks)
     if fix:
         rep.entries = [e for e in rep.entries if f"fix{fix}" in e.label]
     return _emit(rep, args)
@@ -262,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("symmetry", help="point-symmetry checks")
     p.add_argument("action", choices=suite_blocks("symmetry"))
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, help="optimal-system samples (default: 1000)")
     p.set_defaults(func=_cmd_suite)
 
     p = subs.add_parser("adjoint", help="adjoint-symmetry checks")
@@ -300,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("report", help="aggregate suites")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, help="optimal-system samples of symmetry and all (default: 1000)")
     p.set_defaults(func=_cmd_suite)
 
     return parser

@@ -27,16 +27,20 @@ single ``gcd``, skipped when ``den == 1``. ``Fraction`` appears only at
 the edges: the public constructor, scalar operands, and ``.terms`` /
 ``.items()``, which present the coefficients as ``Fraction``s.
 
-Monomials derived from valid ones (a jet power lowered or moved to a
-lifted coordinate, an explicit power differentiated, a generator removed,
-a product) are built by the trusted constructor ``_monomial``, which skips
-the checks of ``JetMonomial(...)``. Each derivation keeps its invariants:
-the jet tuple sorted by coordinate with positive exponents, the parameter
-tuple sorted by name without zero exponents, explicit powers nonnegative.
+The dict keys, :class:`JetVar` and :class:`JetMonomial`, are namedtuples,
+so every hash, equality test and ordering of keys runs in C. Monomials
+derived from valid ones (a jet power lowered or moved to a lifted
+coordinate, an explicit power differentiated, a generator removed, a
+product) are built by the trusted constructor ``_monomial``, one
+``tuple.__new__`` that skips the checks of ``JetMonomial(...)``. Each
+derivation keeps its invariants: the jet tuple sorted by coordinate with
+positive exponents, the parameter tuple sorted by name without zero
+exponents, explicit powers nonnegative.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -102,35 +106,39 @@ def _frac(value: int | Fraction | str) -> Fraction:
 # coordinates and monomials
 
 
-# JetVar and JetMonomial are dict keys in every polynomial, so each computes
-# its hash once, at construction. The value equals the dataclass default
-# (the hash of the field tuple). ``str`` hashes differ between processes, so
-# the cached hash is left out of the pickled state and recomputed on load.
+# JetVar and JetMonomial are the dict keys of every polynomial, so both are
+# tuples underneath: hashing, ``==`` and ``<`` are those of the field tuple
+# and run in C, and fields are read through namedtuple's C getters.
+
+_tuple_new = tuple.__new__
+# namedtuple's _make, and with it _replace, would skip the checks of __new__
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class JetVar:
+def _no_sequence_arithmetic(self, other):
+    return NotImplemented
+
+
+class JetVar(namedtuple("JetVar", "name dx dt")):
     """A single jet coordinate: dependent variable ``name`` with ``dx``
     x-derivatives and ``dt`` t-derivatives. ``(name, 0, 0)`` is the
-    undifferentiated variable."""
+    undifferentiated variable.
 
-    name: str
-    dx: int = 0
-    dt: int = 0
-    _hash: int = field(init=False, repr=False, compare=False)
+    A JetVar is the tuple ``(name, dx, dt)``: it hashes, compares and
+    orders as that tuple, so it also equals a plain tuple with the same
+    fields. It supports no sequence arithmetic: ``+`` and ``*`` raise."""
 
-    def __post_init__(self) -> None:
-        if self.name in RESERVED_NAMES:
-            raise JetError(f"{self.name!r} is reserved for an explicit coordinate")
-        if self.dx < 0 or self.dt < 0:
+    __slots__ = ()
+
+    def __new__(cls, name: str, dx: int = 0, dt: int = 0) -> "JetVar":
+        if name in RESERVED_NAMES:
+            raise JetError(f"{name!r} is reserved for an explicit coordinate")
+        if dx < 0 or dt < 0:
             raise JetError("derivative counts must be nonnegative")
-        object.__setattr__(self, "_hash", hash((self.name, self.dx, self.dt)))
+        return _tuple_new(cls, (name, dx, dt))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (JetVar, (self.name, self.dx, self.dt))
+    _make = _checked_make
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_sequence_arithmetic
 
     @property
     def order(self) -> int:
@@ -148,32 +156,37 @@ class JetVar:
         return f"{self.name}[{self.dx},{self.dt}]"
 
 
-@dataclass(frozen=True, slots=True)
-class JetMonomial:
+class JetMonomial(namedtuple("JetMonomial", "jet xpow tpow params")):
     """Canonical power product of jet coordinates, explicit x/t powers and
-    parameter powers. Keys are stored sorted so equality is structural.
-    Parameter exponents may be negative (Laurent); x/t powers may not."""
+    parameter powers. ``jet`` is a tuple of ``(JetVar, exponent)`` pairs and
+    ``params`` one of ``(name, exponent)`` pairs, both stored sorted so
+    equality is structural. Parameter exponents may be negative (Laurent);
+    x/t powers may not.
 
-    jet: tuple[tuple[JetVar, int], ...] = ()
-    xpow: int = 0
-    tpow: int = 0
-    params: tuple[tuple[str, int], ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    A JetMonomial is the tuple ``(jet, xpow, tpow, params)``: it hashes and
+    compares as that tuple, so it also equals a plain tuple with the same
+    fields. ``*`` is the monomial product; ``+`` and multiplication by an
+    int raise. Output order is ``sort_key``, not the tuple order."""
 
-    def __post_init__(self) -> None:
-        if self.xpow < 0 or self.tpow < 0:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        jet: tuple[tuple[JetVar, int], ...] = (),
+        xpow: int = 0,
+        tpow: int = 0,
+        params: tuple[tuple[str, int], ...] = (),
+    ) -> "JetMonomial":
+        if xpow < 0 or tpow < 0:
             raise JetError("explicit coordinate powers must be nonnegative")
-        if any(e <= 0 for _, e in self.jet):
+        if any(e <= 0 for _, e in jet):
             raise JetError("jet exponents must be positive")
-        if any(e == 0 for _, e in self.params):
+        if any(e == 0 for _, e in params):
             raise JetError("zero parameter exponents must not be stored")
-        object.__setattr__(self, "_hash", hash((self.jet, self.xpow, self.tpow, self.params)))
+        return _tuple_new(cls, (jet, xpow, tpow, params))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (JetMonomial, (self.jet, self.xpow, self.tpow, self.params))
+    _make = _checked_make
+    __add__ = __radd__ = __rmul__ = _no_sequence_arithmetic
 
     @staticmethod
     def make(
@@ -218,24 +231,14 @@ class JetMonomial:
 
 
 _ONE_MONOMIAL = JetMonomial()
-# the slot setters of the frozen dataclass, which bypass its __setattr__
-_SET_JET, _SET_XPOW, _SET_TPOW, _SET_PARAMS, _SET_HASH = (
-    JetMonomial.__dict__[f].__set__ for f in ("jet", "xpow", "tpow", "params", "_hash")
-)
 
 
 def _monomial(jet: tuple, xpow: int, tpow: int, params: tuple) -> JetMonomial:
     """Trusted constructor for a monomial derived from valid ones: ``jet``
     is sorted with positive exponents, ``params`` sorted without zero
     exponents, and both powers are nonnegative. Skips the checks of
-    ``JetMonomial(...)``; the hash is the same."""
-    m = object.__new__(JetMonomial)
-    _SET_JET(m, jet)
-    _SET_XPOW(m, xpow)
-    _SET_TPOW(m, tpow)
-    _SET_PARAMS(m, params)
-    _SET_HASH(m, hash((jet, xpow, tpow, params)))
-    return m
+    ``JetMonomial(...)``."""
+    return _tuple_new(JetMonomial, (jet, xpow, tpow, params))
 
 
 def _merge_jet(a: tuple, b: tuple) -> tuple:
@@ -251,8 +254,7 @@ def _merge_jet(a: tuple, b: tuple) -> tuple:
     va, ea = a[0]
     vb, eb = b[0]
     while True:
-        # distinct hashes settle inequality without the dataclass __eq__
-        if va._hash == vb._hash and va == vb:
+        if va == vb:
             out.append((va, ea + eb))
             i += 1
             j += 1

@@ -172,18 +172,16 @@ def _symmetry_brackets(run: _Run, rep: VerificationReport) -> None:
 def _symmetry_optimal(run: _Run, rep: VerificationReport) -> None:
     rng = random.Random(20240917)
     hist: dict[str, int] = {}
-    total = 0
     for _ in range(run.samples):
         vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
         if all(v == 0 for v in vec):
             vec[rng.randrange(4)] = Fraction(1)
         cls, _, _ = sym.optimal_reduce(vec)
         hist[cls] = hist.get(cls, 0) + 1
-        total += 1
     rep.add(
         "optimal-closure",
         "thm2",
-        total == run.samples and all(k in sym.OPTIMAL_CLASSES for k in hist),
+        all(k in sym.OPTIMAL_CLASSES for k in hist),
         "histogram " + ", ".join(f"{k}:{hist[k]}" for k in sorted(hist)),
     )
     rep.add(

@@ -12,13 +12,22 @@ Two references, each following the definitions directly:
   explicitly. They are the oracle for the kernel's integer arithmetic.
 
 The kernel in ``dlwlab.jet`` must agree with both structurally.
+
+A third reference is for the kernel's key types: ``JetVar`` and
+``JetMonomial`` below are the frozen dataclasses the kernel used before its
+coordinates and monomials became tuples, copied as they were, less the
+monomial product (which ``frac_mul`` covers). The tuple types must hash,
+compare, order, print, pickle and reject bad fields as these do.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Mapping
 
-from dlwlab.jet import JetError, JetMonomial, JetPoly, JetVar
+from dlwlab import jet as kernel
+from dlwlab.jet import RESERVED_NAMES, JetError, JetPoly
 
 
 def total_derivative(p: JetPoly, axis: str) -> JetPoly:
@@ -54,10 +63,10 @@ def euler_operator(p: JetPoly, dep: str, x_only: bool = False) -> JetPoly:
 # {JetMonomial: Fraction} dicts
 
 
-FracTerms = dict[JetMonomial, Fraction]
+FracTerms = dict[kernel.JetMonomial, Fraction]
 
 
-def _accumulate(out: FracTerms, m: JetMonomial, c: Fraction) -> None:
+def _accumulate(out: FracTerms, m: kernel.JetMonomial, c: Fraction) -> None:
     out[m] = out.get(m, Fraction(0)) + c
 
 
@@ -65,10 +74,10 @@ def _clean(out: FracTerms) -> FracTerms:
     return {m: c for m, c in out.items() if c != 0}
 
 
-def _with_jet_power(m: JetMonomial, v: JetVar, delta: int) -> JetMonomial:
+def _with_jet_power(m: kernel.JetMonomial, v: kernel.JetVar, delta: int) -> kernel.JetMonomial:
     jet = dict(m.jet)
     jet[v] = jet.get(v, 0) + delta
-    return JetMonomial.make(jet, m.xpow, m.tpow, dict(m.params))
+    return kernel.JetMonomial.make(jet, m.xpow, m.tpow, dict(m.params))
 
 
 def frac_add(a: FracTerms, b: FracTerms) -> FracTerms:
@@ -100,12 +109,12 @@ def frac_mul(a: FracTerms, b: FracTerms) -> FracTerms:
             params = dict(m1.params)
             for n, e in m2.params:
                 params[n] = params.get(n, 0) + e
-            m = JetMonomial.make(jet, m1.xpow + m2.xpow, m1.tpow + m2.tpow, params)
+            m = kernel.JetMonomial.make(jet, m1.xpow + m2.xpow, m1.tpow + m2.tpow, params)
             _accumulate(out, m, c1 * c2)
     return _clean(out)
 
 
-def frac_partial(a: FracTerms, v: JetVar) -> FracTerms:
+def frac_partial(a: FracTerms, v: kernel.JetVar) -> FracTerms:
     out: FracTerms = {}
     for m, c in a.items():
         e = dict(m.jet).get(v, 0)
@@ -125,7 +134,7 @@ def frac_total_derivative(a: FracTerms, axis: str) -> FracTerms:
             _accumulate(out, moved, c * e)
         k = m.xpow if axis == "x" else m.tpow
         if k:
-            lower = JetMonomial.make(
+            lower = kernel.JetMonomial.make(
                 dict(m.jet),
                 m.xpow - (axis == "x"),
                 m.tpow - (axis == "t"),
@@ -150,3 +159,105 @@ def frac_euler_operator(a: FracTerms, dep: str, x_only: bool = False) -> FracTer
             term = frac_neg(term)
         out = frac_add(out, term)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the dataclass key types
+
+
+@dataclass(frozen=True, slots=True, order=True)
+class JetVar:
+    """A single jet coordinate: dependent variable ``name`` with ``dx``
+    x-derivatives and ``dt`` t-derivatives. ``(name, 0, 0)`` is the
+    undifferentiated variable."""
+
+    name: str
+    dx: int = 0
+    dt: int = 0
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.name in RESERVED_NAMES:
+            raise JetError(f"{self.name!r} is reserved for an explicit coordinate")
+        if self.dx < 0 or self.dt < 0:
+            raise JetError("derivative counts must be nonnegative")
+        object.__setattr__(self, "_hash", hash((self.name, self.dx, self.dt)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (JetVar, (self.name, self.dx, self.dt))
+
+    @property
+    def order(self) -> int:
+        return self.dx + self.dt
+
+    def lifted(self, axis: str) -> "JetVar":
+        """The coordinate one total derivative further along ``axis``."""
+        if axis == "x":
+            return JetVar(self.name, self.dx + 1, self.dt)
+        if axis == "t":
+            return JetVar(self.name, self.dx, self.dt + 1)
+        raise JetError(f"unknown axis {axis!r}")
+
+    def __str__(self) -> str:
+        return f"{self.name}[{self.dx},{self.dt}]"
+
+
+@dataclass(frozen=True, slots=True)
+class JetMonomial:
+    """Canonical power product of jet coordinates, explicit x/t powers and
+    parameter powers. Keys are stored sorted so equality is structural.
+    Parameter exponents may be negative (Laurent); x/t powers may not."""
+
+    jet: tuple[tuple[JetVar, int], ...] = ()
+    xpow: int = 0
+    tpow: int = 0
+    params: tuple[tuple[str, int], ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.xpow < 0 or self.tpow < 0:
+            raise JetError("explicit coordinate powers must be nonnegative")
+        if any(e <= 0 for _, e in self.jet):
+            raise JetError("jet exponents must be positive")
+        if any(e == 0 for _, e in self.params):
+            raise JetError("zero parameter exponents must not be stored")
+        object.__setattr__(self, "_hash", hash((self.jet, self.xpow, self.tpow, self.params)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (JetMonomial, (self.jet, self.xpow, self.tpow, self.params))
+
+    @staticmethod
+    def make(
+        jet: Mapping[JetVar, int] | Iterable[tuple[JetVar, int]] = (),
+        xpow: int = 0,
+        tpow: int = 0,
+        params: Mapping[str, int] | Iterable[tuple[str, int]] = (),
+    ) -> "JetMonomial":
+        jet_items = dict(jet)
+        par_items = dict(params)
+        jet_t = tuple(sorted((v, e) for v, e in jet_items.items() if e != 0))
+        par_t = tuple(sorted((n, e) for n, e in par_items.items() if e != 0))
+        return JetMonomial(jet_t, xpow, tpow, par_t)
+
+    @property
+    def degree(self) -> int:
+        return (
+            sum(e for _, e in self.jet)
+            + self.xpow
+            + self.tpow
+            + sum(abs(e) for _, e in self.params)
+        )
+
+    @property
+    def max_order(self) -> int:
+        return max((v.order for v, _ in self.jet), default=0)
+
+    def sort_key(self):
+        jet_key = tuple((v.name, v.dx, v.dt, e) for v, e in self.jet)
+        return (self.degree, jet_key, self.xpow, self.tpow, self.params)

@@ -184,7 +184,7 @@ def full_suites():
 
 def cli_entries(tmp_path, args):
     path = tmp_path / "out.json"
-    extra = ["--samples", "40"] if args[0] == "symmetry" else []
+    extra = ["--samples", "40"] if args[:2] == ["symmetry", "optimal"] else []
     assert run_cli(["--reproducible", "--json", str(path), *args, *extra]) == 0
     return json.loads(path.read_text(encoding="utf-8"))["entries"]
 
@@ -243,6 +243,43 @@ def test_samples_below_one_exits_two(args, prefix, monkeypatch, capsys):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(prefix)
     assert f"--samples must be at least 1, got {args[-1]}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["symmetry", "verify", "--samples", "0"],
+        ["symmetry", "brackets", "--samples", "40"],
+        ["report", "adjoint", "--samples", "0"],
+        ["report", "conslaw", "--samples", "40"],
+    ],
+)
+def test_samples_on_a_run_without_the_optimal_block_exits_two(args, monkeypatch, capsys):
+    def refuse(*a, **k):
+        raise AssertionError("a suite ran with an ignored --samples")
+
+    monkeypatch.setattr("dlwlab.cli.run_suite", refuse)
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"dlwlab {args[0]} {args[1]}: UsageError: ")
+    assert "--samples" in captured.err
+
+
+@pytest.mark.parametrize("args,samples", [(["report", "symmetry", "--samples", "5"], 5), (["symmetry", "verify"], 1000)])
+def test_samples_reach_the_suite(args, samples, monkeypatch, capsys):
+    """An explicit ``--samples`` reaches a run of the optimal block, which
+    still passes; without the option the run takes 1000."""
+    seen = []
+
+    def spy(*a, samples, **k):
+        seen.append(samples)
+        return run_suite(*a, samples=samples, **k)
+
+    monkeypatch.setattr("dlwlab.cli.run_suite", spy)
+    assert run_cli(args) == 0
+    assert seen == [samples]
 
 
 def test_symmetry_suite_rejects_no_samples():

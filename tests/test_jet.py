@@ -2,6 +2,7 @@
 reduction, Euler operators, operator adjoints, and exactness."""
 
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -525,6 +526,119 @@ class TestTrustedMonomials:
         ]
         for r in outputs:
             _assert_monomials_valid(r)
+
+
+# (name, dx, dt) fields of coordinates, and monomials as
+# ({fields: exponent}, xpow, tpow, {parameter: exponent})
+var_fields = st.tuples(st.sampled_from(("u", "v", "q", "r_1")), st.integers(0, 3), st.integers(0, 2))
+monomial_fields = st.tuples(
+    st.dictionaries(var_fields, st.integers(1, 3), max_size=4),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.dictionaries(st.sampled_from(("mu", "T", "c")), st.integers(-2, 2).filter(bool), max_size=2),
+)
+
+
+def _both_monomials(fields):
+    """The kernel monomial and the dataclass reference built from ``fields``."""
+    powers, xpow, tpow, params = fields
+    new = JetMonomial.make({JetVar(*f): e for f, e in powers.items()}, xpow, tpow, params)
+    ref = jet_reference.JetMonomial.make(
+        {jet_reference.JetVar(*f): e for f, e in powers.items()}, xpow, tpow, params
+    )
+    return new, ref
+
+
+def _jet_error(build) -> str:
+    with pytest.raises(JetError) as err:
+        build()
+    return str(err.value)
+
+
+class TestTupleKeyTypes:
+    """``JetVar`` and ``JetMonomial`` are tuples; they behave as the
+    dataclasses in ``jet_reference`` did, except that each also equals the
+    plain tuple of its fields."""
+
+    @given(st.lists(var_fields, min_size=1, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_vars_hash_compare_and_sort_as_before(self, fields):
+        new = [JetVar(*f) for f in fields]
+        ref = [jet_reference.JetVar(*f) for f in fields]
+        assert [hash(v) for v in new] == [hash(r) for r in ref]
+        for a, ra in zip(new, ref):
+            assert [a == b for b in new] == [ra == rb for rb in ref]
+            assert [a < b for b in new] == [ra < rb for rb in ref]
+            assert (str(a), repr(a), a.order) == (str(ra), repr(ra), ra.order)
+            assert [tuple(a.lifted(axis)) for axis in "xt"] == [
+                (r.name, r.dx, r.dt) for r in (ra.lifted("x"), ra.lifted("t"))
+            ]
+        assert [tuple(v) for v in sorted(new)] == [(r.name, r.dx, r.dt) for r in sorted(ref)]
+
+    @given(st.lists(monomial_fields, min_size=1, max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_monomials_agree_with_the_dataclass(self, fields):
+        pairs = [_both_monomials(f) for f in fields]
+        for new, ref in pairs:
+            assert hash(new) == hash(ref)
+            assert new.sort_key() == ref.sort_key()
+            assert (new.degree, new.max_order) == (ref.degree, ref.max_order)
+            assert (str(new), repr(new)) == (str(ref), repr(ref))
+            assert [new == other for other, _ in pairs] == [ref == other for _, other in pairs]
+
+    @given(monomial_fields)
+    @settings(max_examples=40, deadline=None)
+    def test_pickle_round_trip(self, fields):
+        new, ref = _both_monomials(fields)
+        for value, reference in [(new, ref), *zip((v for v, _ in new.jet), (r for r, _ in ref.jet))]:
+            back = pickle.loads(pickle.dumps(value))
+            assert type(back) is type(value) and back == value and hash(back) == hash(value)
+            assert repr(back) == repr(reference)
+
+    @given(
+        name=st.sampled_from(("x", "t")),
+        count=st.integers(max_value=-1),
+        nonpositive=st.integers(max_value=0),
+        negative=st.integers(max_value=-1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bad_fields_raise_the_same_error(self, name, count, nonpositive, negative):
+        bad_vars = [(name, 0, 0), (name, 1, 2), ("u", count, 0), ("u", 0, count)]
+        for f in bad_vars:
+            error = _jet_error(lambda: jet_reference.JetVar(*f))
+            assert _jet_error(lambda: JetVar(*f)) == error
+            assert _jet_error(lambda: JetVar._make(f)) == error
+            assert _jet_error(lambda: JetVar("u")._replace(name=f[0], dx=f[1], dt=f[2])) == error
+        bad_monomials = [
+            (((("u", 1, 0), nonpositive),), 0, 0, ()),
+            ((), 0, 0, (("mu", 0),)),
+            ((), negative, 0, ()),
+            ((), 0, negative, ()),
+        ]
+        for jet, xpow, tpow, params in bad_monomials:
+            new_jet = tuple((JetVar(*f), e) for f, e in jet)
+            ref_jet = tuple((jet_reference.JetVar(*f), e) for f, e in jet)
+            error = _jet_error(lambda: jet_reference.JetMonomial(ref_jet, xpow, tpow, params))
+            assert _jet_error(lambda: JetMonomial(new_jet, xpow, tpow, params)) == error
+            assert _jet_error(lambda: JetMonomial._make((new_jet, xpow, tpow, params))) == error
+            assert _jet_error(lambda: JetMonomial()._replace(jet=new_jet, xpow=xpow, tpow=tpow, params=params)) == error
+
+    def test_no_sequence_arithmetic(self):
+        v = JetVar("u", 1)
+        m = JetMonomial.make({v: 2}, params={"mu": -1})
+        for op in (lambda: v + v, lambda: v * 2, lambda: 2 * v, lambda: m + m, lambda: 2 * m):
+            with pytest.raises(TypeError):
+                op()
+        with pytest.raises(AttributeError):  # the monomial product reads other.params
+            m * 3
+        assert m * m == JetMonomial.make({v: 4}, params={"mu": -2})
+
+    def test_equal_to_the_plain_tuple_of_its_fields(self):
+        v = JetVar("u", 1)
+        m = JetMonomial.make({v: 2}, 1)
+        assert v == ("u", 1, 0) and hash(v) == hash(("u", 1, 0))
+        assert m == (((("u", 1, 0), 2),), 1, 0, ())
+        assert jet_reference.JetVar("u", 1) != ("u", 1, 0)
 
 
 _PICKLE_SCRIPT = """

@@ -55,6 +55,45 @@ def test_jet_kernel_has_no_float_and_divides_only_fractions():
     assert bare == []
 
 
+def test_jet_keys_hash_and_compare_as_tuples():
+    """``JetVar`` and ``JetMonomial`` are the dict keys of every polynomial;
+    they are namedtuples so that their hash, ``==`` and ``<`` run in C.
+    ``jet.py`` defines none of those methods on them, in the class body or
+    by assignment afterwards, and caches no ``_hash``."""
+    from dlwlab.jet import JetMonomial, JetVar
+
+    path = Path(dlwlab.__file__).parent / "jet.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    banned = {"__hash__", "__eq__", "__lt__", "_hash"}
+    for name in ("JetVar", "JetMonomial"):
+        cls = classes[name]
+        (base,) = cls.bases
+        assert isinstance(base, ast.Call) and isinstance(base.func, ast.Name) and base.func.id == "namedtuple"
+        defined = set()
+        for node in ast.walk(cls):
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                defined.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                defined.add(node.value)
+        assert defined & banned == set(), name
+    patched = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("JetVar", "JetMonomial")
+    ]
+    assert patched == []
+    for cls in (JetVar, JetMonomial):
+        assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__ and cls.__lt__ is tuple.__lt__
+
+
 def _benchmark_tables() -> dict:
     """``TRACED_FUNCTIONS`` and ``COUNTED_METHODS`` of the benchmark's
     tracer, read from its source without importing it."""
