@@ -1,30 +1,36 @@
 """Command-line entry point exposing every verification suite and the
 finite-difference solver.
 
+Usage: ``dlwlab [--json PATH] [--reproducible] <command> <action> [options]``.
+Each action has its own parser and takes only the options that parser
+declares (``dlwlab <command> <action> --help`` lists them); options
+follow the action, and the two root options come before the command.
+
 Exit codes: 0 when no entry fails (flagged catalog discrepancies are
 listed but do not fail the build), 1 on an unexpected failure, 2 on
-usage errors and on input that a command rejects (a bad config, an
-unbound family parameter, an unknown monitor label or family, a
-``--samples`` below 1, a ``--mu`` that is not a rational number, a
-``waves profile --points`` below 2, a ``sim converge --n`` chunk that is
-not an integer, ``waves profile`` without ``--family``) and on an option
-that the action would ignore (``--fix`` outside ``adjoint bracket``,
-``--set`` on ``conslaw hamiltonian``, ``--binding`` on ``waves verify``
-without ``--family``, ``--samples`` on a run without the symmetry
-``optimal`` block).
+usage errors: an option the action does not declare, and input that
+the action rejects (a malformed ``--binding`` or ``--n``, a ``--samples``
+below 1, a ``--mu`` that is not rational, a ``--points`` below 2, an
+option that needs ``--family`` without it, ``--json`` on ``waves
+profile``, which writes its CSV to ``--out``, and in the ``waves`` and
+``sim`` actions a bad config, an unbound family parameter, an unknown
+monitor label or family, or a file that cannot be read or written).
+Past parsing, each prints one stderr line ``dlwlab <command> <action>:
+<error type>: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
+from .analytic import AnalyticError
+from .jet import JetError
 from .report import SUITES, VerificationReport, report_to_json_text, run_suite, suite_blocks
 
 __all__ = ["main", "build_parser"]
@@ -40,6 +46,13 @@ def _print_json(data: object, args: argparse.Namespace) -> None:
     text = json.dumps(data, indent=2, sort_keys=True)
     print(text)
     _write_json(text, args)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _emit(report: VerificationReport, args: argparse.Namespace) -> int:
@@ -80,176 +93,157 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 class UsageError(Exception):
-    """An option value that parses but that the command cannot use."""
+    """An option the action does not declare, or a value that parses but
+    that the action cannot use."""
 
 
-def _reject(args: argparse.Namespace, e: Exception) -> int:
-    """One stderr line naming the command and the rejected input; exit 2."""
-    what = args.suite if args.command == "report" else args.action
-    print(f"dlwlab {args.command} {what}: {type(e).__name__}: {e}", file=sys.stderr)
-    return 2
-
-
-def _samples_rejected(args: argparse.Namespace) -> bool:
-    """True, after one stderr line, when ``--samples`` is below 1."""
-    if args.samples >= 1:
-        return False
-    _reject(args, UsageError(f"--samples must be at least 1, got {args.samples}"))
-    return True
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {samples}")
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# action handlers
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    """``symmetry``, ``adjoint``, ``conslaw`` and ``report``: run the
-    blocks the command selects and print the report."""
-    suite, blocks = args.command, None
-    fix, chosen = getattr(args, "fix", None), getattr(args, "set", None)
-    if fix and args.action != "bracket":
-        return _reject(args, UsageError("--fix applies to adjoint bracket only"))
-    if chosen and args.action != "verify":
-        return _reject(args, UsageError("--set applies to conslaw verify only"))
-    if suite == "report":
-        suite = args.suite
-    elif suite != "conslaw" or args.action != "verify":
-        blocks = (args.action,)
-    elif chosen not in (None, "all"):
-        blocks = (chosen,)
-    runs_optimal = suite in ("symmetry", "all") and (blocks is None or "optimal" in blocks)
-    samples = getattr(args, "samples", None)
-    if samples is not None:
-        if not runs_optimal:
-            return _reject(args, UsageError("--samples applies to runs of the symmetry optimal block only"))
-        if _samples_rejected(args):
-            return 2
-    rep = run_suite(suite, reproducible=args.reproducible, samples=1000 if samples is None else samples, blocks=blocks)
-    if fix:
-        rep.entries = [e for e in rep.entries if f"fix{fix}" in e.label]
+    """Run the ``blocks`` of ``suite`` the action's parser names (all of
+    them when None) and print the report."""
+    _check_samples(args.samples)
+    rep = run_suite(args.suite, reproducible=args.reproducible, samples=args.samples, blocks=args.blocks)
+    if args.fix:
+        rep.entries = [e for e in rep.entries if f"fix{args.fix}" in e.label]
     return _emit(rep, args)
 
 
-def _rejecting_bad_input(action, args: argparse.Namespace) -> int:
-    """Run ``action(args)``; input it rejects (a ``UsageError``, a
-    ``JetError``, an ``AnalyticError`` or an ``OSError``) ends in one
-    stderr line and exit 2."""
-    from .analytic import AnalyticError
-    from .jet import JetError
-
-    try:
-        return action(args)
-    except (UsageError, JetError, AnalyticError, OSError) as e:
-        return _reject(args, e)
+def _conslaw_verify(args: argparse.Namespace) -> int:
+    """``--set`` picks one block; ``all`` runs the whole suite."""
+    args.blocks = None if args.set == "all" else (args.set,)
+    return _cmd_suite(args)
 
 
-def _waves_action(args: argparse.Namespace) -> int:
-    if args.action == "verify":
-        if args.family:
-            from .solutions import verify_family
-
-            if _samples_rejected(args):
-                return 2
-
-            binding = args.binding or {}
-            report = verify_family(args.family, binding, n_samples=args.samples)
-            _print_json({"family": args.family, "params": binding, **asdict(report)}, args)
-            return 0
-        if args.binding is not None:
-            raise UsageError("--binding needs --family")
+def _waves_verify(args: argparse.Namespace) -> int:
+    if not args.family:
+        if args.binding is not None or args.samples is not None:
+            raise UsageError("--binding and --samples need --family")
         return _emit(run_suite("waves", reproducible=args.reproducible), args)
-    if args.action == "first-integrals":
-        from .conslaw import direct_laws
-        from .jet import format_poly
-        from .waves import first_integral, first_integral_derivative
+    from .solutions import verify_family
 
-        mu = None
-        if args.mu is not None:
-            try:
-                mu = Fraction(args.mu)
-            except (ValueError, ZeroDivisionError):
-                raise UsageError(f"--mu {args.mu!r} is not a rational number") from None
-        rows = []
-        for label in ("eq29", "eq31", "eq32", "eq33"):
-            law = direct_laws()[label]
-            fi = first_integral(law) if mu is None else first_integral(law, mu)
-            d = first_integral_derivative(fi) if mu is None else first_integral_derivative(fi, mu)
-            rows.append(
-                {
-                    "source": label,
-                    "expression": format_poly(fi.expr),
-                    "constant_along_flow": d.is_zero(),
-                }
-            )
-        _print_json(rows, args)
-        return 0 if all(r["constant_along_flow"] for r in rows) else 1
-    if args.action == "profile":
-        from .solutions import profile_rows
-
-        if not args.family:
-            raise UsageError("waves profile needs --family")
-        if args.points < 2:
-            raise UsageError(f"--points must be at least 2, got {args.points}")
-        rows = profile_rows(args.family, args.binding or {}, args.xi_min, args.xi_max, args.points)
-        out = Path(args.out or f"{args.family}_profile.csv")
-        with out.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["xi", "U", "V"])
-            writer.writerows(rows)
-        print(f"profile written to {out} ({len(rows)} rows)")
-        return 0
-    raise SystemExit(2)
+    samples = 50 if args.samples is None else args.samples
+    _check_samples(samples)
+    binding = args.binding or {}
+    report = verify_family(args.family, binding, n_samples=samples)
+    _print_json({"family": args.family, "params": binding, **asdict(report)}, args)
+    return 0
 
 
-def _sim_action(args: argparse.Namespace) -> int:
+def _waves_first_integrals(args: argparse.Namespace) -> int:
+    from .conslaw import direct_laws
+    from .jet import format_poly
+    from .waves import first_integral, first_integral_derivative
+
+    mu = None
+    if args.mu is not None:
+        try:
+            mu = Fraction(args.mu)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"--mu {args.mu!r} is not a rational number") from None
+    rows = []
+    for label in ("eq29", "eq31", "eq32", "eq33"):
+        law = direct_laws()[label]
+        fi = first_integral(law) if mu is None else first_integral(law, mu)
+        d = first_integral_derivative(fi) if mu is None else first_integral_derivative(fi, mu)
+        rows.append({"source": label, "expression": format_poly(fi.expr), "constant_along_flow": d.is_zero()})
+    _print_json(rows, args)
+    return 0 if all(r["constant_along_flow"] for r in rows) else 1
+
+
+def _waves_profile(args: argparse.Namespace) -> int:
+    from .solutions import profile_rows
+
+    if args.json:
+        raise UsageError("waves profile takes no --json; it writes its CSV to --out")
+    if not args.family:
+        raise UsageError("waves profile needs --family")
+    if args.points < 2:
+        raise UsageError(f"--points must be at least 2, got {args.points}")
+    rows = profile_rows(args.family, args.binding or {}, args.xi_min, args.xi_max, args.points)
+    out = Path(args.out or f"{args.family}_profile.csv")
+    _write_csv(out, ["xi", "U", "V"], rows)
+    print(f"profile written to {out} ({len(rows)} rows)")
+    return 0
+
+
+def _sim_run(args: argparse.Namespace) -> int:
     from . import sim as S
 
-    if args.action == "run":
-        cfg = S.parse_config(args.config)
-        out_dir = Path(args.out_dir or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        summary: dict = {"config": args.config}
-        try:
-            res = S.integrate(cfg)
-        except S.BlowupError as e:
-            summary["outcome"] = "blowup"
-            summary["blowup_time"] = e.time
-            _print_json(summary, args)
-            return 0
-        summary["outcome"] = "completed"
-        summary["steps"] = res.steps
-        if res.l2_error is not None:
-            summary["final_l2_error"] = res.l2_error
-        summary["max_drift"] = {}
-        for label, series in res.monitors.items():
-            path = out_dir / f"monitor_{label}.csv"
-            with path.open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["time", "value", "relative_drift"])
-                writer.writerows(series.rows())
-            summary["max_drift"][label] = series.relative_drift()
-        snap = out_dir / "snapshot.csv"
-        with snap.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "u", "v"])
-            for x, u, v in zip(cfg.grid.x, res.state.u, res.state.v):
-                writer.writerow([x, u, v])
+    cfg = S.parse_config(args.config)
+    out_dir = Path(args.out_dir or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary: dict = {"config": args.config}
+    try:
+        res = S.integrate(cfg)
+    except S.BlowupError as e:
+        summary["outcome"] = "blowup"
+        summary["blowup_time"] = e.time
         _print_json(summary, args)
         return 0
-    if args.action == "converge":
-        from .sim import BlowupError, convergence_study
+    summary["outcome"] = "completed"
+    summary["steps"] = res.steps
+    if res.l2_error is not None:
+        summary["final_l2_error"] = res.l2_error
+    summary["max_drift"] = {}
+    for label, series in res.monitors.items():
+        _write_csv(out_dir / f"monitor_{label}.csv", ["time", "value", "relative_drift"], series.rows())
+        summary["max_drift"][label] = series.relative_drift()
+    _write_csv(out_dir / "snapshot.csv", ["x", "u", "v"], zip(cfg.grid.x, res.state.u, res.state.v))
+    _print_json(summary, args)
+    return 0
 
-        binding = args.binding or {"mu": 1.0}
-        try:
-            rows = convergence_study(args.family, binding, args.n, t_end=args.t_end)
-        except BlowupError as e:
-            rows = [{"outcome": "blowup", "blowup_time": e.time}]
-        _print_json(rows, args)
-        return 0
-    raise SystemExit(2)
+
+def _sim_converge(args: argparse.Namespace) -> int:
+    from .sim import BlowupError, convergence_study
+
+    binding = args.binding or {"mu": 1.0}
+    try:
+        rows = convergence_study(args.family, binding, args.n, t_end=args.t_end)
+    except BlowupError as e:
+        rows = [{"outcome": "blowup", "blowup_time": e.time}]
+    _print_json(rows, args)
+    return 0
 
 
 # ---------------------------------------------------------------------------
+
+# The errors of outside input (family ids and bindings, config files, output
+# paths) that the waves and sim actions read; in the suite commands, which
+# read none, such an error is a fault of the program.
+_BAD_INPUT = (JetError, AnalyticError, OSError)
+
+
+def _actions(commands, name: str, help: str, rejects: tuple = ()):
+    """The action sub-parsers of one command, whose actions end in exit 2
+    on the exception types ``rejects`` as well as on a ``UsageError``."""
+    p = commands.add_parser(name, help=help)
+    p.set_defaults(rejects=rejects)
+    return p.add_subparsers(dest="action", required=True)
+
+
+def _action(actions, name: str, func, **defaults) -> argparse.ArgumentParser:
+    """The parser of one action, which declares every option the action
+    takes; abbreviations are off, so ``--out`` never reaches ``--out-dir``."""
+    p = actions.add_parser(name, allow_abbrev=False)
+    p.set_defaults(func=func, **defaults)
+    return p
+
+
+def _suite_action(actions, name: str, suite: str, blocks=None, func=_cmd_suite) -> argparse.ArgumentParser:
+    """The parser of an action that runs ``blocks`` of ``suite``; only the
+    ones that run the symmetry ``optimal`` block declare ``--samples``."""
+    p = _action(actions, name, func, suite=suite, blocks=blocks, samples=1000, fix=None)
+    if suite in ("symmetry", "all") and blocks in (None, ("optimal",)):
+        p.add_argument("--samples", type=int, help="optimal-system samples (default: 1000)")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,60 +257,62 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit timestamps so identical builds emit identical bytes",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("symmetry", help="point-symmetry checks")
-    p.add_argument("action", choices=suite_blocks("symmetry"))
-    p.add_argument("--samples", type=int, help="optimal-system samples (default: 1000)")
-    p.set_defaults(func=_cmd_suite)
+    for suite, help in (("symmetry", "point-symmetry checks"), ("adjoint", "adjoint-symmetry checks")):
+        actions = _actions(commands, suite, help)
+        for block in suite_blocks(suite):
+            p = _suite_action(actions, block, suite, (block,))
+            if (suite, block) == ("adjoint", "bracket"):
+                p.add_argument("--fix", choices=["Q1", "Q3", "Q4"], help="restrict brackets to one fixed entry")
 
-    p = subs.add_parser("adjoint", help="adjoint-symmetry checks")
-    p.add_argument("action", choices=suite_blocks("adjoint"))
-    p.add_argument("--fix", choices=["Q1", "Q3", "Q4"], help="restrict brackets to one fixed entry")
-    p.set_defaults(func=_cmd_suite)
-
-    p = subs.add_parser("conslaw", help="conservation-law checks")
-    p.add_argument("action", choices=["verify", "hamiltonian"])
+    actions = _actions(commands, "conslaw", "conservation-law checks")
+    p = _suite_action(actions, "verify", "conslaw", func=_conslaw_verify)
     sets = [b for b in suite_blocks("conslaw") if b != "hamiltonian"]
-    p.add_argument("--set", choices=[*sets, "all"], help="the checks of verify (default: all)")
-    p.set_defaults(func=_cmd_suite)
+    p.add_argument("--set", choices=[*sets, "all"], default="all", help="the checks to run (default: all)")
+    _suite_action(actions, "hamiltonian", "conslaw", ("hamiltonian",))
 
-    p = subs.add_parser("waves", help="traveling-wave and exact-solution checks")
-    p.add_argument("action", choices=["verify", "first-integrals", "profile"])
-    p.add_argument("--family", help="catalog id, e.g. eq93")
+    actions = _actions(commands, "waves", "traveling-wave and exact-solution checks", _BAD_INPUT)
+    p = _action(actions, "verify", _waves_verify)
+    p.add_argument("--family", help="catalog id, e.g. eq93; without it the waves suite runs")
     p.add_argument("--binding", type=_parse_binding, help="comma-separated name=value parameter bindings")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--mu", help="rational wave speed for the first integrals")
-    p.add_argument("--out", help="CSV output path for profiles")
+    p.add_argument("--samples", type=int, help="residual samples of the family (default: 50)")
+    p = _action(actions, "first-integrals", _waves_first_integrals)
+    p.add_argument("--mu", help="rational wave speed")
+    p = _action(actions, "profile", _waves_profile)
+    p.add_argument("--family", help="catalog id, e.g. eq93 (required)")
+    p.add_argument("--binding", type=_parse_binding, help="comma-separated name=value parameter bindings")
+    p.add_argument("--out", help="CSV output path (default: <family>_profile.csv)")
     p.add_argument("--xi-min", type=float, default=-10.0)
     p.add_argument("--xi-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=201)
-    p.set_defaults(func=functools.partial(_rejecting_bad_input, _waves_action))
 
-    p = subs.add_parser("sim", help="finite-difference solver")
-    p.add_argument("action", choices=["run", "converge"])
-    p.add_argument("--config", help="flat key=value configuration file")
+    actions = _actions(commands, "sim", "finite-difference solver", _BAD_INPUT)
+    p = _action(actions, "run", _sim_run)
+    p.add_argument("--config", required=True, help="flat key=value configuration file")
     p.add_argument("--out-dir", help="directory for CSV outputs")
+    p = _action(actions, "converge", _sim_converge)
     p.add_argument("--family", default="eq93")
     p.add_argument("--binding", type=_parse_binding, help="parameter bindings for the reference family")
     p.add_argument("--n", type=_parse_sizes, default="128,256,512", help="comma-separated grid sizes")
     p.add_argument("--t-end", type=float, default=1.0)
-    p.set_defaults(func=functools.partial(_rejecting_bad_input, _sim_action))
 
-    p = subs.add_parser("report", help="aggregate suites")
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("--samples", type=int, help="optimal-system samples of symmetry and all (default: 1000)")
-    p.set_defaults(func=_cmd_suite)
+    actions = _actions(commands, "report", "aggregate suites")
+    for suite in SUITES:
+        _suite_action(actions, suite, suite)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sim" and args.action == "run" and not args.config:
-        parser.error("sim run requires --config")
-    return args.func(args)
+    args, extra = build_parser().parse_known_args(argv)
+    try:
+        if extra:
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+        return args.func(args)
+    except (UsageError, *args.rejects) as e:
+        print(f"dlwlab {args.command} {args.action}: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -219,18 +219,20 @@ class JetMonomial(namedtuple("JetMonomial", "jet xpow tpow params")):
         return (self.degree, jet_key, self.xpow, self.tpow, self.params)
 
     def __mul__(self, other: "JetMonomial") -> "JetMonomial":
-        params = other.params
-        if self.params:
-            params = _merge_params(self.params, params) if params else self.params
-        return _monomial(
-            _merge_jet(self.jet, other.jet),
-            self.xpow + other.xpow,
-            self.tpow + other.tpow,
-            params,
-        )
+        if not isinstance(other, JetMonomial):
+            return NotImplemented
+        return _monomial_product(self, other)
 
 
 _ONE_MONOMIAL = JetMonomial()
+
+
+def _monomial_product(a: JetMonomial, b: JetMonomial) -> JetMonomial:
+    """``a * b`` for two monomials, without the operand check."""
+    params = b.params
+    if a.params:
+        params = _merge_params(a.params, params) if params else a.params
+    return _monomial(_merge_jet(a.jet, b.jet), a.xpow + b.xpow, a.tpow + b.tpow, params)
 
 
 def _monomial(jet: tuple, xpow: int, tpow: int, params: tuple) -> JetMonomial:
@@ -517,9 +519,10 @@ class JetPoly:
         if not self._num or not other._num:
             return _ZERO
         out: dict[JetMonomial, int] = {}
+        product = _monomial_product
         for m1, c1 in self._num.items():
             for m2, c2 in other._num.items():
-                m = m1 * m2
+                m = product(m1, m2)
                 s = out.get(m)
                 if s is None:
                     out[m] = c1 * c2

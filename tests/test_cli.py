@@ -4,6 +4,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,7 +142,8 @@ def test_sim_run_missing_config_exits_two(tmp_path, capsys):
 )
 def test_waves_family_without_binding_exits_two(action, named, tmp_path, capsys):
     out = tmp_path / "profile.csv"
-    assert run_cli(["waves", action, "--family", "eq93", "--out", str(out)]) == 2
+    extra = ["--out", str(out)] if action == "profile" else []
+    assert run_cli(["waves", action, "--family", "eq93", *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
@@ -312,16 +314,27 @@ def test_unknown_block_rejected(entry):
         entry(blocks=("tabel",))
 
 
-def _choices(command: str, dest: str) -> list[str]:
-    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a.choices for a in subs.choices[command]._actions if a.dest == dest)
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _parser(*path: str) -> argparse.ArgumentParser:
+    """The parser of ``dlwlab <path...>``."""
+    parser = build_parser()
+    for name in path:
+        parser = _subparsers(parser)[name]
+    return parser
+
+
+def _choices(*path: str, dest: str) -> list[str]:
+    return next(a.choices for a in _parser(*path)._actions if a.dest == dest)
 
 
 def test_cli_choices_come_from_the_block_table():
-    assert tuple(_choices("symmetry", "action")) == suite_blocks("symmetry")
-    assert tuple(_choices("adjoint", "action")) == suite_blocks("adjoint")
+    assert tuple(_choices("symmetry", dest="action")) == suite_blocks("symmetry")
+    assert tuple(_choices("adjoint", dest="action")) == suite_blocks("adjoint")
     sets = [b for b in suite_blocks("conslaw") if b != "hamiltonian"]
-    assert list(_choices("conslaw", "set")) == sets + ["all"]
+    assert list(_choices("conslaw", "verify", dest="set")) == sets + ["all"]
 
 
 @pytest.mark.parametrize(
@@ -355,6 +368,169 @@ def test_option_the_action_ignores_exits_two(args, named, tmp_path, monkeypatch,
     assert captured.err.startswith(f"dlwlab {args[0]} {args[1]}: UsageError: ")
     assert named in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+# The options each action declares, beyond the root ``--json`` and
+# ``--reproducible``: the spec the per-action parsers are held to.
+DECLARED = {
+    ("symmetry", "verify"): (),
+    ("symmetry", "brackets"): (),
+    ("symmetry", "optimal"): ("--samples",),
+    ("adjoint", "verify"): (),
+    ("adjoint", "table"): (),
+    ("adjoint", "bracket"): ("--fix",),
+    ("conslaw", "verify"): ("--set",),
+    ("conslaw", "hamiltonian"): (),
+    ("waves", "verify"): ("--family", "--binding", "--samples"),
+    ("waves", "first-integrals"): ("--mu",),
+    ("waves", "profile"): ("--family", "--binding", "--out", "--xi-min", "--xi-max", "--points"),
+    ("sim", "run"): ("--config", "--out-dir"),
+    ("sim", "converge"): ("--family", "--binding", "--n", "--t-end"),
+    ("report", "symmetry"): ("--samples",),
+    ("report", "adjoint"): (),
+    ("report", "conslaw"): (),
+    ("report", "waves"): (),
+    ("report", "sim"): (),
+    ("report", "all"): ("--samples",),
+}
+OPTIONS = sorted({o for opts in DECLARED.values() for o in opts})
+REQUIRED = {("sim", "run"): ["--config", "run.cfg"]}
+
+
+def _undeclared_cases():
+    """(command, action, argv, option) for every option an action does not
+    declare, plus the root ``--json`` on ``waves profile`` and the
+    ``--samples`` that ``waves verify`` reads only with ``--family``."""
+    for (command, action), declared in DECLARED.items():
+        for option in OPTIONS:
+            if option not in declared:
+                argv = [command, action, *REQUIRED.get((command, action), []), option, "1"]
+                yield command, action, argv, option
+    yield "waves", "profile", ["--json", "j.json", "waves", "profile", "--family", "eq93"], "--json"
+    yield "waves", "verify", ["waves", "verify", "--samples", "5"], "--samples"
+
+
+UNDECLARED = list(_undeclared_cases())
+
+# Options the actions once ignored without a word; each must be among the
+# cases above.
+ONCE_IGNORED = [
+    ("symmetry", "verify", "--samples"),
+    ("report", "adjoint", "--samples"),
+    ("adjoint", "verify", "--fix"),
+    ("conslaw", "hamiltonian", "--set"),
+    ("waves", "verify", "--mu"),
+    ("waves", "verify", "--out"),
+    ("waves", "verify", "--points"),
+    ("waves", "verify", "--samples"),
+    ("waves", "first-integrals", "--family"),
+    ("waves", "first-integrals", "--points"),
+    ("waves", "profile", "--json"),
+    ("sim", "run", "--family"),
+    ("sim", "run", "--binding"),
+    ("sim", "run", "--n"),
+    ("sim", "run", "--t-end"),
+    ("sim", "converge", "--config"),
+    ("sim", "converge", "--out-dir"),
+]
+
+
+def _names(text: str, option: str) -> bool:
+    return re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text) is not None
+
+
+def test_declared_table_names_every_action():
+    commands = _subparsers(build_parser())
+    assert {(c, a) for c, parser in commands.items() for a in _subparsers(parser)} == set(DECLARED)
+
+
+def test_once_ignored_options_are_covered():
+    covered = {(command, action, option) for command, action, _, option in UNDECLARED}
+    assert set(ONCE_IGNORED) <= covered
+
+
+def _refuse_to_run(monkeypatch, argv):
+    def refuse(*a, **k):
+        raise AssertionError(f"{argv} ran")
+
+    for target in ("cli.run_suite", "solutions.verify_family", "solutions.profile_rows",
+                   "sim.convergence_study", "sim.integrate"):
+        monkeypatch.setattr(f"dlwlab.{target}", refuse)
+
+
+@pytest.mark.parametrize(
+    "command,action,argv,option", UNDECLARED, ids=[" ".join(c[2]) for c in UNDECLARED]
+)
+def test_undeclared_option_exits_two(command, action, argv, option, tmp_path, monkeypatch, capsys):
+    _refuse_to_run(monkeypatch, argv)
+    monkeypatch.chdir(tmp_path)  # any output file would land here
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"dlwlab {command} {action}: UsageError: ")
+    assert _names(captured.err, option)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,action", list(DECLARED), ids=[" ".join(k) for k in DECLARED])
+def test_action_help_lists_only_its_options(command, action, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, action, "--help"])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: dlwlab {command} {action} ")
+    listed = {o for o in [*OPTIONS, "--json", "--reproducible"] if _names(out, o)}
+    assert listed == set(DECLARED[command, action])
+
+
+def test_sim_run_without_config_exits_two(tmp_path, monkeypatch, capsys):
+    _refuse_to_run(monkeypatch, ["sim", "run"])
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["sim", "run"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--config" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conslaw", "--set", "noether", "verify"],
+        ["report", "--samples", "5", "symmetry"],
+        ["waves", "verify", "--fam", "eq93"],
+    ],
+    ids=["option-before-action", "suite-option-before-action", "abbreviated-option"],
+)
+def test_option_before_the_action_or_abbreviated_exits_two(argv, tmp_path, monkeypatch, capsys):
+    _refuse_to_run(monkeypatch, argv)
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as err:
+        code = err.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_json_in_a_waves_action_exits_two(tmp_path, capsys):
+    """An output path is outside input to the waves and sim actions."""
+    assert main(["--json", str(tmp_path), "waves", "first-integrals"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("dlwlab waves first-integrals: IsADirectoryError: ")
+
+
+def test_error_past_parsing_in_a_suite_command_is_not_a_usage_error(tmp_path):
+    """The suite commands read no outside input, so an error there is a
+    fault: it propagates (traceback, exit 1)."""
+    with pytest.raises(IsADirectoryError):
+        main(["--json", str(tmp_path), "symmetry", "verify"])
 
 
 @pytest.mark.parametrize("binding", ["mu", "mu=abc", "=1", "mu=1,nu"])
