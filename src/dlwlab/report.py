@@ -169,14 +169,31 @@ def _symmetry_brackets(run: _Run, rep: VerificationReport) -> None:
         )
 
 
+_OPTIMAL_SEED = 20240917
+
+
+def _optimal_draw(rng: random.Random) -> list[tuple[int, int]]:
+    """One sample of the optimal block: the entries n/d of a coefficient
+    vector as four (n, d) pairs, n in [-9, 9] drawn before d in [1, 5].
+    An all-zero draw sets the entry at ``rng.randrange(4)`` to 1."""
+    pairs = [(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+    if not any(n for n, _ in pairs):
+        pairs[rng.randrange(4)] = (1, 1)
+    return pairs
+
+
+def _cleared(pairs: list[tuple[int, int]]) -> list[int]:
+    """The entries n/d times the lcm of their denominators: integers on
+    the same ray."""
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs]
+
+
 def _symmetry_optimal(run: _Run, rep: VerificationReport) -> None:
-    rng = random.Random(20240917)
+    rng = random.Random(_OPTIMAL_SEED)
     hist: dict[str, int] = {}
     for _ in range(run.samples):
-        vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
-        if all(v == 0 for v in vec):
-            vec[rng.randrange(4)] = Fraction(1)
-        cls, _, _ = sym.optimal_reduce(vec)
+        cls = sym.optimal_class(_cleared(_optimal_draw(rng)))
         hist[cls] = hist.get(cls, 0) + 1
     rep.add(
         "optimal-closure",

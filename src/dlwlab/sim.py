@@ -11,23 +11,31 @@ measured against the exact conservation budget
     d/dt (integral of density) = flux(left edge) - flux(right edge).
 
 Each RK4 stage is computed once and shared. The state is one stacked
-(2, n) array of u and v. A stage pads it into one preallocated (2, n+4)
-buffer, takes u_x and v_x in one stencil operation over both rows and
-u_xxx on the u row only, writing every stencil and product into buffers
-allocated once per run. Work that does not need the stage's result is
-done per block of ``BLOCK_STEPS`` steps, off the per-stage path: the
-exact-family ghosts of every distinct stage time of a block come from one
-call per field, and each stage only copies the two 5-column edge blocks
-of its buffer into a record whose through-flux the monitors evaluate in
-one array pass at each sample and at the end of the block. The monitors'
-densities and fluxes are compiled to float terms when a run starts.
-Every value is computed by the same floating-point operations in the
-same order as one stage at a time would, so results do not depend on the
-block length.
+(2, n) array of u and v. Each stage input is written straight into the
+interior of one preallocated (2, n+4) buffer, whose ghost columns are
+then filled; the stage takes u_x and v_x in one stencil operation over
+both rows and u_xxx on the u row only, writing every stencil and product
+into buffers allocated once per run. A stage computes the negated right
+side, u u_x + v_x and u_x v + u v_x + u_xxx/3, and the stage inputs and
+the final RK4 combination subtract it where the textbook form adds the
+right side, which saves the negations. IEEE negation is exact and
+a + (-b) is a - b, so every value is the one the right side itself
+gives; only an exact zero may differ in sign. Work that does not need
+the stage's result is done per block of ``BLOCK_STEPS`` steps, off the
+per-stage path: the exact-family ghosts of every distinct stage time of
+a block come from one call per field, and each stage only copies the
+two 5-column edge blocks of its buffer into a record whose through-flux
+the monitors evaluate in one array pass at each sample and at the end of
+the block. The monitors' densities and fluxes are compiled to float
+terms when a run starts. Every value is computed by the same
+floating-point operations in the same order as one stage at a time
+would, so results do not depend on the block length.
 
 Finiteness is checked on the starting fields of a run, whether given or
 taken from the exact family, on the input of ``rhs``, and at the end of
-every RK4 step, after the magnitude guard. The stages themselves are not
+every RK4 step, after the magnitude guard; both checks at the end of a
+step read one per-row maximum of |u| and |v|, so a NaN in one field
+does not hide a blow-up of the other. The stages themselves are not
 checked: every stage enters the step's result, so a non-finite stage
 is caught by the checks at the end of its step.
 """
@@ -260,14 +268,16 @@ class _Boundary:
 
 
 class _Stage:
-    """The semi-discrete right side of one RK4 stage for the stacked
-    (u, v) state. The stage is padded into one preallocated (2, n+4)
-    buffer, and its stencils and products go to buffers allocated once."""
+    """The negated semi-discrete right side of one RK4 stage for the
+    stacked (u, v) state. The stage's fields are the interior ``fields``
+    of one preallocated (2, n+4) buffer, where the caller writes them,
+    and its stencils and products go to buffers allocated once."""
 
     def __init__(self, grid: Grid1D):
         n = grid.n
         self.dx = grid.dx
         self.buf = np.empty((2, n + 4))
+        self.fields = self.buf[:, 2:-2]
         self.both = _windows(self.buf, n)
         self.rows = (_windows(self.buf[0], n), _windows(self.buf[1], n))
         self.d1 = np.empty((2, n))  # u_x, v_x
@@ -279,26 +289,26 @@ class _Stage:
         cols = np.concatenate([cols, cols + n - 1])
         self.flat, self.edge_index = self.buf.reshape(-1), np.concatenate([cols, cols + n + 4])
 
-    def pad(self, fields: np.ndarray, ghosts: np.ndarray | None) -> None:
+    def pad(self, ghosts: np.ndarray | None) -> None:
+        """Fill the ghost columns around the interior ``fields``."""
         buf = self.buf
-        buf[:, 2:-2] = fields
         if ghosts is None:  # periodic
-            buf[:, :2] = fields[:, -2:]
-            buf[:, -2:] = fields[:, :2]
+            buf[:, :2] = buf[:, -4:-2]
+            buf[:, -2:] = buf[:, 2:4]
         else:
             buf[:, :2] = ghosts[:, :2]
             buf[:, -2:] = ghosts[:, 2:]
 
     def __call__(
         self,
-        fields: np.ndarray,
         ghosts: np.ndarray | None,
         out: np.ndarray,
         edges: np.ndarray | None = None,
     ) -> np.ndarray:
-        """u_t = -(u u_x + v_x), v_t = -(u_x v + u v_x + u_xxx/3) into
-        ``out``; ``edges``, if given, receives the edge blocks."""
-        self.pad(fields, ghosts)
+        """-u_t = u u_x + v_x, -v_t = u_x v + u v_x + u_xxx/3 of the
+        interior ``fields`` into ``out``; ``edges``, if given, receives
+        the edge blocks."""
+        self.pad(ghosts)
         if edges is not None:
             self.flat.take(self.edge_index, out=edges, mode="clip")
         dx, p, q = self.dx, self.both, self.rows[0]
@@ -312,16 +322,14 @@ class _Stage:
         np.add(d3, tmp, out=d3)
         np.subtract(d3, q[0], out=d3)
         np.divide(d3, 2 * dx**3, out=d3)
-        (u, v), (u_x, v_x), (u_t, v_t) = fields, d1, out
-        np.multiply(u, u_x, out=u_t)
-        np.add(u_t, v_x, out=u_t)
-        np.negative(u_t, out=u_t)
-        np.multiply(u_x, v, out=v_t)
+        (u, v), (u_x, v_x), (nu_t, nv_t) = self.fields, d1, out
+        np.multiply(u, u_x, out=nu_t)
+        np.add(nu_t, v_x, out=nu_t)
+        np.multiply(u_x, v, out=nv_t)
         np.multiply(u, v_x, out=tmp)
-        np.add(v_t, tmp, out=v_t)
+        np.add(nv_t, tmp, out=nv_t)
         np.divide(d3, 3.0, out=d3)
-        np.add(v_t, d3, out=v_t)
-        np.negative(v_t, out=v_t)
+        np.add(nv_t, d3, out=nv_t)
         return out
 
 
@@ -335,7 +343,9 @@ def rhs(
     ghosts = None
     if boundary is not None and not boundary.periodic:
         ghosts = np.array(boundary.exact_fields(boundary.ghost_x, state.time))
-    out = _Stage(grid)(fields, ghosts, np.empty_like(fields))
+    stage = _Stage(grid)
+    stage.fields[...] = fields
+    out = np.negative(stage(ghosts, np.empty_like(fields)))
     return out[0], out[1]
 
 
@@ -461,7 +471,8 @@ class _Monitors:
         if not self.series:
             return
         if any(k for _, k in self.density_keys):
-            self.stage.pad(fields, ghosts)
+            self.stage.fields[...] = fields
+            self.stage.pad(ghosts)
         dx = self.stage.dx
         values = {
             (row, k): fields[row] if k == 0 else _stencil(self.stage.rows[row], k, dx)
@@ -517,8 +528,9 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
     stage = _Stage(grid)
     monitors = _Monitors(cfg.monitors, stage, x, boundary.periodic, dt)
     slots = monitors.slots
+    # the k hold the negated slopes (see _Stage); y is the stage input
     k1, k2, k3, k4 = np.empty((4,) + fields.shape)
-    y = np.empty_like(fields)
+    y = stage.fields
 
     for first in range(0, steps, BLOCK_STEPS):
         count = min(BLOCK_STEPS, steps - first)
@@ -530,27 +542,35 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
         for j in range(count):
             g0, g_half, g1 = ghosts[2 * j : 2 * j + 3]
             s = 4 * j
-            stage(fields, g0, k1, slots[s])
+            y[...] = fields
+            stage(g0, k1, slots[s])
             np.multiply(half, k1, out=y)
-            stage(np.add(fields, y, out=y), g_half, k2, slots[s + 1])
+            np.subtract(fields, y, out=y)
+            stage(g_half, k2, slots[s + 1])
             np.multiply(half, k2, out=y)
-            stage(np.add(fields, y, out=y), g_half, k3, slots[s + 2])
+            np.subtract(fields, y, out=y)
+            stage(g_half, k3, slots[s + 2])
             np.multiply(dt, k3, out=y)
-            stage(np.add(fields, y, out=y), g1, k4, slots[s + 3])
+            np.subtract(fields, y, out=y)
+            stage(g1, k4, slots[s + 3])
 
-            # fields + sixth * (k1 + 2 k2 + 2 k3 + k4), in that order
+            # fields - sixth * (k1 + 2 k2 + 2 k3 + k4), in that order
             np.multiply(2, k2, out=k2)
             np.add(k1, k2, out=k1)
             np.multiply(2, k3, out=k3)
             np.add(k1, k3, out=k1)
             np.add(k1, k4, out=k1)
             np.multiply(sixth, k1, out=k1)
-            np.add(fields, k1, out=fields)
+            np.subtract(fields, k1, out=fields)
             t = times[2 * j + 2]
 
-            if (np.abs(fields).max(axis=1) > BLOWUP_GUARD).any():
+            # max propagates NaN, and NaN > guard is false: a NaN row
+            # cannot hide the other row's blow-up; inf is above the guard
+            peak_u, peak_v = np.abs(fields).max(axis=1).tolist()
+            if peak_u > BLOWUP_GUARD or peak_v > BLOWUP_GUARD:
                 raise BlowupError(f"field magnitude exceeded {BLOWUP_GUARD:g}", t)
-            _require_finite(fields, t)
+            if math.isnan(peak_u) or math.isnan(peak_v):
+                _require_finite(fields, t)
 
             step = first + j
             if (step + 1) % cfg.output_stride == 0 or step == steps - 1:

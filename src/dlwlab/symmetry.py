@@ -41,6 +41,7 @@ __all__ = [
     "printed_generator_matrices",
     "adjoint_transformations",
     "optimal_reduce",
+    "optimal_class",
     "OPTIMAL_CLASSES",
     "similarity_reduction_checks",
 ]
@@ -354,41 +355,30 @@ def adjoint_transformations(
     return out
 
 
-def optimal_reduce(
-    l: Sequence[Fraction | int],
-) -> tuple[str, Vec4, list[tuple[str, Fraction]]]:
-    """Reduce a nonzero coefficient vector to its subalgebra class.
+def _reduce_core(cur: list[int]) -> tuple[list[int], int, list[tuple[str, int, int]]]:
+    """The branch loop of the reduction on an integer 4-vector ``cur``.
 
-    Returns (class id, final normalized vector, transformation log); the
-    log lists (map name, parameter) applications in order, with "scale"
-    recording the final projective normalization divisor. Branches on
-    l1 != 0, then l4, then l3. Vectors with a nonzero scaling component
-    always land on X4: the shift maps absorb every other slot there.
-
-    The entries are ints or Fractions. The reduction runs in integer
-    projective form: one integer 4-vector ``cur`` over one positive
-    denominator ``den``, starting from the least common multiple of the
-    entries' denominators. A step with parameter p/q multiplies ``cur``
-    and ``den`` by q (T1) or 2q (T2, T3), so every entry stays an
-    integer. The branch tests read signs and zeros only, and every
-    parameter is a ratio of entries, so the log holds the same Fractions
-    as a run of the Fraction maps ``_t1``-``_t3``; besides the
-    parameters, only the normalized vector and the final scale lead/den
-    are formed as Fractions.
+    Returns (reduced vector, factor, steps). Each step is (map name, p, q)
+    with the parameter p/q in lowest terms and q > 0. A step multiplies
+    the vector by q (T1) or 2q (T2, T3) on top of the map, so every entry
+    stays an integer, and ``factor`` is the product of these multipliers:
+    the reduced vector is ``factor`` times the image of ``cur`` under the
+    Fraction maps ``_t1``-``_t3`` with the steps' parameters. The branch
+    tests read signs and zeros only, and every parameter is a ratio of
+    entries, so scaling ``cur`` by a nonzero constant changes neither the
+    steps nor the reduced vector's ray.
     """
-    if len(l) != 4:
+    if len(cur) != 4:
         raise JetError("subalgebra vectors have four components")
-    den = math.lcm(*(v.denominator for v in l))
-    cur = [v.numerator * (den // v.denominator) for v in l]
     if not any(cur):
         raise JetError("the zero vector spans no subalgebra")
-    log: list[tuple[str, Fraction]] = []
+    factor = 1
+    steps: list[tuple[str, int, int]] = []
 
     def apply(name: str, num: int, dnm: int) -> None:
-        # T1-T3 with parameter p/q on the numerators, scaled by k = q or 2q
-        nonlocal cur, den
-        param = Fraction(num, dnm)
-        p, q = param.numerator, param.denominator
+        nonlocal cur, factor
+        g = math.gcd(num, dnm) if dnm > 0 else -math.gcd(num, dnm)
+        p, q = num // g, dnm // g
         c0, c1, c2, c3 = cur
         if name == "T1":
             k = q
@@ -399,8 +389,8 @@ def optimal_reduce(
         else:
             k = 2 * q
             cur = [k * c0, k * c1 - 2 * p * c0, k * c2 - p * c3, k * c3]
-        den *= k
-        log.append((name, param))
+        factor *= k
+        steps.append((name, p, q))
 
     for _ in range(3):  # the T1 step in the l1 == 0 branch may reopen case 1
         if cur[0]:
@@ -424,22 +414,55 @@ def optimal_reduce(
         if cur[3] and cur[1]:
             apply("T2", -2 * cur[1], cur[3])
         break
+    return cur, factor, steps
 
+
+def _class_of(cur: list[int]) -> str:
+    """The class of a reduced vector, read from its signs and zeros."""
     c0, _, c2, c3 = cur
+    if c0:  # the normalized third slot c2 / c0 has the sign of c2 * c0
+        return "X1" if c2 == 0 else ("X1+X3" if c2 * c0 > 0 else "X1-X3")
+    if c3:
+        return "X4"
+    return "X3" if c2 else "X2"
+
+
+def optimal_class(vec: Sequence[int]) -> str:
+    """The subalgebra class of a nonzero integer coefficient vector.
+
+    ``vec`` is the projective form of a rational vector: any nonzero
+    integer multiple of it, for instance the entries times the least
+    common multiple of their denominators. Only the class is formed, so
+    no Fraction is built.
+    """
+    return _class_of(_reduce_core(list(vec))[0])
+
+
+def optimal_reduce(
+    l: Sequence[Fraction | int],
+) -> tuple[str, Vec4, list[tuple[str, Fraction]]]:
+    """Reduce a nonzero coefficient vector to its subalgebra class.
+
+    Returns (class id, final normalized vector, transformation log); the
+    log lists (map name, parameter) applications in order, with "scale"
+    recording the final projective normalization divisor. Branches on
+    l1 != 0, then l4, then l3. Vectors with a nonzero scaling component
+    always land on X4: the shift maps absorb every other slot there.
+
+    The entries are ints or Fractions. They are put over the least common
+    multiple ``den`` of their denominators and reduced by the integer core
+    that ``optimal_class`` also runs, so the class comes from the same
+    branch loop. The core's steps become the log's Fraction parameters,
+    the same values a run of the Fraction maps ``_t1``-``_t3`` logs; the
+    reduced vector over its first nonzero entry ``lead`` is the normalized
+    vector, and the final scale is lead / (den * factor).
+    """
+    den = math.lcm(*(v.denominator for v in l))
+    cur, factor, steps = _reduce_core([v.numerator * (den // v.denominator) for v in l])
     lead = next(c for c in cur if c)
-    norm = tuple(Fraction(c, lead) for c in cur)
-    log.append(("scale", Fraction(lead, den)))
-    if c0:  # lead is c0, so norm[2] has the sign of c2 * c0
-        cls = "X1" if c2 == 0 else ("X1+X3" if c2 * c0 > 0 else "X1-X3")
-    elif c3:
-        cls = "X4"
-    elif c2:
-        cls = "X3"
-    else:
-        cls = "X2"
-    if cls not in OPTIMAL_CLASSES:
-        raise JetError(f"reduction produced an unlisted class {cls}")
-    return cls, norm, log  # type: ignore[return-value]
+    log = [(name, Fraction(p, q)) for name, p, q in steps]
+    log.append(("scale", Fraction(lead, den * factor)))
+    return _class_of(cur), tuple(Fraction(c, lead) for c in cur), log  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

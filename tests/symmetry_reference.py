@@ -3,7 +3,9 @@
 ``optimal_reduce`` here wraps every entry in ``Fraction`` and applies the
 coefficient-space maps T1-T3 to the rational vector step by step.
 ``dlwlab.symmetry.optimal_reduce`` must return the same class, normalized
-vector and transformation log, with every number a ``Fraction``.
+vector and transformation log, with every number a ``Fraction``, and
+``dlwlab.symmetry.optimal_class`` the same class for every nonzero
+integer multiple of an integer vector.
 
 ``ansatz_reduction`` substitutes an invariant ansatz by its own recursion
 over the derivative coordinates; ``dlwlab.symmetry`` goes through

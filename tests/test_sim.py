@@ -370,6 +370,55 @@ class TestReferenceOracle:
             assert got == want
 
 
+class TestStepGuards:
+    """The checks at the end of an RK4 step, against the reference
+    stepper: a NaN in u must not hide a blow-up of v, and a NaN alone is
+    the non-finite error, not a blow-up."""
+
+    def poisoned(self, monkeypatch, u, v):
+        # the first step's fourth stage slope gets u and v at node 5, so
+        # that step ends with them scaled by dt/6 (a sign is irrelevant)
+        calls = []
+
+        class Stage(sim._Stage):
+            def __call__(self, ghosts, out, edges=None):
+                super().__call__(ghosts, out, edges)
+                calls.append(None)
+                if len(calls) == 4:
+                    out[:, 5] = u, v
+                return out
+
+        def reference_rhs(state, grid, boundary=None):
+            du, dv = rhs_before(state, grid, boundary)
+            calls.append(None)
+            if len(calls) == 4:
+                du[5], dv[5] = u, v
+            return du, dv
+
+        rhs_before = sim_reference.rhs
+        monkeypatch.setattr(sim, "_Stage", Stage)
+        monkeypatch.setattr(sim_reference, "rhs", reference_rhs)
+        cfg = _kink(64, 0.1)
+        errors = []
+        for run in (sim_reference.integrate, integrate):
+            del calls[:]
+            with pytest.raises(JetError) as err:
+                run(cfg)
+            errors.append(err.value)
+        return errors
+
+    def test_nan_in_u_does_not_hide_blowup_of_v(self, monkeypatch):
+        want, got = self.poisoned(monkeypatch, math.nan, 1e300)
+        assert type(want) is type(got) is BlowupError
+        assert got.time == want.time > 0.0
+        assert str(got) == str(want)
+
+    def test_nan_alone_is_non_finite(self, monkeypatch):
+        want, got = self.poisoned(monkeypatch, math.nan, 0.0)
+        assert type(want) is type(got) is JetError
+        assert "non-finite" in str(got) and str(got) == str(want)
+
+
 def _counting_compile(calls):
     def compile_counted(expr, binding):
         f = compile_expr(expr, binding)
