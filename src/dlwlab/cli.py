@@ -10,11 +10,12 @@ Exit codes: 0 when no entry fails (flagged catalog discrepancies are
 listed but do not fail the build), 1 on an unexpected failure, 2 on
 usage errors: an option the action does not declare, and input that
 the action rejects (a malformed ``--binding`` or ``--n``, a ``--samples``
-below 1, a ``--mu`` that is not rational, a ``--points`` below 2, an
-option that needs ``--family`` without it, ``--json`` on ``waves
-profile``, which writes its CSV to ``--out``, and in the ``waves`` and
-``sim`` actions a bad config, an unbound family parameter, an unknown
-monitor label or family, or a file that cannot be read or written).
+below 1 on ``waves verify``, a ``--mu`` that is not rational, a
+``--points`` below 2, an option that needs ``--family`` without it,
+``--json`` on ``waves profile``, which writes its CSV to ``--out``, and
+in the ``waves`` and ``sim`` actions a bad config, an unbound family
+parameter or a bound name that is not one, an unknown monitor label or
+family, or a file that cannot be read or written).
 Past parsing, each prints one stderr line ``dlwlab <command> <action>:
 <error type>: <message>``.
 """
@@ -32,6 +33,7 @@ from pathlib import Path
 from .analytic import AnalyticError
 from .jet import JetError
 from .report import SUITES, VerificationReport, report_to_json_text, run_suite, suite_blocks
+from .solutions import RESIDUAL_SAMPLES
 
 __all__ = ["main", "build_parser"]
 
@@ -97,11 +99,6 @@ class UsageError(Exception):
     that the action cannot use."""
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {samples}")
-
-
 # ---------------------------------------------------------------------------
 # action handlers
 
@@ -109,8 +106,7 @@ def _check_samples(samples: int) -> None:
 def _cmd_suite(args: argparse.Namespace) -> int:
     """Run the ``blocks`` of ``suite`` the action's parser names (all of
     them when None) and print the report."""
-    _check_samples(args.samples)
-    rep = run_suite(args.suite, reproducible=args.reproducible, samples=args.samples, blocks=args.blocks)
+    rep = run_suite(args.suite, reproducible=args.reproducible, blocks=args.blocks)
     if args.fix:
         rep.entries = [e for e in rep.entries if f"fix{args.fix}" in e.label]
     return _emit(rep, args)
@@ -129,8 +125,9 @@ def _waves_verify(args: argparse.Namespace) -> int:
         return _emit(run_suite("waves", reproducible=args.reproducible), args)
     from .solutions import verify_family
 
-    samples = 50 if args.samples is None else args.samples
-    _check_samples(samples)
+    samples = RESIDUAL_SAMPLES if args.samples is None else args.samples
+    if samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {samples}")
     binding = args.binding or {}
     report = verify_family(args.family, binding, n_samples=samples)
     _print_json({"family": args.family, "params": binding, **asdict(report)}, args)
@@ -238,12 +235,8 @@ def _action(actions, name: str, func, **defaults) -> argparse.ArgumentParser:
 
 
 def _suite_action(actions, name: str, suite: str, blocks=None, func=_cmd_suite) -> argparse.ArgumentParser:
-    """The parser of an action that runs ``blocks`` of ``suite``; only the
-    ones that run the symmetry ``optimal`` block declare ``--samples``."""
-    p = _action(actions, name, func, suite=suite, blocks=blocks, samples=1000, fix=None)
-    if suite in ("symmetry", "all") and blocks in (None, ("optimal",)):
-        p.add_argument("--samples", type=int, help="optimal-system samples (default: 1000)")
-    return p
+    """The parser of an action that runs ``blocks`` of ``suite``."""
+    return _action(actions, name, func, suite=suite, blocks=blocks, fix=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _action(actions, "verify", _waves_verify)
     p.add_argument("--family", help="catalog id, e.g. eq93; without it the waves suite runs")
     p.add_argument("--binding", type=_parse_binding, help="comma-separated name=value parameter bindings")
-    p.add_argument("--samples", type=int, help="residual samples of the family (default: 50)")
+    p.add_argument("--samples", type=int, help=f"residual samples of the family (default: {RESIDUAL_SAMPLES})")
     p = _action(actions, "first-integrals", _waves_first_integrals)
     p.add_argument("--mu", help="rational wave speed")
     p = _action(actions, "profile", _waves_profile)

@@ -506,16 +506,12 @@ def printed_presymplectic_q4() -> tuple[JetPoly, JetPoly]:
     )
 
 
-def presymplectic_check(
-    p: Characteristic, q: tuple[JetPoly, JetPoly], hs: HamiltonianStructure | None = None
-) -> tuple[bool, int]:
-    """Forward check that the off-diagonal D_x operator maps the
-    potential-variable tuple back onto the symmetry characteristic after
-    q_x -> u, r_x -> v. Returns (matched, sign); sign is +1 or -1 when
+def presymplectic_check(p: Characteristic, q: tuple[JetPoly, JetPoly]) -> tuple[bool, int]:
+    """Forward check that the D_x operator of ``hamiltonian_structure()``
+    maps the potential-variable tuple back onto the symmetry characteristic
+    after q_x -> u, r_x -> v. Returns (matched, sign); sign is +1 or -1 when
     the image is plus or minus the characteristic, 0 when neither."""
-    if hs is None:
-        hs = hamiltonian_structure()
-    image = apply_op(hs.d_op, q)
+    image = apply_op(hamiltonian_structure().d_op, q)
     physical = tuple(potential_to_physical(c) for c in image)
     if physical == tuple(p.comp):
         return (True, 1)

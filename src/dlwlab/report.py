@@ -79,10 +79,8 @@ class VerificationReport:
 
 
 class _Run:
-    """What the blocks of one run share, each built on first read."""
-
-    def __init__(self, samples: int) -> None:
-        self.samples = samples
+    """What the blocks of one run share, each built on first read. A run
+    takes no settings; the optimal block's seed and count are constants."""
 
     phys = functools.cached_property(lambda self: physical_system())
     pot = functools.cached_property(lambda self: potential_system())
@@ -170,6 +168,7 @@ def _symmetry_brackets(run: _Run, rep: VerificationReport) -> None:
 
 
 _OPTIMAL_SEED = 20240917
+_OPTIMAL_SAMPLES = 1000
 
 
 def _optimal_draw(rng: random.Random) -> list[tuple[int, int]]:
@@ -192,7 +191,7 @@ def _cleared(pairs: list[tuple[int, int]]) -> list[int]:
 def _symmetry_optimal(run: _Run, rep: VerificationReport) -> None:
     rng = random.Random(_OPTIMAL_SEED)
     hist: dict[str, int] = {}
-    for _ in range(run.samples):
+    for _ in range(_OPTIMAL_SAMPLES):
         cls = sym.optimal_class(_cleared(_optimal_draw(rng)))
         hist[cls] = hist.get(cls, 0) + 1
     rep.add(
@@ -404,11 +403,11 @@ def _conslaw_hamiltonian(run: _Run, rep: VerificationReport) -> None:
     )
     rep.add("skew-adjointness", "eq73", formal_adjoint(hs.d_op) == (-hs.d_op).canonical(), "structure operator is exactly skew")
     for p, q in cl.presymplectic_pairs():
-        ok, sign = cl.presymplectic_check(p, q, hs)
+        ok, sign = cl.presymplectic_check(p, q)
         name = p.name or "P?"
         note = f"sign {sign:+d}" + ("; corrected preimage (see printed variant)" if name == "P4" else "")
         rep.add(f"presymplectic-{name}", "eq75", ok, note)
-    okp, _ = cl.presymplectic_check(run.ps[3], cl.printed_presymplectic_q4(), hs)
+    okp, _ = cl.presymplectic_check(run.ps[3], cl.printed_presymplectic_q4())
     rep.add(
         "presymplectic-P4-printed",
         "eq75",
@@ -615,13 +614,13 @@ def suite_blocks(suite: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(name for name, _ in _BLOCKS[suite]))
 
 
-def _run(suite: str, reproducible: bool, blocks: Collection[str] | None, samples: int = 1000) -> VerificationReport:
+def _run(suite: str, reproducible: bool, blocks: Collection[str] | None) -> VerificationReport:
     if blocks is not None:
         known = suite_blocks(suite)
         unknown = set(blocks) - set(known)
         if unknown:
             raise ValueError(f"unknown check block(s) {sorted(unknown)}; known: {', '.join(known)}")
-    run = _Run(samples)
+    run = _Run()
     rep = VerificationReport(suite=suite)
     for name, block in _BLOCKS[suite]:
         if blocks is None or name in blocks:
@@ -629,10 +628,8 @@ def _run(suite: str, reproducible: bool, blocks: Collection[str] | None, samples
     return _stamp(rep, reproducible)
 
 
-def symmetry_suite(samples: int = 1000, reproducible: bool = True, blocks: Collection[str] | None = None) -> VerificationReport:
-    if samples < 1 and (blocks is None or "optimal" in blocks):
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    return _run("symmetry", reproducible, blocks, samples)
+def symmetry_suite(reproducible: bool = True, blocks: Collection[str] | None = None) -> VerificationReport:
+    return _run("symmetry", reproducible, blocks)
 
 
 def adjoint_suite(reproducible: bool = True, blocks: Collection[str] | None = None) -> VerificationReport:
@@ -643,21 +640,20 @@ def conslaw_suite(reproducible: bool = True, blocks: Collection[str] | None = No
     return _run("conslaw", reproducible, blocks)
 
 
-def run_suite(
-    name: str, reproducible: bool = True, samples: int = 1000, blocks: Collection[str] | None = None
-) -> VerificationReport:
+def run_suite(name: str, reproducible: bool = True, blocks: Collection[str] | None = None) -> VerificationReport:
     """One suite, or ``all`` of them in order; ``blocks=None`` runs every
-    block. The catalog suites' entry points are looked up per call, so
-    wrappers of those names see every run."""
+    block. The catalog suites' entry points, which share this signature
+    past ``name``, are looked up per call, so wrappers of those names see
+    every run."""
     if name == "all":
         if blocks is not None:
             raise ValueError(f"unknown check block(s) {sorted(blocks)}; suite 'all' has none")
         combined = VerificationReport(suite="all")
         for sub in _BLOCKS:
-            combined.entries.extend(run_suite(sub, samples=samples).entries)
+            combined.entries.extend(run_suite(sub).entries)
         return _stamp(combined, reproducible)
     if name == "symmetry":
-        return symmetry_suite(samples, reproducible, blocks)
+        return symmetry_suite(reproducible, blocks)
     if name == "adjoint":
         return adjoint_suite(reproducible, blocks)
     if name == "conslaw":

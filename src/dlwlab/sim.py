@@ -52,7 +52,7 @@ from . import solutions
 from .analytic import compile_expr
 from .conslaw import direct_laws
 from .jet import JetError, JetPoly
-from .solutions import verify_family
+from .solutions import RESIDUAL_TOL, verify_family
 
 __all__ = [
     "BlowupError",
@@ -236,7 +236,7 @@ class _Boundary:
     def __init__(self, cfg: SimConfig):
         self.periodic = cfg.boundary == "periodic"
         if not self.periodic:
-            fam = solutions.family(cfg.family)
+            fam = solutions.family(cfg.family, cfg.binding)
             self._u = compile_expr(fam.u_expr, cfg.binding)
             self._v = compile_expr(fam.v_expr, cfg.binding)
             grid = cfg.grid
@@ -595,28 +595,25 @@ def convergence_study(
     binding: Mapping[str, float],
     n_list: Sequence[int],
     t_end: float = 1.0,
-    domain: tuple[float, float] = (-20.0, 20.0),
-    cfl: float = 0.2,
 ) -> list[dict]:
-    """L2-error table over a grid refinement sequence with observed
-    orders between consecutive entries. Refuses families that do not
-    verify analytically (no exact reference, no study)."""
-    rep = verify_family(family, binding, n_samples=50, seed=11)
-    if not (rep.samples_used and rep.max_residual < 1e-8):
+    """L2-error table on [-20, 20] over a grid refinement sequence with
+    observed orders between consecutive entries. Refuses families that
+    do not verify analytically (no exact reference, no study)."""
+    rep = verify_family(family, binding, seed=11)
+    if not (rep.samples_used and rep.max_residual < RESIDUAL_TOL):
         raise JetError(f"family {family} is not a verified exact solution")
     rows: list[dict] = []
     for n in n_list:
         cfg = SimConfig(
-            grid=Grid1D(domain[0], domain[1], n),
+            grid=Grid1D(-20.0, 20.0, n),
             t_end=t_end,
-            cfl=cfl,
             boundary="exact",
             family=family,
             binding=dict(binding),
         )
         res = integrate(cfg)
         row: dict = {"n": n, "l2_error": res.l2_error}
-        if rows and len(n_list) > 1:
+        if rows:
             prev = rows[-1]
             ratio = math.log2(prev["l2_error"] / res.l2_error)
             scale = math.log2(n / prev["n"])

@@ -43,7 +43,7 @@ from .analytic import (
     sub,
     tanh,
 )
-from .jet import EvolutionSystem, JetError
+from .jet import JetError
 from .systems import physical_system
 
 __all__ = [
@@ -55,6 +55,11 @@ __all__ = [
     "scan_family",
     "profile_rows",
 ]
+
+#: Residual samples per binding when the caller names no count.
+RESIDUAL_SAMPLES = 50
+#: The largest residual at which a family verifies as an exact solution.
+RESIDUAL_TOL = 1e-8
 
 
 class UnknownFamily(JetError):
@@ -268,37 +273,36 @@ def _samples(
     return [(rng.uniform(x0, x1), rng.uniform(t0, t1)) for _ in range(n)]
 
 
-def family(family_id: str) -> SolitonFamily:
+def family(family_id: str, binding: Mapping[str, float] = MappingProxyType({})) -> SolitonFamily:
     """The registered family of a catalog id; an unknown id raises
-    ``UnknownFamily`` naming it and every known id."""
+    ``UnknownFamily`` naming it and every known id, and a name in
+    ``binding`` that is not a parameter of the family raises ``JetError``
+    naming it and the family's parameters."""
     reg = family_registry()
     fam = reg.get(family_id)
     if fam is None:
         raise UnknownFamily(f"unknown family {family_id!r}; known: {', '.join(sorted(reg))}")
+    unknown = set(binding) - fam.free_params
+    if unknown:
+        known = ", ".join(sorted(fam.free_params))
+        raise JetError(f"unknown parameter(s) {sorted(unknown)} for {family_id}; its parameters: {known}")
     return fam
 
 
 def verify_family(
-    family_id: str,
-    binding: Mapping[str, float],
-    n_samples: int = 50,
-    seed: int = 0,
-    sys: EvolutionSystem | None = None,
+    family_id: str, binding: Mapping[str, float], n_samples: int = RESIDUAL_SAMPLES, seed: int = 0
 ) -> ResidualReport:
-    """Residual scan of one family at one binding; unknown ids raise."""
-    fam = family(family_id)
+    """Residual scan of one family at one binding on the physical pair;
+    unknown ids raise."""
+    fam = family(family_id, binding)
     missing = fam.free_params - set(binding)
     if missing:
         raise JetError(f"unbound parameters for {family_id}: {sorted(missing)}")
-    if sys is None:
-        sys = physical_system()
     samples = _samples(fam.domain, n_samples, seed)
-    return residual_max(sys, (fam.u_expr, fam.v_expr), binding, samples)
+    return residual_max(physical_system(), (fam.u_expr, fam.v_expr), binding, samples)
 
 
-def scan_family(
-    family_id: str, n_samples: int = 50, seed: int = 0, tol: float = 1e-8
-) -> list[dict]:
+def scan_family(family_id: str, n_samples: int = RESIDUAL_SAMPLES, seed: int = 0) -> list[dict]:
     """Run the family's default grid; one record per binding."""
     fam = family(family_id)
     out = []
@@ -312,7 +316,7 @@ def scan_family(
                 "per_equation": list(rep.per_equation),
                 "samples_used": rep.samples_used,
                 "samples_skipped": rep.samples_skipped,
-                "passes": rep.samples_used > 0 and rep.max_residual < tol,
+                "passes": rep.samples_used > 0 and rep.max_residual < RESIDUAL_TOL,
             }
         )
     return out
@@ -327,7 +331,7 @@ def profile_rows(
 ) -> list[tuple[float, float, float]]:
     """(xi, U, V) samples of the family at t = 0 for plotting dumps; the
     rows where a guard trips in U or V are left out."""
-    fam = family(family_id)
+    fam = family(family_id, binding)
     xis = [xi_min + (xi_max - xi_min) * k / (n - 1) for k in range(n)]
     (u, v), skip = evaluate_samples((fam.u_expr, fam.v_expr), [(xi, 0.0) for xi in xis], binding)
     return [(xi, float(u[k]), float(v[k])) for k, xi in enumerate(xis) if not skip[k]]

@@ -17,6 +17,7 @@ decided exactly in the jet layer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -115,7 +116,14 @@ def _solve_for(eq: JetPoly, lead: JetVar) -> JetPoly:
 def traveling_solved_system(mu: JetPoly | Fraction | int = MU) -> SolvedSystem:
     """The reduced system in solved form: V' from the first equation and
     U''' from the second with V' eliminated."""
-    eq1, eq2 = reduce_traveling(physical_system(), mu).equations
+    return _solved_system(mu, physical_system())
+
+
+# Keyed on the pair itself, so a replaced ``physical_system()`` gets its
+# own entry; bounded, since each speed is a key.
+@functools.lru_cache(maxsize=16)
+def _solved_system(mu: JetPoly | Fraction | int, pair: EvolutionSystem) -> SolvedSystem:
+    eq1, eq2 = reduce_traveling(pair, mu).equations
     v1, u3 = JetVar("V", 1, 0), JetVar("U", 3, 0)
     v1_rhs = _solve_for(eq1, v1)
     u3_rhs = _solve_for(eq2.substitute(lambda w: v1_rhs if w == v1 else None), u3)

@@ -72,8 +72,8 @@ def test_waves_profile_csv(tmp_path, capsys):
 
 def test_report_json_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert run_cli(["--reproducible", "--json", str(p1), "symmetry", "optimal", "--samples", "40"]) == 0
-    assert run_cli(["--reproducible", "--json", str(p2), "symmetry", "optimal", "--samples", "40"]) == 0
+    assert run_cli(["--reproducible", "--json", str(p1), "symmetry", "optimal"]) == 0
+    assert run_cli(["--reproducible", "--json", str(p2), "symmetry", "optimal"]) == 0
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -152,6 +152,28 @@ def test_waves_family_without_binding_exits_two(action, named, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "action,argv",
+    [
+        ("waves verify", ["--json", "out.json", "waves", "verify", "--family", "eq93", "--binding", "mu=1,nu=7"]),
+        ("waves profile", ["waves", "profile", "--family", "eq93", "--binding", "mu=1,nu=7", "--out", "p.csv"]),
+        ("sim run", ["--json", "out.json", "sim", "run", "--config", "run.cfg", "--out-dir", "out"]),
+        ("sim converge", ["--json", "out.json", "sim", "converge", "--binding", "mu=1,nu=7", "--n", "64"]),
+    ],
+    ids=["waves-verify", "waves-profile", "sim-run", "sim-converge"],
+)
+def test_binding_name_outside_the_family_exits_two(action, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(KINK_CFG + "param.mu=1.0\nparam.nu=7\n")
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"dlwlab {action}: JetError: ")
+    assert "['nu'] for eq93; its parameters: mu" in captured.err
+    assert [f.name for f in tmp_path.rglob("*") if f.is_file()] == ["run.cfg"]
+
+
 def test_report_all_matches_the_golden_snapshot(tmp_path):
     """The byte-exact behaviour contract: ``report all --reproducible``
     against the snapshot the benchmark also checks (read, never written)."""
@@ -181,13 +203,12 @@ PREFIX_ORACLE = [
 
 @pytest.fixture(scope="module")
 def full_suites():
-    return {name: run_suite(name, samples=40).to_json()["entries"] for name in ("symmetry", "adjoint", "conslaw")}
+    return {name: run_suite(name).to_json()["entries"] for name in ("symmetry", "adjoint", "conslaw")}
 
 
 def cli_entries(tmp_path, args):
     path = tmp_path / "out.json"
-    extra = ["--samples", "40"] if args[:2] == ["symmetry", "optimal"] else []
-    assert run_cli(["--reproducible", "--json", str(path), *args, *extra]) == 0
+    assert run_cli(["--reproducible", "--json", str(path), *args]) == 0
     return json.loads(path.read_text(encoding="utf-8"))["entries"]
 
 
@@ -222,71 +243,7 @@ def test_symmetry_optimal_runs_no_reduction(monkeypatch, capsys):
         raise AssertionError("symmetry optimal ran the similarity reductions")
 
     monkeypatch.setattr("dlwlab.symmetry.similarity_reduction_checks", refuse)
-    assert run_cli(["symmetry", "optimal", "--samples", "40"]) == 0
-
-
-@pytest.mark.parametrize(
-    "args,prefix",
-    [
-        (["symmetry", "optimal", "--samples", "0"], "dlwlab symmetry optimal: "),
-        (["symmetry", "optimal", "--samples", "-3"], "dlwlab symmetry optimal: "),
-        (["report", "symmetry", "--samples", "0"], "dlwlab report symmetry: "),
-        (["report", "all", "--samples", "-3"], "dlwlab report all: "),
-    ],
-)
-def test_samples_below_one_exits_two(args, prefix, monkeypatch, capsys):
-    def refuse(*a, **k):
-        raise AssertionError("a suite ran on rejected --samples")
-
-    monkeypatch.setattr("dlwlab.cli.run_suite", refuse)
-    assert run_cli(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith(prefix)
-    assert f"--samples must be at least 1, got {args[-1]}" in captured.err
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["symmetry", "verify", "--samples", "0"],
-        ["symmetry", "brackets", "--samples", "40"],
-        ["report", "adjoint", "--samples", "0"],
-        ["report", "conslaw", "--samples", "40"],
-    ],
-)
-def test_samples_on_a_run_without_the_optimal_block_exits_two(args, monkeypatch, capsys):
-    def refuse(*a, **k):
-        raise AssertionError("a suite ran with an ignored --samples")
-
-    monkeypatch.setattr("dlwlab.cli.run_suite", refuse)
-    assert run_cli(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"dlwlab {args[0]} {args[1]}: UsageError: ")
-    assert "--samples" in captured.err
-
-
-@pytest.mark.parametrize("args,samples", [(["report", "symmetry", "--samples", "5"], 5), (["symmetry", "verify"], 1000)])
-def test_samples_reach_the_suite(args, samples, monkeypatch, capsys):
-    """An explicit ``--samples`` reaches a run of the optimal block, which
-    still passes; without the option the run takes 1000."""
-    seen = []
-
-    def spy(*a, samples, **k):
-        seen.append(samples)
-        return run_suite(*a, samples=samples, **k)
-
-    monkeypatch.setattr("dlwlab.cli.run_suite", spy)
-    assert run_cli(args) == 0
-    assert seen == [samples]
-
-
-def test_symmetry_suite_rejects_no_samples():
-    with pytest.raises(ValueError, match="samples"):
-        run_suite("symmetry", samples=0)
+    assert run_cli(["symmetry", "optimal"]) == 0
 
 
 @pytest.mark.parametrize("mu", ["abc", "1/0"])
@@ -343,10 +300,9 @@ def test_cli_choices_come_from_the_block_table():
 )
 def test_run_suite_selects_the_same_blocks(suite, block):
     entry = SUITE_ENTRIES[f"{suite}_suite"]
-    extra = {"samples": 40} if suite == "symmetry" else {}
-    want = entry(blocks=(block,), **extra).to_json()
+    want = entry(blocks=(block,)).to_json()
     assert want["entries"]
-    assert run_suite(suite, blocks=(block,), **extra).to_json() == want
+    assert run_suite(suite, blocks=(block,)).to_json() == want
 
 
 @pytest.mark.parametrize(
@@ -375,7 +331,7 @@ def test_option_the_action_ignores_exits_two(args, named, tmp_path, monkeypatch,
 DECLARED = {
     ("symmetry", "verify"): (),
     ("symmetry", "brackets"): (),
-    ("symmetry", "optimal"): ("--samples",),
+    ("symmetry", "optimal"): (),
     ("adjoint", "verify"): (),
     ("adjoint", "table"): (),
     ("adjoint", "bracket"): ("--fix",),
@@ -386,12 +342,12 @@ DECLARED = {
     ("waves", "profile"): ("--family", "--binding", "--out", "--xi-min", "--xi-max", "--points"),
     ("sim", "run"): ("--config", "--out-dir"),
     ("sim", "converge"): ("--family", "--binding", "--n", "--t-end"),
-    ("report", "symmetry"): ("--samples",),
+    ("report", "symmetry"): (),
     ("report", "adjoint"): (),
     ("report", "conslaw"): (),
     ("report", "waves"): (),
     ("report", "sim"): (),
-    ("report", "all"): ("--samples",),
+    ("report", "all"): (),
 }
 OPTIONS = sorted({o for opts in DECLARED.values() for o in opts})
 REQUIRED = {("sim", "run"): ["--config", "run.cfg"]}

@@ -3,6 +3,7 @@
 import pytest
 
 from dlwlab import solutions
+from dlwlab.jet import JetError
 from dlwlab.solutions import (
     UnknownFamily,
     family_registry,
@@ -91,6 +92,14 @@ def test_unknown_family():
         message = str(err.value)
         assert message.startswith("unknown family 'eq1234'; known: ")
         assert message.endswith(", ".join(sorted(family_registry())))
+
+
+def test_binding_names_are_the_family_parameters():
+    for fid, fam in family_registry().items():
+        for binding in fam.default_grid:
+            assert set(binding) == fam.free_params, fid
+    with pytest.raises(JetError, match=r"unknown parameter\(s\) \['nu'\] for eq93; its parameters: mu$"):
+        solutions.family("eq93", {"mu": 1.0, "nu": 7.0})
 
 
 def test_missing_binding_rejected():

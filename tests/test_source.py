@@ -159,8 +159,8 @@ def test_run_suite_calls_the_traced_entry_points(monkeypatch):
         monkeypatch.setattr(report, attr, wrapped)
     for suite in ("symmetry", "adjoint", "conslaw"):
         calls.clear()
-        report.run_suite(suite, samples=40)
+        report.run_suite(suite)
         assert calls == [f"{suite}_suite"]
     calls.clear()
-    report.run_suite("all", samples=40)
+    report.run_suite("all")
     assert sorted(calls) == traced

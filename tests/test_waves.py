@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlwlab import waves
 from dlwlab.conslaw import direct_laws
 from dlwlab.jet import EvolutionSystem, JetError, JetMonomial, JetPoly, JetVar, reduce_on_shell
+from dlwlab.report import run_suite
 from dlwlab.systems import physical_system
 from dlwlab.waves import (
     ROOT3,
@@ -124,6 +126,15 @@ class TestFirstIntegrals:
     def test_rational_speed_variant(self):
         fi = first_integral(direct_laws()["eq32"], Fraction(3, 2))
         assert first_integral_derivative(fi, Fraction(3, 2)).is_zero()
+
+    def test_waves_suite_reduces_the_pair_once(self, monkeypatch):
+        # the suite's four derivatives and its printed-form check share
+        # one solved traveling system
+        calls = []
+        monkeypatch.setattr(waves, "reduce_traveling", lambda *a: calls.append(a) or reduce_traveling(*a))
+        waves._solved_system.cache_clear()
+        run_suite("waves")
+        assert len(calls) == 1
 
     def test_explicit_coordinates_rejected(self):
         with pytest.raises(ExplicitCoordinateError):
