@@ -6,11 +6,16 @@ The node set (rational constants, square roots of positive rationals,
 the coordinates x and t, named parameters, sums, products, quotients,
 integer powers, exp, tanh, sech) is closed under d/dx and d/dt, so every
 residual can be formed symbolically and only the final evaluation is
-floating point. That evaluation has one compiler, from a tree to numpy
-operations over sample arrays: guarded per sample for the residual scans
-and profiles (``evaluate_samples``), unguarded for the solver's exact
-boundary data (``compile_expr``).
-"""
+floating point. That evaluation has one compiler, ``_program``: it turns
+expressions into one flat program with a slot per distinct subexpression,
+split into the instructions free of x and t, folded to floats once per
+binding, and the rest, run once over numpy sample arrays. The program
+serves the residual scans and profiles guarded per sample
+(``residual_max``, ``evaluate_samples``) and the solver's exact boundary
+data unguarded (``compile_expr``). The residual program of a candidate is
+derived and compiled once per process (``_residual_program``, a bounded
+cache keyed by the system and the candidate), so a repeated scan only
+folds parameters and evaluates."""
 
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .jet import EvolutionSystem, JetPoly
 
@@ -326,77 +331,198 @@ def free_params(e: Expr) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: one program of distinct subexpressions
+
+_UNARY, _BINARY, _FOLD = range(3)  # instruction kinds
 
 
-def _compile(expr: Expr, binding: Mapping[str, float | Fraction]) -> Callable:
-    """Compile to ``f(x, t, mask)`` over numpy sample arrays, parameters
-    baked in. Each guard sets the samples it trips in the boolean ``mask``
-    (none is tested if it is None): a denominator, or the base of a
-    negative power, below SINGULARITY_GUARD in magnitude; an exp argument
-    above 700; a power that overflows. A subtree free of x and t is folded
-    here to a Python float, by the same operations in the tree's order; a
-    guard it trips would trip at every sample, so it raises DomainError."""
+def _den_trips(d):
+    return abs(d) < SINGULARITY_GUARD
+
+
+class _Program(NamedTuple):
+    """Expressions compiled to one flat program over numbered slots, one
+    slot per distinct subexpression. A node is keyed by its class and the
+    slots of its operands (a constant by its Fraction, a parameter by its
+    name, never by a float), so a subtree repeated anywhere in the
+    expressions is computed once.
+
+    An instruction ``(out, kind, fn, arg, trips)`` writes slot ``out``:
+    ``fn`` of the slot ``arg``; the binary ``fn`` of the two slots
+    ``arg``; or a left fold of the binary ``fn`` over the slots ``arg``, as
+    a sum or product of three or more terms in the tree reads. Where
+    ``trips`` is not None it is true where a guard trips: ``trips(operand,
+    value)`` of a unary node, ``trips(right operand)`` of a quotient. The
+    guards: a denominator, or the base of a negative power, below
+    SINGULARITY_GUARD in magnitude; an exp argument above 700; a power
+    that overflows.
+
+    ``fold`` holds the instructions free of x and t, each after its
+    operands; ``bind`` folds them to Python floats per binding, by the
+    operations of the tree. A guard tripped there would trip at every
+    sample, so it raises DomainError, as does a denominator free of x and
+    t (``den_checks``) of a quotient in ``run``. ``execute`` then runs
+    ``run`` once over the sample arrays, each guard setting the samples it
+    trips in ``mask``."""
+
+    base: tuple  # the value of each constant slot, None elsewhere
+    params: tuple[tuple[str, int], ...]  # (name, slot), in program order
+    coords: tuple[tuple[str, int], ...]
+    fold: tuple
+    run: tuple
+    den_checks: tuple[int, ...]
+    outputs: tuple[int, ...]
+
+    def bind(self, binding: Mapping[str, float | Fraction]) -> list:
+        """The slots free of x and t under ``binding``. Every parameter is
+        checked to be bound before anything is folded: the first one
+        missing raises UnboundParameter."""
+        import numpy as np
+
+        v = list(self.base)
+        for name, s in self.params:
+            if name not in binding:
+                raise UnboundParameter(name)
+            v[s] = float(binding[name])
+        with np.errstate(all="ignore"):
+            for out, kind, fn, arg, trips in self.fold:
+                if kind == _UNARY:
+                    a = v[arg]
+                    r = fn(np.float64(a))
+                    if trips is not None and trips(a, r):
+                        raise DomainError(f"a guard trips at every sample, at {a!r}")
+                    r = float(r)
+                elif kind == _BINARY:
+                    a, b = v[arg[0]], v[arg[1]]
+                    if trips is not None and trips(b):
+                        raise DomainError(f"a guard trips at every sample, at {b!r}")
+                    r = fn(a, b)
+                else:
+                    r = functools.reduce(fn, map(v.__getitem__, arg))
+                v[out] = r
+        for s in self.den_checks:
+            if _den_trips(v[s]):
+                raise DomainError(f"a guard trips at every sample, at {v[s]!r}")
+        return v
+
+    def execute(self, folded: list, x, t, mask) -> list:
+        """Every slot at ``x`` and ``t`` from the slots ``bind`` folded;
+        each guard ORs the samples it trips into the boolean ``mask``
+        (none is tested if it is None)."""
+        v = folded.copy()
+        for name, s in self.coords:
+            v[s] = x if name == "x" else t
+        guarded = mask is not None
+        for out, kind, fn, arg, trips in self.run:
+            if kind == _UNARY:
+                a = v[arg]
+                r = fn(a)
+                if guarded and trips is not None:
+                    mask |= trips(a, r)
+            elif kind == _BINARY:
+                a, b = v[arg[0]], v[arg[1]]
+                if guarded and trips is not None:
+                    mask |= trips(b)
+                r = fn(a, b)
+            else:
+                r = functools.reduce(fn, map(v.__getitem__, arg))
+            v[out] = r
+        return v
+
+    def evaluate(self, samples: Iterable[tuple[float, float]], binding: Mapping[str, float | Fraction]) -> tuple:
+        """See ``evaluate_samples``."""
+        import numpy as np
+
+        xt = np.array(list(samples), dtype=float).reshape(-1, 2)
+        skip = np.zeros(len(xt), dtype=bool)
+        with np.errstate(all="ignore"):
+            try:
+                folded = self.bind(binding)
+            except DomainError:  # tripped free of x and t: every sample
+                return np.full((len(self.outputs), len(xt)), np.nan), ~skip
+            v = self.execute(folded, xt[:, 0], xt[:, 1], skip)
+            vals = np.array([np.broadcast_to(v[s], skip.shape) for s in self.outputs])
+        skip |= ~np.isfinite(vals).all(axis=0)
+        return vals, skip
+
+
+def _program(exprs: Sequence[Expr]) -> _Program:
+    """Compile the expressions into one ``_Program``, an instruction for
+    each distinct subexpression, operands first."""
     import numpy as np
 
-    def binary(op: Callable, a, b):
-        if isinstance(a, float):
-            return op(a, b) if isinstance(b, float) else lambda x, t, mask: op(a, b(x, t, mask))
-        if isinstance(b, float):
-            return lambda x, t, mask: op(a(x, t, mask), b)
-        return lambda x, t, mask: op(a(x, t, mask), b(x, t, mask))
+    slots: dict[tuple, int] = {}  # structural key -> slot
+    seen: dict[int, int] = {}  # id of a node already compiled -> its slot
+    base: list = []
+    varies: list[bool] = []  # whether the slot depends on x or t
+    params: list[tuple[str, int]] = []
+    coords: list[tuple[str, int]] = []
+    fold: list[tuple] = []
+    run: list[tuple] = []
+    den_checks: list[int] = []
 
-    def unary(fn: Callable, arg, trips: Callable | None = None):
-        """``fn(arg)``; ``trips(arg, value)`` is true where a guard trips."""
-        if isinstance(arg, float):
-            with np.errstate(all="ignore"):
-                out = fn(np.float64(arg))
-            if trips and trips(arg, out):
-                raise DomainError(f"a guard trips at every sample, at {arg!r}")
-            return float(out)
-        if not trips:
-            return lambda x, t, mask: fn(arg(x, t, mask))
-
-        def apply(x, t, mask):
-            a = arg(x, t, mask)
-            out = fn(a)
-            if mask is not None:
-                mask |= trips(a, out)
-            return out
-
-        return apply
-
-    def node(e: Expr):  # a float when e is free of x and t
+    def slot(e: Expr) -> int:
+        s = seen.get(id(e))
+        if s is not None:
+            return s
+        value = instr = None
         if isinstance(e, Const):
-            return float(e.value)
-        if isinstance(e, SqrtConst):
-            return math.sqrt(float(e.value))
-        if isinstance(e, Coord):
-            return (lambda x, t, mask: x) if e.name == "x" else (lambda x, t, mask: t)
-        if isinstance(e, Param):
-            if e.name not in binding:
-                raise UnboundParameter(e.name)
-            return float(binding[e.name])
-        if isinstance(e, (Add, Mul)):  # a left fold, as the tree reads
-            op = operator.add if isinstance(e, Add) else operator.mul
-            return functools.reduce(functools.partial(binary, op), map(node, e.args))
-        if isinstance(e, Div):
-            den = unary(lambda d: d, node(e.den), lambda d, _: abs(d) < SINGULARITY_GUARD)
-            return binary(operator.truediv, node(e.num), den)
-        if isinstance(e, Pow):
+            key, value = (Const, e.value), float(e.value)
+        elif isinstance(e, SqrtConst):
+            key, value = (SqrtConst, e.value), math.sqrt(float(e.value))
+        elif isinstance(e, (Coord, Param)):
+            key = (type(e), e.name)
+        elif isinstance(e, (Add, Mul)):
+            args = tuple(map(slot, e.args))
+            key = (type(e), args)
+            instr = (_BINARY if len(args) == 2 else _FOLD, operator.add if isinstance(e, Add) else operator.mul, args, None)
+        elif isinstance(e, Div):
+            args = (slot(e.num), slot(e.den))
+            key = (Div, args)
+            instr = (_BINARY, operator.truediv, args, _den_trips)
+        elif isinstance(e, Pow):
             n, pole = e.exponent, SINGULARITY_GUARD if e.exponent < 0 else 0.0
+            arg = slot(e.base)
+            key = (Pow, n, arg)
             trips = lambda b, out: (abs(b) < pole) | (np.isinf(out) & np.isfinite(b))  # noqa: E731
-            return unary(lambda b: b**n, node(e.base), trips)
-        if isinstance(e, Exp):
-            return unary(np.exp, node(e.arg), lambda a, _: a > 700.0)
-        if isinstance(e, Tanh):
-            return unary(np.tanh, node(e.arg))
-        if isinstance(e, Sech):
-            return unary(lambda a: 1.0 / np.cosh(a), node(e.arg))
-        raise AnalyticError(f"unknown node {type(e).__name__}")
+            instr = (_UNARY, lambda b: b**n, arg, trips)
+        elif isinstance(e, Exp):
+            arg = slot(e.arg)
+            key = (Exp, arg)
+            instr = (_UNARY, np.exp, arg, lambda a, _: a > 700.0)
+        elif isinstance(e, Tanh):
+            arg = slot(e.arg)
+            key = (Tanh, arg)
+            instr = (_UNARY, np.tanh, arg, None)
+        elif isinstance(e, Sech):
+            arg = slot(e.arg)
+            key = (Sech, arg)
+            instr = (_UNARY, lambda a: 1.0 / np.cosh(a), arg, None)
+        else:
+            raise AnalyticError(f"unknown node {type(e).__name__}")
+        s = slots.get(key)
+        if s is None:
+            s = slots[key] = len(base)
+            base.append(value)
+            if instr is None:
+                varies.append(isinstance(e, Coord))
+                if isinstance(e, Param):
+                    params.append((e.name, s))
+                elif isinstance(e, Coord):
+                    coords.append((e.name, s))
+            else:
+                kind, fn, arg, trips = instr
+                vary = any(varies[o] for o in arg) if kind != _UNARY else varies[arg]
+                varies.append(vary)
+                if trips is _den_trips and vary and not varies[arg[1]]:
+                    den_checks.append(arg[1])
+                    trips = None
+                (run if vary else fold).append((s, kind, fn, arg, trips))
+        seen[id(e)] = s
+        return s
 
-    f = node(expr)
-    return f if callable(f) else lambda x, t, mask: f
+    outputs = tuple(map(slot, exprs))
+    return _Program(tuple(base), tuple(params), tuple(coords), tuple(fold), tuple(run), tuple(den_checks), outputs)
 
 
 def evaluate_samples(
@@ -406,23 +532,12 @@ def evaluate_samples(
     free parameters must be bound. Returns the values, one row per
     expression, and a boolean array of the samples to skip: a guard
     tripped there in some expression, or some value is not finite."""
-    import numpy as np
-
-    xt = np.array(list(samples), dtype=float).reshape(-1, 2)
-    skip = np.zeros(len(xt), dtype=bool)
-    with np.errstate(all="ignore"):
-        try:
-            fns = [_compile(e, binding) for e in exprs]
-        except DomainError:  # tripped in a constant subtree: every sample
-            return np.full((len(exprs), len(xt)), np.nan), ~skip
-        vals = np.array([np.broadcast_to(f(xt[:, 0], xt[:, 1], skip), skip.shape) for f in fns])
-    skip |= ~np.isfinite(vals).all(axis=0)
-    return vals, skip
+    return _program(exprs).evaluate(samples, binding)
 
 
 def evaluate(e: Expr, x: float, t: float, binding: Mapping[str, float | Fraction]) -> float:
     """Guarded double-precision evaluation at one point; all free
-    parameters must be bound. A tripped guard (see ``_compile``) or a
+    parameters must be bound. A tripped guard (see ``_Program``) or a
     non-finite value raises DomainError."""
     vals, skip = evaluate_samples((e,), [(x, t)], binding)
     if skip[0]:
@@ -435,8 +550,10 @@ def compile_expr(e: Expr, binding: Mapping[str, float | Fraction]) -> Callable:
     broadcast to the shape of ``x``. No singularity guards at the samples;
     intended for pole-free fields inside the finite-difference solver. A
     guard tripped in a subtree free of x and t raises DomainError here."""
-    f = _compile(e, binding)
-    return lambda x, t: f(x, t, None) + 0.0 * x
+    prog = _program((e,))
+    folded = prog.bind(binding)
+    (out,) = prog.outputs
+    return lambda x, t: prog.execute(folded, x, t, None)[out] + 0.0 * x
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +609,13 @@ def system_residual_exprs(
     return tuple(poly_to_expr(g) for g in sys.equation_polys())
 
 
+@functools.lru_cache(maxsize=64)
+def _residual_program(sys: EvolutionSystem, candidate: tuple[Expr, ...]) -> _Program:
+    """The residuals of ``candidate`` on ``sys``, derived and compiled once
+    per process; the scans then fold each binding's parameters into it."""
+    return _program(system_residual_exprs(sys, candidate))
+
+
 def residual_max(
     sys: EvolutionSystem,
     candidate: Sequence[Expr],
@@ -500,11 +624,10 @@ def residual_max(
 ) -> ResidualReport:
     """Max absolute residual of the candidate over the samples and over
     all equations; singular samples are skipped and counted."""
-    residuals = system_residual_exprs(sys, candidate)
-    vals, skip = evaluate_samples(residuals, samples, binding)
+    vals, skip = _residual_program(sys, tuple(candidate)).evaluate(samples, binding)
     kept = abs(vals[:, ~skip])
     used = kept.shape[1]
-    worst = tuple(map(float, kept.max(axis=1))) if used else (0.0,) * len(residuals)
+    worst = tuple(map(float, kept.max(axis=1))) if used else (0.0,) * len(vals)
     return ResidualReport(
         max_residual=max(worst) if used else math.nan,
         per_equation=worst,

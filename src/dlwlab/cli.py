@@ -175,8 +175,6 @@ def _sim_run(args: argparse.Namespace) -> int:
     from . import sim as S
 
     cfg = S.parse_config(args.config)
-    out_dir = Path(args.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {"config": args.config}
     try:
         res = S.integrate(cfg)
@@ -190,6 +188,8 @@ def _sim_run(args: argparse.Namespace) -> int:
     if res.l2_error is not None:
         summary["final_l2_error"] = res.l2_error
     summary["max_drift"] = {}
+    out_dir = Path(args.out_dir or ".")  # made only once there is a file to write
+    out_dir.mkdir(parents=True, exist_ok=True)
     for label, series in res.monitors.items():
         _write_csv(out_dir / f"monitor_{label}.csv", ["time", "value", "relative_drift"], series.rows())
         summary["max_drift"][label] = series.relative_drift()

@@ -4,15 +4,20 @@ oracles.
 ``evaluate`` walks the expression tree once per sample point with ``math``
 and raises ``DomainError`` at the first guard it trips; ``residual_max``
 calls it per sample and equation. ``compile_expr`` emits the tree as the
-source of a numpy lambda and runs it through ``eval``, with no guards. The
-closure compiler in ``dlwlab.analytic`` must agree with them: bit for bit
-for ``compile_expr``, in the skipped samples and within rounding for the
-residual scans.
+source of a numpy lambda and runs it through ``eval``, with no guards.
+``closure_compile`` turns the tree into nested numpy closures, one per
+node, evaluated afresh for every repeat of a subtree; ``evaluate_samples``
+runs it over sample arrays. The program compiler in ``dlwlab.analytic``
+must agree with them: bit for bit with ``compile_expr`` and with the
+values and skip masks of ``evaluate_samples``, in the skipped samples and
+within rounding with the scalar ``residual_max``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -128,6 +133,95 @@ def compile_expr(e: Expr, binding: Mapping[str, float | Fraction]) -> Callable:
 
     code = f"lambda x, t: ({emit(e)}) + 0.0*x"
     return eval(code, {"_np": np})  # noqa: S307 (generated from our own AST)
+
+
+def closure_compile(expr: Expr, binding: Mapping[str, float | Fraction]) -> Callable:
+    """Compile to ``f(x, t, mask)`` over numpy sample arrays, parameters
+    baked in. Each guard sets the samples it trips in the boolean ``mask``
+    (none is tested if it is None): a denominator, or the base of a
+    negative power, below SINGULARITY_GUARD in magnitude; an exp argument
+    above 700; a power that overflows. A subtree free of x and t is folded
+    here to a Python float, by the same operations in the tree's order; a
+    guard it trips would trip at every sample, so it raises DomainError."""
+    import numpy as np
+
+    def binary(op: Callable, a, b):
+        if isinstance(a, float):
+            return op(a, b) if isinstance(b, float) else lambda x, t, mask: op(a, b(x, t, mask))
+        if isinstance(b, float):
+            return lambda x, t, mask: op(a(x, t, mask), b)
+        return lambda x, t, mask: op(a(x, t, mask), b(x, t, mask))
+
+    def unary(fn: Callable, arg, trips: Callable | None = None):
+        """``fn(arg)``; ``trips(arg, value)`` is true where a guard trips."""
+        if isinstance(arg, float):
+            with np.errstate(all="ignore"):
+                out = fn(np.float64(arg))
+            if trips and trips(arg, out):
+                raise DomainError(f"a guard trips at every sample, at {arg!r}")
+            return float(out)
+        if not trips:
+            return lambda x, t, mask: fn(arg(x, t, mask))
+
+        def apply(x, t, mask):
+            a = arg(x, t, mask)
+            out = fn(a)
+            if mask is not None:
+                mask |= trips(a, out)
+            return out
+
+        return apply
+
+    def node(e: Expr):  # a float when e is free of x and t
+        if isinstance(e, Const):
+            return float(e.value)
+        if isinstance(e, SqrtConst):
+            return math.sqrt(float(e.value))
+        if isinstance(e, Coord):
+            return (lambda x, t, mask: x) if e.name == "x" else (lambda x, t, mask: t)
+        if isinstance(e, Param):
+            if e.name not in binding:
+                raise UnboundParameter(e.name)
+            return float(binding[e.name])
+        if isinstance(e, (Add, Mul)):  # a left fold, as the tree reads
+            op = operator.add if isinstance(e, Add) else operator.mul
+            return functools.reduce(functools.partial(binary, op), map(node, e.args))
+        if isinstance(e, Div):
+            den = unary(lambda d: d, node(e.den), lambda d, _: abs(d) < SINGULARITY_GUARD)
+            return binary(operator.truediv, node(e.num), den)
+        if isinstance(e, Pow):
+            n, pole = e.exponent, SINGULARITY_GUARD if e.exponent < 0 else 0.0
+            trips = lambda b, out: (abs(b) < pole) | (np.isinf(out) & np.isfinite(b))  # noqa: E731
+            return unary(lambda b: b**n, node(e.base), trips)
+        if isinstance(e, Exp):
+            return unary(np.exp, node(e.arg), lambda a, _: a > 700.0)
+        if isinstance(e, Tanh):
+            return unary(np.tanh, node(e.arg))
+        if isinstance(e, Sech):
+            return unary(lambda a: 1.0 / np.cosh(a), node(e.arg))
+        raise AnalyticError(f"unknown node {type(e).__name__}")
+
+    f = node(expr)
+    return f if callable(f) else lambda x, t, mask: f
+
+
+def evaluate_samples(
+    exprs: Sequence[Expr], samples: Iterable[tuple[float, float]], binding: Mapping[str, float | Fraction]
+) -> tuple:
+    """``dlwlab.analytic.evaluate_samples`` through ``closure_compile``:
+    the values, one row per expression, and the samples to skip."""
+    import numpy as np
+
+    xt = np.array(list(samples), dtype=float).reshape(-1, 2)
+    skip = np.zeros(len(xt), dtype=bool)
+    with np.errstate(all="ignore"):
+        try:
+            fns = [closure_compile(e, binding) for e in exprs]
+        except DomainError:  # tripped in a constant subtree: every sample
+            return np.full((len(exprs), len(xt)), np.nan), ~skip
+        vals = np.array([np.broadcast_to(f(xt[:, 0], xt[:, 1], skip), skip.shape) for f in fns])
+    skip |= ~np.isfinite(vals).all(axis=0)
+    return vals, skip
 
 
 def residual_max(

@@ -9,8 +9,16 @@ import numpy as np
 import pytest
 
 import analytic_reference as reference
+from dlwlab import analytic, report
 from dlwlab.analytic import (
+    Add,
+    Div,
     DomainError,
+    Exp,
+    Mul,
+    Pow,
+    Sech,
+    Tanh,
     T,
     UnboundParameter,
     X,
@@ -31,10 +39,11 @@ from dlwlab.analytic import (
     sech,
     sqrt_const,
     sub,
+    system_residual_exprs,
     tanh,
 )
 from dlwlab.sim import Grid1D
-from dlwlab.solutions import _samples, family_registry
+from dlwlab.solutions import _samples, family_registry, scan_family
 
 
 def kink_pair():
@@ -143,8 +152,9 @@ def outcome(f, x, t):
 
 
 class TestReferenceOracle:
-    """The closure compiler against the scalar ``math`` evaluator and the
-    string-``eval`` compiler it replaced (``analytic_reference``)."""
+    """The program compiler against the scalar ``math`` evaluator, the
+    string-``eval`` compiler and the closure compiler it replaced
+    (``analytic_reference``)."""
 
     @pytest.mark.parametrize("fid", sorted(family_registry()))
     def test_compile_expr_is_bitwise_the_reference(self, fid):
@@ -168,6 +178,37 @@ class TestReferenceOracle:
                 assert (got.samples_used, got.samples_skipped) == (want.samples_used, want.samples_skipped)
                 for a, b in zip(got.per_equation, want.per_equation):
                     assert (a < 1e-8 and b < 1e-8) or a == pytest.approx(b, rel=1e-9), (binding, seed)
+
+    @pytest.mark.parametrize("fid", sorted(family_registry()))
+    def test_evaluate_samples_is_bitwise_the_closure_oracle(self, phys, fid):
+        fam = family_registry()[fid]
+        residuals = system_residual_exprs(phys, (fam.u_expr, fam.v_expr))
+        for binding in fam.default_grid:
+            for seed in range(16):
+                samples = _samples(fam.domain, 50, seed)
+                for exprs in (residuals, (fam.u_expr, fam.v_expr)):
+                    vals, skip = evaluate_samples(exprs, samples, binding)
+                    want_vals, want_skip = reference.evaluate_samples(exprs, samples, binding)
+                    assert vals.tobytes() == want_vals.tobytes(), (binding, seed)
+                    assert skip.tolist() == want_skip.tolist(), (binding, seed)
+
+    @pytest.mark.parametrize(
+        "exprs,binding",
+        [
+            # equal folded values of distinct subtrees, signed zeros among them
+            ((mul(const(-1), param("a")), param("a"), div(X, mul(const(-1), param("a")))), {"a": 0.0}),
+            ((div(X, add(param("a"), param("b"))), div(X, add(param("b"), param("a")))), {"a": 1e-9, "b": -1e-9}),
+            # a quotient free of x and t under a varying sum, folded before the samples
+            ((add(param("a"), div(const(1), param("a")), X, param("a")),), {"a": 3.0}),
+            ((pow_(sub(X, param("a")), -2), exp(mul(param("a"), X)), sech(div(T, param("a")))), {"a": 0.5}),
+        ],
+    )
+    def test_hand_made_cases_are_bitwise_the_closure_oracle(self, exprs, binding):
+        samples = [(x, t) for x, t in SAMPLES] + [(0.5, 0.0), (0.0, 1.0), (-0.0, 0.0)]
+        vals, skip = evaluate_samples(exprs, samples, binding)
+        want_vals, want_skip = reference.evaluate_samples(exprs, samples, binding)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert skip.tolist() == want_skip.tolist()
 
     def test_no_samples(self, phys):
         u, v = kink_pair()
@@ -220,3 +261,81 @@ class TestResidualOracle:
         rep = residual_max(phys, (u, v), {}, [(0.0, 0.0), (1.0, 1.0)])
         assert rep.samples_skipped == 1
         assert rep.samples_used == 1
+
+
+def children(e) -> tuple:
+    if isinstance(e, (Add, Mul)):
+        return e.args
+    if isinstance(e, Div):
+        return (e.num, e.den)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Exp, Tanh, Sech)):
+        return (e.arg,)
+    return ()
+
+
+def tree_nodes(e) -> int:
+    """Nodes of the tree, each repeat counted."""
+    return 1 + sum(map(tree_nodes, children(e)))
+
+
+def distinct_subexpressions(exprs) -> set:
+    out: set = set()
+    todo = list(exprs)
+    while todo:
+        e = todo.pop()
+        if e not in out:
+            out.add(e)
+            todo.extend(children(e))
+    return out
+
+
+class TestProgram:
+    """Each family's residuals compile once per process into one program
+    with one slot per distinct subexpression."""
+
+    @pytest.mark.parametrize("fid", sorted(family_registry()))
+    def test_no_more_slots_than_distinct_subexpressions(self, phys, fid):
+        fam = family_registry()[fid]
+        residuals = system_residual_exprs(phys, (fam.u_expr, fam.v_expr))
+        program = analytic._residual_program(phys, (fam.u_expr, fam.v_expr))
+        assert len(program.base) <= len(distinct_subexpressions(residuals))
+        if fid == "eq83":
+            assert sum(map(tree_nodes, residuals)) == 1752
+            assert len(program.base) <= 78
+
+    def test_second_scan_calls_diff_zero_times(self, monkeypatch):
+        first = scan_family("eq83")
+        calls = []
+
+        def counting_diff(e, var):
+            calls.append(var)
+            return diff(e, var)
+
+        monkeypatch.setattr(analytic, "diff", counting_diff)
+        assert scan_family("eq83") == first
+        assert calls == []
+
+    def test_waves_suite_derives_each_family_once(self, monkeypatch):
+        derived = []
+
+        def counting(sys, candidate):
+            derived.append(candidate)
+            return system_residual_exprs(sys, candidate)
+
+        analytic._residual_program.cache_clear()
+        monkeypatch.setattr(analytic, "system_residual_exprs", counting)
+        report.run_suite("waves")
+        registry = family_registry()
+        assert sum(len(f.default_grid) for f in registry.values()) == 19
+        assert len(derived) == len(registry) == 11
+
+    def test_unbound_parameter_is_never_hidden(self, phys):
+        e = mul(div(const(1), param("a")), param("b"), X)  # 1/a trips at a = 0
+        with pytest.raises(UnboundParameter, match="b"):
+            residual_max(phys, (e, const(0)), {"a": 0.0}, SAMPLES[:5])
+        with pytest.raises(UnboundParameter, match="b"):
+            evaluate_samples((e,), SAMPLES[:5], {"a": 0.0})
+        with pytest.raises(UnboundParameter, match="b"):
+            compile_expr(e, {"a": 0.0})

@@ -115,16 +115,19 @@ KINK_CFG = "x_min=-20\nx_max=20\nn=64\nt_end=0.05\nboundary=exact\nfamily=eq93\n
         ("param.mu=1.0\noutput_stride=0\n", "output_stride"),
         ("", "UnboundParameter: mu"),
         ("param.mu=1.0\nmonitors=eq999\n", "'eq999'"),
+        ("param.mu=1.0\nparam.nu=7\n", "['nu'] for eq93"),
     ],
 )
 def test_sim_run_bad_input_exits_two(extra, named, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(KINK_CFG + extra)
-    assert run_cli(["sim", "run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert run_cli(["sim", "run", "--config", str(cfg), "--out-dir", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert named in captured.err
+    assert not out.exists()  # a rejected run leaves no empty output directory
 
 
 def test_sim_run_missing_config_exits_two(tmp_path, capsys):

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dlwlab
@@ -11,7 +14,7 @@ SOURCES = sorted(Path(dlwlab.__file__).parent.glob("*.py"))
 
 def test_no_module_calls_eval_or_exec():
     """Generated code is never run through ``eval``: every numeric use of an
-    expression tree goes through the closure compiler in ``analytic``."""
+    expression tree goes through the program compiler in ``analytic``."""
     assert SOURCES
     calls = [
         f"{path.name}:{node.lineno}"
@@ -164,3 +167,14 @@ def test_run_suite_calls_the_traced_entry_points(monkeypatch):
     calls.clear()
     report.run_suite("all")
     assert sorted(calls) == traced
+
+
+def test_no_numpy_at_import():
+    """numpy is imported where a field is first evaluated, never by
+    importing the command line, the report or the analytic layer, so that
+    start-up does not pay for it."""
+    code = "import sys, dlwlab.cli, dlwlab.report, dlwlab.solutions, dlwlab.analytic; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    src = str(Path(dlwlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
