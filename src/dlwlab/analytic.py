@@ -12,10 +12,13 @@ split into the instructions free of x and t, folded to floats once per
 binding, and the rest, run once over numpy sample arrays. The program
 serves the residual scans and profiles guarded per sample
 (``residual_max``, ``evaluate_samples``) and the solver's exact boundary
-data unguarded (``compile_expr``). The residual program of a candidate is
-derived and compiled once per process (``_residual_program``, a bounded
-cache keyed by the system and the candidate), so a repeated scan only
-folds parameters and evaluates."""
+data unguarded (``compile_expr``, u and v in one program). The residual
+program of a candidate is derived and compiled once per process
+(``_residual_program``, a bounded cache keyed by the system and the
+candidate). A lookup walks no tree: the system is built once per
+process, and every node keeps its hash once computed. So a binding of a
+scan only folds its parameters and runs over the samples, which
+``solutions.scan_family`` draws once for all the bindings of a family."""
 
 from __future__ import annotations
 
@@ -88,15 +91,35 @@ class UnboundParameter(AnalyticError):
 
 
 class Expr:
-    __slots__ = ()
+    """A node of an expression tree. Its hash is computed on first use and
+    kept, so hashing a tree again is one call, not a walk of the tree: a
+    scan looks its candidate up in the residual-program cache per
+    binding."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((type(self), *map(self.__getattribute__, self.__match_args__)))
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls: type) -> type:
+    """``cls`` as a frozen slotted dataclass that keeps ``Expr.__hash__``
+    (``dataclass`` would otherwise hash the fields on every call)."""
+    cls.__hash__ = Expr.__hash__
+    return dataclass(frozen=True, slots=True)(cls)
+
+
+@_node
 class Const(Expr):
     value: Fraction
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SqrtConst(Expr):
     value: Fraction  # the radicand; must be positive
 
@@ -105,7 +128,7 @@ class SqrtConst(Expr):
             raise AnalyticError("square roots of positive rationals only")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Coord(Expr):
     name: str  # "x" or "t"
 
@@ -114,44 +137,44 @@ class Coord(Expr):
             raise AnalyticError("coordinates are x and t")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Param(Expr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Add(Expr):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Mul(Expr):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Div(Expr):
     num: Expr
     den: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Exp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Tanh(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Sech(Expr):
     arg: Expr
 
@@ -433,7 +456,7 @@ class _Program(NamedTuple):
         """See ``evaluate_samples``."""
         import numpy as np
 
-        xt = np.array(list(samples), dtype=float).reshape(-1, 2)
+        xt = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float).reshape(-1, 2)
         skip = np.zeros(len(xt), dtype=bool)
         with np.errstate(all="ignore"):
             try:
@@ -528,10 +551,11 @@ def _program(exprs: Sequence[Expr]) -> _Program:
 def evaluate_samples(
     exprs: Sequence[Expr], samples: Iterable[tuple[float, float]], binding: Mapping[str, float | Fraction]
 ) -> tuple:
-    """Guarded evaluation of each expression at every sample (x, t); all
-    free parameters must be bound. Returns the values, one row per
-    expression, and a boolean array of the samples to skip: a guard
-    tripped there in some expression, or some value is not finite."""
+    """Guarded evaluation of each expression at every sample (x, t), given
+    as pairs or as an (n, 2) float array; all free parameters must be
+    bound. Returns the values, one row per expression, and a boolean array
+    of the samples to skip: a guard tripped there in some expression, or
+    some value is not finite."""
     return _program(exprs).evaluate(samples, binding)
 
 
@@ -545,15 +569,23 @@ def evaluate(e: Expr, x: float, t: float, binding: Mapping[str, float | Fraction
     return float(vals[0, 0])
 
 
-def compile_expr(e: Expr, binding: Mapping[str, float | Fraction]) -> Callable:
+def compile_expr(e: Expr | Sequence[Expr], binding: Mapping[str, float | Fraction]) -> Callable:
     """Compile to a vectorizable ``f(x, t)`` with parameters baked in,
-    broadcast to the shape of ``x``. No singularity guards at the samples;
-    intended for pole-free fields inside the finite-difference solver. A
-    guard tripped in a subtree free of x and t raises DomainError here."""
-    prog = _program((e,))
+    broadcast to the shape of ``x``. A sequence of expressions compiles into
+    one program, bound once, whose ``f`` returns one array per expression.
+    No singularity guards at the samples; intended for pole-free fields
+    inside the finite-difference solver. A guard tripped in a subtree free
+    of x and t raises DomainError here."""
+    single = isinstance(e, Expr)
+    prog = _program((e,) if single else tuple(e))
     folded = prog.bind(binding)
-    (out,) = prog.outputs
-    return lambda x, t: prog.execute(folded, x, t, None)[out] + 0.0 * x
+
+    def fields(x, t):
+        v, zero = prog.execute(folded, x, t, None), 0.0 * x
+        out = tuple(v[s] + zero for s in prog.outputs)
+        return out[0] if single else out
+
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +644,11 @@ def system_residual_exprs(
 @functools.lru_cache(maxsize=64)
 def _residual_program(sys: EvolutionSystem, candidate: tuple[Expr, ...]) -> _Program:
     """The residuals of ``candidate`` on ``sys``, derived and compiled once
-    per process; the scans then fold each binding's parameters into it."""
+    per process; the scans then fold each binding's parameters into it.
+    The cache is keyed by value, and a lookup costs no walk of the trees:
+    the pair is the one object ``systems`` builds per process, and each
+    ``Expr`` keeps its hash once computed. An equal candidate built anew
+    hits the same entry."""
     return _program(system_residual_exprs(sys, candidate))
 
 

@@ -13,7 +13,9 @@ the source catalog and do not fail the build.
 To add a check, write a block function ``(run, rep) -> None`` (or extend
 one) and list it in ``_BLOCKS``, the one place that names the blocks and
 orders them. The ``run`` of each call builds what blocks share on first
-read, so nothing outlives a run.
+read, so nothing it builds outlives a run. The one exception is the
+constant pair: ``run.phys`` and ``run.pot`` are the systems that
+``systems`` builds once per process.
 """
 
 from __future__ import annotations
@@ -79,8 +81,9 @@ class VerificationReport:
 
 
 class _Run:
-    """What the blocks of one run share, each built on first read. A run
-    takes no settings; the optimal block's seed and count are constants."""
+    """What the blocks of one run share, each built on first read, except
+    the two pairs, which are built once per process. A run takes no
+    settings; the optimal block's seed and count are constants."""
 
     phys = functools.cached_property(lambda self: physical_system())
     pot = functools.cached_property(lambda self: potential_system())

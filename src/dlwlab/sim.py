@@ -23,13 +23,13 @@ a + (-b) is a - b, so every value is the one the right side itself
 gives; only an exact zero may differ in sign. Work that does not need
 the stage's result is done per block of ``BLOCK_STEPS`` steps, off the
 per-stage path: the exact-family ghosts of every distinct stage time of
-a block come from one call per field, and each stage only copies the
-two 5-column edge blocks of its buffer into a record whose through-flux
-the monitors evaluate in one array pass at each sample and at the end of
-the block. The monitors' densities and fluxes are compiled to float
-terms when a run starts. Every value is computed by the same
-floating-point operations in the same order as one stage at a time
-would, so results do not depend on the block length.
+a block come from one call of the family's (u, v) program, and each
+stage only copies the two 5-column edge blocks of its buffer into a
+record whose through-flux the monitors evaluate in one array pass at
+each sample and at the end of the block. The monitors' densities and
+fluxes are compiled to float terms when a run starts. Every value is
+computed by the same floating-point operations in the same order as one
+stage at a time would, so results do not depend on the block length.
 
 Finiteness is checked on the starting fields of a run, whether given or
 taken from the exact family, on the input of ``rhs``, and at the end of
@@ -226,19 +226,19 @@ def _stage_times(t: float, half: float, dt: float, steps: int) -> list[float]:
 class _Boundary:
     """Ghost-node supplier: periodic wrap or exact-family evaluation.
 
-    On the exact boundary the ghosts of one block of RK4 steps come from
-    one call per field, over the stacked (x, t) samples of the four ghost
-    nodes at every distinct stage time of the block. A block's first time
-    is the previous block's last, whose row is carried over, so each
-    stage time is evaluated once. The table holds 2 BLOCK_STEPS + 1 rows.
+    On the exact boundary u and v are compiled into one program, bound
+    once per run, and the ghosts of one block of RK4 steps come from one
+    call of it over the stacked (x, t) samples of the four ghost nodes at
+    every distinct stage time of the block. A block's first time is the
+    previous block's last, whose row is carried over, so each stage time
+    is evaluated once. The table holds 2 BLOCK_STEPS + 1 rows.
     """
 
     def __init__(self, cfg: SimConfig):
         self.periodic = cfg.boundary == "periodic"
         if not self.periodic:
             fam = solutions.family(cfg.family, cfg.binding)
-            self._u = compile_expr(fam.u_expr, cfg.binding)
-            self._v = compile_expr(fam.v_expr, cfg.binding)
+            self._fields = compile_expr((fam.u_expr, fam.v_expr), cfg.binding)
             grid = cfg.grid
             self.ghost_x = np.concatenate([grid.ghost_x("left"), grid.ghost_x("right")])
             rows = 2 * BLOCK_STEPS + 1
@@ -256,15 +256,16 @@ class _Boundary:
             table[0] = table[self._rows - 1]
             first = 1
         x, t = self._x[: 4 * (len(times) - first)], np.repeat(times[first:], 4)
-        table[first : len(times), 0] = self._u(x, t).reshape(-1, 4)
-        table[first : len(times), 1] = self._v(x, t).reshape(-1, 4)
+        u, v = self._fields(x, t)
+        table[first : len(times), 0] = u.reshape(-1, 4)
+        table[first : len(times), 1] = v.reshape(-1, 4)
         self._rows = len(times)
         return table[: len(times)]
 
     def exact_fields(self, x: np.ndarray, time: float) -> tuple[np.ndarray, np.ndarray]:
         if self.periodic:
             raise JetError("no exact reference in periodic mode")
-        return (self._u(x, time), self._v(x, time))
+        return self._fields(x, time)
 
 
 class _Stage:

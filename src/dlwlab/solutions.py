@@ -265,12 +265,19 @@ def family_registry() -> Mapping[str, SolitonFamily]:
     return MappingProxyType(reg)
 
 
-def _samples(
-    domain: tuple[float, float, float, float], n: int, seed: int
-) -> list[tuple[float, float]]:
-    rng = random.Random(seed)
+def _samples(domain: tuple[float, float, float, float], n: int, seed: int):
+    """``n`` points (x, t) of the domain as an (n, 2) float array, drawn as
+    ``random.Random(seed).uniform`` draws them, x then t per point: by
+    ``uniform``'s own arithmetic, so each is the same float. The array is
+    read-only, as the bindings of a scan share it."""
+    import numpy as np
+
+    draw = random.Random(seed).random
     x0, x1, t0, t1 = domain
-    return [(rng.uniform(x0, x1), rng.uniform(t0, t1)) for _ in range(n)]
+    points = [(x0 + (x1 - x0) * draw(), t0 + (t1 - t0) * draw()) for _ in range(n)]
+    out = np.array(points, dtype=float).reshape(-1, 2)
+    out.flags.writeable = False
+    return out
 
 
 def family(family_id: str, binding: Mapping[str, float] = MappingProxyType({})) -> SolitonFamily:
@@ -295,19 +302,25 @@ def verify_family(
     """Residual scan of one family at one binding on the physical pair;
     unknown ids raise."""
     fam = family(family_id, binding)
+    return _verify(fam, binding, _samples(fam.domain, n_samples, seed))
+
+
+def _verify(fam: SolitonFamily, binding: Mapping[str, float], samples) -> ResidualReport:
     missing = fam.free_params - set(binding)
     if missing:
-        raise JetError(f"unbound parameters for {family_id}: {sorted(missing)}")
-    samples = _samples(fam.domain, n_samples, seed)
+        raise JetError(f"unbound parameters for {fam.id}: {sorted(missing)}")
     return residual_max(physical_system(), (fam.u_expr, fam.v_expr), binding, samples)
 
 
 def scan_family(family_id: str, n_samples: int = RESIDUAL_SAMPLES, seed: int = 0) -> list[dict]:
-    """Run the family's default grid; one record per binding."""
+    """Run the family's default grid; one record per binding. The samples
+    depend only on the domain, the count and the seed, so they are drawn
+    once and every binding runs over the same array."""
     fam = family(family_id)
+    samples = _samples(fam.domain, n_samples, seed)
     out = []
     for binding in fam.default_grid:
-        rep = verify_family(family_id, binding, n_samples=n_samples, seed=seed)
+        rep = _verify(fam, binding, samples)
         out.append(
             {
                 "family": family_id,

@@ -13,10 +13,16 @@ irreducible coordinates:
 
     q_xt = -(q_x q_xx + r_xx)
     r_xt = -(q_xx r_x + q_x r_xx + q_xxxx/3)
+
+Each system is a frozen value built once per process: every caller gets
+the same object, so a cache keyed by a system (the reducers, the
+residual programs, the traveling-wave solved form) finds its entry
+without rebuilding the pair or comparing a new one by value.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .jet import EvolutionSystem, JetError, JetPoly, JetVar
@@ -38,6 +44,7 @@ def _v(dx: int = 0, dt: int = 0) -> JetPoly:
     return JetPoly.var("v", dx, dt)
 
 
+@functools.cache
 def physical_system() -> EvolutionSystem:
     """The water-wave pair in solved evolution form."""
     g1 = _u() * _u(1) + _v(1)
@@ -45,6 +52,7 @@ def physical_system() -> EvolutionSystem:
     return EvolutionSystem(deps=("u", "v"), rhs=(g1, g2), lead_dx=0)
 
 
+@functools.cache
 def potential_system() -> EvolutionSystem:
     """The once-integrated pair in the potential variables q, r."""
     q = lambda dx=0, dt=0: JetPoly.var("q", dx, dt)

@@ -11,6 +11,12 @@ runs it over sample arrays. The program compiler in ``dlwlab.analytic``
 must agree with them: bit for bit with ``compile_expr`` and with the
 values and skip masks of ``evaluate_samples``, in the skipped samples and
 within rounding with the scalar ``residual_max``.
+
+``scan_family`` is the residual scan as it was before the samples were
+drawn once per family and the pair built once per process: each binding
+draws its own samples with ``rng.uniform`` and gets a fresh pair from
+``physical_pair``. ``dlwlab.solutions.scan_family`` must give the same
+records bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +47,9 @@ from dlwlab.analytic import (
     UnboundParameter,
     system_residual_exprs,
 )
-from dlwlab.jet import EvolutionSystem
+from dlwlab.analytic import residual_max as program_residual_max
+from dlwlab.jet import EvolutionSystem, JetPoly
+from dlwlab.solutions import RESIDUAL_SAMPLES, RESIDUAL_TOL, family_registry
 
 
 def evaluate(e: Expr, x: float, t: float, binding: Mapping[str, float | Fraction]) -> float:
@@ -251,3 +259,39 @@ def residual_max(
         samples_used=used,
         samples_skipped=skipped,
     )
+
+
+def physical_pair() -> EvolutionSystem:
+    """The pair u_t = -(u u_x + v_x), v_t = -(u_x v + u v_x + u_xxx/3),
+    built afresh on every call."""
+    u = lambda dx=0: JetPoly.var("u", dx, 0)  # noqa: E731
+    v = lambda dx=0: JetPoly.var("v", dx, 0)  # noqa: E731
+    g1 = u() * u(1) + v(1)
+    g2 = u(1) * v() + u() * v(1) + u(3) * Fraction(1, 3)
+    return EvolutionSystem(deps=("u", "v"), rhs=(g1, g2), lead_dx=0)
+
+
+def scan_family(family_id: str, n_samples: int = RESIDUAL_SAMPLES, seed: int = 0) -> list[dict]:
+    """One record per default binding, each with its own draw of the
+    samples and its own pair."""
+    import random
+
+    fam = family_registry()[family_id]
+    x0, x1, t0, t1 = fam.domain
+    out = []
+    for binding in fam.default_grid:
+        rng = random.Random(seed)
+        samples = [(rng.uniform(x0, x1), rng.uniform(t0, t1)) for _ in range(n_samples)]
+        rep = program_residual_max(physical_pair(), (fam.u_expr, fam.v_expr), binding, samples)
+        out.append(
+            {
+                "family": family_id,
+                "params": dict(binding),
+                "max_residual": rep.max_residual,
+                "per_equation": list(rep.per_equation),
+                "samples_used": rep.samples_used,
+                "samples_skipped": rep.samples_skipped,
+                "passes": rep.samples_used > 0 and rep.max_residual < RESIDUAL_TOL,
+            }
+        )
+    return out

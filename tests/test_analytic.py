@@ -180,6 +180,26 @@ class TestReferenceOracle:
                     assert (a < 1e-8 and b < 1e-8) or a == pytest.approx(b, rel=1e-9), (binding, seed)
 
     @pytest.mark.parametrize("fid", sorted(family_registry()))
+    def test_scan_family_is_bitwise_the_per_binding_scan(self, fid):
+        # one draw shared by the bindings and one pair per process give the
+        # records of a draw and a fresh pair per binding
+        def key(records):
+            return [
+                (
+                    r["params"],
+                    float.hex(r["max_residual"]),
+                    [float.hex(e) for e in r["per_equation"]],
+                    r["samples_used"],
+                    r["samples_skipped"],
+                    r["passes"],
+                )
+                for r in records
+            ]
+
+        for seed in range(64):
+            assert key(scan_family(fid, seed=seed)) == key(reference.scan_family(fid, seed=seed)), seed
+
+    @pytest.mark.parametrize("fid", sorted(family_registry()))
     def test_evaluate_samples_is_bitwise_the_closure_oracle(self, phys, fid):
         fam = family_registry()[fid]
         residuals = system_residual_exprs(phys, (fam.u_expr, fam.v_expr))
@@ -330,6 +350,21 @@ class TestProgram:
         registry = family_registry()
         assert sum(len(f.default_grid) for f in registry.values()) == 19
         assert len(derived) == len(registry) == 11
+
+    def test_a_rebuilt_candidate_hits_the_program_cache(self, phys):
+        # equal trees built separately hash and compare equal, so the
+        # value-keyed cache finds the program of an equal candidate
+        first, again = kink_pair(), kink_pair()
+        assert first == again and all(a is not b for a, b in zip(first, again))
+        assert list(map(hash, first)) == list(map(hash, again))
+        # and a node keeps its hash, so a lookup does not walk the tree again
+        assert all(cls.__hash__ is analytic.Expr.__hash__ for cls in (Add, Mul, Div, Pow, Exp, Tanh, Sech))
+        assert [e._hash for e in first] == list(map(hash, again))
+        analytic._residual_program(phys, first)
+        before = analytic._residual_program.cache_info()
+        assert analytic._residual_program(reference.physical_pair(), again) is analytic._residual_program(phys, first)
+        after = analytic._residual_program.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
     def test_unbound_parameter_is_never_hidden(self, phys):
         e = mul(div(const(1), param("a")), param("b"), X)  # 1/a trips at a = 0

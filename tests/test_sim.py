@@ -331,19 +331,19 @@ class TestReferenceOracle:
         self.assert_same(cfg)
 
     def test_ghosts_evaluated_once_per_stage_time(self, monkeypatch):
-        # each field's callable sees every distinct stage time exactly once
-        # at each of the four ghost nodes, in whichever block call carries
-        # it, and is called twice on the grid for the exact fields
+        # the one (u, v) callable sees every distinct stage time exactly
+        # once at each of the four ghost nodes, in whichever block call
+        # carries it, and is called twice on the grid for the exact fields
         fields = []
 
-        def counting_compile(expr, binding):
-            f = sim_reference.compile_expr(expr, binding)
+        def counting_compile(exprs, binding):
+            fns = [sim_reference.compile_expr(e, binding) for e in exprs]
             calls = []
             fields.append(calls)
 
             def counted(x, t):
                 calls.append((np.array(x, dtype=float), np.broadcast_to(t, np.shape(x)).astype(float)))
-                return f(x, t)
+                return tuple(f(x, t) for f in fns)
 
             return counted
 
@@ -359,7 +359,7 @@ class TestReferenceOracle:
             t = t + dt
         ghost_x = np.concatenate([cfg.grid.ghost_x("left"), cfg.grid.ghost_x("right")])
         want = sorted((float(tt), float(xx)) for tt in stage_times for xx in ghost_x)
-        assert len(fields) == 2
+        assert len(fields) == 1
         for calls in fields:
             exact = [(x, t) for x, t in calls if len(x) == cfg.grid.n]
             ghost = [(x, t) for x, t in calls if len(x) != cfg.grid.n]
@@ -464,8 +464,34 @@ class TestBlocks:
                 want = np.array([[u(boundary.ghost_x, tt), v(boundary.ghost_x, tt)] for tt in times])
             assert table.tobytes() == want.tobytes()
             t = times[-1]
-        assert len(calls) == 4  # one call per field and block
+        assert len(calls) == 2  # one call per block
         assert boundary.table.shape == (2 * sim.BLOCK_STEPS + 1, 2, 4)
+
+    @pytest.mark.parametrize(
+        "fid,binding",
+        [
+            pytest.param(fid, b, id=f"{fid}-{i}")
+            for fid in ("eq93", "eq96")
+            for i, b in enumerate(family_registry()[fid].default_grid)
+        ],
+    )
+    def test_block_is_bitwise_the_two_program_ghosts(self, fid, binding):
+        # u and v in one program give the ghosts that a program per field
+        # gives over the same stacked samples
+        fam = family_registry()[fid]
+        cfg = SimConfig(grid=Grid1D(-20.0, 20.0, 64), t_end=1.0, dt=0.01, boundary="exact", family=fid, binding=binding)
+        boundary = sim._Boundary(cfg)
+        u, v = (compile_expr(e, binding) for e in (fam.u_expr, fam.v_expr))
+        t = 0.0
+        for steps in (sim.BLOCK_STEPS, sim.BLOCK_STEPS, 3):
+            times = sim._stage_times(t, 0.5 * cfg.dt, cfg.dt, steps)
+            x, tt = np.tile(boundary.ghost_x, len(times)), np.repeat(times, 4)
+            want = np.stack([u(x, tt).reshape(-1, 4), v(x, tt).reshape(-1, 4)], axis=1)
+            assert np.array(boundary.block(times)).tobytes() == want.tobytes()
+            t = times[-1]
+        for time in (0.0, 0.37):
+            got = boundary.exact_fields(cfg.grid.x, time)
+            assert [a.tobytes() for a in got] == [f(cfg.grid.x, time).tobytes() for f in (u, v)]
 
     def test_block_memory_does_not_grow_with_the_run(self, monkeypatch):
         made = []
@@ -491,7 +517,7 @@ class TestBlocks:
             assert res.steps == steps
             boundary, monitors = made
             blocks = -(-steps // sim.BLOCK_STEPS)
-            assert len(calls) == 2 * blocks + 4  # one ghost call per field and block, 4 exact fields
+            assert len(calls) == blocks + 2  # one ghost call per block, 2 for the exact fields
             sizes.append(
                 (boundary.table.shape, monitors.edges.shape, monitors.times.shape, len(monitors.slots))
             )

@@ -1,9 +1,14 @@
 """The closed-form family registry and its residual scans."""
 
+import random
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 
-from dlwlab import solutions
-from dlwlab.jet import JetError
+import analytic_reference
+from dlwlab import solutions, systems
+from dlwlab.jet import EvolutionSystem, JetError, JetPoly
 from dlwlab.solutions import (
     UnknownFamily,
     family_registry,
@@ -120,3 +125,51 @@ def test_profile_rows_kink():
     # at t = 0 the profile is mu + (2/sqrt3) tanh(x): rising kink
     assert rows[0][1] == pytest.approx(1.0 - 2 / 3**0.5, abs=1e-6)
     assert rows[-1][1] == pytest.approx(1.0 + 2 / 3**0.5, abs=1e-6)
+
+
+class TestScanCost:
+    """What one scan pays for: a draw of the samples per family, one
+    evaluation per binding, and no rebuild of the pair."""
+
+    def test_pairs_are_built_once_per_process(self):
+        assert systems.physical_system() is systems.physical_system()
+        assert systems.potential_system() is systems.potential_system()
+        assert systems.physical_system() == analytic_reference.physical_pair()
+        q = lambda dx=0: JetPoly.var("q", dx, 0)  # noqa: E731
+        r = lambda dx=0: JetPoly.var("r", dx, 0)  # noqa: E731
+        g1 = q(1) * q(2) + r(2)
+        g2 = q(2) * r(1) + q(1) * r(2) + q(4) * Fraction(1, 3)
+        assert systems.potential_system() == EvolutionSystem(deps=("q", "r"), rhs=(g1, g2), lead_dx=1)
+
+    def test_one_draw_no_pair_and_one_evaluation_per_binding(self, monkeypatch):
+        fam = family_registry()["eq93"]
+        assert len(fam.default_grid) == 3
+        scan_family("eq93")  # the pair and the family's program exist from here on
+        rngs, pairs, evaluations = [], [], []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.draws = 0
+                rngs.append(self)
+
+            def random(self):
+                self.draws += 1
+                return super().random()
+
+        def post_init(self, _made=EvolutionSystem.__post_init__):
+            pairs.append(self)
+            _made(self)
+
+        def counting_residual_max(*args, _fn=solutions.residual_max):
+            evaluations.append(args[2])
+            return _fn(*args)
+
+        monkeypatch.setattr(solutions, "random", SimpleNamespace(Random=CountingRandom))
+        monkeypatch.setattr(EvolutionSystem, "__post_init__", post_init)
+        monkeypatch.setattr(solutions, "residual_max", counting_residual_max)
+        records = scan_family("eq93", n_samples=40, seed=5)
+        assert [rng.draws for rng in rngs] == [80]
+        assert pairs == []
+        assert evaluations == list(fam.default_grid)
+        assert [r["samples_used"] for r in records] == [40] * 3

@@ -25,6 +25,19 @@ def test_no_module_calls_eval_or_exec():
     assert calls == []
 
 
+def test_only_systems_builds_an_evolution_system():
+    """The pairs are built once per process in ``systems``; no other module
+    calls ``EvolutionSystem(``, so none rebuilds a pair per call."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "EvolutionSystem" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert {c.split(":")[0] for c in calls} == {"systems.py"}, calls
+
+
 def test_jet_kernel_has_no_float_and_divides_only_fractions():
     """The jet kernel keeps integer numerators, where a stray ``/`` would
     silently make a float: ``jet.py`` holds no float literal and no
