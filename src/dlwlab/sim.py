@@ -12,24 +12,32 @@ measured against the exact conservation budget
 
 Each RK4 stage is computed once and shared. The state is one stacked
 (2, n) array of u and v. Each stage input is written straight into the
-interior of one preallocated (2, n+4) buffer, whose ghost columns are
-then filled; the stage takes u_x and v_x in one stencil operation over
-both rows and u_xxx on the u row only, writing every stencil and product
-into buffers allocated once per run. A stage computes the negated right
-side, u u_x + v_x and u_x v + u v_x + u_xxx/3, and the stage inputs and
-the final RK4 combination subtract it where the textbook form adds the
-right side, which saves the negations. IEEE negation is exact and
-a + (-b) is a - b, so every value is the one the right side itself
-gives; only an exact zero may differ in sign. Work that does not need
-the stage's result is done per block of ``BLOCK_STEPS`` steps, off the
-per-stage path: the exact-family ghosts of every distinct stage time of
-a block come from one call of the family's (u, v) program, and each
-stage only copies the two 5-column edge blocks of its buffer into a
-record whose through-flux the monitors evaluate in one array pass at
-each sample and at the end of the block. The monitors' densities and
-fluxes are compiled to float terms when a run starts. Every value is
-computed by the same floating-point operations in the same order as one
-stage at a time would, so results do not depend on the block length.
+u and v rows of one preallocated (3, n+4) buffer whose first row is a
+constant row of ones; one assignment through a strided view then fills
+all 8 ghost cells. A stage is one ghost assignment and 11 ufunc calls
+into buffers allocated once per run: u_x, v_x and the undivided u_xxx
+share one (3, n) buffer and one division by (2dx, 2dx, 2dx^3), 2u is
+formed once for both u_xxx taps, and the products are
+u_x (u, v) + (1, u) v_x, where (1, u) is a view of the buffer. A stage
+computes the negated right side, u u_x + v_x and
+u_x v + u v_x + u_xxx/3, and the stage inputs and the final RK4
+combination subtract it where the textbook form adds the right side,
+which saves the negations. The four slopes share one (4, 2, n) array,
+so 2 k2 and 2 k3 are one call. IEEE negation, 1 x and 2 x are exact,
+a + (-b) is a - b, and products and two-term sums commute, so every
+value is the one the right side itself gives; only an exact zero may
+differ in sign. Work that does not need the stage's result is done per
+block of ``BLOCK_STEPS`` steps, off the per-stage path: the
+exact-family ghosts of every distinct stage time of a block come from
+one call of the family's (u, v) program, and each stage only copies the
+two 5-column edge blocks of its buffer into a record whose through-flux
+the monitors evaluate in one array pass once per block. A sample
+quadratures the densities at once; its budget is filled at the end of
+its block from the running flux sum at the sample's step. The monitors'
+densities and fluxes are compiled to float terms when a run starts.
+Every value is computed by the same floating-point operations in the
+same order as one stage at a time would, so results do not depend on
+the block length.
 
 Finiteness is checked on the starting fields of a run, whether given or
 taken from the exact family, on the input of ``rhs``, and at the end of
@@ -43,10 +51,12 @@ is caught by the checks at the end of its step.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import solutions
 from .analytic import compile_expr
@@ -86,6 +96,10 @@ class Grid1D:
     def __post_init__(self) -> None:
         if self.n < 16:
             raise JetError("at least 16 cells")
+        for name in ("x_min", "x_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise JetError(f"{name} {value:g} is not finite")
         if not self.x_max > self.x_min:
             raise JetError("empty domain")
 
@@ -139,6 +153,8 @@ class SimConfig:
         step = self.step_size()
         if not step > 0:  # NaN included
             raise JetError(f"step size {step:g} is not positive")
+        if math.isinf(self.t_end):
+            raise JetError(f"t_end {self.t_end:g} is not finite")
         if not step <= self.t_end:
             raise JetError(
                 f"step size {step:g} is longer than t_end {self.t_end:g} at grid size n = {self.grid.n}"
@@ -244,11 +260,12 @@ class _Boundary:
             rows = 2 * BLOCK_STEPS + 1
             self._x = np.tile(self.ghost_x, rows)
             self.table = np.empty((rows, 2, 4))
+            self._blocks = self.table.reshape(rows, 2, 2, 2)  # see _Stage.pad
             self._rows = 0  # rows of the previous block
 
     def block(self, times: list[float]) -> Sequence[np.ndarray | None]:
-        """Per stage time of a block: u and v (rows) at the two left then
-        the two right ghost nodes; None on the periodic circle."""
+        """Per stage time of a block: u and v (rows) at the two left and
+        the two right ghost nodes (sides); None on the periodic circle."""
         if self.periodic:
             return [None] * len(times)
         table, first = self.table, 0
@@ -260,7 +277,7 @@ class _Boundary:
         table[first : len(times), 0] = u.reshape(-1, 4)
         table[first : len(times), 1] = v.reshape(-1, 4)
         self._rows = len(times)
-        return table[: len(times)]
+        return self._blocks[: len(times)]
 
     def exact_fields(self, x: np.ndarray, time: float) -> tuple[np.ndarray, np.ndarray]:
         if self.periodic:
@@ -270,35 +287,50 @@ class _Boundary:
 
 class _Stage:
     """The negated semi-discrete right side of one RK4 stage for the
-    stacked (u, v) state. The stage's fields are the interior ``fields``
-    of one preallocated (2, n+4) buffer, where the caller writes them,
-    and its stencils and products go to buffers allocated once."""
+    stacked (u, v) state: one ghost assignment and 11 ufunc calls, and
+    one ``take`` when the edge blocks are recorded.
+
+    The stage's fields are the interior ``fields`` of rows 1 and 2 of one
+    preallocated (3, n+4) buffer, where the caller writes them; row 0 is
+    a constant row of ones, so rows 0..1 are (1, u). One assignment
+    through a strided view fills the 8 ghost cells, columns 0, 1, n+2 and
+    n+3 of the u and v rows. u_x, v_x and the undivided u_xxx share one
+    (3, n) buffer and one division by the column (2dx, 2dx, 2dx^3); 2u is
+    formed once over the padded u row and read at both u_xxx taps. The
+    products are u_x (u, v) + (1, u) v_x. Multiplying by 1 or 2 is exact
+    and IEEE products and two-term sums commute, so every value is the
+    one ``_stencil`` and the textbook products give.
+    """
 
     def __init__(self, grid: Grid1D):
         n = grid.n
         self.dx = grid.dx
-        self.buf = np.empty((2, n + 4))
-        self.fields = self.buf[:, 2:-2]
-        self.both = _windows(self.buf, n)
-        self.rows = (_windows(self.buf[0], n), _windows(self.buf[1], n))
-        self.d1 = np.empty((2, n))  # u_x, v_x
-        self.d3 = np.empty(n)  # u_xxx
-        self.tmp = np.empty(n)
-        # the two 5-column edge blocks, columns 0..4 and n-1..n+3, of each
-        # row in the flat buffer
+        self.buf = np.ones((3, n + 4))
+        self.fields = self.buf[1:, 2:-2]
+        self.one_u = self.buf[:2, 2:-2]
+        self.both = _windows(self.buf[1:], n)
+        self.rows = (_windows(self.buf[1], n), _windows(self.buf[2], n))
+        # (row, side, node): columns 0, 1 and n+2, n+3 of the u and v
+        # rows; the periodic wrap reads columns n, n+1 and 2, 3
+        row, col = self.buf.strides
+        self.ghosts = as_strided(self.buf[1:], (2, 2, 2), (row, (n + 2) * col, col))
+        self.wrap = as_strided(self.buf[1:, n:], (2, 2, 2), (row, (2 - n) * col, col), writeable=False)
+        self.u_row, self.two_u = self.buf[1], np.empty(n + 4)
+        self.two_u_at = _windows(self.two_u, n)
+        self.d = np.empty((3, n))  # u_x, v_x and the undivided u_xxx
+        self.d1, self.d_rows = self.d[:2], tuple(self.d)
+        self.scale = np.array([[2 * self.dx], [2 * self.dx], [2 * self.dx**3]])
+        self.tmp = np.empty((2, n))
+        # the two 5-column edge blocks, columns 0..4 and n-1..n+3, of the
+        # u and v rows in the flat buffer
         cols = np.arange(5)
         cols = np.concatenate([cols, cols + n - 1])
-        self.flat, self.edge_index = self.buf.reshape(-1), np.concatenate([cols, cols + n + 4])
+        self.flat, self.edge_index = self.buf.reshape(-1), np.concatenate([cols + n + 4, cols + 2 * (n + 4)])
 
     def pad(self, ghosts: np.ndarray | None) -> None:
-        """Fill the ghost columns around the interior ``fields``."""
-        buf = self.buf
-        if ghosts is None:  # periodic
-            buf[:, :2] = buf[:, -4:-2]
-            buf[:, -2:] = buf[:, 2:4]
-        else:
-            buf[:, :2] = ghosts[:, :2]
-            buf[:, -2:] = ghosts[:, 2:]
+        """Fill the ghost cells around the interior ``fields`` from one
+        (2, 2, 2) ghost block (row, side, node), or periodically."""
+        self.ghosts[...] = self.wrap if ghosts is None else ghosts
 
     def __call__(
         self,
@@ -312,24 +344,21 @@ class _Stage:
         self.pad(ghosts)
         if edges is not None:
             self.flat.take(self.edge_index, out=edges, mode="clip")
-        dx, p, q = self.dx, self.both, self.rows[0]
-        d1, d3, tmp = self.d1, self.d3, self.tmp
+        p, q, two_u, d, tmp = self.both, self.rows[0], self.two_u_at, self.d, self.tmp
+        u_x, v_x, d3 = self.d_rows
         # _stencil's operations, in its order
-        np.subtract(p[3], p[1], out=d1)
-        np.divide(d1, 2 * dx, out=d1)
-        np.multiply(2, q[3], out=d3)
-        np.subtract(q[4], d3, out=d3)
-        np.multiply(2, q[1], out=tmp)
-        np.add(d3, tmp, out=d3)
+        np.subtract(p[3], p[1], out=self.d1)
+        np.multiply(2, self.u_row, out=self.two_u)
+        np.subtract(q[4], two_u[3], out=d3)
+        np.add(d3, two_u[1], out=d3)
         np.subtract(d3, q[0], out=d3)
-        np.divide(d3, 2 * dx**3, out=d3)
-        (u, v), (u_x, v_x), (nu_t, nv_t) = self.fields, d1, out
-        np.multiply(u, u_x, out=nu_t)
-        np.add(nu_t, v_x, out=nu_t)
-        np.multiply(u_x, v, out=nv_t)
-        np.multiply(u, v_x, out=tmp)
-        np.add(nv_t, tmp, out=nv_t)
+        np.divide(d, self.scale, out=d)
+        # u u_x + 1 v_x and u_x v + u v_x
+        np.multiply(u_x, self.fields, out=out)
+        np.multiply(self.one_u, v_x, out=tmp)
+        np.add(out, tmp, out=out)
         np.divide(d3, 3.0, out=d3)
+        nv_t = out[1]
         np.add(nv_t, d3, out=nv_t)
         return out
 
@@ -343,7 +372,7 @@ def rhs(
     _require_finite(fields, state.time)
     ghosts = None
     if boundary is not None and not boundary.periodic:
-        ghosts = np.array(boundary.exact_fields(boundary.ghost_x, state.time))
+        ghosts = np.reshape(boundary.exact_fields(boundary.ghost_x, state.time), (2, 2, 2))
     stage = _Stage(grid)
     stage.fields[...] = fields
     out = np.negative(stage(ghosts, np.empty_like(fields)))
@@ -406,13 +435,15 @@ class _Monitors:
     """The monitored laws of one run, compiled to float terms once.
 
     A sample quadratures each density over the grid (trapezoidal on
-    bounded domains). On bounded domains each stage of a block copies the
-    two 5-column edge blocks of its padded buffer into a preallocated
-    record of 4 BLOCK_STEPS slots (``edges``). At each sample, and when the
-    block is full, ``flush`` evaluates every law's through-flux
-    flux(left edge) - flux(right edge) over all recorded stages in one
-    array pass and adds each step's RK4-weighted sum to the flux integral
-    in step order.
+    bounded domains) into the raw series at once; its budget, raw value
+    minus flux integral, waits for the end of the sample's block. On
+    bounded domains each stage of a block copies the two 5-column edge
+    blocks of its padded buffer into a preallocated record of
+    4 BLOCK_STEPS slots (``edges``). Once per block, ``flush`` evaluates
+    every law's through-flux flux(left edge) - flux(right edge) over all
+    the block's stages in one array pass, adds each step's RK4-weighted
+    sum to the flux integral in step order, and fills the budgets of the
+    block's samples from the running sum at each sample's step.
     """
 
     def __init__(self, labels: Sequence[str], stage: _Stage, x: np.ndarray, periodic: bool, dt: float):
@@ -438,39 +469,44 @@ class _Monitors:
         self.edges = np.empty((slots, 20)) if self.flux else None
         self.slots = list(self.edges) if self.flux else [None] * slots
         self.times = np.empty(slots)
-        self.flushed = 0  # steps of the block already in the flux integral
+        self.pending: list[int] = []  # per sample of the block, its steps into the block
 
     def start_block(self, times: list[float]) -> None:
         """Stage times of the next block (see ``_stage_times``)."""
         steps = (len(times) - 1) // 2
         self.times[: 4 * steps] = np.take(times, _STAGE_ROWS[: 4 * steps])
-        self.flushed = 0
 
     def flush(self, steps: int) -> None:
-        """Add the through-flux of the block's steps up to ``steps`` (the
-        first ``4 steps`` slots of the record) to the flux integral."""
-        lo, hi = 4 * self.flushed, 4 * steps
-        self.flushed = steps
-        if not self.flux or hi == lo:
-            return
-        dx, time = self.stage.dx, self.times[lo:hi]
-        cols = self.edges[lo:hi].reshape(-1, 2, 2, 5)  # stage, row, side, sample
+        """At the end of a block of ``steps`` steps (the first ``4 steps``
+        slots of the record): add its through-flux to the flux integral
+        and fill the budgets of its samples."""
+        hi = 4 * steps
+        if self.flux:
+            dx, time = self.stage.dx, self.times[:hi]
+            cols = self.edges[:hi].reshape(-1, 2, 2, 5)  # stage, row, side, sample
 
-        def at(side: int) -> dict:
-            return {(row, k): _stencil(cols[:, row, side].T, k, dx) for row, k in self.flux_keys}
+            def at(side: int) -> dict:
+                return {(row, k): _stencil(cols[:, row, side].T, k, dx) for row, k in self.flux_keys}
 
-        (left, right), (xl, xr) = (at(0), at(1)), self.edge_x
-        for i, f in enumerate(self.flux):
-            rates = _evaluate(f, left, xl, time) - _evaluate(f, right, xr, time)
-            a, b, c, d = np.broadcast_to(rates, (hi - lo,)).reshape(-1, 4).T
-            total = self.flux_integral[i]
-            for inc in (self.sixth * (a + 2 * b + 2 * c + d)).tolist():
-                total += inc
-            self.flux_integral[i] = total
+            (left, right), (xl, xr) = (at(0), at(1)), self.edge_x
+        for i, series in enumerate(self.series):
+            running = [self.flux_integral[i]] * (steps + 1)
+            if self.flux:
+                f = self.flux[i]
+                rates = _evaluate(f, left, xl, time) - _evaluate(f, right, xr, time)
+                a, b, c, d = np.broadcast_to(rates, (hi,)).reshape(-1, 4).T
+                increments = (self.sixth * (a + 2 * b + 2 * c + d)).tolist()
+                running = list(accumulate(increments, initial=running[0]))
+                self.flux_integral[i] = running[-1]
+            raw = series.raw[len(series.budget) :]
+            series.budget += [q - running[step] for q, step in zip(raw, self.pending)]
+        self.pending.clear()
 
-    def sample(self, fields: np.ndarray, time: float, ghosts: np.ndarray | None) -> None:
+    def sample(self, fields: np.ndarray, time: float, ghosts: np.ndarray | None, step: int) -> None:
+        """Quadrature of every density at ``step`` steps into the block."""
         if not self.series:
             return
+        self.pending.append(step)
         if any(k for _, k in self.density_keys):
             self.stage.fields[...] = fields
             self.stage.pad(ghosts)
@@ -479,7 +515,7 @@ class _Monitors:
             (row, k): fields[row] if k == 0 else _stencil(self.stage.rows[row], k, dx)
             for row, k in self.density_keys
         }
-        for series, terms, flux_integral in zip(self.series, self.density, self.flux_integral):
+        for series, terms in zip(self.series, self.density):
             arr = np.asarray(_evaluate(terms, values, self.x, time), dtype=float)
             if arr.ndim == 0:
                 arr = np.full(len(self.x), float(arr))
@@ -489,7 +525,6 @@ class _Monitors:
                 q = float(np.sum(arr * self.weights))
             series.times.append(time)
             series.raw.append(q)
-            series.budget.append(q - flux_integral)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +565,8 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
     monitors = _Monitors(cfg.monitors, stage, x, boundary.periodic, dt)
     slots = monitors.slots
     # the k hold the negated slopes (see _Stage); y is the stage input
-    k1, k2, k3, k4 = np.empty((4,) + fields.shape)
+    k = np.empty((4,) + fields.shape)
+    (k1, k2, k3, k4), k23 = k, k[1:3]
     y = stage.fields
 
     for first in range(0, steps, BLOCK_STEPS):
@@ -539,7 +575,7 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
         ghosts = boundary.block(times)
         monitors.start_block(times)
         if first == 0:
-            monitors.sample(fields, t, ghosts[0])
+            monitors.sample(fields, t, ghosts[0], 0)
         for j in range(count):
             g0, g_half, g1 = ghosts[2 * j : 2 * j + 3]
             s = 4 * j
@@ -556,9 +592,8 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
             stage(g1, k4, slots[s + 3])
 
             # fields - sixth * (k1 + 2 k2 + 2 k3 + k4), in that order
-            np.multiply(2, k2, out=k2)
+            np.multiply(2, k23, out=k23)
             np.add(k1, k2, out=k1)
-            np.multiply(2, k3, out=k3)
             np.add(k1, k3, out=k1)
             np.add(k1, k4, out=k1)
             np.multiply(sixth, k1, out=k1)
@@ -575,8 +610,7 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
 
             step = first + j
             if (step + 1) % cfg.output_stride == 0 or step == steps - 1:
-                monitors.flush(j + 1)
-                monitors.sample(fields, t, g1)
+                monitors.sample(fields, t, g1, j + 1)
         monitors.flush(count)
 
     l2 = None

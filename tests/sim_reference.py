@@ -85,10 +85,21 @@ def rhs(
     """Semi-discrete right side: u_t = -(u u_x + v_x),
     v_t = -(u_x v + u v_x + u_xxx/3)."""
     state.check_finite()
-    n, dx = grid.n, grid.dx
     ghosts = boundary.ghosts(state.time) if boundary is not None else None
-    up = _pad(state.u, None if ghosts is None else ghosts[0])
-    vp = _pad(state.v, None if ghosts is None else ghosts[1])
+    return padded_rhs(state.u, state.v, ghosts, grid)
+
+
+def padded_rhs(
+    u: np.ndarray,
+    v: np.ndarray,
+    ghosts: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None,
+    grid: Grid1D,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rhs`` of given fields and ghosts ((u left, u right), (v left,
+    v right)), or periodic for None, without the finiteness check."""
+    n, dx = grid.n, grid.dx
+    up = _pad(u, None if ghosts is None else ghosts[0])
+    vp = _pad(v, None if ghosts is None else ghosts[1])
     du = _derivatives(up, n, dx)
     dv = _derivatives(vp, n, dx)
     u_t = -(du[0] * du[1] + dv[1])

@@ -116,6 +116,9 @@ KINK_CFG = "x_min=-20\nx_max=20\nn=64\nt_end=0.05\nboundary=exact\nfamily=eq93\n
         ("", "UnboundParameter: mu"),
         ("param.mu=1.0\nmonitors=eq999\n", "'eq999'"),
         ("param.mu=1.0\nparam.nu=7\n", "['nu'] for eq93"),
+        ("param.mu=1.0\nt_end=inf\n", "JetError: t_end inf is not finite"),
+        ("param.mu=1.0\nx_min=-inf\n", "JetError: x_min -inf is not finite"),
+        ("param.mu=1.0\nx_max=inf\n", "JetError: x_max inf is not finite"),
     ],
 )
 def test_sim_run_bad_input_exits_two(extra, named, tmp_path, capsys):

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlwlab import sim
 from dlwlab.analytic import compile_expr
@@ -48,11 +50,27 @@ class TestGridAndConfig:
             ({"t_end": 1.0, "dt": float("nan")}, "step size nan is not positive"),
             ({"t_end": 1e-3}, "step size 0.0488281 is longer than t_end 0.001 at grid size n = 64"),
             ({"t_end": float("nan")}, "step size 0.0488281 is longer than t_end nan at grid size n = 64"),
+            ({"t_end": math.inf}, "t_end inf is not finite"),
+            ({"t_end": -math.inf}, "t_end -inf is not finite"),
         ],
     )
     def test_bad_step_names_its_sizes(self, kw, message):
         with pytest.raises(JetError) as err:
             SimConfig(grid=Grid1D(-20, 20, 64), **kw)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "bounds,message",
+        [
+            ((-math.inf, 20.0), "x_min -inf is not finite"),
+            ((-20.0, math.inf), "x_max inf is not finite"),
+            ((math.nan, 20.0), "x_min nan is not finite"),
+            ((-20.0, math.nan), "x_max nan is not finite"),
+        ],
+    )
+    def test_non_finite_bounds_are_named(self, bounds, message):
+        with pytest.raises(JetError) as err:
+            Grid1D(*bounds, 64)
         assert str(err.value) == message
 
     def test_exact_boundary_requires_family(self):
@@ -330,6 +348,33 @@ class TestReferenceOracle:
         assert sim_reference.integrate(cfg).steps > 2 * sim.BLOCK_STEPS
         self.assert_same(cfg)
 
+    @pytest.mark.parametrize("stride", [1, 7, sim.BLOCK_STEPS, sim.BLOCK_STEPS + 1])
+    def test_budgets_filled_at_the_block_flush(self, stride):
+        # two full blocks and a short third: samples fall inside blocks,
+        # on their ends and on the last step, and every budget comes from
+        # the flush at the end of its block
+        cfg = _kink(64, (2 * sim.BLOCK_STEPS + 5) * 0.005, ("eq32", "eq33", "eq30"), dt=0.005, output_stride=stride)
+        self.assert_same(cfg)
+
+    def test_flux_evaluated_once_per_block(self, monkeypatch):
+        # every sample of stride 1 takes no flux evaluation of its own:
+        # each law's flux is evaluated at the two edges once per block
+        calls = []
+        evaluate = sim._evaluate
+
+        def counted(terms, values, x, time):
+            calls.append(terms)
+            return evaluate(terms, values, x, time)
+
+        monkeypatch.setattr(sim, "_evaluate", counted)
+        labels = ("eq32", "eq33")
+        res = integrate(_kink(64, (2 * sim.BLOCK_STEPS + 5) * 0.005, labels, dt=0.005, output_stride=1))
+        blocks = -(-res.steps // sim.BLOCK_STEPS)
+        assert blocks == 3 and len(res.monitors["eq32"].budget) == res.steps + 1
+        for label in labels:
+            flux = sim._float_terms(direct_laws()[label].flux)
+            assert sum(terms == flux for terms in calls) == 2 * blocks, label
+
     def test_ghosts_evaluated_once_per_stage_time(self, monkeypatch):
         # the one (u, v) callable sees every distinct stage time exactly
         # once at each of the four ghost nodes, in whichever block call
@@ -368,6 +413,85 @@ class TestReferenceOracle:
                 (float(tt), float(xx)) for x, t in ghost for tt, xx in zip(t.tolist(), x.tolist())
             )
             assert got == want
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300])
+
+
+@st.composite
+def _padded_fields(draw):
+    """(grid, u and v, ghosts as a (2, 4) array): normal samples with
+    special values at random nodes of the padded rows, ghosts included."""
+    n = draw(st.sampled_from([16, 17, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    padded = rng.standard_normal((2, n + 4))
+    for row, col, value in draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, n + 3), _SPECIAL), max_size=8)):
+        padded[row, col] = value
+    ghosts = np.concatenate([padded[:, :2], padded[:, -2:]], axis=1)
+    return Grid1D(-20.0, 20.0, n), padded[:, 2:-2], ghosts
+
+
+def _same_values(got, want):
+    # equal, NaN where NaN, and each zero of the same sign
+    got, want = np.asarray(got), np.asarray(want)
+    zeros = want == 0
+    return np.array_equal(got, want, equal_nan=True) and np.array_equal(np.signbit(got[zeros]), np.signbit(want[zeros]))
+
+
+class TestStageKernel:
+    """The stage against the reference right side, value for value, on
+    fields and ghosts with signed zeros, NaN, infinities and overflow."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_padded_fields(), exact=st.booleans())
+    def test_stage_matches_reference(self, case, exact):
+        grid, fields, ghosts = case
+        stage = sim._Stage(grid)
+        stage.fields[...] = fields
+        with np.errstate(all="ignore"):
+            got = np.negative(stage(ghosts.reshape(2, 2, 2) if exact else None, np.empty_like(fields)))
+            want = sim_reference.padded_rhs(
+                fields[0], fields[1], ((ghosts[0, :2], ghosts[0, 2:]), (ghosts[1, :2], ghosts[1, 2:])) if exact else None, grid
+            )
+        assert _same_values(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_padded_fields(), boundary=st.sampled_from(["exact", "periodic"]))
+    def test_public_rhs_matches_reference(self, case, boundary):
+        grid, fields, _ = case
+        cfg = SimConfig(grid=grid, t_end=1.0, dt=0.01, boundary=boundary, family="eq93", binding={"mu": 1.0})
+        state = FieldState(u=fields[0], v=fields[1], time=0.03)
+        with np.errstate(all="ignore"):
+            try:
+                want = sim_reference.rhs(state, grid, sim_reference._Boundary(cfg))
+            except JetError as err:
+                with pytest.raises(JetError, match=f"^{err}$"):
+                    rhs(state, grid, sim._Boundary(cfg))
+                return
+            got = rhs(state, grid, sim._Boundary(cfg))
+        assert _same_values(got, want)
+
+    def test_ghost_views_alias_exactly_the_ghost_cells(self):
+        n = 16
+        stage = sim._Stage(Grid1D(-20.0, 20.0, n))
+        for view, cols in ((stage.ghosts, (0, 1, n + 2, n + 3)), (stage.wrap, (n, n + 1, 2, 3))):
+            aliased = {
+                (row, col)
+                for row in range(3)
+                for col in range(n + 4)
+                if np.shares_memory(view, stage.buf[row, col : col + 1])
+            }
+            assert aliased == {(row, col) for row in (1, 2) for col in cols}
+        stage.buf[...] = np.arange(3 * (n + 4)).reshape(3, n + 4)
+        before = stage.buf.copy()
+        marks = -1.0 - np.arange(8).reshape(2, 2, 2)
+        stage.ghosts[...] = marks
+        changed = np.argwhere(stage.buf != before).tolist()
+        assert changed == [[row, col] for row in (1, 2) for col in (0, 1, n + 2, n + 3)]
+        assert stage.buf[1:, [0, 1, n + 2, n + 3]].tolist() == marks.reshape(2, 4).tolist()
+        stage.pad(None)  # the periodic wrap: interior columns n, n+1 and 2, 3
+        assert np.array_equal(stage.buf[1:, [0, 1, n + 2, n + 3]], before[1:, [n, n + 1, 2, 3]])
+        assert stage.buf[0].tolist() == before[0].tolist()
 
 
 class TestStepGuards:
