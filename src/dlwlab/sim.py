@@ -128,6 +128,11 @@ class FieldState:
         _require_finite(self.v, self.time)
 
 
+# The most RK4 steps one run may take. At n = 128 that many already take
+# tens of minutes; a larger count comes from a mistyped dt or t_end.
+MAX_STEPS = 10**7
+
+
 @dataclass(frozen=True)
 class SimConfig:
     grid: Grid1D
@@ -153,11 +158,16 @@ class SimConfig:
         step = self.step_size()
         if not step > 0:  # NaN included
             raise JetError(f"step size {step:g} is not positive")
-        if math.isinf(self.t_end):
+        if not math.isfinite(self.t_end):
             raise JetError(f"t_end {self.t_end:g} is not finite")
         if not step <= self.t_end:
             raise JetError(
                 f"step size {step:g} is longer than t_end {self.t_end:g} at grid size n = {self.grid.n}"
+            )
+        count = self.t_end / step  # inf when the quotient overflows
+        if math.isinf(count) or round(count) > MAX_STEPS:
+            raise JetError(
+                f"{count:.10g} steps exceed MAX_STEPS = {MAX_STEPS} at grid size n = {self.grid.n}"
             )
         if self.output_stride < 1:
             raise JetError("output_stride must be at least 1")

@@ -1,6 +1,7 @@
 """Point-symmetry machinery: third prolongation, determining residuals,
-vector-field and evolutionary brackets, and the one-dimensional
-subalgebra classification of the four-generator algebra
+vector-field and evolutionary brackets, and the classification of the
+one-dimensional subalgebras of the four-generator algebra by a complete
+invariant of its adjoint action
 
     X1 = d/dt,  X2 = d/dx,  X3 = t d/dx + d/du,
     X4 = (x/2) d/dx + t d/dt - (u/2) d/du - v d/dv.
@@ -8,7 +9,6 @@ subalgebra classification of the four-generator algebra
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -39,8 +39,6 @@ __all__ = [
     "structure_constants",
     "char_structure_constants",
     "printed_generator_matrices",
-    "adjoint_transformations",
-    "optimal_reduce",
     "optimal_class",
     "OPTIMAL_CLASSES",
     "similarity_reduction_checks",
@@ -302,167 +300,37 @@ def printed_generator_matrices() -> list[list[list[Fraction]]]:
 
 
 # ---------------------------------------------------------------------------
-# optimal system of one-dimensional subalgebras
-
-Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
+# optimal system of one-dimensional subalgebras, by a complete invariant
+#
+# span{X1, X2, X3} is the derived algebra and span{X2, X3} an ideal (see
+# structure_constants()), so the adjoint action keeps "l4 = 0" and, on it,
+# "l1 = 0". On l4 = 0 the shifts exp(eps E1..E3) fix l1 and l3, and the
+# scaling multiplies l1 * l3 by a positive factor, as does a projective
+# factor c (by c**2). The zeros of l4, l1 and l3 and the sign of l1 * l3
+# therefore name the class (Olver, GTM 107, sec. 3.3).
 
 OPTIMAL_CLASSES = ("X1", "X2", "X3", "X4", "X1+X3", "X1-X3")
 
 
-def _vec(l: Sequence[Fraction | int]) -> Vec4:
-    if len(l) != 4:
-        raise JetError("subalgebra vectors have four components")
-    return tuple(Fraction(v) for v in l)  # type: ignore[return-value]
+def optimal_class(vec: Sequence[Fraction | int]) -> str:
+    """The class of the subalgebra spanned by l1 X1 + ... + l4 X4.
 
-
-def _t1(l: Vec4, a: Fraction) -> Vec4:
-    return (l[0] + a * l[3], l[1] + a * l[2], l[2], l[3])
-
-
-def _t2(l: Vec4, a: Fraction) -> Vec4:
-    return (l[0], l[1] + a * l[3] / 2, l[2], l[3])
-
-
-def _t3(l: Vec4, a: Fraction) -> Vec4:
-    return (l[0], l[1] - a * l[0], l[2] - a * l[3] / 2, l[3])
-
-
-def _t4(l: Vec4, s: Fraction) -> Vec4:
-    if s <= 0:
-        raise JetError("T4 takes a positive scale")
-    return (l[0] * s**2, l[1] * s, l[2] / s, l[3])
-
-
-def adjoint_transformations(
-    l: Sequence[Fraction | int], a: Sequence[Fraction | int]
-) -> Vec4:
-    """Apply the four coefficient-space transformations in order with the
-    given parameters. The fourth parameter is the multiplicative scale of
-    the scaling flow (1 = identity); it must be positive.
-
-    The shift maps T1 and T3 follow the printed catalog; T2 and the
-    direction of the scale action on the third slot are derived from the
-    commutator table instead, which the printed forms contradict (T2 as
-    printed shifts the third slot although its generating flow moves the
-    second; see the verification report for the flagged comparison).
+    The entries are ints or Fractions. The class depends only on the ray
+    of ``vec``, so any nonzero multiple of it, for instance the entries
+    times the lcm of their denominators, gives the same class.
     """
-    out = _vec(l)
-    a1, a2, a3, s4 = (Fraction(v) for v in a)
-    out = _t1(out, a1)
-    out = _t2(out, a2)
-    out = _t3(out, a3)
-    out = _t4(out, s4)
-    return out
-
-
-def _reduce_core(cur: list[int]) -> tuple[list[int], int, list[tuple[str, int, int]]]:
-    """The branch loop of the reduction on an integer 4-vector ``cur``.
-
-    Returns (reduced vector, factor, steps). Each step is (map name, p, q)
-    with the parameter p/q in lowest terms and q > 0. A step multiplies
-    the vector by q (T1) or 2q (T2, T3) on top of the map, so every entry
-    stays an integer, and ``factor`` is the product of these multipliers:
-    the reduced vector is ``factor`` times the image of ``cur`` under the
-    Fraction maps ``_t1``-``_t3`` with the steps' parameters. The branch
-    tests read signs and zeros only, and every parameter is a ratio of
-    entries, so scaling ``cur`` by a nonzero constant changes neither the
-    steps nor the reduced vector's ray.
-    """
-    if len(cur) != 4:
+    if len(vec) != 4:
         raise JetError("subalgebra vectors have four components")
-    if not any(cur):
-        raise JetError("the zero vector spans no subalgebra")
-    factor = 1
-    steps: list[tuple[str, int, int]] = []
-
-    def apply(name: str, num: int, dnm: int) -> None:
-        nonlocal cur, factor
-        g = math.gcd(num, dnm) if dnm > 0 else -math.gcd(num, dnm)
-        p, q = num // g, dnm // g
-        c0, c1, c2, c3 = cur
-        if name == "T1":
-            k = q
-            cur = [q * c0 + p * c3, q * c1 + p * c2, q * c2, q * c3]
-        elif name == "T2":
-            k = 2 * q
-            cur = [k * c0, k * c1 + p * c3, k * c2, k * c3]
-        else:
-            k = 2 * q
-            cur = [k * c0, k * c1 - 2 * p * c0, k * c2 - p * c3, k * c3]
-        factor *= k
-        steps.append((name, p, q))
-
-    for _ in range(3):  # the T1 step in the l1 == 0 branch may reopen case 1
-        if cur[0]:
-            if cur[1]:
-                apply("T3", cur[1], cur[0])
-            if cur[3]:
-                if cur[2]:
-                    apply("T3", 2 * cur[2], cur[3])
-                if cur[1]:
-                    apply("T2", -2 * cur[1], cur[3])
-                apply("T1", -cur[0], cur[3])
-            break
-        if cur[2]:
-            if cur[1]:
-                apply("T1", -cur[1], cur[2])
-            if cur[0]:
-                continue
-            if cur[3]:
-                apply("T3", 2 * cur[2], cur[3])
-            break
-        if cur[3] and cur[1]:
-            apply("T2", -2 * cur[1], cur[3])
-        break
-    return cur, factor, steps
-
-
-def _class_of(cur: list[int]) -> str:
-    """The class of a reduced vector, read from its signs and zeros."""
-    c0, _, c2, c3 = cur
-    if c0:  # the normalized third slot c2 / c0 has the sign of c2 * c0
-        return "X1" if c2 == 0 else ("X1+X3" if c2 * c0 > 0 else "X1-X3")
-    if c3:
+    l1, _, l3, l4 = vec
+    if l4:
         return "X4"
-    return "X3" if c2 else "X2"
-
-
-def optimal_class(vec: Sequence[int]) -> str:
-    """The subalgebra class of a nonzero integer coefficient vector.
-
-    ``vec`` is the projective form of a rational vector: any nonzero
-    integer multiple of it, for instance the entries times the least
-    common multiple of their denominators. Only the class is formed, so
-    no Fraction is built.
-    """
-    return _class_of(_reduce_core(list(vec))[0])
-
-
-def optimal_reduce(
-    l: Sequence[Fraction | int],
-) -> tuple[str, Vec4, list[tuple[str, Fraction]]]:
-    """Reduce a nonzero coefficient vector to its subalgebra class.
-
-    Returns (class id, final normalized vector, transformation log); the
-    log lists (map name, parameter) applications in order, with "scale"
-    recording the final projective normalization divisor. Branches on
-    l1 != 0, then l4, then l3. Vectors with a nonzero scaling component
-    always land on X4: the shift maps absorb every other slot there.
-
-    The entries are ints or Fractions. They are put over the least common
-    multiple ``den`` of their denominators and reduced by the integer core
-    that ``optimal_class`` also runs, so the class comes from the same
-    branch loop. The core's steps become the log's Fraction parameters,
-    the same values a run of the Fraction maps ``_t1``-``_t3`` logs; the
-    reduced vector over its first nonzero entry ``lead`` is the normalized
-    vector, and the final scale is lead / (den * factor).
-    """
-    den = math.lcm(*(v.denominator for v in l))
-    cur, factor, steps = _reduce_core([v.numerator * (den // v.denominator) for v in l])
-    lead = next(c for c in cur if c)
-    log = [(name, Fraction(p, q)) for name, p, q in steps]
-    log.append(("scale", Fraction(lead, den * factor)))
-    return _class_of(cur), tuple(Fraction(c, lead) for c in cur), log  # type: ignore[return-value]
+    if l1:
+        return "X1" if not l3 else ("X1+X3" if l1 * l3 > 0 else "X1-X3")
+    if l3:
+        return "X3"
+    if vec[1]:
+        return "X2"
+    raise JetError("the zero vector spans no subalgebra")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Unoptimized references for the symmetry layer, kept as test oracles.
 
-``optimal_reduce`` here wraps every entry in ``Fraction`` and applies the
-coefficient-space maps T1-T3 to the rational vector step by step.
-``dlwlab.symmetry.optimal_reduce`` must return the same class, normalized
-vector and transformation log, with every number a ``Fraction``, and
-``dlwlab.symmetry.optimal_class`` the same class for every nonzero
-integer multiple of an integer vector.
+``optimal_reduce`` here is the one oracle of the subalgebra
+classification. It wraps every entry in ``Fraction`` and applies the
+coefficient-space maps T1-T3 to the rational vector step by step, so its
+log replays to its normalized vector. ``dlwlab.symmetry.optimal_class``
+reads the class from a complete invariant instead, and must give the
+reference's class for every nonzero vector and every nonzero multiple.
 
 ``ansatz_reduction`` substitutes an invariant ansatz by its own recursion
 over the derivative coordinates; ``dlwlab.symmetry`` goes through

@@ -13,7 +13,14 @@ import pytest
 
 import dlwlab
 from dlwlab.cli import build_parser, main
-from dlwlab.report import adjoint_suite, conslaw_suite, run_suite, suite_blocks, symmetry_suite
+from dlwlab.report import (
+    adjoint_suite,
+    conslaw_suite,
+    report_to_json_text,
+    run_suite,
+    suite_blocks,
+    symmetry_suite,
+)
 
 
 def run_cli(args):
@@ -117,6 +124,7 @@ KINK_CFG = "x_min=-20\nx_max=20\nn=64\nt_end=0.05\nboundary=exact\nfamily=eq93\n
         ("param.mu=1.0\nmonitors=eq999\n", "'eq999'"),
         ("param.mu=1.0\nparam.nu=7\n", "['nu'] for eq93"),
         ("param.mu=1.0\nt_end=inf\n", "JetError: t_end inf is not finite"),
+        ("param.mu=1.0\ndt=1e-300\n", "JetError: 5e+298 steps exceed MAX_STEPS = 10000000"),
         ("param.mu=1.0\nx_min=-inf\n", "JetError: x_min -inf is not finite"),
         ("param.mu=1.0\nx_max=inf\n", "JetError: x_max inf is not finite"),
     ],
@@ -191,6 +199,14 @@ def test_report_all_matches_the_golden_snapshot(tmp_path):
         env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True, timeout=300,
     )
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("suite", ["symmetry", "adjoint", "conslaw"])
+def test_catalog_suite_matches_the_golden_snapshot(suite):
+    """Each suite of the benchmark's ``catalog`` workload, as that workload
+    writes it, byte for byte against its snapshot (read, never written)."""
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / f"catalog_{suite}.json"
+    assert (report_to_json_text(run_suite(suite)) + "\n").encode() == golden.read_bytes()
 
 
 # Label prefixes by which each subcommand's entries can be cut from a run

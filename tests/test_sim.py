@@ -49,15 +49,23 @@ class TestGridAndConfig:
             ({"t_end": 1.0, "dt": 0.0}, "step size 0 is not positive"),
             ({"t_end": 1.0, "dt": float("nan")}, "step size nan is not positive"),
             ({"t_end": 1e-3}, "step size 0.0488281 is longer than t_end 0.001 at grid size n = 64"),
-            ({"t_end": float("nan")}, "step size 0.0488281 is longer than t_end nan at grid size n = 64"),
+            ({"t_end": float("nan")}, "t_end nan is not finite"),
             ({"t_end": math.inf}, "t_end inf is not finite"),
             ({"t_end": -math.inf}, "t_end -inf is not finite"),
+            # the step count is bounded before any step runs
+            ({"t_end": 1.0, "dt": 1e-300}, "1e+300 steps exceed MAX_STEPS = 10000000 at grid size n = 64"),
+            ({"t_end": 1e300, "dt": 1e-300}, "inf steps exceed MAX_STEPS = 10000000 at grid size n = 64"),
+            ({"t_end": 1e7 + 1, "dt": 1.0}, "10000001 steps exceed MAX_STEPS = 10000000 at grid size n = 64"),
         ],
     )
     def test_bad_step_names_its_sizes(self, kw, message):
         with pytest.raises(JetError) as err:
             SimConfig(grid=Grid1D(-20, 20, 64), **kw)
         assert str(err.value) == message
+
+    def test_step_count_at_the_limit_is_accepted(self):
+        cfg = SimConfig(grid=Grid1D(-20, 20, 64), t_end=float(sim.MAX_STEPS), dt=1.0)
+        assert round(cfg.t_end / cfg.step_size()) == sim.MAX_STEPS
 
     @pytest.mark.parametrize(
         "bounds,message",

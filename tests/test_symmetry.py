@@ -1,5 +1,6 @@
 """Point symmetries: prolongation, determining residuals, brackets,
-the subalgebra classification, and the similarity reductions."""
+the subalgebra classification by its complete invariant, and the
+similarity reductions."""
 
 import random
 from fractions import Fraction
@@ -15,7 +16,6 @@ from dlwlab.linalg import decompose_components
 from dlwlab.symmetry import (
     OPTIMAL_CLASSES,
     PointSymmetry,
-    adjoint_transformations,
     char_bracket,
     char_structure_constants,
     characteristic,
@@ -23,14 +23,12 @@ from dlwlab.symmetry import (
     determining_residual,
     lie_bracket,
     optimal_class,
-    optimal_reduce,
     point_symmetries,
     printed_generator_matrices,
     prolongation_coefficient,
     similarity_reduction_checks,
     structure_constants,
 )
-from symmetry_reference import _TRANSFORMS  # replay check
 
 
 class TestProlongation:
@@ -197,12 +195,8 @@ class TestStructureConstants:
         assert all(e.verdict == "pass" for e in entries if e.label.startswith("bracket-X"))
 
 
-def _same_reduction(got, want):
-    """Equal (cls, norm, log), and every number a Fraction as in the oracle."""
-    assert got == want
-    _, norm, log = got
-    assert all(type(v) is Fraction for v in norm)
-    assert all(type(p) is Fraction for _, p in log)
+def _reference_class(vec):
+    return symmetry_reference.optimal_reduce(vec)[0]
 
 
 # entries with zeros, negatives, plain ints and Fractions mixed
@@ -215,35 +209,97 @@ _entries = st.one_of(
         st.integers(min_value=1, max_value=12),
     ),
 )
+# projective factors: any nonzero int or Fraction, negative included
+_factors = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.builds(Fraction, st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=9)),
+).filter(bool)
+
+
+def _exp_apply(mat, eps, vec):
+    """exp(eps * mat) applied to ``vec``, summed until a term vanishes:
+    a polynomial in eps for a nilpotent ``mat``."""
+    total, term = list(vec), list(vec)
+    for k in range(1, 6):
+        term = [eps * sum((row[j] * term[j] for j in range(4)), JetPoly.zero()) / k for row in mat]
+        if all(c.is_zero() for c in term):
+            return total
+        total = [a + b for a, b in zip(total, term)]
+    raise AssertionError("generator matrix is not nilpotent")
+
+
+def _scaled(e4, vec):
+    """exp(eps * e4) applied to ``vec`` for a diagonal ``e4``, written in
+    s = exp(-eps/2): entry k is multiplied by s^(-2 e4[k][k])."""
+    return [JetPoly.param("s", int(-2 * e4[k][k])) * vec[k] for k in range(4)]
+
+
+_L = [JetPoly.param(f"l{i}") for i in range(1, 5)]
+_EPS = JetPoly.param("eps")
 
 
 class TestOptimalSystem:
     def test_examples(self):
-        assert optimal_reduce((0, 0, 0, 7))[0] == "X4"
-        assert optimal_reduce((1, 5, 0, 0))[0] == "X1"
-        assert optimal_reduce((1, 0, 2, 0))[0] == "X1+X3"
-        assert optimal_reduce((1, 0, -2, 0))[0] == "X1-X3"
-
-    def test_t1_example(self):
-        out = adjoint_transformations((1, 2, 3, 4), (Fraction(1), 0, 0, 1))
-        assert out == (5, 5, 3, 4)
-
-    def test_identity_parameters(self):
-        vec = (Fraction(2), Fraction(-1), Fraction(3), Fraction(5))
-        assert adjoint_transformations(vec, (0, 0, 0, 1)) == vec
-
-    def test_t3_kills_second_slot(self):
-        out = adjoint_transformations((2, 6, 0, 0), (0, 0, Fraction(3), 1))
-        assert out[1] == 0
+        for vec, cls in [
+            ((0, 0, 0, 7), "X4"),
+            ((1, 5, 0, 0), "X1"),
+            ((1, 0, 2, 0), "X1+X3"),
+            ((1, 0, -2, 0), "X1-X3"),
+            ((0, -3, 0, 0), "X2"),
+            ((0, 4, Fraction(-1, 3), 0), "X3"),
+        ]:
+            assert _reference_class(vec) == cls
+            for c in (1, -1, 3, Fraction(-2, 7)):
+                assert optimal_class([c * v for v in vec]) == cls, (vec, c)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(Exception):
-            optimal_reduce((0, 0, 0, 0))
+        with pytest.raises(JetError):
+            optimal_class((0, 0, 0, 0))
 
     def test_scaling_component_absorbs_everything(self):
         # any vector with a nonzero fourth slot is conjugate to X4 alone
-        assert optimal_reduce((0, 3, 0, 5))[0] == "X4"
-        assert optimal_reduce((1, 1, 1, 1))[0] == "X4"
+        for vec in ((0, 3, 0, 5), (1, 1, 1, 1), (Fraction(-1, 2), 0, Fraction(3, 4), Fraction(-5, 3))):
+            assert _reference_class(vec) == "X4"
+            for c in (1, -1, Fraction(5, 2)):
+                assert optimal_class([c * v for v in vec]) == "X4"
+
+    def test_flagged_details_of_the_printed_list(self):
+        # optimal-vs-printed-list: X2 +- X4 reduces to X4; optimal-case-2.2:
+        # X2 +- X3 is X3, so it leaves the printed list
+        for sign in (1, -1):
+            for vec, cls in (((0, 1, 0, sign), "X4"), ((0, 1, sign, 0), "X3")):
+                assert optimal_class(vec) == cls
+                assert _reference_class(vec) == cls
+
+    def test_shift_maps_are_exponentials_of_the_generator_matrices(self):
+        # T1-T3 of the reference are exp(eps E_i), E_i from the bracket table
+        _, mats = structure_constants()
+        for i in (1, 2, 3):
+            want = symmetry_reference._TRANSFORMS[f"T{i}"](tuple(_L), _EPS)
+            assert tuple(_exp_apply(mats[i - 1], _EPS, _L)) == want, i
+
+    def test_scaling_map_is_diagonal(self):
+        # E4 is diagonal, so exp(eps E4) = diag(exp(eps E4[k][k])); with
+        # s = exp(-eps/2) > 0 that is diag(s^2, s, 1/s, 1)
+        _, mats = structure_constants()
+        e4 = mats[3]
+        assert all(e4[r][k] == 0 for r in range(4) for k in range(4) if r != k)
+        s = JetPoly.param("s")
+        assert _scaled(e4, _L) == [s * s * _L[0], s * _L[1], JetPoly.param("s", -1) * _L[2], _L[3]]
+
+    def test_maps_keep_the_invariant(self):
+        # symbolically in l1..l4, eps, s and c: T1-T3 fix l4 and, on l4 = 0,
+        # l1 and l3; T4 and a projective factor c multiply l1*l3 by s and c^2
+        on_plane = (*_L[:3], JetPoly.zero())
+        for name, t in symmetry_reference._TRANSFORMS.items():
+            assert t(tuple(_L), _EPS)[3] == _L[3], name
+            image = t(on_plane, _EPS)
+            assert (image[0], image[2], image[3]) == (_L[0], _L[2], JetPoly.zero()), name
+        s, c = JetPoly.param("s"), JetPoly.param("c")
+        t4 = _scaled(structure_constants()[1][3], _L)
+        assert t4[3] == _L[3]
+        assert t4[0] * t4[2] == s * _L[0] * _L[2]
+        assert (c * _L[0]) * (c * _L[2]) == c * c * _L[0] * _L[2]
 
     @given(
         vec=st.tuples(
@@ -259,33 +315,30 @@ class TestOptimalSystem:
     )
     @settings(max_examples=300, deadline=None)
     def test_closure_and_replay(self, vec):
+        # completeness: the reference's log, replayed with its maps, reaches
+        # a normalized vector of the input's class, so every invariant class
+        # is one orbit
         if all(v == 0 for v in vec):
             vec = (Fraction(1), *vec[1:])
-        cls, norm, log = optimal_reduce(vec)
+        cls, norm, log = symmetry_reference.optimal_reduce(vec)
         assert cls in OPTIMAL_CLASSES
         cur = tuple(Fraction(v) for v in vec)
         for name, p in log:
             if name == "scale":
                 cur = tuple(v / p for v in cur)
             else:
-                cur = _TRANSFORMS[name](cur, p)
+                cur = symmetry_reference._TRANSFORMS[name](cur, p)
         assert cur == norm
+        assert optimal_class(norm) == optimal_class(vec) == cls
 
     def test_report_samples_match_reference(self):
         # the 1,000 vectors the symmetry suite's optimal block draws: the
-        # integer vector it classifies lies on the ray of the Fraction
-        # vector n/d, and both give the reference's class
+        # block classifies the numerators, the reference the vector n/d
         rng = random.Random(report._OPTIMAL_SEED)
         for _ in range(1000):
             pairs = report._optimal_draw(rng)
-            vec = [Fraction(n, d) for n, d in pairs]
-            ints = report._cleared(pairs)
-            assert all(type(c) is int for c in ints)
-            scale = next(Fraction(c) / v for c, v in zip(ints, vec) if v)
-            assert scale > 0 and ints == [scale * v for v in vec]
-            want = symmetry_reference.optimal_reduce(vec)
-            _same_reduction(optimal_reduce(vec), want)
-            assert optimal_class(ints) == want[0]
+            want = _reference_class([Fraction(n, d) for n, d in pairs])
+            assert optimal_class([n for n, _ in pairs]) == want
 
     def test_report_draw_order_and_zero_fallback(self):
         # the block's rng calls, in order: per entry the numerator, then the
@@ -308,40 +361,42 @@ class TestOptimalSystem:
         stub = Stub([0, 2, 0, 3, 0, 5, 0, 1], pick=2)
         assert report._optimal_draw(stub) == [(0, 2), (0, 3), (1, 1), (0, 1)]
         assert stub.calls == draw + [("randrange", 4)]
-        assert optimal_class(report._cleared([(0, 2), (0, 3), (1, 1), (0, 1)])) == "X3"
+        assert optimal_class([0, 0, 1, 0]) == "X3"
 
         stub = Stub([0, 2, -3, 4, 0, 5, 7, 3], pick=0)
         assert report._optimal_draw(stub) == [(0, 2), (-3, 4), (0, 5), (7, 3)]
         assert stub.calls == draw
-        # over lcm(2, 4, 5, 3) = 60
-        assert report._cleared([(0, 2), (-3, 4), (0, 5), (7, 3)]) == [0, -45, 0, 140]
+        assert optimal_class([0, -3, 0, 7]) == _reference_class([0, Fraction(-3, 4), 0, Fraction(7, 3)]) == "X4"
 
     @given(
         vec=st.lists(st.integers(min_value=-60, max_value=60), min_size=4, max_size=4).filter(any),
-        c=st.integers(min_value=-50, max_value=50).filter(bool),
+        c=_factors,
     )
     @settings(max_examples=400, deadline=None)
     def test_class_matches_reduce_and_reference(self, vec, c):
-        want = symmetry_reference.optimal_reduce(vec)[0]
-        assert optimal_reduce(vec)[0] == want
+        want = _reference_class(vec)
+        assert optimal_class(vec) == want
         assert optimal_class([c * v for v in vec]) == want
+        assert _reference_class([c * v for v in vec]) == want
 
-    @given(vec=st.lists(_entries, min_size=4, max_size=4))
+    @given(vec=st.lists(_entries, min_size=4, max_size=4), c=_factors)
     @settings(max_examples=500, deadline=None)
-    def test_matches_reference(self, vec):
+    def test_matches_reference(self, vec, c):
         if all(v == 0 for v in vec):
             with pytest.raises(JetError):
-                optimal_reduce(vec)
+                optimal_class(vec)
             return
-        _same_reduction(optimal_reduce(vec), symmetry_reference.optimal_reduce(vec))
+        want = _reference_class(vec)
+        assert optimal_class(vec) == want
+        assert optimal_class([c * v for v in vec]) == want
 
     @pytest.mark.parametrize(
         "vec", [(0, 0, 0, 0), (Fraction(0), 0, Fraction(0, 3), 0), (1, 2, 3), (1, 2, 3, 4, 5), ()]
     )
     def test_bad_vectors_raise(self, vec):
-        for reduce in (optimal_reduce, optimal_class):
+        for classify in (optimal_class, symmetry_reference.optimal_reduce):
             with pytest.raises(JetError):
-                reduce(vec)
+                classify(vec)
 
 
 class TestSimilarityReductions:
