@@ -9,16 +9,20 @@ residual can be formed symbolically and only the final evaluation is
 floating point. That evaluation has one compiler, ``_program``: it turns
 expressions into one flat program with a slot per distinct subexpression,
 split into the instructions free of x and t, folded to floats once per
-binding, and the rest, run once over numpy sample arrays. The program
-serves the residual scans and profiles guarded per sample
-(``residual_max``, ``evaluate_samples``) and the solver's exact boundary
-data unguarded (``compile_expr``, u and v in one program). The residual
+binding, and the rest, run once over numpy arrays. The folded values
+that differ between bindings are stacked into (B, 1) columns, so one run
+evaluates B bindings at every sample, as a (B, samples) grid with one
+guard mask. The program serves the residual scans and profiles guarded
+per sample and the solver's exact boundary data unguarded (``compile_expr``,
+u and v in one program); ``residual_max``, ``evaluate_samples``,
+``evaluate`` and ``compile_expr`` are its one-binding case. The residual
 program of a candidate is derived and compiled once per process
 (``_residual_program``, a bounded cache keyed by the system and the
 candidate). A lookup walks no tree: the system is built once per
-process, and every node keeps its hash once computed. So a binding of a
-scan only folds its parameters and runs over the samples, which
-``solutions.scan_family`` draws once for all the bindings of a family."""
+process, and every node keeps its hash once computed. So
+``solutions.scan_family`` draws its samples once per family, folds the
+parameters of each binding, and runs the program once over all of them
+(``_residual_reports``)."""
 
 from __future__ import annotations
 
@@ -92,9 +96,9 @@ class UnboundParameter(AnalyticError):
 
 class Expr:
     """A node of an expression tree. Its hash is computed on first use and
-    kept, so hashing a tree again is one call, not a walk of the tree: a
-    scan looks its candidate up in the residual-program cache per
-    binding."""
+    kept, so hashing a tree again is one call, not a walk of the tree:
+    every scan and ``residual_max`` call looks its candidate up in the
+    residual-program cache."""
 
     __slots__ = ("_hash",)
 
@@ -383,10 +387,15 @@ class _Program(NamedTuple):
     ``fold`` holds the instructions free of x and t, each after its
     operands; ``bind`` folds them to Python floats per binding, by the
     operations of the tree. A guard tripped there would trip at every
-    sample, so it raises DomainError, as does a denominator free of x and
-    t (``den_checks``) of a quotient in ``run``. ``execute`` then runs
-    ``run`` once over the sample arrays, each guard setting the samples it
-    trips in ``mask``."""
+    sample, so it raises DomainError for that binding, as does a
+    denominator free of x and t (``den_checks``) of a quotient in ``run``.
+    Of the folded slots, those that ``run`` or an output reads
+    (``columns``) and that differ between the bindings are stacked into
+    (B, 1) columns. ``execute`` then runs ``run`` once, over x and t
+    broadcast against those columns: every binding of a scan at every
+    sample in one pass of the instruction list, each guard setting the
+    (binding, sample) cells it trips in ``mask``. One binding is the case
+    B = 1, whose slots all stay Python floats."""
 
     base: tuple  # the value of each constant slot, None elsewhere
     params: tuple[tuple[str, int], ...]  # (name, slot), in program order
@@ -395,17 +404,45 @@ class _Program(NamedTuple):
     run: tuple
     den_checks: tuple[int, ...]
     outputs: tuple[int, ...]
+    columns: tuple[int, ...]  # parameter and folded slots read by run or output
 
-    def bind(self, binding: Mapping[str, float | Fraction]) -> list:
-        """The slots free of x and t under ``binding``. Every parameter is
-        checked to be bound before anything is folded: the first one
-        missing raises UnboundParameter."""
+    def bind(self, bindings: Sequence[Mapping[str, float | Fraction]]) -> tuple[list | None, list]:
+        """The slots free of x and t under the bindings, as one slot list
+        for ``execute``, and per binding the DomainError its fold raised,
+        or None. Every parameter of every binding is checked to be bound
+        before anything is folded: the first one missing raises
+        UnboundParameter. A slot of ``columns`` that differs, bit for bit,
+        between the bindings that folded is the (B, 1) column of its
+        values, in their order. The slot list is None if none folded."""
+        for binding in bindings:
+            for name, _ in self.params:
+                if name not in binding:
+                    raise UnboundParameter(name)
+        folded, errors = [], []
+        for binding in bindings:
+            try:
+                folded.append(self._fold(binding))
+                errors.append(None)
+            except DomainError as e:
+                errors.append(e)
+        if len(folded) < 2:
+            return (folded[0] if folded else None), errors
+        import numpy as np
+
+        v = folded[0]
+        if self.columns:
+            cols = np.array([[f[s] for f in folded] for s in self.columns])
+            bits = cols.view(np.int64)
+            for k in np.flatnonzero((bits != bits[:, :1]).any(axis=1)).tolist():
+                v[self.columns[k]] = cols[k, :, None]
+        return v, errors
+
+    def _fold(self, binding: Mapping[str, float | Fraction]) -> list:
+        """The slots free of x and t under one binding, as Python floats."""
         import numpy as np
 
         v = list(self.base)
         for name, s in self.params:
-            if name not in binding:
-                raise UnboundParameter(name)
             v[s] = float(binding[name])
         with np.errstate(all="ignore"):
             for out, kind, fn, arg, trips in self.fold:
@@ -428,11 +465,11 @@ class _Program(NamedTuple):
                 raise DomainError(f"a guard trips at every sample, at {v[s]!r}")
         return v
 
-    def execute(self, folded: list, x, t, mask) -> list:
-        """Every slot at ``x`` and ``t`` from the slots ``bind`` folded;
-        each guard ORs the samples it trips into the boolean ``mask``
-        (none is tested if it is None)."""
-        v = folded.copy()
+    def execute(self, slots: list, x, t, mask) -> list:
+        """Every slot at ``x`` and ``t`` from the slots ``bind`` returned,
+        x and t broadcast against its columns; each guard ORs the cells it
+        trips into the boolean ``mask`` (none is tested if it is None)."""
+        v = slots.copy()
         for name, s in self.coords:
             v[s] = x if name == "x" else t
         guarded = mask is not None
@@ -452,21 +489,50 @@ class _Program(NamedTuple):
             v[out] = r
         return v
 
-    def evaluate(self, samples: Iterable[tuple[float, float]], binding: Mapping[str, float | Fraction]) -> tuple:
-        """See ``evaluate_samples``."""
+    def evaluate(
+        self, samples: Iterable[tuple[float, float]], bindings: Sequence[Mapping[str, float | Fraction]]
+    ) -> tuple:
+        """Guarded evaluation of every output under every binding at every
+        sample, by one ``execute``: the values as an (outputs, bindings,
+        samples) array and the (bindings, samples) boolean array of the
+        samples to skip, where a guard tripped in some output or some value
+        is not finite. A binding whose fold raised DomainError has NaN
+        values and every sample skipped."""
         import numpy as np
 
-        xt = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float).reshape(-1, 2)
-        skip = np.zeros(len(xt), dtype=bool)
-        with np.errstate(all="ignore"):
-            try:
-                folded = self.bind(binding)
-            except DomainError:  # tripped free of x and t: every sample
-                return np.full((len(self.outputs), len(xt)), np.nan), ~skip
-            v = self.execute(folded, xt[:, 0], xt[:, 1], skip)
-            vals = np.array([np.broadcast_to(v[s], skip.shape) for s in self.outputs])
-        skip |= ~np.isfinite(vals).all(axis=0)
-        return vals, skip
+        xt = _pairs(samples)
+        slots, errors = self.bind(bindings)
+        ok = [k for k, e in enumerate(errors) if e is None]
+        skip = np.zeros((len(ok), len(xt)), dtype=bool)
+        if ok:
+            with np.errstate(all="ignore"):
+                v = self.execute(slots, xt[:, 0], xt[:, 1], skip)
+                vals = np.array([np.broadcast_to(v[s], skip.shape) for s in self.outputs])
+            skip |= ~np.isfinite(vals).all(axis=0)
+        else:
+            vals = np.empty((len(self.outputs), *skip.shape))
+        if len(ok) == len(bindings):  # the common case, without a copy
+            return vals, skip
+        every_vals = np.full((len(self.outputs), len(bindings), len(xt)), np.nan)
+        every_skip = np.ones((len(bindings), len(xt)), dtype=bool)
+        every_vals[:, ok], every_skip[ok] = vals, skip
+        return every_vals, every_skip
+
+
+def _pairs(samples: Iterable[tuple[float, float]]):
+    """The samples as an (n, 2) float array of (x, t) pairs; anything else
+    raises AnalyticError naming the shape it has."""
+    import numpy as np
+
+    try:
+        xt = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float)
+    except (TypeError, ValueError) as e:
+        raise AnalyticError(f"samples must be (x, t) pairs: {e}") from None
+    if xt.shape == (0,):
+        return xt.reshape(0, 2)
+    if xt.ndim != 2 or xt.shape[1] != 2:
+        raise AnalyticError(f"samples must be n (x, t) pairs, an (n, 2) array; got shape {xt.shape}")
+    return xt
 
 
 def _program(exprs: Sequence[Expr]) -> _Program:
@@ -545,7 +611,13 @@ def _program(exprs: Sequence[Expr]) -> _Program:
         return s
 
     outputs = tuple(map(slot, exprs))
-    return _Program(tuple(base), tuple(params), tuple(coords), tuple(fold), tuple(run), tuple(den_checks), outputs)
+    read = {*outputs}
+    for _, kind, _, arg, _ in run:
+        read.update((arg,) if kind == _UNARY else arg)
+    columns = tuple(sorted(s for s in read if not varies[s] and base[s] is None))
+    return _Program(
+        tuple(base), tuple(params), tuple(coords), tuple(fold), tuple(run), tuple(den_checks), outputs, columns
+    )
 
 
 def evaluate_samples(
@@ -555,8 +627,10 @@ def evaluate_samples(
     as pairs or as an (n, 2) float array; all free parameters must be
     bound. Returns the values, one row per expression, and a boolean array
     of the samples to skip: a guard tripped there in some expression, or
-    some value is not finite."""
-    return _program(exprs).evaluate(samples, binding)
+    some value is not finite. Samples that are not (x, t) pairs raise
+    AnalyticError."""
+    vals, skip = _program(exprs).evaluate(samples, (binding,))
+    return vals[:, 0], skip[0]
 
 
 def evaluate(e: Expr, x: float, t: float, binding: Mapping[str, float | Fraction]) -> float:
@@ -578,10 +652,12 @@ def compile_expr(e: Expr | Sequence[Expr], binding: Mapping[str, float | Fractio
     of x and t raises DomainError here."""
     single = isinstance(e, Expr)
     prog = _program((e,) if single else tuple(e))
-    folded = prog.bind(binding)
+    slots, (error,) = prog.bind((binding,))
+    if error is not None:
+        raise error
 
     def fields(x, t):
-        v, zero = prog.execute(folded, x, t, None), 0.0 * x
+        v, zero = prog.execute(slots, x, t, None), 0.0 * x
         out = tuple(v[s] + zero for s in prog.outputs)
         return out[0] if single else out
 
@@ -660,13 +736,31 @@ def residual_max(
 ) -> ResidualReport:
     """Max absolute residual of the candidate over the samples and over
     all equations; singular samples are skipped and counted."""
-    vals, skip = _residual_program(sys, tuple(candidate)).evaluate(samples, binding)
-    kept = abs(vals[:, ~skip])
-    used = kept.shape[1]
-    worst = tuple(map(float, kept.max(axis=1))) if used else (0.0,) * len(vals)
-    return ResidualReport(
-        max_residual=max(worst) if used else math.nan,
-        per_equation=worst,
-        samples_used=used,
-        samples_skipped=len(skip) - used,
-    )
+    return _residual_reports(sys, candidate, (binding,), samples)[0]
+
+
+def _residual_reports(
+    sys: EvolutionSystem,
+    candidate: Sequence[Expr],
+    bindings: Sequence[Mapping[str, float | Fraction]],
+    samples: Iterable[tuple[float, float]],
+) -> list[ResidualReport]:
+    """The ``residual_max`` report of each binding, from one run of the
+    candidate's residual program over the (bindings x samples) grid. Every
+    parameter of every binding is checked to be bound before anything is
+    evaluated."""
+    import numpy as np
+
+    vals, skip = _residual_program(sys, tuple(candidate)).evaluate(samples, bindings)
+    # residuals are >= 0, so 0 in the skipped cells leaves each max as it is
+    worst = np.where(skip, 0.0, np.abs(vals)).max(axis=2, initial=0.0)  # (equations, bindings)
+    n = skip.shape[1]
+    return [
+        ResidualReport(
+            max_residual=max(w) if u else math.nan,
+            per_equation=tuple(w),
+            samples_used=u,
+            samples_skipped=n - u,
+        )
+        for w, u in zip(worst.T.tolist(), (n - skip.sum(axis=1)).tolist())
+    ]

@@ -544,6 +544,8 @@ class JetPoly:
     def __pow__(self, n: int) -> "JetPoly":
         if not isinstance(n, int) or n < 0:
             raise JetError("only nonnegative integer powers of polynomials")
+        if n < 2:  # substitute raises most factors to the power 1
+            return self if n else JetPoly.one()
         out = JetPoly.one()
         base = self
         k = n

@@ -28,6 +28,7 @@ from .analytic import (
     ResidualReport,
     X,
     T,
+    _residual_reports,
     add,
     const,
     div,
@@ -302,37 +303,40 @@ def verify_family(
     """Residual scan of one family at one binding on the physical pair;
     unknown ids raise."""
     fam = family(family_id, binding)
-    return _verify(fam, binding, _samples(fam.domain, n_samples, seed))
+    _check_bound(fam, binding)
+    samples = _samples(fam.domain, n_samples, seed)
+    return residual_max(physical_system(), (fam.u_expr, fam.v_expr), binding, samples)
 
 
-def _verify(fam: SolitonFamily, binding: Mapping[str, float], samples) -> ResidualReport:
+def _check_bound(fam: SolitonFamily, binding: Mapping[str, float]) -> None:
     missing = fam.free_params - set(binding)
     if missing:
         raise JetError(f"unbound parameters for {fam.id}: {sorted(missing)}")
-    return residual_max(physical_system(), (fam.u_expr, fam.v_expr), binding, samples)
 
 
 def scan_family(family_id: str, n_samples: int = RESIDUAL_SAMPLES, seed: int = 0) -> list[dict]:
     """Run the family's default grid; one record per binding. The samples
     depend only on the domain, the count and the seed, so they are drawn
-    once and every binding runs over the same array."""
+    once, and every binding is checked to be complete before one run of
+    the family's residual program evaluates the whole (bindings x samples)
+    grid. Each record is the one ``verify_family`` gives for its binding."""
     fam = family(family_id)
-    samples = _samples(fam.domain, n_samples, seed)
-    out = []
     for binding in fam.default_grid:
-        rep = _verify(fam, binding, samples)
-        out.append(
-            {
-                "family": family_id,
-                "params": dict(binding),
-                "max_residual": rep.max_residual,
-                "per_equation": list(rep.per_equation),
-                "samples_used": rep.samples_used,
-                "samples_skipped": rep.samples_skipped,
-                "passes": rep.samples_used > 0 and rep.max_residual < RESIDUAL_TOL,
-            }
-        )
-    return out
+        _check_bound(fam, binding)
+    samples = _samples(fam.domain, n_samples, seed)
+    reports = _residual_reports(physical_system(), (fam.u_expr, fam.v_expr), fam.default_grid, samples)
+    return [
+        {
+            "family": family_id,
+            "params": dict(binding),
+            "max_residual": rep.max_residual,
+            "per_equation": list(rep.per_equation),
+            "samples_used": rep.samples_used,
+            "samples_skipped": rep.samples_skipped,
+            "passes": rep.samples_used > 0 and rep.max_residual < RESIDUAL_TOL,
+        }
+        for binding, rep in zip(fam.default_grid, reports)
+    ]
 
 
 def profile_rows(

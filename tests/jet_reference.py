@@ -114,6 +114,14 @@ def frac_mul(a: FracTerms, b: FracTerms) -> FracTerms:
     return _clean(out)
 
 
+def frac_pow(a: FracTerms, n: int) -> FracTerms:
+    """``a`` multiplied in n times, one factor at a time, from the constant 1."""
+    out: FracTerms = {kernel.JetMonomial.make({}): Fraction(1)}
+    for _ in range(n):
+        out = frac_mul(out, a)
+    return out
+
+
 def frac_partial(a: FracTerms, v: kernel.JetVar) -> FracTerms:
     out: FracTerms = {}
     for m, c in a.items():

@@ -115,6 +115,21 @@ class TestEvaluation:
         want = [evaluate(u, float(x0), 0.4, {"mu": 1.3}) for x0 in xs]
         assert np.allclose(f(xs, 0.4), want, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "samples,shape",
+        [
+            ([(0, 0, 1), (1, 2, 3)], r"\(2, 3\)"),
+            ([0.0, 1.0, 2.0, 3.0], r"\(4,\)"),
+            (np.zeros((3, 4)), r"\(3, 4\)"),
+            ([(0.0, 1.0), (2.0,)], "inhomogeneous"),
+        ],
+    )
+    def test_samples_that_are_not_pairs_are_rejected(self, phys, samples, shape):
+        with pytest.raises(analytic.AnalyticError, match=shape):
+            evaluate_samples((X,), samples, {})
+        with pytest.raises(analytic.AnalyticError, match=shape):
+            residual_max(phys, (X, T), {}, samples)
+
     def test_sech_of_a_wide_argument_is_zero(self):
         assert evaluate(sech(X), 800.0, 0.0, {}) == 0.0
         assert evaluate(sech(X), -800.0, 0.0, {}) == 0.0
@@ -374,3 +389,72 @@ class TestProgram:
             evaluate_samples((e,), SAMPLES[:5], {"a": 0.0})
         with pytest.raises(UnboundParameter, match="b"):
             compile_expr(e, {"a": 0.0})
+
+
+def report_key(rep) -> tuple:
+    return (
+        float.hex(rep.max_residual),
+        [float.hex(e) for e in rep.per_equation],
+        rep.samples_used,
+        rep.samples_skipped,
+    )
+
+
+class TestBindingGrid:
+    """All the bindings of a scan in one run of the program over the
+    (bindings x samples) grid, against each binding alone."""
+
+    # a quotient free of x and t, and an exp whose argument passes 700 for
+    # x > 700 / c
+    CANDIDATE = (add(div(X, param("a")), exp(mul(param("c"), X))), const(0))
+    SAMPLES = _samples((-5.0, 5.0, 0.0, 2.0), 40, 3)
+
+    def test_each_record_is_bitwise_its_binding_alone(self, phys, monkeypatch):
+        grid = (
+            {"a": 0.0, "c": 1.0},  # 1/a trips free of x and t: in bind
+            {"a": 1.0, "c": 200.0},  # exp trips at the samples with x > 3.5
+            {"a": 2.0, "c": 0.1},  # clean
+        )
+        runs, execute = [], analytic._Program.execute
+        monkeypatch.setattr(analytic._Program, "execute", lambda *a: runs.append(a[4].shape) or execute(*a))
+        reports = analytic._residual_reports(phys, self.CANDIDATE, grid, self.SAMPLES)
+        assert runs == [(2, 40)]  # the tripped binding is left out of the run
+        alone = [residual_max(phys, self.CANDIDATE, b, self.SAMPLES) for b in grid]
+        assert list(map(report_key, reports)) == list(map(report_key, alone))
+        tripped, partial, clean = reports
+        assert math.isnan(tripped.max_residual) and (tripped.samples_used, tripped.samples_skipped) == (0, 40)
+        assert 0 < partial.samples_skipped < 40
+        assert clean.samples_skipped == 0
+        _, (error,) = analytic._residual_program(phys, self.CANDIDATE).bind(grid[:1])
+        assert isinstance(error, DomainError)
+        for order in ((2, 0, 1), (1, 2, 0), (0, 0, 2)):
+            batch = [grid[k] for k in order]
+            reordered = analytic._residual_reports(phys, self.CANDIDATE, batch, self.SAMPLES)
+            assert list(map(report_key, reordered)) == [report_key(alone[k]) for k in order]
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_an_unbound_parameter_raises_before_anything_is_evaluated(self, phys, position, monkeypatch):
+        grid = [{"a": 0.0, "c": 1.0}, {"a": 1.0, "c": 200.0}]  # the first trips in bind
+        grid.insert(position, {"a": 1.0})
+        with pytest.raises(UnboundParameter) as alone:
+            residual_max(phys, self.CANDIDATE, {"a": 1.0}, self.SAMPLES)
+        folds, runs = [], []
+        monkeypatch.setattr(analytic._Program, "_fold", lambda *a: folds.append(a))
+        monkeypatch.setattr(analytic._Program, "execute", lambda *a: runs.append(a))
+        with pytest.raises(UnboundParameter) as batch:
+            analytic._residual_reports(phys, self.CANDIDATE, grid, self.SAMPLES)
+        assert str(batch.value) == str(alone.value) == "c"
+        assert folds == runs == []
+
+    def test_folded_slots_stack_only_where_the_bindings_differ(self):
+        e = add(mul(param("a"), X), mul(param("b"), T), div(param("b"), param("a")))
+        program = analytic._program((e,))
+        slots, errors = program.bind(({"a": 1.0, "b": -0.0}, {"a": 2.0, "b": 0.0}))
+        assert errors == [None, None]
+        b_slot = dict(program.params)["b"]
+        a_slot = dict(program.params)["a"]
+        # b differs in its sign bit only, and is still a column
+        assert slots[b_slot].shape == slots[a_slot].shape == (2, 1)
+        assert math.copysign(1.0, slots[b_slot][0, 0]) == -1.0
+        same, _ = program.bind(({"a": 1.0, "b": 3.0}, {"a": 1.0, "b": 3.0}))
+        assert all(isinstance(same[s], float) for s in program.columns)

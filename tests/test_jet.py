@@ -467,6 +467,14 @@ class TestIntegerKernel:
         got = euler_operator(JetPoly(a) * JetPoly(b), dep)
         _assert_terms(got, jet_reference.frac_euler_operator(ab, dep))
 
+    @given(a=wide_terms, n=st.integers(min_value=0, max_value=5))
+    @settings(max_examples=60, deadline=None)
+    def test_power_matches_repeated_product(self, a, n):
+        p = JetPoly(a)
+        _assert_terms(p**n, jet_reference.frac_pow(a, n))
+        if n == 1:
+            assert p**n is p
+
     @given(a=wide_terms)
     @settings(max_examples=60, deadline=None)
     def test_canonical_form(self, a):

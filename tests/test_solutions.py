@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import analytic_reference
-from dlwlab import solutions, systems
+from dlwlab import analytic, solutions, systems
 from dlwlab.jet import EvolutionSystem, JetError, JetPoly
 from dlwlab.solutions import (
     UnknownFamily,
@@ -128,8 +128,9 @@ def test_profile_rows_kink():
 
 
 class TestScanCost:
-    """What one scan pays for: a draw of the samples per family, one
-    evaluation per binding, and no rebuild of the pair."""
+    """What one scan pays for: a draw of the samples per family, one run
+    of its residual program for all its bindings, and no rebuild of the
+    pair."""
 
     def test_pairs_are_built_once_per_process(self):
         assert systems.physical_system() is systems.physical_system()
@@ -141,11 +142,11 @@ class TestScanCost:
         g2 = q(2) * r(1) + q(1) * r(2) + q(4) * Fraction(1, 3)
         assert systems.potential_system() == EvolutionSystem(deps=("q", "r"), rhs=(g1, g2), lead_dx=1)
 
-    def test_one_draw_no_pair_and_one_evaluation_per_binding(self, monkeypatch):
+    def test_one_draw_no_pair_and_one_program_run_per_family(self, monkeypatch):
         fam = family_registry()["eq93"]
         assert len(fam.default_grid) == 3
         scan_family("eq93")  # the pair and the family's program exist from here on
-        rngs, pairs, evaluations = [], [], []
+        rngs, pairs, runs = [], [], []
 
         class CountingRandom(random.Random):
             def __init__(self, seed):
@@ -161,15 +162,15 @@ class TestScanCost:
             pairs.append(self)
             _made(self)
 
-        def counting_residual_max(*args, _fn=solutions.residual_max):
-            evaluations.append(args[2])
-            return _fn(*args)
+        def counting_execute(self, slots, x, t, mask, _run=analytic._Program.execute):
+            runs.append((x.shape, mask.shape))
+            return _run(self, slots, x, t, mask)
 
         monkeypatch.setattr(solutions, "random", SimpleNamespace(Random=CountingRandom))
         monkeypatch.setattr(EvolutionSystem, "__post_init__", post_init)
-        monkeypatch.setattr(solutions, "residual_max", counting_residual_max)
+        monkeypatch.setattr(analytic._Program, "execute", counting_execute)
         records = scan_family("eq93", n_samples=40, seed=5)
         assert [rng.draws for rng in rngs] == [80]
         assert pairs == []
-        assert evaluations == list(fam.default_grid)
+        assert runs == [((40,), (3, 40))]  # the 3 bindings over the 40 samples, in one run
         assert [r["samples_used"] for r in records] == [40] * 3
