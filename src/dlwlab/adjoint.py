@@ -42,7 +42,7 @@ from .jet import (
     reduce_on_shell,
     total_derivative_n,
 )
-from .linalg import decompose_components
+from .linalg import decompose_components  # re-exported: the one-target decomposition
 from .symmetry import (
     Characteristic,
     char_bracket,
@@ -348,13 +348,15 @@ def action2(
 class ActionTable:
     """images[(qi, pj)] (1-based) holds action1(P_j, Q_i) and
     entries[(qi, pj)] its exact coordinates in the catalog
-    adjoint-symmetry basis; ``lifts`` is the memo the images were built
-    with and ``char_brackets`` the characteristic bracket table
+    adjoint-symmetry basis. ``basis`` is that basis, the on-shell-reduced
+    Q_i eliminated once, ``lifts`` the memo the images were built with
+    and ``char_brackets`` the characteristic bracket table
     (:func:`~dlwlab.symmetry.char_structure_constants`, 0-based keys),
-    both for the checks and brackets of the same run."""
+    all for the checks and brackets of the same run."""
 
     entries: Mapping[tuple[int, int], tuple[Fraction, ...]]
     images: Mapping[tuple[int, int], tuple[JetPoly, ...]]
+    basis: linalg.Basis = field(compare=False, repr=False)
     lifts: LiftMemo = field(compare=False, repr=False)
     char_brackets: Mapping[tuple[int, int], tuple[Fraction, ...] | None] = field(repr=False)
 
@@ -379,20 +381,20 @@ def build_action_table(
     DecompositionError."""
     if lifts is None:
         lifts = LiftMemo()
-    basis = [tuple(reduce_on_shell(c, sys) for c in q.comp) for q in adjoints]
+    basis = linalg.Basis([tuple(reduce_on_shell(c, sys) for c in q.comp) for q in adjoints])
     entries: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     images: dict[tuple[int, int], tuple[JetPoly, ...]] = {}
     for qi, q in enumerate(adjoints, start=1):
         for pj, p in enumerate(chars, start=1):
             image = images[(qi, pj)] = action1(p, q, sys, lifts)
-            coords = decompose_components(image, basis)
+            coords = basis.coords(image)
             if coords is None:
                 raise DecompositionError(
                     f"action of P{pj} on Q{qi} left the catalog span: "
                     f"({', '.join(str(c) for c in image)})"
                 )
             entries[(qi, pj)] = tuple(coords)
-    return ActionTable(entries, images, lifts, char_structure_constants(chars, sys))
+    return ActionTable(entries, images, basis, lifts, char_structure_constants(chars, sys))
 
 
 #: Cell values as printed in the source catalog (basis coordinates over
@@ -450,8 +452,10 @@ def sq_bracket(
     (the canonical-complement choice then has no meaning). The ideal
     check reads the characteristic bracket table that ``table`` carries,
     so the brackets of the basis are computed once per table and shared
-    by every call with it; the bracket image is lifted with the table's
-    memo. Without ``table`` the call builds its own.
+    by every call with it. The arguments and the bracket image are
+    decomposed against the table's eliminated adjoint basis, and the
+    image is lifted with the table's memo. Without ``table`` the call
+    builds its own.
     """
     if table is None:
         table = build_action_table(chars, adjoints, sys)
@@ -474,12 +478,11 @@ def sq_bracket(
                 raise DecompositionError("bracket left the symmetry span")
             if any(c != 0 for k, c in enumerate(coords) if k not in kernel_cols):
                 raise AmbiguousPreimage("kernel of the fixed action is not an ideal")
-    basis_red = [tuple(reduce_on_shell(c, sys) for c in q.comp) for q in adjoints]
 
     def preimage(arg: AdjointSymmetry | Sequence[JetPoly]) -> list[Fraction]:
         comp = tuple(arg.comp if isinstance(arg, AdjointSymmetry) else arg)
         comp = tuple(reduce_on_shell(c, sys) for c in comp)
-        coords = decompose_components(comp, basis_red)
+        coords = table.basis.coords(comp)
         if coords is None:
             raise NotInRange("argument is outside the adjoint catalog span")
         pre = linalg.solve_exact(m, list(coords))
@@ -493,7 +496,7 @@ def sq_bracket(
         _char_combination(pa, chars), _char_combination(pb, chars), sys
     )
     image = action1(Characteristic(tuple(bracket.comp)), adjoints[fix - 1], sys, table.lifts)
-    coords = decompose_components(image, basis_red)
+    coords = table.basis.coords(image)
     if coords is None:
         raise DecompositionError("bracket image left the adjoint catalog span")
     return AdjointSymmetry(tuple(image)), tuple(coords)

@@ -25,7 +25,7 @@ import json
 import math
 import random
 import time as _time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Collection, Mapping
 
@@ -50,7 +50,7 @@ class ReportEntry:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"label": self.label, "eq": self.eq, "verdict": self.verdict, "detail": self.detail}
 
 
 @dataclass
@@ -68,9 +68,14 @@ class VerificationReport:
         return any(e.verdict == "fail" for e in self.entries)
 
     def to_json(self) -> dict:
-        out = asdict(self)
-        if self.timestamp is None:
-            del out["timestamp"]
+        """The fields as a dict, without ``timestamp`` when it is None."""
+        out = {
+            "suite": self.suite,
+            "entries": [e.to_json() for e in self.entries],
+            "engine_version": self.engine_version,
+        }
+        if self.timestamp is not None:
+            out["timestamp"] = self.timestamp
         return out
 
     def render(self) -> str:
@@ -179,10 +184,25 @@ def _optimal_draw(rng: random.Random) -> list[tuple[int, int]]:
     vector as four (n, d) pairs, n in [-9, 9] drawn before d in [1, 5].
     An all-zero draw sets the entry at ``rng.randrange(4)`` to 1.
 
+    Each value is drawn as ``rng.randint`` draws it, from the same bits:
+    ``getrandbits`` of the range's bit length, drawn again while it is
+    out of range (n from 5 bits below 19, d from 3 bits below 5), plus
+    the lower end. ``randint`` makes three Python calls around each
+    ``getrandbits``; this makes none.
+
     The class reads only the numerators, since a positive denominator
     changes no zero and no sign. The denominators are still drawn: the
     draws fix the seeded stream, and with it the block's histogram."""
-    pairs = [(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+    bits = rng.getrandbits
+    pairs = []
+    for _ in range(4):
+        n = bits(5)
+        while n >= 19:
+            n = bits(5)
+        d = bits(3)
+        while d >= 5:
+            d = bits(3)
+        pairs.append((n - 9, d + 1))
     if not any(n for n, _ in pairs):
         pairs[rng.randrange(4)] = (1, 1)
     return pairs

@@ -245,11 +245,11 @@ def structure_constants() -> tuple[
     (1-based keys), plus the induced generator matrices E_i acting on
     subalgebra coefficient vectors: E_i[k][j] = c^k_ij."""
     xs = point_symmetries()
-    basis = [x.coeffs() for x in xs]
+    basis = linalg.Basis([x.coeffs() for x in xs])
     c: dict[tuple[int, int, int], Fraction] = {}
     for i in range(4):
         for j in range(4):
-            coords = linalg.decompose_components(lie_bracket(xs[i], xs[j]).coeffs(), basis)
+            coords = basis.coords(lie_bracket(xs[i], xs[j]).coeffs())
             if coords is None:
                 raise JetError("bracket left the span of the generators")
             for k, val in enumerate(coords):
@@ -273,12 +273,11 @@ def char_structure_constants(
     on-shell-reduced characteristics, or None when the bracket leaves
     their span. [P_j, P_i] = -[P_i, P_j] and [P_i, P_i] = 0 give the rest
     of the table."""
-    basis = [tuple(reduce_on_shell(c, sys) for c in p.comp) for p in chars]
+    basis = linalg.Basis([tuple(reduce_on_shell(c, sys) for c in p.comp) for p in chars])
     table: dict[tuple[int, int], tuple[Fraction, ...] | None] = {}
     for i in range(len(chars)):
         for j in range(i + 1, len(chars)):
-            br = char_bracket(chars[i], chars[j], sys)
-            coords = linalg.decompose_components(br.comp, basis)
+            coords = basis.coords(char_bracket(chars[i], chars[j], sys).comp)
             table[(i, j)] = None if coords is None else tuple(coords)
     return table
 

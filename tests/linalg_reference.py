@@ -78,3 +78,27 @@ def nullspace_exact(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
             vec[pc] = -m[r][fc]
         basis.append(vec)
     return basis
+
+
+def decompose_components(
+    target: Sequence, basis: Sequence[Sequence]
+) -> list[Fraction] | None:
+    """Coordinates of a component tuple over basis tuples, from one
+    system per target: a row per (slot, monomial) that the basis or the
+    target uses, in order of first appearance, solved by the reference
+    ``solve_exact``; None off the span. Where neither the basis nor the
+    target has a monomial the system has no rows, so ``solve_exact``
+    cannot know its column count; the coordinates are then one 0 per
+    basis tuple."""
+    keys: list[tuple[int, object]] = []
+    for slot in range(len(target)):
+        for p in [b[slot] for b in basis] + [target[slot]]:
+            for m in p.terms:
+                if (slot, m) not in keys:
+                    keys.append((slot, m))
+    zero = Fraction(0)
+    rows = [[b[slot].terms.get(m, zero) for b in basis] for slot, m in keys]
+    if not rows:
+        return [zero] * len(basis)
+    rhs = [target[slot].terms.get(m, zero) for slot, m in keys]
+    return solve_exact(rows, rhs)

@@ -7,6 +7,11 @@ log replays to its normalized vector. ``dlwlab.symmetry.optimal_class``
 reads the class from a complete invariant instead, and must give the
 reference's class for every nonzero vector and every nonzero multiple.
 
+``optimal_draw`` draws the optimal block's samples through
+``random.Random.randint``; ``dlwlab.report._optimal_draw`` reads the same
+bits with ``getrandbits`` and must draw the same pairs and leave the
+generator in the same state.
+
 ``ansatz_reduction`` substitutes an invariant ansatz by its own recursion
 over the derivative coordinates; ``dlwlab.symmetry`` goes through
 ``jet.substitute_ansatz`` and must compute the same reduced pairs.
@@ -14,6 +19,7 @@ over the derivative coordinates; ``dlwlab.symmetry`` goes through
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -109,6 +115,16 @@ def optimal_reduce(
     if cls not in OPTIMAL_CLASSES:
         raise JetError(f"reduction produced an unlisted class {cls}")
     return cls, norm, log
+
+
+def optimal_draw(rng: random.Random) -> list[tuple[int, int]]:
+    """One sample of the optimal block as four (n, d) pairs, each n by
+    ``randint(-9, 9)`` before its d by ``randint(1, 5)``; an all-zero draw
+    sets the entry at ``randrange(4)`` to (1, 1)."""
+    pairs = [(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+    if not any(n for n, _ in pairs):
+        pairs[rng.randrange(4)] = (1, 1)
+    return pairs
 
 
 def ansatz_reduction(

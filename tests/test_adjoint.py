@@ -366,3 +366,34 @@ class TestCharBracketTable:
         broken = dataclasses.replace(table, char_brackets={k: None for k in table.char_brackets})
         with pytest.raises(DecompositionError):
             sq_bracket(1, qs[0], qs[2], ps, qs, phys, broken)
+
+
+class TestDecompositionCost:
+    """One adjoint suite run eliminates the reduced Q basis once, for its
+    action table, and the reduced P basis once, for the table's
+    char_structure_constants; every decomposition of the run (24 table
+    cells, 6 characteristic brackets, two preimages and one image per
+    printed bracket constant) reads one of the two."""
+
+    def test_each_basis_is_eliminated_once_per_suite_run(self, monkeypatch, phys, ps, qs):
+        from dlwlab import linalg
+
+        made, reads = [], []
+
+        class CountingBasis(linalg.Basis):
+            def __init__(self, vectors):
+                super().__init__(vectors)
+                made.append(self.vectors)
+
+            def coords(self, target):
+                reads.append(len(self.vectors))
+                return super().coords(target)
+
+        monkeypatch.setattr(linalg, "Basis", CountingBasis)
+        reduced = lambda basis: [tuple(reduce_on_shell(c, phys) for c in b.comp) for b in basis]  # noqa: E731
+        for _ in range(2):  # nothing is kept from one run to the next
+            made.clear()
+            reads.clear()
+            assert not adjoint_suite().failed()
+            assert made == [reduced(qs), reduced(ps)]
+            assert (reads.count(6), reads.count(4)) == (24 + 3 * 3, 6)

@@ -54,7 +54,12 @@ def kink_pair():
     return u, v
 
 
-SAMPLES = [(random.Random(7).uniform(-5, 5), random.Random(i).uniform(0, 2)) for i in range(40)]
+_RNG = random.Random(7)
+SAMPLES = [(_RNG.uniform(-5, 5), _RNG.uniform(0, 2)) for _ in range(40)]
+
+
+def test_samples_spread_in_x():
+    assert len({x for x, _ in SAMPLES}) == len(SAMPLES) == 40
 
 
 class TestDiff:

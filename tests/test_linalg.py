@@ -1,9 +1,11 @@
-"""Exact linear algebra: ``rref``, ``solve_exact`` and ``nullspace_exact``
+"""Exact linear algebra: ``rref``, ``solve_exact``, ``nullspace_exact``
+and the decomposition of component tuples over an eliminated ``Basis``
 agree structurally with the unoptimized reference kept in
 ``linalg_reference.py`` and with sympy's ``Matrix.rref``."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,3 +123,77 @@ def test_rref_matches_sympy(a):
     got, pivots = linalg.rref(a)
     assert pivots == list(want_pivots)
     assert [[sp.Rational(v.numerator, v.denominator) for v in row] for row in got] == want.tolist()
+
+
+class _Comp:
+    """A component: ``terms`` maps monomials to coefficients, zeros kept."""
+
+    def __init__(self, terms):
+        self.terms = terms
+
+
+_MONOMIALS = ("a", "b", "c", "d")
+
+
+def _tuple_sum(pairs, nslots):
+    """sum of c * vec over (c, vec) pairs, one terms dict per slot."""
+    out = [{} for _ in range(nslots)]
+    for c, vec in pairs:
+        for slot, comp in enumerate(vec):
+            for m, v in comp.terms.items():
+                out[slot][m] = out[slot].get(m, 0) + c * v
+    return tuple(_Comp(t) for t in out)
+
+
+@st.composite
+def decompositions(draw):
+    """A sparse basis of 0 to 5 tuples of 1 to 3 slots, some zero, copied,
+    scaled or the sum of two earlier ones, and 1 to 4 targets: inside the
+    span, zero, random (mostly outside it), or inside it plus a monomial
+    that no basis tuple has."""
+    nslots = draw(st.integers(min_value=1, max_value=3))
+    comp = st.dictionaries(st.sampled_from(_MONOMIALS), entries, max_size=3).map(_Comp)
+    basis = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "copy", "scaled", "sum"]))
+        if kind == "zero":
+            basis.append(tuple(_Comp({}) for _ in range(nslots)))
+        elif kind in ("copy", "scaled") and basis:
+            factor = Fraction(-2, 3) if kind == "scaled" else 1
+            basis.append(_tuple_sum([(factor, draw(st.sampled_from(basis)))], nslots))
+        elif kind == "sum" and len(basis) >= 2:
+            two = draw(st.lists(st.sampled_from(basis), min_size=2, max_size=2))
+            basis.append(_tuple_sum([(1, two[0]), (Fraction(1, 2), two[1])], nslots))
+        else:
+            basis.append(tuple(draw(comp) for _ in range(nslots)))
+    targets = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["span", "span", "zero", "random", "stray"]))
+        if kind == "random":
+            targets.append(tuple(draw(comp) for _ in range(nslots)))
+            continue
+        coeffs = draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
+        target = _tuple_sum([(c, b) for c, b in zip(coeffs, basis) if kind != "zero"], nslots)
+        if kind == "stray":
+            target[draw(st.integers(min_value=0, max_value=nslots - 1))].terms["e"] = Fraction(1, 7)
+        targets.append(target)
+    return basis, targets
+
+
+@given(case=decompositions())
+@settings(max_examples=400, deadline=None)
+def test_basis_coords_match_reference_decomposition(case):
+    basis, targets = case
+    eliminated = linalg.Basis(basis)
+    for target in targets:
+        want = linalg_reference.decompose_components(target, basis)
+        assert _same(eliminated.coords(target), want)
+        assert _same(linalg.decompose_components(target, basis), want)
+
+
+def test_basis_rejects_a_slot_count_mismatch():
+    one, two = (_Comp({"a": 1}),), (_Comp({"a": 1}), _Comp({}))
+    with pytest.raises(ValueError, match="slots"):
+        linalg.Basis([one, two])
+    with pytest.raises(ValueError, match="slots"):
+        linalg.Basis([one]).coords(two)

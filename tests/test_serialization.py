@@ -1,5 +1,8 @@
-"""Canonical text form: formatting and bit-exact round trips."""
+"""Canonical text form: formatting and bit-exact round trips of
+polynomials, and the JSON text of a verification report."""
 
+import dataclasses
+import json
 import re
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from dlwlab.jet import JetPoly, ParseError, format_poly, parse_poly
+from dlwlab.report import SUITES, report_to_json_text, run_suite
 
 from conftest import jet_polys
 
@@ -63,3 +67,20 @@ def test_parse_errors(bad):
 def test_bad_coefficient_names_its_chunk(chunk):
     with pytest.raises(ParseError, match=re.escape(repr(chunk))):
         parse_poly(f"u[1,0] + {chunk}")
+
+
+@pytest.fixture(scope="module")
+def reports():
+    return {suite: run_suite(suite) for suite in SUITES if suite != "all"}
+
+
+@pytest.mark.parametrize("stamp", [None, "2026-10-19T12:00:00"])
+def test_report_json_is_the_dataclass_dict(reports, stamp):
+    # to_json builds its dicts field by field; the text must stay that of
+    # dataclasses.asdict, less a None timestamp
+    for suite, rep in reports.items():
+        rep = dataclasses.replace(rep, timestamp=stamp)
+        want = dataclasses.asdict(rep)
+        if stamp is None:
+            del want["timestamp"]
+        assert report_to_json_text(rep) == json.dumps(want, indent=2, sort_keys=True), suite

@@ -176,16 +176,15 @@ class TestStructureConstants:
     def test_failed_char_decomposition_fails_the_entry(self, monkeypatch):
         # the characteristic basis has two components, the generator basis
         # of structure_constants four: fail only the former
-        from dlwlab import adjoint, linalg
+        from dlwlab import linalg
         from dlwlab.report import symmetry_suite
 
-        real = linalg.decompose_components
+        real = linalg.Basis.coords
 
-        def failing(target, basis):
-            return None if len(target) == 2 else real(target, basis)
+        def failing(self, target):
+            return None if len(target) == 2 else real(self, target)
 
-        monkeypatch.setattr(linalg, "decompose_components", failing)
-        monkeypatch.setattr(adjoint, "decompose_components", failing)
+        monkeypatch.setattr(linalg.Basis, "coords", failing)
         entries = symmetry_suite(blocks=("brackets",)).entries
         failed = [e for e in entries if e.label.startswith("char-bracket-")]
         assert len(failed) == 6
@@ -341,32 +340,41 @@ class TestOptimalSystem:
             assert optimal_class([n for n, _ in pairs]) == want
 
     def test_report_draw_order_and_zero_fallback(self):
-        # the block's rng calls, in order: per entry the numerator, then the
-        # denominator; an all-zero draw then picks the entry set to 1. Seed
-        # 20240917 never draws all zeros in 1,000 samples (chance 19**-4
-        # per sample), so a stub stands in for it
-        class Stub:
-            def __init__(self, ints, pick):
-                self.ints, self.pick, self.calls = iter(ints), pick, []
+        # the block's 1,000 draws equal those of the randint reference, and
+        # both leave the generator in the same state
+        rng = random.Random(report._OPTIMAL_SEED)
+        ref = random.Random(report._OPTIMAL_SEED)
+        for _ in range(report._OPTIMAL_SAMPLES):
+            assert report._optimal_draw(rng) == symmetry_reference.optimal_draw(ref)
+        assert rng.getstate() == ref.getstate()
 
-            def randint(self, a, b):
-                self.calls.append(("randint", a, b))
-                return next(self.ints)
+        # the bits, in order: per entry 5 for the numerator until one is
+        # below 19, then 3 for the denominator until one is below 5; an
+        # all-zero draw then picks the entry set to 1. Seed 20240917 never
+        # draws all zeros in 1,000 samples (chance 19**-4 per sample), so a
+        # stub stands in for it
+        class Stub:
+            def __init__(self, words, pick):
+                self.words, self.pick, self.calls = iter(words), pick, []
+
+            def getrandbits(self, k):
+                self.calls.append(("getrandbits", k))
+                return next(self.words)
 
             def randrange(self, n):
                 self.calls.append(("randrange", n))
                 return self.pick
 
-        draw = [("randint", -9, 9), ("randint", 1, 5)] * 4
-        stub = Stub([0, 2, 0, 3, 0, 5, 0, 1], pick=2)
+        n, d = ("getrandbits", 5), ("getrandbits", 3)
+        stub = Stub([9, 1, 9, 2, 31, 19, 9, 7, 5, 4, 9, 0], pick=2)
         assert report._optimal_draw(stub) == [(0, 2), (0, 3), (1, 1), (0, 1)]
-        assert stub.calls == draw + [("randrange", 4)]
+        assert stub.calls == [n, d, n, d, n, n, n, d, d, d, n, d, ("randrange", 4)]
         assert optimal_class([0, 0, 1, 0]) == "X3"
 
-        stub = Stub([0, 2, -3, 4, 0, 5, 7, 3], pick=0)
-        assert report._optimal_draw(stub) == [(0, 2), (-3, 4), (0, 5), (7, 3)]
-        assert stub.calls == draw
-        assert optimal_class([0, -3, 0, 7]) == _reference_class([0, Fraction(-3, 4), 0, Fraction(7, 3)]) == "X4"
+        stub = Stub([9, 1, 6, 3, 9, 4, 18, 2], pick=0)
+        assert report._optimal_draw(stub) == [(0, 2), (-3, 4), (0, 5), (9, 3)]
+        assert stub.calls == [n, d] * 4
+        assert optimal_class([0, -3, 0, 9]) == _reference_class([0, Fraction(-3, 4), 0, Fraction(9, 3)]) == "X4"
 
     @given(
         vec=st.lists(st.integers(min_value=-60, max_value=60), min_size=4, max_size=4).filter(any),
