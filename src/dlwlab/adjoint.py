@@ -37,10 +37,11 @@ from .jet import (
     LinearDiffOp,
     OpTerm,
     apply_op,
+    derivative_table,
     euler_operator,
     formal_adjoint,
     reduce_on_shell,
-    total_derivative_n,
+    sum_of_products,
 )
 from .linalg import decompose_components  # re-exported: the one-target decomposition
 from .symmetry import (
@@ -195,9 +196,7 @@ def multiplier_test(q: AdjointSymmetry | Sequence[JetPoly], sys: EvolutionSystem
     """True iff every Euler operator annihilates sum_j G^j Q_j
     identically off shell, i.e. the pairing is a total divergence."""
     comp = tuple(q.comp if isinstance(q, AdjointSymmetry) else q)
-    paired = JetPoly.zero()
-    for g, qc in zip(sys.equation_polys(), comp):
-        paired = paired + g * qc
+    paired = sum_of_products(zip(sys.equation_polys(), comp))
     return all(euler_operator(paired, dep).is_zero() for dep in sys.deps)
 
 
@@ -218,6 +217,8 @@ def lift_onshell_operator(
     if a nonzero remainder survives with no reducible coordinate left.
     """
     eqs = sys.equation_polys()
+    # each prolonged equation is taken once per call
+    prolonged = [derivative_table(g) for g in eqs]
     dep_index = {name: k for k, name in enumerate(sys.deps)}
     solved = sys.solved()
     n = len(eqs)
@@ -230,8 +231,8 @@ def lift_onshell_operator(
                 break
             w = max(reducible, key=lambda v: (v.dt, v.dx))
             j = dep_index[w.name]
-            lifted_eq = total_derivative_n(eqs[j], w.dx - sys.lead_dx, w.dt - 1)
-            lower = lifted_eq - JetPoly.from_var(w)  # strictly smaller dt
+            wpoly = JetPoly.from_var(w)
+            lower = prolonged[j](w.dx - sys.lead_dx, w.dt - 1) - wpoly  # strictly smaller dt
             coeffs = current.coefficients_in(w)
             degree = max(coeffs)
             # synthetic division of current by (w - root), root = -lower
@@ -243,9 +244,7 @@ def lift_onshell_operator(
                 quotient[k - 1] = b
                 carry = root * b
             remainder = coeffs.get(0, JetPoly.zero()) + carry
-            qpoly = JetPoly.zero()
-            for k, b in quotient.items():
-                qpoly = qpoly + b * JetPoly.from_var(w) ** k
+            qpoly = sum_of_products((b, wpoly**k) for k, b in quotient.items())
             if not qpoly.is_zero():
                 entries[i][j].append(
                     OpTerm(reduce_on_shell(qpoly, sys), w.dx - sys.lead_dx, w.dt - 1)

@@ -22,10 +22,11 @@ from .jet import (
     LinearDiffOp,
     OpTerm,
     apply_op,
+    derivative_table,
     euler_operator,
     reduce_on_shell,
+    sum_of_products,
     total_derivative,
-    total_derivative_n,
 )
 from .symmetry import Characteristic, PointSymmetry, characteristic, frechet_derivative
 from .systems import potential_to_physical, substitute_dependent
@@ -38,7 +39,6 @@ __all__ = [
     "InvalidBoundaryTerm",
     "divergence_residual",
     "multiplier_pairing_check",
-    "law_multipliers",
     "is_trivial_law",
     "direct_laws",
     "printed_eq29_law",
@@ -119,21 +119,8 @@ def multiplier_pairing_check(
     """Off-shell defect of the pairing identity: sum_j G^j Lambda_j minus
     the divergence of the law. Zero means the printed pairing is exact;
     nonzero but on-shell-zero means the two differ by a trivial law."""
-    comp = tuple(multiplier)
-    paired = JetPoly.zero()
-    for g, lam in zip(sys.equation_polys(), comp):
-        paired = paired + g * lam
+    paired = sum_of_products(zip(sys.equation_polys(), multiplier))
     return paired - total_derivative(cl.density, "t") - total_derivative(cl.flux, "x")
-
-
-def law_multipliers(cl: ConservationLaw, sys: EvolutionSystem) -> tuple[JetPoly, ...]:
-    """Characteristics of a law: the x-restricted Euler operators of the
-    on-shell-reduced density, themselves reduced on shell."""
-    density = reduce_on_shell(cl.density, sys)
-    return tuple(
-        reduce_on_shell(euler_operator(density, dep, x_only=True), sys)
-        for dep in sys.deps
-    )
 
 
 def is_trivial_law(cl: ConservationLaw, sys: EvolutionSystem) -> bool:
@@ -329,24 +316,28 @@ def boundary_current(density: JetPoly, w: Mapping[str, JetPoly]) -> tuple[JetPol
     integrated by parts in t first and then in x (Olver, *Applications of
     Lie Groups to Differential Equations*, Prop. 5.74):
     f D_t^j H = D_t sum_{k<j} (-D_t)^k f D_t^(j-1-k) H + ((-D_t)^j f) H
-    with H = D_x^i W^a, and the same in x for g = (-D_t)^j f."""
-    c_x = c_t = JetPoly.zero()
+    with H = D_x^i W^a, and the same in x for g = (-D_t)^j f. Each current
+    is one :func:`sum_of_products`, and each derivative of a W^a is
+    taken once per call, from one :func:`derivative_table` per
+    component."""
+    tables = {name: derivative_table(wa) for name, wa in w.items()}
+    x_pairs, t_pairs = [], []
     for var in sorted(density.jet_vars()):
-        wa = w.get(var.name)
-        if wa is None or not (var.dx or var.dt):
+        d = tables.get(var.name)
+        if d is None or not (var.dx or var.dt):
             continue
         f = density.partial(var)
         for k in range(var.dt):
             if k:
                 f = -total_derivative(f, "t")
-            c_t = c_t + f * total_derivative_n(wa, var.dx, var.dt - 1 - k)
+            t_pairs.append((f, d(var.dx, var.dt - 1 - k)))
         if var.dt and var.dx:
             f = -total_derivative(f, "t")
         for k in range(var.dx):
             if k:
                 f = -total_derivative(f, "x")
-            c_x = c_x + f * total_derivative_n(wa, var.dx - 1 - k)
-    return c_x, c_t
+            x_pairs.append((f, d(var.dx - 1 - k, 0)))
+    return sum_of_products(x_pairs), sum_of_products(t_pairs)
 
 
 def noether_boundary_terms() -> dict[str, tuple[JetPoly, JetPoly]]:

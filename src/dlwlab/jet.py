@@ -27,6 +27,11 @@ single ``gcd``, skipped when ``den == 1``. ``Fraction`` appears only at
 the edges: the public constructor, scalar operands, and ``.terms`` /
 ``.items()``, which present the coefficients as ``Fraction``s.
 
+A sum of products (an adjoint action, a Frechet derivative, a
+substitution) goes through ``sum_of_products``, which adds every product
+into one integer accumulator and normalizes once, and each D_x^a D_t^b of
+an operand comes from a ``derivative_table`` made for the call.
+
 The dict keys, :class:`JetVar` and :class:`JetMonomial`, are namedtuples,
 so every hash, equality test and ordering of keys runs in C. Monomials
 derived from valid ones (a jet power lowered or moved to a lifted
@@ -60,6 +65,8 @@ __all__ = [
     "SolvedSystem",
     "total_derivative",
     "substitute_ansatz",
+    "sum_of_products",
+    "derivative_table",
     "reduce_on_shell",
     "euler_operator",
     "apply_op",
@@ -519,20 +526,8 @@ class JetPoly:
         if not self._num or not other._num:
             return _ZERO
         out: dict[JetMonomial, int] = {}
-        product = _monomial_product
-        for m1, c1 in self._num.items():
-            for m2, c2 in other._num.items():
-                m = product(m1, m2)
-                s = out.get(m)
-                if s is None:
-                    out[m] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return JetPoly._of(out, self._den * other._den)
+        _add_product(out, self._num, other._num)
+        return JetPoly._of(_nonzero(out), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -659,49 +654,66 @@ class JetPoly:
         ``var_image(v)`` is the derivative of coordinate ``v``; ``x_image``
         / ``t_image`` are the derivatives of the explicit coordinates
         (``None`` means zero); ``param_image(name)`` likewise for
-        parameters. Extended to products by the Leibniz rule.
+        parameters. Extended to products by the Leibniz rule, as one
+        :func:`sum_of_products` of each image with its partial derivative.
         """
-        out = JetPoly.zero()
-        for v in self.jet_vars():
-            img = var_image(v)
-            if img:
-                out = out + self.partial(v) * img
-        if x_image is not None and x_image:
-            out = out + self.partial_explicit("x") * x_image
-        if t_image is not None and t_image:
-            out = out + self.partial_explicit("t") * t_image
+        pairs = [(self.partial(v), img) for v in self.jet_vars() if (img := var_image(v))]
+        if x_image:
+            pairs.append((self.partial_explicit("x"), x_image))
+        if t_image:
+            pairs.append((self.partial_explicit("t"), t_image))
         if param_image is not None:
-            for name in self.param_names():
-                img = param_image(name)
-                if img:
-                    out = out + self.partial_param(name) * img
-        return out
+            images = ((n, param_image(n)) for n in self.param_names())
+            pairs += [(self.partial_param(n), img) for n, img in images if img]
+        return sum_of_products(pairs)
 
     # -- substitution -------------------------------------------------------
 
     def substitute(self, image: Callable[[JetVar], "JetPoly | None"]) -> "JetPoly":
         """Replace jet coordinates by polynomials (``None`` keeps a
         coordinate). Explicit coordinates and parameters pass through.
-        Substitution is linear, so each term starts from its integer
-        numerator and the sum is divided by the denominator once."""
-        cache: dict[JetVar, JetPoly | None] = {}
 
-        def img(v: JetVar) -> JetPoly | None:
-            if v not in cache:
-                cache[v] = image(v)
-            return cache[v]
-
-        out = JetPoly.zero()
+        ``image`` is asked once per coordinate and each power of an image
+        is built once per call. A term is its kept monomial times the
+        powers of the images of its other coordinates, expanded on
+        integer numerators, with no polynomial per term. Substitution is
+        linear, so the sum is divided by the denominators, self's
+        included, and normalized once."""
+        images: dict[JetVar, JetPoly | None] = {}
+        powers: dict[tuple[JetVar, int], JetPoly | None] = {}
+        sums: dict[int, dict[JetMonomial, int]] = {}
         for m, c in self._num.items():
-            term = JetPoly._of({_monomial((), m.xpow, m.tpow, m.params): c})
-            for v, e in m.jet:
-                rep = img(v)
-                factor = JetPoly.from_var(v) if rep is None else rep
-                term = term * factor**e
-                if term.is_zero():
-                    break
-            out = out + term
-        return JetPoly._of(out._num, out._den * self._den)
+            kept = []
+            factors = []
+            den = 1
+            for pair in m.jet:
+                if pair not in powers:
+                    v, e = pair
+                    if v not in images:
+                        images[v] = image(v)
+                    powers[pair] = None if images[v] is None else images[v] ** e
+                f = powers[pair]
+                if f is None:
+                    kept.append(pair)
+                else:
+                    factors.append(f._num)
+                    den *= f._den
+            if not all(factors):  # an image is zero
+                continue
+            out = sums.get(den)
+            if out is None:
+                out = sums[den] = {}
+            if not factors:
+                s = out.get(m)
+                out[m] = c if s is None else s + c
+                continue
+            num = {_monomial(tuple(kept), m.xpow, m.tpow, m.params): c}
+            for f in factors[:-1]:
+                step: dict[JetMonomial, int] = {}
+                _add_product(step, num, f)
+                num = step
+            _add_product(out, num, factors[-1])
+        return _over_common_denominator(sums, self._den)
 
     def remap_vars(self, fn: Callable[[JetVar], JetVar]) -> "JetPoly":
         """Rename/shift jet coordinates one-for-one (used for the
@@ -760,6 +772,78 @@ def _nonzero(num: dict[JetMonomial, int]) -> dict[JetMonomial, int]:
 
 
 # ---------------------------------------------------------------------------
+# sums of products
+
+
+def _add_product(out: dict[JetMonomial, int], a: dict[JetMonomial, int], b: dict[JetMonomial, int]) -> None:
+    """``out += a * b`` on integer numerators, in place. Terms that cancel
+    stay as 0 until ``_nonzero``."""
+    product = _monomial_product
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = product(m1, m2)
+            s = get(m)
+            out[m] = c1 * c2 if s is None else s + c1 * c2
+
+
+def _over_common_denominator(sums: dict[int, dict[JetMonomial, int]], den: int = 1) -> JetPoly:
+    """The polynomial ``sum(num / d for d, num in sums.items()) / den``:
+    the numerators brought to the lcm of the ``d`` and normalized once."""
+    if len(sums) == 1:
+        ((d, num),) = sums.items()
+        return JetPoly._of(_nonzero(num), d * den)
+    common = lcm(*sums)
+    out: dict[JetMonomial, int] = {}
+    for d, num in sums.items():
+        f = common // d
+        for m, c in num.items():
+            s = out.get(m)
+            out[m] = c * f if s is None else s + c * f
+    return JetPoly._of(_nonzero(out), common * den)
+
+
+def sum_of_products(pairs: Iterable[tuple[JetPoly, JetPoly]]) -> JetPoly:
+    """``sum(a * b for a, b in pairs)``, exact and canonical.
+
+    Every product is added up on integer numerators, in one sum per
+    product of the two denominators; the sums are brought to their lcm
+    and normalized once at the end. No polynomial is built per product
+    and no accumulator is copied per term (Olver, *Applications of Lie
+    Groups to Differential Equations*, sec. 5.2: adjoint actions,
+    formal adjoints and Frechet derivatives are all sums of this form)."""
+    sums: dict[int, dict[JetMonomial, int]] = {}
+    for a, b in pairs:
+        if a._num and b._num:
+            den = a._den * b._den
+            out = sums.get(den)
+            if out is None:
+                out = sums[den] = {}
+            _add_product(out, a._num, b._num)
+    return _over_common_denominator(sums)
+
+
+def derivative_table(p: JetPoly) -> Callable[[int, int], JetPoly]:
+    """``d(a, b) = D_x^a D_t^b p``, each entry built once per table by one
+    total derivative of the entry one order below it (in t if ``b``, else
+    in x), the way ``substitute_ansatz`` builds its images. The kernel
+    makes one table per operand and call, so nothing is kept between
+    calls."""
+    table = {(0, 0): p}
+
+    def d(a: int, b: int) -> JetPoly:
+        got = table.get((a, b))
+        if got is None:
+            if a < 0 or b < 0:
+                raise JetError(f"total derivative orders must be nonnegative, got dx={a}, dt={b}")
+            got = total_derivative(d(a, b - 1), "t") if b else total_derivative(d(a - 1, 0), "x")
+            table[(a, b)] = got
+        return got
+
+    return d
+
+
+# ---------------------------------------------------------------------------
 # total derivatives
 
 
@@ -794,14 +878,8 @@ def total_derivative(p: JetPoly, axis: str) -> JetPoly:
 
 
 def total_derivative_n(p: JetPoly, dx: int = 0, dt: int = 0) -> JetPoly:
-    if dx < 0 or dt < 0:
-        raise JetError(f"total derivative orders must be nonnegative, got dx={dx}, dt={dt}")
-    out = p
-    for _ in range(dx):
-        out = total_derivative(out, "x")
-    for _ in range(dt):
-        out = total_derivative(out, "t")
-    return out
+    """D_x^dx D_t^dt p, taken from scratch: x first, then t."""
+    return derivative_table(p)(dx, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -1085,37 +1163,40 @@ class LinearDiffOp:
 
 def apply_op(op: LinearDiffOp, w: Sequence[JetPoly]) -> tuple[JetPoly, ...]:
     """Matrix-vector action; each entry term contributes
-    coeff * D_x^a D_t^b (component)."""
+    coeff * D_x^a D_t^b (component). Each distinct derivative of a
+    component is taken once per call, from one :func:`derivative_table`
+    per component shared by every row, and each row is one
+    :func:`sum_of_products`."""
     if len(w) != op.size:
         raise DimensionMismatch(f"operator width {op.size}, tuple length {len(w)}")
-    out = []
-    for row in op.entries:
-        acc = JetPoly.zero()
-        for entry, comp in zip(row, w):
-            for term in entry:
-                acc = acc + term.coeff * total_derivative_n(comp, term.dx, term.dt)
-        out.append(acc)
-    return tuple(out)
+    tables = [derivative_table(comp) for comp in w]
+    return tuple(
+        sum_of_products(
+            (term.coeff, d(term.dx, term.dt)) for entry, d in zip(row, tables) for term in entry
+        )
+        for row in op.entries
+    )
 
 
 def formal_adjoint(op: LinearDiffOp) -> LinearDiffOp:
     """Formal adjoint: entry (i,j) with term c*D_x^a*D_t^b transposes to
     entry (j,i) carrying (-1)^(a+b) D_x^a D_t^b composed on the left with
-    c, expanded back to coeff*D form by the Leibniz rule."""
+    c, expanded back to coeff*D form by the Leibniz rule. The derivatives
+    D_x^k D_t^l c for k <= a, l <= b come from one
+    :func:`derivative_table` of c: (a+1)(b+1)-1 total derivatives."""
     n = op.size
     rows: list[list[list[OpTerm]]] = [[[] for _ in range(n)] for _ in range(n)]
     for i, row in enumerate(op.entries):
         for j, entry in enumerate(row):
             for term in entry:
-                sign = -1 if (term.dx + term.dt) % 2 else 1
-                for k in range(term.dx + 1):
-                    for l in range(term.dt + 1):
-                        coeff = (
-                            total_derivative_n(term.coeff, k, l)
-                            * (comb(term.dx, k) * comb(term.dt, l) * sign)
-                        )
-                        if not coeff.is_zero():
-                            rows[j][i].append(OpTerm(coeff, term.dx - k, term.dt - l))
+                a, b = term.dx, term.dt
+                sign = -1 if (a + b) % 2 else 1
+                d = derivative_table(term.coeff)
+                for k in range(a + 1):
+                    for l in range(b + 1):
+                        coeff = d(k, l) * (comb(a, k) * comb(b, l) * sign)
+                        if coeff:
+                            rows[j][i].append(OpTerm(coeff, a - k, b - l))
     return LinearDiffOp.from_lists(rows).canonical()
 
 

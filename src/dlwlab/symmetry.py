@@ -19,10 +19,11 @@ from .jet import (
     JetError,
     JetPoly,
     JetVar,
+    derivative_table,
     reduce_on_shell,
     substitute_ansatz,
+    sum_of_products,
     total_derivative,
-    total_derivative_n,
 )
 
 __all__ = [
@@ -73,11 +74,13 @@ class PointSymmetry:
 
     def apply_to(self, f: JetPoly) -> JetPoly:
         """First-order action on a function of (t, x, u, v)."""
-        return (
-            self.xi1 * f.partial_explicit("t")
-            + self.xi2 * f.partial_explicit("x")
-            + self.eta1 * f.partial(JetVar("u"))
-            + self.eta2 * f.partial(JetVar("v"))
+        return sum_of_products(
+            (
+                (self.xi1, f.partial_explicit("t")),
+                (self.xi2, f.partial_explicit("x")),
+                (self.eta1, f.partial(JetVar("u"))),
+                (self.eta2, f.partial(JetVar("v"))),
+            )
         )
 
     def scaled(self, c: Fraction | int) -> "PointSymmetry":
@@ -158,30 +161,50 @@ def characteristics() -> tuple[Characteristic, ...]:
 # prolongation
 
 
+def _prolongation(x: PointSymmetry) -> Callable[[str, int, int], JetPoly]:
+    """``pr(dep, dx, dt)``, the coefficient of d/d(dep[dx,dt]) in the
+    prolonged field, from the recursion: the coefficient for a
+    multi-index extended by axis i is the total derivative D_i of the
+    previous coefficient minus (D_i xi^j) times the variable's derivative
+    lifted along j. Each coefficient and each D_i xi^j is taken once per
+    table, from the entry one order below it."""
+    xi1, xi2 = derivative_table(x.xi1), derivative_table(x.xi2)
+    table: dict[tuple[str, int, int], JetPoly] = {}
+
+    def pr(dep: str, dx: int, dt: int) -> JetPoly:
+        got = table.get((dep, dx, dt))
+        if got is None:
+            if dx == 0 and dt == 0:
+                got = x.eta_for(dep)
+            else:
+                # (dx, dt) is (a, b) extended along axis; t-derivatives are peeled first
+                a, b, axis, i, j = (dx, dt - 1, "t", 0, 1) if dt else (dx - 1, 0, "x", 1, 0)
+                got = total_derivative(pr(dep, a, b), axis) - sum_of_products(
+                    ((xi1(i, j), JetPoly.var(dep, a, b + 1)), (xi2(i, j), JetPoly.var(dep, a + 1, b)))
+                )
+            table[(dep, dx, dt)] = got
+        return got
+
+    return pr
+
+
 def prolongation_coefficient(x: PointSymmetry, dep: str, dx: int, dt: int) -> JetPoly:
-    """Coefficient of d/d(dep[dx,dt]) in the prolonged field, from the
-    recursion: the coefficient for a multi-index extended by axis i is the
-    total derivative D_i of the previous coefficient minus (D_i xi^j)
-    times the variable's derivative lifted along j."""
-    if dx == 0 and dt == 0:
-        return x.eta_for(dep)
-    if dt > 0:
-        prev_dx, prev_dt, axis = dx, dt - 1, "t"
-    else:
-        prev_dx, prev_dt, axis = dx - 1, 0, "x"
-    prev = prolongation_coefficient(x, dep, prev_dx, prev_dt)
-    out = total_derivative(prev, axis)
-    out = out - total_derivative(x.xi1, axis) * JetPoly.var(dep, prev_dx, prev_dt + 1)
-    out = out - total_derivative(x.xi2, axis) * JetPoly.var(dep, prev_dx + 1, prev_dt)
-    return out
+    """Coefficient of d/d(dep[dx,dt]) in the prolonged field of ``x``."""
+    return _prolongation(x)(dep, dx, dt)
 
 
 def apply_prolonged(x: PointSymmetry, g: JetPoly) -> JetPoly:
-    """Action of the prolonged field on a differential polynomial."""
-    out = x.xi1 * g.partial_explicit("t") + x.xi2 * g.partial_explicit("x")
-    for v in g.jet_vars():
-        out = out + prolongation_coefficient(x, v.name, v.dx, v.dt) * g.partial(v)
-    return out
+    """Action of the prolonged field on a differential polynomial: one
+    :func:`sum_of_products`, with the prolongation coefficients of one
+    table."""
+    pr = _prolongation(x)
+    return sum_of_products(
+        (
+            (x.xi1, g.partial_explicit("t")),
+            (x.xi2, g.partial_explicit("x")),
+            *((pr(v.name, v.dx, v.dt), g.partial(v)) for v in g.jet_vars()),
+        )
+    )
 
 
 def determining_residual(
@@ -213,18 +236,20 @@ def frechet_derivative(
 ) -> tuple[JetPoly, ...]:
     """Directional derivative Q'(P): differentiate each component of Q
     through every jet slot of the listed dependent variables in the
-    direction of the prolonged tuple P."""
+    direction of the prolonged tuple P. Each component is one
+    :func:`sum_of_products`, and each derivative D_x^a D_t^b of a
+    component of P is taken once per call, from one
+    :func:`derivative_table` per component."""
     index = {name: k for k, name in enumerate(deps)}
-    out = []
-    for comp in q:
-        acc = JetPoly.zero()
-        for v in comp.jet_vars():
-            k = index.get(v.name)
-            if k is None:
-                continue
-            acc = acc + comp.partial(v) * total_derivative_n(p[k], v.dx, v.dt)
-        out.append(acc)
-    return tuple(out)
+    tables = [derivative_table(c) for c in p]
+    return tuple(
+        sum_of_products(
+            (comp.partial(v), tables[index[v.name]](v.dx, v.dt))
+            for v in comp.jet_vars()
+            if v.name in index
+        )
+        for comp in q
+    )
 
 
 def char_bracket(

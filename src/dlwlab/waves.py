@@ -32,6 +32,7 @@ from .jet import (
     SolvedSystem,
     reduce_on_shell,
     substitute_ansatz,
+    sum_of_products,
     total_derivative,
 )
 from .systems import physical_system
@@ -221,10 +222,7 @@ def evaluate_at_point(eq: JetPoly, point: Mapping[str, JetPoly]) -> JetPoly:
     sqrt(3) is irrational, the result is zero iff ``eq`` vanishes at the
     point with s = sqrt(3), for every value of the parameters left free."""
     for name, value in point.items():
-        eq = sum(
-            (c * value**k for k, c in eq.coefficients_in(name).items()), JetPoly.zero()
-        )
-    return sum(
-        (c * 3 ** (k // 2) * ROOT3 ** (k % 2) for k, c in eq.coefficients_in("s").items()),
-        JetPoly.zero(),
+        eq = sum_of_products((c, value**k) for k, c in eq.coefficients_in(name).items())
+    return sum_of_products(
+        (c * 3 ** (k // 2), ROOT3 ** (k % 2)) for k, c in eq.coefficients_in("s").items()
     )

@@ -7,14 +7,33 @@ and accepts only slots first order in t or pure-x up to third order.
 Both are the versions that ``dlwlab.conslaw.boundary_current`` replaced;
 on the catalog generators the general routine must agree with them
 structurally.
+
+``boundary_current`` is the general routine as it was before its sums
+went through ``jet.sum_of_products``: one ``+`` and one ``*`` per slot
+term, and every derivative of a component taken from scratch by
+``total_derivative_n``. The kernel's version must equal it on every
+density and field.
+
+``law_multipliers`` reads the characteristics of a law off its density;
+nothing in the package calls it, and ``test_multiplier_extraction`` keeps
+it as the check that the catalog laws have the printed multipliers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping
 
 from dlwlab.conslaw import ConservationLaw, Lagrangian, formal_lagrangian, ibragimov_labels
-from dlwlab.jet import EvolutionSystem, JetError, JetPoly, total_derivative, total_derivative_n
+from dlwlab.jet import (
+    EvolutionSystem,
+    JetError,
+    JetPoly,
+    euler_operator,
+    reduce_on_shell,
+    total_derivative,
+    total_derivative_n,
+)
 from dlwlab.symmetry import Characteristic, PointSymmetry, characteristic
 from dlwlab.systems import substitute_dependent
 
@@ -81,4 +100,36 @@ def ibragimov_flow(x: PointSymmetry, sys: EvolutionSystem) -> ConservationLaw:
         density=substitute_dependent(c_t, sub),
         flux=substitute_dependent(c_x, sub),
         label=ibragimov_labels()[x.name] if x.name in ibragimov_labels() else "",
+    )
+
+
+def boundary_current(density: JetPoly, w: Mapping[str, JetPoly]) -> tuple[JetPoly, JetPoly]:
+    """Currents (C_x, C_t) with pr W(L) = sum_a E_a(L) W^a + D_x C_x + D_t C_t,
+    each slot term f D_x^i D_t^j W^a integrated by parts in t, then in x."""
+    c_x = c_t = JetPoly.zero()
+    for var in sorted(density.jet_vars()):
+        wa = w.get(var.name)
+        if wa is None or not (var.dx or var.dt):
+            continue
+        f = density.partial(var)
+        for k in range(var.dt):
+            if k:
+                f = -total_derivative(f, "t")
+            c_t = c_t + f * total_derivative_n(wa, var.dx, var.dt - 1 - k)
+        if var.dt and var.dx:
+            f = -total_derivative(f, "t")
+        for k in range(var.dx):
+            if k:
+                f = -total_derivative(f, "x")
+            c_x = c_x + f * total_derivative_n(wa, var.dx - 1 - k)
+    return c_x, c_t
+
+
+def law_multipliers(cl: ConservationLaw, sys: EvolutionSystem) -> tuple[JetPoly, ...]:
+    """Characteristics of a law: the x-restricted Euler operators of the
+    on-shell-reduced density, themselves reduced on shell."""
+    density = reduce_on_shell(cl.density, sys)
+    return tuple(
+        reduce_on_shell(euler_operator(density, dep, x_only=True), sys)
+        for dep in sys.deps
     )

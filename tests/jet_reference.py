@@ -2,10 +2,15 @@
 
 Two references, each following the definitions directly:
 
-* ``total_derivative`` goes through the generic Leibniz ``JetPoly.derive``
+* ``total_derivative`` goes through the generic Leibniz ``derive`` below
   (one partial derivative per coordinate, times its lifted coordinate),
   and ``euler_operator`` sums (-1)^(dx+dt) D_x^dx D_t^dt of every slot's
   partial derivative separately. Both run on ``JetPoly``'s own arithmetic.
+  ``derive``, ``substitute``, ``apply_op`` and ``formal_adjoint`` are the
+  kernel's sums of products as they were before they went through
+  ``jet.sum_of_products``: one ``+`` and one ``*`` per term (per factor,
+  in ``substitute``), and every derivative D_x^a D_t^b taken from scratch
+  by the reference ``total_derivative_n`` here, not the kernel's.
 * The ``frac_*`` functions share no code with ``JetPoly`` at all: they work
   on plain ``{JetMonomial: Fraction}`` dicts, build every monomial through
   the validating ``JetMonomial.make`` and drop zero coefficients
@@ -24,17 +29,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import comb
+from typing import Callable, Iterable, Mapping, Sequence
 
 from dlwlab import jet as kernel
-from dlwlab.jet import RESERVED_NAMES, JetError, JetPoly
+from dlwlab.jet import RESERVED_NAMES, JetError, JetPoly, LinearDiffOp, OpTerm
+
+
+def derive(
+    p: JetPoly,
+    var_image: Callable[[kernel.JetVar], JetPoly],
+    x_image: JetPoly | None = None,
+    t_image: JetPoly | None = None,
+    param_image: Callable[[str], JetPoly | None] | None = None,
+) -> JetPoly:
+    out = JetPoly.zero()
+    for v in p.jet_vars():
+        img = var_image(v)
+        if img:
+            out = out + p.partial(v) * img
+    if x_image is not None and x_image:
+        out = out + p.partial_explicit("x") * x_image
+    if t_image is not None and t_image:
+        out = out + p.partial_explicit("t") * t_image
+    if param_image is not None:
+        for name in p.param_names():
+            img = param_image(name)
+            if img:
+                out = out + p.partial_param(name) * img
+    return out
 
 
 def total_derivative(p: JetPoly, axis: str) -> JetPoly:
     if axis not in ("x", "t"):
         raise JetError(f"unknown axis {axis!r}")
     one = JetPoly.one()
-    return p.derive(
+    return derive(
+        p,
         lambda v: JetPoly.from_var(v.lifted(axis)),
         x_image=one if axis == "x" else None,
         t_image=one if axis == "t" else None,
@@ -57,6 +88,49 @@ def euler_operator(p: JetPoly, dep: str, x_only: bool = False) -> JetPoly:
         sign = -1 if (v.dx + v.dt) % 2 else 1
         out = out + total_derivative_n(p.partial(v), v.dx, v.dt) * sign
     return out
+
+
+def substitute(p: JetPoly, image: Callable[[kernel.JetVar], JetPoly | None]) -> JetPoly:
+    """Each term rebuilt as a polynomial, times each factor's image raised
+    to its exponent, and added to the sum."""
+    out = JetPoly.zero()
+    for m, c in p.items():
+        term = JetPoly({kernel.JetMonomial((), m.xpow, m.tpow, m.params): c})
+        for v, e in m.jet:
+            rep = image(v)
+            factor = JetPoly.from_var(v) if rep is None else rep
+            term = term * factor**e
+        out = out + term
+    return out
+
+
+def apply_op(op: LinearDiffOp, w: Sequence[JetPoly]) -> tuple[JetPoly, ...]:
+    out = []
+    for row in op.entries:
+        acc = JetPoly.zero()
+        for entry, comp in zip(row, w):
+            for term in entry:
+                acc = acc + term.coeff * total_derivative_n(comp, term.dx, term.dt)
+        out.append(acc)
+    return tuple(out)
+
+
+def formal_adjoint(op: LinearDiffOp) -> LinearDiffOp:
+    n = op.size
+    rows: list[list[list[OpTerm]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(op.entries):
+        for j, entry in enumerate(row):
+            for term in entry:
+                sign = -1 if (term.dx + term.dt) % 2 else 1
+                for k in range(term.dx + 1):
+                    for l in range(term.dt + 1):
+                        coeff = (
+                            total_derivative_n(term.coeff, k, l)
+                            * (comb(term.dx, k) * comb(term.dt, l) * sign)
+                        )
+                        if not coeff.is_zero():
+                            rows[j][i].append(OpTerm(coeff, term.dx - k, term.dt - l))
+    return LinearDiffOp.from_lists(rows).canonical()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,13 @@ generator in the same state.
 ``ansatz_reduction`` substitutes an invariant ansatz by its own recursion
 over the derivative coordinates; ``dlwlab.symmetry`` goes through
 ``jet.substitute_ansatz`` and must compute the same reduced pairs.
+
+``prolongation_coefficient``, ``apply_prolonged`` and
+``frechet_derivative`` are the symmetry layer's sums of products as they
+were before they went through ``jet.sum_of_products``: one ``+`` and one
+``*`` per term, every prolongation coefficient computed by plain
+recursion and every derivative D_x^a D_t^b taken from scratch by
+``total_derivative_n``. The package's versions must equal them.
 """
 
 from __future__ import annotations
@@ -23,7 +30,15 @@ import random
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from dlwlab.jet import EvolutionSystem, JetError, JetPoly, JetVar
+from dlwlab.jet import (
+    EvolutionSystem,
+    JetError,
+    JetPoly,
+    JetVar,
+    total_derivative,
+    total_derivative_n,
+)
+from dlwlab.symmetry import PointSymmetry
 
 Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -156,3 +171,40 @@ def ansatz_reduction(
 
     computed = tuple(eq.substitute(image) * k for eq, k in zip(sys.equation_polys(), scale))
     return {"computed": computed, "expected": expected, "match": computed == expected}
+
+
+def prolongation_coefficient(x: PointSymmetry, dep: str, dx: int, dt: int) -> JetPoly:
+    if dx == 0 and dt == 0:
+        return x.eta_for(dep)
+    if dt > 0:
+        prev_dx, prev_dt, axis = dx, dt - 1, "t"
+    else:
+        prev_dx, prev_dt, axis = dx - 1, 0, "x"
+    prev = prolongation_coefficient(x, dep, prev_dx, prev_dt)
+    out = total_derivative(prev, axis)
+    out = out - total_derivative(x.xi1, axis) * JetPoly.var(dep, prev_dx, prev_dt + 1)
+    out = out - total_derivative(x.xi2, axis) * JetPoly.var(dep, prev_dx + 1, prev_dt)
+    return out
+
+
+def apply_prolonged(x: PointSymmetry, g: JetPoly) -> JetPoly:
+    out = x.xi1 * g.partial_explicit("t") + x.xi2 * g.partial_explicit("x")
+    for v in g.jet_vars():
+        out = out + prolongation_coefficient(x, v.name, v.dx, v.dt) * g.partial(v)
+    return out
+
+
+def frechet_derivative(
+    q: Sequence[JetPoly], p: Sequence[JetPoly], deps: Sequence[str] = ("u", "v")
+) -> tuple[JetPoly, ...]:
+    index = {name: k for k, name in enumerate(deps)}
+    out = []
+    for comp in q:
+        acc = JetPoly.zero()
+        for v in comp.jet_vars():
+            k = index.get(v.name)
+            if k is None:
+                continue
+            acc = acc + comp.partial(v) * total_derivative_n(p[k], v.dx, v.dt)
+        out.append(acc)
+    return tuple(out)

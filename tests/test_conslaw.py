@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlwlab import conslaw
 from dlwlab.conslaw import (
@@ -20,7 +21,6 @@ from dlwlab.conslaw import (
     ibragimov_flow,
     is_trivial_law,
     lagrangian,
-    law_multipliers,
     multiplier_pairing_check,
     noether_boundary_terms,
     noether_flow,
@@ -101,7 +101,7 @@ class TestDirectLaws:
 
         qs = adjoint_symmetries()
         for label, q in (("eq29", qs[0]), ("eq31", qs[2]), ("eq32", qs[3])):
-            assert law_multipliers(direct_laws()[label], phys) == tuple(q.comp), label
+            assert reference.law_multipliers(direct_laws()[label], phys) == tuple(q.comp), label
 
 
 class TestPairings:
@@ -342,6 +342,20 @@ class TestBoundaryCurrent:
         # mixed slots up to u_xxxtt, explicit x and t, and a dependent
         # variable (w1) that is not varied
         assert_boundary_identity(density, {"u": wu, "v": wv})
+
+    @given(
+        density=jet_polys(deps=("u", "v", "w1"), max_dx=3, max_dt=2, max_terms=4, params=("mu",)),
+        wu=jet_polys(deps=("u", "v"), max_dx=2, max_dt=1, max_terms=3, params=("mu",)),
+        wv=jet_polys(deps=("u", "v"), max_dx=2, max_dt=1, max_terms=3, params=("mu",)),
+        varied=st.sampled_from((("u", "v"), ("u",), ("v",))),
+        zero=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, density, wu, wv, varied, zero):
+        # the slot loop with one + and one * per term; a zero field
+        # component, and a varied variable the density may lack
+        w = {dep: comp for dep, comp in (("u", wu), ("v", JetPoly.zero() if zero else wv)) if dep in varied}
+        assert boundary_current(density, w) == reference.boundary_current(density, w)
 
     def test_mixed_and_fourth_order_slots(self):
         x, t = JetPoly.x(), JetPoly.t()

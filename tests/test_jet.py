@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlwlab
+from dlwlab import jet
 from dlwlab.jet import (
     DimensionMismatch,
     JetError,
@@ -27,7 +28,9 @@ from dlwlab.jet import (
     formal_adjoint,
     parse_poly,
     reduce_on_shell,
+    derivative_table,
     substitute_ansatz,
+    sum_of_products,
     total_derivative,
     total_derivative_n,
 )
@@ -245,14 +248,14 @@ class TestEulerOperator:
         assert euler_operator(div, "v").is_zero()
 
 
-def _random_op_strategy():
+def _random_op_strategy(coeffs=jet_polys(max_dx=1, max_terms=2), max_dt=1, max_terms=2):
     term = st.builds(
         OpTerm,
-        jet_polys(max_dx=1, max_terms=2),
+        coeffs,
         st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=0, max_value=max_dt),
     )
-    entry = st.lists(term, min_size=0, max_size=2).map(tuple)
+    entry = st.lists(term, min_size=0, max_size=max_terms).map(tuple)
     row = st.tuples(entry, entry)
     return st.tuples(row, row).map(LinearDiffOp)
 
@@ -730,3 +733,138 @@ class TestCoefficientsIn:
         from dlwlab.waves import tanh_ansatz_system
 
         assert len(tanh_ansatz_system()) == 9
+
+
+# Polynomials with wide, shared denominators, a Laurent parameter and
+# explicit x and t; the empty dict makes the zero polynomial.
+wide_polys = wide_terms.map(JetPoly)
+# exponents above 1: a square of a polynomial with repeated coordinates
+wide_powers = st.tuples(wide_terms, wide_terms).map(lambda ab: JetPoly(ab[0]) + JetPoly(ab[1]) ** 2)
+wide_ops = _random_op_strategy(wide_polys, max_dt=2, max_terms=3)
+
+
+class TestSumsOfProducts:
+    """Every sum of products of the kernel, rewritten over
+    ``sum_of_products`` and ``derivative_table``, equals its unoptimized
+    loop in ``jet_reference`` under ``==``, and ``sum_of_products`` equals
+    the ``Fraction``-dict arithmetic."""
+
+    @given(pairs=st.lists(st.tuples(wide_terms, wide_terms), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_sum_of_products_matches_fraction_reference(self, pairs):
+        expected: dict = {}
+        for a, b in pairs:
+            expected = jet_reference.frac_add(expected, jet_reference.frac_mul(a, b))
+        _assert_terms(sum_of_products((JetPoly(a), JetPoly(b)) for a, b in pairs), expected)
+
+    @given(p=wide_powers, images=st.dictionaries(jet_vars(max_dx=2, max_dt=1), wide_polys, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_substitute_matches_reference(self, p, images):
+        got = p.substitute(images.get)
+        assert got == jet_reference.substitute(p, images.get)
+        _assert_terms(got, dict(got.terms))
+
+    @given(
+        p=wide_powers,
+        images=st.dictionaries(jet_vars(max_dx=2, max_dt=1), wide_polys, max_size=4),
+        x_image=st.none() | wide_polys,
+        t_image=st.none() | wide_polys,
+        mu_image=st.none() | wide_polys,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_derive_matches_reference(self, p, images, x_image, t_image, mu_image):
+        def var_image(v):
+            return images.get(v, JetPoly.zero())
+
+        param_image = None if mu_image is None else {"mu": mu_image}.get
+        got = p.derive(var_image, x_image, t_image, param_image)
+        assert got == jet_reference.derive(p, var_image, x_image, t_image, param_image)
+
+    @given(op=wide_ops, w=st.tuples(wide_powers, mixed_polys))
+    @settings(max_examples=60, deadline=None)
+    def test_apply_op_matches_reference(self, op, w):
+        assert apply_op(op, w) == jet_reference.apply_op(op, w)
+
+    @given(op=wide_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_formal_adjoint_matches_reference(self, op):
+        assert formal_adjoint(op) == jet_reference.formal_adjoint(op)
+
+    @given(p=mixed_polys, a=st.integers(min_value=0, max_value=3), b=st.integers(min_value=0, max_value=2))
+    @settings(max_examples=40, deadline=None)
+    def test_derivative_table_matches_reference(self, p, a, b):
+        d = derivative_table(p)
+        assert d(a, b) == jet_reference.total_derivative_n(p, a, b)
+        assert d(0, 0) is p
+
+    @pytest.mark.parametrize("dx,dt", [(-1, 0), (0, -1), (2, -1)])
+    def test_derivative_table_rejects_negative_orders(self, dx, dt):
+        with pytest.raises(JetError, match="nonnegative"):
+            derivative_table(u)(dx, dt)
+
+
+class TestKernelCost:
+    """What a sum of products pays for: each distinct derivative of an
+    operand once per call, and one normalization per sum."""
+
+    @staticmethod
+    def counting_total_derivatives(monkeypatch) -> list:
+        calls = []
+
+        def counting(p, axis, _derive=jet.total_derivative):
+            calls.append(axis)
+            return _derive(p, axis)
+
+        monkeypatch.setattr(jet, "total_derivative", counting)
+        return calls
+
+    @staticmethod
+    def counting_normalizations(monkeypatch) -> list:
+        calls = []
+
+        def counting(num, den=1, _of=JetPoly._of):
+            calls.append(den)
+            return _of(num, den)
+
+        monkeypatch.setattr(JetPoly, "_of", staticmethod(counting))
+        return calls
+
+    def test_apply_op_takes_each_distinct_derivative_once(self, monkeypatch):
+        # both rows apply D_x^2 and D_x D_t to the first component and D_t
+        # to the second
+        row = ((OpTerm(v, 2, 0), OpTerm(u * JetPoly.x(), 1, 1)), (OpTerm(ux * Fraction(1, 3), 0, 1),))
+        op = LinearDiffOp((row, row))
+        w = (u * vx + JetPoly.t(), v**2 * Fraction(2, 5))
+        expected = jet_reference.apply_op(op, w)
+        calls = self.counting_total_derivatives(monkeypatch)
+        assert apply_op(op, w) == expected
+        # D_x, D_x^2 and D_x D_t of the first component, D_t of the second
+        assert sorted(calls) == ["t", "t", "x", "x"]
+
+    @pytest.mark.parametrize("a,b", [(0, 0), (1, 0), (0, 2), (2, 1), (3, 2)])
+    def test_formal_adjoint_takes_one_chain_per_term(self, monkeypatch, a, b):
+        op = LinearDiffOp((((OpTerm(u * vx * Fraction(1, 2) + JetPoly.x() * JetPoly.t(), a, b),),),))
+        expected = jet_reference.formal_adjoint(op)
+        calls = self.counting_total_derivatives(monkeypatch)
+        assert formal_adjoint(op) == expected
+        assert len(calls) == (a + 1) * (b + 1) - 1
+
+    def test_substitute_normalizes_once(self, monkeypatch):
+        ut = JetPoly.var("u", 0, 1)
+        p = u * vx * Fraction(1, 6) + ut * Fraction(2, 15) + v * JetPoly.x() + u * ut
+        images = {
+            JetVar("u"): v * Fraction(1, 4) + ux,
+            JetVar("u", 0, 1): vx * Fraction(3, 10) - u,
+            JetVar("v", 1): JetPoly.zero(),
+        }
+        expected = jet_reference.substitute(p, images.get)
+        calls = self.counting_normalizations(monkeypatch)
+        assert p.substitute(images.get) == expected
+        assert len(calls) == 1
+
+    def test_sum_of_products_normalizes_once(self, monkeypatch):
+        pairs = [(u * Fraction(1, 6), vx + JetPoly.t()), (ux * Fraction(3, 4), v * Fraction(2, 9)), (v, u)]
+        expected = sum((a * b for a, b in pairs), JetPoly.zero())
+        calls = self.counting_normalizations(monkeypatch)
+        assert sum_of_products(pairs) == expected
+        assert len(calls) == 1

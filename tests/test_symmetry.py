@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symmetry_reference
+from conftest import jet_polys
 from dlwlab import report
 from dlwlab.jet import JetError, JetPoly, reduce_on_shell
 from dlwlab.linalg import decompose_components
@@ -20,7 +21,9 @@ from dlwlab.symmetry import (
     char_structure_constants,
     characteristic,
     characteristics,
+    apply_prolonged,
     determining_residual,
+    frechet_derivative,
     lie_bracket,
     optimal_class,
     point_symmetries,
@@ -46,6 +49,46 @@ class TestProlongation:
     def test_scaling_first_order(self):
         x4 = point_symmetries()[3]
         assert prolongation_coefficient(x4, "u", 1, 0) == -JetPoly.var("u", 1)
+
+
+# order-0 coefficients in t, x, u, v and a parameter
+point_fields = st.builds(
+    PointSymmetry, *[jet_polys(max_dx=0, max_terms=3, params=("mu",)) | st.just(JetPoly.zero())] * 4
+)
+
+
+class TestSumsOfProducts:
+    """The prolonged action and the Frechet derivative, as sums of
+    products over one derivative table per operand, equal the plain
+    loops in ``symmetry_reference``."""
+
+    @given(x=point_fields, g=jet_polys(max_dx=2, max_dt=2, max_terms=4, params=("mu",)))
+    @settings(max_examples=60, deadline=None)
+    def test_apply_prolonged_matches_reference(self, x, g):
+        assert apply_prolonged(x, g) == symmetry_reference.apply_prolonged(x, g)
+        for v in g.jet_vars():
+            assert prolongation_coefficient(x, v.name, v.dx, v.dt) == (
+                symmetry_reference.prolongation_coefficient(x, v.name, v.dx, v.dt)
+            )
+
+    @given(
+        q=st.lists(jet_polys(max_dx=2, max_dt=2, max_terms=3, params=("mu",)), min_size=1, max_size=2),
+        p=st.tuples(*[jet_polys(max_dx=2, max_dt=1, max_terms=3, params=("mu",)) | st.just(JetPoly.zero())] * 2),
+        deps=st.sampled_from((("u", "v"), ("v", "u"), ("v",))),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_frechet_derivative_matches_reference(self, q, p, deps):
+        p = p[: len(deps)]
+        assert frechet_derivative(q, p, deps) == symmetry_reference.frechet_derivative(q, p, deps)
+
+    def test_catalog_actions_match_reference(self, phys):
+        for x in point_symmetries():
+            for g in phys.equation_polys():
+                assert apply_prolonged(x, g) == symmetry_reference.apply_prolonged(x, g), x.name
+        chars = characteristics()
+        for p in chars:
+            for q in chars:
+                assert frechet_derivative(q.comp, p.comp) == symmetry_reference.frechet_derivative(q.comp, p.comp)
 
 
 class TestDeterminingResidual:
