@@ -45,6 +45,7 @@ exponents, explicit powers nonnegative.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -1055,28 +1056,68 @@ def euler_operator(p: JetPoly, dep: str, x_only: bool = False) -> JetPoly:
     Differential Equations*, sec. 4.1). ``x_only`` keeps only the row
     b = 0 of t-derivative-free slots (the multiplier-extraction variant).
 
-    E is linear, so the Horner form runs on the integer numerators of p
-    (denominator 1, never normalized) and the result takes p's
-    denominator once."""
-    # rows[b][a] holds the numerators of P_ab, all found in one pass over p
-    rows: dict[int, dict[int, dict[JetMonomial, int]]] = {}
+    The Horner form runs on keys ``(codes, xpow, tpow, params)`` encoded
+    once: ``codes`` is the sorted tuple of the codes ``(rank * S + dx) * S
+    + dt`` of the jet, one per power, with names ranked so that code order
+    is JetVar order. A row takes at most max(a) or max(b) steps, so no
+    order exceeds twice p's highest; S, one above that, is set per call
+    with no fixed limit. The nonzero numerators are decoded once, over p's
+    denominator, and normalized once. ``dep`` "x" or "t" raises JetError."""
+    if dep in RESERVED_NAMES:
+        raise JetError(f"{dep!r} is reserved for an explicit coordinate")
+    jet_vars = {v for m in p._num for v, _ in m.jet}
+    names = sorted({v.name for v in jet_vars})
+    S = 2 * max((max(v.dx, v.dt) for v in jet_vars), default=0) + 1
+    code = {v: (names.index(v.name) * S + v.dx) * S + v.dt for v in jet_vars}
+    slots = {code[v]: v for v in jet_vars if v.name == dep and not (x_only and v.dt)}
+    # rows[b][a]: P_ab, to which a power e of dep[a,b] adds c at e places
+    rows: dict[int, dict[int, dict[tuple, int]]] = {}
     for m, c in p._num.items():
-        for i, (v, e) in enumerate(m.jet):
-            if v.name != dep or (x_only and v.dt):
-                continue
-            slot = rows.setdefault(v.dt, {}).setdefault(v.dx, {})
-            slot[_monomial(_lower_power(m.jet, i), m.xpow, m.tpow, m.params)] = (
-                c * e if e > 1 else c
-            )
-    out = _ZERO
+        codes = sum([(code[v],) * e for v, e in m.jet], ())
+        for i, k in enumerate(codes):
+            v = slots.get(k)
+            if v is not None:
+                slot = rows.setdefault(v.dt, {}).setdefault(v.dx, {})
+                key = (codes[:i] + codes[i + 1 :], m.xpow, m.tpow, m.params)
+                slot[key] = slot.get(key, 0) + c
+    out: dict[tuple, int] = {}
     for b in range(max(rows, default=-1), -1, -1):
         row = rows.get(b, {})
-        acc = _ZERO
+        acc: dict[tuple, int] = {}
         for a in range(max(row, default=-1), -1, -1):
-            part = JetPoly._of(row[a]) if a in row else _ZERO
-            acc = part - total_derivative(acc, "x") if acc else part
-        out = acc - total_derivative(out, "t") if out else acc
-    return JetPoly._of(out._num, p._den)
+            acc = _minus_coded_derivative(row.get(a, {}), acc, S, False)
+        out = _minus_coded_derivative(acc, out, 1, True)
+    num = {}
+    for (codes, xpow, tpow, params), c in out.items():
+        if c:
+            jet: dict[JetVar, int] = {}
+            for k in codes:
+                rank, rest = divmod(k, S * S)
+                v = _tuple_new(JetVar, (names[rank], *divmod(rest, S)))
+                jet[v] = jet.get(v, 0) + 1
+            num[_monomial(tuple(jet.items()), xpow, tpow, params)] = c
+    return JetPoly._of(num, p._den)
+
+
+def _minus_coded_derivative(part: dict, acc: dict, step: int, in_t: bool) -> dict:
+    """``part - D(acc)`` in one pass over ``acc``, in place on the coded
+    keys of ``euler_operator``: D = D_t if ``in_t`` else D_x lifts a code by
+    ``step``, placed by ``bisect``. A power e lifts at its e places, to one
+    key. Numerators that cancelled to 0 are skipped."""
+    get = part.get
+    for (codes, xpow, tpow, params), c in acc.items():
+        if not c:
+            continue
+        for i, k in enumerate(codes):
+            lifted = k + step
+            j = bisect_right(codes, lifted, i + 1)
+            key = (codes[:i] + codes[i + 1 : j] + (lifted,) + codes[j:], xpow, tpow, params)
+            part[key] = get(key, 0) - c
+        power = tpow if in_t else xpow
+        if power:
+            key = (codes, xpow, tpow - 1, params) if in_t else (codes, xpow - 1, tpow, params)
+            part[key] = get(key, 0) - c * power
+    return part
 
 
 # ---------------------------------------------------------------------------

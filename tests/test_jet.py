@@ -46,6 +46,10 @@ vx = JetPoly.var("v", 1)
 # mixed (dx, dt) slots, explicit x/t powers and a Laurent parameter factor
 mixed_polys = jet_polys(max_dt=2, params=("mu",))
 
+# five dependent variables, orders up to u[9,3], two Laurent parameters
+DEEP_DEPS = ("q", "r", "u", "v", "w")
+deep_polys = jet_polys(deps=DEEP_DEPS, max_dx=9, max_dt=3, max_terms=3, params=("mu", "nu"))
+
 # Coefficients whose denominators (at most 60, built from the primes 2, 3,
 # 5 and 7) share factors, so that sums and products over the lcm reduce,
 # with numerators up to 10^6.
@@ -247,6 +251,15 @@ class TestEulerOperator:
         assert euler_operator(div, "u").is_zero()
         assert euler_operator(div, "v").is_zero()
 
+    @pytest.mark.parametrize("axis", ["x", "t"])
+    def test_explicit_coordinate_is_no_dependent_variable(self, axis):
+        p = u * JetPoly.x(2) * JetPoly.t() + ux
+        with pytest.raises(JetError, match=f"'{axis}' is reserved for an explicit coordinate"):
+            euler_operator(p, axis)
+
+    def test_absent_dependent_variable_gives_zero(self):
+        assert euler_operator(u * ux * JetPoly.x(), "w") == JetPoly.zero()
+
 
 def _random_op_strategy(coeffs=jet_polys(max_dx=1, max_terms=2), max_dt=1, max_terms=2):
     term = st.builds(
@@ -416,6 +429,25 @@ class TestKernelOracles:
     @settings(max_examples=150, deadline=None)
     def test_total_derivative_matches_reference(self, p, axis):
         assert total_derivative(p, axis) == jet_reference.total_derivative(p, axis)
+
+    @given(
+        p=deep_polys,
+        q=deep_polys,
+        dep=st.sampled_from(DEEP_DEPS + ("s",)),
+        x_only=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_euler_operator_matches_reference_at_high_order(self, p, q, dep, x_only):
+        # the square gives exponents above 1; "s" and any undrawn name are
+        # dependent variables absent from p
+        p = p + q**2
+        assert euler_operator(p, dep, x_only) == jet_reference.euler_operator(p, dep, x_only)
+
+    @pytest.mark.parametrize("dep", ["u", "v"])
+    @pytest.mark.parametrize("x_only", [False, True])
+    def test_euler_operator_past_any_fixed_order(self, dep, x_only):
+        p = JetPoly.var("u", 40) ** 2 * JetPoly.var("v", 0, 7) * JetPoly.x(3)
+        assert euler_operator(p, dep, x_only) == jet_reference.euler_operator(p, dep, x_only)
 
     def test_x_only_keeps_t_derivative_free_slots(self):
         p = JetPoly.var("u", 0, 1) * ux
@@ -861,6 +893,18 @@ class TestKernelCost:
         calls = self.counting_normalizations(monkeypatch)
         assert p.substitute(images.get) == expected
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("x_only", [False, True])
+    def test_euler_operator_derives_in_place_and_normalizes_once(self, monkeypatch, x_only):
+        ut = JetPoly.var("u", 0, 1)
+        p = ux**2 * v * Fraction(1, 6) + ut * JetPoly.var("u", 2, 1) * Fraction(3, 4)
+        p = p + JetPoly.var("v", 3) * u * JetPoly.x()
+        expected = jet_reference.euler_operator(p, "u", x_only)
+        derivatives = self.counting_total_derivatives(monkeypatch)
+        normalizations = self.counting_normalizations(monkeypatch)
+        assert euler_operator(p, "u", x_only) == expected
+        assert derivatives == []
+        assert len(normalizations) == 1
 
     def test_sum_of_products_normalizes_once(self, monkeypatch):
         pairs = [(u * Fraction(1, 6), vx + JetPoly.t()), (ux * Fraction(3, 4), v * Fraction(2, 9)), (v, u)]
