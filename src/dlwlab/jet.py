@@ -574,9 +574,6 @@ class JetPoly:
             out.update(n for n, _ in m.params)
         return out
 
-    def max_order(self) -> int:
-        return max((m.max_order for m in self._num), default=0)
-
     def has_explicit_xt(self) -> bool:
         return any(m.xpow or m.tpow for m in self._num)
 

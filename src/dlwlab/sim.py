@@ -10,24 +10,29 @@ measured against the exact conservation budget
 
     d/dt (integral of density) = flux(left edge) - flux(right edge).
 
-Each RK4 stage is computed once and shared. The state is one stacked
-(2, n) array of u and v. Each stage input is written straight into the
-u and v rows of one preallocated (3, n+4) buffer whose first row is a
-constant row of ones; one assignment through a strided view then fills
-all 8 ghost cells. A stage is one ghost assignment and 11 ufunc calls
-into buffers allocated once per run: u_x, v_x and the undivided u_xxx
-share one (3, n) buffer and one division by (2dx, 2dx, 2dx^3), 2u is
-formed once for both u_xxx taps, and the products are
-u_x (u, v) + (1, u) v_x, where (1, u) is a view of the buffer. A stage
+Each RK4 stage is computed once and shared. A grid of n cells is padded
+to W = n + 4 columns, and every two-row quantity is one 1-D span of
+W + n values: the u row, 4 gap cells, then the v row, so the two rows
+sit exactly W apart and every numpy call runs one flat loop. The state,
+the stage input, the four slopes and the stencil windows are such spans.
+Each stage input is written straight into the u and v rows of one
+preallocated (3, W) buffer; one assignment through a strided view then
+fills all 8 ghost cells. A stage is one ghost assignment and 13 ufunc
+calls into buffers allocated once per run: u_x, v_x and the undivided
+u_xxx share one flat buffer and one division by a per-cell scale, 2u is
+formed once, in the buffer's first row, for both u_xxx taps, and the
+products are u u_x + v_x and v u_x + u v_x row by row. A stage
 computes the negated right side, u u_x + v_x and
 u_x v + u v_x + u_xxx/3, and the stage inputs and the final RK4
 combination subtract it where the textbook form adds the right side,
-which saves the negations. The four slopes share one (4, 2, n) array,
-so 2 k2 and 2 k3 are one call. IEEE negation, 1 x and 2 x are exact,
+which saves the negations. The four slopes share one flat array, so
+2 k2 and 2 k3 are one call. IEEE negation, 1 x and 2 x are exact,
 a + (-b) is a - b, and products and two-term sums commute, so every
 value is the one the right side itself gives; only an exact zero may
-differ in sign. Work that does not need the stage's result is done per
-block of ``BLOCK_STEPS`` steps, off the per-stage path: the
+differ in sign. No value of a gap cell reaches a row: the gap of a
+stage input lies on ghost cells that the stage overwrites, and the
+guard reads the rows alone. Work that does not need the stage's result
+is done per block of ``BLOCK_STEPS`` steps, off the per-stage path: the
 exact-family ghosts of every distinct stage time of a block come from
 one call of the family's (u, v) program, and each stage only copies the
 two 5-column edge blocks of its buffer into a record whose through-flux
@@ -87,6 +92,13 @@ class BlowupError(JetError):
         self.time = time
 
 
+# The most cells a grid may have. A stable step is about cfl dx^3, so
+# past a few thousand cells even t_end = 1 takes more than MAX_STEPS
+# steps; a larger n is a typo, and would fill memory with the stage
+# buffers before any step.
+MAX_CELLS = 10**5
+
+
 @dataclass(frozen=True)
 class Grid1D:
     x_min: float
@@ -94,8 +106,12 @@ class Grid1D:
     n: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, (int, np.integer)):
+            raise JetError(f"grid size n = {self.n!r} is not an integer")
         if self.n < 16:
             raise JetError("at least 16 cells")
+        if self.n > MAX_CELLS:
+            raise JetError(f"grid size n = {self.n} exceeds MAX_CELLS = {MAX_CELLS}")
         for name in ("x_min", "x_max"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -296,46 +312,66 @@ class _Boundary:
 
 
 class _Stage:
-    """The negated semi-discrete right side of one RK4 stage for the
-    stacked (u, v) state: one ghost assignment and 11 ufunc calls, and
-    one ``take`` when the edge blocks are recorded.
+    """The negated semi-discrete right side of one RK4 stage: one ghost
+    assignment and 13 ufunc calls, and one ``take`` when the edge blocks
+    are recorded.
 
-    The stage's fields are the interior ``fields`` of rows 1 and 2 of one
-    preallocated (3, n+4) buffer, where the caller writes them; row 0 is
-    a constant row of ones, so rows 0..1 are (1, u). One assignment
-    through a strided view fills the 8 ghost cells, columns 0, 1, n+2 and
-    n+3 of the u and v rows. u_x, v_x and the undivided u_xxx share one
-    (3, n) buffer and one division by the column (2dx, 2dx, 2dx^3); 2u is
-    formed once over the padded u row and read at both u_xxx taps. The
-    products are u_x (u, v) + (1, u) v_x. Multiplying by 1 or 2 is exact
-    and IEEE products and two-term sums commute, so every value is the
-    one ``_stencil`` and the textbook products give.
+    Every two-row quantity is a span: one 1-D array of W + n values,
+    W = n + 4, holding the u row at 0..n-1, 4 gap cells at n..n+3 and
+    the v row at W..W+n-1 (``split`` gives the two rows). The stage input
+    ``fields`` is the span starting at column 2 of row 1 of one
+    preallocated (3, W) buffer, where the caller writes it; its gap cells
+    are the right ghosts of u and the left ghosts of v, so whatever the
+    caller writes there is overwritten when the stage fills the ghosts.
+    One assignment through a strided view fills the 8 ghost cells, columns
+    0, 1, n+2 and n+3 of the u and v rows. The stencil windows are spans
+    of the flat buffer shifted by -2..2 cells; u_x, v_x and the undivided
+    u_xxx share one flat buffer (u_x, gap, v_x, gap, u_xxx) and one
+    division by a per-cell scale (2dx, 2dx^3 for u_xxx); its second gap
+    stays 0. 2u is formed once over the padded u row, into row 0 of the
+    buffer, and read at both u_xxx taps. The products are
+    u u_x + v_x and v u_x + u v_x; 1 x and 2 x are exact and IEEE
+    products and two-term sums commute, so every value is the one
+    ``_stencil`` and the textbook products give. The stage writes the two
+    rows of ``out`` and never its gap cells.
     """
 
     def __init__(self, grid: Grid1D):
         n = grid.n
-        self.dx = grid.dx
-        self.buf = np.ones((3, n + 4))
-        self.fields = self.buf[1:, 2:-2]
-        self.one_u = self.buf[:2, 2:-2]
-        self.both = _windows(self.buf[1:], n)
+        w = n + 4
+        self.n, self.w, self.dx = n, w, grid.dx
+        self.buf = np.zeros((3, w))  # 2u, u and v, padded
+        self.flat = self.buf.reshape(-1)
+        self.fields = self.flat[w + 2 : 2 * w + n + 2]
+        self.both = tuple(self.flat[w + j : 2 * w + n + j] for j in range(5))
         self.rows = (_windows(self.buf[1], n), _windows(self.buf[2], n))
         # (row, side, node): columns 0, 1 and n+2, n+3 of the u and v
         # rows; the periodic wrap reads columns n, n+1 and 2, 3
         row, col = self.buf.strides
         self.ghosts = as_strided(self.buf[1:], (2, 2, 2), (row, (n + 2) * col, col))
         self.wrap = as_strided(self.buf[1:, n:], (2, 2, 2), (row, (2 - n) * col, col), writeable=False)
-        self.u_row, self.two_u = self.buf[1], np.empty(n + 4)
+        self.two_u, self.u_row = self.buf[0], self.buf[1]
         self.two_u_at = _windows(self.two_u, n)
-        self.d = np.empty((3, n))  # u_x, v_x and the undivided u_xxx
-        self.d1, self.d_rows = self.d[:2], tuple(self.d)
-        self.scale = np.array([[2 * self.dx], [2 * self.dx], [2 * self.dx**3]])
-        self.tmp = np.empty((2, n))
+        self.d = np.zeros(2 * w + n)  # u_x, gap, v_x, gap, undivided u_xxx
+        self.d1, self.d3 = self.d[: w + n], self.d[2 * w :]
+        self.u_x, self.v_x = self.split(self.d1)
+        self.u, self.v = self.split(self.fields)
+        self.scale = np.full(2 * w + n, 2 * self.dx)
+        self.scale[2 * w :] = 2 * self.dx**3
+        self.tmp = np.empty(n)
         # the two 5-column edge blocks, columns 0..4 and n-1..n+3, of the
         # u and v rows in the flat buffer
         cols = np.arange(5)
         cols = np.concatenate([cols, cols + n - 1])
-        self.flat, self.edge_index = self.buf.reshape(-1), np.concatenate([cols + n + 4, cols + 2 * (n + 4)])
+        self.edge_index = np.concatenate([cols + w, cols + 2 * w])
+
+    def span(self) -> np.ndarray:
+        """A new span, zero everywhere."""
+        return np.zeros(self.w + self.n)
+
+    def split(self, span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The u and v rows of a span."""
+        return span[: self.n], span[self.w :]
 
     def pad(self, ghosts: np.ndarray | None) -> None:
         """Fill the ghost cells around the interior ``fields`` from one
@@ -349,26 +385,28 @@ class _Stage:
         edges: np.ndarray | None = None,
     ) -> np.ndarray:
         """-u_t = u u_x + v_x, -v_t = u_x v + u v_x + u_xxx/3 of the
-        interior ``fields`` into ``out``; ``edges``, if given, receives
-        the edge blocks."""
+        interior ``fields`` into the rows of the span ``out``; ``edges``,
+        if given, receives the edge blocks."""
         self.pad(ghosts)
         if edges is not None:
             self.flat.take(self.edge_index, out=edges, mode="clip")
-        p, q, two_u, d, tmp = self.both, self.rows[0], self.two_u_at, self.d, self.tmp
-        u_x, v_x, d3 = self.d_rows
+        p, q, two_u, d3 = self.both, self.rows[0], self.two_u_at, self.d3
+        u, v, u_x, v_x, tmp = self.u, self.v, self.u_x, self.v_x, self.tmp
+        nu_t, nv_t = out[: self.n], out[self.w :]
         # _stencil's operations, in its order
         np.subtract(p[3], p[1], out=self.d1)
         np.multiply(2, self.u_row, out=self.two_u)
         np.subtract(q[4], two_u[3], out=d3)
         np.add(d3, two_u[1], out=d3)
         np.subtract(d3, q[0], out=d3)
-        np.divide(d, self.scale, out=d)
-        # u u_x + 1 v_x and u_x v + u v_x
-        np.multiply(u_x, self.fields, out=out)
-        np.multiply(self.one_u, v_x, out=tmp)
-        np.add(out, tmp, out=out)
+        np.divide(self.d, self.scale, out=self.d)
+        # u u_x + v_x and v u_x + u v_x
+        np.multiply(u, u_x, out=nu_t)
+        np.add(nu_t, v_x, out=nu_t)
+        np.multiply(v, u_x, out=nv_t)
+        np.multiply(u, v_x, out=tmp)
+        np.add(nv_t, tmp, out=nv_t)
         np.divide(d3, 3.0, out=d3)
-        nv_t = out[1]
         np.add(nv_t, d3, out=nv_t)
         return out
 
@@ -384,9 +422,9 @@ def rhs(
     if boundary is not None and not boundary.periodic:
         ghosts = np.reshape(boundary.exact_fields(boundary.ghost_x, state.time), (2, 2, 2))
     stage = _Stage(grid)
-    stage.fields[...] = fields
-    out = np.negative(stage(ghosts, np.empty_like(fields)))
-    return out[0], out[1]
+    stage.u[...], stage.v[...] = fields
+    out = stage.split(stage(ghosts, stage.span()))
+    return np.negative(out[0]), np.negative(out[1])
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +551,17 @@ class _Monitors:
         self.pending.clear()
 
     def sample(self, fields: np.ndarray, time: float, ghosts: np.ndarray | None, step: int) -> None:
-        """Quadrature of every density at ``step`` steps into the block."""
+        """Quadrature of every density of the span ``fields`` at ``step``
+        steps into the block."""
         if not self.series:
             return
         self.pending.append(step)
         if any(k for _, k in self.density_keys):
             self.stage.fields[...] = fields
             self.stage.pad(ghosts)
-        dx = self.stage.dx
+        dx, rows = self.stage.dx, self.stage.split(fields)
         values = {
-            (row, k): fields[row] if k == 0 else _stencil(self.stage.rows[row], k, dx)
+            (row, k): rows[row] if k == 0 else _stencil(self.stage.rows[row], k, dx)
             for row, k in self.density_keys
         }
         for series, terms in zip(self.series, self.density):
@@ -557,27 +596,38 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
     if initial is None:
         if cfg.boundary != "exact":
             raise JetError("periodic runs need explicit initial data")
-        fields = np.array(boundary.exact_fields(x, 0.0))
+        start = boundary.exact_fields(x, 0.0)
         t = 0.0
     else:
         if np.shape(initial.u) != (grid.n,) or np.shape(initial.v) != (grid.n,):
             raise JetError(f"initial u and v need {grid.n} values each")
-        fields = np.array([initial.u, initial.v], dtype=float)
+        start = (initial.u, initial.v)
         t = initial.time
-    _require_finite(fields, t)
+    stage = _Stage(grid)
+    # the state is a span (see _Stage) whose gap cells stay 0
+    fields = stage.span()
+    u, v = stage.split(fields)
+    u[...], v[...] = start
+    _require_finite(u, t)
+    _require_finite(v, t)
 
     dt = cfg.step_size()
     steps = max(1, round(cfg.t_end / dt))
     dt = cfg.t_end / steps
     half, sixth = 0.5 * dt, dt / 6.0
 
-    stage = _Stage(grid)
     monitors = _Monitors(cfg.monitors, stage, x, boundary.periodic, dt)
     slots = monitors.slots
-    # the k hold the negated slopes (see _Stage); y is the stage input
-    k = np.empty((4,) + fields.shape)
-    (k1, k2, k3, k4), k23 = k, k[1:3]
+    # the k hold the negated slopes (see _Stage), four spans in one flat
+    # array; y is the stage input
+    size = len(fields)
+    k = np.zeros(4 * size)
+    k1, k2, k3, k4 = np.split(k, 4)
+    k23 = k[size : 3 * size]
     y = stage.fields
+    # |u| and |v| side by side, and the start of each
+    peaks, starts = np.empty(2 * grid.n), np.array([0, grid.n])
+    u_abs, v_abs = np.split(peaks, 2)
 
     for first in range(0, steps, BLOCK_STEPS):
         count = min(BLOCK_STEPS, steps - first)
@@ -610,13 +660,17 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
             np.subtract(fields, k1, out=fields)
             t = times[2 * j + 2]
 
-            # max propagates NaN, and NaN > guard is false: a NaN row
-            # cannot hide the other row's blow-up; inf is above the guard
-            peak_u, peak_v = np.abs(fields).max(axis=1).tolist()
+            # the rows alone, never the gap; max propagates NaN, and
+            # NaN > guard is false: a NaN row cannot hide the other row's
+            # blow-up; inf is above the guard
+            np.abs(u, out=u_abs)
+            np.abs(v, out=v_abs)
+            peak_u, peak_v = np.maximum.reduceat(peaks, starts).tolist()
             if peak_u > BLOWUP_GUARD or peak_v > BLOWUP_GUARD:
                 raise BlowupError(f"field magnitude exceeded {BLOWUP_GUARD:g}", t)
             if math.isnan(peak_u) or math.isnan(peak_v):
-                _require_finite(fields, t)
+                _require_finite(u, t)
+                _require_finite(v, t)
 
             step = first + j
             if (step + 1) % cfg.output_stride == 0 or step == steps - 1:
@@ -626,9 +680,9 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
     l2 = None
     if cfg.boundary == "exact":
         ue, ve = boundary.exact_fields(x, t)
-        l2 = math.sqrt(float(np.sum((fields[0] - ue) ** 2 + (fields[1] - ve) ** 2)) * grid.dx)
+        l2 = math.sqrt(float(np.sum((u - ue) ** 2 + (v - ve) ** 2)) * grid.dx)
     return SimResult(
-        state=FieldState(u=fields[0], v=fields[1], time=t),
+        state=FieldState(u=u, v=v, time=t),
         monitors={s.label: s for s in monitors.series},
         steps=steps,
         l2_error=l2,

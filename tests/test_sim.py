@@ -39,6 +39,28 @@ class TestGridAndConfig:
         g = Grid1D(-20.0, 20.0, 64)
         assert g.dx == pytest.approx(0.625)
 
+    @pytest.mark.parametrize(
+        "n,message",
+        [
+            (128.0, "grid size n = 128.0 is not an integer"),
+            ("128", "grid size n = '128' is not an integer"),
+            (None, "grid size n = None is not an integer"),
+            # checked before any buffer is allocated; never integrated here
+            (100_001, "grid size n = 100001 exceeds MAX_CELLS = 100000"),
+            (10**9, "grid size n = 1000000000 exceeds MAX_CELLS = 100000"),
+        ],
+    )
+    def test_bad_grid_size_is_named(self, n, message):
+        with pytest.raises(JetError) as err:
+            Grid1D(-20.0, 20.0, n)
+        assert str(err.value) == message
+
+    def test_grid_size_at_the_limit_is_accepted(self):
+        assert Grid1D(-20.0, 20.0, sim.MAX_CELLS).n == sim.MAX_CELLS
+        assert Grid1D(-20.0, 20.0, np.int64(64)).dx == 0.625
+        with pytest.raises(JetError, match="^grid size n = 1000000000 exceeds MAX_CELLS"):
+            config_from_mapping({"n": "1000000000", "dt": "0.001"})
+
     def test_default_step_is_cubic_in_dx(self):
         cfg = SimConfig(grid=Grid1D(-20, 20, 64), t_end=1.0)
         assert cfg.step_size() == pytest.approx(0.2 * (40 / 64) ** 3)
@@ -455,13 +477,15 @@ class TestStageKernel:
     def test_stage_matches_reference(self, case, exact):
         grid, fields, ghosts = case
         stage = sim._Stage(grid)
-        stage.fields[...] = fields
+        stage.u[...], stage.v[...] = fields
+        out = stage.span()
         with np.errstate(all="ignore"):
-            got = np.negative(stage(ghosts.reshape(2, 2, 2) if exact else None, np.empty_like(fields)))
+            got = np.negative(stage.split(stage(ghosts.reshape(2, 2, 2) if exact else None, out)))
             want = sim_reference.padded_rhs(
                 fields[0], fields[1], ((ghosts[0, :2], ghosts[0, 2:]), (ghosts[1, :2], ghosts[1, 2:])) if exact else None, grid
             )
         assert _same_values(got, want)
+        assert out[grid.n : grid.n + 4].tolist() == [0.0] * 4  # the gap is not written
 
     @settings(max_examples=60, deadline=None)
     @given(case=_padded_fields(), boundary=st.sampled_from(["exact", "periodic"]))
@@ -517,7 +541,7 @@ class TestStepGuards:
                 super().__call__(ghosts, out, edges)
                 calls.append(None)
                 if len(calls) == 4:
-                    out[:, 5] = u, v
+                    out[5], out[self.w + 5] = u, v
                 return out
 
         def reference_rhs(state, grid, boundary=None):
@@ -549,6 +573,157 @@ class TestStepGuards:
         want, got = self.poisoned(monkeypatch, math.nan, 0.0)
         assert type(want) is type(got) is JetError
         assert "non-finite" in str(got) and str(got) == str(want)
+
+
+def _solver_run(n, monitors):
+    """A perfbench solver run: the eq93 kink at cfl 0.2, n = 128 for 112
+    steps or n = 512 for 400."""
+    dt = 0.2 * (40.0 / n) ** 3
+    return _kink(n, {128: 112, 512: 400}[n] * dt, monitors, dt=dt, output_stride=20)
+
+
+class TestGapCells:
+    """The 4 gap cells between the u and v rows of a span (see
+    ``sim._Stage``) never reach a field, a monitor or the guard."""
+
+    # NaN propagates through a max, so infinities alone are a poison of
+    # their own: they would trip a guard that read the gap
+    POISONS = [(math.nan,) * 4, (math.inf, -math.inf) * 2, (math.nan, math.inf, -math.inf, math.nan)]
+
+    @staticmethod
+    def poison_gaps(monkeypatch, poison):
+        # every stage leaves the poison in the gap of its slope
+        class Stage(sim._Stage):
+            def __call__(self, ghosts, out, edges=None):
+                super().__call__(ghosts, out, edges)
+                out[self.n : self.w] = poison
+                return out
+
+        monkeypatch.setattr(sim, "_Stage", Stage)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(lambda: (_kink(128, 0.25, ("eq32", "eq33"), output_stride=7), None), id="exact"),
+            pytest.param(lambda: _periodic_wave(("eq33", "eq32")), id="periodic"),
+            pytest.param(lambda: (_kink(128, 0.1, ("eq30",), output_stride=5), None), id="exact-eq30"),
+        ],
+    )
+    @pytest.mark.parametrize("poison", POISONS, ids=["nan", "inf", "mixed"])
+    def test_poisoned_gaps_change_nothing(self, monkeypatch, case, poison):
+        cfg, initial = case()
+        self.poison_gaps(monkeypatch, poison)
+        with np.errstate(invalid="ignore"):  # inf - inf in the gaps
+            TestReferenceOracle().assert_same(cfg, initial)
+
+    def test_poisoned_gaps_keep_the_sampled_derivatives(self, monkeypatch):
+        # eq31 samples u_x, so each sample pads the state
+        self.poison_gaps(monkeypatch, self.POISONS[2])
+        with np.errstate(invalid="ignore"):
+            TestReferenceOracle().assert_same(_kink(128, 0.1, ("eq31",), output_stride=5), rtol=1e-12)
+
+    def test_poisoned_gaps_keep_the_blowup_time(self, monkeypatch):
+        cfg = _kink(256, 2.0)
+        with pytest.raises(BlowupError) as want:
+            sim_reference.integrate(cfg)
+        self.poison_gaps(monkeypatch, self.POISONS[2])
+        with np.errstate(invalid="ignore"), pytest.raises(BlowupError) as got:
+            integrate(cfg)
+        assert got.value.time == want.value.time
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param((n, monitors), id=f"n{n}{'' if monitors else '.bare'}")
+            for n in (128, 512)
+            for monitors in (("eq32", "eq33"), ())
+        ]
+        + [pytest.param(None, id="periodic")],
+    )
+    def test_no_floating_point_exception(self, run):
+        # the four perfbench solver runs and one periodic run, with every
+        # floating-point exception raised
+        cfg, initial = _periodic_wave(("eq33", "eq32")) if run is None else (_solver_run(*run), None)
+        want = integrate(cfg, initial)
+        with np.errstate(all="raise"):
+            got = integrate(cfg, initial)
+        assert np.array_equal(got.state.u, want.state.u) and np.array_equal(got.state.v, want.state.v)
+
+
+class _RecordedCall:
+    """A numpy function or ufunc that appends (name, args, kwargs) to
+    ``calls`` at each call; a ufunc method (``reduceat``) is recorded
+    under the ufunc's name."""
+
+    def __init__(self, fn, name, calls):
+        self.fn, self.name, self.calls = fn, name, calls
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append((self.name, args, kwargs))
+        return self.fn(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return _RecordedCall(getattr(self.fn, attr), f"{self.name}.{attr}", self.calls)
+
+
+class _RecordedNumpy:
+    """``numpy`` with every function call recorded; types and constants
+    pass through."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if callable(attr) and not isinstance(attr, type):
+            return _RecordedCall(attr, name, self.calls)
+        return attr
+
+
+class TestStepCost:
+    """What an RK4 step pays in numpy calls made through ``sim.np``: 4
+    stages of 13 ufunc calls, 6 for the stage inputs, 6 for the RK4
+    combination and 3 for the guard, every one on 1-D C-contiguous
+    arrays."""
+
+    STEP_CALLS = 4 * 13 + 6 + 6 + 3
+
+    @staticmethod
+    def recorded(monkeypatch, cfg, initial=None):
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "np", _RecordedNumpy(calls))
+            integrate(cfg, initial)
+        return calls
+
+    @pytest.mark.parametrize("monitors", [(), ("eq32", "eq33")], ids=["bare", "monitored"])
+    def test_calls_per_step(self, monkeypatch, monitors):
+        # within one block and with one sample at the end, a step more
+        # costs exactly one step's calls
+        counts = [
+            len(self.recorded(monkeypatch, _kink(64, steps * 0.005, monitors, dt=0.005, output_stride=1000)))
+            for steps in (3, 4)
+        ]
+        assert counts[1] - counts[0] == self.STEP_CALLS
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(lambda: (_kink(64, 0.1, ("eq32", "eq33", "eq31"), output_stride=3), None), id="exact"),
+            pytest.param(lambda: _periodic_wave(("eq33", "eq32")), id="periodic"),
+        ],
+    )
+    def test_every_ufunc_operand_is_flat_and_contiguous(self, monkeypatch, case):
+        calls = self.recorded(monkeypatch, *case())
+        ufunc_calls = [
+            (name, args, kwargs) for name, args, kwargs in calls if isinstance(getattr(np, name.split(".")[0]), np.ufunc)
+        ]
+        names = {name for name, _, _ in ufunc_calls}
+        assert {"subtract", "add", "multiply", "divide", "abs", "maximum.reduceat"} <= names
+        for name, args, kwargs in ufunc_calls:
+            for operand in [*args, *kwargs.values()]:
+                if isinstance(operand, np.ndarray):
+                    assert operand.ndim == 1 and operand.flags.c_contiguous, name
 
 
 def _counting_compile(calls):
