@@ -33,14 +33,26 @@ into one integer accumulator and normalizes once, and each D_x^a D_t^b of
 an operand comes from a ``derivative_table`` made for the call.
 
 The dict keys, :class:`JetVar` and :class:`JetMonomial`, are namedtuples,
-so every hash, equality test and ordering of keys runs in C. Monomials
-derived from valid ones (a jet power lowered or moved to a lifted
-coordinate, an explicit power differentiated, a generator removed, a
-product) are built by the trusted constructor ``_monomial``, one
-``tuple.__new__`` that skips the checks of ``JetMonomial(...)``. Each
-derivation keeps its invariants: the jet tuple sorted by coordinate with
-positive exponents, the parameter tuple sorted by name without zero
-exponents, explicit powers nonnegative.
+so every hash, equality test and ordering of keys runs in C. A monomial
+stores its jet as ``codes``: the sorted tuple of the integer codes of its
+coordinates, one per power. The code of ``name[dx,dt]`` is ``(id << 2K) |
+(dx << K) | dt``, with ``id`` the process-wide number of ``name``. So a
+product merges two sorted int tuples, and a total derivative adds
+``1 << K`` (D_x) or 1 (D_t) to one code. ``JetVar`` rejects counts of
+``2**(K-1)`` or more: a coordinate reaches a neighbouring field only after
+``2**(K-1)`` further total derivatives, and the Euler operator at most
+doubles a count. This is the only key format of the kernel.
+
+Names are numbered in the order a process first codes them, so codes are
+process-local: a monomial pickles as its ``(JetVar, exponent)`` pairs, and
+the decoded view ``m.jet`` lists those pairs sorted by coordinate. No
+output depends on code order: text sorts by ``sort_key`` on the decoded
+view. Monomials derived from valid ones (a power removed or lifted, an
+explicit power differentiated, a generator removed, a product) are built
+by the trusted constructor ``_monomial``, one ``tuple.__new__`` that skips
+the checks of ``JetMonomial(...)``; each derivation keeps the codes sorted,
+the parameter tuple sorted by name without zero exponents, and explicit
+powers nonnegative.
 """
 
 from __future__ import annotations
@@ -50,6 +62,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import index
+from threading import Lock
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -122,6 +136,16 @@ _tuple_new = tuple.__new__
 # namedtuple's _make, and with it _replace, would skip the checks of __new__
 _checked_make = classmethod(lambda cls, fields: cls(*fields))
 
+# bits per derivative count in a coordinate's code
+_K = 32
+_MASK = (1 << _K) - 1
+_MAX_COUNT = 1 << (_K - 1)
+# each name's id, and the names by id; a name is listed before its id is
+# handed out, and the lock keeps two new names from one id
+_NAME_IDS: dict[str, int] = {}
+_NAMES: list[str] = []
+_NAMES_LOCK = Lock()
+
 
 def _no_sequence_arithmetic(self, other):
     return NotImplemented
@@ -130,7 +154,7 @@ def _no_sequence_arithmetic(self, other):
 class JetVar(namedtuple("JetVar", "name dx dt")):
     """A single jet coordinate: dependent variable ``name`` with ``dx``
     x-derivatives and ``dt`` t-derivatives. ``(name, 0, 0)`` is the
-    undifferentiated variable.
+    undifferentiated variable. Counts are below ``2**(K-1)``.
 
     A JetVar is the tuple ``(name, dx, dt)``: it hashes, compares and
     orders as that tuple, so it also equals a plain tuple with the same
@@ -141,8 +165,14 @@ class JetVar(namedtuple("JetVar", "name dx dt")):
     def __new__(cls, name: str, dx: int = 0, dt: int = 0) -> "JetVar":
         if name in RESERVED_NAMES:
             raise JetError(f"{name!r} is reserved for an explicit coordinate")
+        try:  # a numpy count becomes a Python int, which the code's shifts need
+            dx, dt = index(dx), index(dt)
+        except TypeError:
+            raise JetError(f"derivative counts must be integers, got dx={dx!r}, dt={dt!r}") from None
         if dx < 0 or dt < 0:
             raise JetError("derivative counts must be nonnegative")
+        if dx >= _MAX_COUNT or dt >= _MAX_COUNT:
+            raise JetError(f"derivative counts must be below 2**{_K - 1}, got dx={dx}, dt={dt}")
         return _tuple_new(cls, (name, dx, dt))
 
     _make = _checked_make
@@ -164,17 +194,44 @@ class JetVar(namedtuple("JetVar", "name dx dt")):
         return f"{self.name}[{self.dx},{self.dt}]"
 
 
-class JetMonomial(namedtuple("JetMonomial", "jet xpow tpow params")):
-    """Canonical power product of jet coordinates, explicit x/t powers and
-    parameter powers. ``jet`` is a tuple of ``(JetVar, exponent)`` pairs and
-    ``params`` one of ``(name, exponent)`` pairs, both stored sorted so
-    equality is structural. Parameter exponents may be negative (Laurent);
-    x/t powers may not.
+def _code(v: JetVar) -> int:
+    """The code of ``v``, numbering its name if this process has not yet."""
+    i = _NAME_IDS.get(v.name)
+    if i is None:
+        with _NAMES_LOCK:
+            i = _NAME_IDS.get(v.name)
+            if i is None:
+                _NAMES.append(v.name)
+                i = _NAME_IDS[v.name] = len(_NAMES) - 1
+    return (i << 2 * _K) | (v.dx << _K) | v.dt
 
-    A JetMonomial is the tuple ``(jet, xpow, tpow, params)``: it hashes and
-    compares as that tuple, so it also equals a plain tuple with the same
-    fields. ``*`` is the monomial product; ``+`` and multiplication by an
-    int raise. Output order is ``sort_key``, not the tuple order."""
+
+def _var(k: int) -> JetVar:
+    """The coordinate of code ``k``."""
+    return _tuple_new(JetVar, (_NAMES[k >> 2 * _K], (k >> _K) & _MASK, k & _MASK))
+
+
+def _powers(codes: tuple) -> dict[int, int]:
+    """``{code: exponent}`` of a jet, in code order."""
+    out: dict[int, int] = {}
+    for k in codes:
+        out[k] = out.get(k, 0) + 1
+    return out
+
+
+class JetMonomial(namedtuple("JetMonomial", "codes xpow tpow params")):
+    """Canonical power product of jet coordinates, explicit x/t powers and
+    parameter powers. ``codes`` holds the jet as the sorted codes of its
+    coordinates, one per power; ``jet`` is the same jet as ``(JetVar,
+    exponent)`` pairs sorted by coordinate. ``params`` is a sorted tuple of
+    ``(name, exponent)`` pairs. Parameter exponents may be negative
+    (Laurent); x/t powers may not.
+
+    The constructor, ``_make``, ``_replace`` and pickles all take the jet as
+    pairs. A JetMonomial hashes and compares as the tuple ``(codes, xpow,
+    tpow, params)``. ``*`` is the monomial product; ``+`` and
+    multiplication by an int raise. Output order is ``sort_key``, not the
+    tuple order."""
 
     __slots__ = ()
 
@@ -191,10 +248,22 @@ class JetMonomial(namedtuple("JetMonomial", "jet xpow tpow params")):
             raise JetError("jet exponents must be positive")
         if any(e == 0 for _, e in params):
             raise JetError("zero parameter exponents must not be stored")
-        return _tuple_new(cls, (jet, xpow, tpow, params))
+        codes = tuple(sorted(k for v, e in jet for k in (_code(v),) * e))
+        return _tuple_new(cls, (codes, xpow, tpow, params))
 
     _make = _checked_make
     __add__ = __radd__ = __rmul__ = _no_sequence_arithmetic
+
+    def _replace(self, **fields) -> "JetMonomial":
+        old = {"jet": self.jet, "xpow": self.xpow, "tpow": self.tpow, "params": self.params}
+        return JetMonomial(**{**old, **fields})
+
+    def __reduce__(self):
+        # codes are process-local, so a pickle carries the coordinates
+        return (JetMonomial, (self.jet, self.xpow, self.tpow, self.params))
+
+    def __repr__(self) -> str:
+        return f"JetMonomial(jet={self.jet!r}, xpow={self.xpow!r}, tpow={self.tpow!r}, params={self.params!r})"
 
     @staticmethod
     def make(
@@ -203,20 +272,17 @@ class JetMonomial(namedtuple("JetMonomial", "jet xpow tpow params")):
         tpow: int = 0,
         params: Mapping[str, int] | Iterable[tuple[str, int]] = (),
     ) -> "JetMonomial":
-        jet_items = dict(jet)
-        par_items = dict(params)
-        jet_t = tuple(sorted((v, e) for v, e in jet_items.items() if e != 0))
-        par_t = tuple(sorted((n, e) for n, e in par_items.items() if e != 0))
+        jet_t = tuple((v, e) for v, e in dict(jet).items() if e != 0)
+        par_t = tuple(sorted((n, e) for n, e in dict(params).items() if e != 0))
         return JetMonomial(jet_t, xpow, tpow, par_t)
 
     @property
+    def jet(self) -> tuple[tuple[JetVar, int], ...]:
+        return tuple(sorted((_var(k), e) for k, e in _powers(self.codes).items()))
+
+    @property
     def degree(self) -> int:
-        return (
-            sum(e for _, e in self.jet)
-            + self.xpow
-            + self.tpow
-            + sum(abs(e) for _, e in self.params)
-        )
+        return len(self.codes) + self.xpow + self.tpow + sum(abs(e) for _, e in self.params)
 
     @property
     def max_order(self) -> int:
@@ -240,51 +306,17 @@ def _monomial_product(a: JetMonomial, b: JetMonomial) -> JetMonomial:
     params = b.params
     if a.params:
         params = _merge_params(a.params, params) if params else a.params
-    return _monomial(_merge_jet(a.jet, b.jet), a.xpow + b.xpow, a.tpow + b.tpow, params)
+    codes = b.codes
+    if a.codes:
+        codes = tuple(sorted(a.codes + codes)) if codes else a.codes
+    return _tuple_new(JetMonomial, (codes, a.xpow + b.xpow, a.tpow + b.tpow, params))
 
 
-def _monomial(jet: tuple, xpow: int, tpow: int, params: tuple) -> JetMonomial:
-    """Trusted constructor for a monomial derived from valid ones: ``jet``
-    is sorted with positive exponents, ``params`` sorted without zero
-    exponents, and both powers are nonnegative. Skips the checks of
-    ``JetMonomial(...)``."""
-    return _tuple_new(JetMonomial, (jet, xpow, tpow, params))
-
-
-def _merge_jet(a: tuple, b: tuple) -> tuple:
-    """The product of two sorted jet tuples, merged in one pass: the
-    exponents of a shared coordinate add, and the result stays sorted."""
-    if not b:
-        return a
-    if not a:
-        return b
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    va, ea = a[0]
-    vb, eb = b[0]
-    while True:
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-            if i == na or j == nb:
-                break
-            va, ea = a[i]
-            vb, eb = b[j]
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-            if i == na:
-                break
-            va, ea = a[i]
-        else:
-            out.append(b[j])
-            j += 1
-            if j == nb:
-                break
-            vb, eb = b[j]
-    return (*out, *a[i:], *b[j:])
+def _monomial(codes: tuple, xpow: int, tpow: int, params: tuple) -> JetMonomial:
+    """Trusted constructor for a monomial derived from valid ones: ``codes``
+    is sorted, ``params`` sorted without zero exponents, and both powers
+    are nonnegative. Skips the checks of ``JetMonomial(...)``."""
+    return _tuple_new(JetMonomial, (codes, xpow, tpow, params))
 
 
 def _merge_params(a: tuple, b: tuple) -> tuple:
@@ -294,26 +326,6 @@ def _merge_params(a: tuple, b: tuple) -> tuple:
     for n, e in b:
         merged[n] = merged.get(n, 0) + e
     return tuple(sorted((n, e) for n, e in merged.items() if e))
-
-
-def _lower_power(jet: tuple, i: int) -> tuple:
-    """``jet`` with one power of its ``i``-th coordinate removed."""
-    v, e = jet[i]
-    if e > 1:
-        return jet[:i] + ((v, e - 1),) + jet[i + 1 :]
-    return jet[:i] + jet[i + 1 :]
-
-
-def _lift_power(jet: tuple, i: int, w: JetVar) -> tuple:
-    """``jet`` with one power of its ``i``-th coordinate moved to ``w``,
-    a coordinate that sorts after it; the result stays sorted."""
-    head = _lower_power(jet[: i + 1], i)
-    j, n = i + 1, len(jet)
-    while j < n and jet[j][0] < w:
-        j += 1
-    if j < n and jet[j][0] == w:
-        return head + jet[i + 1 : j] + ((w, jet[j][1] + 1),) + jet[j + 1 :]
-    return head + jet[i + 1 : j] + ((w, 1),) + jet[j:]
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +575,7 @@ class JetPoly:
     # -- structure queries ----------------------------------------------
 
     def jet_vars(self) -> set[JetVar]:
-        out: set[JetVar] = set()
-        for m in self._num:
-            out.update(v for v, _ in m.jet)
-        return out
+        return set(map(_var, {k for m in self._num for k in m.codes}))
 
     def param_names(self) -> set[str]:
         out: set[str] = set()
@@ -584,13 +593,13 @@ class JetPoly:
 
     def partial(self, v: JetVar) -> "JetPoly":
         """Partial derivative with respect to one jet coordinate."""
+        k = _code(v)
         out: dict[JetMonomial, int] = {}
         for m, c in self._num.items():
-            for i, (w, e) in enumerate(m.jet):
-                if w == v:
-                    key = _monomial(_lower_power(m.jet, i), m.xpow, m.tpow, m.params)
-                    out[key] = c * e if e > 1 else c
-                    break
+            codes = m.codes
+            if k in codes:
+                i = codes.index(k)
+                out[_monomial(codes[:i] + codes[i + 1 :], m.xpow, m.tpow, m.params)] = c * codes.count(k)
         return JetPoly._of(out, self._den)
 
     def partial_explicit(self, axis: str) -> "JetPoly":
@@ -602,7 +611,7 @@ class JetPoly:
         for m, c in self._num.items():
             p = m.xpow if dx else m.tpow
             if p:
-                out[_monomial(m.jet, m.xpow - dx, m.tpow - dt, m.params)] = c * p
+                out[_monomial(m.codes, m.xpow - dx, m.tpow - dt, m.params)] = c * p
         return JetPoly._of(out, self._den)
 
     def partial_param(self, name: str) -> "JetPoly":
@@ -613,7 +622,7 @@ class JetPoly:
             if not e:
                 continue
             params[name] = e - 1
-            out[JetMonomial.make(m.jet, m.xpow, m.tpow, params)] = c * e
+            out[_monomial(m.codes, m.xpow, m.tpow, tuple((n, f) for n, f in params.items() if f))] = c * e
         return JetPoly._of(out, self._den)
 
     def coefficients_in(self, gen: JetVar | str) -> dict[int, "JetPoly"]:
@@ -621,22 +630,23 @@ class JetPoly:
         coordinate or a parameter name; each ``a_k`` is nonzero and free of
         ``gen``. Removing one generator keeps distinct monomials distinct."""
         in_params = isinstance(gen, str)
+        code = None if in_params else _code(gen)
         out: dict[int, dict[JetMonomial, int]] = {}
         for m, c in self._num.items():
-            jet, params = m.jet, m.params
-            factors = params if in_params else jet
-            k = 0
-            for i, (g, e) in enumerate(factors):
-                if g == gen:
-                    k = e
-                    factors = factors[:i] + factors[i + 1 :]
-                    break
+            codes, params = m.codes, m.params
+            e = 0
             if in_params:
-                params = factors
-            else:
-                jet = factors
-            out.setdefault(k, {})[_monomial(jet, m.xpow, m.tpow, params)] = c
-        return {k: JetPoly._of(num, self._den) for k, num in out.items()}
+                for i, (n, f) in enumerate(params):
+                    if n == gen:
+                        e = f
+                        params = params[:i] + params[i + 1 :]
+                        break
+            elif code in codes:
+                i = codes.index(code)
+                e = codes.count(code)
+                codes = codes[:i] + codes[i + e :]
+            out.setdefault(e, {})[_monomial(codes, m.xpow, m.tpow, params)] = c
+        return {e: JetPoly._of(num, self._den) for e, num in out.items()}
 
     # -- generic derivation ------------------------------------------------
 
@@ -677,22 +687,22 @@ class JetPoly:
         integer numerators, with no polynomial per term. Substitution is
         linear, so the sum is divided by the denominators, self's
         included, and normalized once."""
-        images: dict[JetVar, JetPoly | None] = {}
-        powers: dict[tuple[JetVar, int], JetPoly | None] = {}
+        images: dict[int, JetPoly | None] = {}
+        powers: dict[tuple[int, int], JetPoly | None] = {}
         sums: dict[int, dict[JetMonomial, int]] = {}
         for m, c in self._num.items():
-            kept = []
+            kept: tuple = ()
             factors = []
             den = 1
-            for pair in m.jet:
+            for pair in _powers(m.codes).items():
                 if pair not in powers:
-                    v, e = pair
-                    if v not in images:
-                        images[v] = image(v)
-                    powers[pair] = None if images[v] is None else images[v] ** e
+                    k, e = pair
+                    if k not in images:
+                        images[k] = image(_var(k))
+                    powers[pair] = None if images[k] is None else images[k] ** e
                 f = powers[pair]
                 if f is None:
-                    kept.append(pair)
+                    kept += (pair[0],) * pair[1]
                 else:
                     factors.append(f._num)
                     den *= f._den
@@ -705,7 +715,7 @@ class JetPoly:
                 s = out.get(m)
                 out[m] = c if s is None else s + c
                 continue
-            num = {_monomial(tuple(kept), m.xpow, m.tpow, m.params): c}
+            num = {_monomial(kept, m.xpow, m.tpow, m.params): c}
             for f in factors[:-1]:
                 step: dict[JetMonomial, int] = {}
                 _add_product(step, num, f)
@@ -718,11 +728,8 @@ class JetPoly:
         cross-family maps such as w -> u or u -> q_x)."""
         out: dict[JetMonomial, int] = {}
         for m, c in self._num.items():
-            jet: dict[JetVar, int] = {}
-            for v, e in m.jet:
-                w = fn(v)
-                jet[w] = jet.get(w, 0) + e
-            key = JetMonomial.make(jet, m.xpow, m.tpow, m.params)
+            codes = tuple(sorted(_code(fn(_var(k))) for k in m.codes))
+            key = _monomial(codes, m.xpow, m.tpow, m.params)
             s = out.get(key)
             out[key] = c if s is None else s + c
         return JetPoly._of(_nonzero(out), self._den)
@@ -848,36 +855,43 @@ def derivative_table(p: JetPoly) -> Callable[[int, int], JetPoly]:
 def total_derivative(p: JetPoly, axis: str) -> JetPoly:
     """Total derivative D_x or D_t: explicit powers differentiate as
     ordinary monomials, jet coordinates lift their derivative counts.
-
-    One pass over the terms: each coordinate of a monomial gives the
-    monomial with one power of it moved to the lifted coordinate, times
-    its exponent. The denominator carries over."""
+    One pass of ``_add_derivative`` over the terms; the denominator
+    carries over."""
     if axis not in ("x", "t"):
         raise JetError(f"unknown axis {axis!r}")
-    dx, dt = (1, 0) if axis == "x" else (0, 1)
-    lifts: dict[JetVar, JetVar] = {}
-    out: dict[JetMonomial, int] = {}
-    for m, c in p._num.items():
-        jet = m.jet
-        for i, (v, e) in enumerate(jet):
-            w = lifts.get(v)
-            if w is None:
-                w = lifts[v] = v.lifted(axis)
-            key = _monomial(_lift_power(jet, i, w), m.xpow, m.tpow, m.params)
-            ce = c * e if e > 1 else c
-            s = out.get(key)
-            out[key] = ce if s is None else s + ce
-        k = m.xpow if dx else m.tpow
-        if k:
-            key = _monomial(jet, m.xpow - dx, m.tpow - dt, m.params)
-            s = out.get(key)
-            out[key] = c * k if s is None else s + c * k
-    return JetPoly._of(_nonzero(out), p._den)
+    return _of_keys(_add_derivative({}, p._num, in_t=axis == "t", negate=False), p._den)
 
 
-def total_derivative_n(p: JetPoly, dx: int = 0, dt: int = 0) -> JetPoly:
-    """D_x^dx D_t^dt p, taken from scratch: x first, then t."""
-    return derivative_table(p)(dx, dt)
+def _add_derivative(out: dict, terms: dict, in_t: bool, negate: bool) -> dict:
+    """``out + D(terms)``, or ``out - D(terms)`` when ``negate``, in place,
+    with D = D_t if ``in_t`` else D_x, on keys ``(codes, xpow, tpow,
+    params)``, plain tuples or monomials. Each power of a coordinate gives the key with its code
+    lifted by 1 (D_t) or ``1 << K`` (D_x) and placed by ``bisect``, so a
+    power e lifts to one key at its e places; the explicit power lowers.
+    Numerators that cancelled to 0 are skipped."""
+    step = 1 if in_t else 1 << _K
+    get = out.get
+    for (codes, xpow, tpow, params), c in terms.items():
+        if not c:
+            continue
+        if negate:
+            c = -c
+        for i, k in enumerate(codes):
+            lifted = k + step
+            j = bisect_right(codes, lifted, i + 1)
+            key = (codes[:i] + codes[i + 1 : j] + (lifted,) + codes[j:], xpow, tpow, params)
+            out[key] = get(key, 0) + c
+        power = tpow if in_t else xpow
+        if power:
+            key = (codes, xpow, tpow - 1, params) if in_t else (codes, xpow - 1, tpow, params)
+            out[key] = get(key, 0) + c * power
+    return out
+
+
+def _of_keys(out: dict, den: int) -> JetPoly:
+    """The polynomial of the nonzero numerators of ``out``, over ``den``,
+    its plain-tuple keys made monomials."""
+    return JetPoly._of({_tuple_new(JetMonomial, key): c for key, c in out.items() if c}, den)
 
 
 # ---------------------------------------------------------------------------
@@ -1053,28 +1067,23 @@ def euler_operator(p: JetPoly, dep: str, x_only: bool = False) -> JetPoly:
     Differential Equations*, sec. 4.1). ``x_only`` keeps only the row
     b = 0 of t-derivative-free slots (the multiplier-extraction variant).
 
-    The Horner form runs on keys ``(codes, xpow, tpow, params)`` encoded
-    once: ``codes`` is the sorted tuple of the codes ``(rank * S + dx) * S
-    + dt`` of the jet, one per power, with names ranked so that code order
-    is JetVar order. A row takes at most max(a) or max(b) steps, so no
-    order exceeds twice p's highest; S, one above that, is set per call
-    with no fixed limit. The nonzero numerators are decoded once, over p's
-    denominator, and normalized once. ``dep`` "x" or "t" raises JetError."""
+    The Horner form runs on the coded keys, as plain tuples, through the
+    lift of ``_add_derivative``, shared with ``total_derivative``. A row
+    takes at most max(a) or max(b) steps, so no count exceeds twice the
+    highest in p, below ``2**K``. The nonzero numerators become monomials
+    once, over p's denominator, and are normalized once. ``dep`` "x" or
+    "t" raises JetError."""
     if dep in RESERVED_NAMES:
         raise JetError(f"{dep!r} is reserved for an explicit coordinate")
-    jet_vars = {v for m in p._num for v, _ in m.jet}
-    names = sorted({v.name for v in jet_vars})
-    S = 2 * max((max(v.dx, v.dt) for v in jet_vars), default=0) + 1
-    code = {v: (names.index(v.name) * S + v.dx) * S + v.dt for v in jet_vars}
-    slots = {code[v]: v for v in jet_vars if v.name == dep and not (x_only and v.dt)}
+    dep_id = _NAME_IDS.get(dep)
     # rows[b][a]: P_ab, to which a power e of dep[a,b] adds c at e places
     rows: dict[int, dict[int, dict[tuple, int]]] = {}
     for m, c in p._num.items():
-        codes = sum([(code[v],) * e for v, e in m.jet], ())
+        codes = m.codes
         for i, k in enumerate(codes):
-            v = slots.get(k)
-            if v is not None:
-                slot = rows.setdefault(v.dt, {}).setdefault(v.dx, {})
+            b = k & _MASK
+            if k >> 2 * _K == dep_id and not (x_only and b):
+                slot = rows.setdefault(b, {}).setdefault((k >> _K) & _MASK, {})
                 key = (codes[:i] + codes[i + 1 :], m.xpow, m.tpow, m.params)
                 slot[key] = slot.get(key, 0) + c
     out: dict[tuple, int] = {}
@@ -1082,39 +1091,9 @@ def euler_operator(p: JetPoly, dep: str, x_only: bool = False) -> JetPoly:
         row = rows.get(b, {})
         acc: dict[tuple, int] = {}
         for a in range(max(row, default=-1), -1, -1):
-            acc = _minus_coded_derivative(row.get(a, {}), acc, S, False)
-        out = _minus_coded_derivative(acc, out, 1, True)
-    num = {}
-    for (codes, xpow, tpow, params), c in out.items():
-        if c:
-            jet: dict[JetVar, int] = {}
-            for k in codes:
-                rank, rest = divmod(k, S * S)
-                v = _tuple_new(JetVar, (names[rank], *divmod(rest, S)))
-                jet[v] = jet.get(v, 0) + 1
-            num[_monomial(tuple(jet.items()), xpow, tpow, params)] = c
-    return JetPoly._of(num, p._den)
-
-
-def _minus_coded_derivative(part: dict, acc: dict, step: int, in_t: bool) -> dict:
-    """``part - D(acc)`` in one pass over ``acc``, in place on the coded
-    keys of ``euler_operator``: D = D_t if ``in_t`` else D_x lifts a code by
-    ``step``, placed by ``bisect``. A power e lifts at its e places, to one
-    key. Numerators that cancelled to 0 are skipped."""
-    get = part.get
-    for (codes, xpow, tpow, params), c in acc.items():
-        if not c:
-            continue
-        for i, k in enumerate(codes):
-            lifted = k + step
-            j = bisect_right(codes, lifted, i + 1)
-            key = (codes[:i] + codes[i + 1 : j] + (lifted,) + codes[j:], xpow, tpow, params)
-            part[key] = get(key, 0) - c
-        power = tpow if in_t else xpow
-        if power:
-            key = (codes, xpow, tpow - 1, params) if in_t else (codes, xpow - 1, tpow, params)
-            part[key] = get(key, 0) - c * power
-    return part
+            acc = _add_derivative(row.get(a, {}), acc, in_t=False, negate=True)
+        out = _add_derivative(acc, out, in_t=True, negate=True)
+    return _of_keys(out, p._den)
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,6 @@ class FieldState:
     v: np.ndarray
     time: float
 
-    def check_finite(self) -> None:
-        _require_finite(self.u, self.time)
-        _require_finite(self.v, self.time)
-
 
 # The most RK4 steps one run may take. At n = 128 that many already take
 # tens of minutes; a larger count comes from a mistyped dt or t_end.
@@ -185,6 +181,8 @@ class SimConfig:
             raise JetError(
                 f"{count:.10g} steps exceed MAX_STEPS = {MAX_STEPS} at grid size n = {self.grid.n}"
             )
+        if not isinstance(self.output_stride, (int, np.integer)):
+            raise JetError(f"output_stride = {self.output_stride!r} is not an integer")
         if self.output_stride < 1:
             raise JetError("output_stride must be at least 1")
 

@@ -397,9 +397,9 @@ def similarity_reduction_checks(sys: EvolutionSystem) -> dict[str, dict]:
     """
     f = lambda k=0: JetPoly.var("f", k)
     g = lambda k=0: JetPoly.var("g", k)
-    s = lambda k=1: JetPoly.param("s", k)  # s = sqrt(t)
+    rt = lambda k=1: JetPoly.param("rt", k)  # rt = sqrt(t)
     R = JetPoly.param("R")
-    dR_dt = R * s(-2) * Fraction(-1, 2)
+    dR_dt = R * rt(-2) * Fraction(-1, 2)
     return {
         "X1+X3": _ansatz_reduction(
             sys,
@@ -411,10 +411,10 @@ def similarity_reduction_checks(sys: EvolutionSystem) -> dict[str, dict]:
         ),
         "X2+X4": _ansatz_reduction(
             sys,
-            {"u": s(-1) * f(), "v": s(-2) * g()},
-            _chain(s(-1), param_image={"R": s(-1)}.get),
-            _chain(dR_dt, param_image={"R": dR_dt, "s": s(-1) * Fraction(1, 2)}.get),
-            (s(3), s(4)),
+            {"u": rt(-1) * f(), "v": rt(-2) * g()},
+            _chain(rt(-1), param_image={"R": rt(-1)}.get),
+            _chain(dR_dt, param_image={"R": dR_dt, "rt": rt(-1) * Fraction(1, 2)}.get),
+            (rt(3), rt(4)),
             (
                 -R * f(1) / 2 - f() / 2 + f() * f(1) + g(1),
                 -g() - R * g(1) / 2 + f(1) * g() + f() * g(1) + f(3) / 3,

@@ -11,7 +11,8 @@ structurally.
 ``boundary_current`` is the general routine as it was before its sums
 went through ``jet.sum_of_products``: one ``+`` and one ``*`` per slot
 term, and every derivative of a component taken from scratch by
-``total_derivative_n``. The kernel's version must equal it on every
+``jet_reference.total_derivative_n``, not by the kernel's derivative
+table. The kernel's version must equal it on every
 density and field.
 
 ``law_multipliers`` reads the characteristics of a law off its density;
@@ -32,10 +33,10 @@ from dlwlab.jet import (
     euler_operator,
     reduce_on_shell,
     total_derivative,
-    total_derivative_n,
 )
 from dlwlab.symmetry import Characteristic, PointSymmetry, characteristic
 from dlwlab.systems import substitute_dependent
+from jet_reference import total_derivative_n
 
 
 def _p(name: str, dx: int = 0, dt: int = 0) -> JetPoly:

@@ -13,16 +13,20 @@ Two references, each following the definitions directly:
   by the reference ``total_derivative_n`` here, not the kernel's.
 * The ``frac_*`` functions share no code with ``JetPoly`` at all: they work
   on plain ``{JetMonomial: Fraction}`` dicts, build every monomial through
-  the validating ``JetMonomial.make`` and drop zero coefficients
-  explicitly. They are the oracle for the kernel's integer arithmetic.
+  the validating ``JetMonomial.make`` from ``(JetVar, exponent)`` pairs and
+  drop zero coefficients explicitly. They are the oracle for the kernel's
+  integer arithmetic and for its integer-coded keys: no ``frac_*``
+  function reads a code.
 
 The kernel in ``dlwlab.jet`` must agree with both structurally.
 
 A third reference is for the kernel's key types: ``JetVar`` and
 ``JetMonomial`` below are the frozen dataclasses the kernel used before its
 coordinates and monomials became tuples, copied as they were, less the
-monomial product (which ``frac_mul`` covers). The tuple types must hash,
-compare, order, print, pickle and reject bad fields as these do.
+monomial product (which ``frac_mul`` covers). The tuple types must
+compare, order, print, pickle and reject bad fields as these do, and a
+``JetVar`` must hash as its dataclass; a kernel monomial hashes as its
+coded fields instead.
 """
 
 from __future__ import annotations

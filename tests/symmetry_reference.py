@@ -21,7 +21,7 @@ over the derivative coordinates; ``dlwlab.symmetry`` goes through
 were before they went through ``jet.sum_of_products``: one ``+`` and one
 ``*`` per term, every prolongation coefficient computed by plain
 recursion and every derivative D_x^a D_t^b taken from scratch by
-``total_derivative_n``. The package's versions must equal them.
+``jet_reference.total_derivative_n``. The package's versions must equal them.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from dlwlab.jet import (
     JetPoly,
     JetVar,
     total_derivative,
-    total_derivative_n,
 )
 from dlwlab.symmetry import PointSymmetry
+from jet_reference import total_derivative_n
 
 Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
 

@@ -5,8 +5,11 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +35,6 @@ from dlwlab.jet import (
     substitute_ansatz,
     sum_of_products,
     total_derivative,
-    total_derivative_n,
 )
 
 import jet_reference
@@ -107,7 +109,7 @@ class TestTotalDerivative:
     @pytest.mark.parametrize("dx,dt", [(-1, 0), (0, -1), (-2, 3), (3, -2)])
     def test_negative_orders_raise(self, dx, dt):
         with pytest.raises(JetError, match="nonnegative"):
-            total_derivative_n(u * vx, dx, dt)
+            derivative_table(u * vx)(dx, dt)
 
     def test_sympy_cross_check(self):
         p = u * ux**2 * JetPoly.x() + v * JetPoly.var("u", 2) - JetPoly.t() * vx
@@ -344,7 +346,7 @@ class TestExactness:
     @given(p=jet_polys(max_dt=1))
     @settings(max_examples=50, deadline=None)
     def test_all_coefficients_stay_rational(self, p):
-        out = total_derivative_n(p, 2, 1)
+        out = derivative_table(p)(2, 1)
         assert all(isinstance(c, Fraction) for c in out.terms.values())
 
     def test_float_never_enters(self):
@@ -601,7 +603,8 @@ def _jet_error(build) -> str:
 class TestTupleKeyTypes:
     """``JetVar`` and ``JetMonomial`` are tuples; they behave as the
     dataclasses in ``jet_reference`` did, except that each also equals the
-    plain tuple of its fields."""
+    plain tuple of its fields, and a monomial hashes as the tuple of its
+    coded fields."""
 
     @given(st.lists(var_fields, min_size=1, max_size=8))
     @settings(max_examples=80, deadline=None)
@@ -623,7 +626,9 @@ class TestTupleKeyTypes:
     def test_monomials_agree_with_the_dataclass(self, fields):
         pairs = [_both_monomials(f) for f in fields]
         for new, ref in pairs:
-            assert hash(new) == hash(ref)
+            rebuilt = JetMonomial(new.jet, new.xpow, new.tpow, new.params)
+            assert rebuilt == new and hash(rebuilt) == hash(new)
+            assert [(tuple(v), e) for v, e in new.jet] == [((r.name, r.dx, r.dt), e) for r, e in ref.jet]
             assert new.sort_key() == ref.sort_key()
             assert (new.degree, new.max_order) == (ref.degree, ref.max_order)
             assert (str(new), repr(new)) == (str(ref), repr(ref))
@@ -666,6 +671,49 @@ class TestTupleKeyTypes:
             assert _jet_error(lambda: JetMonomial._make((new_jet, xpow, tpow, params))) == error
             assert _jet_error(lambda: JetMonomial()._replace(jet=new_jet, xpow=xpow, tpow=tpow, params=params)) == error
 
+    def test_counts_stay_below_the_code_width(self):
+        """A count takes K bits of a code, and a coordinate starts below
+        2**(K-1), so total derivatives and the Euler operator's doubling
+        never carry into the next field."""
+        limit = 2 ** (jet._K - 1)
+        top = JetPoly.var("u", limit - 1, limit - 1)
+        assert str(total_derivative(top, "x")) == f"u[{limit},{limit - 1}]"
+        lifted_t = total_derivative(top * JetPoly.var("v"), "t")
+        assert str(lifted_t) == f"u[{limit - 1},{limit - 1}]*v[0,1] + u[{limit - 1},{limit}]*v[0,0]"
+        # numpy counts code as the equal Python ints, whatever the name's id
+        assert JetPoly.var("v", np.int64(2), np.int32(1)) == JetPoly.var("v", 2, 1)
+        for dx, dt in [(1.5, 0), (0, 2.0), ("1", 0)]:
+            with pytest.raises(JetError, match=rf"^derivative counts must be integers, got dx={dx!r}, dt={dt!r}$"):
+                JetVar("u", dx, dt)
+        for dx, dt in [(limit, 0), (0, limit), (4 * limit, 1)]:
+            message = rf"^derivative counts must be below 2\*\*{jet._K - 1}, got dx={dx}, dt={dt}$"
+            with pytest.raises(JetError, match=message):
+                JetVar("u", dx, dt)
+
+    def test_names_coded_from_many_threads_keep_distinct_ids(self, monkeypatch):
+        names = [f"thread{i}_{j}" for i in range(8) for j in range(50)]
+
+        def slow_len(obj, _len=len):
+            n = _len(obj)
+            time.sleep(1e-5)  # widens any window between reading and growing the registry
+            return n
+
+        monkeypatch.setattr(jet, "len", slow_len, raising=False)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda part=names[i::8]: [JetPoly.var(n) for n in part]) for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert [str(JetPoly.var(n, 1)) for n in names] == [f"{n}[1,0]" for n in names]
+
     def test_no_sequence_arithmetic(self):
         v = JetVar("u", 1)
         m = JetMonomial.make({v: 2}, params={"mu": -1})
@@ -678,14 +726,18 @@ class TestTupleKeyTypes:
         v = JetVar("u", 1)
         m = JetMonomial.make({v: 2}, 1)
         assert v == ("u", 1, 0) and hash(v) == hash(("u", 1, 0))
-        assert m == (((("u", 1, 0), 2),), 1, 0, ())
+        assert (m.jet, m.xpow, m.tpow, m.params) == (((("u", 1, 0), 2),), 1, 0, ())
+        assert m == (m.codes, 1, 0, ()) and hash(m) == hash((m.codes, 1, 0, ()))
         assert jet_reference.JetVar("u", 1) != ("u", 1, 0)
 
 
 _PICKLE_SCRIPT = """
 import pickle, sys
-from dlwlab.jet import JetVar, parse_poly
+from dlwlab.jet import JetPoly, JetVar, parse_poly
 
+if sys.argv[1] == "load":
+    # other names first, so that this process codes u and v unlike the dump
+    {JetPoly.var(name) for name in ("r_1", "v", "q")}
 p = parse_poly("(3/2)*u[2,0]*v[0,1]^2*x*mu^-1 + u[0,0]*u[1,0] + (-7)*v[3,1]*t^2")
 if sys.argv[1] == "dump":
     {p}  # caches the polynomial's hash before it is pickled
@@ -696,6 +748,38 @@ else:
     assert (p - q).is_zero()
     assert JetVar("u", 2) in q.jet_vars()
     assert q in {p}
+    assert str(q) == str(p)
+"""
+
+# Random polynomials built by the kernel (products, total derivatives, Euler
+# operators, substitutions) and printed, one per line; with "reverse", the
+# names are first coded in reverse order.
+_FORMAT_SCRIPT = """
+import random, sys
+from fractions import Fraction
+from dlwlab.jet import JetPoly, euler_operator, format_poly, total_derivative
+
+NAMES = ("U", "q", "r_1", "u", "v", "w")
+if sys.argv[1] == "reverse":
+    {JetPoly.var(name) for name in reversed(NAMES)}
+rng = random.Random(2610)
+
+def poly():
+    out = JetPoly.zero()
+    for _ in range(rng.randint(1, 4)):
+        term = JetPoly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        for _ in range(rng.randint(0, 3)):
+            term = term * JetPoly.var(rng.choice(NAMES), rng.randint(0, 3), rng.randint(0, 2))
+        out = out + term * JetPoly.x(rng.randint(0, 1)) * JetPoly.param("mu", rng.randint(-1, 1))
+    return out
+
+for _ in range(60):
+    p, q = poly(), poly()
+    name = rng.choice(NAMES)
+    outputs = [p * q, total_derivative(p, "x"), total_derivative(q, "t"), euler_operator(p * q, name)]
+    outputs.append(p.substitute(lambda v: q if v.name == name else None))
+    outputs.append(p.remap_vars(lambda v: v.lifted("x")))
+    print(" | ".join(format_poly(r) for r in outputs))
 """
 
 
@@ -716,6 +800,20 @@ class TestPickling:
             return proc.stdout
 
         run("load", "2", run("dump", "1"))
+
+    def test_code_order_decides_no_output(self):
+        """Codes depend on the order in which a process first meets the
+        names; the printed forms do not."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dlwlab.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+        def run(mode):
+            proc = subprocess.run([sys.executable, "-c", _FORMAT_SCRIPT, mode], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        plain = run("plain")
+        assert plain.count("\n") == 60 and run("reverse") == plain
 
 
 class TestCoefficientsIn:

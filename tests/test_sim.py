@@ -134,6 +134,26 @@ class TestGridAndConfig:
         with pytest.raises(JetError, match="output_stride"):
             SimConfig(grid=Grid1D(-20, 20, 64), t_end=1.0, output_stride=0)
 
+    @pytest.mark.parametrize(
+        "stride,message",
+        [
+            (2.5, "output_stride = 2.5 is not an integer"),
+            (math.nan, "output_stride = nan is not an integer"),
+            (5.0, "output_stride = 5.0 is not an integer"),
+            ("5", "output_stride = '5' is not an integer"),
+        ],
+    )
+    def test_bad_output_stride_is_named(self, stride, message):
+        # rejected when the config is built, so no run starts at it
+        with pytest.raises(JetError) as err:
+            SimConfig(grid=Grid1D(-20, 20, 64), t_end=1.0, output_stride=stride)
+        assert str(err.value) == message
+
+    def test_integer_output_strides_are_accepted(self):
+        for stride in (1, 7, np.int64(7), np.int32(3)):
+            cfg = SimConfig(grid=Grid1D(-20, 20, 64), t_end=1.0, output_stride=stride)
+            assert cfg.output_stride == stride
+
     def test_bad_config_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense without equals\n")

@@ -127,9 +127,11 @@ def _benchmark_tables() -> dict:
 def test_benchmark_import_surface_resolves():
     """Every name the benchmark patches or calls exists, so a deletion that
     would break the traced run fails here rather than only there."""
+    from fractions import Fraction
+
     import numpy as np
 
-    from dlwlab import analytic, sim
+    from dlwlab import analytic, jet, report, sim, solutions
     from dlwlab.solutions import family_registry
 
     tables = _benchmark_tables()
@@ -144,6 +146,27 @@ def test_benchmark_import_surface_resolves():
     x = np.linspace(-20.0, 20.0, 16)
     u = analytic.compile_expr(family_registry()["eq93"].u_expr, {"mu": 1.0})(x, 0.0)
     assert u.shape == x.shape and np.isfinite(u).all()
+    # one call of each constructor and entry point the workloads build their
+    # inputs and checks with, called as they call it
+    m = jet.JetMonomial.make({jet.JetVar("u", 1, 0): 2, jet.JetVar("v", 0, 1): 1}, 1, 0)
+    p = jet.JetPoly({m: Fraction(-3, 2)})
+    op = jet.LinearDiffOp(((((jet.OpTerm(p, 1, 0),),),)))
+    assert jet.apply_op(op, (jet.JetPoly.var("v"),)) == (jet.total_derivative(jet.JetPoly.var("v"), "x") * p,)
+    grid = sim.Grid1D(-20.0, 20.0, 128)
+    sim.SimConfig(
+        grid=grid,
+        t_end=grid.dx**3,
+        dt=0.2 * grid.dx**3,
+        boundary="exact",
+        family="eq93",
+        binding={"mu": 1.0},
+        monitors=("eq32", "eq33"),
+        output_stride=20,
+    )
+    records = solutions.scan_family("eq93", n_samples=2, seed=0)
+    fields = {"family", "passes", "samples_used", "samples_skipped", "max_residual", "per_equation"}
+    assert records and all(fields <= set(rec) for rec in records)
+    assert report.report_to_json_text(report.run_suite("symmetry")).startswith("{")
 
 
 def test_every_public_name_exists():
