@@ -22,7 +22,12 @@ candidate). A lookup walks no tree: the system is built once per
 process, and every node keeps its hash once computed. So
 ``solutions.scan_family`` draws its samples once per family, folds the
 parameters of each binding, and runs the program once over all of them
-(``_residual_reports``)."""
+(``_residual_reports``).
+
+The residuals themselves are the system's equations with every jet
+coordinate replaced by a derivative of the candidate, taken by ``diff``
+from one ``jet.derivative_table`` per field, the tower that the jet
+layer's total derivatives and ansatz substitutions also use."""
 
 from __future__ import annotations
 
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .jet import EvolutionSystem, JetPoly
+from .jet import EvolutionSystem, JetPoly, derivative_table
 
 __all__ = [
     "AnalyticError",
@@ -680,31 +685,22 @@ def system_residual_exprs(
     sys: EvolutionSystem, candidate: Sequence[Expr]
 ) -> tuple[Expr, ...]:
     """Substitute a candidate field tuple into each equation of the
-    system, taking every derivative symbolically."""
+    system, taking every derivative symbolically: each derivative of a
+    field comes from one ``jet.derivative_table`` of it, with ``diff`` in
+    x and t as the maps."""
     if len(candidate) != sys.width:
         raise AnalyticError("candidate width does not match the system")
-    index = {name: k for k, name in enumerate(sys.deps)}
-    deriv_cache: dict[tuple[str, int, int], Expr] = {}
-
-    def field_derivative(name: str, dx: int, dt: int) -> Expr:
-        key = (name, dx, dt)
-        got = deriv_cache.get(key)
-        if got is None:
-            if dt > 0:
-                got = diff(field_derivative(name, dx, dt - 1), "t")
-            elif dx > 0:
-                got = diff(field_derivative(name, dx - 1, 0), "x")
-            else:
-                got = candidate[index[name]]
-            deriv_cache[key] = got
-        return got
+    tables = {
+        name: derivative_table(e, lambda f: diff(f, "x"), lambda f: diff(f, "t"))
+        for name, e in zip(sys.deps, candidate)
+    }
 
     def poly_to_expr(p: JetPoly) -> Expr:
         terms = []
         for m, c in p.items():
             factors: list[Expr] = [Const(c)]
             for v, e in m.jet:
-                factors.append(pow_(field_derivative(v.name, v.dx, v.dt), e))
+                factors.append(pow_(tables[v.name](v.dx, v.dt), e))
             if m.xpow:
                 factors.append(pow_(X, m.xpow))
             if m.tpow:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -66,7 +67,8 @@ def _emit(report: VerificationReport, args: argparse.Namespace) -> int:
 
 
 def _parse_binding(text: str) -> dict[str, float]:
-    """``--binding`` value: comma-separated name=value pairs."""
+    """``--binding`` value: comma-separated name=value pairs, each value a
+    finite number."""
     out: dict[str, float] = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -77,8 +79,8 @@ def _parse_binding(text: str) -> dict[str, float]:
             value = float(val)
         except ValueError:
             value = None
-        if value is None or not key.strip():
-            raise argparse.ArgumentTypeError(f"malformed binding {chunk!r}: expected name=number")
+        if value is None or not math.isfinite(value) or not key.strip():
+            raise argparse.ArgumentTypeError(f"malformed binding {chunk!r}: expected name=finite number")
         out[key.strip()] = value
     return out
 

@@ -29,8 +29,15 @@ the edges: the public constructor, scalar operands, and ``.terms`` /
 
 A sum of products (an adjoint action, a Frechet derivative, a
 substitution) goes through ``sum_of_products``, which adds every product
-into one integer accumulator and normalizes once, and each D_x^a D_t^b of
-an operand comes from a ``derivative_table`` made for the call.
+into one integer accumulator and normalizes once. ``derivative_table`` is
+the one memoized tower of derivatives d_x^a d_t^b: each D_x^a D_t^b of an
+operand, each image of an ansatz and each derivative of an analytic
+candidate comes from a table made for the call.
+
+``reduce_on_shell`` is one substitution of every reducible coordinate by
+its image under a solved system. Each image is built on first use from
+the one below it, reduced before it is stored, and kept by the system's
+own reducer, so it lives as long as the system does.
 
 The dict keys, :class:`JetVar` and :class:`JetMonomial`, are namedtuples,
 so every hash, equality test and ordering of keys runs in C. A monomial
@@ -64,7 +71,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import index
 from threading import Lock
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 __all__ = [
     "JetError",
@@ -92,6 +99,8 @@ __all__ = [
 ]
 
 RESERVED_NAMES = ("x", "t")
+
+_T = TypeVar("_T")
 
 #: Highest jet order the on-shell reduction tables will prolong to before
 #: assuming a runaway substitution. Sixth order covers every identity in
@@ -283,10 +292,6 @@ class JetMonomial(namedtuple("JetMonomial", "codes xpow tpow params")):
     @property
     def degree(self) -> int:
         return len(self.codes) + self.xpow + self.tpow + sum(abs(e) for _, e in self.params)
-
-    @property
-    def max_order(self) -> int:
-        return max((v.order for v, _ in self.jet), default=0)
 
     def sort_key(self):
         jet_key = tuple((v.name, v.dx, v.dt, e) for v, e in self.jet)
@@ -744,24 +749,16 @@ def substitute_ansatz(
     """``p`` with each coordinate ``name[a,b]`` replaced by
     ``dt^b(dx^a(base[name]))``: the ansatz ``base`` for the dependent
     variables, with ``dx`` and ``dt`` the total derivatives in its own
-    variables. Each image is built once per call, from the one below it.
-    Explicit x, t and parameters pass through; a coordinate whose name
-    ``base`` lacks raises JetError."""
-    images: dict[JetVar, JetPoly] = {}
+    variables. The images of each name come from one
+    :func:`derivative_table` of its ansatz, so each is built once per call,
+    from the one below it. Explicit x, t and parameters pass through; a
+    coordinate whose name ``base`` lacks raises JetError."""
+    tables = {name: derivative_table(img, dx, dt) for name, img in base.items()}
 
     def image(var: JetVar) -> JetPoly:
-        got = images.get(var)
-        if got is None:
-            if var.dt:
-                got = dt(image(JetVar(var.name, var.dx, var.dt - 1)))
-            elif var.dx:
-                got = dx(image(JetVar(var.name, var.dx - 1, 0)))
-            elif var.name in base:
-                got = base[var.name]
-            else:
-                raise JetError(f"the ansatz gives no image of {var.name!r}")
-            images[var] = got
-        return got
+        if var.name not in tables:
+            raise JetError(f"the ansatz gives no image of {var.name!r}")
+        return tables[var.name](var.dx, var.dt)
 
     return p.substitute(image)
 
@@ -828,21 +825,24 @@ def sum_of_products(pairs: Iterable[tuple[JetPoly, JetPoly]]) -> JetPoly:
     return _over_common_denominator(sums)
 
 
-def derivative_table(p: JetPoly) -> Callable[[int, int], JetPoly]:
-    """``d(a, b) = D_x^a D_t^b p``, each entry built once per table by one
-    total derivative of the entry one order below it (in t if ``b``, else
-    in x), the way ``substitute_ansatz`` builds its images. The kernel
-    makes one table per operand and call, so nothing is kept between
-    calls."""
+def derivative_table(
+    p: _T,
+    dx: Callable[[_T], _T] = lambda q: total_derivative(q, "x"),
+    dt: Callable[[_T], _T] = lambda q: total_derivative(q, "t"),
+) -> Callable[[int, int], _T]:
+    """``d(a, b) = dx^a dt^b p``, each entry built once per table by one
+    map of the entry one order below it (``dt`` if ``b``, else ``dx``).
+    The maps default to the total derivatives D_x and D_t; any pair of
+    commuting derivations of ``p``'s type will do. Callers make one table
+    per operand and call, so nothing is kept between calls."""
     table = {(0, 0): p}
 
-    def d(a: int, b: int) -> JetPoly:
+    def d(a: int, b: int) -> _T:
         got = table.get((a, b))
         if got is None:
             if a < 0 or b < 0:
                 raise JetError(f"total derivative orders must be nonnegative, got dx={a}, dt={b}")
-            got = total_derivative(d(a, b - 1), "t") if b else total_derivative(d(a - 1, 0), "x")
-            table[(a, b)] = got
+            got = table[(a, b)] = dt(d(a, b - 1)) if b else dx(d(a - 1, 0))
         return got
 
     return d
@@ -903,15 +903,19 @@ class SolvedSystem:
     """Differential system in solved form: each rule maps a leading jet
     coordinate to the expression it equals. A coordinate is reducible when
     it is a prolongation (componentwise >= in dx, dt) of a leading one.
+    Each system builds its own on-shell reducer, which keeps the images
+    of its reducible coordinates for as long as the system lives.
     """
 
     rules: tuple[tuple[JetVar, JetPoly], ...]
     max_order: int = DEFAULT_MAX_ORDER
+    _on_shell: "_Reducer" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         names = [v.name for v, _ in self.rules]
         if len(set(names)) != len(names):
             raise JetError("one solved rule per dependent variable")
+        object.__setattr__(self, "_on_shell", _Reducer(self))
 
     def leading_for(self, v: JetVar) -> tuple[JetVar, JetPoly] | None:
         for lead, rhs in self.rules:
@@ -936,7 +940,7 @@ class EvolutionSystem:
     rhs: tuple[JetPoly, ...]
     lead_dx: int = 0
     max_order: int = DEFAULT_MAX_ORDER
-    # built once here, so that every reduction finds its reducer by identity
+    # built once here, so every reduction on this system shares one reducer
     _solved: SolvedSystem = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -966,88 +970,57 @@ class EvolutionSystem:
 
 
 class _Reducer:
-    """Memoized substitution engine for a solved system."""
+    """The on-shell images of one solved system's reducible coordinates.
+    Each image is built on first use, from the rule or from the image one
+    order below it, and is reduced before it is stored, so a reduction is
+    one substitution."""
 
     def __init__(self, sys: SolvedSystem):
         self.sys = sys
         self.images: dict[JetVar, JetPoly] = {}
         self._in_progress: set[JetVar] = set()
 
-    def image(self, v: JetVar) -> JetPoly:
+    def image(self, v: JetVar) -> JetPoly | None:
+        """The reduced image of ``v``, or None when ``v`` is irreducible."""
         got = self.images.get(v)
         if got is not None:
             return got
+        hit = self.sys.leading_for(v)
+        if hit is None:
+            return None
         if v in self._in_progress:
             raise ReductionError(
                 f"cyclic substitution: the solved form of {v} depends on itself"
             )
-        self._in_progress.add(v)
-        try:
-            return self._compute_image(v)
-        finally:
-            self._in_progress.discard(v)
-
-    def _compute_image(self, v: JetVar) -> JetPoly:
-        hit = self.sys.leading_for(v)
-        if hit is None:
-            raise ReductionError(f"{v} is not reducible")
-        lead, rhs = hit
         if v.order > self.sys.max_order:
             raise ReductionError(
                 f"reduction would prolong past order {self.sys.max_order}: {v}"
             )
-        if v == lead:
-            out = self.reduce(rhs)
-        elif v.dx > lead.dx:
-            out = self.reduce(total_derivative(self.image(JetVar(v.name, v.dx - 1, v.dt)), "x"))
-        else:
-            out = self.reduce(total_derivative(self.image(JetVar(v.name, v.dx, v.dt - 1)), "t"))
-        self.images[v] = out
-        return out
+        lead, rhs = hit
+        self._in_progress.add(v)
+        try:
+            if v == lead:
+                got = self.reduce(rhs)
+            elif v.dx > lead.dx:
+                got = self.reduce(total_derivative(self.image(JetVar(v.name, v.dx - 1, v.dt)), "x"))
+            else:
+                got = self.reduce(total_derivative(self.image(JetVar(v.name, v.dx, v.dt - 1)), "t"))
+        finally:
+            self._in_progress.discard(v)
+        self.images[v] = got
+        return got
 
     def reduce(self, p: JetPoly) -> JetPoly:
-        current = p
-        previous_count: int | None = None
-        while True:
-            reducible = {v for v in current.jet_vars() if self.sys.is_reducible(v)}
-            if not reducible:
-                return current
-            if previous_count is not None and len(reducible) >= previous_count:
-                raise ReductionError(
-                    "substitution pass did not decrease the reducible-variable count"
-                )
-            previous_count = len(reducible)
-            # Resolve highest t-derivatives first so the measure decreases.
-            for v in sorted(reducible, key=lambda w: (w.dt, w.dx), reverse=True):
-                self.image(v)
-            current = current.substitute(
-                lambda v: self.images.get(v) if self.sys.is_reducible(v) else None
-            )
-
-
-_REDUCERS: dict[int, tuple[SolvedSystem, _Reducer]] = {}
-
-
-def _reducer(sys: SolvedSystem | EvolutionSystem) -> _Reducer:
-    solved = sys.solved() if isinstance(sys, EvolutionSystem) else sys
-    key = hash(solved)
-    hit = _REDUCERS.get(key)
-    if hit is not None:
-        if hit[0] is solved:
-            return hit[1]
-        if hit[0] == solved:
-            # an equal system built anew: later lookups match it by identity
-            _REDUCERS[key] = (solved, hit[1])
-            return hit[1]
-    red = _Reducer(solved)
-    _REDUCERS[key] = (solved, red)
-    return red
+        return p.substitute(self.image)
 
 
 def reduce_on_shell(p: JetPoly, sys: SolvedSystem | EvolutionSystem) -> JetPoly:
     """Eliminate every reducible derivative using the solved form and its
-    prolongations, substituting highest t-derivatives first."""
-    return _reducer(sys).reduce(p)
+    prolongations: one substitution of each reducible coordinate by its
+    reduced image. The images are kept by the system's own reducer, built
+    on first use and shared by every later reduction on that system."""
+    solved = sys.solved() if isinstance(sys, EvolutionSystem) else sys
+    return solved._on_shell.reduce(p)
 
 
 # ---------------------------------------------------------------------------

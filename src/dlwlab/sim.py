@@ -694,8 +694,13 @@ def convergence_study(
     t_end: float = 1.0,
 ) -> list[dict]:
     """L2-error table on [-20, 20] over a grid refinement sequence with
-    observed orders between consecutive entries. Refuses families that
-    do not verify analytically (no exact reference, no study)."""
+    observed orders between consecutive entries. Refuses, before any
+    run, a grid size equal to the one before it (it has no observed
+    order) and families that do not verify analytically (no exact
+    reference, no study)."""
+    for prev, n in zip(n_list, n_list[1:]):
+        if n == prev:
+            raise JetError(f"grid sizes must differ from the one before: n = {n} follows n = {prev}")
     rep = verify_family(family, binding, seed=11)
     if not (rep.samples_used and rep.max_residual < RESIDUAL_TOL):
         raise JetError(f"family {family} is not a verified exact solution")

@@ -5,6 +5,12 @@ invariant of its adjoint action
 
     X1 = d/dt,  X2 = d/dx,  X3 = t d/dx + d/du,
     X4 = (x/2) d/dx + t d/dt - (u/2) d/du - v d/dv.
+
+A field prolongs through its characteristic Q_dep = eta_dep - xi1 dep_t
+- xi2 dep_x: the coefficient of d/d(dep_J) is D_J Q_dep + xi1 dep_{J,t} +
+xi2 dep_{J,x} (Olver, *Applications of Lie Groups to Differential
+Equations*, GTM 107, Thm. 2.36), each D_J Q from one
+``jet.derivative_table``.
 """
 
 from __future__ import annotations
@@ -141,16 +147,16 @@ def point_symmetries() -> tuple[PointSymmetry, ...]:
     )
 
 
+def _characteristic_component(x: PointSymmetry, dep: str) -> JetPoly:
+    """Q_dep = eta_dep - xi1 dep_t - xi2 dep_x; JetError for a ``dep``
+    other than u or v."""
+    return x.eta_for(dep) - x.xi1 * JetPoly.var(dep, 0, 1) - x.xi2 * JetPoly.var(dep, 1, 0)
+
+
 def characteristic(x: PointSymmetry, name: str = "") -> Characteristic:
     """Evolutionary representative (P^u, P^v) of a point symmetry."""
-    comp = []
-    for dep in ("u", "v"):
-        comp.append(
-            x.eta_for(dep)
-            - x.xi1 * JetPoly.var(dep, 0, 1)
-            - x.xi2 * JetPoly.var(dep, 1, 0)
-        )
-    return Characteristic(tuple(comp), name=name or (x.name and f"P{x.name[1:]}"))
+    comp = tuple(_characteristic_component(x, dep) for dep in ("u", "v"))
+    return Characteristic(comp, name=name or (x.name and f"P{x.name[1:]}"))
 
 
 def characteristics() -> tuple[Characteristic, ...]:
@@ -161,48 +167,25 @@ def characteristics() -> tuple[Characteristic, ...]:
 # prolongation
 
 
-def _prolongation(x: PointSymmetry) -> Callable[[str, int, int], JetPoly]:
-    """``pr(dep, dx, dt)``, the coefficient of d/d(dep[dx,dt]) in the
-    prolonged field, from the recursion: the coefficient for a
-    multi-index extended by axis i is the total derivative D_i of the
-    previous coefficient minus (D_i xi^j) times the variable's derivative
-    lifted along j. Each coefficient and each D_i xi^j is taken once per
-    table, from the entry one order below it."""
-    xi1, xi2 = derivative_table(x.xi1), derivative_table(x.xi2)
-    table: dict[tuple[str, int, int], JetPoly] = {}
-
-    def pr(dep: str, dx: int, dt: int) -> JetPoly:
-        got = table.get((dep, dx, dt))
-        if got is None:
-            if dx == 0 and dt == 0:
-                got = x.eta_for(dep)
-            else:
-                # (dx, dt) is (a, b) extended along axis; t-derivatives are peeled first
-                a, b, axis, i, j = (dx, dt - 1, "t", 0, 1) if dt else (dx - 1, 0, "x", 1, 0)
-                got = total_derivative(pr(dep, a, b), axis) - sum_of_products(
-                    ((xi1(i, j), JetPoly.var(dep, a, b + 1)), (xi2(i, j), JetPoly.var(dep, a + 1, b)))
-                )
-            table[(dep, dx, dt)] = got
-        return got
-
-    return pr
-
-
 def prolongation_coefficient(x: PointSymmetry, dep: str, dx: int, dt: int) -> JetPoly:
-    """Coefficient of d/d(dep[dx,dt]) in the prolonged field of ``x``."""
-    return _prolongation(x)(dep, dx, dt)
+    """Coefficient of d/d(dep[dx,dt]) in the prolonged field of ``x``:
+    D_x^dx D_t^dt Q_dep + xi1 dep[dx,dt+1] + xi2 dep[dx+1,dt]."""
+    return derivative_table(_characteristic_component(x, dep))(dx, dt) + sum_of_products(
+        ((x.xi1, JetPoly.var(dep, dx, dt + 1)), (x.xi2, JetPoly.var(dep, dx + 1, dt)))
+    )
 
 
 def apply_prolonged(x: PointSymmetry, g: JetPoly) -> JetPoly:
-    """Action of the prolonged field on a differential polynomial: one
-    :func:`sum_of_products`, with the prolongation coefficients of one
-    table."""
-    pr = _prolongation(x)
+    """Action of the prolonged field on a differential polynomial,
+    sum_J D_J Q_dep dg/d(dep_J) + xi1 D_t g + xi2 D_x g: one
+    :func:`sum_of_products`, with one table of the D_J Q_dep per name."""
+    jet_vars = g.jet_vars()
+    tables = {n: derivative_table(_characteristic_component(x, n)) for n in {v.name for v in jet_vars}}
     return sum_of_products(
         (
-            (x.xi1, g.partial_explicit("t")),
-            (x.xi2, g.partial_explicit("x")),
-            *((pr(v.name, v.dx, v.dt), g.partial(v)) for v in g.jet_vars()),
+            (x.xi1, total_derivative(g, "t")),
+            (x.xi2, total_derivative(g, "x")),
+            *((g.partial(v), tables[v.name](v.dx, v.dt)) for v in jet_vars),
         )
     )
 

@@ -12,6 +12,11 @@ must agree with them: bit for bit with ``compile_expr`` and with the
 values and skip masks of ``evaluate_samples``, in the skipped samples and
 within rounding with the scalar ``residual_max``.
 
+``system_residual_exprs`` substitutes a candidate into the system by its
+own memoized recursion over the field derivatives, as the analytic layer
+did before it took them from ``jet.derivative_table``; the two must build
+equal trees.
+
 ``scan_family`` is the residual scan as it was before the samples were
 drawn once per family and the pair built once per process: each binding
 draws its own samples with ``rng.uniform`` and gets a fresh pair from
@@ -43,9 +48,14 @@ from dlwlab.analytic import (
     ResidualReport,
     Sech,
     SqrtConst,
+    T,
     Tanh,
     UnboundParameter,
-    system_residual_exprs,
+    X,
+    add,
+    diff,
+    mul,
+    pow_,
 )
 from dlwlab.analytic import residual_max as program_residual_max
 from dlwlab.jet import EvolutionSystem, JetPoly
@@ -230,6 +240,43 @@ def evaluate_samples(
         vals = np.array([np.broadcast_to(f(xt[:, 0], xt[:, 1], skip), skip.shape) for f in fns])
     skip |= ~np.isfinite(vals).all(axis=0)
     return vals, skip
+
+
+def system_residual_exprs(sys: EvolutionSystem, candidate: Sequence[Expr]) -> tuple[Expr, ...]:
+    if len(candidate) != sys.width:
+        raise AnalyticError("candidate width does not match the system")
+    index = {name: k for k, name in enumerate(sys.deps)}
+    deriv_cache: dict[tuple[str, int, int], Expr] = {}
+
+    def field_derivative(name: str, dx: int, dt: int) -> Expr:
+        key = (name, dx, dt)
+        got = deriv_cache.get(key)
+        if got is None:
+            if dt > 0:
+                got = diff(field_derivative(name, dx, dt - 1), "t")
+            elif dx > 0:
+                got = diff(field_derivative(name, dx - 1, 0), "x")
+            else:
+                got = candidate[index[name]]
+            deriv_cache[key] = got
+        return got
+
+    def poly_to_expr(p: JetPoly) -> Expr:
+        terms = []
+        for m, c in p.items():
+            factors: list[Expr] = [Const(c)]
+            for v, e in m.jet:
+                factors.append(pow_(field_derivative(v.name, v.dx, v.dt), e))
+            if m.xpow:
+                factors.append(pow_(X, m.xpow))
+            if m.tpow:
+                factors.append(pow_(T, m.tpow))
+            for n, e in m.params:
+                factors.append(pow_(Param(n), e))
+            terms.append(mul(*factors))
+        return add(*terms)
+
+    return tuple(poly_to_expr(g) for g in sys.equation_polys())
 
 
 def residual_max(

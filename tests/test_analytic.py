@@ -188,6 +188,12 @@ class TestReferenceOracle:
                     assert outcome(got, x, t) == outcome(want, x, t), (binding, t)
 
     @pytest.mark.parametrize("fid", sorted(family_registry()))
+    def test_residual_exprs_are_the_reference_trees(self, phys, fid):
+        fam = family_registry()[fid]
+        candidate = (fam.u_expr, fam.v_expr)
+        assert system_residual_exprs(phys, candidate) == reference.system_residual_exprs(phys, candidate)
+
+    @pytest.mark.parametrize("fid", sorted(family_registry()))
     def test_residual_max_matches_reference(self, phys, fid):
         fam = family_registry()[fid]
         for binding in fam.default_grid:

@@ -511,7 +511,7 @@ def test_error_past_parsing_in_a_suite_command_is_not_a_usage_error(tmp_path):
         main(["--json", str(tmp_path), "symmetry", "verify"])
 
 
-@pytest.mark.parametrize("binding", ["mu", "mu=abc", "=1", "mu=1,nu"])
+@pytest.mark.parametrize("binding", ["mu", "mu=abc", "=1", "mu=1,nu", "mu=nan", "mu=inf", "mu=1,nu=-inf"])
 def test_malformed_binding_exits_two(binding, capsys):
     with pytest.raises(SystemExit) as err:
         main(["waves", "verify", "--family", "eq93", "--binding", binding])
@@ -536,6 +536,19 @@ def test_sim_converge_step_longer_than_t_end_names_it(capsys):
     assert captured.out == ""
     assert captured.err == (
         "dlwlab sim converge: JetError: step size 0.390625 is longer than t_end 0.1 at grid size n = 32\n"
+    )
+
+
+def test_sim_converge_repeated_size_exits_two(monkeypatch, capsys):
+    def refuse(*a, **k):
+        raise AssertionError("a run started on a repeated grid size")
+
+    monkeypatch.setattr("dlwlab.sim.integrate", refuse)
+    assert main(["sim", "converge", "--n", "64,64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dlwlab sim converge: JetError: grid sizes must differ from the one before: n = 64 follows n = 64\n"
     )
 
 

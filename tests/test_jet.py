@@ -18,6 +18,7 @@ import dlwlab
 from dlwlab import jet
 from dlwlab.jet import (
     DimensionMismatch,
+    EvolutionSystem,
     JetError,
     JetMonomial,
     JetPoly,
@@ -208,6 +209,31 @@ class TestReduceOnShell:
         assert not any(phys.solved().is_reducible(w) for w in out.jet_vars())
         expected = self._sympy_on_shell(to_sympy(p), phys)
         assert sp.expand(to_sympy(out) - expected) == 0
+
+    def test_warm_reduction_is_one_substitution(self, phys, monkeypatch):
+        p = JetPoly.var("u", 3, 2) * v + JetPoly.var("v", 1, 1) * JetPoly.x()
+        cold = reduce_on_shell(p, phys)
+        calls = []
+
+        def counting(self, image, _substitute=JetPoly.substitute):
+            calls.append(self)
+            return _substitute(self, image)
+
+        monkeypatch.setattr(JetPoly, "substitute", counting)
+        assert reduce_on_shell(p, phys) == cold
+        assert calls == [p]
+
+    def test_equal_systems_keep_their_own_images(self):
+        rhs = (u * ux + vx, ux * v + u * vx + JetPoly.var("u", 3) * Fraction(1, 3))
+        a, b = (EvolutionSystem(deps=("u", "v"), rhs=rhs) for _ in range(2))
+        assert a == b and a.solved() is not b.solved()
+        p = JetPoly.var("u", 1, 2) + JetPoly.var("v", 0, 1)
+        got = reduce_on_shell(p, a)
+        assert a.solved()._on_shell.images and not b.solved()._on_shell.images
+        assert reduce_on_shell(p, b) == got
+        images_a, images_b = a.solved()._on_shell.images, b.solved()._on_shell.images
+        assert images_a == images_b
+        assert all(images_a[w] is not images_b[w] for w in images_a)
 
     def test_nontermination_guard(self):
         # a malformed "solved" rule whose right side contains its own leader
@@ -630,7 +656,7 @@ class TestTupleKeyTypes:
             assert rebuilt == new and hash(rebuilt) == hash(new)
             assert [(tuple(v), e) for v, e in new.jet] == [((r.name, r.dx, r.dt), e) for r, e in ref.jet]
             assert new.sort_key() == ref.sort_key()
-            assert (new.degree, new.max_order) == (ref.degree, ref.max_order)
+            assert new.degree == ref.degree
             assert (str(new), repr(new)) == (str(ref), repr(ref))
             assert [new == other for other, _ in pairs] == [ref == other for _, other in pairs]
 
@@ -926,6 +952,22 @@ class TestSumsOfProducts:
         d = derivative_table(p)
         assert d(a, b) == jet_reference.total_derivative_n(p, a, b)
         assert d(0, 0) is p
+
+    def test_derivative_table_takes_each_map_once_per_entry(self):
+        calls = []
+
+        def along(axis):
+            def d(word):
+                calls.append(axis)
+                return word + axis
+
+            return d
+
+        d = derivative_table("p", along("x"), along("t"))
+        for a, b in [(2, 1), (2, 1), (1, 1), (3, 0), (0, 2), (2, 1), (0, 0)]:
+            assert d(a, b) == "p" + "x" * a + "t" * b
+        # (1,0), (2,0), (2,1); (1,1); (3,0); (0,1), (0,2)
+        assert calls == ["x", "x", "t", "t", "x", "t", "t"]
 
     @pytest.mark.parametrize("dx,dt", [(-1, 0), (0, -1), (2, -1)])
     def test_derivative_table_rejects_negative_orders(self, dx, dt):

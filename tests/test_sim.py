@@ -857,6 +857,15 @@ class TestConvergenceStudy:
         with pytest.raises(JetError):
             convergence_study("eq19", {"c1": 1.0, "c2": 0.0}, [64])
 
+    @pytest.mark.parametrize("sizes", [[64, 64], [32, 64, 64], [128, 64, 64, 32]])
+    def test_refuses_a_size_equal_to_the_one_before(self, monkeypatch, sizes):
+        def refuse(*a, **k):
+            raise AssertionError("a run started on a repeated grid size")
+
+        monkeypatch.setattr(sim, "integrate", refuse)
+        with pytest.raises(JetError, match="n = 64 follows n = 64"):
+            convergence_study("eq93", {"mu": 1.0}, sizes, t_end=0.05)
+
     def test_single_entry_no_order_column(self):
         rows = convergence_study("eq93", {"mu": 1.0}, [64], t_end=0.05)
         assert len(rows) == 1

@@ -50,6 +50,13 @@ class TestProlongation:
         x4 = point_symmetries()[3]
         assert prolongation_coefficient(x4, "u", 1, 0) == -JetPoly.var("u", 1)
 
+    def test_unknown_dependent_variable_raises(self):
+        x4 = point_symmetries()[3]
+        with pytest.raises(JetError, match="'w'"):
+            prolongation_coefficient(x4, "w", 1, 0)
+        with pytest.raises(JetError, match="'w'"):
+            apply_prolonged(x4, JetPoly.var("u") * JetPoly.var("w", 1))
+
 
 # order-0 coefficients in t, x, u, v and a parameter
 point_fields = st.builds(
@@ -62,7 +69,7 @@ class TestSumsOfProducts:
     products over one derivative table per operand, equal the plain
     loops in ``symmetry_reference``."""
 
-    @given(x=point_fields, g=jet_polys(max_dx=2, max_dt=2, max_terms=4, params=("mu",)))
+    @given(x=point_fields, g=jet_polys(max_dx=3, max_dt=2, max_terms=4, params=("mu",)))
     @settings(max_examples=60, deadline=None)
     def test_apply_prolonged_matches_reference(self, x, g):
         assert apply_prolonged(x, g) == symmetry_reference.apply_prolonged(x, g)
