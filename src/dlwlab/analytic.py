@@ -6,20 +6,23 @@ The node set (rational constants, square roots of positive rationals,
 the coordinates x and t, named parameters, sums, products, quotients,
 integer powers, exp, tanh, sech) is closed under d/dx and d/dt, so every
 residual can be formed symbolically and only the final evaluation is
-floating point. That evaluation has one compiler, ``_program``: it turns
-expressions into one flat program with a slot per distinct subexpression,
-split into the instructions free of x and t, folded to floats once per
-binding, and the rest, run once over numpy arrays. The folded values
-that differ between bindings are stacked into (B, 1) columns, so one run
-evaluates B bindings at every sample, as a (B, samples) grid with one
-guard mask. The program serves the residual scans and profiles guarded
-per sample and the solver's exact boundary data unguarded (``compile_expr``,
-u and v in one program); ``residual_max``, ``evaluate_samples``,
-``evaluate`` and ``compile_expr`` are its one-binding case. The residual
-program of a candidate is derived and compiled once per process
-(``_residual_program``, a bounded cache keyed by the system and the
-candidate). A lookup walks no tree: the system is built once per
-process, and every node keeps its hash once computed. So
+floating point. A coordinate may also be a jet coordinate ("u[1,0]"), a
+value handed in beside x and t, with no derivative. The package's one
+numeric evaluator, ``_program``, compiles expressions into one flat
+program with a slot per distinct subexpression, split into the
+instructions free of the coordinates, folded to floats once per binding,
+and the rest, run once over numpy arrays. The folded values that differ
+between bindings are stacked into (B, 1) columns, so one run evaluates B
+bindings at every sample, as a (B, samples) grid with one guard mask. It
+serves the residual scans and profiles guarded per sample, and unguarded
+the solver's exact boundary data (``compile_expr``, u and v in one
+program) and monitored densities and fluxes (``poly_program``, jet
+polynomials at the stencil values); ``residual_max``,
+``evaluate_samples``, ``evaluate`` and ``compile_expr`` are its
+one-binding case. The residual program of a candidate is derived and
+compiled once per process (``_residual_program``, a bounded cache keyed
+by the system and the candidate). A lookup walks no tree: the system is
+built once per process, and every node keeps its hash once computed. So
 ``solutions.scan_family`` draws its samples once per family, folds the
 parameters of each binding, and runs the program once over all of them
 (``_residual_reports``).
@@ -34,11 +37,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .jet import EvolutionSystem, JetPoly, derivative_table
+from .jet import EvolutionSystem, JetPoly, JetVar, derivative_table
 
 __all__ = [
     "AnalyticError",
@@ -75,6 +79,8 @@ __all__ = [
     "evaluate",
     "evaluate_samples",
     "compile_expr",
+    "poly_to_expr",
+    "poly_program",
     "system_residual_exprs",
     "residual_max",
     "ResidualReport",
@@ -139,11 +145,11 @@ class SqrtConst(Expr):
 
 @_node
 class Coord(Expr):
-    name: str  # "x" or "t"
+    name: str  # "x", "t" or a jet coordinate, named as str(jet.JetVar) does: "u[1,0]"
 
     def __post_init__(self) -> None:
-        if self.name not in ("x", "t"):
-            raise AnalyticError("coordinates are x and t")
+        if self.name not in ("x", "t") and not re.fullmatch(r"[A-Za-z_]\w*\[\d+,\d+\]", self.name):
+            raise AnalyticError("coordinates are x, t and jet coordinates such as u[1,0]")
 
 
 @_node
@@ -318,6 +324,8 @@ def diff(e: Expr, var: str) -> Expr:
     if isinstance(e, (Const, SqrtConst, Param)):
         return ZERO
     if isinstance(e, Coord):
+        if e.name not in ("x", "t"):
+            raise AnalyticError(f"the jet coordinate {e.name} has no derivative in {var}")
         return ONE if e.name == var else ZERO
     if isinstance(e, Add):
         return add(*(diff(a, var) for a in e.args))
@@ -389,15 +397,15 @@ class _Program(NamedTuple):
     SINGULARITY_GUARD in magnitude; an exp argument above 700; a power
     that overflows.
 
-    ``fold`` holds the instructions free of x and t, each after its
+    ``fold`` holds the instructions free of the coordinates, each after its
     operands; ``bind`` folds them to Python floats per binding, by the
     operations of the tree. A guard tripped there would trip at every
     sample, so it raises DomainError for that binding, as does a
-    denominator free of x and t (``den_checks``) of a quotient in ``run``.
+    denominator free of them (``den_checks``) of a quotient in ``run``.
     Of the folded slots, those that ``run`` or an output reads
     (``columns``) and that differ between the bindings are stacked into
-    (B, 1) columns. ``execute`` then runs ``run`` once, over x and t
-    broadcast against those columns: every binding of a scan at every
+    (B, 1) columns. ``execute`` then runs ``run`` once, over the
+    coordinates broadcast against those columns: every binding of a scan at every
     sample in one pass of the instruction list, each guard setting the
     (binding, sample) cells it trips in ``mask``. One binding is the case
     B = 1, whose slots all stay Python floats."""
@@ -412,9 +420,9 @@ class _Program(NamedTuple):
     columns: tuple[int, ...]  # parameter and folded slots read by run or output
 
     def bind(self, bindings: Sequence[Mapping[str, float | Fraction]]) -> tuple[list | None, list]:
-        """The slots free of x and t under the bindings, as one slot list
-        for ``execute``, and per binding the DomainError its fold raised,
-        or None. Every parameter of every binding is checked to be bound
+        """The slots free of the coordinates under the bindings, as one
+        slot list for ``execute``, and per binding the DomainError its fold
+        raised, or None. Every parameter of every binding is checked to be bound
         before anything is folded: the first one missing raises
         UnboundParameter. A slot of ``columns`` that differs, bit for bit,
         between the bindings that folded is the (B, 1) column of its
@@ -443,7 +451,7 @@ class _Program(NamedTuple):
         return v, errors
 
     def _fold(self, binding: Mapping[str, float | Fraction]) -> list:
-        """The slots free of x and t under one binding, as Python floats."""
+        """The slots free of the coordinates under one binding, as Python floats."""
         import numpy as np
 
         v = list(self.base)
@@ -470,13 +478,13 @@ class _Program(NamedTuple):
                 raise DomainError(f"a guard trips at every sample, at {v[s]!r}")
         return v
 
-    def execute(self, slots: list, x, t, mask) -> list:
-        """Every slot at ``x`` and ``t`` from the slots ``bind`` returned,
-        x and t broadcast against its columns; each guard ORs the cells it
-        trips into the boolean ``mask`` (none is tested if it is None)."""
+    def execute(self, slots: list, values: Mapping, mask) -> list:
+        """Every slot from the slots ``bind`` returned, each coordinate read
+        from ``values`` by name and broadcast against the columns; each guard
+        ORs the cells it trips into the boolean ``mask`` (if not None)."""
         v = slots.copy()
         for name, s in self.coords:
-            v[s] = x if name == "x" else t
+            v[s] = values[name]
         guarded = mask is not None
         for out, kind, fn, arg, trips in self.run:
             if kind == _UNARY:
@@ -511,7 +519,7 @@ class _Program(NamedTuple):
         skip = np.zeros((len(ok), len(xt)), dtype=bool)
         if ok:
             with np.errstate(all="ignore"):
-                v = self.execute(slots, xt[:, 0], xt[:, 1], skip)
+                v = self.execute(slots, {"x": xt[:, 0], "t": xt[:, 1]}, skip)
                 vals = np.array([np.broadcast_to(v[s], skip.shape) for s in self.outputs])
             skip |= ~np.isfinite(vals).all(axis=0)
         else:
@@ -662,7 +670,7 @@ def compile_expr(e: Expr | Sequence[Expr], binding: Mapping[str, float | Fractio
         raise error
 
     def fields(x, t):
-        v, zero = prog.execute(slots, x, t, None), 0.0 * x
+        v, zero = prog.execute(slots, {"x": x, "t": t}, None), 0.0 * x
         out = tuple(v[s] + zero for s in prog.outputs)
         return out[0] if single else out
 
@@ -681,6 +689,18 @@ class ResidualReport:
     samples_skipped: int
 
 
+def poly_to_expr(p: JetPoly, image: Callable[[JetVar], Expr] = lambda v: Coord(str(v))) -> Expr:
+    """``p`` as an expression, each jet coordinate replaced by its
+    ``image`` (by default the coordinate itself, ``Coord("u[1,0]")``). A
+    term is its coefficient times its jet factors in ``m.jet`` order, then
+    its powers of x, t and the parameters; the terms add in ``p``'s order."""
+    return add(*(
+        mul(Const(c), *(pow_(image(v), e) for v, e in m.jet), pow_(X, m.xpow), pow_(T, m.tpow),
+            *(pow_(Param(n), e) for n, e in m.params))
+        for m, c in p.items()
+    ))
+
+
 def system_residual_exprs(
     sys: EvolutionSystem, candidate: Sequence[Expr]
 ) -> tuple[Expr, ...]:
@@ -694,23 +714,24 @@ def system_residual_exprs(
         name: derivative_table(e, lambda f: diff(f, "x"), lambda f: diff(f, "t"))
         for name, e in zip(sys.deps, candidate)
     }
+    image = lambda v: tables[v.name](v.dx, v.dt)  # noqa: E731
+    return tuple(poly_to_expr(g, image) for g in sys.equation_polys())
 
-    def poly_to_expr(p: JetPoly) -> Expr:
-        terms = []
-        for m, c in p.items():
-            factors: list[Expr] = [Const(c)]
-            for v, e in m.jet:
-                factors.append(pow_(tables[v.name](v.dx, v.dt), e))
-            if m.xpow:
-                factors.append(pow_(X, m.xpow))
-            if m.tpow:
-                factors.append(pow_(T, m.tpow))
-            for n, e in m.params:
-                factors.append(pow_(Param(n), e))
-            terms.append(mul(*factors))
-        return add(*terms)
 
-    return tuple(poly_to_expr(g) for g in sys.equation_polys())
+@functools.lru_cache(maxsize=64)
+def poly_program(polys: tuple[JetPoly, ...]) -> Callable:
+    """The polynomials, free of parameters, compiled into one program and
+    bound once per process: ``f(values)`` reads each jet coordinate by its
+    name (``"u[1,0]"``), and x and t, from ``values`` and returns one
+    unguarded value per polynomial."""
+    prog = _program(tuple(map(poly_to_expr, polys)))
+    slots, _ = prog.bind(({},))  # constants alone trip no guard
+
+    def run(values: Mapping) -> tuple:
+        v = prog.execute(slots, values, None)
+        return tuple(v[s] for s in prog.outputs)
+
+    return run
 
 
 @functools.lru_cache(maxsize=64)

@@ -66,11 +66,11 @@ def _emit(report: VerificationReport, args: argparse.Namespace) -> int:
     return 1 if report.failed() else 0
 
 
-def _parse_binding(text: str) -> dict[str, float]:
+def _parse_binding(text: str | None) -> dict[str, float]:
     """``--binding`` value: comma-separated name=value pairs, each value a
-    finite number."""
+    finite number; an absent option binds nothing."""
     out: dict[str, float] = {}
-    for chunk in text.split(","):
+    for chunk in (text or "").split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -80,7 +80,7 @@ def _parse_binding(text: str) -> dict[str, float]:
         except ValueError:
             value = None
         if value is None or not math.isfinite(value) or not key.strip():
-            raise argparse.ArgumentTypeError(f"malformed binding {chunk!r}: expected name=finite number")
+            raise UsageError(f"malformed binding {chunk!r}: expected name=finite number")
         out[key.strip()] = value
     return out
 
@@ -92,13 +92,13 @@ def _parse_sizes(text: str) -> list[int]:
         try:
             out.append(int(chunk))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"malformed grid size {chunk!r}: expected an integer") from None
+            raise UsageError(f"malformed grid size {chunk!r}: expected an integer") from None
     return out
 
 
 class UsageError(Exception):
-    """An option the action does not declare, or a value that parses but
-    that the action cannot use."""
+    """An option the action does not declare, or a value that the action
+    cannot parse or use."""
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def _waves_verify(args: argparse.Namespace) -> int:
     samples = RESIDUAL_SAMPLES if args.samples is None else args.samples
     if samples < 1:
         raise UsageError(f"--samples must be at least 1, got {samples}")
-    binding = args.binding or {}
+    binding = _parse_binding(args.binding)
     report = verify_family(args.family, binding, n_samples=samples)
     _print_json({"family": args.family, "params": binding, **asdict(report)}, args)
     return 0
@@ -166,7 +166,7 @@ def _waves_profile(args: argparse.Namespace) -> int:
         raise UsageError("waves profile needs --family")
     if args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
-    rows = profile_rows(args.family, args.binding or {}, args.xi_min, args.xi_max, args.points)
+    rows = profile_rows(args.family, _parse_binding(args.binding), args.xi_min, args.xi_max, args.points)
     out = Path(args.out or f"{args.family}_profile.csv")
     _write_csv(out, ["xi", "U", "V"], rows)
     print(f"profile written to {out} ({len(rows)} rows)")
@@ -203,9 +203,9 @@ def _sim_run(args: argparse.Namespace) -> int:
 def _sim_converge(args: argparse.Namespace) -> int:
     from .sim import BlowupError, convergence_study
 
-    binding = args.binding or {"mu": 1.0}
+    binding = _parse_binding(args.binding) or {"mu": 1.0}
     try:
-        rows = convergence_study(args.family, binding, args.n, t_end=args.t_end)
+        rows = convergence_study(args.family, binding, _parse_sizes(args.n), t_end=args.t_end)
     except BlowupError as e:
         rows = [{"outcome": "blowup", "blowup_time": e.time}]
     _print_json(rows, args)
@@ -270,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     actions = _actions(commands, "waves", "traveling-wave and exact-solution checks", _BAD_INPUT)
     p = _action(actions, "verify", _waves_verify)
     p.add_argument("--family", help="catalog id, e.g. eq93; without it the waves suite runs")
-    p.add_argument("--binding", type=_parse_binding, help="comma-separated name=value parameter bindings")
+    p.add_argument("--binding", help="comma-separated name=value parameter bindings")
     p.add_argument("--samples", type=int, help=f"residual samples of the family (default: {RESIDUAL_SAMPLES})")
     p = _action(actions, "first-integrals", _waves_first_integrals)
     p.add_argument("--mu", help="rational wave speed")
     p = _action(actions, "profile", _waves_profile)
     p.add_argument("--family", help="catalog id, e.g. eq93 (required)")
-    p.add_argument("--binding", type=_parse_binding, help="comma-separated name=value parameter bindings")
+    p.add_argument("--binding", help="comma-separated name=value parameter bindings")
     p.add_argument("--out", help="CSV output path (default: <family>_profile.csv)")
     p.add_argument("--xi-min", type=float, default=-10.0)
     p.add_argument("--xi-max", type=float, default=10.0)
@@ -288,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="directory for CSV outputs")
     p = _action(actions, "converge", _sim_converge)
     p.add_argument("--family", default="eq93")
-    p.add_argument("--binding", type=_parse_binding, help="parameter bindings for the reference family")
-    p.add_argument("--n", type=_parse_sizes, default="128,256,512", help="comma-separated grid sizes")
+    p.add_argument("--binding", help="parameter bindings for the reference family")
+    p.add_argument("--n", default="128,256,512", help="comma-separated grid sizes")
     p.add_argument("--t-end", type=float, default=1.0)
 
     actions = _actions(commands, "report", "aggregate suites")

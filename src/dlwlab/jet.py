@@ -686,13 +686,17 @@ class JetPoly:
         """Replace jet coordinates by polynomials (``None`` keeps a
         coordinate). Explicit coordinates and parameters pass through.
 
-        ``image`` is asked once per coordinate and each power of an image
-        is built once per call. A term is its kept monomial times the
-        powers of the images of its other coordinates, expanded on
-        integer numerators, with no polynomial per term. Substitution is
-        linear, so the sum is divided by the denominators, self's
+        ``image`` is asked once per coordinate, in term order, and each
+        power of an image is built once per call; if every image is None
+        the result is ``self``, not a copy. A term is its kept monomial
+        times the powers of the images of its other coordinates, expanded
+        on integer numerators, with no polynomial per term. Substitution
+        is linear, so the sum is divided by the denominators, self's
         included, and normalized once."""
-        images: dict[int, JetPoly | None] = {}
+        codes = dict.fromkeys(k for m in self._num for k in m.codes)
+        images = {k: image(_var(k)) for k in codes}
+        if all(f is None for f in images.values()):
+            return self
         powers: dict[tuple[int, int], JetPoly | None] = {}
         sums: dict[int, dict[JetMonomial, int]] = {}
         for m, c in self._num.items():
@@ -702,8 +706,6 @@ class JetPoly:
             for pair in _powers(m.codes).items():
                 if pair not in powers:
                     k, e = pair
-                    if k not in images:
-                        images[k] = image(_var(k))
                     powers[pair] = None if images[k] is None else images[k] ** e
                 f = powers[pair]
                 if f is None:

@@ -39,7 +39,7 @@ two 5-column edge blocks of its buffer into a record whose through-flux
 the monitors evaluate in one array pass once per block. A sample
 quadratures the densities at once; its budget is filled at the end of
 its block from the running flux sum at the sample's step. The monitors'
-densities and fluxes are compiled to float terms when a run starts.
+densities and fluxes are ``analytic`` programs, compiled once per process.
 Every value is computed by the same floating-point operations in the
 same order as one stage at a time would, so results do not depend on
 the block length.
@@ -64,7 +64,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import solutions
-from .analytic import compile_expr
+from .analytic import compile_expr, poly_program
 from .conslaw import direct_laws
 from .jet import JetError, JetPoly
 from .solutions import RESIDUAL_TOL, verify_family
@@ -428,49 +428,21 @@ def rhs(
 # ---------------------------------------------------------------------------
 # monitored densities and fluxes
 
-_ROWS = {"u": 0, "v": 1}
-
-
-def _float_terms(poly: JetPoly) -> tuple:
-    """The terms of a density or flux as (coefficient, (((row, x-order),
-    power), ...), x power, t power) tuples over floats."""
-    terms = []
-    for m, c in poly.items():
-        factors = []
-        for v, e in m.jet:
-            if v.dt:
-                raise JetError("monitor expressions must be t-derivative-free")
-            if v.dx > 3:
-                raise JetError("stencils cover derivatives up to third order")
-            factors.append(((_ROWS[v.name], v.dx), e))
-        if m.params:
-            raise JetError("monitor expressions must have no free parameters")
-        terms.append((float(c), tuple(factors), m.xpow, m.tpow))
-    return tuple(terms)
-
-
-def _power(base, e: int):
-    # numpy computes a**2 as a*a; so does this, so a term evaluated on
-    # floats equals its evaluation on arrays bit for bit (numpy's
-    # vectorized pow for higher powers can differ from libm's in the
-    # last bit)
-    return base * base if e == 2 else base**e
-
-
-def _evaluate(terms: tuple, values: Mapping, x, time):
-    """Sum of the terms, reading each (row, x-order) factor from
-    ``values``: arrays over the grid or over stages, or floats."""
-    out = 0.0
-    for c, factors, xpow, tpow in terms:
-        term = c
-        for key, e in factors:
-            term = term * _power(values[key], e)
-        if xpow:
-            term = term * _power(x, xpow)
-        if tpow:
-            term = term * time**tpow
-        out = out + term
-    return out
+def _coordinates(polys: Sequence[JetPoly]) -> list[tuple[str, int, int]]:
+    """(name, row, x-order) of each jet coordinate of the monitored
+    densities or fluxes, which the stencils must cover."""
+    out = set()
+    for poly in polys:
+        for m in poly.terms:
+            for v, _ in m.jet:
+                if v.dt:
+                    raise JetError("monitor expressions must be t-derivative-free")
+                if v.dx > 3:
+                    raise JetError("stencils cover derivatives up to third order")
+                out.add((str(v), ("u", "v").index(v.name), v.dx))
+            if m.params:
+                raise JetError("monitor expressions must have no free parameters")
+    return sorted(out)
 
 
 # per step of a block, the rows of its four stages in the block's times
@@ -478,42 +450,45 @@ _STAGE_ROWS = (2 * np.arange(BLOCK_STEPS)[:, None] + [0, 1, 1, 2]).ravel()
 
 
 class _Monitors:
-    """The monitored laws of one run, compiled to float terms once.
+    """The monitored laws of one run: one program of the densities and, on
+    bounded domains, one of the fluxes (``analytic.poly_program``), which
+    read the stencil values as their jet coordinates.
 
     A sample quadratures each density over the grid (trapezoidal on
     bounded domains) into the raw series at once; its budget, raw value
     minus flux integral, waits for the end of the sample's block. On
     bounded domains each stage of a block copies the two 5-column edge
     blocks of its padded buffer into a preallocated record of
-    4 BLOCK_STEPS slots (``edges``). Once per block, ``flush`` evaluates
-    every law's through-flux flux(left edge) - flux(right edge) over all
-    the block's stages in one array pass, adds each step's RK4-weighted
-    sum to the flux integral in step order, and fills the budgets of the
-    block's samples from the running sum at each sample's step.
+    4 BLOCK_STEPS slots (``edges``). Once per block, ``flush`` takes every
+    law's through-flux flux(left edge) - flux(right edge) over all the
+    block's stages from one flux-program run per edge, adds each step's
+    RK4-weighted sum to the flux integral in step order, and fills the
+    budgets of the block's samples from the running sum at each sample's step.
     """
 
     def __init__(self, labels: Sequence[str], stage: _Stage, x: np.ndarray, periodic: bool, dt: float):
         laws = direct_laws() if labels else {}
-        for label in labels:
+        for i, label in enumerate(labels):
             if label not in laws:
                 raise JetError(f"unknown conservation-law label {label!r}")
+            if label in labels[:i]:
+                raise JetError(f"conservation-law label {label!r} is repeated")
         self.series = [MonitorSeries(label=label) for label in labels]
-        self.density = [_float_terms(laws[label].density) for label in labels]
-        self.flux = [] if periodic else [_float_terms(laws[label].flux) for label in labels]
+        densities = tuple(laws[label].density for label in labels)
+        fluxes = () if periodic else tuple(laws[label].flux for label in labels)
+        self.density_at, self.flux_at = _coordinates(densities), _coordinates(fluxes)
+        self.density = poly_program(densities)
+        self.flux = poly_program(fluxes) if fluxes else None
         self.flux_integral = [0.0] * len(labels)
-        self.stage = stage
-        self.periodic = periodic
-        self.x = x
-        self.edge_x = (float(x[0]), float(x[-1]))
+        self.stage, self.periodic, self.x = stage, periodic, x
+        # arrays, as numpy's a**2 is a*a where a float's is libm's pow
+        self.edge_x = (x[:1], x[-1:])
         self.weights = np.full(len(x), stage.dx)
-        self.weights[0] *= 0.5
-        self.weights[-1] *= 0.5
-        self.density_keys = {key for terms in self.density for t in terms for key, _ in t[1]}
-        self.flux_keys = {key for terms in self.flux for t in terms for key, _ in t[1]}
+        self.weights[[0, -1]] *= 0.5
         self.sixth = dt / 6.0
         slots = 4 * BLOCK_STEPS
-        self.edges = np.empty((slots, 20)) if self.flux else None
-        self.slots = list(self.edges) if self.flux else [None] * slots
+        self.edges = np.empty((slots, 20)) if fluxes else None
+        self.slots = list(self.edges) if fluxes else [None] * slots
         self.times = np.empty(slots)
         self.pending: list[int] = []  # per sample of the block, its steps into the block
 
@@ -531,15 +506,15 @@ class _Monitors:
             dx, time = self.stage.dx, self.times[:hi]
             cols = self.edges[:hi].reshape(-1, 2, 2, 5)  # stage, row, side, sample
 
-            def at(side: int) -> dict:
-                return {(row, k): _stencil(cols[:, row, side].T, k, dx) for row, k in self.flux_keys}
+            def at(side: int) -> tuple:
+                values = {name: _stencil(cols[:, row, side].T, k, dx) for name, row, k in self.flux_at}
+                return self.flux({**values, "x": self.edge_x[side], "t": time})
 
-            (left, right), (xl, xr) = (at(0), at(1)), self.edge_x
+            left, right = at(0), at(1)
         for i, series in enumerate(self.series):
             running = [self.flux_integral[i]] * (steps + 1)
             if self.flux:
-                f = self.flux[i]
-                rates = _evaluate(f, left, xl, time) - _evaluate(f, right, xr, time)
+                rates = left[i] - right[i]
                 a, b, c, d = np.broadcast_to(rates, (hi,)).reshape(-1, 4).T
                 increments = (self.sixth * (a + 2 * b + 2 * c + d)).tolist()
                 running = list(accumulate(increments, initial=running[0]))
@@ -554,16 +529,16 @@ class _Monitors:
         if not self.series:
             return
         self.pending.append(step)
-        if any(k for _, k in self.density_keys):
+        if any(k for _, _, k in self.density_at):
             self.stage.fields[...] = fields
             self.stage.pad(ghosts)
         dx, rows = self.stage.dx, self.stage.split(fields)
         values = {
-            (row, k): rows[row] if k == 0 else _stencil(self.stage.rows[row], k, dx)
-            for row, k in self.density_keys
+            name: rows[row] if k == 0 else _stencil(self.stage.rows[row], k, dx)
+            for name, row, k in self.density_at
         }
-        for series, terms in zip(self.series, self.density):
-            arr = np.asarray(_evaluate(terms, values, self.x, time), dtype=float)
+        for series, density in zip(self.series, self.density({**values, "x": self.x, "t": time})):
+            arr = np.asarray(density, dtype=float)
             if arr.ndim == 0:
                 arr = np.full(len(self.x), float(arr))
             if self.periodic:

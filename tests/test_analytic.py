@@ -12,6 +12,8 @@ import analytic_reference as reference
 from dlwlab import analytic, report
 from dlwlab.analytic import (
     Add,
+    AnalyticError,
+    Coord,
     Div,
     DomainError,
     Exp,
@@ -42,6 +44,7 @@ from dlwlab.analytic import (
     system_residual_exprs,
     tanh,
 )
+from dlwlab.jet import JetPoly
 from dlwlab.sim import Grid1D
 from dlwlab.solutions import _samples, family_registry, scan_family
 
@@ -73,6 +76,26 @@ class TestDiff:
     def test_constant_derivative(self):
         assert diff(const(5), "x") == const(0)
         assert diff(sqrt_const(3), "t") == const(0)
+
+    @pytest.mark.parametrize("var", ["x", "t"])
+    def test_a_jet_coordinate_has_no_derivative(self, var):
+        # u[1,0] names a value handed to the program, not a function of x and t
+        e = mul(Coord("u[1,0]"), X)
+        with pytest.raises(AnalyticError, match=r"u\[1,0\]"):
+            diff(e, var)
+
+    @pytest.mark.parametrize("name", ["y", "X", "u", "u[1]", "u[1,0,0]", "u[-1,0]", "1u[0,0]", "u[0,0]x"])
+    def test_other_coordinate_names_are_rejected(self, name):
+        with pytest.raises(AnalyticError, match="coordinates are"):
+            Coord(name)
+
+    def test_jet_coordinates_are_read_by_name(self):
+        p = JetPoly.var("u") * JetPoly.var("v", 2) + JetPoly.x()
+        q = JetPoly.const(2) * JetPoly.var("u") ** 2
+        assert analytic.poly_to_expr(p) == add(mul(Coord("u[0,0]"), Coord("v[2,0]")), X)
+        run = analytic.poly_program((p, q))
+        got = run({"u[0,0]": np.array([1.5, -2.0]), "v[2,0]": np.array([4.0, 0.5]), "x": 3.0, "t": 9.0})
+        assert [a.tolist() for a in got] == [[9.0, 2.0], [4.5, 8.0]]
 
     def test_finite_difference_agreement(self):
         trees = [
@@ -427,7 +450,7 @@ class TestBindingGrid:
             {"a": 2.0, "c": 0.1},  # clean
         )
         runs, execute = [], analytic._Program.execute
-        monkeypatch.setattr(analytic._Program, "execute", lambda *a: runs.append(a[4].shape) or execute(*a))
+        monkeypatch.setattr(analytic._Program, "execute", lambda *a: runs.append(a[3].shape) or execute(*a))
         reports = analytic._residual_reports(phys, self.CANDIDATE, grid, self.SAMPLES)
         assert runs == [(2, 40)]  # the tripped binding is left out of the run
         alone = [residual_max(phys, self.CANDIDATE, b, self.SAMPLES) for b in grid]

@@ -122,6 +122,7 @@ KINK_CFG = "x_min=-20\nx_max=20\nn=64\nt_end=0.05\nboundary=exact\nfamily=eq93\n
         ("param.mu=1.0\noutput_stride=0\n", "output_stride"),
         ("", "UnboundParameter: mu"),
         ("param.mu=1.0\nmonitors=eq999\n", "'eq999'"),
+        ("param.mu=1.0\nmonitors=eq33,eq32,eq33\n", "JetError: conservation-law label 'eq33' is repeated"),
         ("param.mu=1.0\nparam.nu=7\n", "['nu'] for eq93"),
         ("param.mu=1.0\nt_end=inf\n", "JetError: t_end inf is not finite"),
         ("param.mu=1.0\ndt=1e-300\n", "JetError: 5e+298 steps exceed MAX_STEPS = 10000000"),
@@ -513,18 +514,20 @@ def test_error_past_parsing_in_a_suite_command_is_not_a_usage_error(tmp_path):
 
 @pytest.mark.parametrize("binding", ["mu", "mu=abc", "=1", "mu=1,nu", "mu=nan", "mu=inf", "mu=1,nu=-inf"])
 def test_malformed_binding_exits_two(binding, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["waves", "verify", "--family", "eq93", "--binding", binding])
-    assert err.value.code == 2
+    assert main(["waves", "verify", "--family", "eq93", "--binding", binding]) == 2
     bad = binding.split(",")[-1]
-    assert f"malformed binding {bad!r}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"dlwlab waves verify: UsageError: malformed binding {bad!r}: expected name=finite number\n"
+    )
 
 
 def test_sim_converge_malformed_binding(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["sim", "converge", "--binding", "mu=abc"])
-    assert err.value.code == 2
-    assert "'mu=abc'" in capsys.readouterr().err
+    assert main(["sim", "converge", "--binding", "mu=abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dlwlab sim converge: UsageError: malformed binding 'mu=abc': expected name=finite number\n"
 
 
 
@@ -557,13 +560,10 @@ def test_sim_converge_malformed_sizes(monkeypatch, capsys):
         raise AssertionError("a study ran on rejected --n")
 
     monkeypatch.setattr("dlwlab.sim.convergence_study", refuse)
-    with pytest.raises(SystemExit) as err:
-        main(["sim", "converge", "--n", "128,abc"])
-    assert err.value.code == 2
+    assert main(["sim", "converge", "--n", "128,abc"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "malformed grid size 'abc'" in captured.err
-    assert "Traceback" not in captured.err
+    assert captured.err == "dlwlab sim converge: UsageError: malformed grid size 'abc': expected an integer\n"
 
 
 @pytest.mark.parametrize("points", ["1", "0"])

@@ -223,6 +223,34 @@ class TestReduceOnShell:
         assert reduce_on_shell(p, phys) == cold
         assert calls == [p]
 
+    def test_cold_reduction_makes_no_copies(self, phys):
+        # on a pair of its own, so its images are cold: most images are a
+        # D_x of a t-free image, in which nothing is reducible, and a
+        # substitution that replaces nothing returns its input
+        fresh = EvolutionSystem(deps=phys.deps, rhs=phys.rhs, lead_dx=phys.lead_dx)
+        calls = []
+
+        def counting(self, image, _substitute=JetPoly.substitute):
+            out = _substitute(self, image)
+            calls.append((self, out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(JetPoly, "substitute", counting)
+            got = reduce_on_shell(JetPoly.var("u", 3, 2), fresh)
+        assert got == reduce_on_shell(JetPoly.var("u", 3, 2), phys)
+        assert len(calls) == 9
+        assert sum(out is p for p, out in calls) == 7
+        assert [p for p, out in calls if out == p and out is not p] == []
+
+    def test_substitute_returns_its_input_only_when_nothing_is_replaced(self):
+        p = u * vx + JetPoly.x() * Fraction(1, 2)
+        assert p.substitute(lambda w: None) is p
+        # a zero image is an image
+        assert p.substitute(lambda w: JetPoly.zero() if w == JetVar("v", 1) else None) == JetPoly.x() * Fraction(1, 2)
+        same = p.substitute(lambda w: u if w == JetVar("u") else None)
+        assert same == p and same is not p
+
     def test_equal_systems_keep_their_own_images(self):
         rhs = (u * ux + vx, ux * v + u * vx + JetPoly.var("u", 3) * Fraction(1, 3))
         a, b = (EvolutionSystem(deps=("u", "v"), rhs=rhs) for _ in range(2))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlwlab import sim
-from dlwlab.analytic import compile_expr
+from dlwlab.analytic import compile_expr, poly_program
 from dlwlab.conslaw import direct_laws
 from dlwlab.jet import JetError
 from dlwlab.sim import (
@@ -214,6 +214,16 @@ class TestIntegrate:
         with pytest.raises(JetError, match=r"non-finite field at t = 0\.25$"):
             integrate(cfg, initial=FieldState(u=u, v=np.zeros(32), time=0.25))
 
+    def test_repeated_monitor_label_is_rejected(self):
+        with pytest.raises(JetError, match=r"^conservation-law label 'eq33' is repeated$"):
+            integrate(_kink(64, 0.05, ("eq33", "eq32", "eq33")))
+
+    def test_monitor_with_a_t_derivative_is_rejected_on_bounded_domains(self):
+        # the eq29 flux reads u_xt and v_xt; a periodic run reads no flux
+        with pytest.raises(JetError, match=r"^monitor expressions must be t-derivative-free$"):
+            integrate(_kink(64, 0.05, ("eq29",)))
+        assert set(integrate(*_periodic_wave(("eq29",))).monitors) == {"eq29"}
+
     def test_initial_data_must_fill_the_grid(self):
         g = Grid1D(-10, 10, 32)
         cfg = SimConfig(grid=g, t_end=0.05, boundary="periodic")
@@ -360,16 +370,19 @@ class TestReferenceOracle:
 
     @pytest.mark.parametrize("label", ["eq30", "eq32", "eq33"])
     def test_float_flux_equals_array_flux(self, label):
-        # the through-flux is evaluated on floats at the two edges; its
-        # squares must round as numpy's a**2 does on arrays
-        terms = sim._float_terms(direct_laws()[label].flux)
+        # the flux program runs once over the stage values of a block; on
+        # each element alone, as one stage at a time would, its squares
+        # must round as they do over the block. The elements go in as
+        # one-element arrays, as the edge x does: a**2 of a Python float
+        # is libm's pow, which may differ from numpy's a*a in the last bit
+        flux = direct_laws()[label].flux
+        run = poly_program((flux,))
         rng = np.random.default_rng(0)
-        keys = {key for term in terms for key, _ in term[1]}
-        arrays = {key: rng.standard_normal(4000) * 10.0 for key in keys}
+        arrays = {str(v): rng.standard_normal(4000) * 10.0 for v in flux.jet_vars()}
         x = rng.uniform(-20.0, 20.0, 4000)
-        want = sim._evaluate(terms, arrays, x, 0.7)
+        (want,) = run({**arrays, "x": x, "t": 0.7})
         got = [
-            sim._evaluate(terms, {k: float(a[i]) for k, a in arrays.items()}, float(x[i]), 0.7)
+            float(run({**{k: a[i : i + 1] for k, a in arrays.items()}, "x": x[i : i + 1], "t": 0.7})[0][0])
             for i in range(4000)
         ]
         assert np.array_equal(got, want)
@@ -408,22 +421,35 @@ class TestReferenceOracle:
 
     def test_flux_evaluated_once_per_block(self, monkeypatch):
         # every sample of stride 1 takes no flux evaluation of its own:
-        # each law's flux is evaluated at the two edges once per block
-        calls = []
-        evaluate = sim._evaluate
+        # the one flux program of the laws runs at the two edges once per
+        # block, and the density program once per sample
+        runs = []
+        compile_polys = sim.poly_program
 
-        def counted(terms, values, x, time):
-            calls.append(terms)
-            return evaluate(terms, values, x, time)
+        def counted(polys):
+            run = compile_polys(polys)
+            return lambda values: runs.append(polys) or run(values)
 
-        monkeypatch.setattr(sim, "_evaluate", counted)
+        monkeypatch.setattr(sim, "poly_program", counted)
         labels = ("eq32", "eq33")
         res = integrate(_kink(64, (2 * sim.BLOCK_STEPS + 5) * 0.005, labels, dt=0.005, output_stride=1))
         blocks = -(-res.steps // sim.BLOCK_STEPS)
         assert blocks == 3 and len(res.monitors["eq32"].budget) == res.steps + 1
-        for label in labels:
-            flux = sim._float_terms(direct_laws()[label].flux)
-            assert sum(terms == flux for terms in calls) == 2 * blocks, label
+        fluxes = tuple(direct_laws()[label].flux for label in labels)
+        densities = tuple(direct_laws()[label].density for label in labels)
+        assert sum(polys == fluxes for polys in runs) == 2 * blocks
+        assert sum(polys == densities for polys in runs) == res.steps + 1
+        assert len(runs) == 2 * blocks + res.steps + 1
+
+    def test_each_label_tuple_is_compiled_once(self):
+        # the densities and the fluxes of a label tuple are compiled and
+        # bound once per process, whatever the number of runs
+        poly_program.cache_clear()
+        for _ in range(2):
+            integrate(_kink(64, 0.05, ("eq32", "eq33")))
+        assert poly_program.cache_info()[:4] == (2, 2, 64, 2)  # hits, misses, maxsize, size
+        integrate(*_periodic_wave(("eq32", "eq33")))
+        assert poly_program.cache_info().misses == 2  # a periodic run reads no flux
 
     def test_ghosts_evaluated_once_per_stage_time(self, monkeypatch):
         # the one (u, v) callable sees every distinct stage time exactly

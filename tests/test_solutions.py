@@ -162,9 +162,9 @@ class TestScanCost:
             pairs.append(self)
             _made(self)
 
-        def counting_execute(self, slots, x, t, mask, _run=analytic._Program.execute):
-            runs.append((x.shape, mask.shape))
-            return _run(self, slots, x, t, mask)
+        def counting_execute(self, slots, values, mask, _run=analytic._Program.execute):
+            runs.append((values["x"].shape, mask.shape))
+            return _run(self, slots, values, mask)
 
         monkeypatch.setattr(solutions, "random", SimpleNamespace(Random=CountingRandom))
         monkeypatch.setattr(EvolutionSystem, "__post_init__", post_init)
