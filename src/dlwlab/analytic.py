@@ -21,8 +21,11 @@ polynomials at the stencil values); ``residual_max``,
 ``evaluate_samples``, ``evaluate`` and ``compile_expr`` are its
 one-binding case. The residual program of a candidate is derived and
 compiled once per process (``_residual_program``, a bounded cache keyed
-by the system and the candidate). A lookup walks no tree: the system is
-built once per process, and every node keeps its hash once computed. So
+by the system and the candidate), as are the program of each expression
+tuple that ``compile_expr`` binds (``_expr_program``) and the bound
+program of each polynomial tuple (``poly_program``). A lookup walks no
+tree: the system and the families are built once per process, and every
+node keeps its hash once computed. So
 ``solutions.scan_family`` draws its samples once per family, folds the
 parameters of each binding, and runs the program once over all of them
 (``_residual_reports``).
@@ -656,15 +659,24 @@ def evaluate(e: Expr, x: float, t: float, binding: Mapping[str, float | Fraction
     return float(vals[0, 0])
 
 
+@functools.lru_cache(maxsize=64)
+def _expr_program(exprs: tuple[Expr, ...]) -> _Program:
+    """The expressions compiled into one program once per process, keyed
+    by value like ``_residual_program``; ``compile_expr`` binds it per call."""
+    return _program(exprs)
+
+
 def compile_expr(e: Expr | Sequence[Expr], binding: Mapping[str, float | Fraction]) -> Callable:
     """Compile to a vectorizable ``f(x, t)`` with parameters baked in,
     broadcast to the shape of ``x``. A sequence of expressions compiles into
-    one program, bound once, whose ``f`` returns one array per expression.
+    one program, bound once per call, whose ``f`` returns one array per
+    expression. The program itself is compiled once per expression tuple
+    (``_expr_program``), so a new binding costs only its fold.
     No singularity guards at the samples; intended for pole-free fields
     inside the finite-difference solver. A guard tripped in a subtree free
     of x and t raises DomainError here."""
     single = isinstance(e, Expr)
-    prog = _program((e,) if single else tuple(e))
+    prog = _expr_program((e,) if single else tuple(e))
     slots, (error,) = prog.bind((binding,))
     if error is not None:
         raise error

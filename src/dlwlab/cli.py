@@ -17,7 +17,9 @@ in the ``waves`` and ``sim`` actions a bad config, an unbound family
 parameter or a bound name that is not one, an unknown monitor label or
 family, or a file that cannot be read or written).
 Past parsing, each prints one stderr line ``dlwlab <command> <action>:
-<error type>: <message>``.
+<error type>: <message>``. A standard output closed by its reader (as
+``| head -1`` closes it) ends the command quietly with exit 1: no
+traceback and no stderr line.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -39,6 +42,20 @@ from .solutions import RESIDUAL_SAMPLES
 __all__ = ["main", "build_parser"]
 
 
+class _StdoutClosed(Exception):
+    """Standard output was closed by its reader."""
+
+
+def _print(text: str) -> None:
+    """Print a line to standard output and flush it, so that a reader
+    that closed it is found here, where a write to a named output path
+    cannot be mistaken for it."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        raise _StdoutClosed from None
+
+
 def _write_json(text: str, args: argparse.Namespace) -> None:
     if args.json:
         Path(args.json).write_text(text + "\n", encoding="utf-8")
@@ -47,7 +64,7 @@ def _write_json(text: str, args: argparse.Namespace) -> None:
 def _print_json(data: object, args: argparse.Namespace) -> None:
     """Print data as JSON and write the same text to ``--json`` if given."""
     text = json.dumps(data, indent=2, sort_keys=True)
-    print(text)
+    _print(text)
     _write_json(text, args)
 
 
@@ -59,10 +76,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _emit(report: VerificationReport, args: argparse.Namespace) -> int:
-    print(report.render())
+    _print(report.render())
     if args.json:
         _write_json(report_to_json_text(report), args)
-        print(f"json written to {args.json}")
+        _print(f"json written to {args.json}")
     return 1 if report.failed() else 0
 
 
@@ -169,7 +186,7 @@ def _waves_profile(args: argparse.Namespace) -> int:
     rows = profile_rows(args.family, _parse_binding(args.binding), args.xi_min, args.xi_max, args.points)
     out = Path(args.out or f"{args.family}_profile.csv")
     _write_csv(out, ["xi", "U", "V"], rows)
-    print(f"profile written to {out} ({len(rows)} rows)")
+    _print(f"profile written to {out} ({len(rows)} rows)")
     return 0
 
 
@@ -305,6 +322,12 @@ def main(argv: list[str] | None = None) -> int:
         if extra:
             raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
+    except _StdoutClosed:
+        # Python's recipe for SIGPIPE: what is left in the buffer goes to
+        # devnull, so the flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (UsageError, *args.rejects) as e:
         print(f"dlwlab {args.command} {args.action}: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

@@ -20,29 +20,40 @@ preallocated (3, W) buffer; one assignment through a strided view then
 fills all 8 ghost cells. A stage is one ghost assignment and 13 ufunc
 calls into buffers allocated once per run: u_x, v_x and the undivided
 u_xxx share one flat buffer and one division by a per-cell scale, 2u is
-formed once, in the buffer's first row, for both u_xxx taps, and the
-products are u u_x + v_x and v u_x + u v_x row by row. A stage
+formed once as u + u, in the buffer's first row, for both u_xxx taps,
+and the products are u u_x + v_x and v u_x + u v_x row by row. A stage
 computes the negated right side, u u_x + v_x and
 u_x v + u v_x + u_xxx/3, and the stage inputs and the final RK4
 combination subtract it where the textbook form adds the right side,
 which saves the negations. The four slopes share one flat array, so
-2 k2 and 2 k3 are one call. IEEE negation, 1 x and 2 x are exact,
-a + (-b) is a - b, and products and two-term sums commute, so every
-value is the one the right side itself gives; only an exact zero may
-differ in sign. No value of a gap cell reaches a row: the gap of a
-stage input lies on ghost cells that the stage overwrites, and the
-guard reads the rows alone. Work that does not need the stage's result
-is done per block of ``BLOCK_STEPS`` steps, off the per-stage path: the
+2 k2 and 2 k3 are one call, k + k. IEEE negation, 1 x and x + x = 2 x
+are exact, a + (-b) is a - b, and products and two-term sums commute,
+so every value is the one the right side itself gives; only an exact
+zero may differ in sign. No value of a gap cell reaches a row: the gap
+of a stage input lies on ghost cells that the stage overwrites, and the
+guard reads the rows alone.
+
+A step is 67 numpy calls, and each is kept cheap. Every operand is
+bound once per run: each of the four stages is a closure over its
+buffers, its slope and its ufuncs (``_Stage.kernel``), and the loop
+reads the ufuncs and the step's factors from locals. Every output is
+passed positionally, and no ufunc gets a Python number: the factors
+dt/2, dt and dt/6 and the divisor 3 of u_xxx are arrays of the
+operand's length, made once per run, since numpy's path for a scalar
+operand costs more per call than a second array of a few hundred
+values does. Work that does not need the stage's result is done per
+block of ``BLOCK_STEPS`` steps, off the per-stage path: the
 exact-family ghosts of every distinct stage time of a block come from
 one call of the family's (u, v) program, and each stage only copies the
 two 5-column edge blocks of its buffer into a record whose through-flux
-the monitors evaluate in one array pass once per block. A sample
-quadratures the densities at once; its budget is filled at the end of
-its block from the running flux sum at the sample's step. The monitors'
-densities and fluxes are ``analytic`` programs, compiled once per process.
-Every value is computed by the same floating-point operations in the
-same order as one stage at a time would, so results do not depend on
-the block length.
+the monitors evaluate in one run of the flux program over both edges
+once per block. A sample quadratures the densities at once; its budget
+is filled at the end of its block from the running flux sum at the
+sample's step. The monitors' densities and fluxes, and the family's
+(u, v) program, are ``analytic`` programs compiled once per process;
+each run binds the family's parameters anew. Every value is computed
+by the same floating-point operations in the same order as one stage
+at a time would, so results do not depend on the block length.
 
 Finiteness is checked on the starting fields of a run, whether given or
 taken from the exact family, on the input of ``rhs``, and at the end of
@@ -55,6 +66,7 @@ is caught by the checks at the end of its step.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import accumulate
 from dataclasses import dataclass, field
@@ -266,12 +278,13 @@ def _stage_times(t: float, half: float, dt: float, steps: int) -> list[float]:
 class _Boundary:
     """Ghost-node supplier: periodic wrap or exact-family evaluation.
 
-    On the exact boundary u and v are compiled into one program, bound
-    once per run, and the ghosts of one block of RK4 steps come from one
-    call of it over the stacked (x, t) samples of the four ghost nodes at
-    every distinct stage time of the block. A block's first time is the
-    previous block's last, whose row is carried over, so each stage time
-    is evaluated once. The table holds 2 BLOCK_STEPS + 1 rows.
+    On the exact boundary u and v are one program, compiled once per
+    process and bound once per run (``compile_expr``), and the ghosts of
+    one block of RK4 steps come from one call of it over the stacked
+    (x, t) samples of the four ghost nodes at every distinct stage time
+    of the block. A block's first time is the previous block's last,
+    whose row is carried over, so each stage time is evaluated once. The
+    table holds 2 BLOCK_STEPS + 1 rows.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -284,7 +297,8 @@ class _Boundary:
             rows = 2 * BLOCK_STEPS + 1
             self._x = np.tile(self.ghost_x, rows)
             self.table = np.empty((rows, 2, 4))
-            self._blocks = self.table.reshape(rows, 2, 2, 2)  # see _Stage.pad
+            # one (2, 2, 2) view per row, made once (see _Stage.ghosts)
+            self._blocks = list(self.table.reshape(rows, 2, 2, 2))
             self._rows = 0  # rows of the previous block
 
     def block(self, times: list[float]) -> Sequence[np.ndarray | None]:
@@ -326,12 +340,17 @@ class _Stage:
     of the flat buffer shifted by -2..2 cells; u_x, v_x and the undivided
     u_xxx share one flat buffer (u_x, gap, v_x, gap, u_xxx) and one
     division by a per-cell scale (2dx, 2dx^3 for u_xxx); its second gap
-    stays 0. 2u is formed once over the padded u row, into row 0 of the
-    buffer, and read at both u_xxx taps. The products are
-    u u_x + v_x and v u_x + u v_x; 1 x and 2 x are exact and IEEE
-    products and two-term sums commute, so every value is the one
-    ``_stencil`` and the textbook products give. The stage writes the two
-    rows of ``out`` and never its gap cells.
+    stays 0. 2u is u + u, formed once over the padded u row, into row 0
+    of the buffer, and read at both u_xxx taps; u_xxx/3 divides by a row
+    of 3.0. The products are u u_x + v_x and v u_x + u v_x; u + u is
+    2 u exactly, and IEEE products and two-term sums commute, so every
+    value is the one ``_stencil`` and the textbook products give.
+
+    ``kernel(out)`` binds every operand once, the rows of the span
+    ``out`` included, so a call of the stage it returns looks up no
+    attribute and passes every ufunc its output positionally and no
+    Python number. The stage writes the two rows of ``out`` and never
+    its gap cells.
     """
 
     def __init__(self, grid: Grid1D):
@@ -341,22 +360,18 @@ class _Stage:
         self.buf = np.zeros((3, w))  # 2u, u and v, padded
         self.flat = self.buf.reshape(-1)
         self.fields = self.flat[w + 2 : 2 * w + n + 2]
-        self.both = tuple(self.flat[w + j : 2 * w + n + j] for j in range(5))
         self.rows = (_windows(self.buf[1], n), _windows(self.buf[2], n))
         # (row, side, node): columns 0, 1 and n+2, n+3 of the u and v
         # rows; the periodic wrap reads columns n, n+1 and 2, 3
         row, col = self.buf.strides
         self.ghosts = as_strided(self.buf[1:], (2, 2, 2), (row, (n + 2) * col, col))
         self.wrap = as_strided(self.buf[1:, n:], (2, 2, 2), (row, (2 - n) * col, col), writeable=False)
-        self.two_u, self.u_row = self.buf[0], self.buf[1]
-        self.two_u_at = _windows(self.two_u, n)
         self.d = np.zeros(2 * w + n)  # u_x, gap, v_x, gap, undivided u_xxx
-        self.d1, self.d3 = self.d[: w + n], self.d[2 * w :]
-        self.u_x, self.v_x = self.split(self.d1)
-        self.u, self.v = self.split(self.fields)
         self.scale = np.full(2 * w + n, 2 * self.dx)
         self.scale[2 * w :] = 2 * self.dx**3
+        self.three = np.full(n, 3.0)
         self.tmp = np.empty(n)
+        self.u, self.v = self.split(self.fields)
         # the two 5-column edge blocks, columns 0..4 and n-1..n+3, of the
         # u and v rows in the flat buffer
         cols = np.arange(5)
@@ -376,37 +391,58 @@ class _Stage:
         (2, 2, 2) ghost block (row, side, node), or periodically."""
         self.ghosts[...] = self.wrap if ghosts is None else ghosts
 
+    def kernel(self, out: np.ndarray):
+        """The stage into the span ``out`` with its operands bound:
+        ``run(ghosts, edges=None)`` fills the ghost cells as ``pad`` does,
+        copies the edge blocks into ``edges`` if given, writes
+        -u_t = u u_x + v_x, -v_t = u_x v + u v_x + u_xxx/3 of the interior
+        ``fields`` into the rows of ``out`` and returns ``out``."""
+        n, w = self.n, self.w
+        cells, wrap = self.ghosts, self.wrap
+        take, edge_index = self.flat.take, self.edge_index
+        # the u and v windows at offsets -1 and +1 as spans, and u's at -2, +2
+        p1, p3 = (self.flat[w + j : 2 * w + n + j] for j in (1, 3))
+        q0, q4 = self.rows[0][0], self.rows[0][4]
+        u_row, two_u = self.buf[1], self.buf[0]
+        two_u1, two_u3 = two_u[1 : n + 1], two_u[3 : n + 3]
+        d, scale, three, tmp = self.d, self.scale, self.three, self.tmp
+        d1, d3 = d[: w + n], d[2 * w :]
+        u_x, v_x = self.split(d1)
+        u, v = self.u, self.v
+        nu_t, nv_t = self.split(out)
+        subtract, add, multiply, divide = np.subtract, np.add, np.multiply, np.divide
+
+        def run(ghosts: np.ndarray | None, edges: np.ndarray | None = None) -> np.ndarray:
+            cells[...] = wrap if ghosts is None else ghosts
+            if edges is not None:
+                take(edge_index, None, edges, "clip")
+            # _stencil's operations, in its order
+            subtract(p3, p1, d1)
+            add(u_row, u_row, two_u)
+            subtract(q4, two_u3, d3)
+            add(d3, two_u1, d3)
+            subtract(d3, q0, d3)
+            divide(d, scale, d)
+            # u u_x + v_x and v u_x + u v_x
+            multiply(u, u_x, nu_t)
+            add(nu_t, v_x, nu_t)
+            multiply(v, u_x, nv_t)
+            multiply(u, v_x, tmp)
+            add(nv_t, tmp, nv_t)
+            divide(d3, three, d3)
+            add(nv_t, d3, nv_t)
+            return out
+
+        return run
+
     def __call__(
         self,
         ghosts: np.ndarray | None,
         out: np.ndarray,
         edges: np.ndarray | None = None,
     ) -> np.ndarray:
-        """-u_t = u u_x + v_x, -v_t = u_x v + u v_x + u_xxx/3 of the
-        interior ``fields`` into the rows of the span ``out``; ``edges``,
-        if given, receives the edge blocks."""
-        self.pad(ghosts)
-        if edges is not None:
-            self.flat.take(self.edge_index, out=edges, mode="clip")
-        p, q, two_u, d3 = self.both, self.rows[0], self.two_u_at, self.d3
-        u, v, u_x, v_x, tmp = self.u, self.v, self.u_x, self.v_x, self.tmp
-        nu_t, nv_t = out[: self.n], out[self.w :]
-        # _stencil's operations, in its order
-        np.subtract(p[3], p[1], out=self.d1)
-        np.multiply(2, self.u_row, out=self.two_u)
-        np.subtract(q[4], two_u[3], out=d3)
-        np.add(d3, two_u[1], out=d3)
-        np.subtract(d3, q[0], out=d3)
-        np.divide(self.d, self.scale, out=self.d)
-        # u u_x + v_x and v u_x + u v_x
-        np.multiply(u, u_x, out=nu_t)
-        np.add(nu_t, v_x, out=nu_t)
-        np.multiply(v, u_x, out=nv_t)
-        np.multiply(u, v_x, out=tmp)
-        np.add(nv_t, tmp, out=nv_t)
-        np.divide(d3, 3.0, out=d3)
-        np.add(nv_t, d3, out=nv_t)
-        return out
+        """The stage into the span ``out`` (see ``kernel``)."""
+        return self.kernel(out)(ghosts, edges)
 
 
 def rhs(
@@ -428,9 +464,11 @@ def rhs(
 # ---------------------------------------------------------------------------
 # monitored densities and fluxes
 
-def _coordinates(polys: Sequence[JetPoly]) -> list[tuple[str, int, int]]:
+@functools.lru_cache(maxsize=64)
+def _coordinates(polys: tuple[JetPoly, ...]) -> tuple[tuple[str, int, int], ...]:
     """(name, row, x-order) of each jet coordinate of the monitored
-    densities or fluxes, which the stencils must cover."""
+    densities or fluxes, which the stencils must cover; found once per
+    process for each tuple of laws."""
     out = set()
     for poly in polys:
         for m in poly.terms:
@@ -442,7 +480,7 @@ def _coordinates(polys: Sequence[JetPoly]) -> list[tuple[str, int, int]]:
                 out.add((str(v), ("u", "v").index(v.name), v.dx))
             if m.params:
                 raise JetError("monitor expressions must have no free parameters")
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 # per step of a block, the rows of its four stages in the block's times
@@ -461,9 +499,10 @@ class _Monitors:
     blocks of its padded buffer into a preallocated record of
     4 BLOCK_STEPS slots (``edges``). Once per block, ``flush`` takes every
     law's through-flux flux(left edge) - flux(right edge) over all the
-    block's stages from one flux-program run per edge, adds each step's
-    RK4-weighted sum to the flux integral in step order, and fills the
-    budgets of the block's samples from the running sum at each sample's step.
+    block's stages from one flux-program run over both edges, stacked as
+    (side, stage) arrays, adds each step's RK4-weighted sum to the flux
+    integral in step order, and fills the budgets of the block's samples
+    from the running sum at each sample's step.
     """
 
     def __init__(self, labels: Sequence[str], stage: _Stage, x: np.ndarray, periodic: bool, dt: float):
@@ -481,8 +520,9 @@ class _Monitors:
         self.flux = poly_program(fluxes) if fluxes else None
         self.flux_integral = [0.0] * len(labels)
         self.stage, self.periodic, self.x = stage, periodic, x
-        # arrays, as numpy's a**2 is a*a where a float's is libm's pow
-        self.edge_x = (x[:1], x[-1:])
+        # the (side, 1) column of the edge x: an array, as numpy's a**2 is
+        # a*a where a float's is libm's pow
+        self.edge_x = x[[0, -1], None]
         self.weights = np.full(len(x), stage.dx)
         self.weights[[0, -1]] *= 0.5
         self.sixth = dt / 6.0
@@ -504,18 +544,15 @@ class _Monitors:
         hi = 4 * steps
         if self.flux:
             dx, time = self.stage.dx, self.times[:hi]
-            cols = self.edges[:hi].reshape(-1, 2, 2, 5)  # stage, row, side, sample
-
-            def at(side: int) -> tuple:
-                values = {name: _stencil(cols[:, row, side].T, k, dx) for name, row, k in self.flux_at}
-                return self.flux({**values, "x": self.edge_x[side], "t": time})
-
-            left, right = at(0), at(1)
+            # sample, row, side, stage
+            cols = self.edges[:hi].reshape(-1, 2, 2, 5).transpose(3, 1, 2, 0)
+            values = {name: _stencil(cols[:, row], k, dx) for name, row, k in self.flux_at}
+            fluxes = self.flux({**values, "x": self.edge_x, "t": time})
         for i, series in enumerate(self.series):
             running = [self.flux_integral[i]] * (steps + 1)
             if self.flux:
-                rates = left[i] - right[i]
-                a, b, c, d = np.broadcast_to(rates, (hi,)).reshape(-1, 4).T
+                left, right = np.broadcast_to(fluxes[i], (2, hi))
+                a, b, c, d = (left - right).reshape(-1, 4).T
                 increments = (self.sixth * (a + 2 * b + 2 * c + d)).tolist()
                 running = list(accumulate(increments, initial=running[0]))
                 self.flux_integral[i] = running[-1]
@@ -592,15 +629,22 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
     monitors = _Monitors(cfg.monitors, stage, x, boundary.periodic, dt)
     slots = monitors.slots
     # the k hold the negated slopes (see _Stage), four spans in one flat
-    # array; y is the stage input
+    # array, each with its stage bound; y is the stage input
     size = len(fields)
     k = np.zeros(4 * size)
-    k1, k2, k3, k4 = np.split(k, 4)
+    k1, k2, k3, k4 = (k[i * size : (i + 1) * size] for i in range(4))
     k23 = k[size : 3 * size]
+    stage1, stage2, stage3, stage4 = map(stage.kernel, (k1, k2, k3, k4))
     y = stage.fields
+    # the step's factors as full spans: numpy's path for a Python number
+    # operand costs more per call than a second array
+    c_half, c_dt, c_sixth = (np.full(size, c) for c in (half, dt, sixth))
     # |u| and |v| side by side, and the start of each
     peaks, starts = np.empty(2 * grid.n), np.array([0, grid.n])
-    u_abs, v_abs = np.split(peaks, 2)
+    u_abs, v_abs = peaks[: grid.n], peaks[grid.n :]
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    absolute, peak_of = np.abs, np.maximum.reduceat
+    stride = cfg.output_stride
 
     for first in range(0, steps, BLOCK_STEPS):
         count = min(BLOCK_STEPS, steps - first)
@@ -611,34 +655,35 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
             monitors.sample(fields, t, ghosts[0], 0)
         for j in range(count):
             g0, g_half, g1 = ghosts[2 * j : 2 * j + 3]
-            s = 4 * j
+            e1, e2, e3, e4 = slots[4 * j : 4 * j + 4]
             y[...] = fields
-            stage(g0, k1, slots[s])
-            np.multiply(half, k1, out=y)
-            np.subtract(fields, y, out=y)
-            stage(g_half, k2, slots[s + 1])
-            np.multiply(half, k2, out=y)
-            np.subtract(fields, y, out=y)
-            stage(g_half, k3, slots[s + 2])
-            np.multiply(dt, k3, out=y)
-            np.subtract(fields, y, out=y)
-            stage(g1, k4, slots[s + 3])
+            stage1(g0, e1)
+            multiply(c_half, k1, y)
+            subtract(fields, y, y)
+            stage2(g_half, e2)
+            multiply(c_half, k2, y)
+            subtract(fields, y, y)
+            stage3(g_half, e3)
+            multiply(c_dt, k3, y)
+            subtract(fields, y, y)
+            stage4(g1, e4)
 
-            # fields - sixth * (k1 + 2 k2 + 2 k3 + k4), in that order
-            np.multiply(2, k23, out=k23)
-            np.add(k1, k2, out=k1)
-            np.add(k1, k3, out=k1)
-            np.add(k1, k4, out=k1)
-            np.multiply(sixth, k1, out=k1)
-            np.subtract(fields, k1, out=fields)
+            # fields - sixth * (k1 + 2 k2 + 2 k3 + k4), in that order;
+            # k + k is 2 k exactly
+            add(k23, k23, k23)
+            add(k1, k2, k1)
+            add(k1, k3, k1)
+            add(k1, k4, k1)
+            multiply(c_sixth, k1, k1)
+            subtract(fields, k1, fields)
             t = times[2 * j + 2]
 
             # the rows alone, never the gap; max propagates NaN, and
             # NaN > guard is false: a NaN row cannot hide the other row's
             # blow-up; inf is above the guard
-            np.abs(u, out=u_abs)
-            np.abs(v, out=v_abs)
-            peak_u, peak_v = np.maximum.reduceat(peaks, starts).tolist()
+            absolute(u, u_abs)
+            absolute(v, v_abs)
+            peak_u, peak_v = peak_of(peaks, starts).tolist()
             if peak_u > BLOWUP_GUARD or peak_v > BLOWUP_GUARD:
                 raise BlowupError(f"field magnitude exceeded {BLOWUP_GUARD:g}", t)
             if math.isnan(peak_u) or math.isnan(peak_v):
@@ -646,7 +691,7 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
                 _require_finite(v, t)
 
             step = first + j
-            if (step + 1) % cfg.output_stride == 0 or step == steps - 1:
+            if (step + 1) % stride == 0 or step == steps - 1:
                 monitors.sample(fields, t, g1, j + 1)
         monitors.flush(count)
 

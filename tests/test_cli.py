@@ -611,3 +611,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "determining-X4" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["waves", "verify", "--family", "eq93", "--binding", "mu=1"], ["report", "symmetry"]],
+    ids=["waves-verify", "report-symmetry"],
+)
+def test_closed_stdout_ends_quietly(argv):
+    """A reader that closed standard output, as ``| head -1`` does, is
+    neither bad input (exit 2) nor a fault (a traceback): the command ends
+    with exit 1 and nothing on stderr. The pipe's read end is closed
+    before the command starts, so its first write fails."""
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dlwlab.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dlwlab", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -3,6 +3,7 @@ through-flux budgets, temporal dominance, the recorded instability of
 the benchmark system, and agreement with the unfused reference stepper
 kept in ``sim_reference``."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlwlab import sim
+from dlwlab import analytic, sim
 from dlwlab.analytic import compile_expr, poly_program
 from dlwlab.conslaw import direct_laws
 from dlwlab.jet import JetError
@@ -421,8 +422,8 @@ class TestReferenceOracle:
 
     def test_flux_evaluated_once_per_block(self, monkeypatch):
         # every sample of stride 1 takes no flux evaluation of its own:
-        # the one flux program of the laws runs at the two edges once per
-        # block, and the density program once per sample
+        # the one flux program of the laws runs once per block, over both
+        # edges stacked, and the density program once per sample
         runs = []
         compile_polys = sim.poly_program
 
@@ -437,9 +438,9 @@ class TestReferenceOracle:
         assert blocks == 3 and len(res.monitors["eq32"].budget) == res.steps + 1
         fluxes = tuple(direct_laws()[label].flux for label in labels)
         densities = tuple(direct_laws()[label].density for label in labels)
-        assert sum(polys == fluxes for polys in runs) == 2 * blocks
+        assert sum(polys == fluxes for polys in runs) == blocks
         assert sum(polys == densities for polys in runs) == res.steps + 1
-        assert len(runs) == 2 * blocks + res.steps + 1
+        assert len(runs) == blocks + res.steps + 1
 
     def test_each_label_tuple_is_compiled_once(self):
         # the densities and the fluxes of a label tuple are compiled and
@@ -450,6 +451,30 @@ class TestReferenceOracle:
         assert poly_program.cache_info()[:4] == (2, 2, 64, 2)  # hits, misses, maxsize, size
         integrate(*_periodic_wave(("eq32", "eq33")))
         assert poly_program.cache_info().misses == 2  # a periodic run reads no flux
+
+    def test_ghost_program_is_compiled_once_and_bound_per_run(self):
+        # eq93 at mu = 1, then 0.5, then 1 again in one process: the (u, v)
+        # program is compiled once and each run binds its own mu, so no
+        # binding leaks into the next run. Each run is bitwise the same run
+        # compiled cold and the reference stepper's run
+        kink = _kink(64, 0.1, ("eq32", "eq33"), output_stride=3)
+        cfgs = [dataclasses.replace(kink, binding={"mu": mu}) for mu in (1.0, 0.5, 1.0)]
+        analytic._expr_program.cache_clear()
+        warm = [integrate(cfg) for cfg in cfgs]
+        assert analytic._expr_program.cache_info()[:2] == (2, 1)  # hits, misses
+        assert warm[0].l2_error != warm[1].l2_error
+        for cfg, got in zip(cfgs, warm):
+            analytic._expr_program.cache_clear()
+            cold = integrate(cfg)
+            want = sim_reference.integrate(cfg)
+            for other in (cold, want):
+                assert (got.steps, got.state.time, got.l2_error) == (other.steps, other.state.time, other.l2_error)
+                assert got.state.u.tobytes() == other.state.u.tobytes()
+                assert got.state.v.tobytes() == other.state.v.tobytes()
+                assert list(got.monitors) == list(other.monitors)
+                for label, series in got.monitors.items():
+                    theirs = other.monitors[label]
+                    assert (series.times, series.raw, series.budget) == (theirs.times, theirs.raw, theirs.budget)
 
     def test_ghosts_evaluated_once_per_stage_time(self, monkeypatch):
         # the one (u, v) callable sees every distinct stage time exactly
@@ -583,12 +608,17 @@ class TestStepGuards:
         calls = []
 
         class Stage(sim._Stage):
-            def __call__(self, ghosts, out, edges=None):
-                super().__call__(ghosts, out, edges)
-                calls.append(None)
-                if len(calls) == 4:
-                    out[5], out[self.w + 5] = u, v
-                return out
+            def kernel(self, out):
+                run = super().kernel(out)
+
+                def poisoned(ghosts, edges=None):
+                    run(ghosts, edges)
+                    calls.append(None)
+                    if len(calls) == 4:
+                        out[5], out[self.w + 5] = u, v
+                    return out
+
+                return poisoned
 
         def reference_rhs(state, grid, boundary=None):
             du, dv = rhs_before(state, grid, boundary)
@@ -640,10 +670,15 @@ class TestGapCells:
     def poison_gaps(monkeypatch, poison):
         # every stage leaves the poison in the gap of its slope
         class Stage(sim._Stage):
-            def __call__(self, ghosts, out, edges=None):
-                super().__call__(ghosts, out, edges)
-                out[self.n : self.w] = poison
-                return out
+            def kernel(self, out):
+                run = super().kernel(out)
+
+                def poisoned(ghosts, edges=None):
+                    run(ghosts, edges)
+                    out[self.n : self.w] = poison
+                    return out
+
+                return poisoned
 
         monkeypatch.setattr(sim, "_Stage", Stage)
 
@@ -730,9 +765,21 @@ class TestStepCost:
     """What an RK4 step pays in numpy calls made through ``sim.np``: 4
     stages of 13 ufunc calls, 6 for the stage inputs, 6 for the RK4
     combination and 3 for the guard, every one on 1-D C-contiguous
-    arrays."""
+    arrays and none on a Python number."""
 
     STEP_CALLS = 4 * 13 + 6 + 6 + 3
+
+    CASES = [
+        pytest.param(lambda: (_kink(64, 0.1, ("eq32", "eq33", "eq31"), output_stride=3), None), id="exact"),
+        pytest.param(lambda: (_kink(64, 0.1), None), id="exact-bare"),
+        pytest.param(lambda: _periodic_wave(("eq33", "eq32")), id="periodic"),
+    ]
+
+    @staticmethod
+    def ufunc_calls(calls):
+        return [
+            (name, args, kwargs) for name, args, kwargs in calls if isinstance(getattr(np, name.split(".")[0]), np.ufunc)
+        ]
 
     @staticmethod
     def recorded(monkeypatch, cfg, initial=None):
@@ -752,24 +799,28 @@ class TestStepCost:
         ]
         assert counts[1] - counts[0] == self.STEP_CALLS
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            pytest.param(lambda: (_kink(64, 0.1, ("eq32", "eq33", "eq31"), output_stride=3), None), id="exact"),
-            pytest.param(lambda: _periodic_wave(("eq33", "eq32")), id="periodic"),
-        ],
-    )
+    @pytest.mark.parametrize("case", CASES[::2])
     def test_every_ufunc_operand_is_flat_and_contiguous(self, monkeypatch, case):
-        calls = self.recorded(monkeypatch, *case())
-        ufunc_calls = [
-            (name, args, kwargs) for name, args, kwargs in calls if isinstance(getattr(np, name.split(".")[0]), np.ufunc)
-        ]
+        ufunc_calls = self.ufunc_calls(self.recorded(monkeypatch, *case()))
         names = {name for name, _, _ in ufunc_calls}
         assert {"subtract", "add", "multiply", "divide", "abs", "maximum.reduceat"} <= names
         for name, args, kwargs in ufunc_calls:
             for operand in [*args, *kwargs.values()]:
                 if isinstance(operand, np.ndarray):
                     assert operand.ndim == 1 and operand.flags.c_contiguous, name
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_no_ufunc_gets_a_number(self, monkeypatch, case):
+        # numpy's path for a Python number or a 0-d operand costs more per
+        # call than a second array: every ufunc call of a run, the step
+        # loop's included, takes arrays of at least one dimension alone,
+        # and its output positionally
+        ufunc_calls = self.ufunc_calls(self.recorded(monkeypatch, *case()))
+        assert len(ufunc_calls) > 2 * self.STEP_CALLS
+        for name, args, kwargs in ufunc_calls:
+            assert kwargs == {}, name
+            for operand in args:
+                assert isinstance(operand, np.ndarray) and operand.ndim >= 1, (name, operand)
 
 
 def _counting_compile(calls):
