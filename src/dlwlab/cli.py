@@ -19,7 +19,9 @@ family, or a file that cannot be read or written).
 Past parsing, each prints one stderr line ``dlwlab <command> <action>:
 <error type>: <message>``. A standard output closed by its reader (as
 ``| head -1`` closes it) ends the command quietly with exit 1: no
-traceback and no stderr line.
+traceback and no stderr line. Every file an action names (``--json``,
+``--out``, ``--out-dir``) is written before the action prints, so a
+closed standard output does not lose it.
 """
 
 from __future__ import annotations
@@ -62,10 +64,11 @@ def _write_json(text: str, args: argparse.Namespace) -> None:
 
 
 def _print_json(data: object, args: argparse.Namespace) -> None:
-    """Print data as JSON and write the same text to ``--json`` if given."""
+    """Write data as JSON to ``--json`` if given, then print the same text:
+    the file is written even when standard output is closed."""
     text = json.dumps(data, indent=2, sort_keys=True)
-    _print(text)
     _write_json(text, args)
+    _print(text)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -76,9 +79,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _emit(report: VerificationReport, args: argparse.Namespace) -> int:
-    _print(report.render())
+    """Write the report's JSON to ``--json`` if given, then print the
+    report: the file is written even when standard output is closed."""
     if args.json:
         _write_json(report_to_json_text(report), args)
+    _print(report.render())
+    if args.json:
         _print(f"json written to {args.json}")
     return 1 if report.failed() else 0
 

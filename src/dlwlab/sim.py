@@ -1,59 +1,60 @@
 """Method-of-lines finite-difference solver for the water-wave pair with
 runtime monitoring of verified conserved densities.
 
-Second-order central stencils in space (five-point antisymmetric stencil
-for u_xxx), classical RK4 in time with dt proportional to dx^3, ghost
-cells filled periodically or from a registered exact family. Monitors
-quadrature each registered density and, on bounded domains, accumulate
-the boundary through-flux inside the RK4 stages so the reported drift is
-measured against the exact conservation budget
+The equations are not typed in here: every stage runs the right sides of
+``systems.physical_system()``, the pair the report verifies, compiled
+once per process into a plan of in-place ufunc calls (``_stage_plan``).
+The central differences come from one tap table, ``_TAPS``: second order
+in space, with the five-point antisymmetric stencil for u_xxx. The same
+table gives the monitors' stencil values (``_stencil``). Time is
+classical RK4 with dt proportional to dx^3, and ghost cells are filled
+periodically or from a registered exact family. Monitors quadrature each
+registered density and, on bounded domains, accumulate the boundary
+through-flux inside the RK4 stages, so the reported drift is measured
+against the exact conservation budget
 
     d/dt (integral of density) = flux(left edge) - flux(right edge).
 
 Each RK4 stage is computed once and shared. A grid of n cells is padded
 to W = n + 4 columns, and every two-row quantity is one 1-D span of
 W + n values: the u row, 4 gap cells, then the v row, so the two rows
-sit exactly W apart and every numpy call runs one flat loop. The state,
-the stage input, the four slopes and the stencil windows are such spans.
-Each stage input is written straight into the u and v rows of one
-preallocated (3, W) buffer; one assignment through a strided view then
-fills all 8 ghost cells. A stage is one ghost assignment and 13 ufunc
-calls into buffers allocated once per run: u_x, v_x and the undivided
-u_xxx share one flat buffer and one division by a per-cell scale, 2u is
-formed once as u + u, in the buffer's first row, for both u_xxx taps,
-and the products are u u_x + v_x and v u_x + u v_x row by row. A stage
-computes the negated right side, u u_x + v_x and
-u_x v + u v_x + u_xxx/3, and the stage inputs and the final RK4
-combination subtract it where the textbook form adds the right side,
-which saves the negations. The four slopes share one flat array, so
-2 k2 and 2 k3 are one call, k + k. IEEE negation, 1 x and x + x = 2 x
-are exact, a + (-b) is a - b, and products and two-term sums commute,
-so every value is the one the right side itself gives; only an exact
-zero may differ in sign. No value of a gap cell reaches a row: the gap
-of a stage input lies on ghost cells that the stage overwrites, and the
-guard reads the rows alone.
+sit exactly W apart and a call over both rows is one flat loop. The
+state, the stage input, the four slopes and the stencil windows are such
+spans. Each stage input is written straight into the u and v rows of
+one preallocated buffer; one assignment through a strided view then
+fills all 8 ghost cells. A stage computes the system's right side, which
+is the negated time derivative (``EvolutionSystem``: u_t = -rhs), and
+the stage inputs and the final RK4 combination subtract it where the
+textbook form adds the time derivative, which saves the negations. The
+four slopes share one flat array, so 2 k2 and 2 k3 are one call, k + k.
+IEEE negation, 1 x and x + x = 2 x are exact, a + (-b) is a - b, and
+products and two-term sums commute, so every value is the one the
+textbook form gives; only an exact zero may differ in sign. No value of
+a gap cell reaches a row: the gap of a stage input lies on ghost cells
+that the stage overwrites, and the guard reads the rows alone.
 
-A step is 67 numpy calls, and each is kept cheap. Every operand is
-bound once per run: each of the four stages is a closure over its
-buffers, its slope and its ufuncs (``_Stage.kernel``), and the loop
-reads the ufuncs and the step's factors from locals. Every output is
-passed positionally, and no ufunc gets a Python number: the factors
-dt/2, dt and dt/6 and the divisor 3 of u_xxx are arrays of the
-operand's length, made once per run, since numpy's path for a scalar
-operand costs more per call than a second array of a few hundred
-values does. Work that does not need the stage's result is done per
-block of ``BLOCK_STEPS`` steps, off the per-stage path: the
-exact-family ghosts of every distinct stage time of a block come from
-one call of the family's (u, v) program, and each stage only copies the
-two 5-column edge blocks of its buffer into a record whose through-flux
-the monitors evaluate in one run of the flux program over both edges
-once per block. A sample quadratures the densities at once; its budget
-is filled at the end of its block from the running flux sum at the
-sample's step. The monitors' densities and fluxes, and the family's
-(u, v) program, are ``analytic`` programs compiled once per process;
-each run binds the family's parameters anew. Every value is computed
-by the same floating-point operations in the same order as one stage
-at a time would, so results do not depend on the block length.
+For the pair a step is 67 numpy calls, and each is kept cheap. Every
+operand is bound once per run: each of the four stages is a closure over
+its plan, bound to its buffers, its slope and its ufuncs
+(``_Stage.kernel``), and the loop reads the ufuncs and the step's
+factors from locals. Every output is passed positionally, and no ufunc
+gets a Python number: the factors dt/2, dt and dt/6 and the plan's
+coefficients are arrays of the operand's length, made once per run,
+since numpy's path for a scalar operand costs more per call than a
+second array of a few hundred values does. Work that does not need the
+stage's result is done per block of ``BLOCK_STEPS`` steps, off the
+per-stage path: the exact-family ghosts of every distinct stage time of
+a block come from one call of the family's (u, v) program, and each
+stage only copies the two 5-column edge blocks of its buffer into a
+record whose through-flux the monitors evaluate in one run of the flux
+program over both edges once per block. A sample quadratures the
+densities at once; its budget is filled at the end of its block from
+the running flux sum at the sample's step. The monitors' densities and
+fluxes, and the family's (u, v) program, are ``analytic`` programs
+compiled once per process; each run binds the family's parameters anew.
+Every value is computed by the same floating-point operations in the
+same order as one stage at a time would, so results do not depend on
+the block length.
 
 Finiteness is checked on the starting fields of a run, whether given or
 taken from the exact family, on the input of ``rhs``, and at the end of
@@ -68,8 +69,8 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import accumulate
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -80,19 +81,11 @@ from .analytic import compile_expr, poly_program
 from .conslaw import direct_laws
 from .jet import JetError, JetPoly
 from .solutions import RESIDUAL_TOL, verify_family
+from .systems import physical_system
 
 __all__ = [
-    "BlowupError",
-    "Grid1D",
-    "FieldState",
-    "SimConfig",
-    "MonitorSeries",
-    "SimResult",
-    "rhs",
-    "integrate",
-    "convergence_study",
-    "parse_config",
-    "config_from_mapping",
+    "BlowupError", "Grid1D", "FieldState", "SimConfig", "MonitorSeries", "SimResult",
+    "rhs", "integrate", "convergence_study", "parse_config", "config_from_mapping",
 ]
 
 
@@ -185,9 +178,7 @@ class SimConfig:
         if not math.isfinite(self.t_end):
             raise JetError(f"t_end {self.t_end:g} is not finite")
         if not step <= self.t_end:
-            raise JetError(
-                f"step size {step:g} is longer than t_end {self.t_end:g} at grid size n = {self.grid.n}"
-            )
+            raise JetError(f"step size {step:g} is longer than t_end {self.t_end:g} at grid size n = {self.grid.n}")
         count = self.t_end / step  # inf when the quotient overflows
         if math.isinf(count) or round(count) > MAX_STEPS:
             raise JetError(
@@ -239,24 +230,48 @@ def _require_finite(fields: np.ndarray, time: float) -> None:
         raise JetError(f"non-finite field at t = {time:.6g}")
 
 
-def _windows(padded: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """The five shifted views of a padded buffer (two ghost nodes per
-    side): entry j holds the samples at offset j - 2 from each node."""
-    return tuple(padded[..., j : j + n] for j in range(5))
+# The central differences of x-order 0 (the sample itself) to 3 from the
+# samples at offsets -2..2: second order, with the five-point
+# antisymmetric stencil for order 3. Per order, its (offset, weight) taps
+# in the order they are summed, the first of weight 1, and its divisor
+# c dx**p as (c, p).
+_TAPS = {
+    0: (((0, 1),), (1, 0)),
+    1: (((1, 1), (-1, -1)), (2, 1)),
+    2: (((1, 1), (0, -2), (-1, 1)), (1, 2)),
+    3: (((2, 1), (1, -2), (-1, 2), (-2, -1)), (2, 3)),
+}
 
 
 def _stencil(p, k: int, dx: float):
     """Central difference of order k (0..3) from the samples ``p[0..4]`` at
-    offsets -2..2: second order, with the five-point antisymmetric stencil
-    for k = 3. The samples are arrays: over a grid, or over the recorded
-    stages at one edge."""
-    if k == 0:
-        return p[2]
-    if k == 1:
-        return (p[3] - p[1]) / (2 * dx)
-    if k == 2:
-        return (p[3] - 2 * p[2] + p[1]) / dx**2
-    return (p[4] - 2 * p[3] + 2 * p[1] - p[0]) / (2 * dx**3)
+    offsets -2..2, by ``_TAPS``. The samples are arrays: over a grid, or
+    over the recorded stages at one edge."""
+    ((first, _), *taps), (c, power) = _TAPS[k]
+    out = p[2 + first]
+    for offset, weight in taps:
+        sample = p[2 + offset] if abs(weight) == 1 else abs(weight) * p[2 + offset]
+        out = out + sample if weight > 0 else out - sample
+    return out / (c * dx**power)
+
+
+@functools.lru_cache(maxsize=64)
+def _coordinates(polys: tuple[JetPoly, ...], noun: str = "monitor expressions") -> tuple[tuple[str, int, int], ...]:
+    """(name, row, x-order) of each jet coordinate of ``polys``, which the
+    stencils must cover; found once per process for each tuple of
+    polynomials. ``noun`` names them in the errors."""
+    out = set()
+    for poly in polys:
+        for m in poly.terms:
+            for v, _ in m.jet:
+                if v.dt:
+                    raise JetError(f"{noun} must be t-derivative-free")
+                if v.dx > 3:
+                    raise JetError("stencils cover derivatives up to third order")
+                out.add((str(v), ("u", "v").index(v.name), v.dx))
+            if m.params:
+                raise JetError(f"{noun} must have no free parameters")
+    return tuple(sorted(out))
 
 
 # RK4 steps whose stage times share one ghost evaluation and one
@@ -323,60 +338,145 @@ class _Boundary:
         return self._fields(x, time)
 
 
+def _row(name, row: int = 0, col: int = 0) -> tuple:
+    """The plan key of one row (see ``_stage_plan``)."""
+    return (name, row, col, 1, -4)
+
+
+@functools.lru_cache(maxsize=16)
+def _stage_plan(polys: tuple[JetPoly, ...]) -> tuple[int, tuple, tuple, tuple]:
+    """The stage of the right sides ``polys`` of u and v as calls
+    ``(ufunc name, a, b, out)`` of binary ufuncs, planned once per process
+    for each tuple of right sides. An operand is a key ``(array, row, col,
+    rows, cols)``: the slice from row W + col to (row + rows) W + col +
+    cols of one of the stage's flat arrays (see ``_Stage``), where a float
+    array name is a row of that value and "out" is the output span.
+
+    First come the central differences, one per x-order that a right
+    side reads, over the rows that read it (one span when both do), by
+    ``_TAPS``: a tap of weight 2 reads a doubled padded row, formed once
+    as x + x before the first order that needs it, and one division by a
+    per-cell divisor ends them all. Then each right side is summed term
+    after term in ``JetPoly`` order into its output row: the factors of a
+    term are multiplied left to right, a coefficient p/q multiplies by a
+    row of p unless p is 1 and divides by a row of q unless q is 1, and
+    each later term is formed in a scratch row and added, or subtracted
+    when negative; the first carries its sign in p. A zero right side
+    writes nothing, so its row keeps the zeros of a new span.
+
+    Returns the number of doubled rows, the divisor (c, p) of each
+    derivative row, the distinct operand keys and the calls, each with
+    its operands as indices into the keys. A right side with an explicit
+    x or t, a t-derivative, a parameter or an x-order above 3 is a
+    ``JetError``.
+    """
+    coords = _coordinates(polys, "right sides")
+    if any(m.xpow or m.tpow for poly in polys for m in poly.terms):
+        raise JetError("right sides must not depend on x or t explicitly")
+    orders = {k: [row for _, row, j in coords if j == k] for k in sorted({k for *_, k in coords} - {0})}
+    doubled = sorted({r for k, rows in orders.items() for r in rows if any(abs(w) == 2 for _, w in _TAPS[k][0])})
+    m = len(doubled)
+    # the padded rows of the weight-2 taps doubled as x + x, once
+    padded = ("buf", m + doubled[0], 0, m, 0) if doubled else None
+    double = ("add", padded, padded, ("buf", 0, 0, m, 0))
+
+    def window(rows: list[int], offset: int, weight: int) -> tuple:
+        return ("buf", doubled.index(rows[0]) if abs(weight) == 2 else m + rows[0], 2 + offset, len(rows), -4)
+
+    calls, divisors, slots = [], [], {}
+    for k, rows in orders.items():
+        (first, *taps), divisor = _TAPS[k]
+        if any(abs(w) == 2 for _, w in taps) and double not in calls:
+            calls.append(double)
+        block = ("d", len(divisors), 0, len(rows), -4)
+        slots.update({(row, k): len(divisors) + i for i, row in enumerate(rows)})
+        divisors += [divisor] * len(rows)
+        for i, (offset, weight) in enumerate(taps):
+            a = block if i else window(rows, *first)
+            calls.append(("add" if weight > 0 else "subtract", a, window(rows, offset, weight), block))
+    if divisors:
+        every = ("d", 0, 0, len(divisors), -4)
+        calls.append(("divide", every, ("scale",) + every[1:], every))
+    value = {name: _row("d", slots[row, k]) if k else _row("buf", m + row, 2) for name, row, k in coords}
+    for row, poly in enumerate(polys):
+        out, tmp = _row("out", row), _row("tmp")
+        for i, (mono, coef) in enumerate(poly.terms.items()):
+            acc, *factors = [value[str(v)] for v, e in mono.jet for _ in range(e)] or [_row(1.0)]
+            p, q = coef.numerator if i == 0 else abs(coef.numerator), coef.denominator
+            steps = [("multiply", f) for f in factors] + [("multiply", _row(float(p)))] * (p != 1)
+            steps += [("divide", _row(float(q)))] * (q != 1)
+            # a first term that is a bare factor is copied, as x 1
+            for op, b in steps or [("multiply", _row(1.0))] * (i == 0):
+                calls.append((op, acc, b, tmp if i else out))
+                acc = tmp if i else out
+            if i:
+                calls.append(("subtract" if coef < 0 else "add", out, acc, out))
+    keys = {key: i for i, key in enumerate(dict.fromkeys(key for _, *operands in calls for key in operands))}
+    return m, tuple(divisors), tuple(keys), tuple((op, tuple(map(keys.get, operands))) for op, *operands in calls)
+
+
 class _Stage:
-    """The negated semi-discrete right side of one RK4 stage: one ghost
-    assignment and 13 ufunc calls, and one ``take`` when the edge blocks
-    are recorded.
+    """One RK4 stage of the right sides of u and v: one ghost assignment,
+    the calls of their plan (``_stage_plan``) and one ``take`` when the
+    edge blocks are recorded. The right sides are
+    ``physical_system().rhs``, the pair the report verifies; ``polys``
+    gives others to tests alone. For the pair the plan is 13 calls.
 
     Every two-row quantity is a span: one 1-D array of W + n values,
     W = n + 4, holding the u row at 0..n-1, 4 gap cells at n..n+3 and
-    the v row at W..W+n-1 (``split`` gives the two rows). The stage input
-    ``fields`` is the span starting at column 2 of row 1 of one
-    preallocated (3, W) buffer, where the caller writes it; its gap cells
-    are the right ghosts of u and the left ghosts of v, so whatever the
-    caller writes there is overwritten when the stage fills the ghosts.
-    One assignment through a strided view fills the 8 ghost cells, columns
-    0, 1, n+2 and n+3 of the u and v rows. The stencil windows are spans
-    of the flat buffer shifted by -2..2 cells; u_x, v_x and the undivided
-    u_xxx share one flat buffer (u_x, gap, v_x, gap, u_xxx) and one
-    division by a per-cell scale (2dx, 2dx^3 for u_xxx); its second gap
-    stays 0. 2u is u + u, formed once over the padded u row, into row 0
-    of the buffer, and read at both u_xxx taps; u_xxx/3 divides by a row
-    of 3.0. The products are u u_x + v_x and v u_x + u v_x; u + u is
-    2 u exactly, and IEEE products and two-term sums commute, so every
-    value is the one ``_stencil`` and the textbook products give.
+    the v row at W..W+n-1 (``split`` gives the two rows). The padded u
+    and v rows are rows m and m + 1 of one preallocated buffer of W
+    columns, after the m rows that hold the doubled samples of the plan's
+    weight-2 taps (2u alone for the pair). The stage input ``fields`` is
+    the span starting at column 2 of row m, where the caller writes it;
+    its gap cells are the right ghosts of u and the left ghosts of v, so
+    whatever the caller writes there is overwritten when the stage fills
+    the ghosts. One assignment through a strided view fills the 8 ghost
+    cells, columns 0, 1, n+2 and n+3 of the u and v rows. The stencil
+    windows are spans or rows of the flat buffer shifted by -2..2 cells.
+    The undivided differences go to one flat buffer ``d`` of W columns
+    per derivative row (for the pair u_x, v_x and u_xxx), divided at once
+    by a per-cell ``scale``; no term reads its gap cells.
 
-    ``kernel(out)`` binds every operand once, the rows of the span
-    ``out`` included, so a call of the stage it returns looks up no
-    attribute and passes every ufunc its output positionally and no
-    Python number. The stage writes the two rows of ``out`` and never
-    its gap cells.
+    The views that every stage call shares are bound once per stage;
+    ``kernel(out)`` binds the rows of the span ``out`` and the ufuncs, so
+    a call of the stage it returns looks up no attribute and passes every
+    ufunc its output positionally and no Python number. The stage writes
+    the two rows of ``out`` and never its gap cells.
     """
 
-    def __init__(self, grid: Grid1D):
+    def __init__(self, grid: Grid1D, polys: tuple[JetPoly, ...] | None = None):
+        m, divisors, keys, plan = _stage_plan(physical_system().rhs if polys is None else tuple(polys))
         n = grid.n
         w = n + 4
         self.n, self.w, self.dx = n, w, grid.dx
-        self.buf = np.zeros((3, w))  # 2u, u and v, padded
+        self.buf = np.zeros((m + 2, w))  # the doubled rows, then u and v, padded
         self.flat = self.buf.reshape(-1)
-        self.fields = self.flat[w + 2 : 2 * w + n + 2]
-        self.rows = (_windows(self.buf[1], n), _windows(self.buf[2], n))
+        self.fields = self.flat[m * w + 2 : (m + 2) * w - 2]
+        # per row, the five windows of its padded samples at offsets -2..2
+        self.rows = tuple(tuple(self.buf[r, j : j + n] for j in range(5)) for r in (m, m + 1))
         # (row, side, node): columns 0, 1 and n+2, n+3 of the u and v
         # rows; the periodic wrap reads columns n, n+1 and 2, 3
         row, col = self.buf.strides
-        self.ghosts = as_strided(self.buf[1:], (2, 2, 2), (row, (n + 2) * col, col))
-        self.wrap = as_strided(self.buf[1:, n:], (2, 2, 2), (row, (2 - n) * col, col), writeable=False)
-        self.d = np.zeros(2 * w + n)  # u_x, gap, v_x, gap, undivided u_xxx
-        self.scale = np.full(2 * w + n, 2 * self.dx)
-        self.scale[2 * w :] = 2 * self.dx**3
-        self.three = np.full(n, 3.0)
-        self.tmp = np.empty(n)
+        self.ghosts = as_strided(self.buf[m:], (2, 2, 2), (row, (n + 2) * col, col))
+        self.wrap = as_strided(self.buf[m:, n:], (2, 2, 2), (row, (2 - n) * col, col), writeable=False)
         self.u, self.v = self.split(self.fields)
         # the two 5-column edge blocks, columns 0..4 and n-1..n+3, of the
         # u and v rows in the flat buffer
-        cols = np.arange(5)
-        cols = np.concatenate([cols, cols + n - 1])
-        self.edge_index = np.concatenate([cols + w, cols + 2 * w])
+        cols = np.r_[0:5, n - 1 : n + 4]
+        self.edge_index = np.concatenate([cols + m * w, cols + (m + 1) * w])
+        # the plan's arrays: differences, divisors, scratch and constant rows
+        arrays = {"buf": self.flat, "d": np.zeros(len(divisors) * w), "tmp": np.empty(n)}
+        arrays["scale"] = np.repeat([c * self.dx**p for c, p in divisors], w)
+        arrays.update({name: np.full(n, name) for name, *_ in keys if isinstance(name, float)})
+        # one view per key, as an in-place call given one array as input
+        # and output skips numpy's overlap check; the output's rows stay
+        # row numbers until ``kernel``
+        views = [
+            row if name == "out" else arrays[name][row * w + col : (row + rows) * w + col + cols]
+            for name, row, col, rows, cols in keys
+        ]
+        self.plan = [(op, tuple([views[i] for i in operands])) for op, operands in plan]
 
     def span(self) -> np.ndarray:
         """A new span, zero everywhere."""
@@ -392,64 +492,33 @@ class _Stage:
         self.ghosts[...] = self.wrap if ghosts is None else ghosts
 
     def kernel(self, out: np.ndarray):
-        """The stage into the span ``out`` with its operands bound:
-        ``run(ghosts, edges=None)`` fills the ghost cells as ``pad`` does,
-        copies the edge blocks into ``edges`` if given, writes
-        -u_t = u u_x + v_x, -v_t = u_x v + u v_x + u_xxx/3 of the interior
+        """The stage into the span ``out``: ``run(ghosts, edges=None)`` fills
+        the ghost cells as ``pad`` does, copies the edge blocks into
+        ``edges`` if given, writes the right sides of the interior
         ``fields`` into the rows of ``out`` and returns ``out``."""
-        n, w = self.n, self.w
         cells, wrap = self.ghosts, self.wrap
         take, edge_index = self.flat.take, self.edge_index
-        # the u and v windows at offsets -1 and +1 as spans, and u's at -2, +2
-        p1, p3 = (self.flat[w + j : 2 * w + n + j] for j in (1, 3))
-        q0, q4 = self.rows[0][0], self.rows[0][4]
-        u_row, two_u = self.buf[1], self.buf[0]
-        two_u1, two_u3 = two_u[1 : n + 1], two_u[3 : n + 3]
-        d, scale, three, tmp = self.d, self.scale, self.three, self.tmp
-        d1, d3 = d[: w + n], d[2 * w :]
-        u_x, v_x = self.split(d1)
-        u, v = self.u, self.v
-        nu_t, nv_t = self.split(out)
-        subtract, add, multiply, divide = np.subtract, np.add, np.multiply, np.divide
+        rows = self.split(out)
+        calls = [(getattr(np, op), tuple([rows[a] if isinstance(a, int) else a for a in args])) for op, args in self.plan]
 
         def run(ghosts: np.ndarray | None, edges: np.ndarray | None = None) -> np.ndarray:
             cells[...] = wrap if ghosts is None else ghosts
             if edges is not None:
                 take(edge_index, None, edges, "clip")
-            # _stencil's operations, in its order
-            subtract(p3, p1, d1)
-            add(u_row, u_row, two_u)
-            subtract(q4, two_u3, d3)
-            add(d3, two_u1, d3)
-            subtract(d3, q0, d3)
-            divide(d, scale, d)
-            # u u_x + v_x and v u_x + u v_x
-            multiply(u, u_x, nu_t)
-            add(nu_t, v_x, nu_t)
-            multiply(v, u_x, nv_t)
-            multiply(u, v_x, tmp)
-            add(nv_t, tmp, nv_t)
-            divide(d3, three, d3)
-            add(nv_t, d3, nv_t)
+            for ufunc, args in calls:
+                ufunc(*args)
             return out
 
         return run
 
-    def __call__(
-        self,
-        ghosts: np.ndarray | None,
-        out: np.ndarray,
-        edges: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def __call__(self, ghosts: np.ndarray | None, out: np.ndarray, edges: np.ndarray | None = None) -> np.ndarray:
         """The stage into the span ``out`` (see ``kernel``)."""
         return self.kernel(out)(ghosts, edges)
 
 
-def rhs(
-    state: FieldState, grid: Grid1D, boundary: _Boundary | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Semi-discrete right side: u_t = -(u u_x + v_x),
-    v_t = -(u_x v + u v_x + u_xxx/3)."""
+def rhs(state: FieldState, grid: Grid1D, boundary: _Boundary | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The semi-discrete time derivatives (u_t, v_t) of
+    ``physical_system()``, which is u_t = -rhs."""
     fields = np.array([state.u, state.v], dtype=float)
     _require_finite(fields, state.time)
     ghosts = None
@@ -463,25 +532,6 @@ def rhs(
 
 # ---------------------------------------------------------------------------
 # monitored densities and fluxes
-
-@functools.lru_cache(maxsize=64)
-def _coordinates(polys: tuple[JetPoly, ...]) -> tuple[tuple[str, int, int], ...]:
-    """(name, row, x-order) of each jet coordinate of the monitored
-    densities or fluxes, which the stencils must cover; found once per
-    process for each tuple of laws."""
-    out = set()
-    for poly in polys:
-        for m in poly.terms:
-            for v, _ in m.jet:
-                if v.dt:
-                    raise JetError("monitor expressions must be t-derivative-free")
-                if v.dx > 3:
-                    raise JetError("stencils cover derivatives up to third order")
-                out.add((str(v), ("u", "v").index(v.name), v.dx))
-            if m.params:
-                raise JetError("monitor expressions must have no free parameters")
-    return tuple(sorted(out))
-
 
 # per step of a block, the rows of its four stages in the block's times
 _STAGE_ROWS = (2 * np.arange(BLOCK_STEPS)[:, None] + [0, 1, 1, 2]).ravel()
@@ -578,10 +628,7 @@ class _Monitors:
             arr = np.asarray(density, dtype=float)
             if arr.ndim == 0:
                 arr = np.full(len(self.x), float(arr))
-            if self.periodic:
-                q = float(np.sum(arr) * dx)
-            else:
-                q = float(np.sum(arr * self.weights))
+            q = float(np.sum(arr) * dx) if self.periodic else float(np.sum(arr * self.weights))
             series.times.append(time)
             series.raw.append(q)
 
@@ -699,20 +746,11 @@ def integrate(cfg: SimConfig, initial: FieldState | None = None) -> SimResult:
     if cfg.boundary == "exact":
         ue, ve = boundary.exact_fields(x, t)
         l2 = math.sqrt(float(np.sum((u - ue) ** 2 + (v - ve) ** 2)) * grid.dx)
-    return SimResult(
-        state=FieldState(u=u, v=v, time=t),
-        monitors={s.label: s for s in monitors.series},
-        steps=steps,
-        l2_error=l2,
-    )
+    monitored = {s.label: s for s in monitors.series}
+    return SimResult(state=FieldState(u=u, v=v, time=t), monitors=monitored, steps=steps, l2_error=l2)
 
 
-def convergence_study(
-    family: str,
-    binding: Mapping[str, float],
-    n_list: Sequence[int],
-    t_end: float = 1.0,
-) -> list[dict]:
+def convergence_study(family: str, binding: Mapping[str, float], n_list: Sequence[int], t_end: float = 1.0) -> list[dict]:
     """L2-error table on [-20, 20] over a grid refinement sequence with
     observed orders between consecutive entries. Refuses, before any
     run, a grid size equal to the one before it (it has no observed

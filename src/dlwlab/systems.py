@@ -14,6 +14,10 @@ irreducible coordinates:
     q_xt = -(q_x q_xx + r_xx)
     r_xt = -(q_xx r_x + q_x r_xx + q_xxxx/3)
 
+The solver integrates ``physical_system().rhs`` itself: ``sim`` plans its
+RK4 stage from these polynomials, so the system the report verifies is
+the one the solver runs.
+
 Each system is a frozen value built once per process: every caller gets
 the same object, so a cache keyed by a system (the reducers, the
 residual programs, the traveling-wave solved form) finds its entry

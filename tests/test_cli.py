@@ -615,22 +615,37 @@ def test_module_entry_point():
 
 @pytest.mark.parametrize(
     "argv",
-    [["waves", "verify", "--family", "eq93", "--binding", "mu=1"], ["report", "symmetry"]],
-    ids=["waves-verify", "report-symmetry"],
+    [
+        ["waves", "verify", "--family", "eq93", "--binding", "mu=1"],
+        ["report", "symmetry"],
+        ["--json", "{json}", "waves", "verify", "--family", "eq93", "--binding", "mu=1"],
+        ["--json", "{json}", "--reproducible", "report", "symmetry"],
+    ],
+    ids=["waves-verify", "report-symmetry", "waves-verify-json", "report-symmetry-json"],
 )
-def test_closed_stdout_ends_quietly(argv):
+def test_closed_stdout_ends_quietly(argv, tmp_path):
     """A reader that closed standard output, as ``| head -1`` does, is
     neither bad input (exit 2) nor a fault (a traceback): the command ends
     with exit 1 and nothing on stderr. The pipe's read end is closed
-    before the command starts, so its first write fails."""
+    before the command starts, so its first write fails. A ``--json``
+    file is written before anything is printed, so it is the one an open
+    standard output gets."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dlwlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(path, stdout):
+        args = [str(path) if arg == "{json}" else arg for arg in argv]
+        return subprocess.run(
+            [sys.executable, "-m", "dlwlab", *args], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=300
+        )
+
     read, write = os.pipe()
     os.close(read)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dlwlab.__file__)))
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "dlwlab", *argv],
-            stdout=write, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), timeout=300,
-        )
+        proc = run(tmp_path / "closed.json", write)
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, b"")
+    if "{json}" in argv:
+        assert run(tmp_path / "open.json", subprocess.DEVNULL).returncode == 0
+        assert (tmp_path / "closed.json").read_bytes() == (tmp_path / "open.json").read_bytes()

@@ -5,6 +5,7 @@ kept in ``sim_reference``."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from dlwlab import analytic, sim
 from dlwlab.analytic import compile_expr, poly_program
 from dlwlab.conslaw import direct_laws
-from dlwlab.jet import JetError
+from dlwlab.jet import JetError, JetPoly, JetVar
 from dlwlab.sim import (
     BlowupError,
     FieldState,
@@ -27,6 +28,7 @@ from dlwlab.sim import (
     rhs,
 )
 from dlwlab.solutions import family_registry
+from dlwlab.systems import physical_system
 
 import sim_reference
 
@@ -595,6 +597,136 @@ class TestStageKernel:
         stage.pad(None)  # the periodic wrap: interior columns n, n+1 and 2, 3
         assert np.array_equal(stage.buf[1:, [0, 1, n + 2, n + 3]], before[1:, [n, n + 1, 2, 3]])
         assert stage.buf[0].tolist() == before[0].tolist()
+
+
+def _u(dx=0, dt=0):
+    return JetPoly.var("u", dx, dt)
+
+
+def _v(dx=0, dt=0):
+    return JetPoly.var("v", dx, dt)
+
+
+# the pair with u_xxx's coefficient at -1/3, the well-posed sign
+_NEGATIVE_ALPHA = (_u() * _u(1) + _v(1), _u(1) * _v() + _u() * _v(1) - _u(3) * Fraction(1, 3))
+# second x-derivatives of both fields, a power, a signed first term, a
+# numerator above 1 and a constant: both padded rows are doubled
+_DIFFUSIVE = (
+    _u() * _u(1) + _v(1) - _u(2) * Fraction(2, 7),
+    -_v(2) * Fraction(1, 2) + _u() ** 2 * _v(1) * 3 + _u(3) * Fraction(1, 3) + JetPoly.const(Fraction(5, 4)),
+)
+
+
+def _padded_values(grid, fields, ghosts):
+    """The ``sim._stencil`` value of every jet coordinate name of u and v
+    up to x-order 3, from the fields and the (2, 4) ghosts, or the
+    periodic wrap for None."""
+    n, values = grid.n, {}
+    for i, (name, row) in enumerate(zip("uv", fields)):
+        padded = sim_reference._pad(row, None if ghosts is None else (ghosts[i, :2], ghosts[i, 2:]))
+        for k in range(4):
+            values[str(JetVar(name, k))] = sim._stencil([padded[j : j + n] for j in range(5)], k, grid.dx)
+    return values
+
+
+def _term_by_term(polys, values):
+    """Each polynomial summed term after term in ``JetPoly`` order, each
+    term the product of its factors left to right, times its numerator
+    unless 1, divided by its denominator unless 1."""
+    rows = []
+    for poly in polys:
+        total = None
+        for mono, coef in poly.terms.items():
+            term = None
+            for var, power in mono.jet:
+                for _ in range(power):
+                    term = values[str(var)] if term is None else term * values[str(var)]
+            term = 1.0 if term is None else term
+            term = term if coef.numerator == 1 else term * coef.numerator
+            term = term if coef.denominator == 1 else term / coef.denominator
+            total = term if total is None else total + term
+        rows.append(total)
+    return rows
+
+
+def _stage_rows(grid, fields, ghosts, polys=None):
+    stage = sim._Stage(grid) if polys is None else sim._Stage(grid, polys)
+    stage.u[...], stage.v[...] = fields
+    return stage.split(stage(None if ghosts is None else ghosts.reshape(2, 2, 2), stage.span()))
+
+
+class TestGeneratedStage:
+    """The stage is generated from its right sides: for any right sides it
+    is their term-by-term evaluation at the stencil values, and for the
+    pair it integrates the system the report verifies."""
+
+    def test_the_pair_is_todays_thirteen_calls(self):
+        *_, calls = sim._stage_plan(physical_system().rhs)
+        assert [op for op, _ in calls] == [
+            "subtract", "add", "subtract", "add", "subtract", "divide",
+            "multiply", "add", "multiply", "multiply", "add", "divide", "add",
+        ]
+
+    def test_a_plan_is_made_once_per_right_side_tuple(self):
+        sim._stage_plan.cache_clear()
+        for _ in range(2):
+            integrate(_kink(64, 0.05))
+        sim._Stage(Grid1D(-20.0, 20.0, 16), _NEGATIVE_ALPHA)
+        assert sim._stage_plan.cache_info()[:2] == (1, 2)  # hits, misses
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_padded_fields(), exact=st.booleans(), polys=st.sampled_from([_NEGATIVE_ALPHA, _DIFFUSIVE]))
+    def test_stage_follows_its_polynomials(self, case, exact, polys):
+        grid, fields, ghosts = case
+        ghosts = ghosts if exact else None
+        with np.errstate(all="ignore"):
+            got = _stage_rows(grid, fields, ghosts, polys)
+            want = _term_by_term(polys, _padded_values(grid, fields, ghosts))
+        for g, w in zip(got, want):
+            assert _same_values(g, np.broadcast_to(w, g.shape))
+
+    def test_both_padded_rows_are_doubled_for_second_derivatives_of_both(self):
+        stage = sim._Stage(Grid1D(-20.0, 20.0, 16), _DIFFUSIVE)
+        assert stage.buf.shape == (4, 20)
+        assert np.shares_memory(stage.u, stage.buf[2]) and np.shares_memory(stage.v, stage.buf[3])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (_u(4), "stencils cover derivatives up to third order"),
+            (_u(0, 1), "right sides must be t-derivative-free"),
+            (JetPoly.param("mu") * _u(1), "right sides must have no free parameters"),
+            (JetPoly.x() * _u(1), "right sides must not depend on x or t explicitly"),
+            (JetPoly.t() + _u(1), "right sides must not depend on x or t explicitly"),
+        ],
+        ids=["x-order-4", "t-derivative", "parameter", "explicit-x", "explicit-t"],
+    )
+    def test_unsupported_right_side_is_rejected(self, bad, message):
+        for polys in ((bad, _v(1)), (_u(1), _v(1) + bad)):
+            with pytest.raises(JetError, match=f"^{message}$"):
+                sim._Stage(Grid1D(-20.0, 20.0, 16), polys)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([16, 40, 128]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        exact=st.booleans(),
+    )
+    def test_stage_integrates_the_reported_system(self, n, seed, scale, exact):
+        # the program multiplies by the float 1/3 where the stage divides
+        # by 3, so the v row may differ by a few ulps of its largest term
+        rng = np.random.default_rng(seed)
+        grid = Grid1D(-20.0, 20.0, n)
+        fields, ghosts = scale * rng.standard_normal((2, n)), scale * rng.standard_normal((2, 4))
+        ghosts = ghosts if exact else None
+        values = _padded_values(grid, fields, ghosts)
+        got = _stage_rows(grid, fields, ghosts)
+        want = poly_program(physical_system().rhs)({**values, "x": grid.x, "t": 0.0})
+        assert np.array_equal(got[0], want[0])
+        u, u_x, u_xxx, v, v_x = (values[k] for k in ("u[0,0]", "u[1,0]", "u[3,0]", "v[0,0]", "v[1,0]"))
+        bound = 4 * np.finfo(float).eps * (np.abs(u_x * v) + np.abs(u * v_x) + np.abs(u_xxx) / 3)
+        assert np.all(np.abs(got[1] - want[1]) <= bound)
 
 
 class TestStepGuards:

@@ -25,6 +25,14 @@ def test_no_module_calls_eval_or_exec():
     assert calls == []
 
 
+def test_every_module_parses_at_the_oldest_supported_python():
+    """``requires-python`` is ">=3.10": every module parses with Python
+    3.10's grammar, so no later syntax slips in."""
+    assert SOURCES
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 def test_only_systems_builds_an_evolution_system():
     """The pairs are built once per process in ``systems``; no other module
     calls ``EvolutionSystem(``, so none rebuilds a pair per call."""
