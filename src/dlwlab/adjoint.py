@@ -95,9 +95,10 @@ class NotOnShell(JetError):
 
 @dataclass(frozen=True)
 class AdjointSymmetry:
-    """Candidate solution (Q1, Q2) of the adjoint linearization system."""
+    """Candidate solution of the adjoint linearization system: one
+    component per equation."""
 
-    comp: tuple[JetPoly, JetPoly]
+    comp: tuple[JetPoly, ...]
     name: str = ""
 
     def __iter__(self):
@@ -424,12 +425,11 @@ PRINTED_BRACKET_CONSTANTS = {
 def _char_combination(
     coords: Sequence[Fraction], chars: Sequence[Characteristic]
 ) -> Characteristic:
-    comp = [JetPoly.zero(), JetPoly.zero()]
-    for c, p in zip(coords, chars):
-        if c:
-            comp[0] = comp[0] + p.comp[0] * c
-            comp[1] = comp[1] + p.comp[1] * c
-    return Characteristic((comp[0], comp[1]))
+    """sum_k coords[k] chars[k], each component one sum of products."""
+    slots = zip(*(p.comp for p in chars))
+    return Characteristic(
+        tuple(sum_of_products((JetPoly.const(c), q) for c, q in zip(coords, slot) if c) for slot in slots)
+    )
 
 
 def sq_bracket(

@@ -29,7 +29,7 @@ from .jet import (
     total_derivative,
 )
 from .symmetry import Characteristic, PointSymmetry, characteristic, frechet_derivative
-from .systems import potential_to_physical, substitute_dependent
+from .systems import potential_system, potential_to_physical, substitute_dependent
 
 __all__ = [
     "ConservationLaw",
@@ -294,16 +294,16 @@ def potential_characteristics() -> tuple[Characteristic, ...]:
     return (v1, v2, v3, v4)
 
 
-def prolonged_action(v: Characteristic, lag: Lagrangian, deps=("q", "r")) -> JetPoly:
-    """Prolonged evolutionary action pr V (L)."""
-    return frechet_derivative((lag.density,), tuple(v.comp), deps)[0]
+def prolonged_action(v: Characteristic, lag: Lagrangian) -> JetPoly:
+    """Prolonged evolutionary action pr V (L), V on the potential fields."""
+    return frechet_derivative((lag.density,), tuple(v.comp), potential_system().deps)[0]
 
 
 def variational_symmetry_test(v: Characteristic, lag: Lagrangian) -> bool:
     """True iff the prolonged action is a total divergence identically,
     i.e. both Euler operators annihilate it off shell."""
     acted = prolonged_action(v, lag)
-    return all(euler_operator(acted, dep).is_zero() for dep in ("q", "r"))
+    return all(euler_operator(acted, dep).is_zero() for dep in potential_system().deps)
 
 
 def boundary_current(density: JetPoly, w: Mapping[str, JetPoly]) -> tuple[JetPoly, JetPoly]:
@@ -361,7 +361,7 @@ def noether_flow(
     defect = acted - total_derivative(a[0], "x") - total_derivative(a[1], "t")
     if not defect.is_zero():
         raise InvalidBoundaryTerm(f"pr V(L) - D_x A1 - D_t A2 = {defect}")
-    w1, w2 = boundary_current(lag.density, dict(zip(("q", "r"), v.comp)))
+    w1, w2 = boundary_current(lag.density, dict(zip(potential_system().deps, v.comp)))
     return ConservationLaw(
         density=w2 - a[1], flux=w1 - a[0], family="potential", label=label
     )
@@ -400,13 +400,9 @@ def self_adjointness_check(sys: EvolutionSystem) -> bool:
     Lagrangian with respect to the physical fields, evaluated at w1 = u,
     w2 = v, reproduce the negated equations exactly."""
     lf = formal_lagrangian(sys).density
-    fstar_u = euler_operator(lf, "u")
-    fstar_v = euler_operator(lf, "v")
     g1, g2 = sys.equation_polys()
-    return (
-        substitute_dependent(fstar_u, _MULTIPLIERS) == -g2
-        and substitute_dependent(fstar_v, _MULTIPLIERS) == -g1
-    )
+    fstar = tuple(substitute_dependent(euler_operator(lf, dep), _MULTIPLIERS) for dep in sys.deps)
+    return fstar == (-g2, -g1)
 
 
 def ibragimov_flow(x: PointSymmetry, sys: EvolutionSystem) -> ConservationLaw:

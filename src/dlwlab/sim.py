@@ -259,7 +259,9 @@ def _stencil(p, k: int, dx: float):
 def _coordinates(polys: tuple[JetPoly, ...], noun: str = "monitor expressions") -> tuple[tuple[str, int, int], ...]:
     """(name, row, x-order) of each jet coordinate of ``polys``, which the
     stencils must cover; found once per process for each tuple of
-    polynomials. ``noun`` names them in the errors."""
+    polynomials, with the rows in ``physical_system().deps`` order.
+    ``noun`` names them in the errors."""
+    deps = physical_system().deps
     out = set()
     for poly in polys:
         for m in poly.terms:
@@ -268,7 +270,9 @@ def _coordinates(polys: tuple[JetPoly, ...], noun: str = "monitor expressions") 
                     raise JetError(f"{noun} must be t-derivative-free")
                 if v.dx > 3:
                     raise JetError("stencils cover derivatives up to third order")
-                out.add((str(v), ("u", "v").index(v.name), v.dx))
+                if v.name not in deps:
+                    raise JetError(f"{noun} read {v.name}, which is not one of the fields {', '.join(deps)}")
+                out.add((str(v), deps.index(v.name), v.dx))
             if m.params:
                 raise JetError(f"{noun} must have no free parameters")
     return tuple(sorted(out))

@@ -1,7 +1,14 @@
 """Point-symmetry machinery: third prolongation, determining residuals,
 vector-field and evolutionary brackets, and the classification of the
 one-dimensional subalgebras of the four-generator algebra by a complete
-invariant of its adjoint action
+invariant of its adjoint action.
+
+A :class:`PointSymmetry` is a field on any evolution system: it carries
+one eta per dependent variable, keyed by name in the system's ``deps``
+order, and everything here is computed from those pairs, so the same
+code checks a scalar equation such as Burgers or KdV, the potential
+pair (q, r) and the physical pair (u, v). The catalog generators of the
+physical pair are
 
     X1 = d/dt,  X2 = d/dx,  X3 = t d/dx + d/du,
     X4 = (x/2) d/dx + t d/dt - (u/2) d/du - v d/dv.
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
 from .jet import (
@@ -31,6 +38,7 @@ from .jet import (
     sum_of_products,
     total_derivative,
 )
+from .systems import physical_system
 
 __all__ = [
     "PointSymmetry",
@@ -54,52 +62,66 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PointSymmetry:
-    """Vector field xi1*d/dt + xi2*d/dx + eta1*d/du + eta2*d/dv with
-    coefficients in (t, x, u, v) only: no derivative coordinates."""
+    """Vector field xi1 d/dt + xi2 d/dx + sum_dep eta_dep d/d(dep) on the
+    fields of one system. ``eta`` holds one (dependent variable, eta) pair
+    per field, in the system's ``deps`` order, and every coefficient is a
+    function of t, x and those fields only: no derivative coordinates and
+    no other field. ``coeffs()`` is (xi1, xi2, eta...) in that order."""
 
     xi1: JetPoly
     xi2: JetPoly
-    eta1: JetPoly
-    eta2: JetPoly
+    eta: tuple[tuple[str, JetPoly], ...]
     name: str = ""
 
     def __post_init__(self) -> None:
-        for coeff in (self.xi1, self.xi2, self.eta1, self.eta2):
-            if any(v.order > 0 for v in coeff.jet_vars()):
-                raise JetError("point symmetry coefficients must be order-0")
+        deps = self.deps
+        for coeff in self.coeffs():
+            for v in coeff.jet_vars():
+                if v.order > 0:
+                    raise JetError("point symmetry coefficients must be order-0")
+                if v.name not in deps:
+                    raise JetError(f"point symmetry coefficient reads {v.name!r}, which is not one of its fields {deps}")
 
-    def coeffs(self) -> tuple[JetPoly, JetPoly, JetPoly, JetPoly]:
-        return (self.xi1, self.xi2, self.eta1, self.eta2)
+    @property
+    def deps(self) -> tuple[str, ...]:
+        return tuple(dep for dep, _ in self.eta)
+
+    def coeffs(self) -> tuple[JetPoly, ...]:
+        return (self.xi1, self.xi2, *(eta for _, eta in self.eta))
 
     def eta_for(self, dep: str) -> JetPoly:
-        if dep == "u":
-            return self.eta1
-        if dep == "v":
-            return self.eta2
-        raise JetError(f"unknown dependent variable {dep!r}")
+        eta = dict(self.eta).get(dep)
+        if eta is None:
+            raise JetError(f"unknown dependent variable {dep!r}")
+        return eta
+
+    def _with_coeffs(self, coeffs: Iterable[JetPoly]) -> "PointSymmetry":
+        """The field on the same dependent variables with ``coeffs`` in
+        ``coeffs()`` order."""
+        xi1, xi2, *etas = coeffs
+        return PointSymmetry(xi1, xi2, tuple(zip(self.deps, etas)))
+
+    def _zip(self, other: "PointSymmetry") -> Iterable[tuple[JetPoly, JetPoly]]:
+        if self.deps != other.deps:
+            raise JetError(f"fields on {self.deps} and on {other.deps} do not combine")
+        return zip(self.coeffs(), other.coeffs())
 
     def apply_to(self, f: JetPoly) -> JetPoly:
-        """First-order action on a function of (t, x, u, v)."""
+        """First-order action on a function of t, x and the fields."""
         return sum_of_products(
             (
                 (self.xi1, f.partial_explicit("t")),
                 (self.xi2, f.partial_explicit("x")),
-                (self.eta1, f.partial(JetVar("u"))),
-                (self.eta2, f.partial(JetVar("v"))),
+                *((eta, f.partial(JetVar(dep))) for dep, eta in self.eta),
             )
         )
 
     def scaled(self, c: Fraction | int) -> "PointSymmetry":
         c = Fraction(c)
-        return PointSymmetry(self.xi1 * c, self.xi2 * c, self.eta1 * c, self.eta2 * c)
+        return self._with_coeffs(k * c for k in self.coeffs())
 
     def __add__(self, other: "PointSymmetry") -> "PointSymmetry":
-        return PointSymmetry(
-            self.xi1 + other.xi1,
-            self.xi2 + other.xi2,
-            self.eta1 + other.eta1,
-            self.eta2 + other.eta2,
-        )
+        return self._with_coeffs(a + b for a, b in self._zip(other))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs())
@@ -110,7 +132,7 @@ class Characteristic:
     """Evolutionary form of a symmetry: one flow component per dependent
     variable, P = eta - xi1 * u_t - xi2 * u_x componentwise."""
 
-    comp: tuple[JetPoly, JetPoly]
+    comp: tuple[JetPoly, ...]
     name: str = ""
 
     def __iter__(self):
@@ -128,34 +150,30 @@ class Characteristic:
 
 
 def point_symmetries() -> tuple[PointSymmetry, ...]:
-    """The four admitted generators, in catalog order X1..X4."""
-    zero = JetPoly.zero()
-    one = JetPoly.one()
-    u = JetPoly.var("u")
-    v = JetPoly.var("v")
-    return (
-        PointSymmetry(one, zero, zero, zero, name="X1"),
-        PointSymmetry(zero, one, zero, zero, name="X2"),
-        PointSymmetry(zero, JetPoly.t(), one, zero, name="X3"),
-        PointSymmetry(
-            JetPoly.t(),
-            JetPoly.x() * Fraction(1, 2),
-            u * Fraction(-1, 2),
-            -v,
-            name="X4",
-        ),
+    """The four generators admitted by the physical pair, in catalog order
+    X1..X4."""
+    deps = physical_system().deps
+    zero, one, t = JetPoly.zero(), JetPoly.one(), JetPoly.t()
+    u, v = (JetPoly.var(dep) for dep in deps)
+    fields = (
+        ("X1", one, zero, zero, zero),
+        ("X2", zero, one, zero, zero),
+        ("X3", zero, t, one, zero),
+        ("X4", t, JetPoly.x() * Fraction(1, 2), u * Fraction(-1, 2), -v),
     )
+    return tuple(PointSymmetry(xi1, xi2, tuple(zip(deps, etas)), name) for name, xi1, xi2, *etas in fields)
 
 
 def _characteristic_component(x: PointSymmetry, dep: str) -> JetPoly:
     """Q_dep = eta_dep - xi1 dep_t - xi2 dep_x; JetError for a ``dep``
-    other than u or v."""
+    that is not one of the field's dependent variables."""
     return x.eta_for(dep) - x.xi1 * JetPoly.var(dep, 0, 1) - x.xi2 * JetPoly.var(dep, 1, 0)
 
 
 def characteristic(x: PointSymmetry, name: str = "") -> Characteristic:
-    """Evolutionary representative (P^u, P^v) of a point symmetry."""
-    comp = tuple(_characteristic_component(x, dep) for dep in ("u", "v"))
+    """Evolutionary representative of a point symmetry: one component
+    per dependent variable, in the field's order."""
+    comp = tuple(_characteristic_component(x, dep) for dep in x.deps)
     return Characteristic(comp, name=name or (x.name and f"P{x.name[1:]}"))
 
 
@@ -206,16 +224,11 @@ def determining_residual(
 
 def lie_bracket(x: PointSymmetry, y: PointSymmetry) -> PointSymmetry:
     """Coefficient-wise commutator [X, Y] = X(Y coeffs) - Y(X coeffs)."""
-    return PointSymmetry(
-        x.apply_to(y.xi1) - y.apply_to(x.xi1),
-        x.apply_to(y.xi2) - y.apply_to(x.xi2),
-        x.apply_to(y.eta1) - y.apply_to(x.eta1),
-        x.apply_to(y.eta2) - y.apply_to(x.eta2),
-    )
+    return x._with_coeffs(x.apply_to(b) - y.apply_to(a) for a, b in x._zip(y))
 
 
 def frechet_derivative(
-    q: Sequence[JetPoly], p: Sequence[JetPoly], deps: Sequence[str] = ("u", "v")
+    q: Sequence[JetPoly], p: Sequence[JetPoly], deps: Sequence[str]
 ) -> tuple[JetPoly, ...]:
     """Directional derivative Q'(P): differentiate each component of Q
     through every jet slot of the listed dependent variables in the

@@ -14,6 +14,11 @@ irreducible coordinates:
     q_xt = -(q_x q_xx + r_xx)
     r_xt = -(q_xx r_x + q_x r_xx + q_xxxx/3)
 
+Each system's ``deps`` is the one source of its field names: every
+other module reads the names, their order and their number from it, and
+the maps between the families below pair the two ``deps`` slot for
+slot.
+
 The solver integrates ``physical_system().rhs`` itself: ``sim`` plans its
 RK4 stage from these polynomials, so the system the report verifies is
 the one the solver runs.
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import Mapping
 
 from .jet import EvolutionSystem, JetError, JetPoly, JetVar
 
@@ -40,69 +46,53 @@ __all__ = [
 ]
 
 
-def _u(dx: int = 0, dt: int = 0) -> JetPoly:
-    return JetPoly.var("u", dx, dt)
-
-
-def _v(dx: int = 0, dt: int = 0) -> JetPoly:
-    return JetPoly.var("v", dx, dt)
-
-
 @functools.cache
 def physical_system() -> EvolutionSystem:
     """The water-wave pair in solved evolution form."""
-    g1 = _u() * _u(1) + _v(1)
-    g2 = _u(1) * _v() + _u() * _v(1) + _u(3) * Fraction(1, 3)
+    u = lambda dx=0: JetPoly.var("u", dx)
+    v = lambda dx=0: JetPoly.var("v", dx)
+    g1 = u() * u(1) + v(1)
+    g2 = u(1) * v() + u() * v(1) + u(3) * Fraction(1, 3)
     return EvolutionSystem(deps=("u", "v"), rhs=(g1, g2), lead_dx=0)
 
 
 @functools.cache
 def potential_system() -> EvolutionSystem:
     """The once-integrated pair in the potential variables q, r."""
-    q = lambda dx=0, dt=0: JetPoly.var("q", dx, dt)
-    r = lambda dx=0, dt=0: JetPoly.var("r", dx, dt)
+    q = lambda dx=0: JetPoly.var("q", dx)
+    r = lambda dx=0: JetPoly.var("r", dx)
     g1 = q(1) * q(2) + r(2)
     g2 = q(2) * r(1) + q(1) * r(2) + q(4) * Fraction(1, 3)
     return EvolutionSystem(deps=("q", "r"), rhs=(g1, g2), lead_dx=1)
 
 
-_PHYS_TO_POT = {"u": "q", "v": "r"}
-_POT_TO_PHYS = {"q": "u", "r": "v"}
+def _rename(p: JetPoly, renames: Mapping[str, str], shift: int = 0) -> JetPoly:
+    """Rename the dependent variables in ``renames`` slot for slot and add
+    ``shift`` to their x-order; JetError for a slot left with none."""
+
+    def fn(var: JetVar) -> JetVar:
+        if var.name not in renames:
+            return var
+        if var.dx + shift < 0:
+            raise JetError(f"{var} has no image under {var.name} -> {renames[var.name]} with x-order {shift:+d}")
+        return JetVar(renames[var.name], var.dx + shift, var.dt)
+
+    return p.remap_vars(fn)
 
 
 def physical_to_potential(p: JetPoly) -> JetPoly:
     """Explicit cross-family substitution u -> q_x, v -> r_x."""
-
-    def fn(var: JetVar) -> JetVar:
-        if var.name in _PHYS_TO_POT:
-            return JetVar(_PHYS_TO_POT[var.name], var.dx + 1, var.dt)
-        return var
-
-    return p.remap_vars(fn)
+    return _rename(p, dict(zip(physical_system().deps, potential_system().deps)), 1)
 
 
 def potential_to_physical(p: JetPoly) -> JetPoly:
     """Push a potential-family expression forward through u = q_x,
     v = r_x. Fails on bare (underived-in-x) q or r, which have no
     physical image."""
-
-    def fn(var: JetVar) -> JetVar:
-        if var.name in _POT_TO_PHYS:
-            if var.dx < 1:
-                raise JetError(f"{var} has no image under q_x -> u, r_x -> v")
-            return JetVar(_POT_TO_PHYS[var.name], var.dx - 1, var.dt)
-        return var
-
-    return p.remap_vars(fn)
+    return _rename(p, dict(zip(potential_system().deps, physical_system().deps)), -1)
 
 
-def substitute_dependent(p: JetPoly, renames: dict[str, str]) -> JetPoly:
+def substitute_dependent(p: JetPoly, renames: Mapping[str, str]) -> JetPoly:
     """Rename dependent variables slot-for-slot (e.g. the auxiliary
     multiplier variables w1 -> u, w2 -> v)."""
-
-    def fn(var: JetVar) -> JetVar:
-        if var.name in renames:
-            return JetVar(renames[var.name], var.dx, var.dt)
-        return var
-
-    return p.remap_vars(fn)
+    return _rename(p, renames)

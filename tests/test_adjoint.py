@@ -207,6 +207,50 @@ class TestActionTable:
                 res = adjoint_determining_residual(image, phys)
                 assert all(r.is_zero() for r in res)
 
+    def test_every_nonzero_table_image_is_adjoint(self, phys, ps, qs):
+        # what the action-closure entry certifies, checked on each image
+        # itself: its residual is zero, and it is the exact combination of
+        # the reduced Q_k its coordinates name
+        table = build_action_table(ps, qs, phys)
+        nonzero = [key for key, image in table.images.items() if not all(c.is_zero() for c in image)]
+        assert len(nonzero) == 9
+        reduced = [tuple(reduce_on_shell(c, phys) for c in q.comp) for q in qs]
+        for key in nonzero:
+            image = table.images[key]
+            assert all(r.is_zero() for r in adjoint_determining_residual(image, phys)), key
+            combination = tuple(
+                sum((q[slot] * c for q, c in zip(reduced, table.entries[key])), JetPoly.zero())
+                for slot in range(len(image))
+            )
+            assert combination == image, key
+        entries = {e.label: e for e in adjoint_suite(blocks=("table",)).entries}
+        assert entries["action-closure"].verdict == "pass"
+
+    def test_closure_reads_the_residuals_of_the_catalog_entries(self, monkeypatch):
+        # each Q residual is computed once per run, and a nonzero residual
+        # of a Q that some image uses fails the closure entry
+        import dlwlab.adjoint as adj
+
+        real = adj.adjoint_determining_residual
+        calls = []
+
+        def counted(q, sys, lifts=None):
+            calls.append(getattr(q, "name", ""))
+            return real(q, sys, lifts)
+
+        monkeypatch.setattr(adj, "adjoint_determining_residual", counted)
+        entries = {e.label: e for e in adjoint_suite().entries}
+        assert calls == ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q3-printed"]
+        assert entries["action-closure"].verdict == "pass"
+
+        def spoiled(q, sys, lifts=None):
+            res = real(q, sys, lifts)
+            return (res[0] + JetPoly.one(), *res[1:]) if getattr(q, "name", "") == "Q1" else res
+
+        monkeypatch.setattr(adj, "adjoint_determining_residual", spoiled)
+        entries = {e.label: e for e in adjoint_suite(blocks=("table",)).entries}
+        assert entries["action-closure"].verdict == "fail"
+
     def test_decomposition_roundtrip(self, phys, qs):
         basis = [tuple(q.comp) for q in qs]
         target = tuple(

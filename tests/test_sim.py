@@ -698,8 +698,9 @@ class TestGeneratedStage:
             (JetPoly.param("mu") * _u(1), "right sides must have no free parameters"),
             (JetPoly.x() * _u(1), "right sides must not depend on x or t explicitly"),
             (JetPoly.t() + _u(1), "right sides must not depend on x or t explicitly"),
+            (JetPoly.var("w", 1), "right sides read w, which is not one of the fields u, v"),
         ],
-        ids=["x-order-4", "t-derivative", "parameter", "explicit-x", "explicit-t"],
+        ids=["x-order-4", "t-derivative", "parameter", "explicit-x", "explicit-t", "unknown-field"],
     )
     def test_unsupported_right_side_is_rejected(self, bad, message):
         for polys in ((bad, _v(1)), (_u(1), _v(1) + bad)):

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import dlwlab
+from dlwlab.systems import physical_system, potential_system
 
 SOURCES = sorted(Path(dlwlab.__file__).parent.glob("*.py"))
 
@@ -44,6 +45,22 @@ def test_only_systems_builds_an_evolution_system():
         and "EvolutionSystem" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert {c.split(":")[0] for c in calls} == {"systems.py"}, calls
+
+
+def test_only_systems_spells_out_the_field_names():
+    """The field names come from a system's ``deps``: no module but
+    ``systems`` holds a tuple literal of dependent-variable names such as
+    ``("u", "v")`` or ``("q", "r")``, so none types the pair out again."""
+    names = {*physical_system().deps, *potential_system().deps}
+    literals = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Tuple)
+        and node.elts
+        and all(isinstance(e, ast.Constant) and e.value in names for e in node.elts)
+    ]
+    assert {c.split(":")[0] for c in literals} == {"systems.py"}, literals
 
 
 def test_jet_kernel_has_no_float_and_divides_only_fractions():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import symmetry_reference
 from conftest import jet_polys
-from dlwlab import report
-from dlwlab.jet import JetError, JetPoly, reduce_on_shell
+from dlwlab import linalg, report
+from dlwlab.jet import EvolutionSystem, JetError, JetPoly, reduce_on_shell
 from dlwlab.linalg import decompose_components
 from dlwlab.symmetry import (
     OPTIMAL_CLASSES,
@@ -60,7 +60,8 @@ class TestProlongation:
 
 # order-0 coefficients in t, x, u, v and a parameter
 point_fields = st.builds(
-    PointSymmetry, *[jet_polys(max_dx=0, max_terms=3, params=("mu",)) | st.just(JetPoly.zero())] * 4
+    lambda xi1, xi2, eta_u, eta_v: PointSymmetry(xi1, xi2, (("u", eta_u), ("v", eta_v))),
+    *[jet_polys(max_dx=0, max_terms=3, params=("mu",)) | st.just(JetPoly.zero())] * 4,
 )
 
 
@@ -95,7 +96,7 @@ class TestSumsOfProducts:
         chars = characteristics()
         for p in chars:
             for q in chars:
-                assert frechet_derivative(q.comp, p.comp) == symmetry_reference.frechet_derivative(q.comp, p.comp)
+                assert frechet_derivative(q.comp, p.comp, phys.deps) == symmetry_reference.frechet_derivative(q.comp, p.comp)
 
 
 class TestDeterminingResidual:
@@ -104,13 +105,146 @@ class TestDeterminingResidual:
             assert all(r.is_zero() for r in determining_residual(x, phys))
 
     def test_non_symmetry_control(self, phys):
-        bad = PointSymmetry(JetPoly.zero(), JetPoly.zero(), JetPoly.t(), JetPoly.zero())
+        bad = PointSymmetry(JetPoly.zero(), JetPoly.zero(), (("u", JetPoly.t()), ("v", JetPoly.zero())))
         res = determining_residual(bad, phys)
         assert any(not r.is_zero() for r in res)
 
     def test_zero_field(self, phys):
         zero = point_symmetries()[0].scaled(0)
         assert all(r.is_zero() for r in determining_residual(zero, phys))
+
+
+class TestFields:
+    """A field carries one eta per dependent variable and reads nothing
+    else."""
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_coefficient_in_an_unknown_field_is_rejected(self, slot):
+        coeffs = [JetPoly.zero()] * 4
+        coeffs[slot] = JetPoly.var("w") * JetPoly.x()
+        xi1, xi2, eta_u, eta_v = coeffs
+        with pytest.raises(JetError, match="'w'"):
+            PointSymmetry(xi1, xi2, (("u", eta_u), ("v", eta_v)))
+
+    def test_derivative_coordinate_is_rejected(self):
+        with pytest.raises(JetError, match="order-0"):
+            PointSymmetry(JetPoly.var("u", 1), JetPoly.zero(), (("u", JetPoly.zero()),))
+
+    def test_fields_on_different_variables_do_not_combine(self):
+        on_u = PointSymmetry(JetPoly.one(), JetPoly.zero(), (("u", JetPoly.zero()),))
+        x1 = point_symmetries()[0]
+        for combine in (lie_bracket, lambda a, b: a + b):
+            with pytest.raises(JetError):
+                combine(on_u, x1)
+
+    def test_coeffs_and_etas_follow_the_system_order(self, phys):
+        x4 = point_symmetries()[3]
+        assert x4.deps == phys.deps
+        assert x4.coeffs() == (x4.xi1, x4.xi2, *(x4.eta_for(dep) for dep in phys.deps))
+        assert x4.eta_for("v") == -JetPoly.var("v")
+
+
+def _u(dx=0):
+    return JetPoly.var("u", dx)
+
+
+def _on(deps, xi1, xi2, *eta):
+    """The field xi1 d/dt + xi2 d/dx + sum eta_dep d/d(dep); ints are
+    constants."""
+    poly = lambda c: c if isinstance(c, JetPoly) else JetPoly.const(c)  # noqa: E731
+    return PointSymmetry(poly(xi1), poly(xi2), tuple(zip(deps, map(poly, eta))))
+
+
+_T, _X = JetPoly.t(), JetPoly.x()
+# u_t = -rhs: Burgers u_t + u u_x = u_xx and KdV u_t + u u_x + u_xxx = 0
+BURGERS = EvolutionSystem(deps=("u",), rhs=(_u() * _u(1) - _u(2),))
+KDV = EvolutionSystem(deps=("u",), rhs=(_u() * _u(1) + _u(3),))
+#: Olver, GTM 107, sec. 2.4: x- and t-translation, Galilean boost,
+#: scaling and, for Burgers, the projective field.
+BURGERS_FIELDS = (
+    _on(("u",), 0, 1, 0),
+    _on(("u",), 1, 0, 0),
+    _on(("u",), 0, _T, 1),
+    _on(("u",), _T * 2, _X, -_u()),
+    _on(("u",), _T * _T, _T * _X, _X - _T * _u()),
+)
+KDV_FIELDS = (
+    _on(("u",), 0, 1, 0),
+    _on(("u",), 1, 0, 0),
+    _on(("u",), 0, _T, 1),
+    _on(("u",), _T * 3, _X, _u() * -2),
+)
+
+
+def _potential_fields(pot):
+    q, r = (JetPoly.var(dep) for dep in pot.deps)
+    return (
+        _on(pot.deps, 0, 1, 0, 0),
+        _on(pot.deps, 1, 0, 0, 0),
+        _on(pot.deps, 0, 0, 1, 0),
+        _on(pot.deps, 0, 0, 0, 1),
+        _on(pot.deps, 0, _T, _X, 0),
+        _on(pot.deps, _T * -2, -_X, 0, r),
+        _on(pot.deps, 0, 0, _T * _T, 0),
+        _on(pot.deps, 0, 0, 0, _T * _T),
+    )
+
+
+def _closes(xs):
+    basis = linalg.Basis([x.coeffs() for x in xs])
+    return all(basis.coords(lie_bracket(a, b).coeffs()) is not None for a in xs for b in xs)
+
+
+class TestKnownAnswers:
+    """The generic field on other systems: the point symmetries of
+    Burgers and KdV and of the potential pair have zero determining
+    residual, and their characteristics bracket like the fields."""
+
+    def _systems(self, pot):
+        return ((BURGERS, BURGERS_FIELDS), (KDV, KDV_FIELDS), (pot, _potential_fields(pot)))
+
+    def test_fields_are_symmetries(self, pot):
+        for sys, xs in self._systems(pot):
+            for x in xs:
+                res = determining_residual(x, sys)
+                assert len(res) == sys.width
+                assert all(r.is_zero() for r in res), (sys.deps, x)
+
+    @pytest.mark.parametrize(
+        "sys, field",
+        [
+            (BURGERS, _on(("u",), 0, 0, 1)),
+            (KDV, _on(("u",), 0, 0, 1)),
+            (KDV, _on(("u",), _T * 2, _X, -_u())),
+        ],
+        ids=["burgers-shift-u", "kdv-shift-u", "kdv-burgers-scaling"],
+    )
+    def test_controls_fail(self, sys, field):
+        assert any(not r.is_zero() for r in determining_residual(field, sys))
+
+    def test_potential_control_fails(self, pot):
+        q = JetPoly.var(pot.deps[0])
+        assert any(not r.is_zero() for r in determining_residual(_on(pot.deps, 0, 0, q, 0), pot))
+
+    def test_burgers_and_kdv_brackets_close(self):
+        assert _closes(BURGERS_FIELDS) and _closes(KDV_FIELDS)
+        # [d/dt, projective] is the scaling field
+        basis = linalg.Basis([x.coeffs() for x in BURGERS_FIELDS])
+        coords = basis.coords(lie_bracket(BURGERS_FIELDS[1], BURGERS_FIELDS[4]).coeffs())
+        assert list(coords) == [0, 0, 0, 1, 0]
+
+    def test_characteristics_follow_the_fields(self, pot):
+        for sys, xs in self._systems(pot):
+            for x in xs:
+                p = characteristic(x)
+                assert p.comp == tuple(
+                    x.eta_for(dep) - x.xi1 * JetPoly.var(dep, 0, 1) - x.xi2 * JetPoly.var(dep, 1) for dep in sys.deps
+                )
+            for a in xs:
+                for b in xs:
+                    br = char_bracket(characteristic(a), characteristic(b), sys)
+                    lb = characteristic(lie_bracket(a, b))
+                    assert br.comp == tuple(reduce_on_shell(c, sys) for c in lb.comp), (sys.deps, a, b)
 
 
 EXPECTED_TABLE = {
