@@ -363,12 +363,6 @@ class ActionTable:
     def coeff(self, qi: int, pj: int) -> tuple[Fraction, ...]:
         return self.entries[(qi, pj)]
 
-    def matrix_for_fixed_q(self, qi: int) -> list[list[Fraction]]:
-        """6x4 matrix of the map S_Q: P_j -> action1(P_j, Q_qi)."""
-        return [
-            [self.entries[(qi, pj)][row] for pj in range(1, 5)] for row in range(6)
-        ]
-
 
 def build_action_table(
     chars: Sequence[Characteristic],
@@ -445,29 +439,32 @@ def sq_bracket(
     map both arguments back through S_Q (canonical preimage with zero
     kernel components), bracket the characteristics, and push forward.
 
-    Requires the kernel of S_Q to be an ideal of the symmetry algebra;
-    raises NotInRange when an argument has no preimage and
-    AmbiguousPreimage when the kernel is not spanned by basis directions
-    (the canonical-complement choice then has no meaning). The ideal
-    check reads the characteristic bracket table that ``table`` carries,
-    so the brackets of the basis are computed once per table and shared
-    by every call with it. The arguments and the bracket image are
-    decomposed against the table's eliminated adjoint basis, and the
-    image is lifted with the table's memo. Without ``table`` the call
-    builds its own.
+    S_Q is one :class:`~dlwlab.linalg.Basis` of the images
+    action1(P_j, Q_fix) that ``table`` holds. Its null combinations span
+    the kernel, which is spanned by basis directions exactly when each
+    dependent image is zero, and the coordinates of an on-shell argument
+    over it are the canonical preimage. Requires the kernel of S_Q to be
+    an ideal of the symmetry algebra; raises NotInRange when an argument
+    has no preimage and AmbiguousPreimage when the kernel is not spanned
+    by basis directions (the canonical-complement choice then has no
+    meaning). The ideal check reads the characteristic bracket table
+    that ``table`` carries, so the brackets of the basis are computed
+    once per table and shared by every call with it. The bracket image
+    is decomposed against the table's eliminated adjoint basis and
+    lifted with the table's memo. Without ``table`` the call builds its
+    own.
     """
     if table is None:
         table = build_action_table(chars, adjoints, sys)
-    m = table.matrix_for_fixed_q(fix)
-    kernel = linalg.nullspace_exact(m)
+    s_q = linalg.Basis([table.images[(fix, pj)] for pj in range(1, len(chars) + 1)])
     # canonical complement needs the kernel to be coordinate-spanned
-    for vec in kernel:
+    for vec in s_q.null:
         if sum(1 for v in vec if v != 0) != 1:
             raise AmbiguousPreimage("kernel is not spanned by basis directions")
     # ideal check: bracketing a kernel generator with any generator must
     # stay in the kernel; [P_j, P_i] = -[P_i, P_j] has the same zero
     # coordinates and [P_i, P_i] = 0
-    kernel_cols = {next(i for i, v in enumerate(vec) if v != 0) for vec in kernel}
+    kernel_cols = {next(i for i, v in enumerate(vec) if v != 0) for vec in s_q.null}
     for i in kernel_cols:
         for j in range(len(chars)):
             if i == j:
@@ -480,11 +477,7 @@ def sq_bracket(
 
     def preimage(arg: AdjointSymmetry | Sequence[JetPoly]) -> list[Fraction]:
         comp = tuple(arg.comp if isinstance(arg, AdjointSymmetry) else arg)
-        comp = tuple(reduce_on_shell(c, sys) for c in comp)
-        coords = table.basis.coords(comp)
-        if coords is None:
-            raise NotInRange("argument is outside the adjoint catalog span")
-        pre = linalg.solve_exact(m, list(coords))
+        pre = s_q.coords(tuple(reduce_on_shell(c, sys) for c in comp))
         if pre is None:
             raise NotInRange("argument is outside the range of the fixed action")
         return pre

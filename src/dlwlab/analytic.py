@@ -7,28 +7,30 @@ the coordinates x and t, named parameters, sums, products, quotients,
 integer powers, exp, tanh, sech) is closed under d/dx and d/dt, so every
 residual can be formed symbolically and only the final evaluation is
 floating point. A coordinate may also be a jet coordinate ("u[1,0]"), a
-value handed in beside x and t, with no derivative. The package's one
-numeric evaluator, ``_program``, compiles expressions into one flat
-program with a slot per distinct subexpression, split into the
-instructions free of the coordinates, folded to floats once per binding,
-and the rest, run once over numpy arrays. The folded values that differ
-between bindings are stacked into (B, 1) columns, so one run evaluates B
-bindings at every sample, as a (B, samples) grid with one guard mask. It
-serves the residual scans and profiles guarded per sample, and unguarded
-the solver's exact boundary data (``compile_expr``, u and v in one
-program) and monitored densities and fluxes (``poly_program``, jet
-polynomials at the stencil values); ``residual_max``,
-``evaluate_samples``, ``evaluate`` and ``compile_expr`` are its
-one-binding case. The residual program of a candidate is derived and
-compiled once per process (``_residual_program``, a bounded cache keyed
-by the system and the candidate), as are the program of each expression
-tuple that ``compile_expr`` binds (``_expr_program``) and the bound
-program of each polynomial tuple (``poly_program``). A lookup walks no
-tree: the system and the families are built once per process, and every
-node keeps its hash once computed. So
-``solutions.scan_family`` draws its samples once per family, folds the
-parameters of each binding, and runs the program once over all of them
-(``_residual_reports``).
+value handed in beside x and t, with no derivative. The program
+compiler, ``_program``, compiles expressions into one flat program with
+a slot per distinct subexpression, split into the instructions free of
+the coordinates, folded to floats once per binding, and the rest, run
+once over numpy arrays. The folded values that differ between bindings
+are stacked into (B, 1) columns, so one run evaluates B bindings at
+every sample, as a (B, samples) grid with one guard mask. It produces
+the residuals of the scans and the profiles, guarded per sample, and
+unguarded the solver's exact boundary data (``compile_expr``, u and v in
+one program) and the values of its monitored densities and fluxes
+(``poly_program``, jet polynomials at the stencil values);
+``residual_max``, ``evaluate_samples``, ``evaluate`` and
+``compile_expr`` are its one-binding case. The solver's slopes, the
+right sides of the pair at every cell of an RK4 stage, come from the
+other compiler, ``sim._stage_plan``, which plans them as in-place numpy
+ufunc calls. The residual program of a candidate is derived and compiled
+once per process (``_residual_program``, a bounded cache keyed by the
+system and the candidate), as are the program of each expression tuple
+that ``compile_expr`` binds (``_expr_program``) and the bound program of
+each polynomial tuple (``poly_program``). A lookup walks no tree: the
+system and the families are built once per process, and every node keeps
+its hash once computed. So ``solutions.scan_family`` draws its samples
+once per family, folds the parameters of each binding, and runs the
+program once over all of them (``_residual_reports``).
 
 The residuals themselves are the system's equations with every jet
 coordinate replaced by a derivative of the candidate, taken by ``diff``

@@ -91,20 +91,24 @@ def _emit(report: VerificationReport, args: argparse.Namespace) -> int:
 
 def _parse_binding(text: str | None) -> dict[str, float]:
     """``--binding`` value: comma-separated name=value pairs, each value a
-    finite number; an absent option binds nothing."""
+    finite number and each name given once; an absent option binds
+    nothing."""
     out: dict[str, float] = {}
     for chunk in (text or "").split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         key, _, val = chunk.partition("=")
+        key = key.strip()
         try:
             value = float(val)
         except ValueError:
             value = None
-        if value is None or not math.isfinite(value) or not key.strip():
+        if value is None or not math.isfinite(value) or not key:
             raise UsageError(f"malformed binding {chunk!r}: expected name=finite number")
-        out[key.strip()] = value
+        if key in out:
+            raise UsageError(f"binding {key!r} is repeated")
+        out[key] = value
     return out
 
 

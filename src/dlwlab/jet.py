@@ -1029,7 +1029,7 @@ def reduce_on_shell(p: JetPoly, sys: SolvedSystem | EvolutionSystem) -> JetPoly:
 # Euler operators
 
 
-def euler_operator(p: JetPoly, dep: str, x_only: bool = False) -> JetPoly:
+def euler_operator(p: JetPoly, dep: str) -> JetPoly:
     """Full variational derivative with respect to dependent variable
     ``dep``: the sum over jet slots (a, b) of (-D_x)^a (-D_t)^b applied to
     the partial derivative P_ab in ``dep[a,b]``, taken in Horner form
@@ -1039,8 +1039,7 @@ def euler_operator(p: JetPoly, dep: str, x_only: bool = False) -> JetPoly:
 
     which applies max(b) t-derivatives and max(a) x-derivatives per row
     instead of a + b per slot (Olver, *Applications of Lie Groups to
-    Differential Equations*, sec. 4.1). ``x_only`` keeps only the row
-    b = 0 of t-derivative-free slots (the multiplier-extraction variant).
+    Differential Equations*, sec. 4.1).
 
     The Horner form runs on the coded keys, as plain tuples, through the
     lift of ``_add_derivative``, shared with ``total_derivative``. A row
@@ -1056,9 +1055,8 @@ def euler_operator(p: JetPoly, dep: str, x_only: bool = False) -> JetPoly:
     for m, c in p._num.items():
         codes = m.codes
         for i, k in enumerate(codes):
-            b = k & _MASK
-            if k >> 2 * _K == dep_id and not (x_only and b):
-                slot = rows.setdefault(b, {}).setdefault((k >> _K) & _MASK, {})
+            if k >> 2 * _K == dep_id:
+                slot = rows.setdefault(k & _MASK, {}).setdefault((k >> _K) & _MASK, {})
                 key = (codes[:i] + codes[i + 1 :], m.xpow, m.tpow, m.params)
                 slot[key] = slot.get(key, 0) + c
     out: dict[tuple, int] = {}

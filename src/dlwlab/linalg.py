@@ -1,105 +1,23 @@
 """Tiny exact linear algebra over Fraction, enough for decomposing
 polynomials in small catalog bases and extracting operator kernels.
 
-The systems are sparse (a decomposition has one row per monomial, most of
-them zero in most basis columns), so elimination works on the nonzero
-entries only: entries that are already a ``Fraction`` are not wrapped
-again, ``solve_exact`` drops all-zero rows, a row update touches only the
-pivot row's nonzero columns and a pivot of 1 divides nothing. The reduced
-row echelon form is unique, so every result equals that of the plain
-Gauss-Jordan elimination kept in ``tests/linalg_reference.py``.
-
-A decomposition basis is eliminated once, by :class:`Basis`, and every
-target is then decomposed against it: the catalog decomposes many images
-(action-table cells, brackets) over each of a few bases.
-``decompose_components`` is the one-target case."""
+There is one elimination, :class:`Basis`: a list of vectors is eliminated
+once, and every target is then decomposed against it. The catalog
+decomposes many images (action-table cells, brackets) over each of a few
+bases; ``decompose_components`` is the one-target case. ``solve_exact``
+and ``nullspace_exact`` are queries on a basis of the columns of a
+matrix. Each vector is flattened at the boundary to one map from keys
+to nonzero coefficients, a (slot, monomial) of a component tuple or the
+row index of a matrix column, so the elimination touches only nonzero
+entries. The plain Gauss-Jordan elimination lives only in
+``tests/linalg_reference.py``, as the oracle every result must equal."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-__all__ = ["solve_exact", "nullspace_exact", "rref", "Basis", "decompose_components"]
-
-Matrix = list[list[Fraction]]
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    return _eliminate([_fractions(r) for r in rows])
-
-
-def _fractions(row: Iterable) -> list[Fraction]:
-    return [v if isinstance(v, Fraction) else Fraction(v) for v in row]
-
-
-def _eliminate(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Bring ``m`` to reduced row echelon form in place. Entries left of
-    the current column are already zero in every candidate pivot row, so
-    an update touches only the pivot row's nonzero columns at or right of
-    it."""
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        prow = m[r]
-        pv = prow[c]
-        if pv != 1:
-            prow = m[r] = [val / pv for val in prow]
-        nonzero = [(k, prow[k]) for k in range(c, ncols) if prow[k]]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                for k, b in nonzero:
-                    row[k] -= f * b
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def solve_exact(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """One solution of A x = b with free variables set to zero, or None
-    if the system is inconsistent. All-zero rows of the augmented system
-    are dropped before elimination."""
-    if not a:
-        return [] if all(v == 0 for v in b) else None
-    ncols = len(a[0])
-    aug = [row for row in (_fractions([*r, v]) for r, v in zip(a, b)) if any(row)]
-    m, pivots = _eliminate(aug)
-    if pivots and pivots[-1] == ncols:  # a row 0 = nonzero
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][-1]
-    return x
-
-
-def nullspace_exact(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the nullspace of A (one vector per free column)."""
-    if not a:
-        return []
-    m, pivots = rref(a)
-    ncols = len(a[0])
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc]
-        basis.append(vec)
-    return basis
+__all__ = ["solve_exact", "nullspace_exact", "Basis", "decompose_components"]
 
 
 class Basis:
@@ -110,23 +28,33 @@ class Basis:
     symmetry); one coordinate is a (slot, monomial) key. Each vector is
     reduced against the pivots of the vectors before it and gets a pivot
     key only if something is left, so the pivots are the leftmost
-    independent vectors: those of ``solve_exact`` on the per-target
-    system, where a dependent vector's coordinate is 0. The reduced
+    independent vectors: the pivot columns of the reduced row echelon
+    form of the matrix whose columns are the vectors. The reduced
     vectors are 1 at their own key and 0 at every other pivot key, so a
     target in the span is the sum of its value at each key times that
     key's reduced vector; each pivot keeps its key and its reduced
-    vector's combination of the basis vectors."""
+    vector's combination of the basis vectors.
+
+    A vector left with nothing is dependent, and its combination is a
+    null combination of the vectors: 1 at its own index, the rest at
+    earlier pivots. ``null`` holds one per dependent vector, in order,
+    which is the nullspace basis of the echelon form (one vector per
+    free column)."""
 
     def __init__(self, vectors: Sequence[Sequence]):
         self.vectors = [tuple(v) for v in vectors]
         self.slots = len(self.vectors[0]) if self.vectors else None
-        # per pivot: its key, its reduced vector and that vector's
-        # combination of the basis (column index -> coefficient)
-        rows: list[tuple[tuple[int, object], dict, dict[int, Fraction]]] = []
         for j, vec in enumerate(self.vectors):
             if len(vec) != self.slots:
                 raise ValueError(f"basis vector {j} has {len(vec)} slots, not {self.slots}")
-            w = {(slot, m): c for slot, p in enumerate(vec) for m, c in p.terms.items() if c}
+        self._maps = [self._flat(v) for v in self.vectors]
+        zero = Fraction(0)
+        self.null: list[list[Fraction]] = []
+        # per pivot: its key, its reduced vector and that vector's
+        # combination of the basis (vector index -> coefficient)
+        rows: list[tuple[object, dict, dict[int, Fraction]]] = []
+        for j, vec in enumerate(self._maps):
+            w = dict(vec)
             comb = {j: Fraction(1)}
             for key, r, rc in rows:
                 f = w.get(key)
@@ -134,6 +62,7 @@ class Basis:
                     _subtract(w, f, r)
                     _subtract(comb, f, rc)
             if not w:
+                self.null.append([comb.get(c, zero) for c in range(len(self._maps))])
                 continue
             key = next(iter(w))
             f = Fraction(w[key])  # the entries may be ints
@@ -147,28 +76,39 @@ class Basis:
             rows.append((key, r, comb))
         self._pivots = [(key, list(comb.items())) for key, _, comb in rows]
 
+    @staticmethod
+    def _flat(vec: Sequence) -> dict:
+        """The nonzero coefficients of a component tuple by (slot, monomial)."""
+        return {(slot, m): c for slot, p in enumerate(vec) for m, c in p.terms.items() if c}
+
     def coords(self, target: Sequence) -> list[Fraction] | None:
         """Exact coordinates of ``target`` over the basis vectors, or None
         if it leaves their span. The target is read at the pivot keys, the
-        reduced vectors' combinations give the coordinates, and the
-        target must then equal the sum of coordinate times vector on
-        every (slot, monomial)."""
+        reduced vectors' combinations give the coordinates, which are 0 at
+        every dependent vector, and the target must then equal the sum of
+        coordinate times vector at every key."""
         if self.slots is not None and len(target) != self.slots:
             raise ValueError(f"target has {len(target)} slots, the basis {self.slots}")
+        left = self._flat(target)
         x = [Fraction(0)] * len(self.vectors)
-        for (slot, m), comb in self._pivots:
-            t = target[slot].terms.get(m)
+        for key, comb in self._pivots:
+            t = left.get(key)
             if t:
                 for c, v in comb:
                     x[c] += t * v
-        used = [(c, xc) for c, xc in enumerate(x) if xc]
-        for slot, p in enumerate(target):
-            left = dict(p.terms)
-            for c, xc in used:
-                _subtract(left, xc, self.vectors[c][slot].terms)
-            if any(left.values()):
-                return None
-        return x
+        for c, xc in enumerate(x):
+            if xc:
+                _subtract(left, xc, self._maps[c])
+        return None if left else x
+
+
+class _Columns(Basis):
+    """The columns of a matrix as a basis; a column's slots are its rows,
+    and a key is a row index."""
+
+    @staticmethod
+    def _flat(vec: Sequence) -> dict:
+        return {i: v for i, v in enumerate(vec) if v}
 
 
 def _subtract(w: dict, f: Fraction, r: Mapping) -> None:
@@ -179,6 +119,25 @@ def _subtract(w: dict, f: Fraction, r: Mapping) -> None:
             w[k] = val
         else:
             w.pop(k, None)
+
+
+def solve_exact(
+    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> list[Fraction] | None:
+    """One solution of A x = b with free variables set to zero, or None
+    if the system is inconsistent: the coordinates of b over the columns
+    of A."""
+    if not a:
+        return [] if all(v == 0 for v in b) else None
+    return _Columns(list(zip(*a))).coords(b)
+
+
+def nullspace_exact(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Basis of the nullspace of A (one vector per free column): the null
+    combinations of its columns."""
+    if not a:
+        return []
+    return _Columns(list(zip(*a))).null
 
 
 def decompose_components(

@@ -837,7 +837,7 @@ def config_from_mapping(data: Mapping[str, str]) -> SimConfig:
 
 
 def parse_config(path: str) -> SimConfig:
-    """Flat key=value file; '#' starts a comment."""
+    """Flat key=value file, each key given once; '#' starts a comment."""
     data: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -847,5 +847,8 @@ def parse_config(path: str) -> SimConfig:
             if "=" not in line:
                 raise JetError(f"bad config line: {line!r}")
             key, _, val = line.partition("=")
-            data[key.strip()] = val.strip()
+            key = key.strip()
+            if key in data:
+                raise JetError(f"config key {key!r} is repeated")
+            data[key] = val.strip()
     return config_from_mapping(data)

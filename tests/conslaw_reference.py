@@ -30,13 +30,12 @@ from dlwlab.jet import (
     EvolutionSystem,
     JetError,
     JetPoly,
-    euler_operator,
     reduce_on_shell,
     total_derivative,
 )
 from dlwlab.symmetry import Characteristic, PointSymmetry, characteristic
 from dlwlab.systems import substitute_dependent
-from jet_reference import total_derivative_n
+from jet_reference import euler_operator, total_derivative_n
 
 
 def _p(name: str, dx: int = 0, dt: int = 0) -> JetPoly:

@@ -85,6 +85,8 @@ def total_derivative_n(p: JetPoly, dx: int = 0, dt: int = 0) -> JetPoly:
 
 
 def euler_operator(p: JetPoly, dep: str, x_only: bool = False) -> JetPoly:
+    """``x_only`` keeps only the t-derivative-free slots, the variant that
+    ``conslaw_reference.law_multipliers`` reads multipliers with."""
     out = JetPoly.zero()
     for v in p.jet_vars():
         if v.name != dep or (x_only and v.dt):
@@ -230,11 +232,11 @@ def frac_total_derivative(a: FracTerms, axis: str) -> FracTerms:
     return _clean(out)
 
 
-def frac_euler_operator(a: FracTerms, dep: str, x_only: bool = False) -> FracTerms:
+def frac_euler_operator(a: FracTerms, dep: str) -> FracTerms:
     """The sum over coordinates dep[i,j] of (-1)^(i+j) D_x^i D_t^j of the
     partial derivative, each slot taken separately."""
     out: FracTerms = {}
-    slots = {v for m in a for v, _ in m.jet if v.name == dep and not (x_only and v.dt)}
+    slots = {v for m in a for v, _ in m.jet if v.name == dep}
     for v in slots:
         term = frac_partial(a, v)
         for _ in range(v.dx):

@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import linalg_reference
+from dlwlab import linalg
 from dlwlab.adjoint import (
     AdjointSymmetry,
+    AmbiguousPreimage,
     DecompositionError,
     LiftMemo,
     NotInRange,
@@ -29,7 +32,7 @@ from dlwlab.adjoint import (
 )
 from dlwlab.jet import JetPoly, OpTerm, apply_op, reduce_on_shell
 from dlwlab.report import adjoint_suite
-from dlwlab.symmetry import char_structure_constants, characteristics
+from dlwlab.symmetry import Characteristic, char_bracket, char_structure_constants, characteristics
 
 u = JetPoly.var("u")
 v = JetPoly.var("v")
@@ -315,6 +318,87 @@ class TestBracket:
                     assert all(t == 0 for t in total)
 
 
+def _parent_sq_bracket(fix, a, b, ps, qs, phys, table):
+    """The bracket by its earlier route: S_Q as the 6x4 matrix of the
+    table's Q-coordinates, its kernel by ``linalg_reference.nullspace_exact``
+    and each preimage by ``linalg_reference.solve_exact`` on the argument's
+    Q-coordinates."""
+    m = [[table.entries[(fix, pj)][row] for pj in range(1, 5)] for row in range(6)]
+    kernel = linalg_reference.nullspace_exact(m)
+    if any(sum(1 for c in vec if c != 0) != 1 for vec in kernel):
+        raise AmbiguousPreimage("kernel is not spanned by basis directions")
+    kernel_cols = {next(i for i, c in enumerate(vec) if c != 0) for vec in kernel}
+    for i in kernel_cols:
+        for j in range(len(ps)):
+            if i != j:
+                coords = table.char_brackets[(min(i, j), max(i, j))]
+                if coords is None:
+                    raise DecompositionError("bracket left the symmetry span")
+                if any(c != 0 for k, c in enumerate(coords) if k not in kernel_cols):
+                    raise AmbiguousPreimage("kernel of the fixed action is not an ideal")
+
+    def preimage(arg):
+        coords = table.basis.coords(tuple(reduce_on_shell(c, phys) for c in arg.comp))
+        pre = None if coords is None else linalg_reference.solve_exact(m, coords)
+        if pre is None:
+            raise NotInRange("argument is outside the range of the fixed action")
+        return Characteristic(
+            tuple(sum((p * c for c, p in zip(pre, slot)), JetPoly.zero()) for slot in zip(*(p.comp for p in ps)))
+        )
+
+    bracket = char_bracket(preimage(a), preimage(b), phys)
+    image = action1(Characteristic(tuple(bracket.comp)), qs[fix - 1], phys, table.lifts)
+    coords = table.basis.coords(image)
+    if coords is None:
+        raise DecompositionError("bracket image left the adjoint catalog span")
+    return AdjointSymmetry(tuple(image)), tuple(coords)
+
+
+def _outcome(bracket, *args):
+    """The result of a bracket call, or the type of the error it raised."""
+    try:
+        return bracket(*args)
+    except (AmbiguousPreimage, DecompositionError, NotInRange) as err:
+        return type(err)
+
+
+class TestOneEliminator:
+    """S_Q is one ``linalg.Basis`` of the images action1(P_j, Q_fix): its
+    null combinations are the kernel and its coordinates the preimages,
+    where the bracket once solved the Q-coordinate matrix."""
+
+    @pytest.fixture(scope="class")
+    def table(self, phys, ps, qs):
+        return build_action_table(ps, qs, phys)
+
+    @pytest.mark.parametrize("fix", [1, 3, 4])
+    def test_kernel_is_spanned_by_the_translations(self, table, fix):
+        s_q = linalg.Basis([table.images[(fix, pj)] for pj in range(1, 5)])
+        assert s_q.null == [[1, 0, 0, 0], [0, 1, 0, 0]]
+        assert all(type(c) is Fraction for vec in s_q.null for c in vec)
+
+    @pytest.mark.parametrize("fix", [1, 3, 4])
+    def test_bracket_agrees_with_the_earlier_route(self, phys, ps, qs, table, fix):
+        # every argument of this file's bracket calls: Q1..Q6, Q1 + 2 Q3
+        # (bilinearity) and [Q1, Q3] under the first fixed action (Jacobi)
+        combo = AdjointSymmetry(tuple(a + b * 2 for a, b in zip(qs[0].comp, qs[2].comp)))
+        nested = sq_bracket(1, qs[0], qs[2], ps, qs, phys, table)[0]
+        args = (*qs, combo, nested)
+        outcomes = set()
+        for a in args:
+            for b in args:
+                got = _outcome(sq_bracket, fix, a, b, ps, qs, phys, table)
+                assert got == _outcome(_parent_sq_bracket, fix, a, b, ps, qs, phys, table)
+                outcomes.add(got if isinstance(got, type) else "bracket")
+        assert outcomes == {"bracket", NotInRange}
+
+    def test_broken_bracket_table_agrees_with_the_earlier_route(self, phys, ps, qs, table):
+        broken = dataclasses.replace(table, char_brackets={k: None for k in table.char_brackets})
+        args = (1, qs[0], qs[2], ps, qs, phys, broken)
+        assert _outcome(sq_bracket, *args) is DecompositionError
+        assert _outcome(_parent_sq_bracket, *args) is DecompositionError
+
+
 class TestLiftMemo:
     """One adjoint suite run lifts each of the 4 characteristics, the 6
     adjoint symmetries and the 3 bracket characteristics once, and adjoins
@@ -414,30 +498,32 @@ class TestCharBracketTable:
 
 class TestDecompositionCost:
     """One adjoint suite run eliminates the reduced Q basis once, for its
-    action table, and the reduced P basis once, for the table's
-    char_structure_constants; every decomposition of the run (24 table
-    cells, 6 characteristic brackets, two preimages and one image per
-    printed bracket constant) reads one of the two."""
+    action table, the reduced P basis once, for the table's
+    char_structure_constants, and for each printed bracket constant the
+    table's images under its fixed Q once, as S_Q. Every decomposition of
+    the run reads one of them: the 24 table cells and the 3 bracket images
+    the Q basis, the 6 characteristic brackets the P basis and the two
+    preimages of each constant its S_Q."""
 
     def test_each_basis_is_eliminated_once_per_suite_run(self, monkeypatch, phys, ps, qs):
-        from dlwlab import linalg
-
         made, reads = [], []
 
         class CountingBasis(linalg.Basis):
             def __init__(self, vectors):
                 super().__init__(vectors)
-                made.append(self.vectors)
+                made.append(self)
 
             def coords(self, target):
-                reads.append(len(self.vectors))
+                reads.append(self)
                 return super().coords(target)
 
+        images = build_action_table(ps, qs, phys).images
         monkeypatch.setattr(linalg, "Basis", CountingBasis)
         reduced = lambda basis: [tuple(reduce_on_shell(c, phys) for c in b.comp) for b in basis]  # noqa: E731
+        s_q = lambda fix: [images[(fix, pj)] for pj in range(1, 5)]  # noqa: E731
         for _ in range(2):  # nothing is kept from one run to the next
             made.clear()
             reads.clear()
             assert not adjoint_suite().failed()
-            assert made == [reduced(qs), reduced(ps)]
-            assert (reads.count(6), reads.count(4)) == (24 + 3 * 3, 6)
+            assert [b.vectors for b in made] == [reduced(qs), reduced(ps), s_q(1), s_q(3), s_q(4)]
+            assert [sum(r is b for r in reads) for b in made] == [24 + 3, 6, 2, 2, 2]

@@ -115,6 +115,14 @@ def test_sim_run_records_blowup(tmp_path, capsys):
 KINK_CFG = "x_min=-20\nx_max=20\nn=64\nt_end=0.05\nboundary=exact\nfamily=eq93\n"
 
 
+def kink_cfg(extra: str) -> str:
+    """KINK_CFG with the lines of ``extra`` in place of its lines of the
+    same keys, since a config names each key once."""
+    keys = {line.partition("=")[0] for line in extra.splitlines()}
+    kept = [line for line in KINK_CFG.splitlines() if line.partition("=")[0] not in keys]
+    return "\n".join(kept) + "\n" + extra
+
+
 @pytest.mark.parametrize(
     "extra,named",
     [
@@ -132,7 +140,7 @@ KINK_CFG = "x_min=-20\nx_max=20\nn=64\nt_end=0.05\nboundary=exact\nfamily=eq93\n
 )
 def test_sim_run_bad_input_exits_two(extra, named, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(KINK_CFG + extra)
+    cfg.write_text(kink_cfg(extra))
     out = tmp_path / "out"
     assert run_cli(["sim", "run", "--config", str(cfg), "--out-dir", str(out)]) == 2
     captured = capsys.readouterr()
@@ -140,6 +148,18 @@ def test_sim_run_bad_input_exits_two(extra, named, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert named in captured.err
     assert not out.exists()  # a rejected run leaves no empty output directory
+
+
+@pytest.mark.parametrize("extra,key", [("param.mu=1.0\nn=128\n", "n"), ("param.mu=1.0\nparam.mu=2\n", "param.mu")])
+def test_sim_run_repeated_config_key_exits_two(extra, key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(KINK_CFG + extra)
+    out = tmp_path / "out"
+    assert run_cli(["sim", "run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dlwlab sim run: JetError: config key {key!r} is repeated\n"
+    assert not out.exists()
 
 
 def test_sim_run_missing_config_exits_two(tmp_path, capsys):
@@ -521,6 +541,14 @@ def test_malformed_binding_exits_two(binding, capsys):
     assert captured.err == (
         f"dlwlab waves verify: UsageError: malformed binding {bad!r}: expected name=finite number\n"
     )
+
+
+@pytest.mark.parametrize("binding", ["mu=1,mu=2", "mu=1, mu =1"])
+def test_repeated_binding_name_exits_two(binding, capsys):
+    assert main(["waves", "verify", "--family", "eq93", "--binding", binding]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dlwlab waves verify: UsageError: binding 'mu' is repeated\n"
 
 
 def test_sim_converge_malformed_binding(capsys):

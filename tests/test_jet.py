@@ -475,11 +475,10 @@ class TestKernelOracles:
     @given(
         p=jet_polys(max_dt=2, max_terms=6, params=("mu",)),
         dep=st.sampled_from(("u", "v")),
-        x_only=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_euler_operator_matches_reference(self, p, dep, x_only):
-        assert euler_operator(p, dep, x_only) == jet_reference.euler_operator(p, dep, x_only)
+    def test_euler_operator_matches_reference(self, p, dep):
+        assert euler_operator(p, dep) == jet_reference.euler_operator(p, dep)
 
     @given(p=jet_polys(max_dt=2, max_terms=6, params=("mu",)), axis=st.sampled_from(("x", "t")))
     @settings(max_examples=150, deadline=None)
@@ -490,25 +489,24 @@ class TestKernelOracles:
         p=deep_polys,
         q=deep_polys,
         dep=st.sampled_from(DEEP_DEPS + ("s",)),
-        x_only=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_euler_operator_matches_reference_at_high_order(self, p, q, dep, x_only):
+    def test_euler_operator_matches_reference_at_high_order(self, p, q, dep):
         # the square gives exponents above 1; "s" and any undrawn name are
         # dependent variables absent from p
         p = p + q**2
-        assert euler_operator(p, dep, x_only) == jet_reference.euler_operator(p, dep, x_only)
+        assert euler_operator(p, dep) == jet_reference.euler_operator(p, dep)
 
     @pytest.mark.parametrize("dep", ["u", "v"])
-    @pytest.mark.parametrize("x_only", [False, True])
-    def test_euler_operator_past_any_fixed_order(self, dep, x_only):
+    def test_euler_operator_past_any_fixed_order(self, dep):
         p = JetPoly.var("u", 40) ** 2 * JetPoly.var("v", 0, 7) * JetPoly.x(3)
-        assert euler_operator(p, dep, x_only) == jet_reference.euler_operator(p, dep, x_only)
+        assert euler_operator(p, dep) == jet_reference.euler_operator(p, dep)
 
     def test_x_only_keeps_t_derivative_free_slots(self):
+        # the reference's x-restricted variant, which law_multipliers reads
         p = JetPoly.var("u", 0, 1) * ux
         uxt = JetPoly.var("u", 1, 1)
-        assert euler_operator(p, "u", x_only=True) == -uxt
+        assert jet_reference.euler_operator(p, "u", x_only=True) == -uxt
         assert euler_operator(p, "u") == uxt * -2
 
 
@@ -532,10 +530,9 @@ class TestIntegerKernel:
         v=jet_vars(max_dx=2, max_dt=1),
         axis=st.sampled_from(("x", "t")),
         dep=st.sampled_from(("u", "v")),
-        x_only=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_fraction_reference(self, a, b, c, v, axis, dep, x_only):
+    def test_matches_fraction_reference(self, a, b, c, v, axis, dep):
         p, q = JetPoly(a), JetPoly(b)
         _assert_terms(p, a)
         _assert_terms(p + q, jet_reference.frac_add(a, b))
@@ -548,7 +545,7 @@ class TestIntegerKernel:
         _assert_terms(p.partial(v), jet_reference.frac_partial(a, v))
         _assert_terms(total_derivative(p, axis), jet_reference.frac_total_derivative(a, axis))
         _assert_terms(
-            euler_operator(p, dep, x_only), jet_reference.frac_euler_operator(a, dep, x_only)
+            euler_operator(p, dep), jet_reference.frac_euler_operator(a, dep)
         )
 
     @given(a=wide_terms, b=wide_terms, dep=st.sampled_from(("u", "v")))
@@ -609,15 +606,14 @@ class TestTrustedMonomials:
         w=jet_vars(max_dt=2),
         axis=st.sampled_from(("x", "t")),
         dep=st.sampled_from(("u", "v")),
-        x_only=st.booleans(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_kernel_outputs_pass_the_public_checks(self, p, q, w, axis, dep, x_only):
+    def test_kernel_outputs_pass_the_public_checks(self, p, q, w, axis, dep):
         outputs = [
             p * q,
             p * JetPoly.param("mu", -1),
             total_derivative(p, axis),
-            euler_operator(p, dep, x_only),
+            euler_operator(p, dep),
             p.partial(w),
             p.partial_explicit(axis),
             *p.coefficients_in(w).values(),
@@ -1062,15 +1058,14 @@ class TestKernelCost:
         assert p.substitute(images.get) == expected
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("x_only", [False, True])
-    def test_euler_operator_derives_in_place_and_normalizes_once(self, monkeypatch, x_only):
+    def test_euler_operator_derives_in_place_and_normalizes_once(self, monkeypatch):
         ut = JetPoly.var("u", 0, 1)
         p = ux**2 * v * Fraction(1, 6) + ut * JetPoly.var("u", 2, 1) * Fraction(3, 4)
         p = p + JetPoly.var("v", 3) * u * JetPoly.x()
-        expected = jet_reference.euler_operator(p, "u", x_only)
+        expected = jet_reference.euler_operator(p, "u")
         derivatives = self.counting_total_derivatives(monkeypatch)
         normalizations = self.counting_normalizations(monkeypatch)
-        assert euler_operator(p, "u", x_only) == expected
+        assert euler_operator(p, "u") == expected
         assert derivatives == []
         assert len(normalizations) == 1
 

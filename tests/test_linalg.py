@@ -1,7 +1,8 @@
-"""Exact linear algebra: ``rref``, ``solve_exact``, ``nullspace_exact``
-and the decomposition of component tuples over an eliminated ``Basis``
-agree structurally with the unoptimized reference kept in
-``linalg_reference.py`` and with sympy's ``Matrix.rref``."""
+"""Exact linear algebra: ``solve_exact``, ``nullspace_exact``, the null
+combinations of an eliminated ``Basis`` and the decomposition of
+component tuples over it agree structurally with the Gauss-Jordan
+reference kept in ``linalg_reference.py`` and with sympy's
+``Matrix.nullspace`` and ``Matrix.gauss_jordan_solve``."""
 
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlwlab import linalg
+from dlwlab.jet import JetPoly
 
 import linalg_reference
+from conftest import jet_polys
 
 # zero-heavy entries, so that rank deficiency and sparse rows are common;
 # ints and Fractions mixed, as the callers pass both
@@ -54,12 +57,6 @@ def _same(got, want) -> bool:
 
 
 @given(a=matrices())
-@settings(max_examples=300, deadline=None)
-def test_rref_matches_reference(a):
-    assert _same(linalg.rref(a), linalg_reference.rref(a))
-
-
-@given(a=matrices())
 @settings(max_examples=200, deadline=None)
 def test_nullspace_matches_reference(a):
     assert _same(linalg.nullspace_exact(a), linalg_reference.nullspace_exact(a))
@@ -91,7 +88,6 @@ def test_inconsistent_system_has_no_solution():
 
 def test_empty_matrix():
     for impl in (linalg, linalg_reference):
-        assert impl.rref([]) == ([], [])
         assert impl.nullspace_exact([]) == []
         assert impl.solve_exact([], []) == []
         assert impl.solve_exact([], [0, 0]) == []
@@ -107,22 +103,41 @@ def test_all_zero_system_solves_to_zero():
 def test_input_is_not_modified():
     a = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(3)]]
     before = [row[:] for row in a]
-    linalg.rref(a)
+    linalg.nullspace_exact(a)
     linalg.solve_exact(a, [Fraction(1), Fraction(1)])
     assert a == before
 
 
-@given(a=matrices(max_rows=4, max_cols=4))
-@settings(max_examples=40, deadline=None)
-def test_rref_matches_sympy(a):
+def _sympy_matrix(rows):
     import sympy as sp
 
-    want, want_pivots = sp.Matrix(
-        [[sp.Rational(Fraction(v).numerator, Fraction(v).denominator) for v in row] for row in a]
-    ).rref()
-    got, pivots = linalg.rref(a)
-    assert pivots == list(want_pivots)
-    assert [[sp.Rational(v.numerator, v.denominator) for v in row] for row in got] == want.tolist()
+    return sp.Matrix([[sp.Rational(Fraction(v).numerator, Fraction(v).denominator) for v in row] for row in rows])
+
+
+def _from_sympy(column) -> list[Fraction]:
+    return [Fraction(int(v.p), int(v.q)) for v in column]
+
+
+@given(a=matrices(max_rows=4, max_cols=4))
+@settings(max_examples=40, deadline=None)
+def test_nullspace_matches_sympy(a):
+    want = [_from_sympy(vec) for vec in _sympy_matrix(a).nullspace()]
+    assert _same(linalg.nullspace_exact(a), want)
+
+
+@given(a=matrices(max_rows=4, max_cols=4), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_solve_matches_sympy(a, data):
+    """sympy's solution with every free parameter set to 0, or None where
+    it finds the system inconsistent."""
+    b = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+    try:
+        sol, params = _sympy_matrix(a).gauss_jordan_solve(_sympy_matrix([[v] for v in b]))
+    except ValueError:  # "Linear system has no solution"
+        want = None
+    else:
+        want = _from_sympy(sol.subs({p: 0 for p in params}))
+    assert _same(linalg.solve_exact(a, b), want)
 
 
 class _Comp:
@@ -197,3 +212,37 @@ def test_basis_rejects_a_slot_count_mismatch():
         linalg.Basis([one, two])
     with pytest.raises(ValueError, match="slots"):
         linalg.Basis([one]).coords(two)
+
+
+@st.composite
+def jet_tuple_bases(draw):
+    """0 to 5 tuples of 1 to 3 jet polynomials, some zero, copied, scaled
+    or the sum of two earlier ones."""
+    nslots = draw(st.integers(min_value=1, max_value=3))
+    basis = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "copy", "scaled", "sum"]))
+        if kind == "zero":
+            basis.append((JetPoly.zero(),) * nslots)
+        elif kind in ("copy", "scaled") and basis:
+            factor = Fraction(-2, 3) if kind == "scaled" else 1
+            basis.append(tuple(p * factor for p in draw(st.sampled_from(basis))))
+        elif kind == "sum" and len(basis) >= 2:
+            one, two = draw(st.lists(st.sampled_from(basis), min_size=2, max_size=2))
+            basis.append(tuple(p + q * Fraction(1, 2) for p, q in zip(one, two)))
+        else:
+            basis.append(tuple(draw(jet_polys(max_dx=2, max_terms=3)) for _ in range(nslots)))
+    return basis
+
+
+@given(basis=jet_tuple_bases())
+@settings(max_examples=200, deadline=None)
+def test_basis_null_combinations_match_reference_nullspace(basis):
+    """The coefficient matrix has a row per (slot, monomial) that some
+    tuple uses and a column per tuple; a basis of zero tuples has one zero
+    row, so that every column is free."""
+    keys = list(dict.fromkeys((slot, m) for vec in basis for slot, p in enumerate(vec) for m in p.terms))
+    rows = [[vec[slot].terms.get(m, 0) for vec in basis] for slot, m in keys]
+    if basis and not rows:
+        rows = [[0] * len(basis)]
+    assert _same(linalg.Basis(basis).null, linalg_reference.nullspace_exact(rows))

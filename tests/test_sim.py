@@ -157,6 +157,14 @@ class TestGridAndConfig:
             cfg = SimConfig(grid=Grid1D(-20, 20, 64), t_end=1.0, output_stride=stride)
             assert cfg.output_stride == stride
 
+    @pytest.mark.parametrize("key,first,second", [("n", "64", "128"), ("param.mu", "1.0", "2.0")])
+    def test_repeated_config_key_rejected(self, tmp_path, key, first, second):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"x_min = -20\nx_max = 20\n{key} = {first}\nt_end = 0.1\n{key} = {second}\n")
+        with pytest.raises(JetError) as err:
+            parse_config(str(path))
+        assert str(err.value) == f"config key {key!r} is repeated"
+
     def test_bad_config_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense without equals\n")

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -135,23 +136,33 @@ def test_jet_keys_hash_and_compare_as_tuples():
         assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__ and cls.__lt__ is tuple.__lt__
 
 
-def _benchmark_tables() -> dict:
-    """``TRACED_FUNCTIONS`` and ``COUNTED_METHODS`` of the benchmark's
-    tracer, read from its source without importing it."""
+def _load_tracer():
+    """The benchmark's tracer module, loaded from its file by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    return {
-        node.targets[0].id: ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and isinstance(node.targets[0], ast.Name)
-        and node.targets[0].id in ("TRACED_FUNCTIONS", "COUNTED_METHODS")
-    }
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists_after_import():
+    """Every ``(module, attribute)`` that the benchmark's tracer wraps
+    (``TRACED_FUNCTIONS``) or counts (``COUNTED_METHODS``) exists once the
+    tracer has imported the package, so a deletion or rename that would
+    break only the traced benchmark run fails here."""
+    tracing = _load_tracer()
+    tracing.import_package()
+    assert tracing.TRACED_FUNCTIONS and tracing.COUNTED_METHODS
+    for mod_name, attr in tracing.TRACED_FUNCTIONS.values():
+        assert callable(getattr(sys.modules[mod_name], attr, None)), (mod_name, attr)
+    for mod_name, cls_name, method in tracing.COUNTED_METHODS.values():
+        cls = getattr(sys.modules[mod_name], cls_name, None)
+        assert callable(getattr(cls, method, None)), (mod_name, cls_name, method)
 
 
 def test_benchmark_import_surface_resolves():
-    """Every name the benchmark patches or calls exists, so a deletion that
-    would break the traced run fails here rather than only there."""
+    """Every other name the benchmark calls exists, so a deletion that
+    would break its workloads fails here rather than only there."""
     from fractions import Fraction
 
     import numpy as np
@@ -159,13 +170,6 @@ def test_benchmark_import_surface_resolves():
     from dlwlab import analytic, jet, report, sim, solutions
     from dlwlab.solutions import family_registry
 
-    tables = _benchmark_tables()
-    assert set(tables) == {"TRACED_FUNCTIONS", "COUNTED_METHODS"}
-    for mod_name, attr in tables["TRACED_FUNCTIONS"].values():
-        assert callable(getattr(importlib.import_module(mod_name), attr)), (mod_name, attr)
-    for mod_name, cls_name, method in tables["COUNTED_METHODS"].values():
-        cls = getattr(importlib.import_module(mod_name), cls_name)
-        assert callable(getattr(cls, method)), (mod_name, cls_name, method)
     assert callable(sim.compile_expr)
     # as the benchmark's rhs probe samples the kink
     x = np.linspace(-20.0, 20.0, 16)
@@ -210,7 +214,7 @@ def test_run_suite_calls_the_traced_entry_points(monkeypatch):
     from dlwlab import report
 
     traced = sorted(
-        attr for mod_name, attr in _benchmark_tables()["TRACED_FUNCTIONS"].values() if mod_name == "dlwlab.report"
+        attr for mod_name, attr in _load_tracer().TRACED_FUNCTIONS.values() if mod_name == "dlwlab.report"
     )
     assert traced == ["adjoint_suite", "conslaw_suite", "symmetry_suite"]
     calls = []
