@@ -11,11 +11,13 @@ listed but do not fail the build), 1 on an unexpected failure, 2 on
 usage errors: an option the action does not declare, and input that
 the action rejects (a malformed ``--binding`` or ``--n``, a ``--samples``
 below 1 on ``waves verify``, a ``--mu`` that is not rational, a
-``--points`` below 2, an option that needs ``--family`` without it,
-``--json`` on ``waves profile``, which writes its CSV to ``--out``, and
-in the ``waves`` and ``sim`` actions a bad config, an unbound family
-parameter or a bound name that is not one, an unknown monitor label or
-family, or a file that cannot be read or written).
+``--points`` below 2, a ``--xi-min`` and ``--xi-max`` that are not
+finite with ``--xi-min`` below ``--xi-max``, an option that needs
+``--family`` without it, ``--json`` on ``waves profile``, which writes
+its CSV to ``--out``, and in the ``waves`` and ``sim`` actions a bad
+config, an unbound family parameter or a bound name that is not one, an
+unknown monitor label or family, or a file that cannot be read or
+written).
 Past parsing, each prints one stderr line ``dlwlab <command> <action>:
 <error type>: <message>``. A standard output closed by its reader (as
 ``| head -1`` closes it) ends the command quietly with exit 1: no
@@ -193,6 +195,9 @@ def _waves_profile(args: argparse.Namespace) -> int:
         raise UsageError("waves profile needs --family")
     if args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
+    lo, hi = args.xi_min, args.xi_max
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise UsageError(f"--xi-min {lo:g} and --xi-max {hi:g} must be finite, with --xi-min below --xi-max")
     rows = profile_rows(args.family, _parse_binding(args.binding), args.xi_min, args.xi_max, args.points)
     out = Path(args.out or f"{args.family}_profile.csv")
     _write_csv(out, ["xi", "U", "V"], rows)

@@ -97,7 +97,7 @@ class BlowupError(JetError):
         self.time = time
 
 
-# The most cells a grid may have. A stable step is about cfl dx^3, so
+# The most cells a grid may have. A stable step is about CFL dx^3, so
 # past a few thousand cells even t_end = 1 takes more than MAX_STEPS
 # steps; a larger n is a typo, and would fill memory with the stage
 # buffers before any step.
@@ -145,6 +145,10 @@ class FieldState:
     time: float
 
 
+# The default step is CFL dx^3: an explicit step of the u_xxx term has
+# to shrink as dx^3.
+CFL = 0.2
+
 # The most RK4 steps one run may take. At n = 128 that many already take
 # tens of minutes; a larger count comes from a mistyped dt or t_end.
 MAX_STEPS = 10**7
@@ -155,7 +159,6 @@ class SimConfig:
     grid: Grid1D
     t_end: float
     dt: float | None = None
-    cfl: float = 0.2
     boundary: str = "periodic"  # or "exact"
     family: str | None = None
     binding: Mapping[str, float] = field(default_factory=dict)
@@ -165,7 +168,7 @@ class SimConfig:
     def step_size(self) -> float:
         if self.dt is not None:
             return self.dt
-        return self.cfl * self.grid.dx**3
+        return CFL * self.grid.dx**3
 
     def __post_init__(self) -> None:
         if self.boundary not in ("periodic", "exact"):
@@ -791,7 +794,7 @@ def convergence_study(family: str, binding: Mapping[str, float], n_list: Sequenc
 
 
 _CONFIG_KEYS = (
-    "x_min", "x_max", "n", "t_end", "dt", "cfl",
+    "x_min", "x_max", "n", "t_end", "dt",
     "boundary", "family", "monitors", "output_stride",
 )
 
@@ -827,7 +830,6 @@ def config_from_mapping(data: Mapping[str, str]) -> SimConfig:
         grid=grid,
         t_end=number("t_end", 1.0),
         dt=number("dt", None),
-        cfl=number("cfl", 0.2),
         boundary=data.get("boundary", "periodic"),
         family=data.get("family"),
         binding=binding,

@@ -281,19 +281,25 @@ def _samples(domain: tuple[float, float, float, float], n: int, seed: int):
     return out
 
 
-def family(family_id: str, binding: Mapping[str, float] = MappingProxyType({})) -> SolitonFamily:
+def family(family_id: str, binding: Mapping[str, float] | None = None) -> SolitonFamily:
     """The registered family of a catalog id; an unknown id raises
-    ``UnknownFamily`` naming it and every known id, and a name in
-    ``binding`` that is not a parameter of the family raises ``JetError``
-    naming it and the family's parameters."""
+    ``UnknownFamily`` naming it and every known id. With a ``binding``,
+    a name in it that is not a parameter of the family, or a parameter
+    it leaves out, raises ``JetError`` naming them; None is a lookup
+    only."""
     reg = family_registry()
     fam = reg.get(family_id)
     if fam is None:
         raise UnknownFamily(f"unknown family {family_id!r}; known: {', '.join(sorted(reg))}")
+    if binding is None:
+        return fam
     unknown = set(binding) - fam.free_params
     if unknown:
         known = ", ".join(sorted(fam.free_params))
         raise JetError(f"unknown parameter(s) {sorted(unknown)} for {family_id}; its parameters: {known}")
+    missing = fam.free_params - set(binding)
+    if missing:
+        raise JetError(f"unbound parameters for {family_id}: {sorted(missing)}")
     return fam
 
 
@@ -303,15 +309,8 @@ def verify_family(
     """Residual scan of one family at one binding on the physical pair;
     unknown ids raise."""
     fam = family(family_id, binding)
-    _check_bound(fam, binding)
     samples = _samples(fam.domain, n_samples, seed)
     return residual_max(physical_system(), (fam.u_expr, fam.v_expr), binding, samples)
-
-
-def _check_bound(fam: SolitonFamily, binding: Mapping[str, float]) -> None:
-    missing = fam.free_params - set(binding)
-    if missing:
-        raise JetError(f"unbound parameters for {fam.id}: {sorted(missing)}")
 
 
 def scan_family(family_id: str, n_samples: int = RESIDUAL_SAMPLES, seed: int = 0) -> list[dict]:
@@ -322,7 +321,7 @@ def scan_family(family_id: str, n_samples: int = RESIDUAL_SAMPLES, seed: int = 0
     grid. Each record is the one ``verify_family`` gives for its binding."""
     fam = family(family_id)
     for binding in fam.default_grid:
-        _check_bound(fam, binding)
+        family(family_id, binding)
     samples = _samples(fam.domain, n_samples, seed)
     reports = _residual_reports(physical_system(), (fam.u_expr, fam.v_expr), fam.default_grid, samples)
     return [

@@ -1,7 +1,7 @@
-"""Point-symmetry machinery: third prolongation, determining residuals,
-vector-field and evolutionary brackets, and the classification of the
-one-dimensional subalgebras of the four-generator algebra by a complete
-invariant of its adjoint action.
+"""Point-symmetry machinery: determining residuals, vector-field and
+evolutionary brackets, and the classification of the one-dimensional
+subalgebras of the four-generator algebra by a complete invariant of its
+adjoint action.
 
 A :class:`PointSymmetry` is a field on any evolution system: it carries
 one eta per dependent variable, keyed by name in the system's ``deps``
@@ -13,11 +13,10 @@ physical pair are
     X1 = d/dt,  X2 = d/dx,  X3 = t d/dx + d/du,
     X4 = (x/2) d/dx + t d/dt - (u/2) d/du - v d/dv.
 
-A field prolongs through its characteristic Q_dep = eta_dep - xi1 dep_t
-- xi2 dep_x: the coefficient of d/d(dep_J) is D_J Q_dep + xi1 dep_{J,t} +
-xi2 dep_{J,x} (Olver, *Applications of Lie Groups to Differential
-Equations*, GTM 107, Thm. 2.36), each D_J Q from one
-``jet.derivative_table``.
+Nothing here prolongs a field. A field is checked through its
+characteristic Q_dep = eta_dep - xi1 dep_t - xi2 dep_x and the Frechet
+derivative of the equations, the one linearization that the adjoint
+and conservation-law layers share.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .jet import (
     reduce_on_shell,
     substitute_ansatz,
     sum_of_products,
-    total_derivative,
 )
 from .systems import physical_system
 
@@ -45,7 +43,6 @@ __all__ = [
     "Characteristic",
     "point_symmetries",
     "characteristic",
-    "prolongation_coefficient",
     "determining_residual",
     "lie_bracket",
     "frechet_derivative",
@@ -88,12 +85,6 @@ class PointSymmetry:
 
     def coeffs(self) -> tuple[JetPoly, ...]:
         return (self.xi1, self.xi2, *(eta for _, eta in self.eta))
-
-    def eta_for(self, dep: str) -> JetPoly:
-        eta = dict(self.eta).get(dep)
-        if eta is None:
-            raise JetError(f"unknown dependent variable {dep!r}")
-        return eta
 
     def _with_coeffs(self, coeffs: Iterable[JetPoly]) -> "PointSymmetry":
         """The field on the same dependent variables with ``coeffs`` in
@@ -164,16 +155,11 @@ def point_symmetries() -> tuple[PointSymmetry, ...]:
     return tuple(PointSymmetry(xi1, xi2, tuple(zip(deps, etas)), name) for name, xi1, xi2, *etas in fields)
 
 
-def _characteristic_component(x: PointSymmetry, dep: str) -> JetPoly:
-    """Q_dep = eta_dep - xi1 dep_t - xi2 dep_x; JetError for a ``dep``
-    that is not one of the field's dependent variables."""
-    return x.eta_for(dep) - x.xi1 * JetPoly.var(dep, 0, 1) - x.xi2 * JetPoly.var(dep, 1, 0)
-
-
 def characteristic(x: PointSymmetry, name: str = "") -> Characteristic:
     """Evolutionary representative of a point symmetry: one component
-    per dependent variable, in the field's order."""
-    comp = tuple(_characteristic_component(x, dep) for dep in x.deps)
+    Q_dep = eta_dep - xi1 dep_t - xi2 dep_x per dependent variable, in
+    the field's order."""
+    comp = tuple(eta - x.xi1 * JetPoly.var(dep, 0, 1) - x.xi2 * JetPoly.var(dep, 1, 0) for dep, eta in x.eta)
     return Characteristic(comp, name=name or (x.name and f"P{x.name[1:]}"))
 
 
@@ -181,40 +167,23 @@ def characteristics() -> tuple[Characteristic, ...]:
     return tuple(characteristic(x) for x in point_symmetries())
 
 
-# ---------------------------------------------------------------------------
-# prolongation
-
-
-def prolongation_coefficient(x: PointSymmetry, dep: str, dx: int, dt: int) -> JetPoly:
-    """Coefficient of d/d(dep[dx,dt]) in the prolonged field of ``x``:
-    D_x^dx D_t^dt Q_dep + xi1 dep[dx,dt+1] + xi2 dep[dx+1,dt]."""
-    return derivative_table(_characteristic_component(x, dep))(dx, dt) + sum_of_products(
-        ((x.xi1, JetPoly.var(dep, dx, dt + 1)), (x.xi2, JetPoly.var(dep, dx + 1, dt)))
-    )
-
-
-def apply_prolonged(x: PointSymmetry, g: JetPoly) -> JetPoly:
-    """Action of the prolonged field on a differential polynomial,
-    sum_J D_J Q_dep dg/d(dep_J) + xi1 D_t g + xi2 D_x g: one
-    :func:`sum_of_products`, with one table of the D_J Q_dep per name."""
-    jet_vars = g.jet_vars()
-    tables = {n: derivative_table(_characteristic_component(x, n)) for n in {v.name for v in jet_vars}}
-    return sum_of_products(
-        (
-            (x.xi1, total_derivative(g, "t")),
-            (x.xi2, total_derivative(g, "x")),
-            *((g.partial(v), tables[v.name](v.dx, v.dt)) for v in jet_vars),
-        )
-    )
-
-
 def determining_residual(
     x: PointSymmetry, sys: EvolutionSystem
 ) -> tuple[JetPoly, ...]:
-    """Prolonged field applied to each equation, reduced on shell; the
-    zero tuple certifies a symmetry."""
+    """The linearized equations G'[Q] in the direction of the field's
+    characteristic Q, reduced on shell; the zero tuple certifies a
+    symmetry. JetError if the field is not on the system's ``deps``.
+
+    This is the prolonged field applied to the equations: pr X(G) =
+    G'[Q] + xi1 D_t G + xi2 D_x G (Olver, *Applications of Lie Groups to
+    Differential Equations*, GTM 107, Sec. 5.1), and ``reduce_on_shell``
+    is one substitution, a ring homomorphism that sends every D_J G to
+    0, so both sides reduce to the same polynomial for any field."""
+    if x.deps != sys.deps:
+        raise JetError(f"a field on {x.deps} is not a field of the system on {sys.deps}")
     return tuple(
-        reduce_on_shell(apply_prolonged(x, g), sys) for g in sys.equation_polys()
+        reduce_on_shell(r, sys)
+        for r in frechet_derivative(sys.equation_polys(), characteristic(x).comp, sys.deps)
     )
 
 

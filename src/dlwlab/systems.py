@@ -7,7 +7,8 @@ Physical family (u, v):
     v_t = -(u_x v + u v_x + u_xxx/3)
 
 Potential family (q, r), obtained by writing u = q_x, v = r_x and
-integrating each equation once in x; the solved leaders are the mixed
+integrating each equation once in x, so its right sides are the
+physical ones under that substitution; the solved leaders are the mixed
 derivatives q_xt, r_xt, so pure t-derivatives of q and r stay as
 irreducible coordinates:
 
@@ -56,14 +57,17 @@ def physical_system() -> EvolutionSystem:
     return EvolutionSystem(deps=("u", "v"), rhs=(g1, g2), lead_dx=0)
 
 
+#: The potential family's field names, declared here once: the map below
+#: reads them, and ``potential_system`` is built through that map.
+_POTENTIAL_DEPS = ("q", "r")
+
+
 @functools.cache
 def potential_system() -> EvolutionSystem:
-    """The once-integrated pair in the potential variables q, r."""
-    q = lambda dx=0: JetPoly.var("q", dx)
-    r = lambda dx=0: JetPoly.var("r", dx)
-    g1 = q(1) * q(2) + r(2)
-    g2 = q(2) * r(1) + q(1) * r(2) + q(4) * Fraction(1, 3)
-    return EvolutionSystem(deps=("q", "r"), rhs=(g1, g2), lead_dx=1)
+    """The once-integrated pair in the potential variables q, r: the
+    physical right sides under u -> q_x, v -> r_x."""
+    rhs = tuple(physical_to_potential(g) for g in physical_system().rhs)
+    return EvolutionSystem(deps=_POTENTIAL_DEPS, rhs=rhs, lead_dx=1)
 
 
 def _rename(p: JetPoly, renames: Mapping[str, str], shift: int = 0) -> JetPoly:
@@ -82,14 +86,14 @@ def _rename(p: JetPoly, renames: Mapping[str, str], shift: int = 0) -> JetPoly:
 
 def physical_to_potential(p: JetPoly) -> JetPoly:
     """Explicit cross-family substitution u -> q_x, v -> r_x."""
-    return _rename(p, dict(zip(physical_system().deps, potential_system().deps)), 1)
+    return _rename(p, dict(zip(physical_system().deps, _POTENTIAL_DEPS)), 1)
 
 
 def potential_to_physical(p: JetPoly) -> JetPoly:
     """Push a potential-family expression forward through u = q_x,
     v = r_x. Fails on bare (underived-in-x) q or r, which have no
     physical image."""
-    return _rename(p, dict(zip(potential_system().deps, physical_system().deps)), -1)
+    return _rename(p, dict(zip(_POTENTIAL_DEPS, physical_system().deps)), -1)
 
 
 def substitute_dependent(p: JetPoly, renames: Mapping[str, str]) -> JetPoly:

@@ -16,12 +16,15 @@ generator in the same state.
 over the derivative coordinates; ``dlwlab.symmetry`` goes through
 ``jet.substitute_ansatz`` and must compute the same reduced pairs.
 
-``prolongation_coefficient``, ``apply_prolonged`` and
-``frechet_derivative`` are the symmetry layer's sums of products as they
-were before they went through ``jet.sum_of_products``: one ``+`` and one
-``*`` per term, every prolongation coefficient computed by plain
-recursion and every derivative D_x^a D_t^b taken from scratch by
-``jet_reference.total_derivative_n``. The package's versions must equal them.
+``prolongation_coefficient`` and ``apply_prolonged`` prolong a field by
+plain recursion, one ``+`` and one ``*`` per term. The package prolongs
+nothing: ``dlwlab.symmetry.determining_residual`` linearizes the
+equations in the direction of the characteristic, and must equal
+``apply_prolonged`` on each equation once both are reduced on shell.
+``frechet_derivative`` is the Frechet derivative as it was before it went
+through ``jet.sum_of_products``, every derivative D_x^a D_t^b taken from
+scratch by ``jet_reference.total_derivative_n``; the package's version
+must equal it.
 """
 
 from __future__ import annotations
@@ -175,7 +178,7 @@ def ansatz_reduction(
 
 def prolongation_coefficient(x: PointSymmetry, dep: str, dx: int, dt: int) -> JetPoly:
     if dx == 0 and dt == 0:
-        return x.eta_for(dep)
+        return dict(x.eta)[dep]
     if dt > 0:
         prev_dx, prev_dt, axis = dx, dt - 1, "t"
     else:

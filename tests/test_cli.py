@@ -128,7 +128,7 @@ def kink_cfg(extra: str) -> str:
     [
         ("param.mu=1.0\nmonitor=eq32\n", "'monitor'"),
         ("param.mu=1.0\noutput_stride=0\n", "output_stride"),
-        ("", "UnboundParameter: mu"),
+        ("", "JetError: unbound parameters for eq93: ['mu']"),
         ("param.mu=1.0\nmonitors=eq999\n", "'eq999'"),
         ("param.mu=1.0\nmonitors=eq33,eq32,eq33\n", "JetError: conservation-law label 'eq33' is repeated"),
         ("param.mu=1.0\nparam.nu=7\n", "['nu'] for eq93"),
@@ -173,7 +173,7 @@ def test_sim_run_missing_config_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "action,named",
-    [("verify", "JetError: unbound parameters for eq93"), ("profile", "UnboundParameter: mu")],
+    [("verify", "JetError: unbound parameters for eq93"), ("profile", "JetError: unbound parameters for eq93")],
 )
 def test_waves_family_without_binding_exits_two(action, named, tmp_path, capsys):
     out = tmp_path / "profile.csv"
@@ -560,7 +560,7 @@ def test_sim_converge_malformed_binding(capsys):
 
 
 def test_sim_converge_step_longer_than_t_end_names_it(capsys):
-    # cfl * dx^3 = 0.2 * (40/32)^3 = 0.390625 at n = 32
+    # sim.CFL * dx^3 = 0.2 * (40/32)^3 = 0.390625 at n = 32
     args = ["sim", "converge", "--family", "eq93", "--binding", "mu=1", "--n", "32,64", "--t-end", "0.1"]
     assert main(args) == 2
     captured = capsys.readouterr()
@@ -604,6 +604,29 @@ def test_waves_profile_too_few_points_exits_two(points, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("dlwlab waves profile: UsageError: ")
     assert f"--points must be at least 2, got {points}" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bounds,named",
+    [
+        (["--xi-min", "nan"], "--xi-min nan and --xi-max 10"),
+        (["--xi-max", "inf"], "--xi-min -10 and --xi-max inf"),
+        (["--xi-min=-inf"], "--xi-min -inf and --xi-max 10"),
+        (["--xi-min", "5", "--xi-max", "5"], "--xi-min 5 and --xi-max 5"),
+        (["--xi-min", "5", "--xi-max", "-5"], "--xi-min 5 and --xi-max -5"),
+    ],
+    ids=["nan", "inf", "minus-inf", "equal", "reversed"],
+)
+def test_waves_profile_bad_bounds_exit_two(bounds, named, tmp_path, capsys):
+    out = tmp_path / "profile.csv"
+    args = ["waves", "profile", "--family", "eq93", "--binding", "mu=1", *bounds]
+    assert run_cli(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"dlwlab waves profile: UsageError: {named} must be finite, with --xi-min below --xi-max\n"
+    )
     assert not out.exists()
 
 

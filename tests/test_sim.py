@@ -123,7 +123,7 @@ class TestGridAndConfig:
         assert cfg.binding == {"mu": 1.0}
         assert cfg.monitors == ("eq32", "eq33")
 
-    @pytest.mark.parametrize("key", ["monitor", "N", "param.", "output-stride"])
+    @pytest.mark.parametrize("key", ["monitor", "N", "param.", "output-stride", "cfl"])
     def test_unknown_config_key_rejected(self, key):
         with pytest.raises(JetError, match=f"unknown config key {key!r}"):
             config_from_mapping({"n": "64", key: "1"})

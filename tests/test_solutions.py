@@ -108,8 +108,19 @@ def test_binding_names_are_the_family_parameters():
 
 
 def test_missing_binding_rejected():
-    with pytest.raises(Exception):
-        verify_family("eq93", {})
+    """Every entry point that takes a binding names every parameter it
+    leaves out, in one message, before any evaluation."""
+    missing = "unbound parameters for eq86: ['C1', 'R1', 'R2', 'a0', 'c2', 'k1', 'w1', 'xi0']"
+    entries = [
+        lambda: solutions.family("eq86", {"A0": 1.0}),
+        lambda: verify_family("eq86", {"A0": 1.0}),
+        lambda: profile_rows("eq86", {"A0": 1.0}),
+    ]
+    for entry in entries:
+        with pytest.raises(JetError) as err:
+            entry()
+        assert str(err.value) == missing
+    assert solutions.family("eq86") is family_registry()["eq86"]  # no binding: a lookup only
 
 
 def test_profile_rows_skip_poles():

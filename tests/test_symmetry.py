@@ -1,4 +1,4 @@
-"""Point symmetries: prolongation, determining residuals, brackets,
+"""Point symmetries: determining residuals, brackets,
 the subalgebra classification by its complete invariant, and the
 similarity reductions."""
 
@@ -21,63 +21,56 @@ from dlwlab.symmetry import (
     char_structure_constants,
     characteristic,
     characteristics,
-    apply_prolonged,
     determining_residual,
     frechet_derivative,
     lie_bracket,
     optimal_class,
     point_symmetries,
     printed_generator_matrices,
-    prolongation_coefficient,
     similarity_reduction_checks,
     structure_constants,
 )
 
 
 class TestProlongation:
-    def test_translation_is_trivial(self):
-        x2 = point_symmetries()[1]
-        for dep in ("u", "v"):
-            for dx, dt in ((1, 0), (0, 1), (2, 0), (3, 0)):
-                assert prolongation_coefficient(x2, dep, dx, dt).is_zero()
-
-    def test_galilean_first_order(self):
-        x3 = point_symmetries()[2]
-        assert prolongation_coefficient(x3, "u", 0, 1) == -JetPoly.var("u", 1)
-        assert prolongation_coefficient(x3, "u", 1, 0).is_zero()
-
-    def test_scaling_first_order(self):
-        x4 = point_symmetries()[3]
-        assert prolongation_coefficient(x4, "u", 1, 0) == -JetPoly.var("u", 1)
-
-    def test_unknown_dependent_variable_raises(self):
-        x4 = point_symmetries()[3]
-        with pytest.raises(JetError, match="'w'"):
-            prolongation_coefficient(x4, "w", 1, 0)
-        with pytest.raises(JetError, match="'w'"):
-            apply_prolonged(x4, JetPoly.var("u") * JetPoly.var("w", 1))
+    def test_unknown_dependent_variable_raises(self, phys, pot):
+        on_uw = PointSymmetry(JetPoly.one(), JetPoly.zero(), (("u", JetPoly.zero()), ("w", JetPoly.zero())))
+        x1 = point_symmetries()[0]
+        # a translation reads no field, so only the deps check can catch these
+        for field, sys in ((on_uw, phys), (x1, pot), (x1.scaled(0), BURGERS)):
+            with pytest.raises(JetError) as err:
+                determining_residual(field, sys)
+            assert str(field.deps) in str(err.value) and str(sys.deps) in str(err.value)
 
 
-# order-0 coefficients in t, x, u, v and a parameter
-point_fields = st.builds(
-    lambda xi1, xi2, eta_u, eta_v: PointSymmetry(xi1, xi2, (("u", eta_u), ("v", eta_v))),
-    *[jet_polys(max_dx=0, max_terms=3, params=("mu",)) | st.just(JetPoly.zero())] * 4,
-)
+def _point_fields(deps):
+    """Order-0 coefficients in t, x, the fields of ``deps`` and a
+    parameter."""
+    coeff = jet_polys(max_dx=0, max_terms=3, params=("mu",), deps=deps) | st.just(JetPoly.zero())
+    return st.builds(
+        lambda xi1, xi2, *etas: PointSymmetry(xi1, xi2, tuple(zip(deps, etas))),
+        *[coeff] * (2 + len(deps)),
+    )
+
+
+def _prolonged_on_shell(x, sys):
+    """The reference prolongation applied to each equation, reduced on
+    shell."""
+    return tuple(reduce_on_shell(symmetry_reference.apply_prolonged(x, g), sys) for g in sys.equation_polys())
 
 
 class TestSumsOfProducts:
-    """The prolonged action and the Frechet derivative, as sums of
-    products over one derivative table per operand, equal the plain
-    loops in ``symmetry_reference``."""
+    """The determining residual through the characteristic equals the
+    reference prolongation on shell, and the Frechet derivative, as a sum
+    of products over one derivative table per operand, equals the plain
+    loop in ``symmetry_reference``."""
 
-    @given(x=point_fields, g=jet_polys(max_dx=3, max_dt=2, max_terms=4, params=("mu",)))
+    @given(data=st.data(), potential=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_apply_prolonged_matches_reference(self, x, g):
-        assert apply_prolonged(x, g) == symmetry_reference.apply_prolonged(x, g)
-        for v in g.jet_vars():
-            assert prolongation_coefficient(x, v.name, v.dx, v.dt) == (
-                symmetry_reference.prolongation_coefficient(x, v.name, v.dx, v.dt)
-            )
+    def test_apply_prolonged_matches_reference(self, data, potential, phys, pot):
+        sys = pot if potential else phys
+        x = data.draw(_point_fields(sys.deps))
+        assert determining_residual(x, sys) == _prolonged_on_shell(x, sys)
 
     @given(
         q=st.lists(jet_polys(max_dx=2, max_dt=2, max_terms=3, params=("mu",)), min_size=1, max_size=2),
@@ -89,10 +82,12 @@ class TestSumsOfProducts:
         p = p[: len(deps)]
         assert frechet_derivative(q, p, deps) == symmetry_reference.frechet_derivative(q, p, deps)
 
-    def test_catalog_actions_match_reference(self, phys):
-        for x in point_symmetries():
-            for g in phys.equation_polys():
-                assert apply_prolonged(x, g) == symmetry_reference.apply_prolonged(x, g), x.name
+    def test_catalog_actions_match_reference(self, phys, pot):
+        controls = (_on(phys.deps, 0, 0, _T, 0), _on(phys.deps, _X, _T * _X, _u() * _u(), _X))
+        for x in (*point_symmetries(), *controls):
+            assert determining_residual(x, phys) == _prolonged_on_shell(x, phys), x.name
+        for x in (*_potential_fields(pot), _on(pot.deps, 0, 0, JetPoly.var(pot.deps[0]), 0)):
+            assert determining_residual(x, pot) == _prolonged_on_shell(x, pot), x
         chars = characteristics()
         for p in chars:
             for q in chars:
@@ -140,8 +135,8 @@ class TestFields:
     def test_coeffs_and_etas_follow_the_system_order(self, phys):
         x4 = point_symmetries()[3]
         assert x4.deps == phys.deps
-        assert x4.coeffs() == (x4.xi1, x4.xi2, *(x4.eta_for(dep) for dep in phys.deps))
-        assert x4.eta_for("v") == -JetPoly.var("v")
+        assert x4.coeffs() == (x4.xi1, x4.xi2, *(eta for _, eta in x4.eta))
+        assert dict(x4.eta)["v"] == -JetPoly.var("v")
 
 
 def _u(dx=0):
@@ -238,7 +233,7 @@ class TestKnownAnswers:
             for x in xs:
                 p = characteristic(x)
                 assert p.comp == tuple(
-                    x.eta_for(dep) - x.xi1 * JetPoly.var(dep, 0, 1) - x.xi2 * JetPoly.var(dep, 1) for dep in sys.deps
+                    dict(x.eta)[dep] - x.xi1 * JetPoly.var(dep, 0, 1) - x.xi2 * JetPoly.var(dep, 1) for dep in sys.deps
                 )
             for a in xs:
                 for b in xs:
