@@ -218,7 +218,7 @@ def lift_onshell_operator(
     if a nonzero remainder survives with no reducible coordinate left.
     """
     eqs = sys.equation_polys()
-    # each prolonged equation is taken once per call
+    # each prolonged equation is taken once per tower
     prolonged = [derivative_table(g) for g in eqs]
     dep_index = {name: k for k, name in enumerate(sys.deps)}
     solved = sys.solved()

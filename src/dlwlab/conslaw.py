@@ -318,7 +318,7 @@ def boundary_current(density: JetPoly, w: Mapping[str, JetPoly]) -> tuple[JetPol
     f D_t^j H = D_t sum_{k<j} (-D_t)^k f D_t^(j-1-k) H + ((-D_t)^j f) H
     with H = D_x^i W^a, and the same in x for g = (-D_t)^j f. Each current
     is one :func:`sum_of_products`, and each derivative of a W^a is
-    taken once per call, from one :func:`derivative_table` per
+    taken once per tower, from one :func:`derivative_table` per
     component."""
     tables = {name: derivative_table(wa) for name, wa in w.items()}
     x_pairs, t_pairs = [], []

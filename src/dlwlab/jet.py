@@ -32,7 +32,10 @@ substitution) goes through ``sum_of_products``, which adds every product
 into one integer accumulator and normalizes once. ``derivative_table`` is
 the one memoized tower of derivatives d_x^a d_t^b: each D_x^a D_t^b of an
 operand, each image of an ansatz and each derivative of an analytic
-candidate comes from a table made for the call.
+candidate comes from a table. A table of the total derivatives D_x and
+D_t lives as long as the innermost ``shared_towers()`` scope, which holds
+one tower per polynomial; outside any scope it lives for the call. A
+table with maps of its own is always made for the call.
 
 ``reduce_on_shell`` is one substitution of every reducible coordinate by
 its image under a solved system. Each image is built on first use from
@@ -66,12 +69,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import index
 from threading import Lock
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 __all__ = [
     "JetError",
@@ -89,6 +94,7 @@ __all__ = [
     "substitute_ansatz",
     "sum_of_products",
     "derivative_table",
+    "shared_towers",
     "reduce_on_shell",
     "euler_operator",
     "apply_op",
@@ -827,24 +833,73 @@ def sum_of_products(pairs: Iterable[tuple[JetPoly, JetPoly]]) -> JetPoly:
     return _over_common_denominator(sums)
 
 
+def _d_x(p: JetPoly) -> JetPoly:
+    return total_derivative(p, "x")
+
+
+def _d_t(p: JetPoly) -> JetPoly:
+    return total_derivative(p, "t")
+
+
+# one tower per polynomial for the innermost shared_towers() scope, or None
+_TOWERS: ContextVar[dict | None] = ContextVar("jet_towers", default=None)
+
+
+@contextmanager
+def shared_towers() -> Iterator[None]:
+    """A scope in which every :func:`derivative_table` of D_x and D_t
+    shares one tower per polynomial: a table asked for a polynomial equal
+    to one seen before in the scope returns that table, with every entry
+    built so far. The towers are dropped when the scope ends, and a nested
+    scope starts with none. The scope is a context variable, so a thread
+    started inside it sees no scope."""
+    token = _TOWERS.set({})
+    try:
+        yield
+    finally:
+        _TOWERS.reset(token)
+
+
 def derivative_table(
     p: _T,
-    dx: Callable[[_T], _T] = lambda q: total_derivative(q, "x"),
-    dt: Callable[[_T], _T] = lambda q: total_derivative(q, "t"),
+    dx: Callable[[_T], _T] = _d_x,
+    dt: Callable[[_T], _T] = _d_t,
 ) -> Callable[[int, int], _T]:
     """``d(a, b) = dx^a dt^b p``, each entry built once per table by one
     map of the entry one order below it (``dt`` if ``b``, else ``dx``).
     The maps default to the total derivatives D_x and D_t; any pair of
-    commuting derivations of ``p``'s type will do. Callers make one table
-    per operand and call, so nothing is kept between calls."""
+    commuting derivations of ``p``'s type will do. With the default maps
+    inside a :func:`shared_towers` scope, the table is the scope's tower
+    of ``p``, made on first use; otherwise it is new, so nothing is kept
+    past the caller's hold on it."""
+    towers = _TOWERS.get() if dx is _d_x and dt is _d_t else None
+    if towers is None:
+        return _table(p, dx, dt)
+    d = towers.get(p)
+    if d is None:
+        d = towers[p] = _table(p, dx, dt)
+    return d
+
+
+def _table(p: _T, dx: Callable[[_T], _T], dt: Callable[[_T], _T]) -> Callable[[int, int], _T]:
     table = {(0, 0): p}
 
+    # d builds the entries below (a, b) by a loop, not by calling itself:
+    # a closure that names itself is a reference cycle, which a tower kept
+    # for a whole run would leave to the cyclic collector
     def d(a: int, b: int) -> _T:
         got = table.get((a, b))
         if got is None:
             if a < 0 or b < 0:
                 raise JetError(f"total derivative orders must be nonnegative, got dx={a}, dt={b}")
-            got = table[(a, b)] = dt(d(a, b - 1)) if b else dx(d(a - 1, 0))
+            missing = []
+            key = (a, b)
+            while key not in table:
+                missing.append(key)
+                key = (key[0], key[1] - 1) if key[1] else (key[0] - 1, 0)
+            got = table[key]
+            for key in reversed(missing):
+                got = table[key] = dt(got) if key[1] else dx(got)
         return got
 
     return d
@@ -1082,7 +1137,11 @@ class OpTerm:
     dt: int = 0
 
     def __post_init__(self) -> None:
-        if self.dx < 0 or self.dt < 0:
+        try:
+            dx, dt = index(self.dx), index(self.dt)
+        except TypeError:
+            raise JetError(f"operator orders must be integers, got dx={self.dx!r}, dt={self.dt!r}") from None
+        if dx < 0 or dt < 0:
             raise JetError("operator orders must be nonnegative")
 
 
@@ -1154,7 +1213,7 @@ class LinearDiffOp:
 def apply_op(op: LinearDiffOp, w: Sequence[JetPoly]) -> tuple[JetPoly, ...]:
     """Matrix-vector action; each entry term contributes
     coeff * D_x^a D_t^b (component). Each distinct derivative of a
-    component is taken once per call, from one :func:`derivative_table`
+    component is taken once per tower, from one :func:`derivative_table`
     per component shared by every row, and each row is one
     :func:`sum_of_products`."""
     if len(w) != op.size:

@@ -13,9 +13,10 @@ the source catalog and do not fail the build.
 To add a check, write a block function ``(run, rep) -> None`` (or extend
 one) and list it in ``_BLOCKS``, the one place that names the blocks and
 orders them. The ``run`` of each call builds what blocks share on first
-read, so nothing it builds outlives a run. The one exception is the
-constant pair: ``run.phys`` and ``run.pot`` are the systems that
-``systems`` builds once per process.
+read, and the blocks run in one ``jet.shared_towers()`` scope, so nothing
+either builds outlives a run. The one exception is the constant pair:
+``run.phys`` and ``run.pot`` are the systems that ``systems`` builds once
+per process.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Collection, Mapping
 
 from . import __version__, adjoint as adj, conslaw as cl, solutions as sol
 from . import symmetry as sym, waves as wv
-from .jet import euler_operator, formal_adjoint, format_poly, reduce_on_shell
+from .jet import euler_operator, formal_adjoint, format_poly, reduce_on_shell, shared_towers
 from .systems import physical_system, physical_to_potential, potential_system
 
 __all__ = [
@@ -87,8 +88,11 @@ class VerificationReport:
 
 class _Run:
     """What the blocks of one run share, each built on first read, except
-    the two pairs, which are built once per process. A run takes no
-    settings; the optimal block's seed and count are constants."""
+    the two pairs, which are built once per process. The blocks also
+    share one tower of total derivatives per polynomial: ``_run`` runs
+    them in one ``jet.shared_towers()`` scope, which ends with the run. A
+    run takes no settings; the optimal block's seed and count are
+    constants."""
 
     phys = functools.cached_property(lambda self: physical_system())
     pot = functools.cached_property(lambda self: potential_system())
@@ -650,9 +654,10 @@ def _run(suite: str, reproducible: bool, blocks: Collection[str] | None) -> Veri
             raise ValueError(f"unknown check block(s) {sorted(unknown)}; known: {', '.join(known)}")
     run = _Run()
     rep = VerificationReport(suite=suite)
-    for name, block in _BLOCKS[suite]:
-        if blocks is None or name in blocks:
-            block(run, rep)
+    with shared_towers():
+        for name, block in _BLOCKS[suite]:
+            if blocks is None or name in blocks:
+                block(run, rep)
     return _stamp(rep, reproducible)
 
 

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
 from .jet import (
+    DimensionMismatch,
     EvolutionSystem,
     JetError,
     JetPoly,
@@ -201,10 +202,14 @@ def frechet_derivative(
 ) -> tuple[JetPoly, ...]:
     """Directional derivative Q'(P): differentiate each component of Q
     through every jet slot of the listed dependent variables in the
-    direction of the prolonged tuple P. Each component is one
+    direction of the prolonged tuple P, one component of P per name in
+    ``deps``; fields outside ``deps`` are constants. Each component is one
     :func:`sum_of_products`, and each derivative D_x^a D_t^b of a
-    component of P is taken once per call, from one
-    :func:`derivative_table` per component."""
+    component of P comes from its :func:`derivative_table`, so it is
+    taken once per call, or once per run inside ``jet.shared_towers()``.
+    Raises DimensionMismatch if P and ``deps`` differ in width."""
+    if len(p) != len(deps):
+        raise DimensionMismatch(f"a direction of width {len(p)} on {len(deps)} dependent variables {tuple(deps)}")
     index = {name: k for k, name in enumerate(deps)}
     tables = [derivative_table(c) for c in p]
     return tuple(

@@ -1,12 +1,14 @@
 """Core jet-arithmetic properties: total derivatives, on-shell
 reduction, Euler operators, operator adjoints, and exactness."""
 
+import gc
 import os
 import pickle
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlwlab
-from dlwlab import jet
+from dlwlab import jet, report
 from dlwlab.jet import (
     DimensionMismatch,
     EvolutionSystem,
@@ -33,6 +35,7 @@ from dlwlab.jet import (
     parse_poly,
     reduce_on_shell,
     derivative_table,
+    shared_towers,
     substitute_ansatz,
     sum_of_products,
     total_derivative,
@@ -348,6 +351,17 @@ class TestLinearDiffOp:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             apply_op(LinearDiffOp.identity(2), (u,))
+
+    def test_orders_are_nonnegative_integers(self):
+        # by JetVar's rule: 1.5 would reach apply_op as the order -0.5 and
+        # 2.0 would silently differentiate twice
+        for dx, dt in [(1.5, 0), (0, 2.0), ("1", 0), (None, 0)]:
+            with pytest.raises(JetError, match=rf"^operator orders must be integers, got dx={dx!r}, dt={dt!r}$"):
+                OpTerm(u, dx, dt)
+        for dx, dt in [(-1, 0), (0, -2)]:
+            with pytest.raises(JetError, match="^operator orders must be nonnegative$"):
+                OpTerm(u, dx, dt)
+        assert OpTerm(u, np.int64(2), np.int32(1)) == OpTerm(u, 2, 1)
 
     def test_first_order_adjoint_sign(self):
         dt_term = (OpTerm(-JetPoly.one(), 0, 1),)
@@ -1075,3 +1089,130 @@ class TestKernelCost:
         calls = self.counting_normalizations(monkeypatch)
         assert sum_of_products(pairs) == expected
         assert len(calls) == 1
+
+
+# polynomials with a parameter and explicit x and t in every draw: u[4,0]
+# is above mixed_polys' orders, so the added term never cancels
+xt_polys = st.builds(
+    lambda p, c: p + JetPoly.x() * JetPoly.t(2) * JetPoly.param("mu", -1) * JetPoly.var("u", 4) * c,
+    mixed_polys,
+    small_fractions.filter(bool),
+)
+TOWER_ORDERS = [(a, b) for a in range(4) for b in range(3)]
+
+
+class TestSharedTowers:
+    """Inside ``shared_towers()`` each polynomial has one tower of D_x and
+    D_t, whichever equal object asks for it; outside it, and for
+    tables of other maps, every call gets a table of its own."""
+
+    counting_total_derivatives = staticmethod(TestKernelCost.counting_total_derivatives)
+
+    @given(p=xt_polys, order=st.permutations(TOWER_ORDERS))
+    @settings(max_examples=40, deadline=None)
+    def test_shared_tower_matches_reference(self, p, order):
+        twin = JetPoly(p.terms)
+        assert twin == p and twin is not p
+        with shared_towers():
+            d = derivative_table(p)
+            assert derivative_table(twin) is d
+            for a, b in order:
+                assert d(a, b) == jet_reference.total_derivative_n(p, a, b), (a, b)
+            assert d(0, 0) is p
+
+    def test_nothing_outlives_the_scope(self, monkeypatch):
+        p = u * vx + JetPoly.t()
+        calls = self.counting_total_derivatives(monkeypatch)
+        with shared_towers():
+            first = derivative_table(p)
+            assert first(2, 1) == jet_reference.total_derivative_n(p, 2, 1)
+            assert derivative_table(p)(2, 1) == first(2, 1)
+            # (1,0), (2,0), (2,1), each once
+            assert len(calls) == 3
+            with shared_towers():  # a nested scope starts with no towers
+                assert derivative_table(p) is not first
+            assert derivative_table(p) is first
+        assert jet._TOWERS.get() is None
+        assert derivative_table(p) is not first
+        with shared_towers():
+            assert jet._TOWERS.get() == {}
+            second = derivative_table(p)
+            assert second is not first
+            second(2, 1)
+            assert len(calls) == 6
+
+    def test_towers_are_freed_when_the_scope_ends(self):
+        # with the cyclic collector off: a table is no reference cycle, so
+        # a run's towers go the moment its scope ends
+        gc.disable()
+        try:
+            with shared_towers():
+                d = derivative_table(u * vx + JetPoly.t())
+                d(3, 2)
+                ref = weakref.ref(d)
+                del d
+                assert ref() is not None
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_outside_a_scope_every_call_builds_its_table(self, monkeypatch):
+        row = ((OpTerm(v, 2, 0), OpTerm(u * JetPoly.x(), 1, 1)), (OpTerm(ux * Fraction(1, 3), 0, 1),))
+        op = LinearDiffOp((row, row))
+        w = (u * vx + JetPoly.t(), v**2 * Fraction(2, 5))
+        calls = self.counting_total_derivatives(monkeypatch)
+        assert derivative_table(u) is not derivative_table(u)
+        first = apply_op(op, w)
+        assert apply_op(op, w) == first
+        # the four derivatives of TestKernelCost, paid by each call
+        assert len(calls) == 8
+        with shared_towers():
+            assert apply_op(op, w) == first
+            assert apply_op(op, w) == first
+        assert len(calls) == 12
+
+    def test_a_thread_started_in_the_scope_sees_none(self):
+        seen = []
+
+        def work():
+            seen.append(jet._TOWERS.get())
+            seen.append(derivative_table(u) is derivative_table(u))
+
+        with shared_towers():
+            tower = derivative_table(u)
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join()
+            assert derivative_table(u) is tower
+            assert list(jet._TOWERS.get()) == [u]
+        assert seen == [None, False]
+
+    def test_tables_of_other_maps_are_never_shared(self):
+        p = u * ux
+
+        def same_dx(q):
+            return total_derivative(q, "x")
+
+        def same_dt(q):
+            return total_derivative(q, "t")
+
+        with shared_towers():
+            shared = derivative_table(p)
+            assert shared(1, 0) == total_derivative(p, "x")
+            own = derivative_table(p, same_dx, same_dt)
+            assert own is not shared and own is not derivative_table(p, same_dx, same_dt)
+            assert own(1, 0) == shared(1, 0) and own(1, 0) is not shared(1, 0)
+            doubled = derivative_table(p, lambda q: q + q, lambda q: q * 3)
+            assert doubled(1, 1) == p * 6
+            assert shared(1, 1) == jet_reference.total_derivative_n(p, 1, 1)
+            assert list(jet._TOWERS.get()) == [p]
+
+    @pytest.mark.parametrize("suite,pinned", [("symmetry", 24), ("adjoint", 112), ("conslaw", 33)])
+    def test_each_catalog_suite_builds_each_tower_once(self, monkeypatch, suite, pinned):
+        """The total derivatives of one warm run of a catalog suite, whose
+        blocks share a tower per polynomial (54, 404 and 53 when each call
+        built its own)."""
+        report.run_suite(suite)  # warms the reducers, which live with the systems
+        calls = self.counting_total_derivatives(monkeypatch)
+        report.run_suite(suite)
+        assert len(calls) == pinned

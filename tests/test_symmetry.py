@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 import symmetry_reference
 from conftest import jet_polys
 from dlwlab import linalg, report
-from dlwlab.jet import EvolutionSystem, JetError, JetPoly, reduce_on_shell
+from dlwlab.jet import DimensionMismatch, EvolutionSystem, JetError, JetPoly, reduce_on_shell
 from dlwlab.linalg import decompose_components
 from dlwlab.symmetry import (
     OPTIMAL_CLASSES,
+    Characteristic,
     PointSymmetry,
     char_bracket,
     char_structure_constants,
@@ -81,6 +82,18 @@ class TestSumsOfProducts:
     def test_frechet_derivative_matches_reference(self, q, p, deps):
         p = p[: len(deps)]
         assert frechet_derivative(q, p, deps) == symmetry_reference.frechet_derivative(q, p, deps)
+
+    def test_frechet_derivative_needs_one_direction_per_dep(self, phys):
+        # fields outside deps stay constants (the reference test above
+        # draws deps=("v",)), but P must have one component per name
+        p4 = characteristics()[3]
+        message = r"^a direction of width 1 on 2 dependent variables \('u', 'v'\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            char_bracket(Characteristic((JetPoly.var("u", 1),)), p4, phys)
+        with pytest.raises(DimensionMismatch, match=message):
+            frechet_derivative(phys.equation_polys(), (JetPoly.var("u", 1),), phys.deps)
+        with pytest.raises(DimensionMismatch, match=r"^a direction of width 2 on 1 dependent variables \('v',\)$"):
+            frechet_derivative(phys.equation_polys(), p4.comp, ("v",))
 
     def test_catalog_actions_match_reference(self, phys, pot):
         controls = (_on(phys.deps, 0, 0, _T, 0), _on(phys.deps, _X, _T * _X, _u() * _u(), _X))
